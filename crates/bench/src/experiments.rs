@@ -3,8 +3,7 @@
 //! Each function reproduces one checkable artefact of the paper (a worked
 //! example, a theorem, or an optimization claim) as a table of measured
 //! numbers; the `harness` binary prints them all, and EXPERIMENTS.md records
-//! the expected shape next to a captured run.  The Criterion benches in
-//! `benches/` time the hot kernels of the same experiments.
+//! the expected shape next to a captured run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -768,10 +767,8 @@ fn wide_db(n: usize, variants: usize, skew: f64) -> Database {
 /// executed twice: from the naive plan (full scan + filter) and from the
 /// optimized plan, whose scan carries a shape predicate so only the
 /// partitions that can contain qualifying tuples are read.  Both runs must
-/// return the same rows; the speedup column is full/pruned.  Both
-/// end-to-end `execute` timings go through the default late-materialized
-/// batch pipeline (E16 compares that pipeline against the row oracle).
-/// Since late materialization made the un-pruned `SELECT *` scans cheap
+/// return the same rows; the speedup column is full/pruned.  Since late
+/// materialization made the un-pruned `SELECT *` scans cheap
 /// too (excluded partitions cost a bitmap pass instead of materialized
 /// tuples — those rows now honestly sit near 1×), the headline comes from
 /// the `COUNT(*)` rows, where neither side materializes anything and the
@@ -854,8 +851,8 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
 
     // Columnar-vs-row phase: predicate scan throughput through the
     // vectorized columnar kernels (shape-folded compilation + per-segment
-    // selection bitmaps) vs. a row-store oracle — a segmented row `Heap`
-    // holding the identical tuple multiset, scanned tuple-at-a-time with
+    // selection bitmaps) vs. a row-store strawman — a `Vec<Tuple>` holding
+    // the identical tuple multiset, scanned tuple-at-a-time with
     // `Predicate::eval`.  Both sides count qualifying rows (the shared
     // materialization cost is excluded so the scan layouts themselves are
     // compared); the "full µs" column carries the row-oracle time, the
@@ -863,10 +860,12 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
     // differentially checked against the oracle count before timing.
     const COL_VARIANTS: usize = 8;
     let db = wide_db(scale, COL_VARIANTS, 0.0);
-    let mut row_heap = flexrel_storage::Heap::new();
-    for (_, tuple) in db.scan("wide").unwrap() {
-        row_heap.insert(tuple);
-    }
+    let row_store: Vec<Tuple> = db
+        .scan("wide")
+        .unwrap()
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
     let snap = db.partition_snapshot("wide").unwrap();
     let col_queries = [
         (
@@ -894,7 +893,7 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
                 })
                 .sum::<usize>()
         };
-        let oracle_count = || row_heap.scan().filter(|(_, t)| pred.eval(t)).count();
+        let oracle_count = || row_store.iter().filter(|t| pred.eval(t)).count();
 
         // Differential check first: the bitmap count, the oracle count and
         // the full vectorized executor must all agree.
@@ -922,8 +921,8 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
     t.with_headline("pruning speedup (best)", best, true)
 }
 
-/// Builds the shared access-path fixture (E13, the `e13_index_lookup`
-/// bench and the cross-crate differential tests): the k-variant `wide`
+/// Builds the shared access-path fixture (E13 and the cross-crate
+/// differential tests): the k-variant `wide`
 /// relation with `n` tuples at the given `kind` skew, a dependency-free
 /// shadow copy `wide_nx` of the same instance (no dependencies means no
 /// indexes, so joins against it always take the hash path — the baseline),
@@ -1471,35 +1470,35 @@ pub fn e15_durability(scale: usize) -> Table {
     }
 }
 
-/// E16 — late materialization: the batched SelVec pipeline (the default
-/// execution mode) vs. the tuple-at-a-time row pipeline, end to end.
+/// E16 — late materialization: what the chunk/`SelVec` pipeline builds,
+/// end to end.
 ///
-/// Every row runs the same plan twice — once through the row-at-a-time
-/// oracle pipeline (`ExecOptions::serial().row_pipeline()`) and once
-/// through the late-materialized batch pipeline (`ExecOptions::serial()`,
-/// the default) — asserts the two results are identical tuple-for-tuple
-/// *before* any timing, and reports both timings plus how many input
-/// tuples the late pipeline actually materialized.  The interesting rows:
+/// Every row runs one plan and reports its time plus the pipeline's own
+/// deterministic work counters ([`flexrel_query::ExecStats`]): how many
+/// owned tuples were materialized from column data and how many columnar
+/// chunks entered at scan edges.  The interesting rows:
 ///
-/// * **selective hash join** — the probe side streams every `wide` tuple
-///   but only ~1% find a partner in the small `pick` key list, so the
-///   late pipeline materializes only the matches (plus the build side)
-///   while the row pipeline has already built every probe tuple.
+/// * **selective hash join** — the probe side streams every `wide_nx`
+///   tuple but only ~1% find a partner in the small `pick` key list, so
+///   only the matches (plus the build side) are materialized.
 /// * **aggregates** — `COUNT`/`SUM` (global and `GROUP BY kind`) fold
 ///   directly over the selection bitmaps and typed columns; the
-///   `late materialized` column must read `0` — their inputs never leave
+///   `tuples materialized` column must read `0` — their inputs never leave
 ///   the columns.
+///
+/// The headline is the total of materialized tuples across the queries: a
+/// machine-independent count that only moves when the executor starts
+/// building tuples it used not to.
 pub fn e16_late_materialization(scale: usize) -> Table {
     let mut t = Table::new(
-        "E16: late materialization — batch/SelVec pipeline vs. row-at-a-time execution",
+        "E16: late materialization — tuples the chunk/SelVec pipeline builds",
         &[
             "n",
             "query",
             "rows",
-            "row µs",
             "late µs",
-            "speedup",
-            "late materialized",
+            "tuples materialized",
+            "chunks",
         ],
     );
     const REPS: u32 = 5;
@@ -1507,9 +1506,8 @@ pub fn e16_late_materialization(scale: usize) -> Table {
     let db = wide_db(scale, VARIANTS, 0.0);
     // The spread key list driving the selective joins (build side), and a
     // dependency-free copy of `wide`: no dependencies means no indexes, so
-    // joining it always takes the hash path — the row pipeline then has to
-    // materialize every probe-side tuple while the late pipeline builds
-    // key-only tuples and materializes only the matches.
+    // joining it always takes the hash path, which builds key-only probe
+    // tuples and materializes only the matches.
     db.create_relation(RelationDef::new(
         "pick",
         FlexScheme::relational(AttrSet::singleton("id")),
@@ -1545,11 +1543,9 @@ pub fn e16_late_materialization(scale: usize) -> Table {
         ),
         (
             // The naive (un-optimized) plan on purpose: the guard decides
-            // per shape, so the late pipeline drops whole chunks before
-            // materializing while the row pipeline materializes every
-            // tuple first and tests it afterwards.  (The optimizer would
-            // push the guard into a shape predicate on the scan — that
-            // path is E12's subject.)
+            // per shape, so whole chunks drop before anything is
+            // materialized.  (The optimizer would push the guard into a
+            // shape predicate on the scan — that path is E12's subject.)
             "SELECT * FROM wide GUARD v1 (naive plan)".into(),
             plan_query(
                 &parse("SELECT * FROM wide GUARD v1").unwrap(),
@@ -1575,64 +1571,35 @@ pub fn e16_late_materialization(scale: usize) -> Table {
         ),
     ];
 
-    let row_opts = ExecOptions::serial().row_pipeline();
-    let late_opts = ExecOptions::serial();
-    let mut best_scan = 0.0f64;
-    let mut best_agg = 0.0f64;
+    let opts = ExecOptions::serial();
+    let mut total_materialized = 0u64;
     for (label, plan) in plans {
-        // Differential check first: the late pipeline against the row
-        // oracle, tuple for tuple.
-        let (mut late_rows, stats) = execute_collect(&plan, &db, &late_opts).unwrap();
-        let mut row_rows = execute_with(&plan, &db, &row_opts).unwrap();
-        late_rows.sort();
-        row_rows.sort();
-        assert_eq!(late_rows, row_rows, "pipelines disagree on {label}");
-        let aggregate = label.contains("COUNT");
-        if aggregate {
+        let (rows, stats) = execute_collect(&plan, &db, &opts).unwrap();
+        if label.contains("COUNT") {
             // The non-flaky late-path guard: an aggregate's inputs never
-            // leave the columns.  Anything non-zero means the executor
-            // silently fell back to row-at-a-time execution.
+            // leave the columns.
             assert_eq!(
                 stats.materialized(),
                 0,
                 "aggregate materialized input tuples"
             );
         }
-
-        let (n_row, row_us) = best_of(REPS, || execute_with(&plan, &db, &row_opts).unwrap().len());
-        let (n_late, late_us) =
-            best_of(REPS, || execute_with(&plan, &db, &late_opts).unwrap().len());
-        assert_eq!(n_row, n_late, "row counts diverged on {label}");
-        let speedup = row_us / late_us;
-        if aggregate {
-            best_agg = best_agg.max(speedup);
-        } else {
-            best_scan = best_scan.max(speedup);
-        }
+        let (n, late_us) = best_of(REPS, || execute_with(&plan, &db, &opts).unwrap().len());
+        assert_eq!(n, rows.len(), "row counts diverged on {label}");
+        total_materialized += stats.materialized();
         t.row([
             scale.to_string(),
             label,
-            n_late.to_string(),
-            format!("{:.1}", row_us),
+            n.to_string(),
             format!("{:.1}", late_us),
-            format!("{:.2}x", speedup),
             stats.materialized().to_string(),
+            stats.chunks().to_string(),
         ]);
     }
-    t.row([
-        scale.to_string(),
-        "best scan-heavy / best aggregate speedup".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("{:.2}x / {:.2}x", best_scan, best_agg),
-        "-".to_string(),
-    ]);
-
     t.with_headline(
-        "late-materialization speedup (best)",
-        best_scan.max(best_agg),
-        true,
+        "tuples materialized (total)",
+        total_materialized as f64,
+        false,
     )
 }
 
@@ -2352,54 +2319,39 @@ mod tests {
     }
 
     #[test]
-    fn e16_differentials_hold_and_the_headline_is_uncapped() {
+    fn e16_counters_are_deterministic_and_aggregates_materialize_nothing() {
         let t = e16_late_materialization(500);
-        // 7 measured rows plus the scan/aggregate summary row.
-        assert_eq!(t.len(), 8);
-        let h = t.headline.as_ref().unwrap();
-        assert!(h.higher_is_better && h.value.is_finite() && h.value > 0.0);
-        assert!(!h.skipped);
-        // Aggregate rows must report zero materialized input tuples.
+        assert_eq!(t.len(), 7);
+        // Aggregate rows must report zero materialized input tuples, from
+        // columnar chunks that did enter the pipeline.
         for row in t.rows.iter().filter(|r| r[1].contains("COUNT")) {
-            assert_eq!(row[6], "0", "aggregate row materialized inputs: {row:?}");
+            assert_eq!(row[4], "0", "aggregate row materialized inputs: {row:?}");
+            assert_ne!(row[5], "0", "no chunks scanned: {row:?}");
         }
+        // The headline is the column total — a count, not a timing — so a
+        // second run reproduces it exactly.
+        let h = t.headline.as_ref().unwrap();
+        let total: f64 = t.rows.iter().map(|r| r[4].parse::<f64>().unwrap()).sum();
+        assert!(!h.higher_is_better && !h.skipped && h.value > 0.0);
+        assert_eq!(h.value, total);
+        let again = e16_late_materialization(500);
+        assert_eq!(again.headline.as_ref().unwrap().value, total);
     }
 
     #[test]
-    fn e16_smoke_late_pipeline_is_active_not_a_row_fallback() {
-        // Guards the default: `execute` must run the late-materialized
-        // batch pipeline.  Two independent signals, so a silent fallback
-        // to row-at-a-time execution cannot slip through:
-        //
-        // 1. (non-flaky) an aggregate's inputs never leave the columns —
-        //    `ExecStats::materialized` reads 0 on the late path and `n`
-        //    on the row path;
-        // 2. (timing) even at tiny scale the end-to-end aggregate speedup
-        //    is far from ~1.0x; min-of-reps with a generous 1.5x floor
-        //    (observed ~10x) keeps this stable on busy CI hosts.
+    fn e16_smoke_aggregates_run_on_columns_and_match_the_reference() {
+        // The non-flaky late-materialization signal: an aggregate's inputs
+        // never leave the columns, so `ExecStats::materialized` reads 0
+        // while columnar chunks did flow.
         let db = wide_db(600, 4, 0.0);
         let parsed = parse("SELECT COUNT(*), SUM(id) FROM wide").unwrap();
         let plan = plan_query(&parsed, &db.catalog()).unwrap();
-        let late = ExecOptions::serial();
-        let row = ExecOptions::serial().row_pipeline();
-
-        let (mut late_rows, stats) = execute_collect(&plan, &db, &late).unwrap();
-        let mut row_rows = execute_with(&plan, &db, &row).unwrap();
-        late_rows.sort();
-        row_rows.sort();
-        assert_eq!(late_rows, row_rows);
-        assert_eq!(stats.materialized(), 0, "late pipeline fell back to rows");
+        let (rows, stats) = execute_collect(&plan, &db, &ExecOptions::serial()).unwrap();
+        assert_eq!(rows, flexrel_tests::reference_eval(&plan, &db));
+        assert_eq!(stats.materialized(), 0, "the aggregate built input tuples");
         assert!(
             stats.chunks() > 0,
             "no columnar chunks entered the pipeline"
-        );
-
-        const REPS: u32 = 20;
-        let (_, late_us) = best_of(REPS, || execute_with(&plan, &db, &late).unwrap().len());
-        let (_, row_us) = best_of(REPS, || execute_with(&plan, &db, &row).unwrap().len());
-        assert!(
-            row_us / late_us > 1.5,
-            "execute speedup is ~1x again (late {late_us:.1}µs vs row {row_us:.1}µs)"
         );
     }
 

@@ -1,9 +1,8 @@
 //! # flexrel-bench
 //!
-//! Experiment harness for the flexrel reproduction: shared workload
-//! construction and table printing used both by the Criterion benches (in
-//! `benches/`) and by the `harness` binary that regenerates every experiment
-//! row of EXPERIMENTS.md.
+//! Experiment harness for the flexrel reproduction: workload construction
+//! and table printing behind the `harness` binary that regenerates every
+//! experiment row of EXPERIMENTS.md.
 
 pub mod compare;
 pub mod driver;

@@ -1,6 +1,6 @@
 //! Smoke test: run every experiment (E1–E10, E12–E18) at a tiny scale
-//! so the code behind the criterion benches is compiled and exercised by
-//! `cargo test` without paying for a full measurement run.
+//! so the code behind the harness is compiled and exercised by `cargo test`
+//! without paying for a full measurement run.
 
 use flexrel_bench::experiments;
 

@@ -1,5 +1,4 @@
-//! Aggregation semantics for flexible relations, shared by both executor
-//! pipelines.
+//! Aggregation semantics for flexible relations.
 //!
 //! Aggregation over flexible relations differs from SQL in one important
 //! way: there are no nulls.  Whether a tuple contributes to `SUM(x)` is a
@@ -163,11 +162,11 @@ impl Acc {
 /// attributes.  Groups live in a `BTreeMap` so the output order is the
 /// total order over key tuples — deterministic regardless of input order.
 ///
-/// Both pipelines share this type: the row pipeline feeds it through
-/// [`add_tuple`](GroupedAggs::add_tuple) (the semantic reference), the late
-/// pipeline through the columnar kernels in [`crate::colscan`], which reach
-/// a group's accumulators via [`group_accs`](GroupedAggs::group_accs)
-/// without materializing input tuples.
+/// Row chunks (join outputs) and the test oracle feed it through
+/// [`add_tuple`](GroupedAggs::add_tuple) (the semantic reference); columnar
+/// chunks go through the kernels in [`crate::colscan`], which reach a
+/// group's accumulators via [`group_accs`](GroupedAggs::group_accs) without
+/// materializing input tuples.
 #[derive(Debug)]
 pub struct GroupedAggs {
     group_by: AttrSet,
@@ -197,8 +196,8 @@ impl GroupedAggs {
         &self.aggs
     }
 
-    /// Folds one materialized tuple — the row-pipeline path and the
-    /// reference semantics for the columnar kernels.
+    /// Folds one materialized tuple — the reference semantics for the
+    /// columnar kernels.
     pub fn add_tuple(&mut self, t: &Tuple) {
         if !t.defined_on(&self.group_by) {
             return;

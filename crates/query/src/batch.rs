@@ -1,14 +1,11 @@
-//! The batched late-materialization pipeline.
+//! The chunk pipeline — the one executor.
 //!
-//! The row pipeline (`exec::exec_node`) materializes every
-//! qualifying row into an owned [`Tuple`] at the scan edge and streams
-//! tuples between operators.  This module replaces that dataflow with
-//! [`Chunk`]s: a columnar chunk is one 1024-slot column segment of a
-//! shape-homogeneous partition plus a [`SelVec`] selection bitmap — a
-//! zero-copy view (`Arc<Partition>` + segment index + bitmap) that flows
-//! through filters, guards and join probes without constructing a single
-//! tuple.  Owned tuples are built only at the points that genuinely need
-//! them:
+//! Operators exchange [`Chunk`]s: a columnar chunk is one 1024-slot column
+//! segment of a shape-homogeneous partition plus a [`SelVec`] selection
+//! bitmap — a zero-copy view (`Arc<Partition>` + segment index + bitmap)
+//! that flows through filters, guards and join probes without constructing
+//! a single tuple.  Owned tuples are built only at the points that
+//! genuinely need them:
 //!
 //! * the **result boundary** (`chunks_to_tuples`) — the final
 //!   materialization, restricted to rows that survived every operator;
@@ -19,7 +16,7 @@
 //!   probed by row index — probe-side rows are materialized only on a
 //!   match;
 //! * operators that change shape or leave the columnar world
-//!   (`Extend`, `UnionAll` dedup, index-nested-loop probes).
+//!   (`Extend`, `UnionAll` dedup, index probes).
 //!
 //! An `Aggregate` node never materializes input at all: its chunks fold
 //! straight into [`GroupedAggs`] through the columnar kernels in
@@ -29,15 +26,15 @@
 //! the test suite pins the pipeline down: a `COUNT(*)` must report zero
 //! materializations, and a full scan exactly its result size.
 //!
-//! Operator semantics are identical to the row pipeline — the differential
-//! suite in `tests/` executes every query through both pipelines and
-//! compares tuple-for-tuple.  Serial chunk order is partition order, then
-//! segment order, then slot order: exactly the row pipeline's scan order,
-//! so order-sensitive state (dedup first-occurrence, float summation)
-//! agrees bit-for-bit.  Under partition-parallel scans both pipelines
-//! produce the same multiset with unspecified order; float sums may then
-//! differ in the last ulp between runs, exactly as they do for the row
-//! fold under reordering.
+//! Operator semantics are the paper's (§4, `flexrel-algebra`); the
+//! differential suite in `tests/` checks every operator against
+//! `flexrel_tests::reference_eval`, a naive evaluator that shares no code
+//! with this module.  Serial chunk order is partition order, then segment
+//! order, then slot order, so order-sensitive state (dedup
+//! first-occurrence, float summation) is deterministic.  Under
+//! partition-parallel scans the result is the same multiset with
+//! unspecified order; float sums may then differ in the last ulp between
+//! runs.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,17 +44,17 @@ use flexrel_algebra::predicate::Predicate;
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::error::Result;
 use flexrel_core::tuple::{ShapeId, Tuple};
-use flexrel_storage::{Partition, RowBlock, SelVec};
+use flexrel_storage::{Partition, Rid, RowBlock, SelVec};
 
 use crate::agg::GroupedAggs;
 use crate::colscan;
 use crate::exec::{
-    exec_node, index_nested_loop_stream, inl_inner_side, join_strategy_for, scan_parallelism,
-    snap_plan_attrs, ExecContext, ExecOptions, JoinStrategy, TupleStream,
+    inl_inner_side, join_strategy_for, scan_parallelism, snap_plan_attrs, ExecContext, ExecOptions,
+    InnerSide, JoinStrategy, RelSnap, TupleStream,
 };
 use crate::logical::{AggExpr, LogicalPlan, ShapePredicate};
 
-/// Counters the late pipeline maintains while executing; cheaply cloneable
+/// Counters the pipeline maintains while executing; cheaply cloneable
 /// (shared atomics), readable after the result stream is drained.
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
@@ -217,23 +214,10 @@ pub(crate) fn chunks_to_tuples<'a>(chunks: ChunkStream<'a>, stats: ExecStats) ->
     )
 }
 
-/// Re-chunks a tuple stream (used where a row-pipeline fragment feeds the
-/// chunk world, e.g. index-nested-loop output).
-fn rows_chunks<'a>(mut stream: TupleStream<'a>) -> ChunkStream<'a> {
-    Box::new(std::iter::from_fn(move || {
-        let batch: Vec<Tuple> = stream.by_ref().take(1024).collect();
-        if batch.is_empty() {
-            None
-        } else {
-            Some(Chunk::Rows(batch))
-        }
-    }))
-}
-
 /// A serial chunk scan over snapshotted partitions: the predicate
 /// conjunction compiles once per partition, each segment yields one
 /// [`ColChunk`] of qualifying rows.  Chunk order is partition, segment,
-/// slot order — the row pipeline's scan order.
+/// slot order.
 struct ChunkScan {
     parts: Vec<Arc<Partition>>,
     preds: Vec<Predicate>,
@@ -340,11 +324,13 @@ fn parallel_scan_chunks(
     Box::new(rx.into_iter())
 }
 
-/// The chunk scan for one base scan (mirrors `exec::scan_stream`): shape
-/// pruning per partition, qualification (plus any fused filter) compiled
-/// per partition, one chunk per surviving segment.
+/// The chunk scan for one base scan: shape pruning per partition, the
+/// qualification (plus any fused filter) compiled per partition, one chunk
+/// per surviving segment.  The qualification is *known* to hold on
+/// consistent data; applying it is a no-op there but keeps hand-built
+/// fragment plans honest when they scan a broader base relation.
 fn scan_chunks<'a>(
-    snap: crate::exec::RelSnap,
+    snap: RelSnap,
     qualification: &'a Option<Predicate>,
     shape: &'a Option<ShapePredicate>,
     opts: &ExecOptions,
@@ -430,8 +416,7 @@ fn guard_chunks<'a>(input: ChunkStream<'a>, attrs: &'a AttrSet) -> ChunkStream<'
 
 /// Duplicate-eliminating projection.  Columnar chunks materialize *narrow*
 /// tuples — only the projected columns are ever touched; the dropped
-/// columns of the partition are never read.  First occurrence wins, as in
-/// the row pipeline.
+/// columns of the partition are never read.  First occurrence wins.
 fn project_chunks<'a>(
     input: ChunkStream<'a>,
     attrs: &'a AttrSet,
@@ -612,7 +597,7 @@ fn hash_join_chunks<'a>(
 }
 
 /// Duplicate-eliminating union over chunk streams (tuple identity needs
-/// owned rows, so inputs materialize here as in the row pipeline).
+/// owned rows, so inputs materialize here).
 fn union_chunks<'a>(inputs: Vec<ChunkStream<'a>>, stats: ExecStats) -> ChunkStream<'a> {
     let mut seen: BTreeSet<Tuple> = BTreeSet::new();
     Box::new(inputs.into_iter().flatten().filter_map(move |chunk| {
@@ -627,6 +612,146 @@ fn union_chunks<'a>(inputs: Vec<ChunkStream<'a>>, stats: ExecStats) -> ChunkStre
         } else {
             Some(Chunk::Rows(out))
         }
+    }))
+}
+
+/// Memoized shape-predicate verdicts for rid-level checks: one interner
+/// resolution (`ShapeId` → `AttrSet`) per partition, not per matched tuple.
+/// Shared by the index probe and the index-nested-loop join.
+struct ShapeAdmitMemo {
+    shapes: Option<ShapePredicate>,
+    verdicts: HashMap<ShapeId, bool>,
+}
+
+impl ShapeAdmitMemo {
+    fn new(shapes: Option<ShapePredicate>) -> Self {
+        ShapeAdmitMemo {
+            shapes,
+            verdicts: HashMap::new(),
+        }
+    }
+
+    fn admits(&mut self, rid: Rid) -> bool {
+        match &self.shapes {
+            None => true,
+            Some(s) => *self
+                .verdicts
+                .entry(rid.shape())
+                .or_insert_with(|| s.admits(&rid.shape().attrs())),
+        }
+    }
+}
+
+/// An indexed equality probe: a point lookup resolves a handful of rids
+/// against the same capture the index came from, so it runs eagerly and
+/// enters the pipeline as one row chunk.  The shape predicate is
+/// re-applied per rid (its `ShapeId` names the partition), so shape
+/// pruning composes with index access.  Without an index on `key` the
+/// probe degrades to a shape-pruned snapshot scan.
+fn index_lookup_chunks(
+    snap: &RelSnap,
+    key: &AttrSet,
+    key_value: &Tuple,
+    shapes: &Option<ShapePredicate>,
+) -> ChunkStream<'static> {
+    let mut admitted = ShapeAdmitMemo::new(shapes.clone());
+    let rows: Vec<Tuple> = match snap.index_on(key) {
+        Some(idx) => idx
+            .lookup(key_value)
+            .iter()
+            .filter(|rid| admitted.admits(**rid))
+            .filter_map(|rid| snap.parts.get(*rid))
+            .collect(),
+        None => snap
+            .parts
+            .clone()
+            .retain_shapes(|s| key.is_subset(s))
+            .scan()
+            .filter(|(rid, t)| admitted.admits(*rid) && t.project(key) == *key_value)
+            .map(|(_, t)| t)
+            .collect(),
+    };
+    Box::new((!rows.is_empty()).then_some(Chunk::Rows(rows)).into_iter())
+}
+
+/// Index-nested-loop join: streams the probe side and, per probe tuple,
+/// looks the matching inner tuples up through the inner relation's index
+/// snapshot on `common` — the inner side is never materialized as a whole.
+/// Index and partitions come from the same atomic capture, so every probed
+/// rid resolves consistently.  Inner tuples not defined on the full key
+/// (the index's partial list) are checked pairwise, mirroring the hash
+/// join's scan side; probe tuples not defined on `common` fall back to a
+/// pairwise pass over the admitted inner side, which is materialized once
+/// on first need and reused.
+fn index_nested_loop_chunks<'a>(
+    probe: ChunkStream<'a>,
+    inner: RelSnap,
+    side: InnerSide<'_>,
+    common: AttrSet,
+    stats: ExecStats,
+) -> ChunkStream<'a> {
+    let qualification = side.qualification;
+    let inner_shapes = side.shapes.clone();
+    let mut shape_memo = ShapeAdmitMemo::new(inner_shapes.clone());
+    let qualifies = move |t: &Tuple| qualification.as_ref().map(|q| q.eval(t)).unwrap_or(true);
+    // The index snapshot is resolved once for the whole stream; each probe
+    // is then one projection and one hash lookup yielding a borrowed rid
+    // slice — no per-probe catalog walk or locking.
+    let index = inner.index_on(&common).cloned();
+    let partials: Vec<Tuple> = index
+        .as_ref()
+        .map(|idx| {
+            idx.partial_tuples()
+                .iter()
+                .filter(|rid| shape_memo.admits(**rid))
+                .filter_map(|rid| inner.parts.get(*rid))
+                .filter(|t| qualifies(t))
+                .collect()
+        })
+        .unwrap_or_default();
+    let mut fallback: Option<Vec<Tuple>> = None;
+    Box::new(probe.filter_map(move |chunk| {
+        let mut out = Vec::new();
+        for l in chunk.into_tuples(&stats) {
+            if let (true, Some(idx)) = (l.defined_on(&common), &index) {
+                for rid in idx.lookup(&l.project(&common)) {
+                    let Some(r) = inner.parts.get(*rid) else {
+                        continue;
+                    };
+                    if shape_memo.admits(*rid) && qualifies(&r) {
+                        out.push(l.merged_with(&r));
+                    }
+                }
+                out.extend(
+                    partials
+                        .iter()
+                        .filter(|r| l.joinable_with(r))
+                        .map(|r| l.merged_with(r)),
+                );
+                continue;
+            }
+            // Rare paths: the probe tuple lacks part of the key (the index
+            // cannot answer), or no index exists on `common` (unreachable
+            // when the strategy gate chose this operator); pair against the
+            // (pruned, qualified) inner side, materialized once across all
+            // such probes.
+            let rows = fallback.get_or_insert_with(|| {
+                inner
+                    .parts
+                    .clone()
+                    .retain_shapes(|s| inner_shapes.as_ref().map(|p| p.admits(s)).unwrap_or(true))
+                    .scan()
+                    .map(|(_, r)| r)
+                    .filter(|r| qualifies(r))
+                    .collect()
+            });
+            out.extend(
+                rows.iter()
+                    .filter(|r| l.joinable_with(r))
+                    .map(|r| l.merged_with(r)),
+            );
+        }
+        (!out.is_empty()).then_some(Chunk::Rows(out))
     }))
 }
 
@@ -660,10 +785,7 @@ fn aggregate_chunks<'a>(
     }
 }
 
-/// Builds the late-materialized chunk pipeline for a plan — the batch
-/// counterpart of [`exec_node`], one arm per logical operator.  Index
-/// lookups (point probes touching a handful of tuples) reuse the row
-/// pipeline's probe logic and enter the chunk world as row chunks.
+/// Builds the chunk pipeline for a plan, one arm per logical operator.
 pub(crate) fn exec_chunks<'a>(
     plan: &'a LogicalPlan,
     ctx: &ExecContext,
@@ -708,42 +830,32 @@ pub(crate) fn exec_chunks<'a>(
             project_chunks(exec_chunks(input, ctx, stats)?, attrs, stats.clone())
         }
         LogicalPlan::Guard { input, attrs } => guard_chunks(exec_chunks(input, ctx, stats)?, attrs),
-        LogicalPlan::IndexLookup { .. } => {
-            // A point probe resolves a handful of rids; the row pipeline's
-            // probe logic is already optimal (and eager).
-            let rows: Vec<Tuple> = exec_node(plan, ctx)?.collect();
-            if rows.is_empty() {
-                Box::new(std::iter::empty())
-            } else {
-                Box::new(std::iter::once(Chunk::Rows(rows)))
-            }
-        }
+        LogicalPlan::IndexLookup {
+            relation,
+            key,
+            key_value,
+            shapes,
+        } => index_lookup_chunks(ctx.snap(relation), key, key_value, shapes),
         LogicalPlan::Join { left, right } => {
             let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
             match join_strategy_for(left, right, &common, ctx) {
-                JoinStrategy::IndexNestedLoopRight => {
-                    let side = inl_inner_side(right).expect("the strategy implies a base scan");
-                    let probe: TupleStream<'a> =
-                        chunks_to_tuples(exec_chunks(left, ctx, stats)?, stats.clone());
-                    rows_chunks(index_nested_loop_stream(
-                        probe,
+                // Index-nested-loop: `outer` streams, `inner` is the
+                // (possibly filtered) base scan whose index is probed.
+                strategy @ (JoinStrategy::IndexNestedLoopRight
+                | JoinStrategy::IndexNestedLoopLeft) => {
+                    let (outer, inner) = if strategy == JoinStrategy::IndexNestedLoopRight {
+                        (left, right)
+                    } else {
+                        (right, left)
+                    };
+                    let side = inl_inner_side(inner).expect("the strategy implies a base scan");
+                    index_nested_loop_chunks(
+                        exec_chunks(outer, ctx, stats)?,
                         ctx.snap(side.relation).clone(),
-                        side.qualification,
-                        side.shapes.clone(),
+                        side,
                         common,
-                    ))
-                }
-                JoinStrategy::IndexNestedLoopLeft => {
-                    let side = inl_inner_side(left).expect("the strategy implies a base scan");
-                    let probe: TupleStream<'a> =
-                        chunks_to_tuples(exec_chunks(right, ctx, stats)?, stats.clone());
-                    rows_chunks(index_nested_loop_stream(
-                        probe,
-                        ctx.snap(side.relation).clone(),
-                        side.qualification,
-                        side.shapes.clone(),
-                        common,
-                    ))
+                        stats.clone(),
+                    )
                 }
                 JoinStrategy::Hash => {
                     let probe = exec_chunks(left, ctx, stats)?;

@@ -22,18 +22,17 @@
 //!
 //! The result is bit-for-bit the row semantics: `compile` mirrors
 //! [`Predicate::eval`] exactly (including the "comparison on a missing
-//! attribute is `false`" rule and kind-strict equality), which the
-//! differential test suite checks against the row-store oracle.
+//! attribute is `false`" rule and kind-strict equality), which the unit
+//! tests below and the differential suite (`flexrel_tests::reference_eval`)
+//! check against per-tuple evaluation.
 //!
 //! [`ShapePredicate`]: crate::logical::ShapePredicate
-
-use std::sync::Arc;
 
 use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::Attr;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
-use flexrel_storage::{ColCmp, ColKind, ColumnHeap, ColumnSegment, Partition, SelVec};
+use flexrel_storage::{ColCmp, ColKind, ColumnHeap, ColumnSegment, SelVec};
 
 use crate::agg::{Acc, GroupedAggs};
 use crate::logical::{AggExpr, AggFunc};
@@ -182,84 +181,6 @@ pub fn compile(preds: &[Predicate], heap: &ColumnHeap) -> Compiled {
     }
 }
 
-/// Runs a compiled predicate over every segment of a partition, appending
-/// the qualifying tuples to `out` — the batch body shared by the parallel
-/// scan workers and [`VectorScan`].
-pub fn select_into(heap: &ColumnHeap, compiled: &Compiled, out: &mut Vec<Tuple>) {
-    if compiled.is_never() {
-        return;
-    }
-    for si in 0..heap.segment_count() {
-        let seg = heap.segment(si).expect("segment index in range");
-        let sel = compiled.select(seg);
-        if !sel.is_empty() {
-            heap.materialize_selected(si, &sel, out);
-        }
-    }
-}
-
-/// A streaming vectorized scan over a set of snapshotted partitions: the
-/// predicate conjunction is compiled once per partition, evaluated into a
-/// selection vector per 1024-slot segment, and only the selected rows are
-/// materialized (one segment's worth of output is buffered at a time).
-/// This is the serial scan path of the executor.
-pub struct VectorScan {
-    parts: Vec<Arc<Partition>>,
-    preds: Vec<Predicate>,
-    part: usize,
-    seg: usize,
-    compiled: Option<Compiled>,
-    buf: std::vec::IntoIter<Tuple>,
-}
-
-impl VectorScan {
-    /// A scan over `parts` filtered by the conjunction of `preds` (empty
-    /// means unfiltered).
-    pub fn new(parts: Vec<Arc<Partition>>, preds: Vec<Predicate>) -> Self {
-        VectorScan {
-            parts,
-            preds,
-            part: 0,
-            seg: 0,
-            compiled: None,
-            buf: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl Iterator for VectorScan {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        loop {
-            if let Some(t) = self.buf.next() {
-                return Some(t);
-            }
-            let part = self.parts.get(self.part)?;
-            let heap = part.columns();
-            let compiled = self
-                .compiled
-                .get_or_insert_with(|| compile(&self.preds, heap));
-            if compiled.is_never() || self.seg >= heap.segment_count() {
-                self.part += 1;
-                self.seg = 0;
-                self.compiled = None;
-                continue;
-            }
-            let si = self.seg;
-            self.seg += 1;
-            let seg = heap.segment(si).expect("segment index in range");
-            let sel = compiled.select(seg);
-            if sel.is_empty() {
-                continue;
-            }
-            let mut out = Vec::with_capacity(sel.count());
-            heap.materialize_selected(si, &sel, &mut out);
-            self.buf = out.into_iter();
-        }
-    }
-}
-
 /// One aggregate's columnar execution plan against one segment: resolved
 /// once per segment (column representations are per segment), then applied
 /// to every row run of that segment.
@@ -401,8 +322,7 @@ pub fn aggregate_selected(heap: &ColumnHeap, si: usize, sel: &SelVec, state: &mu
 
 /// Runs a compiled predicate over every segment of a partition, folding the
 /// qualifying rows into the aggregation state — the partition-level driver
-/// of [`aggregate_selected`], used by the late-materialized `Aggregate`
-/// operator and the aggregation benchmarks.
+/// of [`aggregate_selected`].
 pub fn aggregate_partition(heap: &ColumnHeap, compiled: &Compiled, state: &mut GroupedAggs) {
     if compiled.is_never() || !state.group_by().is_subset(heap.shape()) {
         return;
@@ -418,16 +338,30 @@ pub fn aggregate_partition(heap: &ColumnHeap, compiled: &Compiled, state: &mut G
 mod tests {
     use super::*;
     use flexrel_core::attrs;
-    use flexrel_storage::{Database, RelationDef};
+    use flexrel_storage::{Database, Partition, RelationDef};
     use flexrel_workload::{employee_relation, generate_employees, EmployeeConfig};
 
-    fn parts_of(db: &Database) -> Vec<Arc<Partition>> {
+    fn parts_of(db: &Database) -> Vec<std::sync::Arc<Partition>> {
         db.partition_snapshot("employee")
             .unwrap()
             .into_parts()
             .into_iter()
             .map(|(_, p)| p)
             .collect()
+    }
+
+    /// The qualifying tuples of `parts` under the compiled conjunction.
+    fn select_tuples(parts: &[std::sync::Arc<Partition>], preds: &[Predicate]) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        for p in parts {
+            let heap = p.columns();
+            let compiled = compile(preds, heap);
+            for si in 0..heap.segment_count() {
+                let sel = compiled.select(heap.segment(si).unwrap());
+                heap.materialize_selected(si, &sel, &mut out);
+            }
+        }
+        out
     }
 
     fn db(n: usize) -> Database {
@@ -440,7 +374,7 @@ mod tests {
         db
     }
 
-    /// Every predicate shape agrees with the row-at-a-time oracle.
+    /// Every predicate shape agrees with per-tuple `Predicate::eval`.
     #[test]
     fn compiled_predicates_match_row_eval() {
         let db = db(500);
@@ -470,7 +404,7 @@ mod tests {
         ];
         for p in &preds {
             let mut expect: Vec<Tuple> = rows.iter().filter(|t| p.eval(t)).cloned().collect();
-            let mut got: Vec<Tuple> = VectorScan::new(parts.clone(), vec![p.clone()]).collect();
+            let mut got = select_tuples(&parts, std::slice::from_ref(p));
             expect.sort();
             got.sort();
             assert_eq!(expect, got, "predicate {:?}", p);
@@ -491,17 +425,17 @@ mod tests {
             // IsPresent is a shape-level constant either way.
             let c = compile(&[Predicate::present(attrs!["empno"])], heap);
             assert!(matches!(c, Compiled::All));
-            let mut out = Vec::new();
-            select_into(heap, &c, &mut out);
-            assert_eq!(out.len(), heap.len());
+            let selected: usize = (0..heap.segment_count())
+                .map(|si| c.select(heap.segment(si).unwrap()).count())
+                .sum();
+            assert_eq!(selected, heap.len());
         }
     }
 
     #[test]
     fn empty_conjunction_selects_everything() {
         let db = db(60);
-        let got: Vec<Tuple> = VectorScan::new(parts_of(&db), Vec::new()).collect();
-        assert_eq!(got.len(), 60);
+        assert_eq!(select_tuples(&parts_of(&db), &[]).len(), 60);
     }
 
     /// The columnar aggregation kernels agree with the row-wise reference

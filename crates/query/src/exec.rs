@@ -1,14 +1,14 @@
-//! A streaming, optionally partition-parallel executor for logical plans
-//! against a [`flexrel_storage::Database`].
+//! The executor's front door: execution options, the per-query snapshot
+//! context, the metadata derivations (attribute bounds, cardinality
+//! estimates, join strategy) and the entry points that run a logical plan
+//! against a [`flexrel_storage::Database`] through the chunk pipeline in
+//! [`crate::batch`].
 //!
-//! Plans execute as iterator pipelines ([`execute_stream`]): each operator
-//! pulls tuples from its input on demand instead of materializing a
-//! `Vec<Tuple>` per operator.  Scans are partition-aware — a
-//! [`ShapePredicate`] pushed down by the optimizer is evaluated once per
-//! heap partition, so pruned partitions are never touched.  The only
-//! blocking points are the ones inherent to the operators: the build side
-//! of a hash join and the duplicate-elimination state of projections and
-//! unions.
+//! Scans are partition-aware — a [`ShapePredicate`] pushed down by the
+//! optimizer is evaluated once per partition, so pruned partitions are
+//! never touched.  The only blocking points are the ones inherent to the
+//! operators: the build side of a hash join, aggregation, and the
+//! duplicate-elimination state of projections and unions.
 //!
 //! # Snapshot discipline
 //!
@@ -27,8 +27,8 @@
 //! With [`ExecOptions::threads`] > 1, scans (and filters fused onto them,
 //! including the build side of hash joins, which recurses through the same
 //! path) fan the admitted partitions of their snapshot out over a small
-//! thread pool; each worker streams its partitions, evaluates the
-//! qualification, and sends batches into the merged output iterator.  The
+//! thread pool; each worker evaluates the qualification over its
+//! partitions' segments and sends chunks into the merged stream.  The
 //! partition is the natural unit of parallelism: the paper's DNF disjuncts
 //! map one shape per partition, so workers never share mutable state.  The
 //! result is the same *multiset* of tuples as serial execution (order may
@@ -37,41 +37,23 @@
 //! a handful of tuples).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::AttrSet;
-use flexrel_core::error::Result;
-use flexrel_core::tuple::{ShapeId, Tuple};
-use flexrel_storage::{Database, HashIndex, Partition, PartitionSnapshot, Rid, TableStats};
+use flexrel_core::error::{CoreError, Result};
+use flexrel_core::tuple::Tuple;
+use flexrel_storage::{Database, HashIndex, PartitionSnapshot, TableStats};
 
-use crate::agg::GroupedAggs;
 use crate::batch;
-use crate::colscan;
 use crate::logical::{LogicalPlan, ShapePredicate};
 
 /// A stream of result tuples.
 pub type TupleStream<'a> = Box<dyn Iterator<Item = Tuple> + 'a>;
 
-/// Which dataflow the executor runs a plan through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// The batched late-materialization pipeline (the default): operators
-    /// exchange [`batch::Chunk`]s — per-segment selection vectors over
-    /// shared column segments — and owned [`Tuple`]s are only built at the
-    /// points that need them (result boundary, join output, dedup).
-    Late,
-    /// The historical tuple-at-a-time streaming pipeline.  Kept as the
-    /// differential oracle for the late pipeline and as the reference
-    /// semantics for aggregation.
-    Row,
-}
-
 /// Execution options: the physical knobs the executor (acting on the
 /// optimizer's partition statistics) uses to pick between serial and
-/// partition-parallel streams, and between the late-materialized and the
-/// row-at-a-time pipeline.
+/// partition-parallel scans, plus the statement deadline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Maximum number of worker threads a single scan may fan out to.
@@ -81,31 +63,20 @@ pub struct ExecOptions {
     /// a scan is worth parallelizing; below it, thread spawn and channel
     /// overhead dominate.
     pub min_parallel_rows: usize,
-    /// Which pipeline executes the plan; [`PipelineMode::Late`] by default.
-    pub pipeline: PipelineMode,
-    /// Optional execution deadline.  The late pipeline checks it at every
-    /// chunk source (serial and parallel scans, and the result boundary),
-    /// so a statement is cancelled within one 1024-slot segment of work.
-    /// When it trips, the chunk stream ends early and
-    /// [`batch::ExecStats::timed_out`] reports `true` — callers that
-    /// surface results (the statement entry point, the network server)
-    /// must turn that flag into
-    /// [`CoreError::Timeout`](flexrel_core::error::CoreError::Timeout)
-    /// instead of returning the truncated rows.  `None` (the default)
-    /// never cancels.
+    /// Optional execution deadline.  The pipeline checks it at every chunk
+    /// source (serial and parallel scans, and the result boundary), so a
+    /// statement is cancelled within one 1024-slot segment of work.  When
+    /// it trips, the chunk stream ends early and the collecting entry
+    /// points ([`execute_collect`], [`execute_with`]) return
+    /// [`CoreError::Timeout`] instead of the truncated rows.  `None` (the
+    /// default) never cancels.
     pub deadline: Option<std::time::Instant>,
 }
 
 impl ExecOptions {
-    /// Serial execution through the late-materialized pipeline — the
-    /// default.
+    /// Serial execution — the default.
     pub fn serial() -> Self {
-        ExecOptions {
-            threads: 1,
-            min_parallel_rows: 4096,
-            pipeline: PipelineMode::Late,
-            deadline: None,
-        }
+        ExecOptions::parallel(1)
     }
 
     /// Partition-parallel execution with up to `threads` workers per scan.
@@ -113,7 +84,6 @@ impl ExecOptions {
         ExecOptions {
             threads: threads.max(1),
             min_parallel_rows: 4096,
-            pipeline: PipelineMode::Late,
             deadline: None,
         }
     }
@@ -124,18 +94,6 @@ impl ExecOptions {
     pub fn with_min_parallel_rows(mut self, rows: usize) -> Self {
         self.min_parallel_rows = rows;
         self
-    }
-
-    /// Selects the executing pipeline (builder style).  The differential
-    /// suite runs every query through both and compares.
-    pub fn with_pipeline(mut self, pipeline: PipelineMode) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Shorthand for the tuple-at-a-time oracle pipeline.
-    pub fn row_pipeline(self) -> Self {
-        self.with_pipeline(PipelineMode::Row)
     }
 
     /// Sets the execution deadline (builder style).  See
@@ -179,8 +137,8 @@ impl RelSnap {
 }
 
 /// The per-query execution context: one snapshot per scanned relation plus
-/// the execution options.  Built once before any tuple flows.  Shared with
-/// the late-materialized pipeline ([`crate::batch`]).
+/// the execution options.  Built once before any tuple flows; the chunk
+/// operators in [`crate::batch`] read every relation through it.
 pub(crate) struct ExecContext {
     snaps: HashMap<String, RelSnap>,
     /// Returned for relations outside the captured set (unreachable after
@@ -684,425 +642,60 @@ pub(crate) fn join_strategy_for(
     JoinStrategy::Hash
 }
 
-/// Memoized shape-predicate verdicts for rid-level checks: one interner
-/// resolution (`ShapeId` → `AttrSet`) per partition, not per matched tuple.
-/// Shared by the `IndexLookup` executor and the index-nested-loop join.
-struct ShapeAdmitMemo {
-    shapes: Option<ShapePredicate>,
-    verdicts: HashMap<ShapeId, bool>,
-}
-
-impl ShapeAdmitMemo {
-    fn new(shapes: Option<ShapePredicate>) -> Self {
-        ShapeAdmitMemo {
-            shapes,
-            verdicts: HashMap::new(),
-        }
-    }
-
-    fn admits(&mut self, rid: Rid) -> bool {
-        match &self.shapes {
-            None => true,
-            Some(s) => *self
-                .verdicts
-                .entry(rid.shape())
-                .or_insert_with(|| s.admits(&rid.shape().attrs())),
-        }
-    }
-}
-
-/// Index-nested-loop join: streams the probe side and, per probe tuple,
-/// looks the matching inner tuples up through the inner relation's index
-/// snapshot on `common` — the inner side is never materialized as a whole.
-/// Index and partitions come from the same atomic capture, so every probed
-/// rid resolves consistently.  Inner tuples not defined on the full key
-/// (the index's partial list) are checked pairwise, mirroring the hash
-/// join's scan side; probe tuples not defined on `common` fall back to a
-/// pairwise pass over the admitted inner side, which is materialized once
-/// on first need and reused.
-pub(crate) fn index_nested_loop_stream<'a>(
-    probe: TupleStream<'a>,
-    inner: RelSnap,
-    inner_qualification: Option<Predicate>,
-    inner_shapes: Option<ShapePredicate>,
-    common: AttrSet,
-) -> TupleStream<'a> {
-    let mut shape_memo = ShapeAdmitMemo::new(inner_shapes.clone());
-    let qualifies =
-        move |q: &Option<Predicate>, t: &Tuple| q.as_ref().map(|q| q.eval(t)).unwrap_or(true);
-    // The index snapshot is resolved once for the whole stream; each probe
-    // is then one projection and one hash lookup yielding a borrowed rid
-    // slice — no per-probe catalog walk or locking.
-    let index = inner.index_on(&common).cloned();
-    let partials: Vec<Tuple> = index
-        .as_ref()
-        .map(|idx| {
-            idx.partial_tuples()
-                .iter()
-                .filter(|rid| shape_memo.admits(**rid))
-                .filter_map(|rid| inner.parts.get(*rid))
-                .filter(|t| qualifies(&inner_qualification, t))
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut fallback: Option<Vec<Tuple>> = None;
-    Box::new(probe.flat_map(move |l| {
-        let mut out = Vec::new();
-        let keyed = l.defined_on(&common);
-        if keyed {
-            if let Some(idx) = &index {
-                for rid in idx.lookup(&l.project(&common)) {
-                    let Some(r) = inner.parts.get(*rid) else {
-                        continue;
-                    };
-                    if shape_memo.admits(*rid) && qualifies(&inner_qualification, &r) {
-                        out.push(l.merged_with(&r));
-                    }
-                }
-                for r in &partials {
-                    if l.joinable_with(r) {
-                        out.push(l.merged_with(r));
-                    }
-                }
-                return out;
-            }
-        }
-        // Rare paths: the probe tuple lacks part of the key (the index
-        // cannot answer), or no index exists on `common` (unreachable when
-        // the strategy gate chose this stream); pair against the (pruned,
-        // qualified) inner side, materialized once across all such probes.
-        let rows = fallback.get_or_insert_with(|| {
-            inner
-                .parts
-                .clone()
-                .retain_shapes(|s| inner_shapes.as_ref().map(|p| p.admits(s)).unwrap_or(true))
-                .scan()
-                .map(|(_, r)| r)
-                .filter(|r| qualifies(&inner_qualification, r))
-                .collect()
-        });
-        for r in rows.iter() {
-            if l.joinable_with(r) {
-                out.push(l.merged_with(r));
-            }
-        }
-        out
-    }))
-}
-
-/// Streaming hash join: the right input is materialized as the build side,
-/// the left input streams through as the probe side.  `common` must be a
-/// superset of every attribute an actual left/right tuple pair can share
-/// (see [`plan_attrs`]); tuples not defined on all of `common` fall back to
-/// pairwise `joinable_with` checks.
-fn hash_join_stream<'a>(
-    left: TupleStream<'a>,
-    right: Vec<Tuple>,
-    common: AttrSet,
-) -> TupleStream<'a> {
-    let mut hashed: HashMap<Tuple, Vec<Tuple>> = HashMap::new();
-    let mut scan_side: Vec<Tuple> = Vec::new();
-    for r in right {
-        if r.defined_on(&common) {
-            hashed.entry(r.project(&common)).or_default().push(r);
-        } else {
-            scan_side.push(r);
-        }
-    }
-    Box::new(left.flat_map(move |l| {
-        let mut out = Vec::new();
-        if l.defined_on(&common) {
-            if let Some(partners) = hashed.get(&l.project(&common)) {
-                for r in partners {
-                    out.push(l.merged_with(r));
-                }
-            }
-            for r in &scan_side {
-                if l.joinable_with(r) {
-                    out.push(l.merged_with(r));
-                }
-            }
-        } else {
-            for r in hashed.values().flatten().chain(scan_side.iter()) {
-                if l.joinable_with(r) {
-                    out.push(l.merged_with(r));
-                }
-            }
-        }
-        out
-    }))
-}
-
-/// Fans the partitions of a scan snapshot out over `threads` workers, each
-/// compiling the qualification against its partitions' shapes and running
-/// the vectorized selection (see [`crate::colscan`]) over their segments,
-/// sending batches into the merged stream.  Partitions are assigned
-/// greedily, largest first, so the load balances even under shape skew.
-/// Workers stop early when the consumer drops the stream (their channel
-/// send fails).
-fn parallel_scan_stream(
-    parts: Vec<(ShapeId, Arc<Partition>)>,
-    preds: Vec<Predicate>,
-    threads: usize,
-) -> TupleStream<'static> {
-    let mut buckets: Vec<Vec<(ShapeId, Arc<Partition>)>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    let mut loads = vec![0usize; threads];
-    let mut parts = parts;
-    parts.sort_by_key(|(_, p)| std::cmp::Reverse(p.len()));
-    for part in parts {
-        let i = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| **l)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        loads[i] += part.1.len();
-        buckets[i].push(part);
-    }
-    let (tx, rx) = mpsc::sync_channel::<Vec<Tuple>>(threads * 2);
-    for bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
-        let tx = tx.clone();
-        let preds = preds.clone();
-        std::thread::spawn(move || {
-            for (_, part) in bucket {
-                let heap = part.columns();
-                let compiled = colscan::compile(&preds, heap);
-                let mut batch = Vec::new();
-                colscan::select_into(heap, &compiled, &mut batch);
-                if tx.send(batch).is_err() {
-                    return; // consumer dropped the stream
-                }
-            }
-        });
-    }
-    drop(tx);
-    Box::new(rx.into_iter().flatten())
-}
-
-/// Builds the (serial or parallel) stream for one base scan from its
-/// snapshot: shape pruning per partition, then the qualification (and any
-/// filter fused onto the scan) compiled per partition and evaluated
-/// vectorized over the column segments (see [`crate::colscan`]).  The
-/// qualification is *known* to hold on consistent data; applying it is a
-/// no-op there but keeps hand-built fragment plans honest when they scan a
-/// broader base relation.
-fn scan_stream<'a>(
-    snap: RelSnap,
-    qualification: &'a Option<Predicate>,
-    shape: &'a Option<ShapePredicate>,
-    opts: &ExecOptions,
-    extra_filter: Option<&'a Predicate>,
-) -> TupleStream<'a> {
-    let parts = snap
-        .parts
-        .retain_shapes(|s| shape.as_ref().map(|p| p.admits(s)).unwrap_or(true));
-    let preds: Vec<Predicate> = qualification.iter().chain(extra_filter).cloned().collect();
-    let workers = scan_parallelism(parts.partition_count(), parts.len(), opts);
-    if workers > 1 {
-        return parallel_scan_stream(parts.into_parts(), preds, workers);
-    }
-    let parts = parts.into_parts().into_iter().map(|(_, p)| p).collect();
-    Box::new(colscan::VectorScan::new(parts, preds))
-}
-
-pub(crate) fn exec_node<'a>(plan: &'a LogicalPlan, ctx: &ExecContext) -> Result<TupleStream<'a>> {
-    Ok(match plan {
-        LogicalPlan::Empty => Box::new(std::iter::empty()),
-        LogicalPlan::Scan {
-            relation,
-            qualification,
-            shape,
-        } => scan_stream(
-            ctx.snap(relation).clone(),
-            qualification,
-            shape,
-            &ctx.opts,
-            None,
-        ),
-        LogicalPlan::IndexLookup {
-            relation,
-            key,
-            key_value,
-            shapes,
-        } => {
-            // The probe resolves rids against the same capture the index
-            // came from; the shape predicate is re-applied per rid (its
-            // ShapeId names the partition), so shape pruning composes with
-            // index access.  The verdict is memoized per ShapeId.
-            let snap = ctx.snap(relation);
-            let hits: Vec<(Rid, Tuple)> = match snap.index_on(key) {
-                Some(idx) => idx
-                    .lookup(key_value)
-                    .iter()
-                    .filter_map(|rid| snap.parts.get(*rid).map(|t| (*rid, t)))
-                    .collect(),
-                // No index on this key: shape-pruned snapshot scan.
-                None => snap
-                    .parts
-                    .clone()
-                    .retain_shapes(|s| key.is_subset(s))
-                    .scan()
-                    .filter(|(_, t)| t.project(key) == *key_value)
-                    .collect(),
-            };
-            let mut admitted = ShapeAdmitMemo::new(shapes.clone());
-            Box::new(
-                hits.into_iter()
-                    .filter(move |(rid, _)| admitted.admits(*rid))
-                    .map(|(_, t)| t),
-            )
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            // Fuse the filter onto a base scan so the parallel workers
-            // evaluate it partition-locally instead of on the merged
-            // stream.
-            if let LogicalPlan::Scan {
-                relation,
-                qualification,
-                shape,
-            } = &**input
-            {
-                scan_stream(
-                    ctx.snap(relation).clone(),
-                    qualification,
-                    shape,
-                    &ctx.opts,
-                    Some(predicate),
-                )
-            } else {
-                let rows = exec_node(input, ctx)?;
-                Box::new(rows.filter(move |t| predicate.eval(t)))
-            }
-        }
-        LogicalPlan::Project { input, attrs } => {
-            let rows = exec_node(input, ctx)?;
-            let mut seen: BTreeSet<Tuple> = BTreeSet::new();
-            Box::new(rows.filter_map(move |t| {
-                let p = t.project(attrs);
-                seen.insert(p.clone()).then_some(p)
-            }))
-        }
-        LogicalPlan::Guard { input, attrs } => {
-            let rows = exec_node(input, ctx)?;
-            Box::new(rows.filter(move |t| t.defined_on(attrs)))
-        }
-        LogicalPlan::Join { left, right } => {
-            let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
-            match join_strategy_for(left, right, &common, ctx) {
-                JoinStrategy::IndexNestedLoopRight => {
-                    let side = inl_inner_side(right).expect("the strategy implies a base scan");
-                    let probe = exec_node(left, ctx)?;
-                    index_nested_loop_stream(
-                        probe,
-                        ctx.snap(side.relation).clone(),
-                        side.qualification,
-                        side.shapes.clone(),
-                        common,
-                    )
-                }
-                JoinStrategy::IndexNestedLoopLeft => {
-                    let side = inl_inner_side(left).expect("the strategy implies a base scan");
-                    let probe = exec_node(right, ctx)?;
-                    index_nested_loop_stream(
-                        probe,
-                        ctx.snap(side.relation).clone(),
-                        side.qualification,
-                        side.shapes.clone(),
-                        common,
-                    )
-                }
-                JoinStrategy::Hash => {
-                    let l = exec_node(left, ctx)?;
-                    // The build side recurses through the same machinery,
-                    // so a large filtered scan parallelizes here as well.
-                    let r: Vec<Tuple> = exec_node(right, ctx)?.collect();
-                    hash_join_stream(l, r, common)
-                }
-            }
-        }
-        LogicalPlan::UnionAll { inputs } => {
-            let streams: Vec<TupleStream<'a>> = inputs
-                .iter()
-                .map(|i| exec_node(i, ctx))
-                .collect::<Result<_>>()?;
-            let mut seen: BTreeSet<Tuple> = BTreeSet::new();
-            Box::new(
-                streams
-                    .into_iter()
-                    .flatten()
-                    .filter(move |t| seen.insert(t.clone())),
-            )
-        }
-        LogicalPlan::Extend { input, attr, value } => {
-            let rows = exec_node(input, ctx)?;
-            Box::new(rows.map(move |mut t| {
-                t.insert(attr.as_str(), value.clone());
-                t
-            }))
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            // The row-wise fold is the reference semantics; the late
-            // pipeline's columnar kernels are differentially checked
-            // against this path.
-            let rows = exec_node(input, ctx)?;
-            let mut state = GroupedAggs::new(group_by.clone(), aggs.clone());
-            for t in rows {
-                state.add_tuple(&t);
-            }
-            Box::new(state.finish().into_iter())
-        }
-    })
-}
-
-/// Builds the streaming pipeline for a plan under explicit execution
+/// Builds the lazy result stream for a plan under explicit execution
 /// options.  Catalog errors (unknown relations) surface here, before any
-/// tuple flows; so does the per-relation snapshot capture.
+/// tuple flows; so does the per-relation snapshot capture.  The stream is
+/// the chunk pipeline's result boundary — the point where selection
+/// vectors finally become owned tuples.
 ///
-/// With [`PipelineMode::Late`] (the default) the plan runs through the
-/// batched late-materialization pipeline and this stream is its result
-/// boundary — the point where selection vectors finally become owned
-/// tuples.  With [`PipelineMode::Row`] it is the historical tuple-at-a-time
-/// pipeline.
+/// A lazily drained stream has no way to report an expired
+/// [`ExecOptions::deadline`]: it just ends early.  Callers that set a
+/// deadline use [`execute_collect`] / [`execute_with`], which turn expiry
+/// into [`CoreError::Timeout`].
 pub fn execute_stream_with<'a>(
     plan: &'a LogicalPlan,
     db: &'a Database,
     opts: &ExecOptions,
 ) -> Result<TupleStream<'a>> {
     let ctx = ExecContext::build(plan, db, opts.clone())?;
-    match opts.pipeline {
-        PipelineMode::Row => exec_node(plan, &ctx),
-        PipelineMode::Late => {
-            let stats = batch::ExecStats::with_deadline(opts.deadline);
-            let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
-            Ok(batch::chunks_to_tuples(chunks, stats))
-        }
-    }
+    let stats = batch::ExecStats::with_deadline(opts.deadline);
+    let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
+    Ok(batch::chunks_to_tuples(chunks, stats))
 }
 
-/// Executes a plan through the late-materialized pipeline, returning the
-/// result tuples together with the pipeline's [`batch::ExecStats`] —
-/// notably how many input-side tuples were materialized.  The stats are
-/// how tests pin down that late materialization is actually happening
-/// (an aggregate query must report **zero** materialized input tuples).
+/// Executes a plan, returning the result tuples together with the
+/// pipeline's [`batch::ExecStats`] — notably how many input-side tuples
+/// were materialized.  The stats are how tests pin down that late
+/// materialization is actually happening (an aggregate query must report
+/// **zero** materialized input tuples).
+///
+/// This is the one place an expired deadline becomes
+/// [`CoreError::Timeout`]: the drained rows are truncated, so they are
+/// discarded rather than returned.
 pub fn execute_collect(
     plan: &LogicalPlan,
     db: &Database,
     opts: &ExecOptions,
 ) -> Result<(Vec<Tuple>, batch::ExecStats)> {
+    // `ctx` (and its index snapshots) outlives the drain although the
+    // operators own what they read: releasing it earlier spares concurrent
+    // writers whole-index copies and shifts the wire mix's latencies — a
+    // change to measure and claim on its own.
     let ctx = ExecContext::build(plan, db, opts.clone())?;
     let stats = batch::ExecStats::with_deadline(opts.deadline);
     let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
     let rows: Vec<Tuple> = batch::chunks_to_tuples(chunks, stats.clone()).collect();
+    if stats.timed_out() {
+        return Err(CoreError::Timeout(format!(
+            "deadline passed after {} rows were produced",
+            rows.len()
+        )));
+    }
     Ok((rows, stats))
 }
 
-/// Builds the serial streaming pipeline for a plan (the historical
-/// behavior; see [`execute_stream_with`] for partition-parallel execution).
+/// Builds the serial result stream for a plan (see [`execute_stream_with`]
+/// for partition-parallel execution).
 pub fn execute_stream<'a>(plan: &'a LogicalPlan, db: &'a Database) -> Result<TupleStream<'a>> {
     execute_stream_with(plan, db, &ExecOptions::serial())
 }
@@ -1111,13 +704,12 @@ pub fn execute_stream<'a>(plan: &'a LogicalPlan, db: &'a Database) -> Result<Tup
 /// tuples.  With `opts.threads > 1` the result is the same multiset as
 /// serial execution; the order may differ.
 pub fn execute_with(plan: &LogicalPlan, db: &Database, opts: &ExecOptions) -> Result<Vec<Tuple>> {
-    Ok(execute_stream_with(plan, db, opts)?.collect())
+    Ok(execute_collect(plan, db, opts)?.0)
 }
 
-/// Executes a logical plan serially, materializing the result tuples.  A
-/// convenience wrapper around [`execute_stream`].
+/// Executes a logical plan serially, materializing the result tuples.
 pub fn execute(plan: &LogicalPlan, db: &Database) -> Result<Vec<Tuple>> {
-    Ok(execute_stream(plan, db)?.collect())
+    execute_with(plan, db, &ExecOptions::serial())
 }
 
 #[cfg(test)]
@@ -1555,6 +1147,26 @@ mod tests {
         assert_eq!(ExecOptions::default(), ExecOptions::serial());
     }
 
+    /// The collecting entry points never hand back rows a deadline
+    /// truncated.
+    #[test]
+    fn an_expired_deadline_is_a_timeout_not_truncated_rows() {
+        let db = db(300);
+        let plan = LogicalPlan::scan("employee");
+        let opts = ExecOptions::serial().with_deadline(std::time::Instant::now());
+        assert!(matches!(
+            execute_with(&plan, &db, &opts),
+            Err(CoreError::Timeout(_))
+        ));
+        assert!(matches!(
+            execute_collect(&plan, &db, &opts),
+            Err(CoreError::Timeout(_))
+        ));
+        let later = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+        let opts = ExecOptions::serial().with_deadline(later);
+        assert_eq!(execute_with(&plan, &db, &opts).unwrap().len(), 300);
+    }
+
     fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
         v.sort();
         v
@@ -1601,7 +1213,7 @@ mod tests {
         // Build the stream (captures the snapshot), then mutate the
         // relation heavily before draining it.
         let stream = execute_stream(&plan, &db).unwrap();
-        let rids: Vec<Rid> = db
+        let rids: Vec<flexrel_storage::Rid> = db
             .scan("employee")
             .unwrap()
             .into_iter()

@@ -73,12 +73,11 @@ pub mod statement;
 pub use agg::{Acc, GroupedAggs};
 pub use batch::{Chunk, ColChunk, ExecStats};
 pub use colscan::{
-    aggregate_partition, aggregate_selected, compile as compile_predicates, Compiled, VectorScan,
+    aggregate_partition, aggregate_selected, compile as compile_predicates, Compiled,
 };
 pub use exec::{
     estimate_rows, execute, execute_collect, execute_stream, execute_stream_with, execute_with,
-    join_strategy, plan_attrs, scan_parallelism, ExecOptions, JoinStrategy, PipelineMode,
-    TupleStream,
+    join_strategy, plan_attrs, scan_parallelism, ExecOptions, JoinStrategy, TupleStream,
 };
 pub use logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
 pub use optimizer::{
@@ -93,7 +92,7 @@ pub use statement::{run_statement, StatementOutcome};
 pub mod prelude {
     pub use crate::exec::{
         execute, execute_collect, execute_stream, execute_stream_with, execute_with, join_strategy,
-        ExecOptions, JoinStrategy, PipelineMode,
+        ExecOptions, JoinStrategy,
     };
     pub use crate::logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
     pub use crate::optimizer::{

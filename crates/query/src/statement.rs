@@ -8,12 +8,12 @@
 //!
 //! * **`EXPLAIN` dispatch** — a statement prefixed with `EXPLAIN` returns
 //!   the rendered optimized plan instead of rows.
-//! * **Timeout surfacing** — when [`ExecOptions::deadline`] trips, the late
-//!   pipeline ends its chunk stream early and flags
-//!   [`crate::ExecStats::timed_out`]; `run_statement` converts that flag into
-//!   [`CoreError::Timeout`] so truncated row sets never escape to a client.
+//! * **Timeout surfacing** — when [`ExecOptions::deadline`] trips, the
+//!   pipeline ends its chunk stream early and [`execute_collect`] returns
+//!   [`CoreError::Timeout`](flexrel_core::error::CoreError::Timeout), so
+//!   truncated row sets never escape to a client.
 
-use flexrel_core::error::{CoreError, Result};
+use flexrel_core::error::Result;
 use flexrel_core::tuple::Tuple;
 use flexrel_storage::Database;
 
@@ -35,9 +35,10 @@ pub enum StatementOutcome {
 /// Parses, plans, optimizes (against the live database's statistics and
 /// indexes) and executes one FRQL statement.
 ///
-/// Errors from every stage come back as [`CoreError`]: parse and binding
-/// errors, unknown relations, and — when `opts.deadline` has passed before
-/// the result stream is drained — [`CoreError::Timeout`].
+/// Errors from every stage come back as
+/// [`CoreError`](flexrel_core::error::CoreError): parse and binding errors,
+/// unknown relations, and — when `opts.deadline` has passed before the
+/// result stream is drained — `CoreError::Timeout`.
 pub fn run_statement(db: &Database, frql: &str, opts: &ExecOptions) -> Result<StatementOutcome> {
     let query = parse(frql)?;
     if query.explain {
@@ -45,19 +46,14 @@ pub fn run_statement(db: &Database, frql: &str, opts: &ExecOptions) -> Result<St
     }
     let plan = plan_query(&query, &db.catalog())?;
     let (optimized, _notes) = optimize_with_db(plan, db);
-    let (rows, stats) = execute_collect(&optimized, db, opts)?;
-    if stats.timed_out() {
-        return Err(CoreError::Timeout(format!(
-            "deadline passed after {} rows were produced",
-            rows.len()
-        )));
-    }
+    let (rows, _stats) = execute_collect(&optimized, db, opts)?;
     Ok(StatementOutcome::Rows(rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexrel_core::error::CoreError;
     use flexrel_storage::RelationDef;
     use flexrel_workload::{employee_relation, generate_employees, EmployeeConfig};
 

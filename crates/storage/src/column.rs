@@ -645,11 +645,9 @@ impl ColumnSegment {
     }
 }
 
-/// Column-major tuple storage for one partition (one shape).  API-compatible
-/// with the row [`Heap`](crate::heap::Heap) — stable [`TupleId`]s, free-list
-/// slot reuse, per-segment copy-on-write — but reads materialize owned
-/// [`Tuple`]s (or hand out [`TupleRef`] views) instead of borrowing stored
-/// ones.
+/// Column-major tuple storage for one partition (one shape): stable
+/// [`TupleId`]s, free-list slot reuse, per-segment copy-on-write.  Reads
+/// materialize owned [`Tuple`]s (or hand out [`TupleRef`] views).
 #[derive(Clone, Debug)]
 pub struct ColumnHeap {
     shape: AttrSet,
@@ -964,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_delete_mirror_the_row_heap() {
+    fn insert_get_delete_and_slot_reuse() {
         let proto = tuple! {"x" => 1};
         let mut h = heap_of(&proto);
         assert!(h.is_empty());
@@ -1108,6 +1106,19 @@ mod tests {
         }
         assert_eq!(h.all_tuples().len(), 3000);
         assert_eq!(h.scan().count(), 3000);
+    }
+
+    #[test]
+    fn scan_yields_only_live_tuples() {
+        let mut h = heap_of(&tuple! {"x" => 0});
+        let a = h.insert(tuple! {"x" => 1});
+        let _b = h.insert(tuple! {"x" => 2});
+        let c = h.insert(tuple! {"x" => 3});
+        h.delete(a);
+        h.delete(c);
+        let live: Vec<Tuple> = h.scan().map(|(_, r)| r.to_tuple()).collect();
+        assert_eq!(live, vec![tuple! {"x" => 2}]);
+        assert_eq!(h.all_tuples(), live);
     }
 
     #[test]

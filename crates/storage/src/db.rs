@@ -69,7 +69,6 @@ use crate::index::HashIndex;
 use crate::partition::{
     DepGuard, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo, SnapshotScan,
 };
-use crate::txn::{Transaction, UndoAction};
 use crate::wal::{WalOp, WalWriter};
 
 // Lock acquisition helpers.  Poisoning is deliberately not propagated
@@ -646,25 +645,44 @@ fn undo_remove_in(
     false
 }
 
+/// One entry of a [`TxnScope`]'s undo log.  A rollback replays the log in
+/// reverse; it must restore consistency exactly, because a type error in
+/// the middle of a multi-tuple load may not leave half the batch behind.
+enum Undo {
+    /// A tuple was inserted under `rid`; undo by deleting it (dropping its
+    /// partition again if it was the partition's only tuple).  The rid is a
+    /// fast path that [`undo_remove_in`] revalidates against the tuple.
+    Insert { rid: Rid, tuple: Tuple },
+    /// A tuple was deleted; undo by re-inserting it.
+    Delete { tuple: Tuple },
+    /// A tuple was replaced; undo by removing the replacement and restoring
+    /// the previous value (which may live in a different partition when the
+    /// update changed the tuple's shape).
+    Update {
+        rid: Rid,
+        replacement: Tuple,
+        previous: Tuple,
+    },
+}
+
 /// Applies one undo action against already-held write locks.
 fn apply_undo(
     def: &RelationDef,
     parts: &mut PartitionedHeap,
     indexes: &mut IndexSet,
-    action: UndoAction,
+    action: Undo,
 ) {
     match action {
-        UndoAction::UndoInsert { rid, tuple, .. } => {
+        Undo::Insert { rid, tuple } => {
             undo_remove_in(parts, indexes, rid, &tuple);
         }
-        UndoAction::UndoDelete { tuple, .. } => {
+        Undo::Delete { tuple } => {
             insert_unchecked_into(def, parts, indexes, tuple);
         }
-        UndoAction::UndoUpdate {
+        Undo::Update {
             rid,
             replacement,
             previous,
-            ..
         } => {
             if undo_remove_in(parts, indexes, rid, &replacement) {
                 insert_unchecked_into(def, parts, indexes, previous);
@@ -1199,22 +1217,6 @@ impl Database {
         Ok(rid)
     }
 
-    /// Inserts under a transaction, recording the undo action.
-    ///
-    /// Each statement is atomic to concurrent readers, but the transaction
-    /// as a whole is not isolated — a scan between two `insert_txn` calls
-    /// observes the first insert only.  Use [`Database::transact`] when
-    /// readers must see all-or-nothing.
-    pub fn insert_txn(&self, txn: &mut Transaction, relation: &str, t: Tuple) -> Result<Rid> {
-        let rid = self.insert(relation, t.clone())?;
-        txn.record(UndoAction::UndoInsert {
-            relation: relation.to_string(),
-            rid,
-            tuple: t,
-        });
-        Ok(rid)
-    }
-
     /// Deletes a tuple by identifier, returning it.  Deleting the last tuple
     /// of a partition drops the partition (and its shape memo).
     pub fn delete(&self, relation: &str, rid: Rid) -> Result<Tuple> {
@@ -1238,17 +1240,6 @@ impl Database {
         };
         drop(_g);
         self.wal_sync(lsn)?;
-        Ok(old)
-    }
-
-    /// Deletes under a transaction (see [`Database::insert_txn`] for the
-    /// isolation caveat).
-    pub fn delete_txn(&self, txn: &mut Transaction, relation: &str, rid: Rid) -> Result<Tuple> {
-        let old = self.delete(relation, rid)?;
-        txn.record(UndoAction::UndoDelete {
-            relation: relation.to_string(),
-            tuple: old.clone(),
-        });
         Ok(old)
     }
 
@@ -1294,27 +1285,6 @@ impl Database {
         drop(_g);
         self.wal_sync(lsn)?;
         Ok(result)
-    }
-
-    /// Updates under a transaction, recording the undo action.  Rolling back
-    /// deletes the replacement under its new identifier and restores the
-    /// previous tuple (re-opening its partition if the update moved the last
-    /// tuple of a shape).
-    pub fn update_txn(
-        &self,
-        txn: &mut Transaction,
-        relation: &str,
-        rid: Rid,
-        new: Tuple,
-    ) -> Result<(Rid, Tuple)> {
-        let (new_rid, old) = self.update(relation, rid, new.clone())?;
-        txn.record(UndoAction::UndoUpdate {
-            relation: relation.to_string(),
-            rid: new_rid,
-            replacement: new,
-            previous: old.clone(),
-        });
-        Ok((new_rid, old))
     }
 
     /// Reads the tuple stored under `rid`, if it is live.
@@ -1486,28 +1456,6 @@ impl Database {
         ))
     }
 
-    /// Rolls back a transaction, undoing every recorded action in reverse
-    /// order.  Partitions (and their shape memos) opened by the transaction
-    /// are dropped again when their last tuple is undone, so the partition
-    /// structure is restored exactly.
-    pub fn rollback(&self, mut txn: Transaction) -> Result<()> {
-        let catalog = self.catalog();
-        for action in txn.drain_rollback() {
-            let relation = match &action {
-                UndoAction::UndoInsert { relation, .. }
-                | UndoAction::UndoDelete { relation, .. }
-                | UndoAction::UndoUpdate { relation, .. } => relation.clone(),
-            };
-            let def = self.def(&catalog, &relation)?;
-            let store = self.store(&relation)?;
-            let _g = lock(&store.gate);
-            let mut parts = write(&store.parts);
-            let mut indexes = write(&store.indexes);
-            apply_undo(def, &mut parts, &mut indexes, action);
-        }
-        Ok(())
-    }
-
     /// Runs `f` as one atomic transaction over the declared `relations`.
     ///
     /// The write locks (and writer gates) of every declared relation are
@@ -1550,17 +1498,17 @@ impl Database {
             catalog,
             rels,
             guards,
-            txn: Transaction::begin(),
+            undo: Vec::new(),
             durable: self.inner.dur.is_some(),
             redo: Vec::new(),
         };
         match catch_unwind(AssertUnwindSafe(|| f(&mut scope))) {
             Ok(Ok(v)) => {
                 // Log the whole transaction as one atomic WAL bracket while
-                // the write locks are still held (log order = apply order),
-                // then commit the undo log.  An append failure means the
-                // WAL was already poisoned: nothing was logged, so rolling
-                // back in memory keeps log and heap agreeing.
+                // the write locks are still held (log order = apply order);
+                // the undo log is dropped with the scope.  An append failure
+                // means the WAL was already poisoned: nothing was logged, so
+                // rolling back in memory keeps log and heap agreeing.
                 let redo = std::mem::take(&mut scope.redo);
                 let lsn = match self.wal_append_ops(&redo) {
                     Ok(lsn) => lsn,
@@ -1569,7 +1517,6 @@ impl Database {
                         return Err(e);
                     }
                 };
-                scope.txn.commit();
                 drop(scope);
                 drop(_gates);
                 // The fsync happens after every lock is released, so
@@ -1600,7 +1547,9 @@ pub struct TxnScope<'a> {
         RwLockWriteGuard<'a, PartitionedHeap>,
         RwLockWriteGuard<'a, IndexSet>,
     )>,
-    txn: Transaction,
+    /// The undo log: the relation each action touched plus the action,
+    /// replayed in reverse by a rollback.
+    undo: Vec<(String, Undo)>,
     /// Whether the database logs to a WAL; when `false` the redo log is
     /// not recorded (no clones on the in-memory fast path).
     durable: bool,
@@ -1621,7 +1570,7 @@ impl TxnScope<'_> {
 
     /// Number of undo actions recorded so far.
     pub fn pending_actions(&self) -> usize {
-        self.txn.len()
+        self.undo.len()
     }
 
     /// Inserts a tuple with full type checking (the transaction sees its
@@ -1638,11 +1587,8 @@ impl TxnScope<'_> {
                 tuple: t.clone(),
             });
         }
-        self.txn.record(UndoAction::UndoInsert {
-            relation: relation.to_string(),
-            rid,
-            tuple: t,
-        });
+        self.undo
+            .push((relation.to_string(), Undo::Insert { rid, tuple: t }));
         Ok(rid)
     }
 
@@ -1658,10 +1604,9 @@ impl TxnScope<'_> {
                 tuple: old.clone(),
             });
         }
-        self.txn.record(UndoAction::UndoDelete {
-            relation: relation.to_string(),
-            tuple: old.clone(),
-        });
+        let tuple = old.clone();
+        self.undo
+            .push((relation.to_string(), Undo::Delete { tuple }));
         Ok(old)
     }
 
@@ -1680,12 +1625,14 @@ impl TxnScope<'_> {
                 new: new.clone(),
             });
         }
-        self.txn.record(UndoAction::UndoUpdate {
-            relation: relation.to_string(),
-            rid: new_rid,
-            replacement: new,
-            previous: old.clone(),
-        });
+        self.undo.push((
+            relation.to_string(),
+            Undo::Update {
+                rid: new_rid,
+                replacement: new,
+                previous: old.clone(),
+            },
+        ));
         Ok((new_rid, old))
     }
 
@@ -1705,12 +1652,7 @@ impl TxnScope<'_> {
 
     fn rollback_in_place(&mut self) {
         let catalog = Arc::clone(&self.catalog);
-        for action in self.txn.drain_rollback() {
-            let relation = match &action {
-                UndoAction::UndoInsert { relation, .. }
-                | UndoAction::UndoDelete { relation, .. }
-                | UndoAction::UndoUpdate { relation, .. } => relation.clone(),
-            };
+        while let Some((relation, action)) = self.undo.pop() {
             let (Ok(i), Ok(def)) = (self.slot(&relation), catalog.get(&relation)) else {
                 // Actions are only recorded through this scope, so the
                 // relation is always declared; be defensive anyway.
@@ -1981,29 +1923,31 @@ mod tests {
     }
 
     #[test]
-    fn transaction_rollback_restores_state() {
+    fn transact_rollback_restores_state() {
         let db = db_with_employees(5);
         let before = db.count("employee").unwrap();
-        let mut txn = Transaction::begin();
+        let (rid, _) = db.scan("employee").unwrap()[0].clone();
         let extra = generate_employees(&EmployeeConfig {
             n: 8,
             violation_rate: 0.0,
             seed: 99,
         });
-        for (i, mut t) in extra.into_iter().enumerate() {
-            // Give fresh keys so the FD does not fire against existing rows.
-            t.insert("empno", 1000 + i as i64);
-            db.insert_txn(&mut txn, "employee", t).unwrap();
-        }
-        let (rid, _) = db.scan("employee").unwrap()[0].clone();
-        db.delete_txn(&mut txn, "employee", rid).unwrap();
-        assert_eq!(db.count("employee").unwrap(), before + 8 - 1);
-        db.rollback(txn).unwrap();
+        let res = db.transact(&["employee"], |tx| {
+            for (i, mut t) in extra.into_iter().enumerate() {
+                // Give fresh keys so the FD does not fire against existing rows.
+                t.insert("empno", 1000 + i as i64);
+                tx.insert("employee", t)?;
+            }
+            tx.delete("employee", rid)?;
+            assert_eq!(tx.count("employee")?, before + 8 - 1);
+            Err::<(), _>(CoreError::Invalid("abort".into()))
+        });
+        assert!(res.is_err());
         assert_eq!(db.count("employee").unwrap(), before);
     }
 
     #[test]
-    fn rollback_across_partitions_restores_heaps_and_memo_state() {
+    fn transact_rollback_across_partitions_restores_heaps_and_memo_state() {
         use std::collections::BTreeSet;
         // Start from a single-shape instance: two secretaries.
         let db = Database::new();
@@ -2030,41 +1974,39 @@ mod tests {
 
         // An aborted multi-tuple load spanning two *new* shapes (salesman
         // and software engineer) plus one more tuple of the existing shape.
-        let mut txn = Transaction::begin();
-        db.insert_txn(
-            &mut txn,
-            "employee",
-            Tuple::new()
-                .with("empno", 10)
-                .with("name", "sal")
-                .with("salary", 5000.0)
-                .with("jobtype", Value::tag("salesman"))
-                .with("products", "crm")
-                .with("sales-commission", 7),
-        )
-        .unwrap();
-        db.insert_txn(
-            &mut txn,
-            "employee",
-            Tuple::new()
-                .with("empno", 11)
-                .with("name", "eng")
-                .with("salary", 6000.0)
-                .with("jobtype", Value::tag("software engineer"))
-                .with("products", "db")
-                .with("programming-languages", "rust"),
-        )
-        .unwrap();
-        db.insert_txn(&mut txn, "employee", secretary(12)).unwrap();
-        assert_eq!(
-            db.partitions("employee").unwrap().len(),
-            3,
-            "the load opened two new partitions"
-        );
-
         // Abort: both new partition heaps and their shape memos must vanish,
         // and the surviving partition must be byte-for-byte as before.
-        db.rollback(txn).unwrap();
+        let res = db.transact(&["employee"], |tx| {
+            tx.insert(
+                "employee",
+                Tuple::new()
+                    .with("empno", 10)
+                    .with("name", "sal")
+                    .with("salary", 5000.0)
+                    .with("jobtype", Value::tag("salesman"))
+                    .with("products", "crm")
+                    .with("sales-commission", 7),
+            )?;
+            tx.insert(
+                "employee",
+                Tuple::new()
+                    .with("empno", 11)
+                    .with("name", "eng")
+                    .with("salary", 6000.0)
+                    .with("jobtype", Value::tag("software engineer"))
+                    .with("products", "db")
+                    .with("programming-languages", "rust"),
+            )?;
+            tx.insert("employee", secretary(12))?;
+            let shapes: BTreeSet<ShapeId> = tx
+                .scan("employee")?
+                .iter()
+                .map(|(rid, _)| rid.shape())
+                .collect();
+            assert_eq!(shapes.len(), 3, "the load opened two new partitions");
+            Err::<(), _>(CoreError::Invalid("abort".into()))
+        });
+        assert!(res.is_err());
         let parts_after = db.partitions("employee").unwrap();
         assert_eq!(
             parts_after, parts_before,
@@ -2193,7 +2135,7 @@ mod tests {
     }
 
     #[test]
-    fn update_txn_rollback_restores_tuples_partitions_and_indexes() {
+    fn transact_update_rollback_restores_tuples_partitions_and_indexes() {
         let db = db_with_employees(30);
         // A secondary index participates in the restore as well.
         db.create_index("employee", attrs!["name"]).unwrap();
@@ -2207,20 +2149,21 @@ mod tests {
             .unwrap();
 
         // A mid-transaction shape-changing update, then abort.
-        let mut txn = Transaction::begin();
         let mut changed = original.clone();
         changed.insert("jobtype", Value::tag("salesman"));
         changed.remove(&"typing-speed".into());
         changed.remove(&"foreign-languages".into());
         changed.insert("products", "crm");
         changed.insert("sales-commission", 5);
-        let (new_rid, _) = db
-            .update_txn(&mut txn, "employee", rid, changed.clone())
-            .unwrap();
-        assert_eq!(db.get("employee", new_rid).unwrap(), Some(changed));
-        assert_eq!(txn.len(), 1, "the update recorded its undo action");
-
-        db.rollback(txn).unwrap();
+        let mut new_rid = rid;
+        let res = db.transact(&["employee"], |tx| {
+            new_rid = tx.update("employee", rid, changed.clone())?.0;
+            assert!(tx.scan("employee")?.contains(&(new_rid, changed)));
+            assert_eq!(tx.pending_actions(), 1, "the update recorded its undo");
+            Err::<(), _>(CoreError::Invalid("abort".into()))
+        });
+        assert!(res.is_err());
+        assert_ne!(new_rid, rid, "the shape change moved the tuple");
         assert_eq!(
             db.partitions("employee").unwrap(),
             parts_before,
@@ -2286,80 +2229,6 @@ mod tests {
         // The restored tuple is live under its original identifier again
         // (the freed slot is reused by the restore).
         assert_eq!(db.get("employee", rid).unwrap(), Some(original));
-    }
-
-    #[test]
-    fn rollback_survives_rid_drift_from_partition_recreation() {
-        // Emptying a partition mid-transaction discards its heap and free
-        // list; the rollback replay then re-creates it with fresh slot
-        // assignments, so the rids recorded by UndoInsert/UndoUpdate can
-        // name *different* tuples by the time their undo runs.  Rollback
-        // must locate the tuples by value, not trust the drifted rids.
-        let secretary = |empno: i64| {
-            Tuple::new()
-                .with("empno", empno)
-                .with("name", format!("sec{}", empno))
-                .with("salary", 4000.0 + empno as f64)
-                .with("jobtype", Value::tag("secretary"))
-                .with("typing-speed", 300)
-                .with("foreign-languages", "french")
-        };
-
-        // UndoUpdate drift: update q1 in place (slot reuse), then delete
-        // both live tuples — the partition drops.  On rollback the two
-        // UndoDeletes repopulate a fresh heap in reverse order, so the
-        // update's recorded rid now points at q2.
-        let db = Database::new();
-        db.create_relation(employee_def()).unwrap();
-        let r1 = db.insert("employee", secretary(1)).unwrap();
-        let r2 = db.insert("employee", secretary(2)).unwrap();
-        let before: std::collections::BTreeSet<Tuple> = db
-            .scan("employee")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        let mut txn = Transaction::begin();
-        let mut changed = secretary(1);
-        changed.insert("salary", 9999.0);
-        let (new_rid, _) = db.update_txn(&mut txn, "employee", r1, changed).unwrap();
-        db.delete_txn(&mut txn, "employee", new_rid).unwrap();
-        db.delete_txn(&mut txn, "employee", r2).unwrap();
-        assert_eq!(db.count("employee").unwrap(), 0, "partition dropped");
-        db.rollback(txn).unwrap();
-        let after: std::collections::BTreeSet<Tuple> = db
-            .scan("employee")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        assert_eq!(after, before, "no tuple lost, no replacement leaked");
-
-        // UndoInsert drift: insert t3, then delete q1 and t3 (partition
-        // drops).  Rollback re-inserts t3 and q1 into fresh slots, so the
-        // UndoInsert rid points at q1 — deleting by rid would destroy it.
-        let db = Database::new();
-        db.create_relation(employee_def()).unwrap();
-        let r1 = db.insert("employee", secretary(1)).unwrap();
-        let before: std::collections::BTreeSet<Tuple> = db
-            .scan("employee")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        let mut txn = Transaction::begin();
-        let r3 = db.insert_txn(&mut txn, "employee", secretary(3)).unwrap();
-        db.delete_txn(&mut txn, "employee", r1).unwrap();
-        db.delete_txn(&mut txn, "employee", r3).unwrap();
-        assert_eq!(db.count("employee").unwrap(), 0, "partition dropped");
-        db.rollback(txn).unwrap();
-        let after: std::collections::BTreeSet<Tuple> = db
-            .scan("employee")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        assert_eq!(after, before, "the committed tuple survives the abort");
     }
 
     #[test]
@@ -2495,6 +2364,11 @@ mod tests {
         assert!(res.is_err());
     }
 
+    /// Emptying a partition mid-transaction discards its heap and free
+    /// list; the rollback replay then re-creates it with fresh slot
+    /// assignments, so the rids recorded for undone inserts and updates can
+    /// name *different* tuples by the time their undo runs.  Rollback must
+    /// locate the tuples by value, not trust the drifted rids.
     #[test]
     fn transact_update_and_delete_roll_back_with_rid_drift() {
         let db = Database::new();
@@ -2510,12 +2384,11 @@ mod tests {
         };
         let r1 = db.insert("employee", secretary(1)).unwrap();
         let r2 = db.insert("employee", secretary(2)).unwrap();
-        let before: std::collections::BTreeSet<Tuple> = db
-            .scan("employee")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
+        let tuples = || -> std::collections::BTreeSet<Tuple> {
+            let rows = db.scan("employee").unwrap();
+            rows.into_iter().map(|(_, t)| t).collect()
+        };
+        let before = tuples();
         let parts_before = db.partitions("employee").unwrap();
         // Update then empty the partition inside the transaction, then fail.
         let res = db.transact(&["employee"], |tx| {
@@ -2528,14 +2401,23 @@ mod tests {
             Err::<(), _>(CoreError::Invalid("abort".into()))
         });
         assert!(res.is_err());
-        let after: std::collections::BTreeSet<Tuple> = db
-            .scan("employee")
-            .unwrap()
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect();
-        assert_eq!(after, before);
+        assert_eq!(tuples(), before);
         assert_eq!(db.partitions("employee").unwrap(), parts_before);
+
+        // Insert drift: insert t3, then delete everything (partition drops).
+        // Rollback re-inserts t3, q2 and q1 into fresh slots, so the
+        // insert's recorded rid points at q1 — deleting by rid would
+        // destroy it.
+        let res = db.transact(&["employee"], |tx| {
+            let r3 = tx.insert("employee", secretary(3))?;
+            tx.delete("employee", r1)?;
+            tx.delete("employee", r2)?;
+            tx.delete("employee", r3)?;
+            assert_eq!(tx.count("employee")?, 0, "partition dropped");
+            Err::<(), _>(CoreError::Invalid("abort".into()))
+        });
+        assert!(res.is_err());
+        assert_eq!(tuples(), before, "the committed tuples survive the abort");
     }
 
     /// A unique scratch directory under the system temp dir; removed on

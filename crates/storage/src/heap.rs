@@ -1,31 +1,13 @@
-//! Heap tuple storage with stable tuple identifiers.
+//! Stable tuple identifiers.
 //!
-//! Tuples live in fixed-size segments; a [`TupleId`] is the pair of segment
+//! Tuples live in fixed-size segments of a partition's column heap
+//! ([`crate::column::ColumnHeap`]); a [`TupleId`] is the pair of segment
 //! number and slot.  Deleted slots are tombstoned and reused by later
-//! inserts, so identifiers of live tuples never move.
-//!
-//! A [`Heap`] stores one *partition* of a relation — all tuples of a single
-//! shape; see [`crate::partition`] for the shape-partitioned store built on
-//! top and for the [`Rid`](crate::partition::Rid) identifiers that pair a
-//! partition with a `TupleId`.
-//!
-//! Live partitions are now stored column-major ([`crate::column`]); this
-//! row-oriented heap is kept intact as the **differential oracle** for the
-//! columnar path (`tests/tests/columnar_differential.rs`, experiment E12's
-//! columnar-vs-row rows) — both stores share [`TupleId`] and the same
-//! segment/COW discipline, so op-for-op comparisons are exact.
-//!
-//! Segments are held behind [`Arc`]s so that cloning a heap (which happens
-//! when a concurrent scan snapshot triggers copy-on-write of its partition,
-//! see [`crate::partition::PartitionSnapshot`]) is a per-segment refcount
-//! bump; a write then deep-copies only the one ≤[`SEGMENT_SIZE`]-slot
-//! segment it touches.
+//! inserts, so identifiers of live tuples never move.  See
+//! [`crate::partition`] for the [`Rid`](crate::partition::Rid) identifiers
+//! that pair a partition with a `TupleId`.
 
-use std::sync::Arc;
-
-use flexrel_core::tuple::Tuple;
-
-/// Number of tuple slots per segment — also the worst-case number of tuples
+/// Number of tuple slots per segment — also the worst-case number of rows
 /// a single write deep-copies when copy-on-write hits a shared segment.
 pub const SEGMENT_SIZE: usize = 1024;
 
@@ -38,8 +20,8 @@ pub struct TupleId {
 
 impl TupleId {
     /// Builds an identifier from its parts.  Only identifiers observed from
-    /// [`Heap::insert`] / [`Heap::scan`] (or snapshot iteration) name live
-    /// tuples; arbitrary pairs simply resolve to `None` on [`Heap::get`].
+    /// an insert or a scan name live tuples; arbitrary pairs simply resolve
+    /// to `None` on lookup.
     pub fn new(segment: u32, slot: u32) -> Self {
         TupleId { segment, slot }
     }
@@ -61,232 +43,15 @@ impl std::fmt::Display for TupleId {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Segment {
-    slots: Vec<Option<Tuple>>,
-}
-
-impl Segment {
-    fn new() -> Self {
-        Segment {
-            slots: Vec::with_capacity(SEGMENT_SIZE),
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        self.slots.len() >= SEGMENT_SIZE
-    }
-}
-
-/// The heap store: a growable collection of segments plus a free list of
-/// tombstoned slots.
-#[derive(Clone, Debug, Default)]
-pub struct Heap {
-    segments: Vec<Arc<Segment>>,
-    free: Vec<TupleId>,
-    live: usize,
-}
-
-impl Heap {
-    /// Creates an empty heap.
-    pub fn new() -> Self {
-        Heap {
-            segments: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Number of live tuples.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether the heap holds no live tuple.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Inserts a tuple and returns its identifier.
-    pub fn insert(&mut self, t: Tuple) -> TupleId {
-        self.live += 1;
-        if let Some(tid) = self.free.pop() {
-            let seg = Arc::make_mut(&mut self.segments[tid.segment as usize]);
-            seg.slots[tid.slot as usize] = Some(t);
-            return tid;
-        }
-        if self.segments.last().map(|s| s.is_full()).unwrap_or(true) {
-            self.segments.push(Arc::new(Segment::new()));
-        }
-        let segment = (self.segments.len() - 1) as u32;
-        let seg = Arc::make_mut(
-            self.segments
-                .last_mut()
-                .expect("just ensured a segment exists"),
-        );
-        seg.slots.push(Some(t));
-        TupleId {
-            segment,
-            slot: (seg.slots.len() - 1) as u32,
-        }
-    }
-
-    /// Reads the tuple stored under `tid`, if it is live.
-    pub fn get(&self, tid: TupleId) -> Option<&Tuple> {
-        self.segments
-            .get(tid.segment as usize)
-            .and_then(|s| s.slots.get(tid.slot as usize))
-            .and_then(|slot| slot.as_ref())
-    }
-
-    /// Deletes the tuple under `tid`, returning it if it was live.
-    pub fn delete(&mut self, tid: TupleId) -> Option<Tuple> {
-        // Probe before copy-on-write: deleting a dead slot must not clone
-        // the segment.
-        self.get(tid)?;
-        let seg = Arc::make_mut(self.segments.get_mut(tid.segment as usize)?);
-        let old = seg.slots.get_mut(tid.slot as usize)?.take();
-        if old.is_some() {
-            self.live -= 1;
-            self.free.push(tid);
-        }
-        old
-    }
-
-    /// Replaces the tuple under `tid`, returning the previous value.
-    pub fn replace(&mut self, tid: TupleId, t: Tuple) -> Option<Tuple> {
-        self.get(tid)?;
-        let seg = Arc::make_mut(self.segments.get_mut(tid.segment as usize)?);
-        let slot = seg.slots.get_mut(tid.slot as usize)?;
-        if slot.is_none() {
-            return None;
-        }
-        slot.replace(t)
-    }
-
-    /// Number of segments (live or not) the heap has grown to.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Number of slots segment `si` currently holds (≤ [`SEGMENT_SIZE`]).
-    pub fn segment_len(&self, si: usize) -> usize {
-        self.segments.get(si).map(|s| s.slots.len()).unwrap_or(0)
-    }
-
-    /// The tuple in slot `(si, slot)`, if that slot is live.  Used by
-    /// snapshot iterators that walk a heap positionally (see
-    /// [`crate::partition::SnapshotScan`]).
-    pub fn slot_get(&self, si: usize, slot: usize) -> Option<&Tuple> {
-        self.segments
-            .get(si)
-            .and_then(|s| s.slots.get(slot))
-            .and_then(|s| s.as_ref())
-    }
-
-    /// Iterates over all live tuples with their identifiers.
-    pub fn scan(&self) -> impl Iterator<Item = (TupleId, &Tuple)> + '_ {
-        self.segments.iter().enumerate().flat_map(|(si, seg)| {
-            seg.slots.iter().enumerate().filter_map(move |(pi, slot)| {
-                slot.as_ref().map(|t| {
-                    (
-                        TupleId {
-                            segment: si as u32,
-                            slot: pi as u32,
-                        },
-                        t,
-                    )
-                })
-            })
-        })
-    }
-
-    /// Materializes all live tuples.
-    pub fn all_tuples(&self) -> Vec<Tuple> {
-        self.scan().map(|(_, t)| t.clone()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexrel_core::tuple;
-
-    #[test]
-    fn insert_get_delete() {
-        let mut h = Heap::new();
-        assert!(h.is_empty());
-        let a = h.insert(tuple! {"x" => 1});
-        let b = h.insert(tuple! {"x" => 2});
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.get(a), Some(&tuple! {"x" => 1}));
-        assert_eq!(h.get(b), Some(&tuple! {"x" => 2}));
-        assert_eq!(h.delete(a), Some(tuple! {"x" => 1}));
-        assert_eq!(h.get(a), None);
-        assert_eq!(h.len(), 1);
-        // Double delete is a no-op.
-        assert_eq!(h.delete(a), None);
-        assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn freed_slots_are_reused() {
-        let mut h = Heap::new();
-        let a = h.insert(tuple! {"x" => 1});
-        h.delete(a);
-        let b = h.insert(tuple! {"x" => 2});
-        assert_eq!(a, b, "the tombstoned slot is reused");
-        assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn identifiers_are_stable_across_growth() {
-        let mut h = Heap::new();
-        let ids: Vec<TupleId> = (0..3000)
-            .map(|i| h.insert(tuple! {"x" => i as i64}))
-            .collect();
-        assert_eq!(h.len(), 3000);
-        assert!(
-            ids.iter().map(|t| t.segment()).any(|s| s > 0),
-            "spans several segments"
-        );
-        for (i, tid) in ids.iter().enumerate() {
-            assert_eq!(
-                h.get(*tid).and_then(|t| t.get_name("x")).cloned(),
-                Some(flexrel_core::value::Value::Int(i as i64))
-            );
-        }
-    }
-
-    #[test]
-    fn scan_yields_only_live_tuples() {
-        let mut h = Heap::new();
-        let a = h.insert(tuple! {"x" => 1});
-        let _b = h.insert(tuple! {"x" => 2});
-        h.delete(a);
-        let scanned: Vec<_> = h.scan().collect();
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(h.all_tuples().len(), 1);
-    }
-
-    #[test]
-    fn replace_keeps_identity() {
-        let mut h = Heap::new();
-        let a = h.insert(tuple! {"x" => 1});
-        let old = h.replace(a, tuple! {"x" => 10});
-        assert_eq!(old, Some(tuple! {"x" => 1}));
-        assert_eq!(h.get(a), Some(&tuple! {"x" => 10}));
-        // Replacing a dead slot fails.
-        h.delete(a);
-        assert_eq!(h.replace(a, tuple! {"x" => 3}), None);
-    }
 
     #[test]
     fn tuple_id_display() {
-        let mut h = Heap::new();
-        let a = h.insert(tuple! {"x" => 1});
-        assert_eq!(a.to_string(), "(0, 0)");
-        assert_eq!(a.segment(), 0);
-        assert_eq!(a.slot(), 0);
+        let a = TupleId::new(2, 7);
+        assert_eq!(a.to_string(), "(2, 7)");
+        assert_eq!(a.segment(), 2);
+        assert_eq!(a.slot(), 7);
     }
 }

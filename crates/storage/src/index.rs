@@ -111,15 +111,12 @@ mod tests {
     use flexrel_core::value::Value;
     use flexrel_core::{attrs, tuple};
 
+    /// Distinct rids, all in one shape.
     fn rid(n: u32) -> Rid {
-        // Build distinct Rids through a throwaway heap (all in one shape).
-        let shape = tuple! {"x" => 0}.shape_id();
-        let mut h = crate::heap::Heap::new();
-        let mut last = h.insert(tuple! {"x" => 0});
-        for i in 1..=n {
-            last = h.insert(tuple! {"x" => i as i64});
-        }
-        Rid::new(shape, last)
+        Rid::new(
+            tuple! {"x" => 0}.shape_id(),
+            crate::heap::TupleId::new(0, n),
+        )
     }
 
     #[test]

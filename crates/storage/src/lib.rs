@@ -4,8 +4,8 @@
 //! relation definitions, **shape-partitioned** heap tuple storage (one
 //! segment heap per distinct `attr(t)`, keyed by the interned
 //! [`ShapeId`](flexrel_core::tuple::ShapeId)), hash indexes over attribute
-//! sets (notably the determining attributes of the declared ADs), a small
-//! undo-log transaction layer and a [`Database`] facade that enforces
+//! sets (notably the determining attributes of the declared ADs) and a
+//! [`Database`] facade that enforces
 //! scheme, domain and dependency constraints on every write — the
 //! operational side of §3.1's "they can now be exploited operationally".
 //!
@@ -15,9 +15,7 @@
 //! `Arc` segments with per-segment selection-vector scan kernels.  Because
 //! a partition holds exactly one shape, its columns are dense — the
 //! paper's no-nulls argument made physical: shape membership carries all
-//! presence information, so the kernels have no null bitmap.  The
-//! row-store [`Heap`] is retained unchanged as the differential oracle for
-//! the columnar path.
+//! presence information, so the kernels have no null bitmap.
 //!
 //! Partitioning by shape makes the DNF structure of the scheme
 //! (`dnf(FS)`, [`FlexScheme::dnf`](flexrel_core::scheme::FlexScheme::dnf))
@@ -63,7 +61,6 @@ pub mod partition;
 pub mod recovery;
 pub mod rowfmt;
 pub mod stats;
-pub mod txn;
 pub mod wal;
 
 pub use catalog::{Catalog, RelationDef};
@@ -71,7 +68,7 @@ pub use column::{ColCmp, ColKind, ColumnHeap, ColumnSegment, SelVec, TupleRef};
 pub use db::{Database, DurabilityOptions, IndexInfo, RecoveryInfo, TxnScope};
 pub use errors::StorageError;
 pub use fault::{CountingFault, FaultAction, IoEvent, IoFault, NoFault, NthEventFault};
-pub use heap::{Heap, TupleId};
+pub use heap::TupleId;
 pub use index::HashIndex;
 pub use partition::{
     DepGuard, Partition, PartitionInfo, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo,
@@ -79,5 +76,4 @@ pub use partition::{
 };
 pub use rowfmt::RowBlock;
 pub use stats::{ColumnStats, Histogram, PartitionStats, TableStats};
-pub use txn::{Transaction, UndoAction};
 pub use wal::{RecordDecoder, RecordEncoder, WalOp, WalRecord, WalWriter};

@@ -25,8 +25,7 @@
 //! * **Columnar layout** — every tuple of a partition is defined on exactly
 //!   the partition's shape, so the heap stores one typed column per
 //!   attribute with no per-row null handling and evaluates predicates
-//!   vectorized (see [`crate::column`]).  The row-store
-//!   [`Heap`](crate::heap::Heap) remains as the differential oracle.
+//!   vectorized (see [`crate::column`]).
 
 use std::collections::BTreeMap;
 use std::fmt;

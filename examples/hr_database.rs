@@ -7,20 +7,20 @@ use flexrel_core::attr::AttrSet;
 use flexrel_core::dep::example2_jobtype_ead;
 use flexrel_decompose::{horizontal_decompose, stats, vertical_decompose};
 use flexrel_query::prelude::*;
-use flexrel_storage::{Database, RelationDef, Transaction};
+use flexrel_storage::{Database, RelationDef};
 use flexrel_workload::{employee_relation, generate_employees, EmployeeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Database::new();
     db.create_relation(RelationDef::from_relation(&employee_relation()))?;
 
-    // Bulk load inside a transaction; the load is rolled back if any tuple
-    // fails type checking.
-    let mut txn = Transaction::begin();
-    for t in generate_employees(&EmployeeConfig::clean(5_000)) {
-        db.insert_txn(&mut txn, "employee", t)?;
-    }
-    txn.commit();
+    // Bulk load inside a transaction; the first tuple that fails type
+    // checking returns its error from the closure and rolls the load back.
+    db.transact(&["employee"], |tx| {
+        generate_employees(&EmployeeConfig::clean(5_000))
+            .into_iter()
+            .try_for_each(|t| tx.insert("employee", t).map(drop))
+    })?;
     println!("loaded {} employees", db.count("employee")?);
 
     // FRQL queries.

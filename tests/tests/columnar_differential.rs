@@ -1,20 +1,21 @@
 //! Columnar-vs-row differential suite: the column-major partition storage
-//! and its vectorized scan path must be observationally identical to the
-//! row-store oracle (`flexrel_storage::Heap` plus per-tuple
+//! and its vectorized scan path must be observationally identical to a
+//! row-at-a-time model (an id → tuple map plus per-tuple
 //! `Predicate::eval`) — under random mutation sequences, across the
 //! paper-style workloads with partial tuples, and after transaction
 //! rollback.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use flexrel_algebra::predicate::Predicate;
 use flexrel_core::attr::AttrSet;
+use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
-use flexrel_storage::{ColumnHeap, Database, Heap, RelationDef, Transaction, TupleId};
+use flexrel_storage::{ColumnHeap, Database, RelationDef, TupleId};
 use flexrel_workload::{
     employee_relation, generate_employees, generate_wide, wide_relation, EmployeeConfig, JobType,
     WideConfig,
@@ -37,18 +38,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random insert/delete/replace sequences over one tuple shape leave
-    /// the columnar heap and the row-store oracle with identical contents,
+    /// the columnar heap and the id → tuple model with identical contents,
     /// identical lengths, and identical per-id reads — including slot
-    /// reuse after deletes.
+    /// reuse after deletes (an insert never hands out a live id).
     #[test]
-    fn columnar_heap_matches_row_heap_under_mutation(seed in 0u64..10_000, n_ops in 50usize..400) {
+    fn columnar_heap_matches_the_map_model_under_mutation(seed in 0u64..10_000, n_ops in 50usize..400) {
         let mut rng = TestRng::new(seed);
         let shape = AttrSet::from_names(["id", "kind", "score"]);
         let mut col = ColumnHeap::new(shape);
-        let mut row = Heap::new();
-        // Live ids, pairing each columnar TupleId with the row-heap id the
-        // oracle assigned to the same logical tuple.
-        let mut live: Vec<(TupleId, TupleId)> = Vec::new();
+        let mut model: HashMap<TupleId, Tuple> = HashMap::new();
+        let mut live: Vec<TupleId> = Vec::new();
         for _ in 0..n_ops {
             // 3:1:1 insert / delete / replace.
             match rng.next_u64() % 5 {
@@ -58,32 +57,31 @@ proptest! {
                         (rng.next_u64() % 4) as u8,
                         (rng.next_u64() % 1_000) as i64,
                     );
-                    live.push((col.insert(t.clone()), row.insert(t)));
+                    let tid = col.insert(t.clone());
+                    prop_assert!(model.insert(tid, t).is_none(), "{} was live", tid);
+                    live.push(tid);
                 }
                 3 if !live.is_empty() => {
-                    let pick = (rng.next_u64() as usize) % live.len();
-                    let (ct, rt) = live.swap_remove(pick);
-                    let from_col = col.delete(ct);
-                    let from_row = row.delete(rt);
-                    prop_assert_eq!(from_col, from_row);
+                    let tid = live.swap_remove((rng.next_u64() as usize) % live.len());
+                    prop_assert_eq!(col.delete(tid), model.remove(&tid));
                 }
                 4 if !live.is_empty() => {
-                    let pick = (rng.next_u64() as usize) % live.len();
-                    let (ct, rt) = live[pick];
+                    let tid = live[(rng.next_u64() as usize) % live.len()];
                     let score = (rng.next_u64() % 1_000) as i64;
                     let t = shape_tuple(score * 3, (score % 4) as u8, score);
-                    let old_col = col.replace(ct, t.clone());
-                    let old_row = row.replace(rt, t);
-                    prop_assert_eq!(old_col, old_row);
+                    prop_assert_eq!(col.replace(tid, t.clone()), model.insert(tid, t));
                 }
                 _ => {}
             }
         }
-        prop_assert_eq!(col.len(), row.len());
-        prop_assert_eq!(tuple_multiset(col.all_tuples()), tuple_multiset(row.all_tuples()));
-        for (ct, rt) in &live {
-            prop_assert_eq!(col.get(*ct), row.get(*rt).cloned());
-            prop_assert_eq!(col.get_ref(*ct).map(|r| r.to_tuple()), col.get(*ct));
+        prop_assert_eq!(col.len(), model.len());
+        prop_assert_eq!(
+            tuple_multiset(col.all_tuples()),
+            tuple_multiset(model.values().cloned())
+        );
+        for tid in &live {
+            prop_assert_eq!(col.get(*tid), model.get(tid).cloned());
+            prop_assert_eq!(col.get_ref(*tid).map(|r| r.to_tuple()), col.get(*tid));
         }
     }
 }
@@ -102,8 +100,8 @@ fn employee_db(n: usize, seed: u64) -> Database {
     db
 }
 
-/// The row-store oracle for a predicate: materialize every stored tuple
-/// and apply `Predicate::eval` tuple-at-a-time.
+/// The row-at-a-time oracle for a predicate: materialize every stored
+/// tuple and apply `Predicate::eval` tuple-at-a-time.
 fn oracle(db: &Database, rel: &str, pred: &Predicate) -> BTreeSet<Tuple> {
     db.scan(rel)
         .unwrap()
@@ -151,7 +149,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Vectorized execution over the columnar partitions agrees with the
-    /// row-store oracle for the whole predicate family, on the employee
+    /// row-at-a-time oracle for the whole predicate family, on the employee
     /// workload (three shapes, partial variant attributes).
     #[test]
     fn columnar_execute_matches_row_oracle_on_employees(
@@ -222,19 +220,19 @@ fn post_rollback_scans_match_the_row_oracle() {
         .collect();
 
     // A transactional batch that grows two partitions and then aborts.
-    let mut txn = Transaction::begin();
-    for (i, mut t) in generate_employees(&EmployeeConfig {
+    let batch = generate_employees(&EmployeeConfig {
         n: 40,
         violation_rate: 0.0,
         seed: 8,
-    })
-    .into_iter()
-    .enumerate()
-    {
-        t.insert("empno", 50_000 + i as i64);
-        db.insert_txn(&mut txn, "employee", t).unwrap();
-    }
-    db.rollback(txn).unwrap();
+    });
+    let aborted = db.transact(&["employee"], |tx| {
+        for (i, mut t) in batch.into_iter().enumerate() {
+            t.insert("empno", 50_000 + i as i64);
+            tx.insert("employee", t)?;
+        }
+        Err::<(), _>(CoreError::Invalid("abort".into()))
+    });
+    assert!(aborted.is_err());
 
     let after_all: BTreeSet<Tuple> = db
         .scan("employee")

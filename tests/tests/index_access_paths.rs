@@ -11,10 +11,11 @@ use proptest::prelude::*;
 use flexrel_bench::experiments::wide_access_path_db;
 use flexrel_core::attr::AttrSet;
 use flexrel_core::attrs;
+use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
-use flexrel_storage::{Database, RelationDef, Transaction};
+use flexrel_storage::{Database, RelationDef};
 use flexrel_workload::{
     employee_relation, generate_employees, generate_wide, wide_relation, EmployeeConfig, JobType,
     WideConfig,
@@ -159,35 +160,36 @@ proptest! {
             db.scan("employee").unwrap().into_iter().map(|(_, t)| t).collect();
         let indexes_before = db.indexes("employee").unwrap();
 
-        let mut txn = Transaction::begin();
-        // Insert a fresh secretary.
-        let new_rid = db.insert_txn(&mut txn, "employee", Tuple::new()
-            .with("empno", 90_001)
-            .with("name", "txn-sec")
-            .with("salary", 4321.0)
-            .with("jobtype", Value::tag("secretary"))
-            .with("typing-speed", 250)
-            .with("foreign-languages", "italian")).unwrap();
-        // Shape-changing update of that tuple (secretary → salesman).
-        let moved = Tuple::new()
-            .with("empno", 90_001)
-            .with("name", "txn-sec")
-            .with("salary", 4321.0)
-            .with("jobtype", Value::tag("salesman"))
-            .with("products", "crm")
-            .with("sales-commission", 3);
-        let (moved_rid, _) = db.update_txn(&mut txn, "employee", new_rid, moved).unwrap();
-        // In-place (same-shape) update of an existing tuple.
-        let (rid, t) = db.scan("employee").unwrap().into_iter()
-            .find(|(_, t)| t.get_name("empno") != Some(&Value::Int(90_001)))
-            .unwrap();
-        let mut bumped = t.clone();
-        bumped.insert("salary", 9999.0);
-        db.update_txn(&mut txn, "employee", rid, bumped).unwrap();
-        // Delete the moved tuple.
-        db.delete_txn(&mut txn, "employee", moved_rid).unwrap();
-
-        db.rollback(txn).unwrap();
+        let aborted = db.transact(&["employee"], |tx| {
+            // Insert a fresh secretary.
+            let new_rid = tx.insert("employee", Tuple::new()
+                .with("empno", 90_001)
+                .with("name", "txn-sec")
+                .with("salary", 4321.0)
+                .with("jobtype", Value::tag("secretary"))
+                .with("typing-speed", 250)
+                .with("foreign-languages", "italian"))?;
+            // Shape-changing update of that tuple (secretary → salesman).
+            let moved = Tuple::new()
+                .with("empno", 90_001)
+                .with("name", "txn-sec")
+                .with("salary", 4321.0)
+                .with("jobtype", Value::tag("salesman"))
+                .with("products", "crm")
+                .with("sales-commission", 3);
+            let (moved_rid, _) = tx.update("employee", new_rid, moved)?;
+            // In-place (same-shape) update of an existing tuple.
+            let (rid, t) = tx.scan("employee")?.into_iter()
+                .find(|(_, t)| t.get_name("empno") != Some(&Value::Int(90_001)))
+                .unwrap();
+            let mut bumped = t.clone();
+            bumped.insert("salary", 9999.0);
+            tx.update("employee", rid, bumped)?;
+            // Delete the moved tuple.
+            tx.delete("employee", moved_rid)?;
+            Err::<(), _>(CoreError::Invalid("abort".into()))
+        });
+        prop_assert!(matches!(aborted, Err(CoreError::Invalid(_))), "{:?}", aborted);
         prop_assert_eq!(db.partitions("employee").unwrap(), parts_before);
         let tuples_after: BTreeSet<Tuple> =
             db.scan("employee").unwrap().into_iter().map(|(_, t)| t).collect();

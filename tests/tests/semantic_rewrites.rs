@@ -1,7 +1,7 @@
 //! Semantic rewrites, end to end: the optimizer-v2 pipeline (dependency-
 //! derived rewrites plus the statistics-backed cost pass) never changes
-//! query results — checked against the naive plan on both the late
-//! materialized and the row-oracle pipelines — fires exactly when the
+//! query results — naive and rewritten plans are both checked against
+//! `flexrel_tests::reference_eval` — fires exactly when the
 //! declared dependencies justify it (removing the FD must disable join
 //! elimination), and produces the expected plan shapes on the E17
 //! catalogue.
@@ -16,6 +16,7 @@ use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
 use flexrel_storage::{Database, RelationDef};
+use flexrel_tests::reference_eval;
 use flexrel_workload::{
     employee_relation, generate_employees, generate_wide, wide_relation, EmployeeConfig, WideConfig,
 };
@@ -81,35 +82,34 @@ fn catalogue() -> Vec<(&'static str, LogicalPlan)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Optimized-v2 plans return exactly the naive plan's rows, on both the
-    /// late-materialized pipeline and the row-at-a-time oracle, for every
-    /// catalogue entry — and each entry triggers its advertised rewrite.
+    /// Optimized-v2 plans return exactly the naive plan's rows, which are
+    /// the reference evaluator's rows, for every catalogue entry — executed
+    /// and evaluated by definition — and each entry triggers its advertised
+    /// rewrite.
     #[test]
-    fn rewritten_plans_agree_with_naive_and_row_oracle(seed in 0u64..500, n in 40usize..200) {
+    fn rewritten_plans_agree_with_naive_and_the_reference(seed in 0u64..500, n in 40usize..200) {
         let db = employee_db(n, seed);
-        let late = ExecOptions::serial();
-        let row = ExecOptions::serial().row_pipeline();
         for (rule, naive) in catalogue() {
             let (optimized, notes) = optimize_with_db(naive.clone(), &db);
             prop_assert!(
                 notes.iter().any(|x| x.rule == rule),
                 "{} did not fire on {}", rule, naive
             );
-            let expect = sorted(execute_with(&naive, &db, &late).unwrap());
+            let expect = sorted(reference_eval(&naive, &db));
             prop_assert_eq!(
                 &expect,
-                &sorted(execute_with(&naive, &db, &row).unwrap()),
-                "naive late/row pipelines diverged for {}", rule
+                &sorted(execute(&naive, &db).unwrap()),
+                "the naive plan diverged from the reference for {}", rule
             );
             prop_assert_eq!(
                 &expect,
-                &sorted(execute_with(&optimized, &db, &late).unwrap()),
-                "{} changed results (late pipeline)", rule
+                &sorted(execute(&optimized, &db).unwrap()),
+                "{} changed results", rule
             );
             prop_assert_eq!(
                 &expect,
-                &sorted(execute_with(&optimized, &db, &row).unwrap()),
-                "{} changed results (row oracle)", rule
+                &sorted(reference_eval(&optimized, &db)),
+                "{} changed the plan's meaning", rule
             );
         }
     }
@@ -124,8 +124,9 @@ proptest! {
             .join(LogicalPlan::scan("assignment"));
         let (optimized, notes) = optimize_with_db(naive.clone(), &db);
         prop_assert!(notes.iter().any(|x| x.rule == "join-ordering"));
-        let expect = sorted(execute(&naive, &db).unwrap());
+        let expect = sorted(reference_eval(&naive, &db));
         prop_assert_eq!(expect.len(), links);
+        prop_assert_eq!(&expect, &sorted(execute(&naive, &db).unwrap()));
         prop_assert_eq!(expect, sorted(execute(&optimized, &db).unwrap()));
     }
 }

@@ -8,10 +8,11 @@ use std::collections::BTreeSet;
 
 use flexrel_algebra::predicate::Predicate;
 use flexrel_core::attrs;
+use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
-use flexrel_storage::{Database, RelationDef, Transaction};
+use flexrel_storage::{Database, RelationDef};
 use flexrel_workload::{employee_relation, generate_employees, EmployeeConfig};
 
 fn employee_db(n: usize) -> Database {
@@ -58,13 +59,14 @@ fn stats_track_inserts_deletes_and_rollbacks() {
     assert_eq!(stats.distinct("empno"), Some(N as u64));
 
     // A rolled-back transaction leaves no statistical residue.
-    let mut txn = Transaction::begin();
-    for i in 0..20 {
-        db.insert_txn(&mut txn, "employee", secretary(20_000 + i))
-            .unwrap();
-    }
-    assert_eq!(db.table_stats("employee").unwrap().rows(), N as u64 + 20);
-    db.rollback(txn).unwrap();
+    let aborted = db.transact(&["employee"], |tx| {
+        for i in 0..20 {
+            tx.insert("employee", secretary(20_000 + i))?;
+        }
+        assert_eq!(tx.count("employee")?, N + 20);
+        Err::<(), _>(CoreError::Invalid("abort".into()))
+    });
+    assert!(aborted.is_err());
     let stats = db.table_stats("employee").unwrap();
     assert_eq!(stats.rows(), N as u64);
     assert_eq!(stats.distinct("empno"), Some(N as u64));

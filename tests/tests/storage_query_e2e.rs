@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
-use flexrel_storage::{Database, RelationDef, Transaction};
+use flexrel_storage::{Database, RelationDef};
 use flexrel_workload::{employee_relation, generate_employees, EmployeeConfig, JobType};
 
 fn database(n: usize, seed: u64) -> Database {
@@ -113,7 +113,6 @@ proptest! {
     fn transactional_loads_are_atomic(seed in 0u64..200, n in 10usize..60, inject in any::<bool>()) {
         let db = database(10, seed);
         let before = db.count("employee").unwrap();
-        let mut txn = Transaction::begin();
         let mut batch = generate_employees(&EmployeeConfig { n, violation_rate: 0.0, seed: seed + 1 });
         for (i, t) in batch.iter_mut().enumerate() {
             t.insert("empno", 10_000 + i as i64);
@@ -129,21 +128,13 @@ proptest! {
             bad.remove(&"foreign-languages".into());
             batch.insert(n / 2, bad);
         }
-        let mut failed = false;
-        for t in batch {
-            if db.insert_txn(&mut txn, "employee", t).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        if failed {
-            db.rollback(txn).unwrap();
-            prop_assert_eq!(db.count("employee").unwrap(), before);
-        } else {
-            txn.commit();
-            prop_assert_eq!(db.count("employee").unwrap(), before + n);
-        }
-        prop_assert_eq!(failed, inject);
+        // The first violation's error aborts the whole closure.
+        let loaded = db.transact(&["employee"], |tx| {
+            batch.into_iter().try_for_each(|t| tx.insert("employee", t).map(drop))
+        });
+        let expected = if inject { before } else { before + n };
+        prop_assert_eq!(db.count("employee").unwrap(), expected);
+        prop_assert_eq!(loaded.is_err(), inject);
     }
 }
 
