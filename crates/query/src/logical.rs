@@ -307,6 +307,51 @@ impl LogicalPlan {
         }
     }
 
+    /// Rebuilds the node with `f` applied to each of its input plans; a leaf
+    /// is returned as it is.  The traversal step of every optimizer pass
+    /// that has nothing node-specific to do.
+    pub fn map_children(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> Self {
+        let mut boxed = |p: Box<LogicalPlan>| Box::new(f(*p));
+        match self {
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: boxed(input),
+                predicate,
+            },
+            LogicalPlan::Project { input, attrs } => LogicalPlan::Project {
+                input: boxed(input),
+                attrs,
+            },
+            LogicalPlan::Guard { input, attrs } => LogicalPlan::Guard {
+                input: boxed(input),
+                attrs,
+            },
+            LogicalPlan::Extend { input, attr, value } => LogicalPlan::Extend {
+                input: boxed(input),
+                attr,
+                value,
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => LogicalPlan::Aggregate {
+                input: boxed(input),
+                group_by,
+                aggs,
+            },
+            LogicalPlan::Join { left, right } => LogicalPlan::Join {
+                left: boxed(left),
+                right: boxed(right),
+            },
+            LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
+                inputs: inputs.into_iter().map(f).collect(),
+            },
+            leaf @ (LogicalPlan::Scan { .. }
+            | LogicalPlan::IndexLookup { .. }
+            | LogicalPlan::Empty) => leaf,
+        }
+    }
+
     /// Number of index-lookup nodes (used by tests and the experiment
     /// harness to show the optimizer chose an index access path).
     pub fn index_lookup_count(&self) -> usize {

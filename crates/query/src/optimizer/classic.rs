@@ -1,9 +1,9 @@
 //! The justified rewrites carried over from the single-pass optimizer:
 //! guard elimination via [`analyse_guard`], variant/join pruning against
-//! qualified fragments, constant folding, empty-plan propagation, the
-//! partition-pruning pass and the access-path pass.  Every rule here
-//! predates the multi-pass pipeline and is kept verbatim; the pipeline
-//! ([`super::Pipeline`]) wraps them as [`super::Rewrite`] passes.
+//! qualified fragments, constant folding, empty-plan propagation, selection
+//! pushdown through natural joins, the partition-pruning pass and the
+//! access-path pass.  The pipeline ([`super::Pipeline`]) wraps the
+//! fixpoint rules as [`super::Rewrite`] passes.
 
 use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::{Attr, AttrSet};
@@ -15,26 +15,26 @@ use flexrel_storage::{Catalog, Database, IndexInfo, RelationDef};
 
 use crate::logical::{LogicalPlan, ShapePredicate};
 
-use super::RewriteNote;
+use super::{cost, Notes};
 
 /// The access-path pass: rewrites `Filter(… ∧ A = c ∧ …) ∘ Scan` into an
 /// [`LogicalPlan::IndexLookup`] (plus a residual filter for the conjuncts
 /// the index does not answer) when the stored relation has an index — auto
 /// determinant or user-created secondary — whose key is fully pinned by the
-/// filter's top-level equality conjuncts.
+/// filter's top-level equality conjuncts **and** probing it is priced below
+/// the scan it would replace (the comparison in [`mod@cost`]): a unique key
+/// keeps its probe, a low-cardinality determinant whose chain is the very
+/// partition the scan is already pruned to stays with the column kernels.
 ///
-/// Runs *after* [`super::optimize`], so the scan already carries the
-/// [`ShapePredicate`] pushed down by partition pruning; the predicate moves
-/// onto the lookup's `shapes` field and the executor re-applies it per
-/// matching rid (via the rid's `ShapeId`), composing index probing with
-/// shape pruning instead of losing it.  When several indexes cover the
-/// pinned attributes the one with the most distinct keys (the most
-/// selective probe) wins.
-pub fn choose_access_paths(
-    plan: LogicalPlan,
-    db: &Database,
-    notes: &mut Vec<RewriteNote>,
-) -> LogicalPlan {
+/// Runs *after* partition pruning, so the scan already carries its
+/// [`ShapePredicate`]: the scan side of the comparison counts only the
+/// partitions it admits, and on a rewrite the predicate moves onto the
+/// lookup's `shapes` field where the executor re-applies it per matching
+/// rid (via the rid's `ShapeId`), composing index probing with shape
+/// pruning instead of losing it.  When several indexes cover the pinned
+/// attributes the one with the most distinct keys (the most selective
+/// probe) is the candidate.
+pub fn choose_access_paths(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             let input = choose_access_paths(*input, db, notes);
@@ -45,7 +45,7 @@ pub fn choose_access_paths(
             } = input
             {
                 let pinned = predicate.implied_equalities();
-                if let Some(info) = covering_index(db, &relation, &pinned) {
+                if let Some(info) = cheaper_index(db, &relation, &pinned, shape.as_ref()) {
                     let key_value = pinned.project(&info.key);
                     let mut residual =
                         strip_consumed_equalities(&predicate, &info.key, &key_value).simplify();
@@ -54,14 +54,13 @@ pub fn choose_access_paths(
                         // the lookup keeps it as part of the residual.
                         residual = residual.and(q).simplify();
                     }
-                    notes.push(RewriteNote::new(
-                        "access-path",
+                    notes.push("access-path", || {
                         format!(
                             "scan of {} replaced by index lookup on {} = {} \
                              ({} distinct keys over {} entries)",
                             relation, info.key, key_value, info.distinct_keys, info.len
-                        ),
-                    ));
+                        )
+                    });
                     let lookup = LogicalPlan::IndexLookup {
                         relation,
                         key: info.key,
@@ -89,55 +88,32 @@ pub fn choose_access_paths(
                 }
             }
         }
-        LogicalPlan::Project { input, attrs } => LogicalPlan::Project {
-            input: Box::new(choose_access_paths(*input, db, notes)),
-            attrs,
-        },
-        LogicalPlan::Guard { input, attrs } => LogicalPlan::Guard {
-            input: Box::new(choose_access_paths(*input, db, notes)),
-            attrs,
-        },
-        LogicalPlan::Extend { input, attr, value } => LogicalPlan::Extend {
-            input: Box::new(choose_access_paths(*input, db, notes)),
-            attr,
-            value,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(choose_access_paths(*input, db, notes)),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Join { left, right } => LogicalPlan::Join {
-            left: Box::new(choose_access_paths(*left, db, notes)),
-            right: Box::new(choose_access_paths(*right, db, notes)),
-        },
-        LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
-            inputs: inputs
-                .into_iter()
-                .map(|p| choose_access_paths(p, db, notes))
-                .collect(),
-        },
-        leaf
-        @ (LogicalPlan::Scan { .. } | LogicalPlan::IndexLookup { .. } | LogicalPlan::Empty) => leaf,
+        other => other.map_children(|p| choose_access_paths(p, db, notes)),
     }
 }
 
 /// The most selective stored index whose key is fully pinned by the
-/// equality constraints, if any.
-fn covering_index(db: &Database, relation: &str, pinned: &Tuple) -> Option<IndexInfo> {
+/// equality constraints, if probing it is cheaper than the scan restricted
+/// to `shape`.  Reads index and partition *metadata* only — counters and
+/// shapes — so planning costs the same whatever the relation holds.
+fn cheaper_index(
+    db: &Database,
+    relation: &str,
+    pinned: &Tuple,
+    shape: Option<&ShapePredicate>,
+) -> Option<IndexInfo> {
     if pinned.is_empty() {
         return None;
     }
-    let pinned_attrs = pinned.attrs();
-    db.indexes(relation)
-        .ok()?
-        .into_iter()
-        .filter(|info| !info.key.is_empty() && info.key.is_subset(&pinned_attrs))
-        .max_by_key(|info| (info.distinct_keys, info.key.len()))
+    let info = db.covering_index(relation, &pinned.attrs()).ok()??;
+    let (mut partitions, mut rows) = (0, 0);
+    for (_, part) in db.partition_snapshot(relation).ok()?.partitions() {
+        if shape.is_none_or(|s| s.admits(part.shape())) {
+            partitions += 1;
+            rows += part.len();
+        }
+    }
+    cost::index_beats_scan(&info, partitions, rows).then_some(info)
 }
 
 /// Replaces the top-level equality conjuncts the index probe answers
@@ -269,7 +245,7 @@ pub(super) fn rewrite(
     plan: LogicalPlan,
     catalog: &Catalog,
     above: &SelectionContext,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> LogicalPlan {
     match plan {
         LogicalPlan::Guard { input, attrs } => {
@@ -279,23 +255,21 @@ pub(super) fn rewrite(
             let guard = TypeGuard::new(attrs.clone());
             match analyse_guard(&deps, &ctx, &guard, AxiomSystem::E) {
                 GuardAnalysis::Redundant(derivation) => {
-                    notes.push(RewriteNote::new(
-                        "guard-elimination",
+                    notes.push("guard-elimination", || {
                         format!(
                             "guard for {} is redundant; justified by:\n{}",
                             attrs, derivation
-                        ),
-                    ));
+                        )
+                    });
                     rewrite(*input, catalog, above, notes)
                 }
                 GuardAnalysis::Unsatisfiable => {
-                    notes.push(RewriteNote::new(
-                        "guard-unsatisfiable",
+                    notes.push("guard-unsatisfiable", || {
                         format!(
                             "guard for {} can never hold under the selection; branch pruned",
                             attrs
-                        ),
-                    ));
+                        )
+                    });
                     LogicalPlan::Empty
                 }
                 GuardAnalysis::Necessary => LogicalPlan::Guard {
@@ -322,13 +296,12 @@ pub(super) fn rewrite(
             let filter_eq = simplified.implied_equalities();
             let qual_eq = qualification_equalities(&input);
             if contradicts(&filter_eq, &qual_eq) {
-                notes.push(RewriteNote::new(
-                    "variant-pruning",
+                notes.push("variant-pruning", || {
                     format!(
                         "selection {} contradicts the branch qualification {}; branch removed",
                         simplified, qual_eq
-                    ),
-                ));
+                    )
+                });
                 return LogicalPlan::Empty;
             }
 
@@ -340,17 +313,11 @@ pub(super) fn rewrite(
             }
             let new_input = rewrite(*input, catalog, &ctx_for_children, notes);
             if simplified == Predicate::False {
-                notes.push(RewriteNote::new(
-                    "constant-folding",
-                    "predicate is constant false",
-                ));
+                notes.push("constant-folding", || "predicate is constant false".into());
                 return LogicalPlan::Empty;
             }
             if simplified == Predicate::True {
-                notes.push(RewriteNote::new(
-                    "constant-folding",
-                    "predicate is constant true",
-                ));
+                notes.push("constant-folding", || "predicate is constant true".into());
                 return new_input;
             }
             LogicalPlan::Filter {
@@ -363,13 +330,10 @@ pub(super) fn rewrite(
             for branch in inputs {
                 let qual_eq = qualification_equalities(&branch);
                 if contradicts(&above.equalities, &qual_eq) {
-                    notes.push(RewriteNote::new(
-                        "variant-pruning",
-                        format!(
+                    notes.push("variant-pruning", || format!(
                             "union branch qualified by {} is excluded by the selection constraints {}",
                             qual_eq, above.equalities
-                        ),
-                    ));
+                        ));
                     continue;
                 }
                 kept.push(rewrite(branch, catalog, above, notes));
@@ -383,13 +347,10 @@ pub(super) fn rewrite(
             for side in [&left, &right] {
                 let qual_eq = qualification_equalities(side);
                 if contradicts(&above.equalities, &qual_eq) {
-                    notes.push(RewriteNote::new(
-                        "join-pruning",
-                        format!(
+                    notes.push("join-pruning", || format!(
                             "join with a variant qualified by {} is excluded by the selection constraints {}",
                             qual_eq, above.equalities
-                        ),
-                    ));
+                        ));
                     return LogicalPlan::Empty;
                 }
             }
@@ -467,29 +428,27 @@ fn simplify_guards_in_predicate(
     predicate: &Predicate,
     deps: &DependencySet,
     ctx: &SelectionContext,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> Predicate {
     fn walk(
         p: &Predicate,
         deps: &DependencySet,
         ctx: &SelectionContext,
-        notes: &mut Vec<RewriteNote>,
+        notes: &mut Notes,
     ) -> Predicate {
         match p {
             Predicate::IsPresent(attrs) => {
                 match analyse_guard(deps, ctx, &TypeGuard::new(attrs.clone()), AxiomSystem::E) {
                     GuardAnalysis::Redundant(d) => {
-                        notes.push(RewriteNote::new(
-                            "guard-elimination",
-                            format!("PRESENT({}) is redundant; justified by:\n{}", attrs, d),
-                        ));
+                        notes.push("guard-elimination", || {
+                            format!("PRESENT({}) is redundant; justified by:\n{}", attrs, d)
+                        });
                         Predicate::True
                     }
                     GuardAnalysis::Unsatisfiable => {
-                        notes.push(RewriteNote::new(
-                            "guard-unsatisfiable",
-                            format!("PRESENT({}) can never hold under the selection", attrs),
-                        ));
+                        notes.push("guard-unsatisfiable", || {
+                            format!("PRESENT({}) can never hold under the selection", attrs)
+                        });
                         Predicate::False
                     }
                     GuardAnalysis::Necessary => p.clone(),
@@ -504,6 +463,192 @@ fn simplify_guards_in_predicate(
     walk(predicate, deps, ctx, notes).simplify()
 }
 
+/// The attributes a plan's tuples can carry at most (`universe`) and carry
+/// at least (`mandatory`), read off the catalog's schemes — never off live
+/// partitions, so the bounds hold for every instance.  `None` for operators
+/// whose output is not typed by a scheme (`Extend`, unions, aggregates):
+/// nothing is pushed into or past those.
+fn attr_bounds(plan: &LogicalPlan, catalog: &Catalog) -> Option<(AttrSet, AttrSet)> {
+    match plan {
+        LogicalPlan::Scan { relation, .. } => {
+            let facts = catalog.facts(relation)?;
+            Some((facts.attrs().clone(), facts.mandatory().clone()))
+        }
+        LogicalPlan::IndexLookup { relation, key, .. } => {
+            let facts = catalog.facts(relation)?;
+            Some((facts.attrs().clone(), facts.mandatory().union(key)))
+        }
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Guard { input, .. } => {
+            attr_bounds(input, catalog)
+        }
+        LogicalPlan::Project { input, attrs } => {
+            let (universe, mandatory) = attr_bounds(input, catalog)?;
+            Some((universe.intersection(attrs), mandatory.intersection(attrs)))
+        }
+        LogicalPlan::Join { left, right } => {
+            let (lu, lm) = attr_bounds(left, catalog)?;
+            let (ru, rm) = attr_bounds(right, catalog)?;
+            Some((lu.union(&ru), lm.union(&rm)))
+        }
+        LogicalPlan::Extend { .. }
+        | LogicalPlan::UnionAll { .. }
+        | LogicalPlan::Aggregate { .. }
+        | LogicalPlan::Empty => None,
+    }
+}
+
+/// The top-level conjuncts of a predicate.
+fn conjuncts(p: Predicate, out: &mut Vec<Predicate>) {
+    match p {
+        Predicate::And(a, b) => {
+            conjuncts(*a, out);
+            conjuncts(*b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// Whether `atom` is one of the top-level conjuncts of `p`.
+fn has_conjunct(p: &Predicate, atom: &Predicate) -> bool {
+    match p {
+        Predicate::And(a, b) => has_conjunct(a, atom) || has_conjunct(b, atom),
+        other => other == atom,
+    }
+}
+
+/// Whether every tuple `plan` yields already satisfies the comparison
+/// `atom`, because a filter, qualification or index key below says so —
+/// which is what keeps copying a conjunct down idempotent.
+fn already_selects(plan: &LogicalPlan, atom: &Predicate) -> bool {
+    match plan {
+        LogicalPlan::Filter { input, predicate } => {
+            has_conjunct(predicate, atom) || already_selects(input, atom)
+        }
+        LogicalPlan::Guard { input, .. } | LogicalPlan::Project { input, .. } => {
+            already_selects(input, atom)
+        }
+        LogicalPlan::Join { left, right } => {
+            already_selects(left, atom) || already_selects(right, atom)
+        }
+        LogicalPlan::Scan { qualification, .. } => qualification
+            .as_ref()
+            .is_some_and(|q| has_conjunct(q, atom)),
+        LogicalPlan::IndexLookup { key_value, .. } => matches!(
+            atom,
+            Predicate::Cmp { attr, op: CmpOp::Eq, value } if key_value.get(attr) == Some(value)
+        ),
+        _ => false,
+    }
+}
+
+/// Conjoins `conjuncts` onto a join operand, merging into a filter that is
+/// already its root so the access-path pass sees one predicate over the
+/// scan.
+fn filter_operand(plan: LogicalPlan, conjuncts: Vec<Predicate>) -> LogicalPlan {
+    let Some(pushed) = conjuncts.into_iter().reduce(Predicate::and) else {
+        return plan;
+    };
+    match plan {
+        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            input,
+            predicate: predicate.and(pushed),
+        },
+        other => other.filter(pushed),
+    }
+}
+
+/// Selection pushdown through the natural join.  A join merges compatible
+/// tuples, so an output tuple's value (or absence) on attribute `A` is its
+/// left part's whenever the right operand can never carry `A`, and the
+/// other way round — which is decided from the operands' scheme-level
+/// attribute universes ([`attr_bounds`]), not from what happens to be
+/// stored.  For each top-level comparison conjunct `A op c` of a filter
+/// directly above a join:
+///
+/// * `A` in exactly one operand's universe — the conjunct **moves** to that
+///   operand: it evaluates there exactly as it did above.
+/// * `A` in both universes — an output tuple may take `A` from either part
+///   (one may lack it while the other supplies the passing value), so the
+///   conjunct stays above the join; a **copy** goes to each operand where
+///   `A` is mandatory, because there every tuple carries the value the
+///   merged tuple will have.
+///
+/// Anything else — `NOT`, `OR`, `PRESENT`, an operand without scheme-level
+/// bounds — stays where it is.  Works top-down, so a conjunct sinks through
+/// a whole join tree to the scan that owns its attribute, where the
+/// access-path pass and the join-strategy gate find a selective operand.
+pub(super) fn push_selections(
+    plan: LogicalPlan,
+    catalog: &Catalog,
+    notes: &mut Notes,
+) -> LogicalPlan {
+    let plan = match plan {
+        LogicalPlan::Filter { input, predicate } => match *input {
+            LogicalPlan::Join { left, right } => {
+                split_over_join(predicate, *left, *right, catalog, notes)
+            }
+            other => other.filter(predicate),
+        },
+        other => other,
+    };
+    plan.map_children(|p| push_selections(p, catalog, notes))
+}
+
+/// One step of [`push_selections`]: distributes the conjuncts of
+/// `predicate` over `left ⋈ right`.
+fn split_over_join(
+    predicate: Predicate,
+    left: LogicalPlan,
+    right: LogicalPlan,
+    catalog: &Catalog,
+    notes: &mut Notes,
+) -> LogicalPlan {
+    let bounds = attr_bounds(&left, catalog).zip(attr_bounds(&right, catalog));
+    let Some(((lu, lm), (ru, rm))) = bounds else {
+        return left.join(right).filter(predicate);
+    };
+    let (mut above, mut to_left, mut to_right) = (Vec::new(), Vec::new(), Vec::new());
+    let mut all = Vec::new();
+    conjuncts(predicate, &mut all);
+    for c in all {
+        let Predicate::Cmp { attr, .. } = &c else {
+            above.push(c);
+            continue;
+        };
+        match (lu.contains(attr), ru.contains(attr)) {
+            (true, false) => to_left.push(c),
+            (false, true) => to_right.push(c),
+            (true, true) => {
+                if lm.contains(attr) && !already_selects(&left, &c) {
+                    to_left.push(c.clone());
+                }
+                if rm.contains(attr) && !already_selects(&right, &c) {
+                    to_right.push(c.clone());
+                }
+                above.push(c);
+            }
+            (false, false) => above.push(c),
+        }
+    }
+    if !to_left.is_empty() || !to_right.is_empty() {
+        notes.push("selection-pushdown", || {
+            format!(
+                "pushed below the join: {:?} to the left operand, {:?} to the right",
+                to_left.iter().map(Predicate::to_string).collect::<Vec<_>>(),
+                to_right
+                    .iter()
+                    .map(Predicate::to_string)
+                    .collect::<Vec<_>>()
+            )
+        });
+    }
+    let join = filter_operand(left, to_left).join(filter_operand(right, to_right));
+    match above.into_iter().reduce(Predicate::and) {
+        Some(predicate) => join.filter(predicate),
+        None => join,
+    }
+}
+
 /// The partition-pruning pass: pushes what the operators *above* a scan
 /// guarantee about qualifying tuples — attributes that must be present
 /// (selections via [`Predicate::required_attrs`], explicit type guards) and
@@ -515,8 +660,10 @@ fn simplify_guards_in_predicate(
 /// guards, projections, union branches) and is cut off where tuples gain
 /// attributes from elsewhere: an [`LogicalPlan::Extend`] removes its own
 /// attribute from the context (the scan's tuples need not carry it), and a
-/// join resets the context for both sides (a required attribute may be
-/// contributed by the other side).
+/// join resets the context for both sides — what a filter above the join
+/// says about one operand alone has already been moved onto that operand by
+/// [`push_selections`]; what is left above concerns attributes either side
+/// may supply.
 ///
 /// Besides pure presence, the pass performs the AD-driven step of §3.1.2 at
 /// the storage level: when the selection pins an EAD's determining
@@ -529,7 +676,7 @@ pub(super) fn prune_scans(
     catalog: &Catalog,
     required: &AttrSet,
     equalities: &Tuple,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
@@ -566,8 +713,6 @@ pub(super) fn prune_scans(
             }
         }
         LogicalPlan::Join { left, right } => LogicalPlan::Join {
-            // A join merges tuples: an attribute required above may be
-            // supplied by either side, so nothing can be pushed across.
             left: Box::new(prune_scans(
                 *left,
                 catalog,
@@ -628,10 +773,9 @@ pub(super) fn prune_scans(
                 .ok()
                 .and_then(|def| shape_predicate_for(def, &req, &eq));
             if let Some(p) = &pred {
-                notes.push(RewriteNote::new(
-                    "partition-pruning",
-                    format!("scan of {} restricted to partitions with {}", relation, p),
-                ));
+                notes.push("partition-pruning", || {
+                    format!("scan of {} restricted to partitions with {}", relation, p)
+                });
             }
             // A shape predicate already on the scan (hand-built plans) is
             // result-affecting and must be preserved: conjoin rather than
@@ -666,13 +810,12 @@ pub(super) fn prune_scans(
                 .ok()
                 .and_then(|def| shape_predicate_for(def, &req, &eq));
             if let Some(p) = &pred {
-                notes.push(RewriteNote::new(
-                    "partition-pruning",
+                notes.push("partition-pruning", || {
                     format!(
                         "index lookup on {} restricted to partitions with {}",
                         relation, p
-                    ),
-                ));
+                    )
+                });
             }
             let shapes = match (pred, shapes) {
                 (Some(mut p), Some(existing)) => {
@@ -724,7 +867,7 @@ fn shape_predicate_for(
 }
 
 /// Final cleanup: empty inputs propagate upwards.
-pub(super) fn simplify_empties(plan: LogicalPlan, notes: &mut Vec<RewriteNote>) -> LogicalPlan {
+pub(super) fn simplify_empties(plan: LogicalPlan, notes: &mut Notes) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             let input = simplify_empties(*input, notes);
@@ -775,10 +918,9 @@ pub(super) fn simplify_empties(plan: LogicalPlan, notes: &mut Vec<RewriteNote>) 
             let left = simplify_empties(*left, notes);
             let right = simplify_empties(*right, notes);
             if matches!(left, LogicalPlan::Empty) || matches!(right, LogicalPlan::Empty) {
-                notes.push(RewriteNote::new(
-                    "empty-propagation",
-                    "join with an empty input removed",
-                ));
+                notes.push("empty-propagation", || {
+                    "join with an empty input removed".into()
+                });
                 LogicalPlan::Empty
             } else {
                 LogicalPlan::Join {

@@ -1,4 +1,6 @@
-//! The statistics-backed cost pass: join ordering.
+//! The costed decisions: join ordering, and index probe versus pruned scan.
+//!
+//! # Join ordering
 //!
 //! For bushy/left-deep join trees of three or more inputs, the pass
 //! flattens the tree into its leaves, estimates each leaf's cardinality
@@ -16,24 +18,67 @@
 //! The pass is safe for *any* order: the compatibility merge is commutative
 //! and associative, including genuine cross products, so reordering never
 //! changes the result multiset — only how large the intermediates are.
+//!
+//! # Index probe versus pruned scan
+//!
+//! An index on a pinned key *can* answer an equality; whether it *should*
+//! is a price comparison (`index_beats_scan`).  The probe pays per
+//! matching rid — each is fetched from its partition and built into an
+//! owned tuple before any operator sees it — while the shape-pruned
+//! columnar scan pays per row visited but keeps rows in their columns, so
+//! an aggregate above it materializes nothing.  A unique key (`id = n`)
+//! probes one rid against a scan of every partition; a low-cardinality
+//! determinant (`kind = 'k0'`: 8 keys, a 4 575-rid chain) names exactly the
+//! rows of the one partition its EAD region already prunes the scan to, and
+//! the column kernels win by two orders of magnitude.
 
 use flexrel_core::attr::AttrSet;
-use flexrel_storage::Database;
+use flexrel_storage::{Database, IndexInfo};
 
 use crate::exec;
 use crate::logical::LogicalPlan;
 
-use super::RewriteNote;
+use super::Notes;
+
+/// What fetching one matched rid through an index costs, in units of one
+/// row visited by a filtering columnar scan.
+///
+/// Measured on the benchmark relation (`seed_wide`, n = 20 000, 8 variants,
+/// release build, the 2-core host the benchmark runs on): `COUNT(*) WHERE
+/// kind = 'k0'` over the 4 575-rid `kind` chain took 1 707 µs through a
+/// hand-built `IndexLookup` — 373 ns per rid, nearly all of it
+/// `PartitionSnapshot::get` building an owned tuple — and 17.4 µs as the
+/// pruned scan of the same 4 575 rows through the column kernels — 3.8 ns
+/// per row.  373 / 3.8 ≈ 98.
+pub(super) const RID_FETCH_ROWS: usize = 100;
+
+/// What opening one more partition costs a scan (compiling the predicate
+/// against its columns, emitting its first chunk), in the same unit.
+///
+/// Measured on the same host: a filtered scan that matches nothing took
+/// 2.01 µs over eight one-row partitions and 1.05 µs over one eight-row
+/// partition — 137 ns per extra partition, some 36 rows' worth at 3.8 ns
+/// each.  This is what keeps a point lookup on a ten-row relation spread
+/// over eight partitions on its index (0.9 µs against the 2 µs scan).
+pub(super) const PARTITION_OPEN_ROWS: usize = 32;
+
+/// Whether probing `index` is cheaper than scanning `rows` rows spread over
+/// `partitions` admitted partitions: `avg_matches × RID_FETCH_ROWS` against
+/// `partitions × PARTITION_OPEN_ROWS + rows`.  Ties go to the scan, which
+/// leaves the rows in their columns.
+pub(super) fn index_beats_scan(index: &IndexInfo, partitions: usize, rows: usize) -> bool {
+    let probe = index.avg_matches().saturating_mul(RID_FETCH_ROWS);
+    let scan = partitions
+        .saturating_mul(PARTITION_OPEN_ROWS)
+        .saturating_add(rows);
+    probe < scan
+}
 
 /// Reorders join trees of ≥ 3 inputs by estimated intermediate size.
 /// Leaves the plan untouched (and emits no note) when fewer than three
 /// inputs join, when some leaf has no estimate, or when the greedy order
 /// coincides with the existing one.
-pub(super) fn order_joins(
-    plan: LogicalPlan,
-    db: &Database,
-    notes: &mut Vec<RewriteNote>,
-) -> LogicalPlan {
+pub(super) fn order_joins(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
     match plan {
         LogicalPlan::Join { left, right } => {
             let mut leaves = Vec::new();
@@ -43,7 +88,7 @@ pub(super) fn order_joins(
             // projection or aggregate).
             let leaves: Vec<LogicalPlan> = leaves
                 .into_iter()
-                .map(|l| order_joins_in_children(l, db, notes))
+                .map(|l| l.map_children(|p| order_joins(p, db, notes)))
                 .collect();
             if leaves.len() < 3 {
                 return rebuild_left_deep(leaves);
@@ -57,14 +102,13 @@ pub(super) fn order_joins(
             if order.iter().enumerate().all(|(i, &j)| i == j) {
                 return rebuild_left_deep(leaves);
             }
-            notes.push(RewriteNote::new(
-                "join-ordering",
+            notes.push("join-ordering", || {
                 format!(
                     "{} join inputs reordered by estimated intermediate size: {:?}",
                     order.len(),
                     order
-                ),
-            ));
+                )
+            });
             let mut by_index: Vec<Option<LogicalPlan>> = leaves.into_iter().map(Some).collect();
             rebuild_left_deep(
                 order
@@ -73,51 +117,7 @@ pub(super) fn order_joins(
                     .collect(),
             )
         }
-        other => order_joins_in_children(other, db, notes),
-    }
-}
-
-/// Applies [`order_joins`] below a non-join node.
-fn order_joins_in_children(
-    plan: LogicalPlan,
-    db: &Database,
-    notes: &mut Vec<RewriteNote>,
-) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(order_joins(*input, db, notes)),
-            predicate,
-        },
-        LogicalPlan::Project { input, attrs } => LogicalPlan::Project {
-            input: Box::new(order_joins(*input, db, notes)),
-            attrs,
-        },
-        LogicalPlan::Guard { input, attrs } => LogicalPlan::Guard {
-            input: Box::new(order_joins(*input, db, notes)),
-            attrs,
-        },
-        LogicalPlan::Extend { input, attr, value } => LogicalPlan::Extend {
-            input: Box::new(order_joins(*input, db, notes)),
-            attr,
-            value,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(order_joins(*input, db, notes)),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
-            inputs: inputs
-                .into_iter()
-                .map(|p| order_joins(p, db, notes))
-                .collect(),
-        },
-        join @ LogicalPlan::Join { .. } => order_joins(join, db, notes),
-        leaf => leaf,
+        other => other.map_children(|p| order_joins(p, db, notes)),
     }
 }
 

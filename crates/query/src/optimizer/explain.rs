@@ -12,7 +12,7 @@ use crate::logical::LogicalPlan;
 use crate::parser::parse;
 use crate::planner::plan_query;
 
-use super::{optimize_with_db, RewriteNote};
+use super::{optimize_against, Notes, RewriteNote};
 
 /// A rendered explanation of an optimized plan: the operator tree (one
 /// line per node, `~rows=` estimates where statistics allow one) and the
@@ -124,12 +124,14 @@ fn node_label(plan: &LogicalPlan) -> String {
 
 /// The `EXPLAIN` front end: parses FRQL (a leading `EXPLAIN` keyword is
 /// accepted and implied), plans, optimizes against the live database, and
-/// renders the result.
+/// renders the result — the one caller of the database-aware passes that
+/// asks for the rewrite notes' prose.
 pub fn explain_query(frql: &str, db: &Database) -> Result<String> {
     let query = parse(frql)?;
     let plan = plan_query(&query, &db.catalog())?;
-    let (optimized, notes) = optimize_with_db(plan, db);
-    Ok(PlanExplain::new(&optimized, &notes, Some(db)).to_string())
+    let mut notes = Notes::rendered();
+    let optimized = optimize_against(plan, db, &mut notes);
+    Ok(PlanExplain::new(&optimized, &notes.into_vec(), Some(db)).to_string())
 }
 
 #[cfg(test)]
@@ -150,9 +152,11 @@ mod tests {
 
     #[test]
     fn explain_renders_tree_estimates_and_notes() {
-        let db = database(60);
+        // A unique key so the costed access-path pass takes the index (the
+        // determinant `jobtype` alone stays a pruned scan).
+        let db = database(600);
         let out = explain_query(
-            "EXPLAIN SELECT * FROM employee WHERE salary > 5000 \
+            "EXPLAIN SELECT * FROM employee WHERE empno = 7 \
              AND jobtype = 'secretary' GUARD typing-speed",
             &db,
         )

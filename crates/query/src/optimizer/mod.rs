@@ -20,16 +20,22 @@
 //!   structurally between rounds), so rules can feed each other: the
 //!   semantic EAD simplification folds a predicate to `false`, and the
 //!   classic constant-folding rule collapses the filter on the next round.
-//! * [`PassContext`] — what rules see: the catalog, optionally the live
-//!   database, and a lazily built [`SemanticFacts`] cache per relation (the
-//!   closure-index view of the declared dependencies).
+//! * [`PassContext`] — what rules see: the catalog — which carries each
+//!   relation's [`SemanticFacts`] (the closure-index view of the declared
+//!   dependencies), built once when the relation was registered — and
+//!   optionally the live database.
+//! * [`Notes`] — the rewrite log.  Rule names are always recorded; the
+//!   prose is rendered only for `EXPLAIN` and the catalog-only
+//!   [`optimize`], never on the path that executes a statement.
 //!
 //! The rules themselves live in submodules: [`mod@classic`] carries the
 //! original justified rewrites (guard analysis, variant/join pruning,
-//! constant folding, empty propagation, partition pruning, access paths),
-//! [`mod@semantic`] the dependency-derived rewrites (join elimination,
-//! group-by elimination, mandatory-guard elimination, EAD predicate
-//! simplification), and [`mod@cost`] the statistics-backed join ordering.
+//! constant folding, empty propagation, selection pushdown through joins,
+//! partition pruning, access paths), [`mod@semantic`] the
+//! dependency-derived rewrites (join elimination, group-by elimination,
+//! mandatory-guard elimination, EAD predicate simplification), and
+//! [`mod@cost`] the costed decisions: join ordering from table statistics
+//! and index probe versus pruned scan.
 //! [`mod@explain`] renders optimized plans with estimates and the notes of
 //! the rules that fired.
 //!
@@ -43,10 +49,6 @@ pub mod classic;
 pub mod cost;
 pub mod explain;
 pub mod semantic;
-
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 
 use flexrel_core::attr::AttrSet;
 use flexrel_core::facts::SemanticFacts;
@@ -63,38 +65,63 @@ pub use explain::{explain_query, PlanExplain};
 #[derive(Clone, Debug, PartialEq)]
 pub struct RewriteNote {
     /// The rule that fired (e.g. `"guard-elimination"`).
-    pub rule: String,
+    pub rule: &'static str,
     /// Human-readable description, including the derivation for
-    /// guard-elimination rewrites.
+    /// guard-elimination rewrites.  Empty when the run that produced the
+    /// note did not render details (see [`Notes`]).
     pub detail: String,
 }
 
-impl RewriteNote {
-    pub(crate) fn new(rule: &str, detail: impl Into<String>) -> Self {
-        RewriteNote {
-            rule: rule.to_string(),
-            detail: detail.into(),
+/// The rewrite log of one optimizer run.  Every rule that fires is
+/// recorded by name; its description is rendered only when the log was
+/// opened with [`Notes::rendered`] — `EXPLAIN` and the catalog-only
+/// [`optimize`] read the prose, a statement on its way to execution does
+/// not, so it does not pay for the `format!`.
+#[derive(Debug, Default)]
+pub struct Notes {
+    render: bool,
+    list: Vec<RewriteNote>,
+}
+
+impl Notes {
+    /// A log that renders every note's detail.
+    pub fn rendered() -> Self {
+        Notes {
+            render: true,
+            list: Vec::new(),
         }
+    }
+
+    /// A log that records which rules fired and leaves the details empty.
+    pub fn rules_only() -> Self {
+        Notes::default()
+    }
+
+    /// Records that `rule` fired; `detail` runs only when details are
+    /// rendered.
+    pub fn push(&mut self, rule: &'static str, detail: impl FnOnce() -> String) {
+        let detail = if self.render { detail() } else { String::new() };
+        self.list.push(RewriteNote { rule, detail });
+    }
+
+    /// The recorded notes, in firing order.
+    pub fn into_vec(self) -> Vec<RewriteNote> {
+        self.list
     }
 }
 
-/// What a [`Rewrite`] rule gets to see: the catalog, optionally the live
-/// database (for statistics-backed rules), and a lazily built
-/// [`SemanticFacts`] cache per relation.
+/// What a [`Rewrite`] rule gets to see: the catalog (definitions and the
+/// [`SemanticFacts`] derived from them) and optionally the live database
+/// (for statistics-backed rules).
 pub struct PassContext<'a> {
     catalog: &'a Catalog,
     db: Option<&'a Database>,
-    facts: RefCell<HashMap<String, Option<Rc<SemanticFacts>>>>,
 }
 
 impl<'a> PassContext<'a> {
     /// A context over a catalog only (no statistics available).
     pub fn new(catalog: &'a Catalog) -> Self {
-        PassContext {
-            catalog,
-            db: None,
-            facts: RefCell::new(HashMap::new()),
-        }
+        PassContext { catalog, db: None }
     }
 
     /// A context over a live database: rules may additionally consult
@@ -103,7 +130,6 @@ impl<'a> PassContext<'a> {
         PassContext {
             catalog,
             db: Some(db),
-            facts: RefCell::new(HashMap::new()),
         }
     }
 
@@ -118,21 +144,10 @@ impl<'a> PassContext<'a> {
     }
 
     /// The semantic facts (closure index, mandatory attributes, EAD
-    /// variants) for a relation, built on first use and cached for the
-    /// whole pipeline run.  `None` for unknown relations.
-    pub fn facts(&self, relation: &str) -> Option<Rc<SemanticFacts>> {
-        if let Some(cached) = self.facts.borrow().get(relation) {
-            return cached.clone();
-        }
-        let built = self
-            .catalog
-            .get(relation)
-            .ok()
-            .map(|def| Rc::new(SemanticFacts::new(&def.scheme, &def.deps)));
-        self.facts
-            .borrow_mut()
-            .insert(relation.to_string(), built.clone());
-        built
+    /// variants) of a relation, as registered in the catalog.  `None` for
+    /// unknown relations.
+    pub fn facts(&self, relation: &str) -> Option<&'a SemanticFacts> {
+        self.catalog.facts(relation)
     }
 }
 
@@ -145,12 +160,7 @@ pub trait Rewrite {
     /// The rule's name, used in progress notes and EXPLAIN output.
     fn name(&self) -> &'static str;
     /// Applies the rule, recording what it did.
-    fn apply(
-        &self,
-        plan: LogicalPlan,
-        ctx: &PassContext<'_>,
-        notes: &mut Vec<RewriteNote>,
-    ) -> LogicalPlan;
+    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan;
 }
 
 /// The classic justified rewrites ([`classic::rewrite`]) wrapped as a
@@ -162,12 +172,7 @@ impl Rewrite for ClassicRewrites {
     fn name(&self) -> &'static str {
         "classic"
     }
-    fn apply(
-        &self,
-        plan: LogicalPlan,
-        ctx: &PassContext<'_>,
-        notes: &mut Vec<RewriteNote>,
-    ) -> LogicalPlan {
+    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
         classic::rewrite(plan, ctx.catalog(), &SelectionContext::none(), notes)
     }
 }
@@ -181,13 +186,23 @@ impl Rewrite for EmptyPropagation {
     fn name(&self) -> &'static str {
         "empty-propagation"
     }
-    fn apply(
-        &self,
-        plan: LogicalPlan,
-        _ctx: &PassContext<'_>,
-        notes: &mut Vec<RewriteNote>,
-    ) -> LogicalPlan {
+    fn apply(&self, plan: LogicalPlan, _ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
         classic::simplify_empties(plan, notes)
+    }
+}
+
+/// Selection pushdown through natural joins
+/// ([`classic::push_selections`]) wrapped as a pipeline rule: a conjunct
+/// that reaches its operand may meet a qualification there (variant
+/// pruning) or an index (the access-path pass).
+struct SelectionPushdown;
+
+impl Rewrite for SelectionPushdown {
+    fn name(&self) -> &'static str {
+        "selection-pushdown"
+    }
+    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
+        classic::push_selections(plan, ctx.catalog(), notes)
     }
 }
 
@@ -199,12 +214,14 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// The standard rule set: the classic justified rewrites, the
-    /// dependency-derived semantic rewrites, and empty-plan propagation.
+    /// dependency-derived semantic rewrites, selection pushdown through
+    /// joins, and empty-plan propagation.
     pub fn standard() -> Self {
         Pipeline {
             rules: vec![
                 Box::new(ClassicRewrites),
                 Box::new(semantic::SemanticRules),
+                Box::new(SelectionPushdown),
                 Box::new(EmptyPropagation),
             ],
             max_rounds: 5,
@@ -218,7 +235,7 @@ impl Pipeline {
         &self,
         mut plan: LogicalPlan,
         ctx: &PassContext<'_>,
-        notes: &mut Vec<RewriteNote>,
+        notes: &mut Notes,
     ) -> LogicalPlan {
         for _ in 0..self.max_rounds {
             let before = plan.clone();
@@ -233,13 +250,15 @@ impl Pipeline {
     }
 }
 
-/// Optimizes a plan, returning the rewritten plan and the rewrite notes.
+/// Optimizes a plan, returning the rewritten plan and the rewrite notes
+/// with their details rendered.
 ///
 /// Runs the standard [`Pipeline`] (justified rewrites, semantic rewrites,
-/// empty-plan propagation) to a fixpoint, then the partition-pruning pass
-/// that attaches [`crate::logical::ShapePredicate`]s to scans.
+/// selection pushdown, empty-plan propagation) to a fixpoint, then the
+/// partition-pruning pass that attaches
+/// [`crate::logical::ShapePredicate`]s to scans.
 pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> (LogicalPlan, Vec<RewriteNote>) {
-    let mut notes = Vec::new();
+    let mut notes = Notes::rendered();
     let ctx = PassContext::new(catalog);
     let plan = Pipeline::standard().run(plan, &ctx, &mut notes);
     let plan = classic::prune_scans(
@@ -249,33 +268,35 @@ pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> (LogicalPlan, Vec<Rewri
         &Tuple::empty(),
         &mut notes,
     );
-    (plan, notes)
+    (plan, notes.into_vec())
 }
 
 /// Optimizes a plan against a live database: runs the standard pipeline
 /// with statistics available, the cost-based join-ordering pass
 /// ([`mod@cost`]), partition pruning, and finally the access-path
-/// pass ([`choose_access_paths`]), which needs the database's index
-/// metadata ([`Database::indexes`]) on top of the catalog.
+/// pass ([`choose_access_paths`]), which prices an index probe against the
+/// pruned scan from the database's index and partition metadata.
 ///
-/// Prefer this entry point when executing against a [`Database`]; plain
-/// [`optimize`] remains for callers that only have a catalog (and for
+/// This is the path every executed statement takes, so the returned notes
+/// name the rules that fired and leave [`RewriteNote::detail`] empty;
+/// [`explain_query`] runs the same passes with the details rendered.
+/// Plain [`optimize`] remains for callers that only have a catalog (and for
 /// measuring what the justified rewrites alone achieve).
 pub fn optimize_with_db(plan: LogicalPlan, db: &Database) -> (LogicalPlan, Vec<RewriteNote>) {
+    let mut notes = Notes::rules_only();
+    let plan = optimize_against(plan, db, &mut notes);
+    (plan, notes.into_vec())
+}
+
+/// The passes behind [`optimize_with_db`] and `EXPLAIN`, logging into the
+/// caller's [`Notes`].
+fn optimize_against(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
     let catalog = db.catalog();
-    let mut notes = Vec::new();
     let ctx = PassContext::with_db(&catalog, db);
-    let plan = Pipeline::standard().run(plan, &ctx, &mut notes);
-    let plan = cost::order_joins(plan, db, &mut notes);
-    let plan = classic::prune_scans(
-        plan,
-        &catalog,
-        &AttrSet::empty(),
-        &Tuple::empty(),
-        &mut notes,
-    );
-    let plan = choose_access_paths(plan, db, &mut notes);
-    (plan, notes)
+    let plan = Pipeline::standard().run(plan, &ctx, notes);
+    let plan = cost::order_joins(plan, db, notes);
+    let plan = classic::prune_scans(plan, &catalog, &AttrSet::empty(), &Tuple::empty(), notes);
+    choose_access_paths(plan, db, notes)
 }
 
 /// The attribute set `AttrSet` re-exported for plan construction ergonomics
@@ -491,13 +512,89 @@ mod tests {
             optimized
         );
 
-        // A filter above a join may be satisfied by either side; nothing is
-        // pushed across, but each side keeps its own subtree context.
+        // A filter above a join on an attribute both sides may supply and
+        // neither must carry stays above it (see `push_selections` for what
+        // does move), and nothing reaches either scan.
         let plan = LogicalPlan::scan("employee")
             .join(LogicalPlan::scan("employee"))
-            .filter(Predicate::gt("salary", 1000));
+            .filter(Predicate::gt("typing-speed", 100));
         let (optimized, _) = optimize(plan, &catalog());
         assert_eq!(optimized.pruned_scan_count(), 0, "{}", optimized);
+    }
+
+    /// `dept(deptno, floor)` next to `employee`: one attribute of its own.
+    fn catalog_with_dept() -> Catalog {
+        use flexrel_core::scheme::FlexScheme;
+        let mut c = catalog();
+        c.register(RelationDef::new(
+            "dept",
+            FlexScheme::relational(flexrel_core::attrs!["empno", "floor"]),
+        ))
+        .unwrap();
+        c
+    }
+
+    #[test]
+    fn selections_move_to_the_join_operand_that_owns_their_attribute() {
+        // `floor` exists only in dept, `salary` only in employee: both
+        // conjuncts leave the join; `empno` is mandatory on both sides, so
+        // it is copied to both and kept above.
+        let plan = LogicalPlan::scan("employee")
+            .join(LogicalPlan::scan("dept"))
+            .filter(
+                Predicate::eq("floor", 3)
+                    .and(Predicate::gt("salary", 1000))
+                    .and(Predicate::lt("empno", 10)),
+            );
+        let (optimized, notes) = optimize(plan, &catalog_with_dept());
+        assert!(notes.iter().any(|n| n.rule == "selection-pushdown"));
+        assert_eq!(
+            optimized.to_string(),
+            "Filter empno < 10\n  Join\n    \
+             Filter (salary > 1000 AND empno < 10)\n      \
+             Scan employee [partitions: shape ⊇ {empno, salary}]\n    \
+             Filter (floor = 3 AND empno < 10)\n      \
+             Scan dept [partitions: shape ⊇ {empno, floor}]\n"
+        );
+        // Optimizing the result again changes nothing: the copies are
+        // recognised below the join.
+        let (again, notes) = optimize(optimized.clone(), &catalog_with_dept());
+        assert_eq!(again, optimized);
+        assert!(notes.iter().all(|n| n.rule != "selection-pushdown"));
+    }
+
+    #[test]
+    fn selections_that_either_operand_could_satisfy_stay_above_the_join() {
+        // typing-speed is in both universes and mandatory in neither; a
+        // PRESENT atom, a disjunction and a negation are never split; an
+        // Extend hides its operand's scheme.
+        let join = || LogicalPlan::scan("employee").join(LogicalPlan::scan("employee"));
+        for pred in [
+            Predicate::gt("typing-speed", 100),
+            Predicate::present(flexrel_core::attrs!["salary"]),
+            Predicate::gt("salary", 1).or(Predicate::lt("empno", 5)),
+            Predicate::gt("salary", 1).negate(),
+        ] {
+            let (optimized, notes) = optimize(join().filter(pred), &catalog_with_dept());
+            assert!(
+                matches!(&optimized, LogicalPlan::Filter { input, .. }
+                    if matches!(**input, LogicalPlan::Join { .. })),
+                "{}",
+                optimized
+            );
+            assert!(notes.iter().all(|n| n.rule != "selection-pushdown"));
+        }
+        let extended = LogicalPlan::Extend {
+            input: Box::new(LogicalPlan::scan("dept")),
+            attr: "source".into(),
+            value: Value::tag("hr"),
+        };
+        let plan = extended
+            .join(LogicalPlan::scan("employee"))
+            .filter(Predicate::eq("floor", 3));
+        let (optimized, notes) = optimize(plan.clone(), &catalog_with_dept());
+        assert_eq!(optimized, plan);
+        assert!(notes.iter().all(|n| n.rule != "selection-pushdown"));
     }
 
     fn database(n: usize) -> Database {
@@ -541,27 +638,62 @@ mod tests {
 
     #[test]
     fn index_lookup_composes_with_partition_pruning() {
-        // The equality on the EAD determinant both picks the jobtype index
-        // and pins the variant region; the shape predicate pushed by
-        // prune_scans must survive on the lookup node.
-        let db = database(60);
-        let plan = planned("SELECT * FROM employee WHERE jobtype = 'secretary'");
+        // The unique key takes its index while the equality on the EAD
+        // determinant pins the variant region; the shape predicate pushed
+        // by prune_scans must survive on the lookup node.  (The determinant
+        // alone no longer takes its index — see the next test — so the
+        // composition is shown on the key that does.)
+        let db = database(600);
+        let plan = planned("SELECT * FROM employee WHERE empno = 7 AND jobtype = 'secretary'");
         let (optimized, _) = optimize_with_db(plan, &db);
+        let LogicalPlan::Filter { input, .. } = optimized else {
+            panic!("expected a residual filter over the lookup");
+        };
         let LogicalPlan::IndexLookup {
             shapes: Some(sp),
             key,
             ..
-        } = optimized
+        } = *input
         else {
-            panic!("expected a bare index lookup");
+            panic!("expected an index lookup");
         };
-        assert_eq!(key, flexrel_core::attrs!["jobtype"]);
+        assert_eq!(key, flexrel_core::attrs!["empno"]);
         assert!(!sp.is_trivial());
         assert!(
             sp.regions.iter().any(|(_, yi)| !yi.is_empty()),
             "the pinned determinant fixes the variant region: {}",
             sp
         );
+    }
+
+    #[test]
+    fn a_low_cardinality_determinant_is_priced_out_of_its_index() {
+        // jobtype has an index (it is the EAD determinant) but three keys:
+        // its chain is the whole secretary partition, which the pruned scan
+        // reads from columns for less than a rid fetch per row.
+        let db = database(600);
+        assert!(db.has_index("employee", &flexrel_core::attrs!["jobtype"]));
+        let plan = planned("SELECT * FROM employee WHERE jobtype = 'secretary'");
+        let (optimized, notes) = optimize_with_db(plan, &db);
+        assert_eq!(optimized.index_lookup_count(), 0, "{}", optimized);
+        assert_eq!(optimized.pruned_scan_count(), 1, "{}", optimized);
+        assert!(notes.iter().all(|n| n.rule != "access-path"));
+        // The same relation's unique key keeps its probe.
+        let plan = planned("SELECT * FROM employee WHERE empno = 7");
+        assert_eq!(optimize_with_db(plan, &db).0.index_lookup_count(), 1);
+    }
+
+    #[test]
+    fn executed_statements_record_rules_without_rendering_details() {
+        let db = database(50);
+        let plan = planned("SELECT * FROM employee WHERE empno = 3");
+        let (_, notes) = optimize_with_db(plan.clone(), &db);
+        assert!(notes.iter().any(|n| n.rule == "access-path"));
+        assert!(notes.iter().all(|n| n.detail.is_empty()));
+        let explained = explain_query("SELECT * FROM employee WHERE empno = 3", &db).unwrap();
+        assert!(explained.contains("[access-path] scan of employee replaced"));
+        let (_, notes) = optimize(plan, &db.catalog());
+        assert!(notes.iter().all(|n| !n.detail.is_empty()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! context* (what a query's own predicates establish), these rules reason
 //! from the **declared dependencies themselves**, via the
 //! [`SemanticFacts`] view (closure index, mandatory attributes, EAD
-//! variants) that [`super::PassContext::facts`] caches per relation:
+//! variants) the catalog holds per relation ([`super::PassContext::facts`]):
 //!
 //! * **join-elimination** — a join whose only purpose is to fetch
 //!   attributes the other side already determines (an FD `X → A` with the
@@ -22,7 +22,7 @@
 //!   and `PRESENT` atoms over attributes *outside* that variant are folded
 //!   to `false` (classic constant folding then collapses the filter).
 //!
-//! All four are **note-safe**: they emit a [`RewriteNote`] only when they
+//! All four are **note-safe**: they log to [`Notes`] only when they
 //! change the plan, so the pipeline fixpoint neither loops nor duplicates
 //! notes.
 
@@ -33,7 +33,7 @@ use flexrel_core::value::Value;
 
 use crate::logical::{AggFunc, LogicalPlan};
 
-use super::{PassContext, Rewrite, RewriteNote};
+use super::{Notes, PassContext, Rewrite};
 
 /// The semantic rule bundle, registered in [`super::Pipeline::standard`].
 pub struct SemanticRules;
@@ -42,54 +42,14 @@ impl Rewrite for SemanticRules {
     fn name(&self) -> &'static str {
         "semantic"
     }
-    fn apply(
-        &self,
-        plan: LogicalPlan,
-        ctx: &PassContext<'_>,
-        notes: &mut Vec<RewriteNote>,
-    ) -> LogicalPlan {
+    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
         rewrite(plan, ctx, notes)
     }
 }
 
 /// Bottom-up traversal: children first, then the node-level rules.
-fn rewrite(plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Vec<RewriteNote>) -> LogicalPlan {
-    let plan = match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(rewrite(*input, ctx, notes)),
-            predicate,
-        },
-        LogicalPlan::Project { input, attrs } => LogicalPlan::Project {
-            input: Box::new(rewrite(*input, ctx, notes)),
-            attrs,
-        },
-        LogicalPlan::Guard { input, attrs } => LogicalPlan::Guard {
-            input: Box::new(rewrite(*input, ctx, notes)),
-            attrs,
-        },
-        LogicalPlan::Extend { input, attr, value } => LogicalPlan::Extend {
-            input: Box::new(rewrite(*input, ctx, notes)),
-            attr,
-            value,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite(*input, ctx, notes)),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Join { left, right } => LogicalPlan::Join {
-            left: Box::new(rewrite(*left, ctx, notes)),
-            right: Box::new(rewrite(*right, ctx, notes)),
-        },
-        LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
-            inputs: inputs.into_iter().map(|p| rewrite(p, ctx, notes)).collect(),
-        },
-        leaf => leaf,
-    };
+fn rewrite(plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
+    let plan = plan.map_children(|p| rewrite(p, ctx, notes));
     let plan = try_join_elimination(plan, ctx, notes);
     let plan = try_groupby_elimination(plan, ctx, notes);
     let plan = try_guard_mandatory(plan, ctx, notes);
@@ -163,7 +123,7 @@ fn as_bare_projection(plan: &LogicalPlan) -> Option<(&str, &AttrSet)> {
 fn try_join_elimination(
     plan: LogicalPlan,
     ctx: &PassContext<'_>,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> LogicalPlan {
     let LogicalPlan::Join { left, right } = plan else {
         return plan;
@@ -178,7 +138,7 @@ fn try_join_elimination(
         if leaf_relation_through_project(probe) != Some(rel) {
             continue;
         }
-        let Some(lower) = probe_lower(probe, rel, &facts) else {
+        let Some(lower) = probe_lower(probe, rel, facts) else {
             continue;
         };
         if a.is_empty() || !a.is_subset(facts.mandatory()) {
@@ -189,14 +149,13 @@ fn try_join_elimination(
             continue;
         }
         if a.is_subset(&lower) {
-            notes.push(RewriteNote::new(
-                "join-elimination",
+            notes.push("join-elimination", || {
                 format!(
                     "join with π_{}({}) removed: the other side already carries {}, \
                      and {} → {} makes each tuple's partner unique",
                     a, rel, a, x, a
-                ),
-            ));
+                )
+            });
             return (**probe).clone();
         }
         if let LogicalPlan::Project { input, attrs } = probe.as_ref() {
@@ -204,14 +163,13 @@ fn try_join_elimination(
             // full stored tuples (they carry the mandatory `A` with the
             // FD-consistent values).
             if leaf_relation(input).is_some() {
-                notes.push(RewriteNote::new(
-                    "join-elimination",
+                notes.push("join-elimination", || {
                     format!(
                         "join with π_{}({}) removed: {} → {} lets the projection \
                          be widened to fetch {} directly",
                         a, rel, x, a, a
-                    ),
-                ));
+                    )
+                });
                 return LogicalPlan::Project {
                     input: input.clone(),
                     attrs: attrs.union(a),
@@ -239,7 +197,7 @@ fn leaf_relation_through_project(plan: &LogicalPlan) -> Option<&str> {
 fn try_groupby_elimination(
     plan: LogicalPlan,
     ctx: &PassContext<'_>,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> LogicalPlan {
     let LogicalPlan::Aggregate {
         input,
@@ -275,14 +233,13 @@ fn try_groupby_elimination(
     })();
     match eliminable {
         Some((inner, rel, b)) => {
-            notes.push(RewriteNote::new(
-                "groupby-elimination",
+            notes.push("groupby-elimination", || {
                 format!(
                     "GROUP BY {} over π_{}({}) has singleton groups ({} → {}); \
                      COUNT(*) folded to the constant 1",
                     group_by, b, rel, group_by, b
-                ),
-            ));
+                )
+            });
             let mut plan = LogicalPlan::Project {
                 input: inner,
                 attrs: group_by,
@@ -307,11 +264,7 @@ fn try_groupby_elimination(
 /// **guard-elimination**, mandatory form: a guard asking only for
 /// attributes every admitted shape carries (the intersection of the
 /// scheme's DNF disjuncts) is vacuous regardless of any selection context.
-fn try_guard_mandatory(
-    plan: LogicalPlan,
-    ctx: &PassContext<'_>,
-    notes: &mut Vec<RewriteNote>,
-) -> LogicalPlan {
+fn try_guard_mandatory(plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
     let LogicalPlan::Guard { input, attrs } = plan else {
         return plan;
     };
@@ -319,14 +272,13 @@ fn try_guard_mandatory(
         .and_then(|rel| ctx.facts(rel))
         .is_some_and(|facts| attrs.is_subset(facts.mandatory()));
     if mandatory {
-        notes.push(RewriteNote::new(
-            "guard-elimination",
+        notes.push("guard-elimination", || {
             format!(
                 "guard for {} is vacuous: the attributes are mandatory \
                  (present in every disjunct of the scheme's DNF)",
                 attrs
-            ),
-        ));
+            )
+        });
         *input
     } else {
         LogicalPlan::Guard { input, attrs }
@@ -342,7 +294,7 @@ fn try_guard_mandatory(
 fn try_ead_simplification(
     plan: LogicalPlan,
     ctx: &PassContext<'_>,
-    notes: &mut Vec<RewriteNote>,
+    notes: &mut Notes,
 ) -> LogicalPlan {
     let LogicalPlan::Filter { input, predicate } = plan else {
         return plan;
@@ -356,14 +308,13 @@ fn try_ead_simplification(
     }
     let folded = fold_absent(&predicate, &absent).simplify();
     if folded != predicate {
-        notes.push(RewriteNote::new(
-            "ead-predicate-simplification",
+        notes.push("ead-predicate-simplification", || {
             format!(
                 "the pinned EAD determinant excludes {}; atoms over those \
                  attributes folded to false",
                 absent
-            ),
-        ));
+            )
+        });
         LogicalPlan::Filter {
             input,
             predicate: folded,

@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flexrel_core::attr::AttrSet;
 use flexrel_query::{run_statement, ExecOptions, StatementOutcome};
 use flexrel_storage::Database;
 
@@ -491,9 +490,11 @@ fn busy_response() -> Response {
 }
 
 /// Applies a write batch as one atomic transaction.  `DeleteEq` resolves
-/// its victims *inside* the transaction scope (scan under the held write
-/// locks, so it sees the batch's own earlier inserts) — an acked delete can
-/// therefore never race a concurrent writer.
+/// its victims *inside* the transaction scope through
+/// [`TxnScope::lookup_eq`](flexrel_storage::TxnScope::lookup_eq) — the
+/// stored index on the key when there is one, a shape-pruned scan
+/// otherwise, under the held write locks, so it sees the batch's own
+/// earlier inserts and an acked delete can never race a concurrent writer.
 fn apply_transact(
     db: &Database,
     relation: &str,
@@ -509,8 +510,7 @@ fn apply_transact(
                     inserted += 1;
                 }
                 WriteOp::DeleteEq { key, key_value } => {
-                    let victims = delete_candidates(tx, relation, key, key_value)?;
-                    for rid in victims {
+                    for (rid, _) in tx.lookup_eq(relation, key, key_value)? {
                         tx.delete(relation, rid)?;
                         deleted += 1;
                     }
@@ -519,18 +519,4 @@ fn apply_transact(
         }
         Ok((inserted, deleted))
     })
-}
-
-fn delete_candidates(
-    tx: &flexrel_storage::TxnScope<'_>,
-    relation: &str,
-    key: &AttrSet,
-    key_value: &flexrel_core::tuple::Tuple,
-) -> flexrel_core::error::Result<Vec<flexrel_storage::Rid>> {
-    Ok(tx
-        .scan(relation)?
-        .into_iter()
-        .filter(|(_, t)| key.is_subset(&t.attrs()) && t.project(key) == *key_value)
-        .map(|(rid, _)| rid)
-        .collect())
 }

@@ -1,10 +1,12 @@
 //! The catalog: named relation definitions (scheme, dependencies, domains).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flexrel_core::attr::Attr;
 use flexrel_core::dep::{Dependency, DependencySet};
 use flexrel_core::error::{CoreError, Result};
+use flexrel_core::facts::SemanticFacts;
 use flexrel_core::relation::FlexRelation;
 use flexrel_core::scheme::FlexScheme;
 use flexrel_core::value::Domain;
@@ -67,18 +69,29 @@ impl RelationDef {
     }
 }
 
-/// A catalog of relation definitions.
+/// One registered relation: its definition and the [`SemanticFacts`]
+/// derived from it when it was registered.
+#[derive(Debug)]
+struct Entry {
+    def: RelationDef,
+    facts: SemanticFacts,
+}
+
+/// A catalog of relation definitions, each with the [`SemanticFacts`]
+/// derived from it.  The facts are built once, at registration, and shared
+/// by every copy of the catalog: the database publishes DDL by swapping in
+/// a modified copy, so a planner holding a catalog snapshot holds facts
+/// that match its definitions, and dropping a relation drops them — there
+/// is nothing to invalidate.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    relations: BTreeMap<String, RelationDef>,
+    relations: BTreeMap<String, Arc<Entry>>,
 }
 
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Self {
-        Catalog {
-            relations: BTreeMap::new(),
-        }
+        Catalog::default()
     }
 
     /// Registers a relation definition; fails if the name is taken.
@@ -89,7 +102,9 @@ impl Catalog {
                 def.name
             )));
         }
-        self.relations.insert(def.name.clone(), def);
+        let facts = SemanticFacts::new(&def.scheme, &def.deps);
+        self.relations
+            .insert(def.name.clone(), Arc::new(Entry { def, facts }));
         Ok(())
     }
 
@@ -97,14 +112,24 @@ impl Catalog {
     pub fn get(&self, name: &str) -> Result<&RelationDef> {
         self.relations
             .get(name)
+            .map(|e| &e.def)
             .ok_or_else(|| CoreError::NotFound(format!("relation {}", name)))
+    }
+
+    /// The semantic facts (closure index, mandatory attributes, attribute
+    /// universe, EAD variants) of a registered relation.
+    pub fn facts(&self, name: &str) -> Option<&SemanticFacts> {
+        self.relations.get(name).map(|e| &e.facts)
     }
 
     /// Drops a definition, returning it.
     pub fn drop(&mut self, name: &str) -> Result<RelationDef> {
-        self.relations
+        let entry = self
+            .relations
             .remove(name)
-            .ok_or_else(|| CoreError::NotFound(format!("relation {}", name)))
+            .ok_or_else(|| CoreError::NotFound(format!("relation {}", name)))?;
+        // Other catalog snapshots may still share the entry.
+        Ok(Arc::try_unwrap(entry).map_or_else(|shared| shared.def.clone(), |e| e.def))
     }
 
     /// Whether a relation is registered.

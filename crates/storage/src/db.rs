@@ -99,6 +99,20 @@ pub(crate) struct StoredIndex {
     pub(crate) auto: bool,
 }
 
+impl StoredIndex {
+    /// The index's catalog metadata; every figure is a maintained counter,
+    /// so this costs the same whatever the index holds.
+    fn info(&self) -> IndexInfo {
+        IndexInfo {
+            key: self.idx.key().clone(),
+            distinct_keys: self.idx.distinct_keys(),
+            len: self.idx.len(),
+            partial_tuples: self.idx.partial_tuples().len(),
+            auto: self.auto,
+        }
+    }
+}
+
 /// The index set of one relation.
 pub(crate) type IndexSet = Vec<StoredIndex>;
 
@@ -287,8 +301,9 @@ fn background_checkpoint_loop(weak: Weak<DbInner>, dur: Arc<Durability>) {
 /// silently skipped (it would be rebuilt lazily anyway).  Matching entries
 /// are stamped with the live partition's current version so the first
 /// reader accepts them; statistics are advisory, so a coincidental match
-/// against changed contents can only misprice a plan, never corrupt a
-/// result.
+/// against changed contents — the image may itself have been written from
+/// an entry within [`crate::stats::STATS_DRIFT`] of its partition — can
+/// only misprice a plan, never corrupt a result.
 fn prewarm_stats(inner: &DbInner) {
     let Some(dur) = &inner.dur else { return };
     let Ok(bytes) = std::fs::read(dur.dir.join(crate::stats::STATS_SIDECAR)) else {
@@ -303,14 +318,10 @@ fn prewarm_stats(inner: &DbInner) {
             continue;
         };
         let live = read(&store.parts);
-        for mut stats in parts {
-            let sid = ShapeId::intern(&stats.shape);
-            let matched = live
-                .partitions()
-                .find(|(s, p)| *s == sid && p.len() as u64 == stats.rows);
-            if let Some((_, part)) = matched {
-                stats.version = part.version();
-                inner.stats.prewarm(&name, sid, stats);
+        for stats in parts {
+            let part = live.partition(ShapeId::intern(&stats.shape));
+            if let Some(part) = part.filter(|p| p.len() as u64 == stats.rows) {
+                inner.stats.prewarm(&name, stats, part);
             }
         }
     }
@@ -385,6 +396,29 @@ fn index_on<'a>(indexes: &'a IndexSet, key: &AttrSet) -> Option<&'a Arc<HashInde
         .iter()
         .find(|si| si.idx.key() == key)
         .map(|si| &si.idx)
+}
+
+/// Equality lookup on `key` under already-held locks: a probe of the stored
+/// index on exactly `key` when there is one, otherwise a scan of the
+/// partitions whose shape carries the whole key.  Tuples not defined on all
+/// of `key` are never returned on either path.
+fn lookup_eq_in(
+    parts: &PartitionedHeap,
+    indexes: &IndexSet,
+    key: &AttrSet,
+    key_value: &Tuple,
+) -> Vec<(Rid, Tuple)> {
+    match index_on(indexes, key) {
+        Some(idx) => idx
+            .lookup(key_value)
+            .iter()
+            .filter_map(|rid| parts.get(*rid).map(|t| (*rid, t)))
+            .collect(),
+        None => parts
+            .scan_where(|shape| key.is_subset(shape))
+            .filter(|(_, t)| t.project(key) == *key_value)
+            .collect(),
+    }
 }
 
 /// The existing tuples that can conflict with `t` on a dependency with
@@ -534,10 +568,11 @@ fn apply_insert(
     t: Tuple,
     memo: Option<ShapeMemo>,
 ) -> std::result::Result<Rid, StorageError> {
-    let sid = t.shape_id();
-    let rid = parts.insert(sid, t.clone(), memo)?;
-    for si in indexes.iter_mut() {
-        Arc::make_mut(&mut si.idx).insert(rid, &t);
+    // Extract the index keys first so the tuple itself moves into the heap.
+    let keys: Vec<Option<Tuple>> = indexes.iter().map(|si| si.idx.key_of(&t)).collect();
+    let rid = parts.insert(t.shape_id(), t, memo)?;
+    for (si, key) in indexes.iter_mut().zip(keys) {
+        Arc::make_mut(&mut si.idx).insert_key(rid, key);
     }
     Ok(rid)
 }
@@ -773,6 +808,16 @@ impl Database {
             .map_err(StorageError::into_core)
     }
 
+    /// [`Database::wal_append_ops`] for a single-statement commit.  The
+    /// record is built — relation name and tuples cloned — only when there
+    /// is a WAL to append it to.
+    fn wal_append_op(&self, op: impl FnOnce() -> WalOp) -> Result<Option<u64>> {
+        if self.inner.dur.is_none() {
+            return Ok(None);
+        }
+        self.wal_append_ops(&[op()])
+    }
+
     /// What the open that produced this handle recovered from the WAL
     /// tail; `None` for in-memory databases.
     pub fn recovery_info(&self) -> Option<RecoveryInfo> {
@@ -944,6 +989,16 @@ impl Database {
                 let mut rebuilt_partial = canonical.partial_tuples().to_vec();
                 stored_partial.sort_unstable();
                 rebuilt_partial.sort_unstable();
+                let walked = stored.values().map(Vec::len).sum::<usize>() + stored_partial.len();
+                if si.idx.len() != walked {
+                    return Err(StorageError::Bug(format!(
+                        "index on {} for {} counts {} entries but holds {}",
+                        si.idx.key(),
+                        name,
+                        si.idx.len(),
+                        walked
+                    )));
+                }
                 if stored != rebuilt || stored_partial != rebuilt_partial {
                     return Err(StorageError::Bug(format!(
                         "index on {} for {} disagrees with a canonical rebuild",
@@ -1068,6 +1123,7 @@ impl Database {
             next.drop(name)?;
             write(&self.inner.storage).remove(name);
             *cat = Arc::new(next);
+            self.inner.stats.invalidate_relation(name);
         }
         self.ddl_barrier()
     }
@@ -1135,16 +1191,21 @@ impl Database {
     pub fn indexes(&self, relation: &str) -> Result<Vec<IndexInfo>> {
         let store = self.store(relation)?;
         let indexes = read(&store.indexes);
+        Ok(indexes.iter().map(StoredIndex::info).collect())
+    }
+
+    /// The most selective stored index an equality on all of `pinned` can
+    /// probe: among the indexes whose key lies inside `pinned`, the one
+    /// with the most distinct keys (ties to the longer key).  Only keys are
+    /// compared; metadata is built for the winner alone.
+    pub fn covering_index(&self, relation: &str, pinned: &AttrSet) -> Result<Option<IndexInfo>> {
+        let store = self.store(relation)?;
+        let indexes = read(&store.indexes);
         Ok(indexes
             .iter()
-            .map(|si| IndexInfo {
-                key: si.idx.key().clone(),
-                distinct_keys: si.idx.distinct_keys(),
-                len: si.idx.len(),
-                partial_tuples: si.idx.partial_tuples().len(),
-                auto: si.auto,
-            })
-            .collect())
+            .filter(|si| !si.idx.key().is_empty() && si.idx.key().is_subset(pinned))
+            .max_by_key(|si| (si.idx.distinct_keys(), si.idx.key().len()))
+            .map(StoredIndex::info))
     }
 
     /// Metadata of the index on exactly `key`, if one exists.
@@ -1202,10 +1263,10 @@ impl Database {
             // order equals apply order for this relation; it buffers only
             // (no I/O) and fails only when the WAL is already poisoned —
             // in which case nothing has been applied yet.
-            let lsn = self.wal_append_ops(&[WalOp::Insert {
+            let lsn = self.wal_append_op(|| WalOp::Insert {
                 relation: relation.to_string(),
                 tuple: t.clone(),
-            }])?;
+            })?;
             let rid =
                 apply_insert(&mut parts, &mut indexes, t, memo).map_err(StorageError::into_core)?;
             (rid, lsn)
@@ -1228,10 +1289,10 @@ impl Database {
             let old = parts
                 .get(rid)
                 .ok_or_else(|| CoreError::NotFound(format!("tuple {} in {}", rid, relation)))?;
-            let lsn = self.wal_append_ops(&[WalOp::Delete {
+            let lsn = self.wal_append_op(|| WalOp::Delete {
                 relation: relation.to_string(),
                 tuple: old.clone(),
-            }])?;
+            })?;
             let old = apply_delete(&mut parts, &mut indexes, rid).ok_or_else(|| {
                 StorageError::Bug(format!("tuple {} vanished under the write lock", rid))
                     .into_core()
@@ -1268,11 +1329,11 @@ impl Database {
             // way it can fail).
             let (new_rid, old) =
                 update_in(def, &mut parts, &mut indexes, rid, new.clone(), relation)?;
-            match self.wal_append_ops(&[WalOp::Update {
+            match self.wal_append_op(|| WalOp::Update {
                 relation: relation.to_string(),
                 old: old.clone(),
                 new: new.clone(),
-            }]) {
+            }) {
                 Ok(lsn) => ((new_rid, old), lsn),
                 Err(e) => {
                     if undo_remove_in(&mut parts, &mut indexes, new_rid, &new) {
@@ -1331,11 +1392,12 @@ impl Database {
 
     /// Per-partition column statistics for a relation (distinct counts and
     /// equi-depth histograms, see [`crate::stats`]), built lazily from the
-    /// current partition snapshot and cached by partition version: an
-    /// insert, delete, update or rollback since the last call invalidates
-    /// exactly the touched partitions' entries.  The statistics are
-    /// advisory — they feed the query layer's cost model and can never
-    /// affect result correctness.
+    /// current partition snapshot and cached per partition.  A partition
+    /// that has changed since its entry was built keeps serving it until
+    /// the changed rows pass [`crate::stats::STATS_DRIFT`] of the rows the
+    /// entry describes, so a write does not cost the next planned statement
+    /// a rebuild.  The statistics are advisory — they feed the query
+    /// layer's cost model and can never affect result correctness.
     pub fn table_stats(&self, relation: &str) -> Result<crate::stats::TableStats> {
         let snap = self.partition_snapshot(relation)?;
         Ok(self.inner.stats.table_stats(relation, &snap))
@@ -1363,18 +1425,7 @@ impl Database {
         let store = self.store(relation)?;
         let parts = read(&store.parts);
         let indexes = read(&store.indexes);
-        if let Some(idx) = index_on(&indexes, key) {
-            Ok(idx
-                .lookup(key_value)
-                .iter()
-                .filter_map(|rid| parts.get(*rid).map(|t| (*rid, t)))
-                .collect())
-        } else {
-            Ok(parts
-                .scan_where(|shape| key.is_subset(shape))
-                .filter(|(_, t)| t.project(key) == *key_value)
-                .collect())
-        }
+        Ok(lookup_eq_in(&parts, &indexes, key, key_value))
     }
 
     /// The tuples of a relation *not* defined on all of `key` — exactly the
@@ -1648,6 +1699,21 @@ impl TxnScope<'_> {
     pub fn scan(&self, relation: &str) -> Result<Vec<(Rid, Tuple)>> {
         let i = self.slot(relation)?;
         Ok(self.guards[i].0.scan().collect())
+    }
+
+    /// [`Database::lookup_eq`] inside the transaction: index first, pruned
+    /// scan otherwise, under the write locks the scope already holds — so
+    /// it sees the transaction's own uncommitted writes and nothing can
+    /// change between the lookup and what the caller does with the rids.
+    pub fn lookup_eq(
+        &self,
+        relation: &str,
+        key: &AttrSet,
+        key_value: &Tuple,
+    ) -> Result<Vec<(Rid, Tuple)>> {
+        let i = self.slot(relation)?;
+        let (parts, indexes) = &self.guards[i];
+        Ok(lookup_eq_in(parts, indexes, key, key_value))
     }
 
     fn rollback_in_place(&mut self) {

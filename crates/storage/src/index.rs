@@ -24,6 +24,9 @@ pub struct HashIndex {
     /// Tuples not defined on the full key are unreachable through the index
     /// and tracked separately so scans can fall back to them.
     partial: Vec<Rid>,
+    /// Number of indexed tuples (chained and partial), maintained by
+    /// insert/remove so [`HashIndex::len`] never walks the entries.
+    len: usize,
 }
 
 impl HashIndex {
@@ -33,6 +36,7 @@ impl HashIndex {
             key: key.into(),
             entries: HashMap::new(),
             partial: Vec::new(),
+            len: 0,
         }
     }
 
@@ -41,31 +45,51 @@ impl HashIndex {
         &self.key
     }
 
-    /// Indexes a tuple.
-    pub fn insert(&mut self, rid: Rid, t: &Tuple) {
-        if t.defined_on(&self.key) {
-            self.entries
-                .entry(t.project(&self.key))
-                .or_default()
-                .push(rid);
-        } else {
-            self.partial.push(rid);
-        }
+    /// The projection of `t` onto the index key, or `None` when `t` is not
+    /// defined on the full key (it then belongs on the partial list).
+    pub fn key_of(&self, t: &Tuple) -> Option<Tuple> {
+        t.defined_on(&self.key).then(|| t.project(&self.key))
     }
 
-    /// Removes a tuple from the index.
-    pub fn remove(&mut self, rid: Rid, t: &Tuple) {
-        if t.defined_on(&self.key) {
-            let k = t.project(&self.key);
-            if let Some(v) = self.entries.get_mut(&k) {
-                v.retain(|x| *x != rid);
-                if v.is_empty() {
-                    self.entries.remove(&k);
-                }
-            }
-        } else {
-            self.partial.retain(|x| *x != rid);
+    /// Indexes a tuple.
+    pub fn insert(&mut self, rid: Rid, t: &Tuple) {
+        self.insert_key(rid, self.key_of(t));
+    }
+
+    /// Indexes `rid` under a key projection obtained from
+    /// [`HashIndex::key_of`] — lets the caller extract the key, give the
+    /// tuple away (to the heap), and index the identifier it got back.
+    pub fn insert_key(&mut self, rid: Rid, key_value: Option<Tuple>) {
+        match key_value {
+            Some(k) => self.entries.entry(k).or_default().push(rid),
+            None => self.partial.push(rid),
         }
+        self.len += 1;
+    }
+
+    /// Removes a tuple from the index.  A rid that is not indexed under
+    /// `t`'s key is left alone (and the length with it).
+    pub fn remove(&mut self, rid: Rid, t: &Tuple) {
+        let removed = match self.key_of(t) {
+            Some(k) => match self.entries.get_mut(&k) {
+                Some(chain) => {
+                    let before = chain.len();
+                    chain.retain(|x| *x != rid);
+                    let removed = before - chain.len();
+                    if chain.is_empty() {
+                        self.entries.remove(&k);
+                    }
+                    removed
+                }
+                None => 0,
+            },
+            None => {
+                let before = self.partial.len();
+                self.partial.retain(|x| *x != rid);
+                before - self.partial.len()
+            }
+        };
+        self.len -= removed;
     }
 
     /// Tuple identifiers whose key projection equals `key_value` (a tuple
@@ -94,14 +118,15 @@ impl HashIndex {
         self.entries.len()
     }
 
-    /// Total number of indexed tuples (including partial ones).
+    /// Total number of indexed tuples (including partial ones) — a
+    /// maintained counter, O(1).
     pub fn len(&self) -> usize {
-        self.entries.values().map(|v| v.len()).sum::<usize>() + self.partial.len()
+        self.len
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
@@ -150,6 +175,52 @@ mod tests {
         assert_eq!(idx.len(), 1);
         idx.remove(a, &t);
         assert!(idx.is_empty());
+    }
+
+    /// The maintained counter against a naive recount, under a random
+    /// insert/remove stream that includes partial-key tuples, duplicate
+    /// removes and removes of rids that were never (or no longer) indexed.
+    #[test]
+    fn len_counter_matches_a_recount_under_random_inserts_and_removes() {
+        let recount = |idx: &HashIndex| {
+            idx.entries().map(|(_, r)| r.len()).sum::<usize>() + idx.partial.len()
+        };
+        let tuple_for = |n: u32| {
+            let t = tuple! {"a" => (n % 5) as i64};
+            // Every third tuple lacks part of the key and goes to the
+            // partial list.
+            if n.is_multiple_of(3) {
+                t
+            } else {
+                t.with("b", (n % 2) as i64)
+            }
+        };
+        let mut idx = HashIndex::new(attrs!["a", "b"]);
+        let mut live = std::collections::BTreeSet::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..4_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let n = (state >> 33) as u32 % 64;
+            if (state >> 20) & 1 == 0 && !live.contains(&n) {
+                idx.insert(rid(n), &tuple_for(n));
+                live.insert(n);
+            } else {
+                // Dead rids are removed too: the counter must not move.
+                idx.remove(rid(n), &tuple_for(n));
+                live.remove(&n);
+            }
+            assert_eq!(idx.len(), live.len());
+            assert_eq!(idx.len(), recount(&idx));
+            assert_eq!(idx.is_empty(), live.is_empty());
+        }
+        // A live rid removed under the wrong key stays indexed.
+        idx.insert(rid(100), &tuple_for(1));
+        let n = idx.len();
+        idx.remove(rid(100), &tuple_for(2));
+        idx.remove(rid(100), &tuple_for(3));
+        assert_eq!((idx.len(), recount(&idx)), (n, n));
     }
 
     #[test]

@@ -75,5 +75,5 @@ pub use partition::{
     SnapshotScan,
 };
 pub use rowfmt::RowBlock;
-pub use stats::{ColumnStats, Histogram, PartitionStats, TableStats};
+pub use stats::{ColumnStats, Histogram, PartitionStats, TableStats, STATS_DRIFT};
 pub use wal::{RecordDecoder, RecordEncoder, WalOp, WalRecord, WalWriter};

@@ -137,6 +137,7 @@ pub struct Partition {
     heap: ColumnHeap,
     memo: ShapeMemo,
     version: u64,
+    mutations: u64,
 }
 
 impl Partition {
@@ -146,6 +147,7 @@ impl Partition {
             shape,
             memo,
             version: next_partition_version(),
+            mutations: 0,
         }
     }
 
@@ -158,7 +160,15 @@ impl Partition {
             heap,
             memo,
             version: next_partition_version(),
+            mutations: 0,
         }
+    }
+
+    /// Records one insert or delete: a fresh version stamp, one more
+    /// mutation.
+    fn touch(&mut self) {
+        self.version = next_partition_version();
+        self.mutations += 1;
     }
 
     /// The shape (`attr(t)`) shared by every tuple of the partition.
@@ -180,6 +190,14 @@ impl Partition {
     /// refcount one.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// How many inserts and deletes the partition has absorbed since it was
+    /// opened.  Unlike [`Partition::version`] (a process-wide stamp) the
+    /// difference of two readings counts *this* partition's changed rows,
+    /// which is what the statistics cache measures drift in.
+    pub fn mutations(&self) -> u64 {
+        self.mutations
     }
 
     /// Number of live tuples in the partition.
@@ -342,7 +360,7 @@ impl PartitionedHeap {
         let part = Arc::make_mut(part);
         debug_assert_eq!(part.shape, *t.shape(), "tuple routed to wrong partition");
         let loc = part.heap.insert(t);
-        part.version = next_partition_version();
+        part.touch();
         self.live += 1;
         Ok(Rid { shape, loc })
     }
@@ -365,7 +383,7 @@ impl PartitionedHeap {
         part.heap.get_ref(rid.loc)?;
         let part = Arc::make_mut(part);
         let old = part.heap.delete(rid.loc)?;
-        part.version = next_partition_version();
+        part.touch();
         self.live -= 1;
         if part.heap.is_empty() {
             self.parts.remove(&rid.shape);

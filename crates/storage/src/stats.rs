@@ -9,7 +9,10 @@
 //! corrupt a result.  Freshness is tracked by the partition version stamp —
 //! copy-on-write mutates partitions in place at refcount one, so pointer
 //! identity is useless as a cache key, while the version is bumped on every
-//! insert and delete (updates and rollbacks included).
+//! insert and delete (updates and rollbacks included).  Because stale
+//! statistics are harmless, a changed partition keeps serving its cached
+//! entry until the rows changed since the build exceed [`STATS_DRIFT`] of
+//! the rows it was built from; only then does a reader pay for a rebuild.
 //!
 //! Statistics are persisted best-effort alongside checkpoints (keyed by
 //! relation name, shape attribute set and row count — *not* by [`ShapeId`],
@@ -29,6 +32,16 @@ use crate::partition::{Partition, PartitionSnapshot};
 
 /// Number of buckets an equi-depth histogram aims for.
 const HISTOGRAM_BUCKETS: usize = 32;
+
+/// The share of a partition's rows that may change (inserts + deletes since
+/// the statistics were built) before the cached entry is rebuilt.  One tenth
+/// moves an equi-depth fence by about three of the 32 buckets and a distinct
+/// count by at most 10 % — well inside what the cost model's uniformity
+/// assumptions already give away — while a rebuild walks every live row
+/// (1.5 ms for the 20 000-row benchmark relation against 0.7 µs for a cache
+/// hit), so at this threshold a write-heavy mix pays for one rebuild per
+/// partition per `rows / 10` writes instead of one per write.
+pub const STATS_DRIFT: f64 = 0.1;
 
 /// An equi-depth histogram over a numeric column: `fences` holds the sorted
 /// bucket boundaries (first = min, last = max), each bucket covering an
@@ -260,26 +273,32 @@ impl TableStats {
 }
 
 /// The database-level statistics cache: per (relation, shape) partition
-/// statistics, validated against the live partition version on every read.
+/// statistics, checked against the live partition on every read — reused
+/// while the version matches, served stale while the partition has drifted
+/// by no more than [`STATS_DRIFT`], rebuilt beyond.
 #[derive(Debug, Default)]
 pub struct StatsCache {
-    entries: Mutex<BTreeMap<(String, ShapeId), Arc<PartitionStats>>>,
+    entries: Mutex<BTreeMap<(String, ShapeId), CacheEntry>>,
 }
+
+/// One partition's statistics with the partition's
+/// [`Partition::mutations`] reading at build time — the base its drift is
+/// measured from.
+type CacheEntry = (Arc<PartitionStats>, u64);
 
 impl StatsCache {
     /// The statistics of every partition in `snap`, reusing cached entries
-    /// whose version still matches and (re)building the rest.
+    /// that are fresh or within the drift bound and (re)building the rest.
     pub fn table_stats(&self, relation: &str, snap: &PartitionSnapshot) -> TableStats {
         let mut out = TableStats::default();
         let mut entries = self.entries.lock().expect("stats cache poisoned");
         for (sid, part) in snap.partitions() {
             let key = (relation.to_string(), sid);
-            let cached = entries.get(&key);
-            let stats = match cached {
-                Some(s) if s.version == part.version() => Arc::clone(s),
+            let stats = match entries.get(&key) {
+                Some((s, built_at)) if usable(s, *built_at, part) => Arc::clone(s),
                 _ => {
                     let s = Arc::new(PartitionStats::build(part));
-                    entries.insert(key, Arc::clone(&s));
+                    entries.insert(key, (Arc::clone(&s), part.mutations()));
                     s
                 }
             };
@@ -288,19 +307,38 @@ impl StatsCache {
         out
     }
 
-    /// Installs pre-built statistics (checkpoint prewarm) for a partition,
-    /// stamped with that partition's current version.
-    pub(crate) fn prewarm(&self, relation: &str, sid: ShapeId, stats: PartitionStats) {
+    /// Installs pre-built statistics (checkpoint prewarm) as a fresh entry
+    /// for `part`: stamped with its current version and mutation count.
+    pub(crate) fn prewarm(&self, relation: &str, mut stats: PartitionStats, part: &Partition) {
+        stats.version = part.version();
+        let sid = ShapeId::intern(&stats.shape);
         let mut entries = self.entries.lock().expect("stats cache poisoned");
-        entries.insert((relation.to_string(), sid), Arc::new(stats));
+        entries.insert(
+            (relation.to_string(), sid),
+            (Arc::new(stats), part.mutations()),
+        );
     }
 
-    /// Drops every cached entry for `relation` (relation dropped or
-    /// replaced wholesale).
-    #[allow(dead_code)]
+    /// Drops every cached entry for `relation` (the relation was dropped; a
+    /// successor of the same name must not be served its statistics).
     pub(crate) fn invalidate_relation(&self, relation: &str) {
         let mut entries = self.entries.lock().expect("stats cache poisoned");
         entries.retain(|(r, _), _| r != relation);
+    }
+}
+
+/// Whether a cached entry may be served for `part`: built from this very
+/// version, or from an earlier state of the same partition that has since
+/// changed by at most [`STATS_DRIFT`] of the rows the entry describes.  (A
+/// partition dropped and re-opened restarts its mutation count; a reading
+/// below the entry's means exactly that, and the entry is rebuilt.)
+fn usable(stats: &PartitionStats, built_at: u64, part: &Partition) -> bool {
+    if stats.version == part.version() {
+        return true;
+    }
+    match part.mutations().checked_sub(built_at) {
+        Some(changed) => changed as f64 <= STATS_DRIFT * stats.rows as f64,
+        None => false,
     }
 }
 

@@ -8,7 +8,7 @@
 //! `v0 … v{k-1}` the tuple carries — so a populated instance has exactly
 //! `k` tuple shapes, one heap partition each.
 
-use flexrel_core::attr::AttrSet;
+use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::attrs;
 use flexrel_core::dep::{DependencySet, Ead, EadVariant, Fd};
 use flexrel_core::relation::FlexRelation;
@@ -91,10 +91,8 @@ pub fn wide_variant_attr(i: usize) -> String {
 
 /// The scheme of the wide relation: `<3, 3, {id, kind, <1,1,{v0 … v{k-1}}>}>`.
 pub fn wide_scheme(variants: usize) -> FlexScheme {
-    let group = FlexScheme::disjoint_union(
-        (0..variants).map(|i| flexrel_core::attr::Attr::new(wide_variant_attr(i))),
-    )
-    .expect("valid group");
+    let group = FlexScheme::disjoint_union((0..variants).map(|i| Attr::new(wide_variant_attr(i))))
+        .expect("valid group");
     SchemeBuilder::all_of(["id", "kind"])
         .nested(group)
         .build()
@@ -139,11 +137,23 @@ pub fn wide_relation(variants: usize) -> FlexRelation {
 /// [`WideConfig::variant_counts`] with the variants interleaved so every
 /// prefix of the output mixes shapes.
 pub fn generate_wide(cfg: &WideConfig) -> Vec<Tuple> {
+    // Interned attributes and kind tags are built once per variant, not
+    // once per tuple: cloning either is a refcount bump.
+    let (id, kind) = (Attr::new("id"), Attr::new("kind"));
+    let variants: Vec<(Value, Attr)> = (0..cfg.variants)
+        .map(|v| {
+            (
+                Value::tag(wide_kind_tag(v)),
+                Attr::new(wide_variant_attr(v)),
+            )
+        })
+        .collect();
     let tuple_for = |i: usize, v: usize| {
+        let (tag, attr) = &variants[v];
         Tuple::new()
-            .with("id", i as i64)
-            .with("kind", Value::tag(wide_kind_tag(v)))
-            .with(wide_variant_attr(v), (i * 7 % 1000) as i64)
+            .with(id.clone(), i as i64)
+            .with(kind.clone(), tag.clone())
+            .with(attr.clone(), (i * 7 % 1000) as i64)
     };
     if cfg.skew == 0.0 {
         return (0..cfg.n).map(|i| tuple_for(i, i % cfg.variants)).collect();

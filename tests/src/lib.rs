@@ -1,12 +1,57 @@
 //! Support code for the cross-crate integration suites in `tests/`: the
-//! differential oracle [`reference_eval`].
+//! differential oracle [`reference_eval`] and the [`partial_key_db`]
+//! fixture several suites share.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use flexrel_core::attrs;
+use flexrel_core::scheme::SchemeBuilder;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
-use flexrel_storage::Database;
+use flexrel_storage::{Database, RelationDef};
+
+/// A fixture whose join key is only partially defined.  `inner` (indexed on
+/// `{a, b}`) and its index-free twin `inner_nx` hold 240 tuples, a third
+/// of them without `b` — those sit on the index's partial list — and half
+/// without `v`; the four `outer` tuples include one without `b` (a probe
+/// the index cannot answer) and one matching nothing.
+pub fn partial_key_db() -> Database {
+    let db = Database::new();
+    let scheme = |extra: &str| {
+        SchemeBuilder::all_of(["a"])
+            .optional("b")
+            .optional(extra)
+            .build()
+            .unwrap()
+    };
+    for rel in ["inner", "inner_nx"] {
+        db.create_relation(RelationDef::new(rel, scheme("v")))
+            .unwrap();
+        for i in 0..240i64 {
+            let mut t = Tuple::new().with("a", i % 40);
+            if i % 3 != 0 {
+                t.insert("b", (i / 40) % 3);
+            }
+            if (i / 40) % 2 == 0 {
+                t.insert("v", i);
+            }
+            db.insert(rel, t).unwrap();
+        }
+    }
+    db.create_index("inner", attrs!["a", "b"]).unwrap();
+    db.create_relation(RelationDef::new("outer", scheme("w")))
+        .unwrap();
+    for t in [
+        Tuple::new().with("a", 1).with("b", 1).with("w", 10),
+        Tuple::new().with("a", 2).with("b", 2),
+        Tuple::new().with("a", 3).with("w", 30),
+        Tuple::new().with("a", 999).with("b", 0),
+    ] {
+        db.insert("outer", t).unwrap();
+    }
+    db
+}
 
 /// Evaluates `plan` by the operators' definitions (§4 of the paper,
 /// `flexrel-algebra`): every relation is read whole through

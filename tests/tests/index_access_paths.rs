@@ -2,7 +2,9 @@
 //! the scan fallback on randomized flexible instances (including tuples not
 //! defined on the key), database-aware optimized plans (IndexLookup +
 //! index-nested-loop joins) produce exactly the rows of the unoptimized
-//! plans, and transactional updates on indexed relations roll back cleanly.
+//! plans, transactional updates on indexed relations roll back cleanly, and
+//! the statements of the end-to-end benchmark take the access paths the cost
+//! model is meant to give them.
 
 use std::collections::BTreeSet;
 
@@ -15,7 +17,9 @@ use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
+use flexrel_server::seed_wide;
 use flexrel_storage::{Database, RelationDef};
+use flexrel_tests::reference_eval;
 use flexrel_workload::{
     employee_relation, generate_employees, generate_wide, wide_relation, EmployeeConfig, JobType,
     WideConfig,
@@ -200,30 +204,126 @@ proptest! {
 
 /// The full access-path pipeline on the wide workload: parse → plan →
 /// optimize_with_db → stream, with the shape predicate surviving on the
-/// lookup node.
+/// lookup node.  The probe is on the unique key `id`; the equality on the
+/// EAD determinant `kind` beside it pins the variant region.  (`kind` alone
+/// no longer takes its index — eight keys, a chain as long as the partition
+/// — see `the_e2e_statement_kinds_take_their_costed_access_paths`.)
 #[test]
 fn wide_point_lookup_takes_the_index_and_keeps_shape_pruning() {
     let db = Database::new();
     db.create_relation(RelationDef::from_relation(&wide_relation(8)))
         .unwrap();
-    for t in generate_wide(&WideConfig::new(800, 8)) {
+    for t in generate_wide(&WideConfig::new(1600, 8)) {
         db.insert("wide", t).unwrap();
     }
-    let q = parse("SELECT * FROM wide WHERE kind = 'k3'").unwrap();
+    let q = parse("SELECT * FROM wide WHERE id = 403 AND kind = 'k3'").unwrap();
     let plan = plan_query(&q, &db.catalog()).unwrap();
     let (indexed, notes) = optimize_with_db(plan.clone(), &db);
     assert_eq!(indexed.index_lookup_count(), 1, "{}", indexed);
     assert!(notes.iter().any(|n| n.rule == "access-path"));
     assert!(notes.iter().any(|n| n.rule == "partition-pruning"));
-    let LogicalPlan::IndexLookup {
-        shapes: Some(sp), ..
-    } = &indexed
-    else {
-        panic!("expected a bare index lookup: {}", indexed);
+    let LogicalPlan::Filter { input, .. } = &indexed else {
+        panic!("expected the kind equality as residual: {}", indexed);
     };
-    assert!(!sp.is_trivial(), "shape predicate survives on the lookup");
+    let LogicalPlan::IndexLookup {
+        key,
+        shapes: Some(sp),
+        ..
+    } = &**input
+    else {
+        panic!("expected an index lookup: {}", indexed);
+    };
+    assert_eq!(key, &attrs!["id"]);
+    assert!(
+        sp.regions.iter().any(|(_, yi)| yi == &attrs!["v3"]),
+        "shape predicate survives on the lookup: {}",
+        sp
+    );
     let naive: BTreeSet<Tuple> = execute(&plan, &db).unwrap().into_iter().collect();
     let fast: BTreeSet<Tuple> = execute(&indexed, &db).unwrap().into_iter().collect();
     assert_eq!(naive, fast);
-    assert_eq!(fast.len(), 100, "one variant of eight");
+    assert_eq!(fast.len(), 1, "id 403 is of kind k3");
+}
+
+/// The four statement kinds the end-to-end benchmark sends, on the database
+/// it sends them to: each takes the access path the cost model prices
+/// cheapest, does no more work than that path needs, and returns the naive
+/// plan's rows.
+#[test]
+fn the_e2e_statement_kinds_take_their_costed_access_paths() {
+    let db = Database::new();
+    seed_wide(&db, 2_000, 8, 0.5).unwrap();
+    let run = |frql: &str| {
+        let naive = plan_query(&parse(frql).unwrap(), &db.catalog()).unwrap();
+        let (plan, _) = optimize_with_db(naive.clone(), &db);
+        let (rows, stats) = execute_collect(&plan, &db, &ExecOptions::serial()).unwrap();
+        let rows: BTreeSet<Tuple> = rows.into_iter().collect();
+        let expect: BTreeSet<Tuple> = reference_eval(&naive, &db).into_iter().collect();
+        assert_eq!(rows, expect, "{}", frql);
+        (plan, rows.len(), stats)
+    };
+
+    // lookup: a probe of the unique key, one tuple fetched.
+    let (plan, rows, stats) = run("SELECT * FROM wide WHERE id = 77");
+    assert!(
+        matches!(&plan, LogicalPlan::IndexLookup { key, .. } if key == &attrs!["id"]),
+        "{}",
+        plan
+    );
+    assert_eq!((rows, stats.materialized(), stats.chunks()), (1, 1, 1));
+
+    // agg: the determinant's chain is its partition, so the scan — pruned
+    // to the one partition the EAD region admits — feeds the column
+    // kernels and nothing is materialized.
+    let (plan, rows, stats) = run("SELECT COUNT(*), SUM(v0) FROM wide WHERE kind = 'k0'");
+    let LogicalPlan::Aggregate { input, .. } = &plan else {
+        panic!("{}", plan);
+    };
+    let LogicalPlan::Filter { input, .. } = &**input else {
+        panic!("{}", plan);
+    };
+    let LogicalPlan::Scan {
+        shape: Some(sp), ..
+    } = &**input
+    else {
+        panic!("{}", plan);
+    };
+    assert!(
+        sp.regions.iter().any(|(_, yi)| yi == &attrs!["v0"]),
+        "{}",
+        sp
+    );
+    assert_eq!((rows, stats.materialized()), (1, 0));
+    assert!(stats.chunks() >= 1);
+
+    // join: the selection reaches `wide`, takes its index, and the one-row
+    // outer probes `kinds` — two tuples fetched in all.
+    let (plan, rows, stats) = run("SELECT kind, label FROM wide JOIN kinds WHERE id = 77");
+    let LogicalPlan::Project { input, .. } = &plan else {
+        panic!("{}", plan);
+    };
+    let LogicalPlan::Join { left, right } = &**input else {
+        panic!("{}", plan);
+    };
+    assert!(
+        matches!(&**left, LogicalPlan::IndexLookup { relation, key, .. }
+            if relation == "wide" && key == &attrs!["id"]),
+        "{}",
+        plan
+    );
+    assert!(
+        matches!(&**right, LogicalPlan::Scan { relation, .. } if relation == "kinds"),
+        "{}",
+        plan
+    );
+    assert_eq!(rows, 1);
+    assert!(stats.materialized() <= 2, "{}", stats.materialized());
+
+    // scan: the same predicate as agg, the same pruned scan; only the
+    // result rows are materialized.
+    let (plan, rows, stats) = run("SELECT * FROM wide WHERE kind = 'k0'");
+    assert_eq!(plan.index_lookup_count(), 0, "{}", plan);
+    assert_eq!(plan.pruned_scan_count(), 1, "{}", plan);
+    assert!(matches!(plan, LogicalPlan::Filter { .. }), "{}", plan);
+    assert_eq!(stats.materialized(), rows as u64);
 }

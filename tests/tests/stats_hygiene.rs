@@ -1,8 +1,9 @@
 //! Statistics hygiene: the per-partition histograms and distinct counts
-//! behind the cost optimizer are cache-validated by partition version, so
-//! every insert, delete, and transaction rollback is visible in the next
-//! `table_stats` call — and even *arbitrarily stale* statistics can only
-//! mis-cost a plan, never change its results.
+//! behind the cost optimizer are cached per partition and follow inserts,
+//! deletes and transaction rollbacks with a bounded lag — an entry is
+//! served until its partition has drifted by `STATS_DRIFT` of its rows,
+//! then rebuilt — and even *arbitrarily stale* statistics can only mis-cost
+//! a plan, never change its results.
 
 use std::collections::BTreeSet;
 
@@ -12,7 +13,7 @@ use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
-use flexrel_storage::{Database, RelationDef};
+use flexrel_storage::{Database, RelationDef, STATS_DRIFT};
 use flexrel_workload::{employee_relation, generate_employees, EmployeeConfig};
 
 fn employee_db(n: usize) -> Database {
@@ -44,21 +45,50 @@ fn stats_track_inserts_deletes_and_rollbacks() {
     assert_eq!(before.rows(), N as u64);
     assert_eq!(before.distinct("empno"), Some(N as u64));
 
-    // Insert: the affected partition's version bumps, the cache refreshes.
+    // One insert is inside the drift bound of the ~100-row secretary
+    // partition: the next reader is served the cached entry, not a rebuild.
     let rid = db.insert("employee", secretary(10_000)).unwrap();
+    let stale = db.table_stats("employee").unwrap();
+    assert_eq!(stale.rows(), N as u64);
+    for (a, b) in before.parts.iter().zip(&stale.parts) {
+        assert!(std::sync::Arc::ptr_eq(a, b), "a write forced a rebuild");
+    }
+    db.delete("employee", rid).unwrap();
+
+    // Past the bound the partition is rebuilt and the statistics are exact
+    // again: the rows, the new keys, the outlier salary in the histogram.
+    let secretaries = before
+        .parts
+        .iter()
+        .find(|p| p.shape.contains_name("typing-speed"))
+        .unwrap()
+        .rows;
+    let burst = (STATS_DRIFT * secretaries as f64) as i64 + 1;
+    let rids: Vec<_> = (0..burst)
+        .map(|i| db.insert("employee", secretary(10_000 + i)).unwrap())
+        .collect();
     let stats = db.table_stats("employee").unwrap();
-    assert_eq!(stats.rows(), N as u64 + 1);
-    assert_eq!(stats.distinct("empno"), Some(N as u64 + 1));
-    // The histogram sees the outlier salary too: nothing sits above it.
+    assert_eq!(stats.rows(), N as u64 + burst as u64);
+    assert_eq!(stats.distinct("empno"), Some(N as u64 + burst as u64));
     assert_eq!(stats.fraction_le("salary", 12_345.0), Some(1.0));
 
-    // Delete: back to the original counts.
-    db.delete("employee", rid).unwrap();
+    // Deleting the burst, and as many again inserted and deleted, drifts
+    // the (now larger) partition past its bound once more: back to the
+    // original counts.
+    for rid in rids {
+        db.delete("employee", rid).unwrap();
+    }
+    for i in 0..burst {
+        let rid = db.insert("employee", secretary(30_000 + i)).unwrap();
+        db.delete("employee", rid).unwrap();
+    }
     let stats = db.table_stats("employee").unwrap();
     assert_eq!(stats.rows(), N as u64);
     assert_eq!(stats.distinct("empno"), Some(N as u64));
 
-    // A rolled-back transaction leaves no statistical residue.
+    // A rolled-back transaction inserts and removes, so it drifts the
+    // partition too (40 mutations) — and the rebuild it causes finds no
+    // residue of the aborted rows.
     let aborted = db.transact(&["employee"], |tx| {
         for i in 0..20 {
             tx.insert("employee", secretary(20_000 + i))?;
@@ -67,9 +97,17 @@ fn stats_track_inserts_deletes_and_rollbacks() {
         Err::<(), _>(CoreError::Invalid("abort".into()))
     });
     assert!(aborted.is_err());
-    let stats = db.table_stats("employee").unwrap();
-    assert_eq!(stats.rows(), N as u64);
-    assert_eq!(stats.distinct("empno"), Some(N as u64));
+    let after = db.table_stats("employee").unwrap();
+    assert!(
+        !after
+            .parts
+            .iter()
+            .zip(&stats.parts)
+            .all(|(a, b)| std::sync::Arc::ptr_eq(a, b)),
+        "forty mutations of a hundred rows must rebuild"
+    );
+    assert_eq!(after.rows(), N as u64);
+    assert_eq!(after.distinct("empno"), Some(N as u64));
 }
 
 /// A plan optimized against yesterday's statistics still returns exactly

@@ -12,7 +12,9 @@
 //! pipelining sound: in-order responses, deterministic `Busy` under a zero
 //! in-flight cap, deterministic `Timeout` under an expired deadline, the
 //! Hello gate, and the drain sequence (buffered statements answered, then
-//! `Bye`).
+//! `Bye`) — and what a `DeleteEq` write means: who its victims are, through
+//! the index and through the scan fallback, inside a batch and beside a
+//! reader.
 
 use std::io::Read;
 use std::time::Duration;
@@ -20,14 +22,18 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use flexrel_client::Connection;
+use flexrel_core::attr::AttrSet;
+use flexrel_core::attrs;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
+use flexrel_query::{execute_stream, LogicalPlan};
 use flexrel_server::proto::{
     decode_request, decode_response, encode_request, encode_response, write_frame, ErrorCode,
     FrameReader, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
 };
 use flexrel_server::{seed_wide, Server, ServerConfig};
 use flexrel_storage::Database;
+use flexrel_tests::partial_key_db;
 
 // ---------------------------------------------------------------------------
 // Generators (deterministic, driven by the proptest seed stream).
@@ -505,5 +511,166 @@ fn hello_violations_are_protocol_errors() {
         other => panic!("wrong version accepted: {:?}", other),
     }
 
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// DeleteEq semantics.
+// ---------------------------------------------------------------------------
+
+/// A server over the partial-key fixture, with a handle on its database so
+/// the tests can look behind the wire.
+fn boot_partial_key() -> (Server, Database) {
+    let db = partial_key_db();
+    let server = Server::start(db.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    (server, db)
+}
+
+fn delete_eq(key_value: Tuple) -> WriteOp {
+    WriteOp::DeleteEq {
+        key: key_value.attrs(),
+        key_value,
+    }
+}
+
+/// How many stored tuples are defined on all of `key` and agree with
+/// `key_value` there — the victims a `DeleteEq` may have, by definition.
+fn victims(db: &Database, relation: &str, key: &AttrSet, key_value: &Tuple) -> u64 {
+    let rows = db.scan(relation).unwrap();
+    rows.iter()
+        .filter(|(_, t)| t.defined_on(key) && t.project(key) == *key_value)
+        .count() as u64
+}
+
+/// `DeleteEq` removes exactly the tuples defined on the whole key that
+/// agree with it: through the stored index on the key, through the scan
+/// fallback when the relation has none, and on a key that no index is on.
+/// A tuple lacking part of the key is never a victim.
+#[test]
+fn delete_eq_removes_the_same_victims_through_the_index_and_the_scan() {
+    let (server, db) = boot_partial_key();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let ab = Tuple::new().with("a", 1).with("b", 1);
+    let key = attrs!["a", "b"];
+    assert!(db.has_index("inner", &key) && !db.has_index("inner_nx", &key));
+    let with_a_alone = |rel: &str| {
+        let rows = db.scan(rel).unwrap();
+        rows.iter()
+            .filter(|(_, t)| t.get_name("a") == Some(&Value::Int(1)) && !t.has_name("b"))
+            .count()
+    };
+
+    for relation in ["inner", "inner_nx"] {
+        let (expected, before) = (
+            victims(&db, relation, &key, &ab),
+            db.count(relation).unwrap(),
+        );
+        let spared = with_a_alone(relation);
+        assert!(expected > 0 && spared > 0, "the fixture holds both kinds");
+        let acked = conn
+            .transact(relation, vec![delete_eq(ab.clone())])
+            .unwrap();
+        assert_eq!(acked, (0, expected), "{}", relation);
+        assert_eq!(victims(&db, relation, &key, &ab), 0);
+        assert_eq!(db.count(relation).unwrap() as u64, before as u64 - expected);
+        assert_eq!(
+            with_a_alone(relation),
+            spared,
+            "a tuple without b was deleted"
+        );
+        db.verify_invariants().unwrap();
+        // Nothing left to delete: an empty victim set is an acked no-op.
+        let again = conn
+            .transact(relation, vec![delete_eq(ab.clone())])
+            .unwrap();
+        assert_eq!(again, (0, 0));
+    }
+
+    // A key with no index on exactly it (`inner` indexes {a, b}, not {a}):
+    // the scan fallback, which here also takes the tuples without `b`.
+    let a2 = Tuple::new().with("a", 2);
+    let expected = victims(&db, "inner", &attrs!["a"], &a2);
+    assert_eq!(expected, 6);
+    assert_eq!(conn.transact("inner", vec![delete_eq(a2)]).unwrap(), (0, 6));
+    db.verify_invariants().unwrap();
+
+    conn.close().unwrap();
+    server.shutdown();
+}
+
+/// Inside one batch a `DeleteEq` sees the batch's own earlier insert, and a
+/// batch that fails after its delete leaves the victims where they were.
+#[test]
+fn delete_eq_sees_its_batch_and_rolls_back_with_it() {
+    let (server, db) = boot_partial_key();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    let fresh = Tuple::new().with("a", 500).with("b", 7).with("v", 1);
+    let key_value = fresh.project(&attrs!["a", "b"]);
+    let before = db.count("inner").unwrap();
+
+    let acked = conn
+        .transact(
+            "inner",
+            vec![WriteOp::Insert(fresh.clone()), delete_eq(key_value.clone())],
+        )
+        .unwrap();
+    assert_eq!(acked, (1, 1), "the delete must find the batch's own insert");
+    assert_eq!(db.count("inner").unwrap(), before);
+    db.verify_invariants().unwrap();
+
+    // Delete existing tuples, then violate the scheme (`a` is mandatory):
+    // the batch fails as a whole and the delete is undone.
+    let ab = Tuple::new().with("a", 1).with("b", 1);
+    let expected = victims(&db, "inner", &attrs!["a", "b"], &ab);
+    assert!(expected > 0);
+    let err = conn
+        .transact(
+            "inner",
+            vec![
+                delete_eq(ab.clone()),
+                WriteOp::Insert(Tuple::new().with("b", 1)),
+            ],
+        )
+        .unwrap_err();
+    assert!(!err.is_busy() && !err.is_timeout(), "{}", err);
+    assert_eq!(victims(&db, "inner", &attrs!["a", "b"], &ab), expected);
+    assert_eq!(db.count("inner").unwrap(), before);
+    db.verify_invariants().unwrap();
+
+    conn.close().unwrap();
+    let stats = server.shutdown();
+    assert_eq!((stats.statements_ok, stats.statements_err), (1, 1));
+}
+
+/// A reader that holds a half-drained result — and through it a snapshot of
+/// the index the delete must update — changes nothing about the delete, and
+/// the delete changes nothing about what the reader goes on to see.
+#[test]
+fn delete_eq_beside_a_reader_holding_a_result() {
+    let (server, db) = boot_partial_key();
+    let mut conn = Connection::connect(server.local_addr()).unwrap();
+    // `outer ⋈ inner` probes inner's {a, b} index per outer tuple, so the
+    // open stream owns index and partition snapshots of `inner`.
+    let plan = LogicalPlan::scan("outer").join(LogicalPlan::scan("inner"));
+    let expected_rows = flexrel_tests::reference_eval(&plan, &db).len();
+    let mut stream = execute_stream(&plan, &db).unwrap();
+    assert!(stream.next().is_some());
+
+    let ab = Tuple::new().with("a", 1).with("b", 1);
+    let expected = victims(&db, "inner", &attrs!["a", "b"], &ab);
+    let acked = conn.transact("inner", vec![delete_eq(ab.clone())]).unwrap();
+    assert_eq!(acked, (0, expected));
+    assert_eq!(victims(&db, "inner", &attrs!["a", "b"], &ab), 0);
+    db.verify_invariants().unwrap();
+
+    assert_eq!(
+        1 + stream.count(),
+        expected_rows,
+        "the reader kept its snapshot"
+    );
+    let now = flexrel_tests::reference_eval(&plan, &db).len();
+    assert!(now < expected_rows, "a new reader sees the delete");
+
+    conn.close().unwrap();
     server.shutdown();
 }
