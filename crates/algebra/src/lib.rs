@@ -21,7 +21,7 @@
 //! | difference `−` | [`ops::difference`] | `ads(FR1)` |
 //! | extension `ε_{A:a}` | [`ops::extend`] | preserved |
 //! | tagged union | [`ops::tagged_union`] | `{AX→Y \| X→Y ∈ ads(FRi)}` |
-//! | natural / multiway join | [`ops::natural_join`], [`ops::multiway_join`] | union of both sides |
+//! | natural / multiway join | [`ops::natural_join`], [`ops::multiway_join`] | what the other operand cannot disturb ([`propagate::join_deps`]) |
 //! | outer union | [`ops::outer_union`] | `∅` |
 //! | rename | [`ops::rename`] | renamed |
 

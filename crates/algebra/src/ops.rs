@@ -331,7 +331,9 @@ pub fn outer_union(left: &FlexRelation, right: &FlexRelation) -> Result<FlexRela
 /// Natural join `FR1 ⋈ FR2`: merges pairs of tuples that agree on every
 /// shared attribute both are defined on.  Tuples defined on all shared
 /// attributes are matched with a hash table; tuples missing part of the
-/// shared attributes fall back to a scan.
+/// shared attributes fall back to a scan.  The result declares the
+/// dependencies [`propagate::join_deps`] derives from the operands' schemes
+/// (their attributes and the mandatory ones among them).
 pub fn natural_join(left: &FlexRelation, right: &FlexRelation) -> Result<FlexRelation> {
     let common = left.attrs().intersection(&right.attrs());
 
@@ -379,11 +381,25 @@ pub fn natural_join(left: &FlexRelation, right: &FlexRelation) -> Result<FlexRel
             schemes::covering_scheme(&shapes)?
         }
     };
+    let (left_attrs, right_attrs) = (left.attrs(), right.attrs());
+    let (left_mandatory, right_mandatory) = (left.scheme().mandatory(), right.scheme().mandatory());
+    let deps = propagate::join_deps(
+        left.deps(),
+        right.deps(),
+        propagate::AttrBounds {
+            universe: &left_attrs,
+            present: &left_mandatory,
+        },
+        propagate::AttrBounds {
+            universe: &right_attrs,
+            present: &right_mandatory,
+        },
+    );
     Ok(FlexRelation::from_parts(
         format!("({} ⋈ {})", left.name(), right.name()),
         scheme,
         merged_domains(left.domains(), right.domains()),
-        propagate::join_deps(left.deps(), right.deps()),
+        deps,
         tuples,
     ))
 }

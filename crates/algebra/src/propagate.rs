@@ -33,31 +33,31 @@ pub fn product_deps(left: &DependencySet, right: &DependencySet) -> DependencySe
 /// Explicit ADs additionally project each variant's attribute set.
 pub fn project_deps(deps: &DependencySet, x: &AttrSet) -> DependencySet {
     let mut out = DependencySet::new();
-    for dep in deps.iter() {
-        if !dep.lhs().is_subset(x) {
-            continue;
-        }
-        match dep {
-            Dependency::Ad(ad) => {
-                out.add(Ad::new(ad.lhs().clone(), ad.rhs().intersection(x)));
-            }
-            Dependency::Ead(ead) => {
-                let variants: Vec<EadVariant> = ead
-                    .variants()
-                    .iter()
-                    .map(|v| EadVariant::new(v.values.clone(), v.attrs.intersection(x)))
-                    .collect();
-                match Ead::new(ead.lhs().clone(), ead.rhs().intersection(x), variants) {
-                    Ok(projected) => out.add(projected),
-                    Err(_) => out.add(Ad::new(ead.lhs().clone(), ead.rhs().intersection(x))),
-                }
-            }
-            Dependency::Fd(fd) => {
-                out.add(Fd::new(fd.lhs().clone(), fd.rhs().intersection(x)));
+    for dep in deps.iter().filter(|d| d.lhs().is_subset(x)) {
+        out.add(with_rhs(dep, &dep.rhs().intersection(x)));
+    }
+    out
+}
+
+/// `dep` with its right side cut down to `rhs` (a subset of it).  An
+/// explicit AD keeps its variants, each restricted the same way, and falls
+/// back to its abbreviation if the restricted form does not validate.
+fn with_rhs(dep: &Dependency, rhs: &AttrSet) -> Dependency {
+    match dep {
+        Dependency::Ad(ad) => Ad::new(ad.lhs().clone(), rhs.clone()).into(),
+        Dependency::Fd(fd) => Fd::new(fd.lhs().clone(), rhs.clone()).into(),
+        Dependency::Ead(ead) => {
+            let variants = ead
+                .variants()
+                .iter()
+                .map(|v| EadVariant::new(v.values.clone(), v.attrs.intersection(rhs)))
+                .collect();
+            match Ead::new(ead.lhs().clone(), rhs.clone(), variants) {
+                Ok(restricted) => restricted.into(),
+                Err(_) => Ad::new(ead.lhs().clone(), rhs.clone()).into(),
             }
         }
     }
-    out
 }
 
 /// Rule (3): dependencies of a selection — all of them.
@@ -99,11 +99,67 @@ pub fn tagged_union_deps(left: &DependencySet, right: &DependencySet, tag: &Attr
     out
 }
 
-/// Dependencies of a natural join: the union of both sides.  (The natural
-/// join is a selection over the product followed by the merge of the equal
-/// shared columns; rules (1) and (3) preserve both dependency sets.)
-pub fn join_deps(left: &DependencySet, right: &DependencySet) -> DependencySet {
-    left.union(right)
+/// What is known of a join operand's tuples before any is seen: the
+/// attributes one can carry at most and those every one carries.
+#[derive(Clone, Copy, Debug)]
+pub struct AttrBounds<'a> {
+    /// No tuple of the operand carries an attribute outside this set.
+    pub universe: &'a AttrSet,
+    /// Every tuple of the operand carries all of these.
+    pub present: &'a AttrSet,
+}
+
+/// Dependencies of a natural join `FR1 ⋈ FR2`.
+///
+/// The join merges tuples that agree wherever *both* are defined, so where
+/// the attribute universes overlap it is not the selection over a product
+/// that rules (1) and (3) cover: a merged tuple `t = l ∪ r` may take an
+/// attribute `l` lacks from `r`.  On attribute `A` the merged tuple is its
+/// `l` part — same value, or same absence — exactly when `l` always
+/// carries `A` or `r` never can.  A dependency `X ⇒ Y` of one operand
+/// therefore survives when
+///
+/// * every attribute of `X` is in that operand's `present` or outside the
+///   other's `universe` (then `t` is defined on `X` iff `l` is, and
+///   `t[X] = l[X]`), and
+/// * its right side is cut down to the part on which `t` is `l` in the
+///   sense the dependency needs: for an AD or explicit AD, `Y` minus the
+///   other operand's `universe` (`attr(t) ∩ Y' = attr(l) ∩ Y'`); for an FD,
+///   `Y` within the operand's own `present` (`t[Y'] = l[Y']`, and defined
+///   even when `l` is alone in its `X`-group and two partners duplicate it).
+///
+/// The rule is sound for every pair of instances; it is not complete (a
+/// dependency that happens to hold of both operands alike is dropped).
+/// With disjoint universes it degenerates to rule (1) for ADs.
+pub fn join_deps(
+    left: &DependencySet,
+    right: &DependencySet,
+    left_bounds: AttrBounds<'_>,
+    right_bounds: AttrBounds<'_>,
+) -> DependencySet {
+    let mut out = DependencySet::new();
+    for (deps, own, other) in [
+        (left, left_bounds, right_bounds),
+        (right, right_bounds, left_bounds),
+    ] {
+        for dep in deps.iter() {
+            if !dep
+                .lhs()
+                .difference(own.present)
+                .is_disjoint(other.universe)
+            {
+                continue;
+            }
+            let rhs = match dep {
+                Dependency::Fd(fd) => fd.rhs().intersection(own.present),
+                _ => dep.rhs().difference(other.universe),
+            };
+            if !rhs.is_empty() {
+                out.add(with_rhs(dep, &rhs));
+            }
+        }
+    }
+    out
 }
 
 /// Dependencies of an outer union — none (rule (4) applies; the outer union
@@ -169,12 +225,61 @@ mod tests {
 
     #[test]
     fn product_and_join_union_both_sides() {
+        // … the join when the attribute universes are disjoint.
         let left =
             DependencySet::from_deps(vec![Dependency::Ad(Ad::new(attrs!["a"], attrs!["b"]))]);
         let right =
-            DependencySet::from_deps(vec![Dependency::Fd(Fd::new(attrs!["c"], attrs!["d"]))]);
+            DependencySet::from_deps(vec![Dependency::Ad(Ad::new(attrs!["c"], attrs!["d"]))]);
         assert_eq!(product_deps(&left, &right).len(), 2);
-        assert_eq!(join_deps(&left, &right).len(), 2);
+        let (lu, ru, none) = (attrs!["a", "b"], attrs!["c", "d"], AttrSet::empty());
+        let bounds = |universe| AttrBounds {
+            universe,
+            present: &none,
+        };
+        assert_eq!(
+            join_deps(&left, &right, bounds(&lu), bounds(&ru)),
+            product_deps(&left, &right)
+        );
+    }
+
+    #[test]
+    fn join_keeps_only_what_the_other_operand_cannot_disturb() {
+        // employee ⋈ perks(empno, sales-commission): a secretary's merged
+        // tuple may take sales-commission from perks, so the EAD loses that
+        // attribute (and its salesman variant shrinks with it); the FD keeps
+        // the mandatory part of its right side; an AD whose determinant the
+        // other side could supply is dropped.
+        let employee = DependencySet::from_deps(vec![
+            Dependency::Ead(example2_jobtype_ead()),
+            Dependency::Fd(Fd::new(attrs!["empno"], attrs!["salary", "typing-speed"])),
+            Dependency::Ad(Ad::new(attrs!["sales-commission"], attrs!["products"])),
+        ]);
+        let universe = employee.attrs().union(&attrs!["empno", "salary"]);
+        let present = attrs!["empno", "salary", "jobtype"];
+        let (perks_universe, perks_present) =
+            (attrs!["empno", "sales-commission"], attrs!["empno"]);
+        let out = join_deps(
+            &employee,
+            &DependencySet::new(),
+            AttrBounds {
+                universe: &universe,
+                present: &present,
+            },
+            AttrBounds {
+                universe: &perks_universe,
+                present: &perks_present,
+            },
+        );
+        let ead = out.eads().next().expect("the EAD survives, trimmed");
+        assert!(!ead.rhs().contains_name("sales-commission"));
+        assert!(ead.rhs().contains_name("typing-speed"));
+        assert!(ead
+            .variants()
+            .iter()
+            .all(|v| !v.attrs.contains_name("sales-commission")));
+        let fds: Vec<&Fd> = out.fds().collect();
+        assert_eq!(fds, vec![&Fd::new(attrs!["empno"], attrs!["salary"])]);
+        assert_eq!(out.ads().filter(|ad| ad.lhs() != ead.lhs()).count(), 0);
     }
 
     #[test]

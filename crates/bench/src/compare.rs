@@ -3,8 +3,8 @@
 //!
 //! Only the *headline* metric of each report participates (see
 //! [`crate::report::Headline`]); reports without one — or whose headline is
-//! marked `"skipped": true` on either side (e.g. parallel scaling measured
-//! on a single-CPU host) — are listed as skipped.  Headline values are
+//! marked `"skipped": true` on either side (e.g. group-commit amortization
+//! measured on a single-CPU host) — are listed as skipped.  Headline values are
 //! compared **raw**; any cosmetic capping happens only in the printed rows
 //! (see [`display_value`]).
 //! Baselines live in `benches/baseline/` and are regenerated with

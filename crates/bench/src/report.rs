@@ -20,7 +20,7 @@ pub struct Headline {
     /// `false` for latencies).
     pub higher_is_better: bool,
     /// Whether the metric could not be measured meaningfully in this
-    /// environment (e.g. parallel scaling on a single-CPU host).  A skipped
+    /// environment (e.g. group-commit amortization on a single-CPU host).  A skipped
     /// headline is emitted for provenance but excluded from regression
     /// comparison on either side.
     pub skipped: bool,

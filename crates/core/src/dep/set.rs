@@ -93,6 +93,20 @@ impl DependencySet {
         })
     }
 
+    /// For each explicit AD `⟨X ⇒ Y, …⟩` whose determinant `pinned` fixes:
+    /// `(Y, Yi)`, the exact overlap `attr(t) ∩ Y = Yi` Def. 2.1 then
+    /// prescribes for every tuple agreeing with `pinned` (`∅` when no
+    /// variant matches).
+    pub fn pinned_regions<'a>(
+        &'a self,
+        pinned: &'a Tuple,
+    ) -> impl Iterator<Item = (&'a AttrSet, AttrSet)> + 'a {
+        let attrs = pinned.attrs();
+        self.eads()
+            .filter(move |ead| ead.lhs().is_subset(&attrs))
+            .map(move |ead| (ead.rhs(), ead.required_attrs(&pinned.project(ead.lhs()))))
+    }
+
     /// Iterates over the functional dependencies only.
     pub fn fds(&self) -> impl Iterator<Item = &Fd> + '_ {
         self.deps.iter().filter_map(|d| match d {

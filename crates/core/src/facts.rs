@@ -52,15 +52,9 @@ impl SemanticFacts {
     /// Derives the facts for a relation with the given scheme and declared
     /// dependencies.
     pub fn new(scheme: &FlexScheme, deps: &DependencySet) -> Self {
-        let attrs = scheme.attrs();
-        let mut disjuncts = scheme.dnf().into_iter();
-        let mandatory = match disjuncts.next() {
-            Some(first) => disjuncts.fold(first, |acc, d| acc.intersection(&d)),
-            None => AttrSet::empty(),
-        };
         SemanticFacts {
-            attrs,
-            mandatory,
+            attrs: scheme.attrs(),
+            mandatory: scheme.mandatory(),
             index: ClosureIndex::new(deps),
             deps: deps.clone(),
         }
@@ -113,19 +107,11 @@ impl SemanticFacts {
     /// rest of `Y` cannot be present.  A comparison on such an attribute can
     /// never hold.
     pub fn absent_attrs(&self, pinned: &Tuple) -> AttrSet {
-        let mut absent = AttrSet::empty();
-        let pinned_attrs = pinned.attrs();
-        for ead in self.deps.eads() {
-            if ead.lhs().is_subset(&pinned_attrs) {
-                let x_value = pinned.project(ead.lhs());
-                let yi = ead
-                    .variant_for(&x_value)
-                    .map(|(_, v)| v.attrs.clone())
-                    .unwrap_or_else(AttrSet::empty);
-                absent.extend_with(&ead.rhs().difference(&yi));
-            }
-        }
-        absent
+        self.deps
+            .pinned_regions(pinned)
+            .fold(AttrSet::empty(), |acc, (y, yi)| {
+                acc.union(&y.difference(&yi))
+            })
     }
 }
 

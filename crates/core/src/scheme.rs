@@ -260,6 +260,17 @@ impl FlexScheme {
         out
     }
 
+    /// The attributes every admissible combination carries: the
+    /// intersection of the disjuncts of `dnf(FS)` (empty for a scheme that
+    /// admits nothing).
+    pub fn mandatory(&self) -> AttrSet {
+        let mut disjuncts = self.dnf().into_iter();
+        match disjuncts.next() {
+            Some(first) => disjuncts.fold(first, |acc, d| acc.intersection(&d)),
+            None => AttrSet::empty(),
+        }
+    }
+
     /// The number of admissible attribute combinations, `|dnf(FS)|`.
     ///
     /// When no component can contribute the empty combination this is

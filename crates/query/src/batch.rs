@@ -31,14 +31,11 @@
 //! `flexrel_tests::reference_eval`, a naive evaluator that shares no code
 //! with this module.  Serial chunk order is partition order, then segment
 //! order, then slot order, so order-sensitive state (dedup
-//! first-occurrence, float summation) is deterministic.  Under
-//! partition-parallel scans the result is the same multiset with
-//! unspecified order; float sums may then differ in the last ulp between
-//! runs.
+//! first-occurrence, float summation) is deterministic.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use flexrel_algebra::predicate::Predicate;
 use flexrel_core::attr::{Attr, AttrSet};
@@ -48,11 +45,9 @@ use flexrel_storage::{Partition, Rid, RowBlock, SelVec};
 
 use crate::agg::GroupedAggs;
 use crate::colscan;
-use crate::exec::{
-    inl_inner_side, join_strategy_for, scan_parallelism, snap_plan_attrs, ExecContext, ExecOptions,
-    InnerSide, JoinStrategy, RelSnap, TupleStream,
-};
+use crate::exec::{snap_plan_attrs, ExecContext, RelSnap, TupleStream};
 use crate::logical::{AggExpr, LogicalPlan, ShapePredicate};
+use crate::optimizer::cost::{inl_inner_side, join_strategy_for, InnerSide, JoinStrategy};
 
 /// Counters the pipeline maintains while executing; cheaply cloneable
 /// (shared atomics), readable after the result stream is drained.
@@ -217,7 +212,7 @@ pub(crate) fn chunks_to_tuples<'a>(chunks: ChunkStream<'a>, stats: ExecStats) ->
     )
 }
 
-/// A serial chunk scan over snapshotted partitions: the predicate
+/// A chunk scan over snapshotted partitions: the predicate
 /// conjunction compiles once per partition, each segment yields one
 /// [`ColChunk`] of qualifying rows.  Chunk order is partition, segment,
 /// slot order.
@@ -266,67 +261,6 @@ impl Iterator for ChunkScan {
     }
 }
 
-/// Fans the partitions out over workers which push [`ColChunk`]s — not
-/// materialized batches — into the merged stream; the chunk is `Send`
-/// because the partition is behind an `Arc` and the bitmap is plain data.
-fn parallel_scan_chunks(
-    parts: Vec<(ShapeId, Arc<Partition>)>,
-    preds: Vec<Predicate>,
-    threads: usize,
-    stats: ExecStats,
-) -> ChunkStream<'static> {
-    let mut buckets: Vec<Vec<Arc<Partition>>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut loads = vec![0usize; threads];
-    let mut parts = parts;
-    parts.sort_by_key(|(_, p)| std::cmp::Reverse(p.len()));
-    for (_, part) in parts {
-        let i = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| **l)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        loads[i] += part.len();
-        buckets[i].push(part);
-    }
-    let (tx, rx) = mpsc::sync_channel::<Chunk>(threads * 4);
-    for bucket in buckets.into_iter().filter(|b| !b.is_empty()) {
-        let tx = tx.clone();
-        let preds = preds.clone();
-        let stats = stats.clone();
-        std::thread::spawn(move || {
-            for part in bucket {
-                let heap = part.columns();
-                let compiled = colscan::compile(&preds, heap);
-                if compiled.is_never() {
-                    continue;
-                }
-                for si in 0..heap.segment_count() {
-                    if stats.deadline_expired() {
-                        return;
-                    }
-                    let seg = heap.segment(si).expect("segment index in range");
-                    let sel = compiled.select(seg);
-                    if sel.is_empty() {
-                        continue;
-                    }
-                    stats.note_chunk();
-                    let chunk = Chunk::Cols(ColChunk {
-                        part: Arc::clone(&part),
-                        seg: si,
-                        sel,
-                    });
-                    if tx.send(chunk).is_err() {
-                        return; // consumer dropped the stream
-                    }
-                }
-            }
-        });
-    }
-    drop(tx);
-    Box::new(rx.into_iter())
-}
-
 /// The chunk scan for one base scan: shape pruning per partition, the
 /// qualification (plus any fused filter) compiled per partition, one chunk
 /// per surviving segment.  The qualification is *known* to hold on
@@ -336,7 +270,6 @@ fn scan_chunks<'a>(
     snap: RelSnap,
     qualification: &'a Option<Predicate>,
     shape: &'a Option<ShapePredicate>,
-    opts: &ExecOptions,
     extra_filter: Option<&'a Predicate>,
     stats: ExecStats,
 ) -> ChunkStream<'a> {
@@ -344,10 +277,6 @@ fn scan_chunks<'a>(
         .parts
         .retain_shapes(|s| shape.as_ref().map(|p| p.admits(s)).unwrap_or(true));
     let preds: Vec<Predicate> = qualification.iter().chain(extra_filter).cloned().collect();
-    let workers = scan_parallelism(parts.partition_count(), parts.len(), opts);
-    if workers > 1 {
-        return parallel_scan_chunks(parts.into_parts(), preds, workers, stats);
-    }
     let parts = parts.into_parts().into_iter().map(|(_, p)| p).collect();
     Box::new(ChunkScan {
         parts,
@@ -360,7 +289,7 @@ fn scan_chunks<'a>(
 }
 
 /// A non-fused filter: compiled once per partition (chunks of one partition
-/// arrive consecutively in serial order, so a one-entry cache suffices) and
+/// arrive consecutively, so a one-entry cache suffices) and
 /// intersected with the chunk's selection; row chunks fall back to
 /// per-tuple evaluation.
 fn filter_chunks<'a>(input: ChunkStream<'a>, predicate: &'a Predicate) -> ChunkStream<'a> {
@@ -822,7 +751,6 @@ pub(crate) fn exec_chunks<'a>(
             ctx.snap(relation).clone(),
             qualification,
             shape,
-            &ctx.opts,
             None,
             stats.clone(),
         ),
@@ -839,7 +767,6 @@ pub(crate) fn exec_chunks<'a>(
                     ctx.snap(relation).clone(),
                     qualification,
                     shape,
-                    &ctx.opts,
                     Some(predicate),
                     stats.clone(),
                 )

@@ -1,14 +1,13 @@
 //! The executor's front door: execution options, the per-query snapshot
-//! context, the metadata derivations (attribute bounds, cardinality
-//! estimates, join strategy) and the entry points that run a logical plan
-//! against a [`flexrel_storage::Database`] through the chunk pipeline in
-//! [`crate::batch`].
+//! context, the attribute bounds derived from it, and the entry points that
+//! run a logical plan against a [`flexrel_storage::Database`] through the
+//! chunk pipeline in [`crate::batch`].
 //!
-//! Scans are partition-aware — a [`ShapePredicate`] pushed down by the
-//! optimizer is evaluated once per partition, so pruned partitions are
-//! never touched.  The only blocking points are the ones inherent to the
-//! operators: the build side of a hash join, aggregation, and the
-//! duplicate-elimination state of projections and unions.
+//! Scans are partition-aware — a [`ShapePredicate`](crate::logical::ShapePredicate)
+//! pushed down by the optimizer is evaluated once per partition, so pruned
+//! partitions are never touched.  The only blocking points are the ones
+//! inherent to the operators: the build side of a hash join, aggregation,
+//! and the duplicate-elimination state of projections and unions.
 //!
 //! # Snapshot discipline
 //!
@@ -21,79 +20,38 @@
 //! writers can therefore neither tear a stream mid-scan nor race a
 //! shape-creating insert between the plan's pruning decision and the scan
 //! it prunes; a query observes each relation at a single point in time.
-//!
-//! # Partition-parallel execution
-//!
-//! With [`ExecOptions::threads`] > 1, scans (and filters fused onto them,
-//! including the build side of hash joins, which recurses through the same
-//! path) fan the admitted partitions of their snapshot out over a small
-//! thread pool; each worker evaluates the qualification over its
-//! partitions' segments and sends chunks into the merged stream.  The
-//! partition is the natural unit of parallelism: the paper's DNF disjuncts
-//! map one shape per partition, so workers never share mutable state.  The
-//! result is the same *multiset* of tuples as serial execution (order may
-//! differ).  [`scan_parallelism`] is the gate: tiny or single-partition
-//! scans stay serial, and index lookups are always serial (a probe touches
-//! a handful of tuples).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::AttrSet;
 use flexrel_core::error::{CoreError, Result};
 use flexrel_core::tuple::Tuple;
-use flexrel_storage::{Database, HashIndex, PartitionSnapshot, TableStats};
+use flexrel_storage::{Catalog, Database, HashIndex, PartitionSnapshot, TableStats};
 
 use crate::batch;
-use crate::logical::{LogicalPlan, ShapePredicate};
+use crate::logical::LogicalPlan;
 
 /// A stream of result tuples.
 pub type TupleStream<'a> = Box<dyn Iterator<Item = Tuple> + 'a>;
 
-/// Execution options: the physical knobs the executor (acting on the
-/// optimizer's partition statistics) uses to pick between serial and
-/// partition-parallel scans, plus the statement deadline.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Execution options: the statement deadline.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Maximum number of worker threads a single scan may fan out to.
-    /// `1` (the default) disables parallelism entirely.
-    pub threads: usize,
-    /// Minimum number of live rows (across the admitted partitions) before
-    /// a scan is worth parallelizing; below it, thread spawn and channel
-    /// overhead dominate.
-    pub min_parallel_rows: usize,
     /// Optional execution deadline.  The pipeline checks it at every chunk
-    /// source (serial and parallel scans, and the result boundary), so a
-    /// statement is cancelled within one 1024-slot segment of work.  When
-    /// it trips, the chunk stream ends early and the collecting entry
-    /// points ([`execute_collect`], [`execute_with`]) return
+    /// source (scans and the result boundary), so a statement is cancelled
+    /// within one 1024-slot segment of work.  When it trips, the chunk
+    /// stream ends early and the collecting entry points
+    /// ([`execute_collect`], [`execute_with`]) return
     /// [`CoreError::Timeout`] instead of the truncated rows.  `None` (the
     /// default) never cancels.
     pub deadline: Option<std::time::Instant>,
 }
 
 impl ExecOptions {
-    /// Serial execution — the default.
+    /// The default options: no deadline.
     pub fn serial() -> Self {
-        ExecOptions::parallel(1)
-    }
-
-    /// Partition-parallel execution with up to `threads` workers per scan.
-    pub fn parallel(threads: usize) -> Self {
-        ExecOptions {
-            threads: threads.max(1),
-            min_parallel_rows: 4096,
-            deadline: None,
-        }
-    }
-
-    /// Overrides the row floor below which scans stay serial (builder
-    /// style); experiments use this to force the parallel path at small
-    /// scales.
-    pub fn with_min_parallel_rows(mut self, rows: usize) -> Self {
-        self.min_parallel_rows = rows;
-        self
+        ExecOptions::default()
     }
 
     /// Sets the execution deadline (builder style).  See
@@ -101,24 +59,6 @@ impl ExecOptions {
     pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions::serial()
-    }
-}
-
-/// The worker count the executor chooses for a scan, from the partition
-/// statistics of its snapshot: scans of fewer than two partitions or fewer
-/// than [`ExecOptions::min_parallel_rows`] live rows stay serial, larger
-/// ones fan out to at most one worker per partition.
-pub fn scan_parallelism(partitions: usize, rows: usize, opts: &ExecOptions) -> usize {
-    if opts.threads <= 1 || partitions < 2 || rows < opts.min_parallel_rows {
-        1
-    } else {
-        opts.threads.min(partitions)
     }
 }
 
@@ -136,9 +76,40 @@ impl RelSnap {
     }
 }
 
-/// The per-query execution context: one snapshot per scanned relation plus
-/// the execution options.  Built once before any tuple flows; the chunk
-/// operators in [`crate::batch`] read every relation through it.
+/// What executing and estimating a plan reads, folded over its nodes: the
+/// relations; whether an index can be touched (an `IndexLookup` probes one,
+/// a join may pick index-nested-loop or estimate through index statistics);
+/// whether estimates consult table statistics (join cardinalities and
+/// grouped-aggregate bounds do, a scan-only query never pays for them).
+#[derive(Default)]
+struct Reads {
+    relations: BTreeSet<String>,
+    indexes: bool,
+    stats: bool,
+}
+
+impl Reads {
+    fn of(mut self, plan: &LogicalPlan) -> Reads {
+        match plan {
+            LogicalPlan::Scan { relation, .. } => {
+                self.relations.insert(relation.clone());
+            }
+            LogicalPlan::IndexLookup { relation, .. } => {
+                self.relations.insert(relation.clone());
+                self.indexes = true;
+            }
+            LogicalPlan::Join { .. } => (self.indexes, self.stats) = (true, true),
+            LogicalPlan::Aggregate { .. } => self.stats = true,
+            _ => {}
+        }
+        plan.children().into_iter().fold(self, Reads::of)
+    }
+}
+
+/// The per-query execution context: one snapshot per scanned relation and
+/// the catalog they were planned against.  Built
+/// once before any tuple flows; the chunk operators in [`crate::batch`]
+/// read every relation through it.
 pub(crate) struct ExecContext {
     snaps: HashMap<String, RelSnap>,
     /// Returned for relations outside the captured set (unreachable after
@@ -149,40 +120,39 @@ pub(crate) struct ExecContext {
     /// only for plans whose estimates can use them (joins, aggregates).
     /// Advisory: they steer cost decisions, never correctness.
     stats: HashMap<String, TableStats>,
-    pub(crate) opts: ExecOptions,
+    catalog: Arc<Catalog>,
 }
 
 impl ExecContext {
-    fn build(plan: &LogicalPlan, db: &Database, opts: ExecOptions) -> Result<ExecContext> {
-        let mut relations = BTreeSet::new();
-        collect_relations(plan, &mut relations);
-        ExecContext::for_relations(
-            relations,
-            plan_needs_indexes(plan),
-            plan_needs_stats(plan),
-            db,
-            opts,
-        )
+    pub(crate) fn build(plan: &LogicalPlan, db: &Database) -> Result<ExecContext> {
+        ExecContext::capture(Reads::default().of(plan), db)
     }
 
-    /// Captures the given relations.  Index snapshots are only taken when
-    /// the plan can probe them (`needs_indexes`): a scan-only query then
-    /// holds no `Arc<HashIndex>`, so concurrent index maintenance stays
-    /// copy-free (see the index-granularity note on
-    /// [`Database::relation_snapshot`]).  Table statistics are likewise
-    /// only materialized when the plan's estimates consult them
-    /// (`needs_stats`).
-    fn for_relations(
-        relations: BTreeSet<String>,
-        needs_indexes: bool,
-        needs_stats: bool,
+    /// The context for pricing `left ⋈ right` outside an execution.
+    pub(crate) fn for_join(
+        left: &LogicalPlan,
+        right: &LogicalPlan,
         db: &Database,
-        opts: ExecOptions,
     ) -> Result<ExecContext> {
+        let reads = Reads {
+            indexes: true,
+            stats: true,
+            ..Reads::default().of(left).of(right)
+        };
+        ExecContext::capture(reads, db)
+    }
+
+    /// Captures the relations.  Index snapshots are only taken when the
+    /// plan can probe them: a scan-only query then holds no
+    /// `Arc<HashIndex>`, so concurrent index maintenance stays copy-free
+    /// (see the index-granularity note on [`Database::relation_snapshot`]).
+    /// Table statistics are likewise only materialized when the plan's
+    /// estimates consult them.
+    fn capture(reads: Reads, db: &Database) -> Result<ExecContext> {
         let mut snaps = HashMap::new();
         let mut stats = HashMap::new();
-        for rel in relations {
-            let snap = if needs_indexes {
+        for rel in reads.relations {
+            let snap = if reads.indexes {
                 let (parts, indexes) = db.relation_snapshot(&rel)?;
                 RelSnap { parts, indexes }
             } else {
@@ -192,7 +162,7 @@ impl ExecContext {
                 }
             };
             snaps.insert(rel.clone(), snap);
-            if needs_stats {
+            if reads.stats {
                 if let Ok(ts) = db.table_stats(&rel) {
                     stats.insert(rel, ts);
                 }
@@ -205,7 +175,7 @@ impl ExecContext {
                 indexes: Vec::new(),
             },
             stats,
-            opts,
+            catalog: db.catalog(),
         })
     }
 
@@ -214,66 +184,17 @@ impl ExecContext {
         self.stats.get(relation)
     }
 
+    /// The catalog the plan's properties are derived against.
+    pub(crate) fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
     /// Borrows the relation's captured snapshot; the metadata derivations
-    /// (`snap_plan_attrs`, `snap_estimate_rows`, the join gates) call this
-    /// per plan node, so no clone happens here — only the few ownership
-    /// sites (scan and index-nested-loop streams) clone.
+    /// (`snap_plan_attrs`, the cost model) call this per plan node, so no
+    /// clone happens here — only the few ownership sites (scan and
+    /// index-nested-loop streams) clone.
     pub(crate) fn snap(&self, relation: &str) -> &RelSnap {
         self.snaps.get(relation).unwrap_or(&self.empty)
-    }
-}
-
-/// Whether executing `plan` can touch an index: only `IndexLookup` nodes
-/// probe directly, and joins may pick the index-nested-loop strategy (or
-/// estimate rows through index statistics).
-fn plan_needs_indexes(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Empty | LogicalPlan::Scan { .. } => false,
-        LogicalPlan::IndexLookup { .. } | LogicalPlan::Join { .. } => true,
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Extend { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => plan_needs_indexes(input),
-        LogicalPlan::UnionAll { inputs } => inputs.iter().any(plan_needs_indexes),
-    }
-}
-
-/// Whether estimating `plan` can consult table statistics: only join
-/// cardinalities and grouped-aggregate bounds use them, so scan-only
-/// queries never pay for building (or fetching cached) histograms.
-fn plan_needs_stats(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Empty | LogicalPlan::Scan { .. } | LogicalPlan::IndexLookup { .. } => false,
-        LogicalPlan::Join { .. } | LogicalPlan::Aggregate { .. } => true,
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Extend { input, .. } => plan_needs_stats(input),
-        LogicalPlan::UnionAll { inputs } => inputs.iter().any(plan_needs_stats),
-    }
-}
-
-fn collect_relations(plan: &LogicalPlan, out: &mut BTreeSet<String>) {
-    match plan {
-        LogicalPlan::Empty => {}
-        LogicalPlan::Scan { relation, .. } | LogicalPlan::IndexLookup { relation, .. } => {
-            out.insert(relation.clone());
-        }
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Extend { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => collect_relations(input, out),
-        LogicalPlan::Join { left, right } => {
-            collect_relations(left, out);
-            collect_relations(right, out);
-        }
-        LogicalPlan::UnionAll { inputs } => {
-            for p in inputs {
-                collect_relations(p, out);
-            }
-        }
     }
 }
 
@@ -291,7 +212,7 @@ fn collect_relations(plan: &LogicalPlan, out: &mut BTreeSet<String>) {
 /// captured snapshots instead, so the bound always matches the partitions
 /// the scan actually visits.
 pub fn plan_attrs(plan: &LogicalPlan, db: &Database) -> AttrSet {
-    match ExecContext::build(plan, db, ExecOptions::serial()) {
+    match ExecContext::build(plan, db) {
         Ok(ctx) => snap_plan_attrs(plan, &ctx),
         Err(_) => AttrSet::empty(),
     }
@@ -350,298 +271,6 @@ pub(crate) fn snap_plan_attrs(plan: &LogicalPlan, ctx: &ExecContext) -> AttrSet 
     }
 }
 
-/// The average probe chain length of an index snapshot (mirrors
-/// [`flexrel_storage::IndexInfo::avg_matches`]).
-fn idx_avg_matches(idx: &HashIndex) -> usize {
-    let reachable = idx.len() - idx.partial_tuples().len();
-    reachable
-        .checked_div(idx.distinct_keys())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// A cardinality *estimate* for a plan, derived from partition metadata,
-/// index statistics and — for joins, filters under them and grouped
-/// aggregates — the stored per-partition table statistics (equi-depth
-/// histograms and distinct counts, [`flexrel_storage::TableStats`]).
-/// `None` when nothing can be derived (a join over relations with no
-/// statistics).  For scans this is an exact live count; everything stacked
-/// on one scales it by estimated selectivity — under skew an actual run
-/// can return more.  The join-strategy gate and the cost-based join
-/// ordering use it; do not rely on it as a hard bound.
-pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> Option<usize> {
-    let ctx = ExecContext::build(plan, db, ExecOptions::serial()).ok()?;
-    snap_estimate_rows(plan, &ctx)
-}
-
-/// The stored relation a plan reads through shape-preserving operators,
-/// for statistics lookup.
-fn stats_leaf_rel(plan: &LogicalPlan) -> Option<&str> {
-    match plan {
-        LogicalPlan::Scan { relation, .. } | LogicalPlan::IndexLookup { relation, .. } => {
-            Some(relation)
-        }
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Project { input, .. } => stats_leaf_rel(input),
-        _ => None,
-    }
-}
-
-/// The estimated fraction of rows satisfying a predicate, from the
-/// relation's statistics.  Conservative by construction: any atom the
-/// statistics cannot judge (missing column, non-numeric comparison,
-/// `PRESENT`) contributes selectivity 1, so a context without statistics
-/// reproduces the old passthrough estimate exactly.
-fn predicate_selectivity(p: &Predicate, stats: Option<&TableStats>) -> f64 {
-    let numeric = |v: &flexrel_core::value::Value| match v {
-        flexrel_core::value::Value::Int(i) => Some(*i as f64),
-        flexrel_core::value::Value::Float(f) => Some(*f),
-        _ => None,
-    };
-    let sel = match p {
-        Predicate::True | Predicate::IsPresent(_) => 1.0,
-        Predicate::False => 0.0,
-        Predicate::Cmp { attr, op, value } => {
-            let Some(stats) = stats else { return 1.0 };
-            let eq = || stats.fraction_eq(attr.name());
-            let le = || numeric(value).and_then(|x| stats.fraction_le(attr.name(), x));
-            match op {
-                CmpOp::Eq => eq().unwrap_or(1.0),
-                CmpOp::Ne => eq().map(|s| 1.0 - s).unwrap_or(1.0),
-                CmpOp::Lt | CmpOp::Le => le().unwrap_or(1.0),
-                CmpOp::Gt | CmpOp::Ge => le().map(|s| 1.0 - s).unwrap_or(1.0),
-            }
-        }
-        Predicate::And(a, b) => predicate_selectivity(a, stats) * predicate_selectivity(b, stats),
-        Predicate::Or(a, b) => {
-            let (sa, sb) = (
-                predicate_selectivity(a, stats),
-                predicate_selectivity(b, stats),
-            );
-            sa + sb - sa * sb
-        }
-        Predicate::Not(a) => 1.0 - predicate_selectivity(a, stats),
-    };
-    sel.clamp(0.0, 1.0)
-}
-
-pub(crate) fn snap_estimate_rows(plan: &LogicalPlan, ctx: &ExecContext) -> Option<usize> {
-    match plan {
-        LogicalPlan::Empty => Some(0),
-        LogicalPlan::Scan {
-            relation, shape, ..
-        } => Some(
-            ctx.snap(relation)
-                .parts
-                .partitions()
-                .filter(|(_, p)| shape.as_ref().map(|s| s.admits(p.shape())).unwrap_or(true))
-                .map(|(_, p)| p.len())
-                .sum(),
-        ),
-        LogicalPlan::IndexLookup { relation, key, .. } => {
-            let snap = ctx.snap(relation);
-            match snap.index_on(key) {
-                // One probe returns one hash chain: the average chain length
-                // is the expected match count.
-                Some(idx) => Some(idx_avg_matches(idx)),
-                None => Some(snap.parts.len()),
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let base = snap_estimate_rows(input, ctx)?;
-            let stats = stats_leaf_rel(input).and_then(|rel| ctx.stats(rel));
-            let sel = predicate_selectivity(predicate, stats);
-            Some(((base as f64 * sel).ceil() as usize).min(base))
-        }
-        LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Extend { input, .. } => snap_estimate_rows(input, ctx),
-        LogicalPlan::UnionAll { inputs } => inputs
-            .iter()
-            .map(|p| snap_estimate_rows(p, ctx))
-            .sum::<Option<usize>>(),
-        LogicalPlan::Join { left, right } => {
-            let l = snap_estimate_rows(left, ctx)?;
-            let r = snap_estimate_rows(right, ctx)?;
-            let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
-            if common.is_empty() {
-                // A compatibility merge over disjoint attribute sets is a
-                // cross product.
-                return Some(l.saturating_mul(r));
-            }
-            // The equi-join estimate |L|·|R| / max(distinct(a)): for each
-            // shared attribute take the larger side's distinct count
-            // (containment assumption), then divide by the most selective
-            // one.  Without statistics the cardinality is not derivable.
-            let mut denom: u64 = 0;
-            for a in common.iter() {
-                for side in [left.as_ref(), right.as_ref()] {
-                    let d = stats_leaf_rel(side)
-                        .and_then(|rel| ctx.stats(rel))
-                        .and_then(|s| s.distinct(a.name()));
-                    if let Some(d) = d {
-                        denom = denom.max(d);
-                    }
-                }
-            }
-            if denom == 0 {
-                return None;
-            }
-            let est = (l as u128).saturating_mul(r as u128) / denom as u128;
-            let est = est.min(usize::MAX as u128) as usize;
-            Some(if l == 0 || r == 0 { 0 } else { est.max(1) })
-        }
-        LogicalPlan::Aggregate {
-            input, group_by, ..
-        } => {
-            let base = snap_estimate_rows(input, ctx)?;
-            if group_by.is_empty() {
-                // A global aggregate emits exactly one row.
-                return Some(1);
-            }
-            // Group count is bounded by the input rows and by the product
-            // of the grouping attributes' distinct counts when statistics
-            // carry them.
-            let stats = stats_leaf_rel(input).and_then(|rel| ctx.stats(rel));
-            let mut bound: u128 = 1;
-            let mut any = false;
-            for g in group_by.iter() {
-                if let Some(d) = stats.and_then(|s| s.distinct(g.name())) {
-                    any = true;
-                    bound = bound.saturating_mul(d as u128);
-                }
-            }
-            if any {
-                Some(bound.min(base as u128) as usize)
-            } else {
-                Some(base)
-            }
-        }
-    }
-}
-
-/// The physical strategy the executor picks for a [`LogicalPlan::Join`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Materialize and hash the right input, stream the left input.
-    Hash,
-    /// Stream the left input, probe the right relation's stored index on
-    /// the equi-join attributes per tuple.
-    IndexNestedLoopRight,
-    /// Stream the right input, probe the left relation's stored index on
-    /// the equi-join attributes per tuple.
-    IndexNestedLoopLeft,
-}
-
-/// A side an index-nested-loop join can probe: a base scan, possibly under
-/// residual filters.  The scan's qualification and any filter predicates are
-/// folded into one per-tuple qualification that the probe re-applies; the
-/// shape predicate is re-applied per rid.
-pub(crate) struct InnerSide<'a> {
-    pub(crate) relation: &'a str,
-    pub(crate) qualification: Option<Predicate>,
-    pub(crate) shapes: &'a Option<ShapePredicate>,
-}
-
-pub(crate) fn inl_inner_side(plan: &LogicalPlan) -> Option<InnerSide<'_>> {
-    match plan {
-        LogicalPlan::Scan {
-            relation,
-            qualification,
-            shape,
-        } => Some(InnerSide {
-            relation,
-            qualification: qualification.clone(),
-            shapes: shape,
-        }),
-        LogicalPlan::Filter { input, predicate } => {
-            let side = inl_inner_side(input)?;
-            let qualification = Some(match side.qualification {
-                Some(q) => q.and(predicate.clone()),
-                None => predicate.clone(),
-            });
-            Some(InnerSide {
-                qualification,
-                ..side
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Whether probing the inner side's index on `common` beats building a
-/// hash table over it, as a cost comparison: the index-nested-loop side
-/// pays ~`outer_est` probes of ~`1 + avg_matches` work each (the probe
-/// plus its expected chain), the hash join pays for materializing the
-/// inner *plan*'s rows (its shape-pruned/filtered estimate, not the whole
-/// relation) **and** streaming the outer side through the table.  The
-/// factor 2 keeps the switch conservative around the break-even point.
-/// Returns `false` when no index on exactly `common` exists.
-fn inl_gate(
-    outer: &LogicalPlan,
-    inner: &LogicalPlan,
-    inner_relation: &str,
-    common: &AttrSet,
-    ctx: &ExecContext,
-) -> bool {
-    let snap = ctx.snap(inner_relation);
-    let Some(idx) = snap.index_on(common) else {
-        return false;
-    };
-    let Some(outer_est) = snap_estimate_rows(outer, ctx) else {
-        return false;
-    };
-    let inner_est = snap_estimate_rows(inner, ctx).unwrap_or(idx.len());
-    let inl_cost = outer_est
-        .saturating_mul(1 + idx_avg_matches(idx))
-        .saturating_mul(2);
-    let hash_cost = inner_est.saturating_add(outer_est);
-    inl_cost <= hash_cost
-}
-
-/// The join strategy the executor will pick for `left ⋈ right`:
-/// index-nested-loop when one side is a (possibly filtered) base scan with
-/// a stored index on exactly the equi-join attributes and the statistics
-/// gate passes, otherwise hash join.  Exposed so tests and the experiment
-/// harness can show which access path a join takes.
-pub fn join_strategy(left: &LogicalPlan, right: &LogicalPlan, db: &Database) -> JoinStrategy {
-    let mut relations = BTreeSet::new();
-    collect_relations(left, &mut relations);
-    collect_relations(right, &mut relations);
-    let Ok(ctx) = ExecContext::for_relations(relations, true, true, db, ExecOptions::serial())
-    else {
-        return JoinStrategy::Hash;
-    };
-    let common = snap_plan_attrs(left, &ctx).intersection(&snap_plan_attrs(right, &ctx));
-    join_strategy_for(left, right, &common, &ctx)
-}
-
-/// [`join_strategy`] with the equi-join attribute set already computed —
-/// the executor derives `common` once per join and shares it between the
-/// strategy choice and the chosen stream.
-pub(crate) fn join_strategy_for(
-    left: &LogicalPlan,
-    right: &LogicalPlan,
-    common: &AttrSet,
-    ctx: &ExecContext,
-) -> JoinStrategy {
-    if common.is_empty() {
-        return JoinStrategy::Hash;
-    }
-    if let Some(side) = inl_inner_side(right) {
-        if inl_gate(left, right, side.relation, common, ctx) {
-            return JoinStrategy::IndexNestedLoopRight;
-        }
-    }
-    if let Some(side) = inl_inner_side(left) {
-        if inl_gate(right, left, side.relation, common, ctx) {
-            return JoinStrategy::IndexNestedLoopLeft;
-        }
-    }
-    JoinStrategy::Hash
-}
-
 /// Builds the lazy result stream for a plan under explicit execution
 /// options.  Catalog errors (unknown relations) surface here, before any
 /// tuple flows; so does the per-relation snapshot capture.  The stream is
@@ -657,7 +286,7 @@ pub fn execute_stream_with<'a>(
     db: &'a Database,
     opts: &ExecOptions,
 ) -> Result<TupleStream<'a>> {
-    let ctx = ExecContext::build(plan, db, opts.clone())?;
+    let ctx = ExecContext::build(plan, db)?;
     let stats = batch::ExecStats::with_deadline(opts.deadline);
     let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
     Ok(batch::chunks_to_tuples(chunks, stats))
@@ -677,7 +306,7 @@ pub fn execute_collect(
     db: &Database,
     opts: &ExecOptions,
 ) -> Result<(Vec<Tuple>, batch::ExecStats)> {
-    let ctx = ExecContext::build(plan, db, opts.clone())?;
+    let ctx = ExecContext::build(plan, db)?;
     let stats = batch::ExecStats::with_deadline(opts.deadline);
     let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
     // The operators own what they read.  Releasing the context — and with
@@ -695,20 +324,19 @@ pub fn execute_collect(
     Ok((rows, stats))
 }
 
-/// Builds the serial result stream for a plan (see [`execute_stream_with`]
-/// for partition-parallel execution).
+/// Builds the result stream for a plan without a deadline.
 pub fn execute_stream<'a>(plan: &'a LogicalPlan, db: &'a Database) -> Result<TupleStream<'a>> {
     execute_stream_with(plan, db, &ExecOptions::serial())
 }
 
 /// Executes a logical plan under explicit options, materializing the result
-/// tuples.  With `opts.threads > 1` the result is the same multiset as
-/// serial execution; the order may differ.
+/// tuples.
 pub fn execute_with(plan: &LogicalPlan, db: &Database, opts: &ExecOptions) -> Result<Vec<Tuple>> {
     Ok(execute_collect(plan, db, opts)?.0)
 }
 
-/// Executes a logical plan serially, materializing the result tuples.
+/// Executes a logical plan without a deadline, materializing the result
+/// tuples.
 pub fn execute(plan: &LogicalPlan, db: &Database) -> Result<Vec<Tuple>> {
     execute_with(plan, db, &ExecOptions::serial())
 }
@@ -717,6 +345,7 @@ pub fn execute(plan: &LogicalPlan, db: &Database) -> Result<Vec<Tuple>> {
 mod tests {
     use super::*;
     use crate::logical::ShapePredicate;
+    use crate::optimizer::cost::{estimate_rows, join_strategy, JoinStrategy};
     use crate::optimizer::optimize;
     use crate::parser::parse;
     use crate::planner::plan_query;
@@ -1185,20 +814,6 @@ mod tests {
         assert_eq!(estimate_rows(&global, &db), Some(1));
     }
 
-    /// The parallel gate: serial for single partitions, tiny scans, or
-    /// `threads == 1`; otherwise capped by both knobs.
-    #[test]
-    fn scan_parallelism_gate() {
-        let serial = ExecOptions::serial();
-        let four = ExecOptions::parallel(4).with_min_parallel_rows(100);
-        assert_eq!(scan_parallelism(8, 1_000_000, &serial), 1);
-        assert_eq!(scan_parallelism(1, 1_000_000, &four), 1);
-        assert_eq!(scan_parallelism(8, 50, &four), 1);
-        assert_eq!(scan_parallelism(8, 1_000, &four), 4);
-        assert_eq!(scan_parallelism(3, 1_000, &four), 3, "capped by partitions");
-        assert_eq!(ExecOptions::default(), ExecOptions::serial());
-    }
-
     /// The collecting entry points never hand back rows a deadline
     /// truncated.
     #[test]
@@ -1214,48 +829,10 @@ mod tests {
             execute_collect(&plan, &db, &opts),
             Err(CoreError::Timeout(_))
         ));
+        assert_eq!(ExecOptions::default(), ExecOptions::serial());
         let later = std::time::Instant::now() + std::time::Duration::from_secs(3600);
         let opts = ExecOptions::serial().with_deadline(later);
         assert_eq!(execute_with(&plan, &db, &opts).unwrap().len(), 300);
-    }
-
-    fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
-        v.sort();
-        v
-    }
-
-    #[test]
-    fn parallel_execution_returns_the_serial_multiset() {
-        let db = db(400);
-        let opts = ExecOptions::parallel(4).with_min_parallel_rows(1);
-        let plans = [
-            LogicalPlan::scan("employee"),
-            LogicalPlan::scan("employee").filter(Predicate::gt("salary", 4000)),
-            LogicalPlan::scan("employee")
-                .filter(Predicate::eq("jobtype", Value::tag("secretary")))
-                .project(attrs!["empno", "typing-speed"]),
-            LogicalPlan::scan("employee")
-                .project(attrs!["empno", "salary"])
-                .join(LogicalPlan::scan("employee").project(attrs!["empno", "jobtype"])),
-            LogicalPlan::scan("employee").guard(attrs!["products"]),
-        ];
-        for plan in &plans {
-            let serial = sorted(execute(plan, &db).unwrap());
-            let parallel = sorted(execute_with(plan, &db, &opts).unwrap());
-            assert_eq!(serial, parallel, "parallel multiset differs: {}", plan);
-        }
-    }
-
-    #[test]
-    fn parallel_stream_stops_cleanly_when_dropped_early() {
-        let db = db(300);
-        let opts = ExecOptions::parallel(4).with_min_parallel_rows(1);
-        let plan = LogicalPlan::scan("employee");
-        let mut stream = execute_stream_with(&plan, &db, &opts).unwrap();
-        assert!(stream.next().is_some());
-        drop(stream); // workers must unblock and exit via the closed channel
-        let all: Vec<Tuple> = execute_with(&plan, &db, &opts).unwrap();
-        assert_eq!(all.len(), 300);
     }
 
     #[test]

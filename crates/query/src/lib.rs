@@ -8,6 +8,11 @@
 //!
 //! ## The optimizer's AD-driven rewrites
 //!
+//! Every rule asks one derivation, [`plan_props`]: what holds of the tuples
+//! a plan node yields — attribute bounds, pinned values, and the
+//! dependencies Theorem 4.3 ([`flexrel_algebra::propagate`]) lets through
+//! each operator.
+//!
 //! * **Redundant type-guard elimination** (Example 4): a guard asking for
 //!   attributes whose presence already follows — via the axiom system ℛ/ℰ
 //!   ([`flexrel_core::typecheck::analyse_guard`]) — from the selection
@@ -28,8 +33,8 @@
 //!   evaluates it per heap partition and skips partitions whose shape
 //!   cannot qualify.
 //! * **Selection pushdown through joins**: a comparison above a natural
-//!   join moves to the operand whose scheme alone owns its attribute (or is
-//!   copied to the operands where a shared attribute is mandatory), so it
+//!   join moves to the operand that alone can carry its attribute (or is
+//!   copied to the operands whose tuples always carry a shared one), so it
 //!   meets that operand's index.
 //! * **Index access paths** ([`optimize_with_db`]): equality selections
 //!   covered by a stored index (the auto-created determinant indexes, or a
@@ -81,13 +86,14 @@ pub use colscan::{
     aggregate_partition, aggregate_selected, compile as compile_predicates, Compiled,
 };
 pub use exec::{
-    estimate_rows, execute, execute_collect, execute_stream, execute_stream_with, execute_with,
-    join_strategy, plan_attrs, scan_parallelism, ExecOptions, JoinStrategy, TupleStream,
+    execute, execute_collect, execute_stream, execute_stream_with, execute_with, plan_attrs,
+    ExecOptions, TupleStream,
 };
 pub use logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
+pub use optimizer::cost::{estimate_rows, join_strategy, JoinStrategy};
 pub use optimizer::{
-    choose_access_paths, explain_query, optimize, optimize_with_db, Notes, PassContext, Pipeline,
-    PlanExplain, Rewrite, RewriteNote,
+    choose_access_paths, explain_query, optimize, optimize_with_db, plan_props, PlanExplain,
+    PlanProps, RewriteNote,
 };
 pub use parser::{parse, Query};
 pub use planner::plan_query;
@@ -96,10 +102,10 @@ pub use statement::{run_statement, StatementOutcome};
 /// The most commonly used items.
 pub mod prelude {
     pub use crate::exec::{
-        execute, execute_collect, execute_stream, execute_stream_with, execute_with, join_strategy,
-        ExecOptions, JoinStrategy,
+        execute, execute_collect, execute_stream, execute_stream_with, execute_with, ExecOptions,
     };
     pub use crate::logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
+    pub use crate::optimizer::cost::{join_strategy, JoinStrategy};
     pub use crate::optimizer::{
         explain_query, optimize, optimize_with_db, PlanExplain, RewriteNote,
     };

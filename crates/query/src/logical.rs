@@ -352,6 +352,22 @@ impl LogicalPlan {
         }
     }
 
+    /// The node's input plans, left to right; none for a leaf.
+    pub fn children(&self) -> Vec<&LogicalPlan> {
+        match self {
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Guard { input, .. }
+            | LogicalPlan::Extend { input, .. }
+            | LogicalPlan::Aggregate { input, .. } => vec![input],
+            LogicalPlan::Join { left, right } => vec![left, right],
+            LogicalPlan::UnionAll { inputs } => inputs.iter().collect(),
+            LogicalPlan::Scan { .. } | LogicalPlan::IndexLookup { .. } | LogicalPlan::Empty => {
+                Vec::new()
+            }
+        }
+    }
+
     /// Number of index-lookup nodes (used by tests and the experiment
     /// harness to show the optimizer chose an index access path).
     pub fn index_lookup_count(&self) -> usize {

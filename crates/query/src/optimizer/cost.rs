@@ -1,14 +1,22 @@
-//! The costed decisions: join ordering, and index probe versus pruned scan.
+//! The cost model: row estimates, and the three decisions priced with
+//! them — join order, join strategy, index probe versus pruned scan.
+//!
+//! # Row estimates
+//!
+//! [`estimate_rows`] derives a cardinality from partition metadata (exact
+//! live counts for scans), index statistics (one hash chain for a probe)
+//! and — for joins, filters and grouped aggregates — the per-partition
+//! table statistics of the relation the rows come from
+//! ([`PlanProps::source`](super::PlanProps::source)): equi-depth histograms
+//! and distinct counts ([`flexrel_storage::TableStats`]).
 //!
 //! # Join ordering
 //!
 //! For bushy/left-deep join trees of three or more inputs, the pass
-//! flattens the tree into its leaves, estimates each leaf's cardinality
-//! ([`crate::exec::estimate_rows`], which consults the per-partition
-//! histograms and distinct counts of [`flexrel_storage::TableStats`]), and
-//! rebuilds a left-deep tree greedily: start from the smallest leaf, then
-//! repeatedly attach the **connected** leaf (one sharing an attribute with
-//! the accumulated prefix) minimizing the estimated pair output
+//! flattens the tree into its leaves, estimates each leaf's cardinality,
+//! and rebuilds a left-deep tree greedily: start from the smallest leaf,
+//! then repeatedly attach the **connected** leaf (one sharing an attribute
+//! with the accumulated prefix) minimizing the estimated pair output
 //! `|L| · |R| / max(distinct(a))` over the shared attributes `a` — the
 //! textbook equi-join estimate, here justified because the flexible-tuple
 //! compatibility merge on shared attributes behaves exactly like an
@@ -18,6 +26,14 @@
 //! The pass is safe for *any* order: the compatibility merge is commutative
 //! and associative, including genuine cross products, so reordering never
 //! changes the result multiset — only how large the intermediates are.
+//!
+//! # Join strategy
+//!
+//! [`join_strategy`]: index-nested-loop when one side is a (possibly
+//! filtered) base scan with a stored index on exactly the equi-join
+//! attributes and probing it is estimated cheaper than building a hash
+//! table over it; otherwise hash join.  The executor asks the same function
+//! against its snapshots.
 //!
 //! # Index probe versus pruned scan
 //!
@@ -32,13 +48,15 @@
 //! rows of the one partition its EAD region already prunes the scan to, and
 //! the column kernels win by two orders of magnitude.
 
+use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::AttrSet;
-use flexrel_storage::{Database, IndexInfo};
+use flexrel_core::value::Value;
+use flexrel_storage::{Catalog, Database, HashIndex, IndexInfo, TableStats};
 
-use crate::exec;
-use crate::logical::LogicalPlan;
+use crate::exec::{plan_attrs, snap_plan_attrs, ExecContext};
+use crate::logical::{LogicalPlan, ShapePredicate};
 
-use super::Notes;
+use super::{plan_props, Notes};
 
 /// What fetching one matched rid through an index costs, in units of one
 /// row visited by a filtering columnar scan.
@@ -93,8 +111,7 @@ pub(super) fn order_joins(plan: LogicalPlan, db: &Database, notes: &mut Notes) -
             if leaves.len() < 3 {
                 return rebuild_left_deep(leaves);
             }
-            let ests: Vec<Option<usize>> =
-                leaves.iter().map(|l| exec::estimate_rows(l, db)).collect();
+            let ests: Vec<Option<usize>> = leaves.iter().map(|l| estimate_rows(l, db)).collect();
             if ests.iter().any(|e| e.is_none()) {
                 return rebuild_left_deep(leaves);
             }
@@ -138,24 +155,24 @@ fn rebuild_left_deep(leaves: Vec<LogicalPlan>) -> LogicalPlan {
     iter.fold(first, |acc, leaf| acc.join(leaf))
 }
 
-/// The distinct count of an attribute in the relation a leaf reads, when
-/// statistics are available.
-fn leaf_distinct(plan: &LogicalPlan, attr: &str, db: &Database) -> Option<u64> {
-    let rel = match plan {
-        LogicalPlan::Scan { relation, .. } | LogicalPlan::IndexLookup { relation, .. } => relation,
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Project { input, .. } => return leaf_distinct(input, attr, db),
-        _ => return None,
-    };
-    db.table_stats(rel).ok()?.distinct(attr)
+/// The distinct count of an attribute in the relation a leaf's rows come
+/// from, when statistics are available.
+fn source_distinct(
+    plan: &LogicalPlan,
+    attr: &str,
+    db: &Database,
+    catalog: &Catalog,
+) -> Option<u64> {
+    let source = plan_props(plan, catalog)?.source?;
+    db.table_stats(source.relation).ok()?.distinct(attr)
 }
 
 /// Greedy left-deep ordering: smallest leaf first, then always the
 /// cheapest *connected* extension; disconnected leaves (cross products)
 /// only when nothing connected remains.
 fn greedy_order(leaves: &[LogicalPlan], ests: &[Option<usize>], db: &Database) -> Vec<usize> {
-    let attrs: Vec<AttrSet> = leaves.iter().map(|l| exec::plan_attrs(l, db)).collect();
+    let attrs: Vec<AttrSet> = leaves.iter().map(|l| plan_attrs(l, db)).collect();
+    let catalog = db.catalog();
 
     // The estimated output of extending a prefix (whose leaves are
     // `members`) by leaf `i`: rows·rows / max(distinct(a)) over the shared
@@ -174,7 +191,7 @@ fn greedy_order(leaves: &[LogicalPlan], ests: &[Option<usize>], db: &Database) -
                 .iter()
                 .copied()
                 .chain(std::iter::once(i))
-                .filter_map(|j| leaf_distinct(&leaves[j], a.name(), db))
+                .filter_map(|j| source_distinct(&leaves[j], a.name(), db, &catalog))
                 .max()
                 .unwrap_or(1);
             denom = denom.max(d as u128);
@@ -210,4 +227,283 @@ fn greedy_order(leaves: &[LogicalPlan], ests: &[Option<usize>], db: &Database) -
         order.push(next);
     }
     order
+}
+
+/// The average probe chain length of an index snapshot (mirrors
+/// [`flexrel_storage::IndexInfo::avg_matches`]).
+fn idx_avg_matches(idx: &HashIndex) -> usize {
+    let reachable = idx.len() - idx.partial_tuples().len();
+    reachable
+        .checked_div(idx.distinct_keys())
+        .unwrap_or(1)
+        .max(1)
+}
+
+/// A cardinality *estimate* for a plan, derived from partition metadata,
+/// index statistics and — for joins, filters under them and grouped
+/// aggregates — the stored per-partition table statistics (equi-depth
+/// histograms and distinct counts, [`flexrel_storage::TableStats`]).
+/// `None` when nothing can be derived (a join over relations with no
+/// statistics).  For scans this is an exact live count; everything stacked
+/// on one scales it by estimated selectivity — under skew an actual run
+/// can return more.  The join-strategy gate and the cost-based join
+/// ordering use it; do not rely on it as a hard bound.
+pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> Option<usize> {
+    let ctx = ExecContext::build(plan, db).ok()?;
+    snap_estimate_rows(plan, &ctx)
+}
+
+/// The statistics of the stored relation `plan`'s rows come from, when the
+/// context loaded them.
+fn source_stats<'c>(plan: &LogicalPlan, ctx: &'c ExecContext) -> Option<&'c TableStats> {
+    let source = plan_props(plan, ctx.catalog())?.source?;
+    ctx.stats(source.relation)
+}
+
+/// The estimated fraction of rows satisfying a predicate, from the
+/// relation's statistics.  Conservative by construction: any atom the
+/// statistics cannot judge (missing column, non-numeric comparison,
+/// `PRESENT`) contributes selectivity 1, so a context without statistics
+/// reproduces the old passthrough estimate exactly.
+fn predicate_selectivity(p: &Predicate, stats: Option<&TableStats>) -> f64 {
+    let numeric = |v: &Value| match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
+    };
+    let sel = match p {
+        Predicate::True | Predicate::IsPresent(_) => 1.0,
+        Predicate::False => 0.0,
+        Predicate::Cmp { attr, op, value } => {
+            let Some(stats) = stats else { return 1.0 };
+            let eq = || stats.fraction_eq(attr.name());
+            let le = || numeric(value).and_then(|x| stats.fraction_le(attr.name(), x));
+            match op {
+                CmpOp::Eq => eq().unwrap_or(1.0),
+                CmpOp::Ne => eq().map(|s| 1.0 - s).unwrap_or(1.0),
+                CmpOp::Lt | CmpOp::Le => le().unwrap_or(1.0),
+                CmpOp::Gt | CmpOp::Ge => le().map(|s| 1.0 - s).unwrap_or(1.0),
+            }
+        }
+        Predicate::And(a, b) => predicate_selectivity(a, stats) * predicate_selectivity(b, stats),
+        Predicate::Or(a, b) => {
+            let (sa, sb) = (
+                predicate_selectivity(a, stats),
+                predicate_selectivity(b, stats),
+            );
+            sa + sb - sa * sb
+        }
+        Predicate::Not(a) => 1.0 - predicate_selectivity(a, stats),
+    };
+    sel.clamp(0.0, 1.0)
+}
+
+fn snap_estimate_rows(plan: &LogicalPlan, ctx: &ExecContext) -> Option<usize> {
+    match plan {
+        LogicalPlan::Empty => Some(0),
+        LogicalPlan::Scan {
+            relation, shape, ..
+        } => Some(
+            ctx.snap(relation)
+                .parts
+                .partitions()
+                .filter(|(_, p)| shape.as_ref().map(|s| s.admits(p.shape())).unwrap_or(true))
+                .map(|(_, p)| p.len())
+                .sum(),
+        ),
+        LogicalPlan::IndexLookup { relation, key, .. } => {
+            let snap = ctx.snap(relation);
+            match snap.index_on(key) {
+                // One probe returns one hash chain: the average chain length
+                // is the expected match count.
+                Some(idx) => Some(idx_avg_matches(idx)),
+                None => Some(snap.parts.len()),
+            }
+        }
+        LogicalPlan::Filter { input, predicate } => {
+            let base = snap_estimate_rows(input, ctx)?;
+            let stats = source_stats(input, ctx);
+            let sel = predicate_selectivity(predicate, stats);
+            Some(((base as f64 * sel).ceil() as usize).min(base))
+        }
+        LogicalPlan::Guard { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Extend { input, .. } => snap_estimate_rows(input, ctx),
+        LogicalPlan::UnionAll { inputs } => inputs
+            .iter()
+            .map(|p| snap_estimate_rows(p, ctx))
+            .sum::<Option<usize>>(),
+        LogicalPlan::Join { left, right } => {
+            let l = snap_estimate_rows(left, ctx)?;
+            let r = snap_estimate_rows(right, ctx)?;
+            let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
+            if common.is_empty() {
+                // A compatibility merge over disjoint attribute sets is a
+                // cross product.
+                return Some(l.saturating_mul(r));
+            }
+            // The equi-join estimate |L|·|R| / max(distinct(a)): for each
+            // shared attribute take the larger side's distinct count
+            // (containment assumption), then divide by the most selective
+            // one.  Without statistics the cardinality is not derivable.
+            let mut denom: u64 = 0;
+            for a in common.iter() {
+                for side in [left.as_ref(), right.as_ref()] {
+                    let d = source_stats(side, ctx).and_then(|s| s.distinct(a.name()));
+                    if let Some(d) = d {
+                        denom = denom.max(d);
+                    }
+                }
+            }
+            if denom == 0 {
+                return None;
+            }
+            let est = (l as u128).saturating_mul(r as u128) / denom as u128;
+            let est = est.min(usize::MAX as u128) as usize;
+            Some(if l == 0 || r == 0 { 0 } else { est.max(1) })
+        }
+        LogicalPlan::Aggregate {
+            input, group_by, ..
+        } => {
+            let base = snap_estimate_rows(input, ctx)?;
+            if group_by.is_empty() {
+                // A global aggregate emits exactly one row.
+                return Some(1);
+            }
+            // Group count is bounded by the input rows and by the product
+            // of the grouping attributes' distinct counts when statistics
+            // carry them.
+            let stats = source_stats(input, ctx);
+            let mut bound: u128 = 1;
+            let mut any = false;
+            for g in group_by.iter() {
+                if let Some(d) = stats.and_then(|s| s.distinct(g.name())) {
+                    any = true;
+                    bound = bound.saturating_mul(d as u128);
+                }
+            }
+            if any {
+                Some(bound.min(base as u128) as usize)
+            } else {
+                Some(base)
+            }
+        }
+    }
+}
+
+/// The physical strategy the executor picks for a [`LogicalPlan::Join`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JoinStrategy {
+    /// Materialize and hash the right input, stream the left input.
+    Hash,
+    /// Stream the left input, probe the right relation's stored index on
+    /// the equi-join attributes per tuple.
+    IndexNestedLoopRight,
+    /// Stream the right input, probe the left relation's stored index on
+    /// the equi-join attributes per tuple.
+    IndexNestedLoopLeft,
+}
+
+/// A side an index-nested-loop join can probe: a base scan, possibly under
+/// residual filters.  The scan's qualification and any filter predicates are
+/// folded into one per-tuple qualification that the probe re-applies; the
+/// shape predicate is re-applied per rid.
+pub(crate) struct InnerSide<'a> {
+    pub(crate) relation: &'a str,
+    pub(crate) qualification: Option<Predicate>,
+    pub(crate) shapes: &'a Option<ShapePredicate>,
+}
+
+pub(crate) fn inl_inner_side(plan: &LogicalPlan) -> Option<InnerSide<'_>> {
+    match plan {
+        LogicalPlan::Scan {
+            relation,
+            qualification,
+            shape,
+        } => Some(InnerSide {
+            relation,
+            qualification: qualification.clone(),
+            shapes: shape,
+        }),
+        LogicalPlan::Filter { input, predicate } => {
+            let side = inl_inner_side(input)?;
+            let qualification = Some(match side.qualification {
+                Some(q) => q.and(predicate.clone()),
+                None => predicate.clone(),
+            });
+            Some(InnerSide {
+                qualification,
+                ..side
+            })
+        }
+        _ => None,
+    }
+}
+
+/// Whether probing the inner side's index on `common` beats building a
+/// hash table over it, as a cost comparison: the index-nested-loop side
+/// pays ~`outer_est` probes of ~`1 + avg_matches` work each (the probe
+/// plus its expected chain), the hash join pays for materializing the
+/// inner *plan*'s rows (its shape-pruned/filtered estimate, not the whole
+/// relation) **and** streaming the outer side through the table.  The
+/// factor 2 keeps the switch conservative around the break-even point.
+/// Returns `false` when no index on exactly `common` exists.
+fn inl_gate(
+    outer: &LogicalPlan,
+    inner: &LogicalPlan,
+    inner_relation: &str,
+    common: &AttrSet,
+    ctx: &ExecContext,
+) -> bool {
+    let snap = ctx.snap(inner_relation);
+    let Some(idx) = snap.index_on(common) else {
+        return false;
+    };
+    let Some(outer_est) = snap_estimate_rows(outer, ctx) else {
+        return false;
+    };
+    let inner_est = snap_estimate_rows(inner, ctx).unwrap_or(idx.len());
+    let inl_cost = outer_est
+        .saturating_mul(1 + idx_avg_matches(idx))
+        .saturating_mul(2);
+    let hash_cost = inner_est.saturating_add(outer_est);
+    inl_cost <= hash_cost
+}
+
+/// The join strategy the executor will pick for `left ⋈ right`:
+/// index-nested-loop when one side is a (possibly filtered) base scan with
+/// a stored index on exactly the equi-join attributes and the statistics
+/// gate passes, otherwise hash join.  Exposed so tests and the experiment
+/// harness can show which access path a join takes.
+pub fn join_strategy(left: &LogicalPlan, right: &LogicalPlan, db: &Database) -> JoinStrategy {
+    let Ok(ctx) = ExecContext::for_join(left, right, db) else {
+        return JoinStrategy::Hash;
+    };
+    let common = snap_plan_attrs(left, &ctx).intersection(&snap_plan_attrs(right, &ctx));
+    join_strategy_for(left, right, &common, &ctx)
+}
+
+/// [`join_strategy`] with the equi-join attribute set already computed —
+/// the executor derives `common` once per join and shares it between the
+/// strategy choice and the chosen stream.
+pub(crate) fn join_strategy_for(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    common: &AttrSet,
+    ctx: &ExecContext,
+) -> JoinStrategy {
+    if common.is_empty() {
+        return JoinStrategy::Hash;
+    }
+    if let Some(side) = inl_inner_side(right) {
+        if inl_gate(left, right, side.relation, common, ctx) {
+            return JoinStrategy::IndexNestedLoopRight;
+        }
+    }
+    if let Some(side) = inl_inner_side(left) {
+        if inl_gate(right, left, side.relation, common, ctx) {
+            return JoinStrategy::IndexNestedLoopLeft;
+        }
+    }
+    JoinStrategy::Hash
 }

@@ -7,12 +7,11 @@ use std::fmt;
 use flexrel_core::error::Result;
 use flexrel_storage::Database;
 
-use crate::exec;
 use crate::logical::LogicalPlan;
 use crate::parser::parse;
 use crate::planner::plan_query;
 
-use super::{optimize_against, Notes, RewriteNote};
+use super::{cost, optimize_against, Notes, RewriteNote};
 
 /// A rendered explanation of an optimized plan: the operator tree (one
 /// line per node, `~rows=` estimates where statistics allow one) and the
@@ -53,26 +52,12 @@ fn render_node(plan: &LogicalPlan, db: Option<&Database>, depth: usize, out: &mu
     let indent = "  ".repeat(depth);
     let label = node_label(plan);
     let est = db
-        .and_then(|db| exec::estimate_rows(plan, db))
+        .and_then(|db| cost::estimate_rows(plan, db))
         .map(|n| format!("  ~rows={}", n))
         .unwrap_or_default();
     out.push_str(&format!("{}{}{}\n", indent, label, est));
-    match plan {
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Extend { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => render_node(input, db, depth + 1, out),
-        LogicalPlan::Join { left, right } => {
-            render_node(left, db, depth + 1, out);
-            render_node(right, db, depth + 1, out);
-        }
-        LogicalPlan::UnionAll { inputs } => {
-            for p in inputs {
-                render_node(p, db, depth + 1, out);
-            }
-        }
-        LogicalPlan::Scan { .. } | LogicalPlan::IndexLookup { .. } | LogicalPlan::Empty => {}
+    for child in plan.children() {
+        render_node(child, db, depth + 1, out);
     }
 }
 

@@ -3,41 +3,30 @@
 //! Every rewrite is *justified*: redundant type guards are removed only when
 //! the axiom system ([`flexrel_core::axioms::AxiomSystem::E`], applied via
 //! [`flexrel_core::typecheck::analyse_guard`]) derives the corresponding
-//! attribute dependency from the declared dependencies (Example 4); branches
-//! and joins are pruned only when their qualification provably contradicts
-//! the query's equality constraints on the determining attributes (§3.1.2,
-//! qualified relations); and scans are restricted to the heap partitions
-//! whose shape can satisfy the selection — using the exact variant overlap
-//! an [`flexrel_core::dep::Ead`] prescribes for pinned determining values.
+//! attribute dependency (Example 4); branches and joins are pruned only
+//! when what they pin provably contradicts the query's equality constraints
+//! (§3.1.2, qualified relations); and scans are restricted to the heap
+//! partitions whose shape can satisfy the selection — using the exact
+//! variant overlap an [`flexrel_core::dep::Ead`] prescribes for pinned
+//! determining values.
 //!
-//! ## Structure (optimizer v2)
+//! ## Structure
 //!
-//! The optimizer is a **multi-pass pipeline** over a small rule framework:
-//!
-//! * [`Rewrite`] — one rule: a named plan → plan transformation that records
-//!   what it did as [`RewriteNote`]s.
-//! * [`Pipeline`] — runs a rule list to a **fixpoint** (plans are compared
-//!   structurally between rounds), so rules can feed each other: the
-//!   semantic EAD simplification folds a predicate to `false`, and the
-//!   classic constant-folding rule collapses the filter on the next round.
-//! * [`PassContext`] — what rules see: the catalog — which carries each
-//!   relation's [`SemanticFacts`] (the closure-index view of the declared
-//!   dependencies), built once when the relation was registered — and
-//!   optionally the live database.
-//! * [`Notes`] — the rewrite log.  Rule names are always recorded; the
-//!   prose is rendered only for `EXPLAIN` and the catalog-only
-//!   [`optimize`], never on the path that executes a statement.
-//!
-//! The rules themselves live in submodules: [`mod@classic`] carries the
-//! original justified rewrites (guard analysis, variant/join pruning,
-//! constant folding, empty propagation, selection pushdown through joins,
-//! partition pruning, access paths), [`mod@semantic`] the
-//! dependency-derived rewrites (join elimination, group-by elimination,
-//! mandatory-guard elimination, EAD predicate simplification), and
-//! [`mod@cost`] the costed decisions: join ordering from table statistics
-//! and index probe versus pruned scan.
-//! [`mod@explain`] renders optimized plans with estimates and the notes of
-//! the rules that fired.
+//! * [`mod@props`] — the one derivation: [`plan_props`] maps every
+//!   operator to what holds of its output (attribute bounds, pinned values,
+//!   the dependencies Theorem 4.3 lets through, the stored relation the
+//!   rows come from), and `Inherited` carries what the operators above a
+//!   node guarantee of the tuples that survive.
+//! * [`mod@semantic`] — the one rule set: every rule is a function that
+//!   asks those two.  [`optimize`] runs it to a **fixpoint** (plans are
+//!   compared structurally between rounds), so rules feed each other: EAD
+//!   folding turns a predicate into `false`, constant folding collapses the
+//!   filter, empty propagation removes the join above it.
+//! * [`mod@cost`] — the cost model: row estimates from partition metadata
+//!   and table statistics, join ordering, hash versus index-nested-loop
+//!   join, index probe versus pruned scan.
+//! * [`mod@explain`] — renders optimized plans with estimates and the
+//!   notes of the rules that fired.
 //!
 //! Two passes intentionally stay *outside* the fixpoint: partition pruning
 //! runs once at the end (it decorates scans with
@@ -45,21 +34,20 @@
 //! would otherwise conjoin the same regions repeatedly), and the
 //! access-path pass runs last because index lookups are physical.
 
-pub mod classic;
 pub mod cost;
 pub mod explain;
+pub mod props;
 pub mod semantic;
 
-use flexrel_core::attr::AttrSet;
-use flexrel_core::facts::SemanticFacts;
-use flexrel_core::tuple::Tuple;
-use flexrel_core::typecheck::SelectionContext;
 use flexrel_storage::{Catalog, Database};
 
 use crate::logical::LogicalPlan;
 
-pub use classic::choose_access_paths;
 pub use explain::{explain_query, PlanExplain};
+pub use props::{plan_props, PlanProps, Source};
+pub use semantic::choose_access_paths;
+
+use props::Inherited;
 
 /// A record of one rewrite the optimizer performed, for EXPLAIN output.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,172 +98,39 @@ impl Notes {
     }
 }
 
-/// What a [`Rewrite`] rule gets to see: the catalog (definitions and the
-/// [`SemanticFacts`] derived from them) and optionally the live database
-/// (for statistics-backed rules).
-pub struct PassContext<'a> {
-    catalog: &'a Catalog,
-    db: Option<&'a Database>,
-}
+/// The rules converge — each removes an operator or moves a conjunct
+/// down — so the bound is never met; it keeps a rule that did not from
+/// hanging a statement.
+const MAX_ROUNDS: usize = 8;
 
-impl<'a> PassContext<'a> {
-    /// A context over a catalog only (no statistics available).
-    pub fn new(catalog: &'a Catalog) -> Self {
-        PassContext { catalog, db: None }
-    }
-
-    /// A context over a live database: rules may additionally consult
-    /// indexes and table statistics.
-    pub fn with_db(catalog: &'a Catalog, db: &'a Database) -> Self {
-        PassContext {
-            catalog,
-            db: Some(db),
+/// The rule set ([`mod@semantic`]) to a fixpoint, then partition pruning.
+fn rewrite(mut plan: LogicalPlan, catalog: &Catalog, notes: &mut Notes) -> LogicalPlan {
+    for _ in 0..MAX_ROUNDS {
+        let before = plan.clone();
+        plan = semantic::rewrite(plan, catalog, &Inherited::default(), notes);
+        if plan == before {
+            break;
         }
     }
-
-    /// The catalog the plan is compiled against.
-    pub fn catalog(&self) -> &'a Catalog {
-        self.catalog
-    }
-
-    /// The live database, when optimizing for execution.
-    pub fn db(&self) -> Option<&'a Database> {
-        self.db
-    }
-
-    /// The semantic facts (closure index, mandatory attributes, EAD
-    /// variants) of a relation, as registered in the catalog.  `None` for
-    /// unknown relations.
-    pub fn facts(&self, relation: &str) -> Option<&'a SemanticFacts> {
-        self.catalog.facts(relation)
-    }
+    plan
 }
 
-/// One optimizer rule: a named plan transformation.
-///
-/// A rule must be **note-safe**: it pushes a [`RewriteNote`] only when it
-/// actually changes the plan, so running it again on its own output inside
-/// the [`Pipeline`] fixpoint neither loops nor duplicates notes.
-pub trait Rewrite {
-    /// The rule's name, used in progress notes and EXPLAIN output.
-    fn name(&self) -> &'static str;
-    /// Applies the rule, recording what it did.
-    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan;
-}
-
-/// The classic justified rewrites ([`classic::rewrite`]) wrapped as a
-/// pipeline rule: guard analysis, variant/branch/join pruning and constant
-/// folding.
-struct ClassicRewrites;
-
-impl Rewrite for ClassicRewrites {
-    fn name(&self) -> &'static str {
-        "classic"
-    }
-    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
-        classic::rewrite(plan, ctx.catalog(), &SelectionContext::none(), notes)
-    }
-}
-
-/// Empty-plan propagation ([`classic::simplify_empties`]) wrapped as a
-/// pipeline rule, so emptiness proven by any other rule collapses the
-/// surrounding operators on the same pipeline run.
-struct EmptyPropagation;
-
-impl Rewrite for EmptyPropagation {
-    fn name(&self) -> &'static str {
-        "empty-propagation"
-    }
-    fn apply(&self, plan: LogicalPlan, _ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
-        classic::simplify_empties(plan, notes)
-    }
-}
-
-/// Selection pushdown through natural joins
-/// ([`classic::push_selections`]) wrapped as a pipeline rule: a conjunct
-/// that reaches its operand may meet a qualification there (variant
-/// pruning) or an index (the access-path pass).
-struct SelectionPushdown;
-
-impl Rewrite for SelectionPushdown {
-    fn name(&self) -> &'static str {
-        "selection-pushdown"
-    }
-    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
-        classic::push_selections(plan, ctx.catalog(), notes)
-    }
-}
-
-/// A rule pipeline run to a fixpoint.
-pub struct Pipeline {
-    rules: Vec<Box<dyn Rewrite>>,
-    max_rounds: usize,
-}
-
-impl Pipeline {
-    /// The standard rule set: the classic justified rewrites, the
-    /// dependency-derived semantic rewrites, selection pushdown through
-    /// joins, and empty-plan propagation.
-    pub fn standard() -> Self {
-        Pipeline {
-            rules: vec![
-                Box::new(ClassicRewrites),
-                Box::new(semantic::SemanticRules),
-                Box::new(SelectionPushdown),
-                Box::new(EmptyPropagation),
-            ],
-            max_rounds: 5,
-        }
-    }
-
-    /// Runs every rule in order, repeating the whole list until the plan
-    /// stops changing (or `max_rounds` is hit — a safety net; the standard
-    /// rules all converge).
-    pub fn run(
-        &self,
-        mut plan: LogicalPlan,
-        ctx: &PassContext<'_>,
-        notes: &mut Notes,
-    ) -> LogicalPlan {
-        for _ in 0..self.max_rounds {
-            let before = plan.clone();
-            for rule in &self.rules {
-                plan = rule.apply(plan, ctx, notes);
-            }
-            if plan == before {
-                break;
-            }
-        }
-        plan
-    }
-}
-
-/// Optimizes a plan, returning the rewritten plan and the rewrite notes
-/// with their details rendered.
-///
-/// Runs the standard [`Pipeline`] (justified rewrites, semantic rewrites,
-/// selection pushdown, empty-plan propagation) to a fixpoint, then the
-/// partition-pruning pass that attaches
+/// Optimizes a plan against a catalog alone, returning the rewritten plan
+/// and the rewrite notes with their details rendered: the rule set to a
+/// fixpoint, then the partition-pruning pass that attaches
 /// [`crate::logical::ShapePredicate`]s to scans.
 pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> (LogicalPlan, Vec<RewriteNote>) {
     let mut notes = Notes::rendered();
-    let ctx = PassContext::new(catalog);
-    let plan = Pipeline::standard().run(plan, &ctx, &mut notes);
-    let plan = classic::prune_scans(
-        plan,
-        catalog,
-        &AttrSet::empty(),
-        &Tuple::empty(),
-        &mut notes,
-    );
+    let plan = rewrite(plan, catalog, &mut notes);
+    let plan = semantic::prune_scans(plan, catalog, &Inherited::default(), &mut notes);
     (plan, notes.into_vec())
 }
 
-/// Optimizes a plan against a live database: runs the standard pipeline
-/// with statistics available, the cost-based join-ordering pass
-/// ([`mod@cost`]), partition pruning, and finally the access-path
-/// pass ([`choose_access_paths`]), which prices an index probe against the
-/// pruned scan from the database's index and partition metadata.
+/// Optimizes a plan against a live database: the rule set, the cost-based
+/// join-ordering pass ([`mod@cost`]), partition pruning, and finally the
+/// access-path pass ([`choose_access_paths`]), which prices an index probe
+/// against the pruned scan from the database's index and partition
+/// metadata.
 ///
 /// This is the path every executed statement takes, so the returned notes
 /// name the rules that fired and leave [`RewriteNote::detail`] empty;
@@ -292,16 +147,11 @@ pub fn optimize_with_db(plan: LogicalPlan, db: &Database) -> (LogicalPlan, Vec<R
 /// caller's [`Notes`].
 fn optimize_against(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
     let catalog = db.catalog();
-    let ctx = PassContext::with_db(&catalog, db);
-    let plan = Pipeline::standard().run(plan, &ctx, notes);
+    let plan = rewrite(plan, &catalog, notes);
     let plan = cost::order_joins(plan, db, notes);
-    let plan = classic::prune_scans(plan, &catalog, &AttrSet::empty(), &Tuple::empty(), notes);
+    let plan = semantic::prune_scans(plan, &catalog, &Inherited::default(), notes);
     choose_access_paths(plan, db, notes)
 }
-
-/// The attribute set `AttrSet` re-exported for plan construction ergonomics
-/// in downstream crates (benches build qualified-fragment plans by hand).
-pub type Attrs = AttrSet;
 
 #[cfg(test)]
 mod tests {
@@ -309,6 +159,7 @@ mod tests {
     use crate::parser::parse;
     use crate::planner::plan_query;
     use flexrel_algebra::predicate::Predicate;
+    use flexrel_core::attr::AttrSet;
     use flexrel_core::value::Value;
     use flexrel_storage::RelationDef;
     use flexrel_workload::employee_relation;
@@ -566,12 +417,11 @@ mod tests {
     #[test]
     fn selections_that_either_operand_could_satisfy_stay_above_the_join() {
         // typing-speed is in both universes and mandatory in neither; a
-        // PRESENT atom, a disjunction and a negation are never split; an
-        // Extend hides its operand's scheme.
+        // PRESENT atom, a disjunction and a negation are never split.
         let join = || LogicalPlan::scan("employee").join(LogicalPlan::scan("employee"));
         for pred in [
             Predicate::gt("typing-speed", 100),
-            Predicate::present(flexrel_core::attrs!["salary"]),
+            Predicate::present(flexrel_core::attrs!["foreign-languages"]),
             Predicate::gt("salary", 1).or(Predicate::lt("empno", 5)),
             Predicate::gt("salary", 1).negate(),
         ] {
@@ -584,6 +434,13 @@ mod tests {
             );
             assert!(notes.iter().all(|n| n.rule != "selection-pushdown"));
         }
+    }
+
+    #[test]
+    fn selections_move_onto_an_extended_operand_too() {
+        // `ε` has attribute bounds like any operator (its input's plus its
+        // own attribute): `floor` and `source` are the extended operand's
+        // alone, and the scan below it is pruned through the extension.
         let extended = LogicalPlan::Extend {
             input: Box::new(LogicalPlan::scan("dept")),
             attr: "source".into(),
@@ -591,10 +448,17 @@ mod tests {
         };
         let plan = extended
             .join(LogicalPlan::scan("employee"))
-            .filter(Predicate::eq("floor", 3));
-        let (optimized, notes) = optimize(plan.clone(), &catalog_with_dept());
-        assert_eq!(optimized, plan);
-        assert!(notes.iter().all(|n| n.rule != "selection-pushdown"));
+            .filter(Predicate::eq("floor", 3).and(Predicate::eq("source", Value::tag("hr"))));
+        let (optimized, notes) = optimize(plan, &catalog_with_dept());
+        assert!(notes.iter().any(|n| n.rule == "selection-pushdown"));
+        assert_eq!(
+            optimized.to_string(),
+            "Join\n  \
+             Filter (floor = 3 AND source = 'hr')\n    \
+             Extend source := 'hr'\n      \
+             Scan dept [partitions: shape ⊇ {floor}]\n  \
+             Scan employee\n"
+        );
     }
 
     fn database(n: usize) -> Database {

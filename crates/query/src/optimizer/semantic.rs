@@ -1,94 +1,392 @@
-//! The dependency-derived semantic rewrites.
+//! The rewrite rules.  Each is licensed by what [`plan_props`] derives of
+//! the tuples *below* a node and what `Inherited` says of the tuples that
+//! survive *above* it — never by a look at the plan's shape alone:
 //!
-//! Where the [`mod@super::classic`] rules reason from the *selection
-//! context* (what a query's own predicates establish), these rules reason
-//! from the **declared dependencies themselves**, via the
-//! [`SemanticFacts`] view (closure index, mandatory attributes, EAD
-//! variants) the catalog holds per relation ([`super::PassContext::facts`]):
+//! * **guard analysis** — a `Guard` node or a `PRESENT` conjunct goes to
+//!   [`analyse_guard`] with the input's dependencies, present attributes
+//!   and pinned values plus the inherited ones; a redundant guard is
+//!   removed with its ℰ-derivation in the note (Example 4 — and a guard on
+//!   mandatory attributes is the reflexive case), an unsatisfiable one
+//!   empties its branch.
+//! * **variant / join pruning** — a node whose output pins an attribute to
+//!   another constant than the one inherited from above yields nothing
+//!   that survives (qualified fragments, §3.1.2).
+//! * **EAD predicate folding** — once an explicit AD's determinant is
+//!   pinned, Def. 2.1 fixes the variant; atoms over attributes outside it
+//!   are `false`.
+//! * **selection pushdown** through the natural join, by the operands'
+//!   `universe` and `present` sets.
+//! * **join elimination** and **group-by elimination**, by the input's
+//!   `source` relation and the FDs its facts prove.
+//! * **constant folding** and **empty-plan propagation**.
 //!
-//! * **join-elimination** — a join whose only purpose is to fetch
-//!   attributes the other side already determines (an FD `X → A` with the
-//!   join key `X` and `A` mandatory) is removed; the fetched attributes
-//!   are recovered by widening the surviving side's projection.
-//! * **groupby-elimination** — grouping a duplicate-free projection by
-//!   attributes that functionally determine every projected attribute
-//!   yields singleton groups; `COUNT(*)` aggregates are folded to the
-//!   constant `1`.
-//! * **guard-elimination** (mandatory form) — a type guard asking only for
-//!   attributes in the intersection of the scheme's DNF disjuncts is
-//!   vacuous: every admitted shape carries them.
-//! * **ead-predicate-simplification** — when a filter pins an EAD's
-//!   determining attributes, Def. 2.1 fixes the variant, so comparisons
-//!   and `PRESENT` atoms over attributes *outside* that variant are folded
-//!   to `false` (classic constant folding then collapses the filter).
-//!
-//! All four are **note-safe**: they log to [`Notes`] only when they
-//! change the plan, so the pipeline fixpoint neither loops nor duplicates
-//! notes.
+//! `rewrite` is one round of all of them (it is run to a fixpoint by
+//! [`super::optimize`]); every rule logs to [`Notes`] only when it changes
+//! the plan, so a further round neither loops nor repeats a note.  Two
+//! passes run once, afterwards: `prune_scans` decorates the leaves with
+//! [`ShapePredicate`]s, and [`choose_access_paths`] is physical.
 
-use flexrel_algebra::predicate::Predicate;
+use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::AttrSet;
-use flexrel_core::facts::SemanticFacts;
+use flexrel_core::axioms::AxiomSystem;
+use flexrel_core::tuple::Tuple;
+use flexrel_core::typecheck::{analyse_guard, GuardAnalysis, SelectionContext, TypeGuard};
 use flexrel_core::value::Value;
+use flexrel_storage::{Catalog, Database, IndexInfo};
 
-use crate::logical::{AggFunc, LogicalPlan};
+use crate::logical::{AggFunc, LogicalPlan, ShapePredicate};
 
-use super::{Notes, PassContext, Rewrite};
+use super::props::{plan_props, Inherited, PlanProps};
+use super::{cost, Notes};
 
-/// The semantic rule bundle, registered in [`super::Pipeline::standard`].
-pub struct SemanticRules;
-
-impl Rewrite for SemanticRules {
-    fn name(&self) -> &'static str {
-        "semantic"
+/// One round of the rules over the whole plan: on the way down the rules
+/// that read the node and what it inherits, on the way up those that read
+/// the rewritten inputs.
+pub(super) fn rewrite(
+    plan: LogicalPlan,
+    catalog: &Catalog,
+    above: &Inherited,
+    notes: &mut Notes,
+) -> LogicalPlan {
+    if contradicts_inherited(&plan, catalog, above, notes) {
+        return LogicalPlan::Empty;
     }
-    fn apply(&self, plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
-        rewrite(plan, ctx, notes)
+    let plan = match plan {
+        LogicalPlan::Guard { input, attrs } => decide_guard(*input, attrs, catalog, above, notes),
+        LogicalPlan::Filter { input, predicate } => {
+            simplify_filter(*input, predicate, catalog, above, notes)
+        }
+        other => other,
+    };
+    let below = above.descend(&plan);
+    let plan = plan.map_children(|p| rewrite(p, catalog, &below, notes));
+    let plan = eliminate_join(plan, catalog, notes);
+    let plan = eliminate_groupby(plan, catalog, notes);
+    collapse_empty(plan, notes)
+}
+
+/// **variant-pruning / join-pruning.**  Every tuple of `plan` carries
+/// `A = d`, and only tuples with `A = c ≠ d` survive above: nothing does.
+/// For a join this is where a selection above meets an operand's
+/// qualification — a merged tuple carries what either part pins.
+fn contradicts_inherited(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    above: &Inherited,
+    notes: &mut Notes,
+) -> bool {
+    if above.pinned.is_empty() || matches!(plan, LogicalPlan::Empty) {
+        return false;
+    }
+    let Some(props) = plan_props(plan, catalog) else {
+        return false;
+    };
+    let clash = above
+        .pinned
+        .iter()
+        .any(|(a, v)| props.pinned.get(a).is_some_and(|w| w != v));
+    if clash {
+        let rule = match plan {
+            LogicalPlan::Join { .. } => "join-pruning",
+            _ => "variant-pruning",
+        };
+        notes.push(rule, || {
+            format!(
+                "every tuple here carries {}, the selection above keeps only {}; branch removed",
+                props.pinned, above.pinned
+            )
+        });
+    }
+    clash
+}
+
+/// What is known of a tuple that came out of a node with `props` and will
+/// survive the operators `above`, in [`analyse_guard`]'s terms.
+fn guard_context(above: &Inherited, props: &PlanProps<'_>) -> SelectionContext {
+    SelectionContext {
+        referenced: above.present.union(&props.present),
+        equalities: above.pinned.merged_with(&props.pinned),
     }
 }
 
-/// Bottom-up traversal: children first, then the node-level rules.
-fn rewrite(plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
-    let plan = plan.map_children(|p| rewrite(p, ctx, notes));
-    let plan = try_join_elimination(plan, ctx, notes);
-    let plan = try_groupby_elimination(plan, ctx, notes);
-    let plan = try_guard_mandatory(plan, ctx, notes);
-    try_ead_simplification(plan, ctx, notes)
+/// **guard-elimination / guard-unsatisfiable** for a `Guard` node.
+fn decide_guard(
+    input: LogicalPlan,
+    attrs: AttrSet,
+    catalog: &Catalog,
+    above: &Inherited,
+    notes: &mut Notes,
+) -> LogicalPlan {
+    let Some(props) = plan_props(&input, catalog) else {
+        return input.guard(attrs);
+    };
+    let ctx = guard_context(above, &props);
+    match analyse_guard(
+        &props.deps,
+        &ctx,
+        &TypeGuard::new(attrs.clone()),
+        AxiomSystem::E,
+    ) {
+        GuardAnalysis::Redundant(derivation) => {
+            notes.push("guard-elimination", || {
+                format!(
+                    "guard for {} is redundant; justified by:\n{}",
+                    attrs, derivation
+                )
+            });
+            input
+        }
+        GuardAnalysis::Unsatisfiable => {
+            notes.push("guard-unsatisfiable", || {
+                format!(
+                    "guard for {} can never hold under the selection; branch pruned",
+                    attrs
+                )
+            });
+            LogicalPlan::Empty
+        }
+        GuardAnalysis::Necessary => input.guard(attrs),
+    }
 }
 
-/// The single stored relation a plan reads full tuples from, looking
-/// through shape-preserving operators only.  `None` for projections,
-/// extends, joins, unions and aggregates: their rows are no longer stored
-/// tuples of one relation, so per-tuple dependency reasoning (FDs hold
-/// pairwise on *stored* tuples) does not transfer.
-fn leaf_relation(plan: &LogicalPlan) -> Option<&str> {
+/// `p` with each top-level conjunct `c` replaced by `f(c)` where that is
+/// `Some`; the conjunction keeps its shape.
+fn map_conjuncts(p: &Predicate, f: &mut impl FnMut(&Predicate) -> Option<Predicate>) -> Predicate {
+    match p {
+        Predicate::And(a, b) => map_conjuncts(a, f).and(map_conjuncts(b, f)),
+        leaf => f(leaf).unwrap_or_else(|| leaf.clone()),
+    }
+}
+
+/// The top-level conjuncts of a predicate, in order.
+fn conjuncts(p: &Predicate) -> Vec<&Predicate> {
+    match p {
+        Predicate::And(a, b) => [conjuncts(a), conjuncts(b)].concat(),
+        leaf => vec![leaf],
+    }
+}
+
+/// The rules of a `Filter` node: its `PRESENT` conjuncts are decided, atoms
+/// an explicit AD rules out are folded, a constant predicate is folded
+/// away, and over a join the conjuncts are pushed to the operands.
+fn simplify_filter(
+    input: LogicalPlan,
+    predicate: Predicate,
+    catalog: &Catalog,
+    above: &Inherited,
+    notes: &mut Notes,
+) -> LogicalPlan {
+    let predicate = match plan_props(&input, catalog) {
+        Some(props) => {
+            let predicate = decide_present_conjuncts(predicate, &props, above, notes);
+            fold_absent_atoms(predicate, &props, notes)
+        }
+        None => predicate,
+    };
+    match (predicate, input) {
+        (Predicate::False, _) => {
+            notes.push("constant-folding", || "predicate is constant false".into());
+            LogicalPlan::Empty
+        }
+        (Predicate::True, input) => {
+            notes.push("constant-folding", || "predicate is constant true".into());
+            input
+        }
+        (predicate, LogicalPlan::Join { left, right }) => {
+            split_over_join(predicate, *left, *right, catalog, notes)
+        }
+        (predicate, input) => input.filter(predicate),
+    }
+}
+
+/// **guard-elimination / guard-unsatisfiable** for the `PRESENT(…)`
+/// conjuncts of a selection.  A conjunct is judged by everything known
+/// *besides* the `PRESENT` conjuncts — what is inherited, what holds of the
+/// input, and the other conjuncts of this predicate — so that a guard never
+/// justifies itself.  Inside disjunctions and negations the conjunction
+/// context does not apply; they are left alone.
+fn decide_present_conjuncts(
+    predicate: Predicate,
+    props: &PlanProps<'_>,
+    above: &Inherited,
+    notes: &mut Notes,
+) -> Predicate {
+    let is_guard = |c: &Predicate| matches!(c, Predicate::IsPresent(_));
+    if !conjuncts(&predicate).into_iter().any(is_guard) {
+        return predicate;
+    }
+    let others = map_conjuncts(&predicate, &mut |c| is_guard(c).then_some(Predicate::True));
+    let ctx = guard_context(&above.select(&others), props);
+    map_conjuncts(&predicate, &mut |c| {
+        let Predicate::IsPresent(attrs) = c else {
+            return None;
+        };
+        match analyse_guard(
+            &props.deps,
+            &ctx,
+            &TypeGuard::new(attrs.clone()),
+            AxiomSystem::E,
+        ) {
+            GuardAnalysis::Redundant(d) => {
+                notes.push("guard-elimination", || {
+                    format!("PRESENT({}) is redundant; justified by:\n{}", attrs, d)
+                });
+                Some(Predicate::True)
+            }
+            GuardAnalysis::Unsatisfiable => {
+                notes.push("guard-unsatisfiable", || {
+                    format!("PRESENT({}) can never hold under the selection", attrs)
+                });
+                Some(Predicate::False)
+            }
+            GuardAnalysis::Necessary => None,
+        }
+    })
+    .simplify()
+}
+
+/// **ead-predicate-simplification.**  What the input pins and what the
+/// predicate's own top-level equalities pin fixes the variant of every
+/// tuple that can still qualify; an atom over an attribute *outside* that
+/// variant is `false` on all of them, and tuples of other variants fail the
+/// pinning conjuncts either way — so such atoms fold to `false` through
+/// the whole predicate tree.
+fn fold_absent_atoms(predicate: Predicate, props: &PlanProps<'_>, notes: &mut Notes) -> Predicate {
+    fn fold(p: &Predicate, absent: &AttrSet) -> Predicate {
+        match p {
+            Predicate::Cmp { attr, .. } if absent.contains(attr) => Predicate::False,
+            Predicate::IsPresent(attrs) if !attrs.is_disjoint(absent) => Predicate::False,
+            Predicate::And(a, b) => fold(a, absent).and(fold(b, absent)),
+            Predicate::Or(a, b) => fold(a, absent).or(fold(b, absent)),
+            Predicate::Not(a) => fold(a, absent).negate(),
+            other => other.clone(),
+        }
+    }
+    let pinned = props.pinned.merged_with(&predicate.implied_equalities());
+    let absent = props
+        .deps
+        .pinned_regions(&pinned)
+        .fold(AttrSet::empty(), |acc, (y, yi)| {
+            acc.union(&y.difference(&yi))
+        });
+    if absent.is_empty() {
+        return predicate;
+    }
+    let folded = fold(&predicate, &absent).simplify();
+    if folded != predicate {
+        notes.push("ead-predicate-simplification", || {
+            format!(
+                "the pinned EAD determinant excludes {}; atoms over those \
+                 attributes folded to false",
+                absent
+            )
+        });
+    }
+    folded
+}
+
+/// Whether every tuple `plan` yields already satisfies the comparison
+/// `atom`, because a filter, qualification or index key below says so —
+/// which is what keeps copying a conjunct down idempotent.
+fn already_selects(plan: &LogicalPlan, atom: &Predicate) -> bool {
     match plan {
-        LogicalPlan::Scan { relation, .. } | LogicalPlan::IndexLookup { relation, .. } => {
-            Some(relation)
+        LogicalPlan::Filter { input, predicate } => {
+            conjuncts(predicate).contains(&atom) || already_selects(input, atom)
         }
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Guard { input, .. } => {
-            leaf_relation(input)
+        LogicalPlan::Guard { input, .. } | LogicalPlan::Project { input, .. } => {
+            already_selects(input, atom)
         }
-        _ => None,
+        LogicalPlan::Join { left, right } => {
+            already_selects(left, atom) || already_selects(right, atom)
+        }
+        LogicalPlan::Scan { qualification, .. } => qualification
+            .as_ref()
+            .is_some_and(|q| conjuncts(q).contains(&atom)),
+        LogicalPlan::IndexLookup { key_value, .. } => matches!(
+            atom,
+            Predicate::Cmp { attr, op: CmpOp::Eq, value } if key_value.get(attr) == Some(value)
+        ),
+        _ => false,
     }
 }
 
-/// A lower bound on the attributes present in every tuple a probe-side
-/// plan over `rel` emits, or `None` when the plan reads anything other
-/// than `rel` (or produces rows that are not restrictions of stored
-/// tuples).
-fn probe_lower(plan: &LogicalPlan, rel: &str, facts: &SemanticFacts) -> Option<AttrSet> {
+/// Conjoins `conjuncts` onto a join operand, merging into a filter that is
+/// already its root so the access-path pass sees one predicate over the
+/// scan.
+fn filter_operand(plan: LogicalPlan, conjuncts: Vec<Predicate>) -> LogicalPlan {
+    let Some(pushed) = conjuncts.into_iter().reduce(Predicate::and) else {
+        return plan;
+    };
     match plan {
-        LogicalPlan::Scan { relation, .. } if relation == rel => Some(facts.mandatory().clone()),
-        LogicalPlan::IndexLookup { relation, key, .. } if relation == rel => {
-            Some(facts.mandatory().union(key))
+        LogicalPlan::Filter { input, predicate } => input.filter(predicate.and(pushed)),
+        other => other.filter(pushed),
+    }
+}
+
+/// **selection-pushdown** through the natural join.  A join merges
+/// compatible tuples, so an output tuple's value (or absence) on attribute
+/// `A` is its left part's whenever the right operand can never carry `A`,
+/// and the other way round — decided from the operands' `universe`, which
+/// holds for every instance.  For each top-level comparison conjunct
+/// `A op c` of a filter directly above `left ⋈ right`:
+///
+/// * `A` in exactly one operand's universe — the conjunct **moves** to that
+///   operand: it evaluates there exactly as it did above.
+/// * `A` in both universes — an output tuple may take `A` from either part
+///   (one may lack it while the other supplies the passing value), so the
+///   conjunct stays above the join; a **copy** goes to each operand where
+///   `A` is `present`, because there every tuple carries the value the
+///   merged tuple will have.
+///
+/// Anything else — `NOT`, `OR`, `PRESENT` — stays where it is.  The pushed
+/// filter is visited next, so a conjunct sinks through a whole join tree to
+/// the scan that owns its attribute, where the access-path pass and the
+/// join-strategy gate find a selective operand.
+fn split_over_join(
+    predicate: Predicate,
+    left: LogicalPlan,
+    right: LogicalPlan,
+    catalog: &Catalog,
+    notes: &mut Notes,
+) -> LogicalPlan {
+    let (Some(l), Some(r)) = (plan_props(&left, catalog), plan_props(&right, catalog)) else {
+        return left.join(right).filter(predicate);
+    };
+    let (mut above, mut to_left, mut to_right) = (Vec::new(), Vec::new(), Vec::new());
+    for c in conjuncts(&predicate).into_iter().cloned() {
+        let Predicate::Cmp { attr, .. } = &c else {
+            above.push(c);
+            continue;
+        };
+        match (l.universe.contains(attr), r.universe.contains(attr)) {
+            (true, false) => to_left.push(c),
+            (false, true) => to_right.push(c),
+            (true, true) => {
+                if l.present.contains(attr) && !already_selects(&left, &c) {
+                    to_left.push(c.clone());
+                }
+                if r.present.contains(attr) && !already_selects(&right, &c) {
+                    to_right.push(c.clone());
+                }
+                above.push(c);
+            }
+            (false, false) => above.push(c),
         }
-        LogicalPlan::Filter { input, .. } => probe_lower(input, rel, facts),
-        LogicalPlan::Guard { input, attrs } => Some(probe_lower(input, rel, facts)?.union(attrs)),
-        LogicalPlan::Project { input, attrs } => {
-            Some(probe_lower(input, rel, facts)?.intersection(attrs))
-        }
-        _ => None,
+    }
+    if !to_left.is_empty() || !to_right.is_empty() {
+        notes.push("selection-pushdown", || {
+            let list = |cs: &[Predicate]| cs.iter().map(Predicate::to_string).collect::<Vec<_>>();
+            format!(
+                "pushed below the join: {:?} to the left operand, {:?} to the right",
+                list(&to_left),
+                list(&to_right)
+            )
+        });
+    }
+    let join = filter_operand(left, to_left).join(filter_operand(right, to_right));
+    match above.into_iter().reduce(Predicate::and) {
+        Some(predicate) => join.filter(predicate),
+        None => join,
     }
 }
 
@@ -110,21 +408,19 @@ fn as_bare_projection(plan: &LogicalPlan) -> Option<(&str, &AttrSet)> {
     None
 }
 
-/// **join-elimination.**  In `probe ⋈ π_A(rel)` where the probe side also
-/// reads `rel`, every probe tuple carries the join key `X = A ∩ attrs(probe)`
-/// of a stored tuple, `A` is mandatory (so `π_A(rel)` has no partial
-/// tuples) and the declared FDs give `X → A`: each probe tuple then merges
-/// with **exactly one** build tuple — the `A`-projection of its own
-/// originating stored tuple (the build side is duplicate-free because
-/// `Project` has set semantics).  The join is the identity on the probe
-/// side except for widening each tuple by `A`, so it is replaced by the
-/// probe alone (when it already carries `A`) or by the probe with its
-/// projection widened to `B ∪ A`.
-fn try_join_elimination(
-    plan: LogicalPlan,
-    ctx: &PassContext<'_>,
-    notes: &mut Notes,
-) -> LogicalPlan {
+/// **join-elimination.**  In `probe ⋈ π_A(rel)` where the probe's rows are
+/// (restrictions of) stored tuples of `rel` too, every probe tuple carries
+/// the join key `X = A ∩ present(probe)` of a stored tuple, `A` is mandatory
+/// (so `π_A(rel)` has no partial tuples) and the declared FDs give `X → A`:
+/// each probe tuple then merges with **exactly one** build tuple — the
+/// `A`-projection of its own originating stored tuple (the build side is
+/// duplicate-free because `Project` has set semantics).  The join is the
+/// identity on the probe side except for widening each tuple by `A`, so it
+/// is replaced by the probe alone (when it already carries `A`) or by the
+/// probe with its projection widened to `B ∪ A` (when the projection's
+/// input rows are whole stored tuples, which carry `A` with the
+/// FD-consistent values).
+fn eliminate_join(plan: LogicalPlan, catalog: &Catalog, notes: &mut Notes) -> LogicalPlan {
     let LogicalPlan::Join { left, right } = plan else {
         return plan;
     };
@@ -132,23 +428,18 @@ fn try_join_elimination(
         let Some((rel, a)) = as_bare_projection(fetch) else {
             continue;
         };
-        let Some(facts) = ctx.facts(rel) else {
+        let Some(props) = plan_props(probe, catalog) else {
             continue;
         };
-        if leaf_relation_through_project(probe) != Some(rel) {
-            continue;
-        }
-        let Some(lower) = probe_lower(probe, rel, facts) else {
+        let Some(source) = props.source.filter(|s| s.relation == rel) else {
             continue;
         };
-        if a.is_empty() || !a.is_subset(facts.mandatory()) {
+        let x = a.intersection(&props.present);
+        if x.is_empty() || !a.is_subset(source.facts.mandatory()) || !source.facts.determines(&x, a)
+        {
             continue;
         }
-        let x = a.intersection(&lower);
-        if x.is_empty() || !facts.determines(&x, a) {
-            continue;
-        }
-        if a.is_subset(&lower) {
+        if a.is_subset(&props.present) {
             notes.push("join-elimination", || {
                 format!(
                     "join with π_{}({}) removed: the other side already carries {}, \
@@ -159,10 +450,10 @@ fn try_join_elimination(
             return (**probe).clone();
         }
         if let LogicalPlan::Project { input, attrs } = probe.as_ref() {
-            // Widening is only sound when the projection's input rows are
-            // full stored tuples (they carry the mandatory `A` with the
-            // FD-consistent values).
-            if leaf_relation(input).is_some() {
+            let whole = plan_props(input, catalog)
+                .and_then(|p| p.source)
+                .is_some_and(|s| s.whole);
+            if whole {
                 notes.push("join-elimination", || {
                     format!(
                         "join with π_{}({}) removed: {} → {} lets the projection \
@@ -170,35 +461,19 @@ fn try_join_elimination(
                         a, rel, x, a, a
                     )
                 });
-                return LogicalPlan::Project {
-                    input: input.clone(),
-                    attrs: attrs.union(a),
-                };
+                return (**input).clone().project(attrs.union(a));
             }
         }
     }
     LogicalPlan::Join { left, right }
 }
 
-/// Like [`leaf_relation`], but also looks through one `Project` (the probe
-/// side of an eliminable join is typically a projection itself).
-fn leaf_relation_through_project(plan: &LogicalPlan) -> Option<&str> {
-    match plan {
-        LogicalPlan::Project { input, .. } => leaf_relation(input),
-        other => leaf_relation(other),
-    }
-}
-
 /// **groupby-elimination.**  `GROUP BY G` over the duplicate-free
-/// projection `π_B(rel)` with `G ⊆ B ⊆ mandatory` and the FD `G → B`:
-/// distinct `B`-values have distinct `G`-values (the FD holds pairwise on
-/// the stored tuples the projection came from), so every group is a
-/// singleton and `COUNT(*)` is the constant `1`.
-fn try_groupby_elimination(
-    plan: LogicalPlan,
-    ctx: &PassContext<'_>,
-    notes: &mut Notes,
-) -> LogicalPlan {
+/// projection `π_B(input)` of whole stored tuples, with `G ⊆ B ⊆ present`
+/// and the FD `G → B`: distinct `B`-values have distinct `G`-values (the FD
+/// holds pairwise on the stored tuples the projection came from), so every
+/// group is a singleton and `COUNT(*)` is the constant `1`.
+fn eliminate_groupby(plan: LogicalPlan, catalog: &Catalog, notes: &mut Notes) -> LogicalPlan {
     let LogicalPlan::Aggregate {
         input,
         group_by,
@@ -207,136 +482,258 @@ fn try_groupby_elimination(
     else {
         return plan;
     };
-    let eliminable = (|| {
-        if group_by.is_empty()
-            || !aggs
-                .iter()
-                .all(|a| matches!(a.func, AggFunc::Count) && a.input.is_none())
-        {
-            return None;
-        }
+    let singleton_groups = || {
+        let counts_only = aggs
+            .iter()
+            .all(|a| matches!(a.func, AggFunc::Count) && a.input.is_none());
         let LogicalPlan::Project {
             input: inner,
-            attrs: b,
+            attrs,
         } = input.as_ref()
         else {
             return None;
         };
-        let rel = leaf_relation(inner)?;
-        let facts = ctx.facts(rel)?;
-        if b.is_subset(facts.mandatory()) && group_by.is_subset(b) && facts.determines(&group_by, b)
-        {
-            Some((inner.clone(), rel.to_string(), b.clone()))
-        } else {
-            None
-        }
-    })();
-    match eliminable {
-        Some((inner, rel, b)) => {
-            notes.push("groupby-elimination", || {
-                format!(
-                    "GROUP BY {} over π_{}({}) has singleton groups ({} → {}); \
-                     COUNT(*) folded to the constant 1",
-                    group_by, b, rel, group_by, b
-                )
-            });
-            let mut plan = LogicalPlan::Project {
-                input: inner,
-                attrs: group_by,
-            };
-            for agg in aggs {
-                plan = LogicalPlan::Extend {
-                    input: Box::new(plan),
-                    attr: agg.output.name().to_string(),
-                    value: Value::Int(1),
-                };
-            }
-            plan
-        }
-        None => LogicalPlan::Aggregate {
+        let props = plan_props(inner, catalog)?;
+        let source = props.source.filter(|s| s.whole)?;
+        (counts_only
+            && !group_by.is_empty()
+            && group_by.is_subset(attrs)
+            && attrs.is_subset(&props.present)
+            && source.facts.determines(&group_by, attrs))
+        .then(|| (inner.clone(), source.relation, attrs.clone()))
+    };
+    let Some((inner, rel, b)) = singleton_groups() else {
+        return LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
-        },
-    }
-}
-
-/// **guard-elimination**, mandatory form: a guard asking only for
-/// attributes every admitted shape carries (the intersection of the
-/// scheme's DNF disjuncts) is vacuous regardless of any selection context.
-fn try_guard_mandatory(plan: LogicalPlan, ctx: &PassContext<'_>, notes: &mut Notes) -> LogicalPlan {
-    let LogicalPlan::Guard { input, attrs } = plan else {
-        return plan;
+        };
     };
-    let mandatory = leaf_relation(&input)
-        .and_then(|rel| ctx.facts(rel))
-        .is_some_and(|facts| attrs.is_subset(facts.mandatory()));
-    if mandatory {
-        notes.push("guard-elimination", || {
-            format!(
-                "guard for {} is vacuous: the attributes are mandatory \
-                 (present in every disjunct of the scheme's DNF)",
-                attrs
-            )
-        });
-        *input
-    } else {
-        LogicalPlan::Guard { input, attrs }
+    notes.push("groupby-elimination", || {
+        format!(
+            "GROUP BY {} over π_{}({}) has singleton groups ({} → {}); \
+             COUNT(*) folded to the constant 1",
+            group_by, b, rel, group_by, b
+        )
+    });
+    aggs.into_iter()
+        .fold(inner.project(group_by), |plan, agg| LogicalPlan::Extend {
+            input: Box::new(plan),
+            attr: agg.output.name().to_string(),
+            value: Value::Int(1),
+        })
+}
+
+/// **empty-propagation**, one node: an operator over an empty input is
+/// empty — except the global aggregate, which still emits its single row
+/// (`COUNT(*) = 0`) — and a union keeps its non-empty branches.
+fn collapse_empty(plan: LogicalPlan, notes: &mut Notes) -> LogicalPlan {
+    let empty = |p: &LogicalPlan| matches!(p, LogicalPlan::Empty);
+    match plan {
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Guard { input, .. }
+        | LogicalPlan::Extend { input, .. }
+            if empty(&input) =>
+        {
+            LogicalPlan::Empty
+        }
+        LogicalPlan::Aggregate {
+            input, group_by, ..
+        } if empty(&input) && !group_by.is_empty() => LogicalPlan::Empty,
+        LogicalPlan::Join { left, right } if empty(&left) || empty(&right) => {
+            notes.push("empty-propagation", || {
+                "join with an empty input removed".into()
+            });
+            LogicalPlan::Empty
+        }
+        LogicalPlan::UnionAll { mut inputs } => {
+            inputs.retain(|p| !empty(p));
+            match inputs.len() {
+                0 => LogicalPlan::Empty,
+                1 => inputs.pop().expect("one element"),
+                _ => LogicalPlan::UnionAll { inputs },
+            }
+        }
+        other => other,
     }
 }
 
-/// **ead-predicate-simplification.**  When the filter's top-level equality
-/// conjuncts pin an EAD's determining attributes, Def. 2.1 fixes the
-/// variant of every tuple that can still qualify; atoms over attributes
-/// *outside* that variant (`rhs \ Yi`) evaluate to `false` on all such
-/// tuples, and tuples of other variants already fail the pinned equality
-/// conjuncts — so those atoms fold to `false` unconditionally.
-fn try_ead_simplification(
+/// The partition-pruning pass: what the operators above a leaf guarantee of
+/// qualifying tuples ([`Inherited`]), together with the leaf's own
+/// qualification or probe key, becomes a [`ShapePredicate`] on the leaf, so
+/// the executor can skip whole heap partitions.  Besides pure presence
+/// this is the AD-driven step of §3.1.2 at the storage level: when an
+/// explicit AD's determinant is pinned, Def. 2.1 fixes the exact
+/// `Y`-overlap of every qualifying tuple
+/// ([`flexrel_core::dep::DependencySet::pinned_regions`]), so all
+/// partitions with a different overlap are excluded — the physical
+/// counterpart of variant pruning on qualified fragments.
+pub(super) fn prune_scans(
     plan: LogicalPlan,
-    ctx: &PassContext<'_>,
+    catalog: &Catalog,
+    above: &Inherited,
     notes: &mut Notes,
 ) -> LogicalPlan {
+    // The shape predicate for one leaf of `relation`, conjoined with the
+    // one it already carries: that one (hand-built plans) is
+    // result-affecting and must be preserved.
+    let mut restrict = |relation: &str, known: Inherited, existing: Option<ShapePredicate>| {
+        let Ok(def) = catalog.get(relation) else {
+            return existing;
+        };
+        let mut pred = ShapePredicate {
+            required: known.present,
+            regions: (def.deps)
+                .pinned_regions(&known.pinned)
+                .map(|(y, yi)| (y.clone(), yi))
+                .collect(),
+        };
+        if pred.is_trivial() {
+            return existing;
+        }
+        notes.push("partition-pruning", || {
+            format!("{} restricted to partitions with {}", relation, pred)
+        });
+        if let Some(existing) = existing {
+            pred.required.extend_with(&existing.required);
+            pred.regions.extend(existing.regions);
+        }
+        Some(pred)
+    };
+    match plan {
+        LogicalPlan::Scan {
+            relation,
+            qualification,
+            shape,
+        } => {
+            let known = match &qualification {
+                Some(q) => above.select(q),
+                None => above.clone(),
+            };
+            LogicalPlan::Scan {
+                shape: restrict(&relation, known, shape),
+                relation,
+                qualification,
+            }
+        }
+        LogicalPlan::IndexLookup {
+            relation,
+            key,
+            key_value,
+            shapes,
+        } => {
+            let known = Inherited {
+                present: above.present.union(&key),
+                pinned: above.pinned.merged_with(&key_value),
+            };
+            LogicalPlan::IndexLookup {
+                shapes: restrict(&relation, known, shapes),
+                relation,
+                key,
+                key_value,
+            }
+        }
+        other => {
+            let below = above.descend(&other);
+            other.map_children(|p| prune_scans(p, catalog, &below, notes))
+        }
+    }
+}
+
+/// The access-path pass: rewrites `Filter(… ∧ A = c ∧ …) ∘ Scan` into an
+/// [`LogicalPlan::IndexLookup`] (plus a residual filter for the conjuncts
+/// the index does not answer) when the stored relation has an index — auto
+/// determinant or user-created secondary — whose key is fully pinned by the
+/// filter's top-level equality conjuncts **and** probing it is priced below
+/// the scan it would replace (the comparison in [`mod@cost`]): a unique key
+/// keeps its probe, a low-cardinality determinant whose chain is the very
+/// partition the scan is already pruned to stays with the column kernels.
+///
+/// Runs *after* partition pruning, so the scan already carries its
+/// [`ShapePredicate`]: the scan side of the comparison counts only the
+/// partitions it admits, and on a rewrite the predicate moves onto the
+/// lookup's `shapes` field where the executor re-applies it per matching
+/// rid (via the rid's `ShapeId`), composing index probing with shape
+/// pruning instead of losing it.  When several indexes cover the pinned
+/// attributes the one with the most distinct keys (the most selective
+/// probe) is the candidate.
+pub fn choose_access_paths(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
+    let plan = plan.map_children(|p| choose_access_paths(p, db, notes));
     let LogicalPlan::Filter { input, predicate } = plan else {
         return plan;
     };
-    let absent = leaf_relation(&input)
-        .and_then(|rel| ctx.facts(rel))
-        .map(|facts| facts.absent_attrs(&predicate.implied_equalities()))
-        .unwrap_or_else(AttrSet::empty);
-    if absent.is_empty() {
-        return LogicalPlan::Filter { input, predicate };
+    let LogicalPlan::Scan {
+        relation,
+        qualification,
+        shape,
+    } = *input
+    else {
+        return input.filter(predicate);
+    };
+    let pinned = predicate.implied_equalities();
+    let Some(info) = cheaper_index(db, &relation, &pinned, shape.as_ref()) else {
+        let scan = LogicalPlan::Scan {
+            relation,
+            qualification,
+            shape,
+        };
+        return scan.filter(predicate);
+    };
+    let key_value = pinned.project(&info.key);
+    // The conjuncts the probe answers go; the scan would have applied its
+    // qualification, so the lookup keeps it as part of the residual.
+    let consumed = |c: &Predicate| {
+        matches!(c, Predicate::Cmp { attr, op: CmpOp::Eq, value }
+            if info.key.contains(attr) && key_value.get(attr) == Some(value))
+    };
+    let mut residual =
+        map_conjuncts(&predicate, &mut |c| consumed(c).then_some(Predicate::True)).simplify();
+    if let Some(q) = qualification {
+        residual = residual.and(q).simplify();
     }
-    let folded = fold_absent(&predicate, &absent).simplify();
-    if folded != predicate {
-        notes.push("ead-predicate-simplification", || {
-            format!(
-                "the pinned EAD determinant excludes {}; atoms over those \
-                 attributes folded to false",
-                absent
-            )
-        });
-        LogicalPlan::Filter {
-            input,
-            predicate: folded,
-        }
+    notes.push("access-path", || {
+        format!(
+            "scan of {} replaced by index lookup on {} = {} \
+             ({} distinct keys over {} entries)",
+            relation, info.key, key_value, info.distinct_keys, info.len
+        )
+    });
+    let lookup = LogicalPlan::IndexLookup {
+        relation,
+        key: info.key,
+        key_value,
+        shapes: shape,
+    };
+    if residual == Predicate::True {
+        lookup
     } else {
-        LogicalPlan::Filter { input, predicate }
+        lookup.filter(residual)
     }
 }
 
-/// Folds every atom touching an attribute of `absent` to `false`,
-/// uniformly through the whole predicate tree (sound because tuples not
-/// matching the pinned determinant fail the top-level equality conjuncts
-/// either way).
-fn fold_absent(p: &Predicate, absent: &AttrSet) -> Predicate {
-    match p {
-        Predicate::Cmp { attr, .. } if absent.contains(attr) => Predicate::False,
-        Predicate::IsPresent(attrs) if !attrs.intersection(absent).is_empty() => Predicate::False,
-        Predicate::And(a, b) => fold_absent(a, absent).and(fold_absent(b, absent)),
-        Predicate::Or(a, b) => fold_absent(a, absent).or(fold_absent(b, absent)),
-        Predicate::Not(a) => fold_absent(a, absent).negate(),
-        other => other.clone(),
+/// The most selective stored index whose key is fully pinned by the
+/// equality constraints, if probing it is cheaper than the scan restricted
+/// to `shape`.  Reads index and partition *metadata* only — counters and
+/// shapes — so planning costs the same whatever the relation holds.
+fn cheaper_index(
+    db: &Database,
+    relation: &str,
+    pinned: &Tuple,
+    shape: Option<&ShapePredicate>,
+) -> Option<IndexInfo> {
+    if pinned.is_empty() {
+        return None;
     }
+    let info = db.covering_index(relation, &pinned.attrs()).ok()??;
+    let (mut partitions, mut rows) = (0, 0);
+    for (_, part) in db.partition_snapshot(relation).ok()?.partitions() {
+        if shape.is_none_or(|s| s.admits(part.shape())) {
+            partitions += 1;
+            rows += part.len();
+        }
+    }
+    cost::index_beats_scan(&info, partitions, rows).then_some(info)
 }
 
 #[cfg(test)]
@@ -470,14 +867,21 @@ mod tests {
 
     #[test]
     fn mandatory_guard_is_dropped_without_selection_context() {
-        // No selection pins anything, so the classic analyse_guard pass
-        // cannot justify the removal — the scheme's DNF intersection can.
+        // No selection pins anything: the scan's `present` set — the
+        // scheme's DNF intersection — is what makes the guard the reflexive
+        // case, and the note says so with the derivation.
         let plan = LogicalPlan::scan("employee").guard(attrs!["name", "salary"]);
         let (optimized, notes) = optimize(plan, &catalog());
         assert_eq!(optimized.guard_count(), 0, "{}", optimized);
-        assert!(notes
-            .iter()
-            .any(|n| n.rule == "guard-elimination" && n.detail.contains("mandatory")));
+        let note = notes.iter().find(|n| n.rule == "guard-elimination");
+        let detail = &note.expect("the guard is eliminated").detail;
+        assert!(
+            detail.contains("justified by") && detail.contains("reflexivity"),
+            "{detail}"
+        );
+        // An optional attribute is not in `present`: the guard stays.
+        let plan = LogicalPlan::scan("employee").guard(attrs!["name", "typing-speed"]);
+        assert_eq!(optimize(plan, &catalog()).0.guard_count(), 1);
     }
 
     #[test]

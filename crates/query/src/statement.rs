@@ -25,8 +25,7 @@ use crate::planner::plan_query;
 /// What a successfully executed statement produced.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StatementOutcome {
-    /// Result tuples of a query, in pipeline order (a multiset; parallel
-    /// scans may permute it).
+    /// Result tuples of a query, in pipeline order (a multiset).
     Rows(Vec<Tuple>),
     /// The rendered optimized plan of an `EXPLAIN` statement.
     Explain(String),

@@ -39,7 +39,7 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Per-statement execution deadline; `None` disables cancellation.
     pub statement_timeout: Option<Duration>,
-    /// Execution options for query statements (pipeline, scan parallelism).
+    /// Execution options for query statements.
     pub exec: ExecOptions,
     /// How often idle loops (accept, session reads) wake to poll the
     /// shutdown flag.

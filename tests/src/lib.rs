@@ -1,6 +1,8 @@
 //! Support code for the cross-crate integration suites in `tests/`: the
-//! differential oracle [`reference_eval`] and the [`partial_key_db`]
-//! fixture several suites share.
+//! differential oracle [`reference_eval`], the check that a result
+//! inhabits the properties the optimizer derives for its plan
+//! ([`check_inhabits`]), and the [`partial_key_db`] fixture several suites
+//! share.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -8,7 +10,7 @@ use flexrel_core::attrs;
 use flexrel_core::scheme::SchemeBuilder;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
-use flexrel_query::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
+use flexrel_query::{plan_props, AggExpr, AggFunc, LogicalPlan, PlanProps, ShapePredicate};
 use flexrel_storage::{Database, RelationDef};
 
 /// A fixture whose join key is only partially defined.  `inner` (indexed on
@@ -156,6 +158,60 @@ pub fn reference_eval(plan: &LogicalPlan, db: &Database) -> Vec<Tuple> {
                 })
                 .collect()
         }
+    }
+}
+
+/// Whether `rows` inhabit `props`: every tuple carries at least `present`
+/// and at most `universe`, agrees with `pinned`, and is a stored tuple of
+/// the `source` relation (or, for a restricted source, a restriction of
+/// one, without duplicates); and the rows together satisfy `deps`.  The
+/// first claim that fails is the error.
+pub fn check_inhabits(props: &PlanProps<'_>, rows: &[Tuple], db: &Database) -> Result<(), String> {
+    for t in rows {
+        if !props.present.is_subset(t.shape()) {
+            return Err(format!("{t} lacks part of present = {}", props.present));
+        }
+        if !t.shape().is_subset(&props.universe) {
+            return Err(format!("{t} exceeds universe = {}", props.universe));
+        }
+        if let Some((a, v)) = props.pinned.iter().find(|(a, v)| t.get(a) != Some(v)) {
+            return Err(format!("{t} is not pinned to {a} = {v}"));
+        }
+    }
+    if let Some(source) = props.source {
+        let stored: BTreeSet<Tuple> = db
+            .scan(source.relation)
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect();
+        let from_store = |t: &Tuple| match source.whole {
+            true => stored.contains(t),
+            false => stored.iter().any(|s| s.project(t.shape()) == *t),
+        };
+        if let Some(t) = rows.iter().find(|t| !from_store(t)) {
+            return Err(format!("{t} does not come from {}", source.relation));
+        }
+        if !source.whole && rows.iter().collect::<BTreeSet<_>>().len() != rows.len() {
+            return Err(format!(
+                "duplicates among restrictions of {}",
+                source.relation
+            ));
+        }
+    }
+    match props.deps.first_violation(rows) {
+        Some(dep) => Err(format!("the rows violate {dep}")),
+        None => Ok(()),
+    }
+}
+
+/// Asserts that `rows` — what executing `plan` against `db` returned —
+/// inhabit [`plan_props`] of `plan`.
+pub fn assert_inhabits_props(plan: &LogicalPlan, db: &Database, rows: &[Tuple]) {
+    let catalog = db.catalog();
+    let props = plan_props(plan, &catalog).expect("the plan's relations exist");
+    if let Err(why) = check_inhabits(&props, rows, db) {
+        panic!("execution left the derived properties: {why}\n{props:#?}\nplan:\n{plan}");
     }
 }
 

@@ -1,8 +1,6 @@
 //! Concurrency end to end: the shared `Database` under writer/reader
 //! contention, transactional atomicity as observed by concurrent scanners,
-//! rollback exactness under contention, and the partition-parallel executor
-//! checked differentially against serial execution over the E1–E13 query
-//! workloads.
+//! and rollback exactness under contention.
 //!
 //! Dial the load up in CI with `RUST_TEST_THREADS` (test-level parallelism
 //! on top of the in-test thread fan-out) and `PROPTEST_CASES`.
@@ -35,20 +33,6 @@ fn wide_db(n: usize) -> Database {
     db
 }
 
-fn employee_db(n: usize, seed: u64) -> Database {
-    let db = Database::new();
-    db.create_relation(RelationDef::from_relation(&employee_relation()))
-        .unwrap();
-    for t in generate_employees(&EmployeeConfig {
-        n,
-        violation_rate: 0.0,
-        seed,
-    }) {
-        db.insert("employee", t).unwrap();
-    }
-    db
-}
-
 fn wide_tuple(id: usize) -> Tuple {
     let v = id % VARIANTS;
     Tuple::new()
@@ -77,75 +61,6 @@ fn fingerprint(db: &Database, relation: &str) -> Fingerprint {
         .map(|i| (i.key, i.distinct_keys, i.len, i.partial_tuples))
         .collect();
     (tuples, db.partitions(relation).unwrap(), indexes)
-}
-
-/// The parallel executor produces exactly the serial executor's result
-/// multiset over the workload families the experiments (E1–E13) query:
-/// full scans, filtered and shape-pruned scans, guards, projections,
-/// index lookups, hash joins and index-nested-loop joins.
-#[test]
-fn parallel_execution_matches_serial_on_experiment_workloads() {
-    let wide = {
-        let db = wide_db(3_000);
-        db.create_relation(RelationDef::new(
-            "ids",
-            flexrel_core::scheme::FlexScheme::relational(AttrSet::singleton("id")),
-        ))
-        .unwrap();
-        for k in [3i64, 700, 1500, 2999] {
-            db.insert("ids", Tuple::new().with("id", k)).unwrap();
-        }
-        db
-    };
-    let employees = employee_db(500, 11);
-    let opts = ExecOptions::parallel(4).with_min_parallel_rows(1);
-
-    let wide_queries = [
-        "SELECT * FROM wide",
-        "SELECT * FROM wide WHERE kind = 'k0'",
-        "SELECT * FROM wide WHERE id > 1500",
-        "SELECT id, kind FROM wide WHERE id > 100 GUARD v1",
-        "SELECT * FROM wide GUARD v3",
-    ];
-    for frql in wide_queries {
-        let plan = plan_query(&parse(frql).unwrap(), &wide.catalog()).unwrap();
-        for plan in [plan.clone(), optimize_with_db(plan, &wide).0] {
-            let mut serial = execute(&plan, &wide).unwrap();
-            let mut parallel = execute_with(&plan, &wide, &opts).unwrap();
-            serial.sort();
-            parallel.sort();
-            assert_eq!(serial, parallel, "multiset mismatch for {}", frql);
-        }
-    }
-    // Joins: hash (projected self-join) and index-nested-loop (small probe).
-    let joins = [
-        LogicalPlan::scan("ids").join(LogicalPlan::scan("wide")),
-        LogicalPlan::scan("wide")
-            .project(AttrSet::from_names(["id", "kind"]))
-            .join(LogicalPlan::scan("wide").project(AttrSet::from_names(["id", "v0"]))),
-    ];
-    for plan in &joins {
-        let mut serial = execute(plan, &wide).unwrap();
-        let mut parallel = execute_with(plan, &wide, &opts).unwrap();
-        serial.sort();
-        parallel.sort();
-        assert_eq!(serial, parallel, "join multiset mismatch: {}", plan);
-    }
-    let employee_queries = [
-        "SELECT * FROM employee WHERE salary > 5000 AND jobtype = 'secretary' GUARD typing-speed",
-        "SELECT empno FROM employee WHERE jobtype = 'salesman' GUARD sales-commission",
-        "SELECT * FROM employee WHERE empno = 42",
-        "SELECT * FROM employee WHERE jobtype = 'secretary' OR jobtype = 'salesman'",
-    ];
-    for frql in employee_queries {
-        let plan = plan_query(&parse(frql).unwrap(), &employees.catalog()).unwrap();
-        let (optimized, _) = optimize_with_db(plan, &employees);
-        let mut serial = execute(&optimized, &employees).unwrap();
-        let mut parallel = execute_with(&optimized, &employees, &opts).unwrap();
-        serial.sort();
-        parallel.sort();
-        assert_eq!(serial, parallel, "multiset mismatch for {}", frql);
-    }
 }
 
 /// A scan stream captured before a burst of concurrent writes keeps

@@ -19,7 +19,7 @@ use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
 use flexrel_server::seed_wide;
 use flexrel_storage::{Database, RelationDef};
-use flexrel_tests::reference_eval;
+use flexrel_tests::{assert_inhabits_props, reference_eval};
 use flexrel_workload::{
     employee_relation, generate_employees, generate_wide, wide_relation, EmployeeConfig, JobType,
     WideConfig,
@@ -122,10 +122,14 @@ proptest! {
         for frql in queries {
             let q = parse(&frql).unwrap();
             let plan = plan_query(&q, &db.catalog()).unwrap();
-            let naive: BTreeSet<Tuple> = execute(&plan, &db).unwrap().into_iter().collect();
+            let naive_rows = execute(&plan, &db).unwrap();
+            assert_inhabits_props(&plan, &db, &naive_rows);
+            let naive: BTreeSet<Tuple> = naive_rows.into_iter().collect();
             let (indexed, _) = optimize_with_db(plan, &db);
             prop_assert!(indexed.index_lookup_count() <= 1);
-            let fast: BTreeSet<Tuple> = execute(&indexed, &db).unwrap().into_iter().collect();
+            let fast_rows = execute(&indexed, &db).unwrap();
+            assert_inhabits_props(&indexed, &db, &fast_rows);
+            let fast: BTreeSet<Tuple> = fast_rows.into_iter().collect();
             prop_assert_eq!(&naive, &fast, "results diverged for {}", &frql);
         }
     }
@@ -239,8 +243,10 @@ fn wide_point_lookup_takes_the_index_and_keeps_shape_pruning() {
         "shape predicate survives on the lookup: {}",
         sp
     );
+    let fast_rows = execute(&indexed, &db).unwrap();
+    assert_inhabits_props(&indexed, &db, &fast_rows);
     let naive: BTreeSet<Tuple> = execute(&plan, &db).unwrap().into_iter().collect();
-    let fast: BTreeSet<Tuple> = execute(&indexed, &db).unwrap().into_iter().collect();
+    let fast: BTreeSet<Tuple> = fast_rows.into_iter().collect();
     assert_eq!(naive, fast);
     assert_eq!(fast.len(), 1, "id 403 is of kind k3");
 }
@@ -257,6 +263,8 @@ fn the_e2e_statement_kinds_take_their_costed_access_paths() {
         let naive = plan_query(&parse(frql).unwrap(), &db.catalog()).unwrap();
         let (plan, _) = optimize_with_db(naive.clone(), &db);
         let (rows, stats) = execute_collect(&plan, &db, &ExecOptions::serial()).unwrap();
+        assert_inhabits_props(&plan, &db, &rows);
+        assert_inhabits_props(&naive, &db, &execute(&naive, &db).unwrap());
         let rows: BTreeSet<Tuple> = rows.into_iter().collect();
         let expect: BTreeSet<Tuple> = reference_eval(&naive, &db).into_iter().collect();
         assert_eq!(rows, expect, "{}", frql);

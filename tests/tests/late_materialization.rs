@@ -22,7 +22,7 @@ use flexrel_query::prelude::*;
 use flexrel_query::{aggregate_selected, GroupedAggs};
 use flexrel_storage::heap::SEGMENT_SIZE;
 use flexrel_storage::{ColumnHeap, Database, RelationDef, SelVec};
-use flexrel_tests::{partial_key_db, reference_eval};
+use flexrel_tests::{assert_inhabits_props, partial_key_db, reference_eval};
 use flexrel_workload::{
     employee_relation, generate_employees, generate_wide, wide_relation, EmployeeConfig, WideConfig,
 };
@@ -46,20 +46,14 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows
 }
 
-/// Runs `plan` through the pipeline — serially and with every scan forced
-/// onto four workers — and asserts both runs return `reference_eval`'s
-/// multiset, which is handed back sorted.
+/// Runs `plan` through the pipeline and asserts it returns
+/// `reference_eval`'s multiset — which is handed back sorted — and that
+/// the rows inhabit the properties the optimizer derives for the plan.
 fn assert_matches_reference(db: &Database, plan: &LogicalPlan, label: &str) -> Vec<Tuple> {
     let expect = sorted(reference_eval(plan, db));
-    let parallel = ExecOptions::parallel(4).with_min_parallel_rows(1);
-    for opts in [ExecOptions::serial(), parallel] {
-        let got = sorted(execute_with(plan, db, &opts).unwrap());
-        assert_eq!(
-            got, expect,
-            "{} threads vs reference on {label}",
-            opts.threads
-        );
-    }
+    let got = sorted(execute(plan, db).unwrap());
+    assert_eq!(got, expect, "pipeline vs reference on {label}");
+    assert_inhabits_props(plan, db, &got);
     expect
 }
 
