@@ -32,21 +32,33 @@ pub fn kinds_relation(variants: usize) -> FlexRelation {
     rel
 }
 
+/// Tuples per `transact` batch when seeding — the batch shape
+/// `flexrel-e2e` seeds its durable database with.
+const SEED_BATCH: usize = 1_000;
+
 /// Creates and populates `wide` (`n` tuples over `variants` kinds with the
-/// given Zipf `skew`) and `kinds` (one labelled row per kind) on `db`.
+/// given Zipf `skew`) and `kinds` (one labelled row per kind) on `db`,
+/// through the one write path: `wide` in 1 000-tuple transactions,
+/// `kinds` in one.
 pub fn seed_wide(db: &Database, n: usize, variants: usize, skew: f64) -> Result<()> {
     db.create_relation(RelationDef::from_relation(&wide_relation(variants)))?;
-    for t in generate_wide(&WideConfig::new(n, variants).with_skew(skew)) {
-        db.insert("wide", t)?;
+    let mut tuples = generate_wide(&WideConfig::new(n, variants).with_skew(skew)).into_iter();
+    loop {
+        let mut batch = tuples.by_ref().take(SEED_BATCH).peekable();
+        if batch.peek().is_none() {
+            break;
+        }
+        db.transact(&["wide"], |tx| {
+            batch.try_for_each(|t| tx.insert("wide", t).map(drop))
+        })?;
     }
     db.create_relation(RelationDef::from_relation(&kinds_relation(variants)))?;
-    for v in 0..variants {
-        db.insert(
-            "kinds",
-            Tuple::new()
+    db.transact(&["kinds"], |tx| {
+        (0..variants).try_for_each(|v| {
+            let row = Tuple::new()
                 .with("kind", Value::tag(wide_kind_tag(v)))
-                .with("label", format!("variant {}", v)),
-        )?;
-    }
-    Ok(())
+                .with("label", format!("variant {}", v));
+            tx.insert("kinds", row).map(drop)
+        })
+    })
 }

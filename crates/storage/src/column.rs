@@ -762,9 +762,10 @@ impl ColumnHeap {
         );
     }
 
-    /// Inserts a tuple and returns its identifier.
-    pub fn insert(&mut self, t: Tuple) -> TupleId {
-        self.check_shape(&t);
+    /// Inserts a tuple and returns its identifier.  The values are copied
+    /// into the columns, so the tuple is only borrowed.
+    pub fn insert(&mut self, t: &Tuple) -> TupleId {
+        self.check_shape(t);
         self.live += 1;
         // Tuple iteration is BTreeMap order = attribute-name order = the
         // canonical column order, so values line up with columns 1:1.
@@ -966,15 +967,15 @@ mod tests {
         let proto = tuple! {"x" => 1};
         let mut h = heap_of(&proto);
         assert!(h.is_empty());
-        let a = h.insert(tuple! {"x" => 1});
-        let b = h.insert(tuple! {"x" => 2});
+        let a = h.insert(&tuple! {"x" => 1});
+        let b = h.insert(&tuple! {"x" => 2});
         assert_eq!(h.len(), 2);
         assert_eq!(h.get(a), Some(tuple! {"x" => 1}));
         assert_eq!(h.get(b), Some(tuple! {"x" => 2}));
         assert_eq!(h.delete(a), Some(tuple! {"x" => 1}));
         assert_eq!(h.get(a), None);
         assert_eq!(h.delete(a), None, "double delete is a no-op");
-        let c = h.insert(tuple! {"x" => 3});
+        let c = h.insert(&tuple! {"x" => 3});
         assert_eq!(c, a, "tombstoned slot is reused");
         assert_eq!(h.get(c), Some(tuple! {"x" => 3}));
     }
@@ -983,11 +984,11 @@ mod tests {
     fn mixed_kinds_promote_to_dictionary_and_round_trip() {
         let proto = tuple! {"v" => 1};
         let mut h = heap_of(&proto);
-        let a = h.insert(tuple! {"v" => 1});
-        let b = h.insert(tuple! {"v" => 2.5});
-        let c = h.insert(tuple! {"v" => Value::str("s")});
-        let d = h.insert(tuple! {"v" => Value::tag("s")});
-        let e = h.insert(tuple! {"v" => true});
+        let a = h.insert(&tuple! {"v" => 1});
+        let b = h.insert(&tuple! {"v" => 2.5});
+        let c = h.insert(&tuple! {"v" => Value::str("s")});
+        let d = h.insert(&tuple! {"v" => Value::tag("s")});
+        let e = h.insert(&tuple! {"v" => true});
         assert_eq!(h.get(a), Some(tuple! {"v" => 1}), "Int survives promotion");
         assert_eq!(h.get(b), Some(tuple! {"v" => 2.5}));
         assert_eq!(h.get(c), Some(tuple! {"v" => Value::str("s")}));
@@ -1003,7 +1004,7 @@ mod tests {
     fn replace_keeps_identity_and_reencodes() {
         let proto = tuple! {"x" => 1, "y" => 2};
         let mut h = heap_of(&proto);
-        let a = h.insert(tuple! {"x" => 1, "y" => 2});
+        let a = h.insert(&tuple! {"x" => 1, "y" => 2});
         let old = h.replace(a, tuple! {"x" => 10, "y" => 2.5});
         assert_eq!(old, Some(tuple! {"x" => 1, "y" => 2}));
         assert_eq!(h.get(a), Some(tuple! {"x" => 10, "y" => 2.5}));
@@ -1016,7 +1017,7 @@ mod tests {
         let proto = tuple! {"n" => 0, "s" => Value::str("")};
         let mut h = heap_of(&proto);
         for i in 0..200i64 {
-            h.insert(tuple! {"n" => i, "s" => Value::str(format!("s{}", i % 7))});
+            h.insert(&tuple! {"n" => i, "s" => Value::str(format!("s{}", i % 7))});
         }
         let seg = h.segment(0).unwrap();
         let n = h.col_index("n").unwrap();
@@ -1078,7 +1079,7 @@ mod tests {
     fn tuple_ref_views_without_materializing() {
         let proto = tuple! {"a" => 1, "b" => Value::tag("t")};
         let mut h = heap_of(&proto);
-        let id = h.insert(tuple! {"a" => 7, "b" => Value::tag("t")});
+        let id = h.insert(&tuple! {"a" => 7, "b" => Value::tag("t")});
         let r = h.get_ref(id).unwrap();
         assert_eq!(r.get_name("a"), Some(Value::Int(7)));
         assert_eq!(r.get_name("missing"), None);
@@ -1094,7 +1095,7 @@ mod tests {
         let proto = tuple! {"x" => 0};
         let mut h = heap_of(&proto);
         let ids: Vec<TupleId> = (0..3000)
-            .map(|i| h.insert(tuple! {"x" => i as i64}))
+            .map(|i| h.insert(&tuple! {"x" => i as i64}))
             .collect();
         assert_eq!(h.len(), 3000);
         assert!(h.segment_count() > 1, "spans several segments");
@@ -1111,9 +1112,9 @@ mod tests {
     #[test]
     fn scan_yields_only_live_tuples() {
         let mut h = heap_of(&tuple! {"x" => 0});
-        let a = h.insert(tuple! {"x" => 1});
-        let _b = h.insert(tuple! {"x" => 2});
-        let c = h.insert(tuple! {"x" => 3});
+        let a = h.insert(&tuple! {"x" => 1});
+        let _b = h.insert(&tuple! {"x" => 2});
+        let c = h.insert(&tuple! {"x" => 3});
         h.delete(a);
         h.delete(c);
         let live: Vec<Tuple> = h.scan().map(|(_, r)| r.to_tuple()).collect();
@@ -1127,7 +1128,7 @@ mod tests {
         let mut h = heap_of(&proto);
         let ids: Vec<TupleId> = (0..1500i64)
             .map(|i| {
-                h.insert(tuple! {
+                h.insert(&tuple! {
                     "n" => i,
                     "f" => i as f64 / 3.0,
                     "s" => Value::str(format!("s{}", i % 11))
@@ -1153,7 +1154,7 @@ mod tests {
         assert_eq!(back.all_tuples(), h.all_tuples(), "bit-identical contents");
         // The rebuilt free list reuses tombstoned slots, like the original.
         let mut back = back;
-        let id = back.insert(tuple! {"n" => -1, "f" => -1.0, "s" => Value::str("new")});
+        let id = back.insert(&tuple! {"n" => -1, "f" => -1.0, "s" => Value::str("new")});
         assert!(
             (id.slot() as usize) < SEGMENT_SIZE && back.get(id).is_some(),
             "free slot reused after rebuild"
@@ -1165,7 +1166,7 @@ mod tests {
         let proto = tuple! {"n" => 0, "s" => Value::str("")};
         let mut h = heap_of(&proto);
         for i in 0..10i64 {
-            h.insert(tuple! {"n" => i, "s" => Value::str("x")});
+            h.insert(&tuple! {"n" => i, "s" => Value::str("x")});
         }
         let mut bytes = Vec::new();
         h.segment(0).unwrap().encode_into(&mut bytes);
@@ -1191,10 +1192,10 @@ mod tests {
     fn cow_segments_preserve_snapshots() {
         let proto = tuple! {"x" => 0};
         let mut h = heap_of(&proto);
-        let a = h.insert(tuple! {"x" => 1});
+        let a = h.insert(&tuple! {"x" => 1});
         let snapshot = h.clone();
         h.delete(a);
-        h.insert(tuple! {"x" => 99});
+        h.insert(&tuple! {"x" => 99});
         assert_eq!(snapshot.get(a), Some(tuple! {"x" => 1}), "snapshot frozen");
         assert_eq!(h.get(a), Some(tuple! {"x" => 99}), "slot reused in head");
     }

@@ -13,22 +13,24 @@
 //! (`Clone` produces another handle onto the *same* database — use
 //! [`Database::fork`] for an independent copy).  It is `Send + Sync`; any
 //! number of sessions may read and write concurrently.  The locking is
-//! sharded per relation:
+//! sharded per relation: the **partition catalog**
+//! (`RwLock<PartitionedHeap>`) and the **index set** (`RwLock<Vec<_>>`)
+//! each sit under their own reader/writer lock.
 //!
-//! * a **writer gate** (`Mutex`) serializes writers of one relation — the
-//!   pairwise AD/FD checks are only sound when writes of a relation are
-//!   totally ordered — while leaving readers untouched;
-//! * the **partition catalog** (`RwLock<PartitionedHeap>`) and the **index
-//!   set** (`RwLock<Vec<_>>`) each sit under their own reader/writer lock,
-//!   so metadata reads, scans and index probes proceed while a writer is
-//!   still running its (gate-protected) value checks.
+//! There is one write path.  Every write is a transaction
+//! ([`Database::transact`]); the auto-committed [`Database::insert`],
+//! [`Database::delete`] and [`Database::update`] are one-statement
+//! transactions.  A writer holds its relations' partition *and* index write
+//! locks from the constraint check through the WAL append, which totally
+//! orders the writes of a relation — the pairwise AD/FD checks of
+//! Defs. 4.1/4.2 are only sound under such an order — and means a reader
+//! holding the partition read lock always observes tuple and index state
+//! in sync.
 //!
-//! The lock hierarchy is `catalog → storage map → gate → partitions →
-//! indexes`; every code path acquires in that order, which makes deadlock
-//! impossible (transactions over several relations additionally order the
-//! relations by name).  Writers publish a statement's effects with the
-//! partition *and* index write locks held together, so a reader holding the
-//! partition read lock always observes tuple and index state in sync.
+//! The lock hierarchy is `catalog → storage map → partitions → indexes`;
+//! every code path acquires in that order, which makes deadlock impossible
+//! (transactions over several relations additionally order the relations
+//! by name).
 //!
 //! Scans never hold a lock while streaming: they take a
 //! [`PartitionSnapshot`] (a few refcount bumps under the partition read
@@ -41,11 +43,14 @@
 //! outstanding — which is why the executor only captures index snapshots
 //! for plans that can probe them.
 //!
-//! Multi-statement atomicity is provided by [`Database::transact`], which
-//! holds the declared relations' write locks for the whole transaction:
-//! concurrent scanners see either none or all of its effects, and a
-//! rollback (error return) restores tuples, the partition catalog and every
-//! index exactly before the locks are released.
+//! [`Database::transact`] holds the declared relations' write locks for the
+//! whole transaction: concurrent scanners see either none or all of its
+//! effects.  Each transaction keeps **one** operation log
+//! (`Vec<(Rid, WalOp)>`): commit appends it to the WAL, rollback (error
+//! return) replays its inverse newest-first — restoring tuples, the
+//! partition catalog and every index exactly before the locks are released
+//! — and recovery replays the WAL's ops oldest-first, both through the one
+//! `replay` routine.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -67,7 +72,7 @@ use crate::errors::StorageError;
 use crate::fault::{IoFault, NoFault};
 use crate::index::HashIndex;
 use crate::partition::{
-    DepGuard, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo, SnapshotScan,
+    DepGuard, Partition, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo, SnapshotScan,
 };
 use crate::wal::{WalOp, WalWriter};
 
@@ -116,24 +121,19 @@ impl StoredIndex {
 /// The index set of one relation.
 pub(crate) type IndexSet = Vec<StoredIndex>;
 
-/// Shared per-relation storage: writer gate, partition catalog and index
-/// set, each under its own lock (see the module docs for the hierarchy).
+/// Shared per-relation storage: partition catalog and index set, each under
+/// its own lock (see the module docs for the hierarchy).
 #[derive(Debug)]
 pub(crate) struct RelStore {
-    pub(crate) gate: Mutex<()>,
-    pub(crate) parts: RwLock<PartitionedHeap>,
-    pub(crate) indexes: RwLock<IndexSet>,
+    parts: RwLock<PartitionedHeap>,
+    indexes: RwLock<IndexSet>,
 }
 
 impl RelStore {
-    fn new(indexes: IndexSet) -> Self {
-        RelStore::from_parts(PartitionedHeap::new(), indexes)
-    }
-
-    /// Builds a store around recovered state (checkpoint load + replay).
-    pub(crate) fn from_parts(parts: PartitionedHeap, indexes: IndexSet) -> Self {
+    /// Builds a store around existing state (a new relation, recovered
+    /// state, or a fork's copy-on-write clone).
+    pub(crate) fn new(parts: PartitionedHeap, indexes: IndexSet) -> Self {
         RelStore {
-            gate: Mutex::new(()),
             parts: RwLock::new(parts),
             indexes: RwLock::new(indexes),
         }
@@ -401,7 +401,8 @@ fn index_on<'a>(indexes: &'a IndexSet, key: &AttrSet) -> Option<&'a Arc<HashInde
 /// Equality lookup on `key` under already-held locks: a probe of the stored
 /// index on exactly `key` when there is one, otherwise a scan of the
 /// partitions whose shape carries the whole key.  Tuples not defined on all
-/// of `key` are never returned on either path.
+/// of `key` are never returned on either path.  Insert checking finds a
+/// tuple's dependency peers the same way.
 fn lookup_eq_in(
     parts: &PartitionedHeap,
     indexes: &IndexSet,
@@ -421,168 +422,102 @@ fn lookup_eq_in(
     }
 }
 
-/// The existing tuples that can conflict with `t` on a dependency with
-/// determinant `lhs`: an index probe when an index on `lhs` exists,
-/// otherwise a scan.  Tuples not defined on all of `lhs` are excluded —
-/// the pairwise premise of Defs. 4.1/4.2 requires `X ⊆ attr(t)` on both
-/// sides, so they can never conflict.
-fn peers(parts: &PartitionedHeap, indexes: &IndexSet, lhs: &AttrSet, t: &Tuple) -> Vec<Tuple> {
-    if !t.defined_on(lhs) {
-        return Vec::new();
-    }
-    if let Some(idx) = index_on(indexes, lhs) {
-        idx.lookup(&t.project(lhs))
-            .iter()
-            .filter_map(|rid| parts.get(*rid))
-            .collect()
-    } else {
-        // `defined_on` is a shape-level fact, so prune whole partitions
-        // instead of filtering materialized tuples.
-        parts
-            .scan_where(|shape| lhs.is_subset(shape))
-            .map(|(_, u)| u)
-            .collect()
-    }
-}
-
-/// The full (unmemoized) check sequence: scheme membership, domains,
-/// dependencies.
-fn check_insert_full(
+/// Runs every check an insert of `t` must pass, mutating nothing: scheme
+/// membership, domains, dependencies.  Given the [`ShapeMemo`] of `t`'s
+/// partition, the shape-level half is replayed from it; without one (a new
+/// shape, or [`Database::check_insert`]'s reference path) everything runs.
+/// The pairwise AD/FD checks compare `t` with the stored tuples that agree
+/// with it on the determinant — the pairwise premise of Defs. 4.1/4.2
+/// requires `X ⊆ attr(u)` on both sides — except `skip`, the tuple an
+/// update replaces.
+fn check_tuple(
     def: &RelationDef,
     parts: &PartitionedHeap,
     indexes: &IndexSet,
+    memo: Option<&ShapeMemo>,
     t: &Tuple,
+    skip: Option<Rid>,
 ) -> Result<()> {
-    if !def.scheme.admits(&t.attrs()) {
+    if memo.is_none() && !def.scheme.admits(&t.attrs()) {
         return Err(CoreError::SchemeViolation {
             tuple_attrs: t.attrs().to_string(),
             scheme: def.scheme.to_string(),
         });
     }
     check_domains(def, t)?;
-    check_deps_full(def, parts, indexes, t)
-}
-
-/// The dependency half of the unmemoized check.
-fn check_deps_full(
-    def: &RelationDef,
-    parts: &PartitionedHeap,
-    indexes: &IndexSet,
-    t: &Tuple,
-) -> Result<()> {
-    for dep in def.deps.iter() {
-        match dep {
-            Dependency::Ead(ead) => ead.check_tuple(t)?,
-            Dependency::Ad(ad) => {
-                ad.check_insert_among(&peers(parts, indexes, ad.lhs(), t), t)?;
-            }
-            Dependency::Fd(fd) => {
-                fd.check_insert_among(&peers(parts, indexes, fd.lhs(), t), t)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The memoized check: the shape already passed scheme membership and
-/// every `X ⊆ attr(t)` guard when its partition was opened, so only
-/// value-level checks (domains, variant lookup, peer agreement) run.
-fn check_deps_memoized(
-    def: &RelationDef,
-    parts: &PartitionedHeap,
-    indexes: &IndexSet,
-    memo: &ShapeMemo,
-    t: &Tuple,
-) -> Result<()> {
-    for (dep, guard) in def.deps.iter().zip(memo.dep_guards.iter()) {
+    let peers = |lhs: &AttrSet| -> Vec<Tuple> {
+        lookup_eq_in(parts, indexes, lhs, &t.project(lhs))
+            .into_iter()
+            .filter(|(rid, _)| Some(*rid) != skip)
+            .map(|(_, u)| u)
+            .collect()
+    };
+    for (i, dep) in def.deps.iter().enumerate() {
+        // The memo holds one guard per dependency, in order; a dependency
+        // without its guard is checked in full.
+        let guard = memo.and_then(|m| m.dep_guards.get(i));
+        let pairwise = |lhs: &AttrSet| match guard {
+            Some(DepGuard::Pairwise { lhs_defined }) => *lhs_defined,
+            _ => t.defined_on(lhs),
+        };
         match (dep, guard) {
             (
                 Dependency::Ead(ead),
-                DepGuard::Ead {
+                Some(DepGuard::Ead {
                     lhs_defined,
                     y_overlap_empty,
                     admissible,
-                },
+                }),
             ) => {
                 // A shape not defined on X was admitted with an empty
                 // Y-overlap; nothing value-level remains to check.
-                if *lhs_defined {
-                    match ead.variant_for_restriction(t) {
-                        Some((i, _)) if admissible.contains(&i) => {}
-                        None if *y_overlap_empty => {}
-                        // Fall back to the ground-truth check for the
-                        // canonical error message.
-                        _ => ead.check_tuple(t)?,
-                    }
+                let admitted = !*lhs_defined
+                    || match ead.variant_for_restriction(t) {
+                        Some((i, _)) => admissible.contains(&i),
+                        None => *y_overlap_empty,
+                    };
+                if !admitted {
+                    // The ground-truth check yields the canonical error.
+                    ead.check_tuple(t)?
                 }
             }
-            (Dependency::Ad(ad), DepGuard::Pairwise { lhs_defined }) => {
-                if *lhs_defined {
-                    ad.check_insert_among(&peers(parts, indexes, ad.lhs(), t), t)?;
-                }
+            (Dependency::Ead(ead), _) => ead.check_tuple(t)?,
+            (Dependency::Ad(ad), _) if pairwise(ad.lhs()) => {
+                ad.check_insert_among(&peers(ad.lhs()), t)?
             }
-            (Dependency::Fd(fd), DepGuard::Pairwise { lhs_defined }) => {
-                if *lhs_defined {
-                    fd.check_insert_among(&peers(parts, indexes, fd.lhs(), t), t)?;
-                }
+            (Dependency::Fd(fd), _) if pairwise(fd.lhs()) => {
+                fd.check_insert_among(&peers(fd.lhs()), t)?
             }
-            // The memo is built from the same dependency list it is
-            // zipped with; a mismatch means the definition changed under
-            // us, so fall back to the full check.
-            _ => return check_deps_full(def, parts, indexes, t),
+            _ => {}
         }
     }
     Ok(())
 }
 
-/// Runs the full insert check sequence (memoized when the shape's partition
-/// exists) without mutating anything, and returns the [`ShapeMemo`] to open
-/// a new partition with when the shape is new.
-fn precheck_insert(
-    def: &RelationDef,
-    parts: &PartitionedHeap,
-    indexes: &IndexSet,
-    t: &Tuple,
-) -> Result<Option<ShapeMemo>> {
-    match parts.partition(t.shape_id()) {
-        Some(part) => {
-            check_domains(def, t)?;
-            check_deps_memoized(def, parts, indexes, part.memo(), t)?;
-            Ok(None)
-        }
-        None => {
-            check_insert_full(def, parts, indexes, t)?;
-            Ok(Some(shape_memo(def, t.shape())))
-        }
-    }
-}
-
-/// Publishes a (pre-checked) tuple: heap insert plus every maintained
-/// index.  Must run with the partition and index write locks held together
-/// so readers never observe the two out of sync.  Fails only on a
-/// [`StorageError::Bug`] (a new shape without a memo) — the heap is left
-/// untouched then.
+/// Publishes a checked (or already committed) tuple: heap insert plus every
+/// maintained index, opening the shape's partition with a fresh
+/// [`ShapeMemo`] when it has none.  Must run with the partition and index
+/// write locks held together so readers never observe the two out of sync.
 fn apply_insert(
+    def: &RelationDef,
     parts: &mut PartitionedHeap,
     indexes: &mut IndexSet,
-    t: Tuple,
-    memo: Option<ShapeMemo>,
+    t: &Tuple,
 ) -> std::result::Result<Rid, StorageError> {
-    // Extract the index keys first so the tuple itself moves into the heap.
-    let keys: Vec<Option<Tuple>> = indexes.iter().map(|si| si.idx.key_of(&t)).collect();
-    let rid = parts.insert(t.shape_id(), t, memo)?;
-    for (si, key) in indexes.iter_mut().zip(keys) {
-        Arc::make_mut(&mut si.idx).insert_key(rid, key);
+    let sid = t.shape_id();
+    let memo = parts
+        .partition(sid)
+        .is_none()
+        .then(|| shape_memo(def, t.shape()));
+    let rid = parts.insert(sid, t, memo)?;
+    for si in indexes.iter_mut() {
+        Arc::make_mut(&mut si.idx).insert(rid, t);
     }
     Ok(rid)
 }
 
 /// Removes a tuple from the heap and every maintained index.
-pub(crate) fn apply_delete(
-    parts: &mut PartitionedHeap,
-    indexes: &mut IndexSet,
-    rid: Rid,
-) -> Option<Tuple> {
+fn apply_delete(parts: &mut PartitionedHeap, indexes: &mut IndexSet, rid: Rid) -> Option<Tuple> {
     let old = parts.delete(rid)?;
     for si in indexes.iter_mut() {
         Arc::make_mut(&mut si.idx).remove(rid, &old);
@@ -590,139 +525,90 @@ pub(crate) fn apply_delete(
     Some(old)
 }
 
-/// Checks and inserts under already-held write locks (the transactional and
-/// update paths, where the caller must see its own uncommitted writes).
+fn not_found(rid: Rid, relation: &str) -> CoreError {
+    CoreError::NotFound(format!("tuple {} in {}", rid, relation))
+}
+
+/// Checks and inserts under already-held write locks.
 fn checked_insert_in(
     def: &RelationDef,
     parts: &mut PartitionedHeap,
     indexes: &mut IndexSet,
-    t: Tuple,
+    t: &Tuple,
 ) -> Result<Rid> {
-    let memo = precheck_insert(def, parts, indexes, &t)?;
-    apply_insert(parts, indexes, t, memo).map_err(StorageError::into_core)
+    let memo = parts.partition(t.shape_id()).map(Partition::memo);
+    check_tuple(def, parts, indexes, memo, t, None)?;
+    apply_insert(def, parts, indexes, t).map_err(StorageError::into_core)
 }
 
-/// Inserts a tuple *without* constraint checks.  Only used to restore
-/// previously validated tuples (rollback, failed updates) and to replay
-/// already-committed WAL records; rebuilds the partition memo if the
-/// shape's partition was dropped in the meantime — which also means the
-/// memo is always present, so this cannot fail.
-pub(crate) fn insert_unchecked_into(
-    def: &RelationDef,
-    parts: &mut PartitionedHeap,
-    indexes: &mut IndexSet,
-    t: Tuple,
-) -> Rid {
-    let memo = if parts.partition(t.shape_id()).is_none() {
-        Some(shape_memo(def, t.shape()))
-    } else {
-        None
-    };
-    // A memo is supplied whenever the partition is missing, so the only
-    // error `apply_insert` can raise is impossible here.
-    match apply_insert(parts, indexes, t, memo) {
-        Ok(rid) => rid,
-        Err(bug) => unreachable!("unchecked insert cannot fail: {}", bug),
-    }
-}
-
-/// Replaces the tuple under `rid` after re-checking all constraints, under
-/// already-held write locks; restores the previous tuple (and every index)
-/// on failure.
+/// Replaces the tuple under `rid` under already-held write locks.  The
+/// replacement is checked *before* anything changes — against the instance
+/// without the tuple it replaces — so a failing update changes nothing,
+/// not even the rid of the tuple it leaves in place.
 fn update_in(
     def: &RelationDef,
     parts: &mut PartitionedHeap,
     indexes: &mut IndexSet,
     rid: Rid,
-    new: Tuple,
+    new: &Tuple,
     relation: &str,
 ) -> Result<(Rid, Tuple)> {
-    let old = apply_delete(parts, indexes, rid)
-        .ok_or_else(|| CoreError::NotFound(format!("tuple {} in {}", rid, relation)))?;
-    match checked_insert_in(def, parts, indexes, new) {
-        Ok(new_rid) => Ok((new_rid, old)),
-        Err(e) => {
-            insert_unchecked_into(def, parts, indexes, old);
-            Err(e)
-        }
+    if parts.get_ref(rid).is_none() {
+        return Err(not_found(rid, relation));
     }
+    let memo = parts.partition(new.shape_id()).map(Partition::memo);
+    check_tuple(def, parts, indexes, memo, new, Some(rid))?;
+    let old = apply_delete(parts, indexes, rid).ok_or_else(|| not_found(rid, relation))?;
+    // Deleting `old` may have dropped the partition `memo` came from;
+    // `apply_insert` then reopens it.
+    let new_rid = apply_insert(def, parts, indexes, new).map_err(StorageError::into_core)?;
+    Ok((new_rid, old))
 }
 
-/// Removes the tuple a transaction wrote, for rollback.  The recorded
-/// `rid` is only a fast path: a partition that was emptied (dropped)
-/// and re-created within the transaction hands out fresh slots, so the
-/// rid may now name a *different* live tuple — deleting blindly by rid
-/// would destroy committed data.  The rid is therefore revalidated
-/// against `expected` and, on mismatch, the tuple is located by value
-/// in its shape's partition (equal tuples are interchangeable, so any
-/// match preserves the multiset).  Returns whether a tuple was removed.
-fn undo_remove_in(
-    parts: &mut PartitionedHeap,
-    indexes: &mut IndexSet,
-    rid: Rid,
-    expected: &Tuple,
-) -> bool {
-    let target = if parts.get_ref(rid).is_some_and(|r| r.eq_tuple(expected)) {
-        Some(rid)
-    } else {
-        let sid = expected.shape_id();
-        parts.partition(sid).and_then(|p| {
-            p.tuple_refs()
-                .find(|(_, r)| r.eq_tuple(expected))
-                .map(|(loc, _)| Rid::new(sid, loc))
-        })
-    };
-    if let Some(target) = target {
-        if apply_delete(parts, indexes, target).is_some() {
-            return true;
-        }
-    }
-    false
-}
-
-/// One entry of a [`TxnScope`]'s undo log.  A rollback replays the log in
-/// reverse; it must restore consistency exactly, because a type error in
-/// the middle of a multi-tuple load may not leave half the batch behind.
-enum Undo {
-    /// A tuple was inserted under `rid`; undo by deleting it (dropping its
-    /// partition again if it was the partition's only tuple).  The rid is a
-    /// fast path that [`undo_remove_in`] revalidates against the tuple.
-    Insert { rid: Rid, tuple: Tuple },
-    /// A tuple was deleted; undo by re-inserting it.
-    Delete { tuple: Tuple },
-    /// A tuple was replaced; undo by removing the replacement and restoring
-    /// the previous value (which may live in a different partition when the
-    /// update changed the tuple's shape).
-    Update {
-        rid: Rid,
-        replacement: Tuple,
-        previous: Tuple,
-    },
-}
-
-/// Applies one undo action against already-held write locks.
-fn apply_undo(
+/// Re-applies one logged operation under already-held write locks — the
+/// one routine behind rollback (each logged op's [`WalOp::inverse`],
+/// newest first) and recovery (the WAL's ops, oldest first).  Nothing is
+/// re-checked: the op passed every check when it was first applied.
+///
+/// A delete or update target is located by `hint` when that rid still
+/// holds an equal tuple, otherwise by value in its shape's partition: rids
+/// drift when a partition is emptied and re-created, and are not stable
+/// across a rebuild, but equal tuples are interchangeable in a multiset.
+/// A target that cannot be found is reported through `missing`
+/// ([`StorageError::Corruption`] in recovery, [`StorageError::Bug`] in
+/// rollback).
+pub(crate) fn replay(
     def: &RelationDef,
     parts: &mut PartitionedHeap,
     indexes: &mut IndexSet,
-    action: Undo,
-) {
-    match action {
-        Undo::Insert { rid, tuple } => {
-            undo_remove_in(parts, indexes, rid, &tuple);
-        }
-        Undo::Delete { tuple } => {
-            insert_unchecked_into(def, parts, indexes, tuple);
-        }
-        Undo::Update {
-            rid,
-            replacement,
-            previous,
-        } => {
-            if undo_remove_in(parts, indexes, rid, &replacement) {
-                insert_unchecked_into(def, parts, indexes, previous);
-            }
-        }
+    op: &WalOp,
+    hint: Option<Rid>,
+    missing: fn(String) -> StorageError,
+) -> std::result::Result<(), StorageError> {
+    let (target, new) = match op {
+        WalOp::Insert { tuple, .. } => return apply_insert(def, parts, indexes, tuple).map(drop),
+        WalOp::Delete { tuple, .. } => (tuple, None),
+        WalOp::Update { old, new, .. } => (old, Some(new)),
+    };
+    let sid = target.shape_id();
+    let rid = hint
+        .filter(|rid| parts.get_ref(*rid).is_some_and(|r| r.eq_tuple(target)))
+        .or_else(|| {
+            let part = parts.partition(sid)?;
+            let (loc, _) = part.tuple_refs().find(|(_, r)| r.eq_tuple(target))?;
+            Some(Rid::new(sid, loc))
+        })
+        .ok_or_else(|| {
+            missing(format!(
+                "a logged op on {} names the tuple {}, which the relation does not hold",
+                op.relation(),
+                target
+            ))
+        })?;
+    apply_delete(parts, indexes, rid);
+    match new {
+        Some(new) => apply_insert(def, parts, indexes, new).map(drop),
+        None => Ok(()),
     }
 }
 
@@ -790,32 +676,20 @@ impl Database {
         Ok(Database { inner })
     }
 
-    /// Appends a committed statement (or transaction) to the WAL, when the
-    /// database is durable.  Buffers only — no I/O — so it can run under
-    /// write locks; the matching [`Database::wal_sync`] call makes it
-    /// durable after the locks drop.  Returns `None` when there is nothing
-    /// to log (in-memory database, or an empty op list).
-    fn wal_append_ops(&self, ops: &[WalOp]) -> Result<Option<u64>> {
-        let Some(dur) = &self.inner.dur else {
-            return Ok(None);
-        };
-        if ops.is_empty() {
-            return Ok(None);
+    /// Appends a committing transaction's log to the WAL, when the database
+    /// is durable.  Buffers only — no I/O — so it can run under write
+    /// locks; the matching [`Database::wal_sync`] call makes it durable
+    /// after the locks drop.  Returns `None` when there is nothing to log
+    /// (in-memory database, or an empty log).
+    fn wal_append(&self, log: &[(Rid, WalOp)]) -> Result<Option<u64>> {
+        match &self.inner.dur {
+            Some(dur) if !log.is_empty() => dur
+                .wal
+                .append_commit(log.iter().map(|(_, op)| op))
+                .map(Some)
+                .map_err(StorageError::into_core),
+            _ => Ok(None),
         }
-        dur.wal
-            .append_commit(ops)
-            .map(Some)
-            .map_err(StorageError::into_core)
-    }
-
-    /// [`Database::wal_append_ops`] for a single-statement commit.  The
-    /// record is built — relation name and tuples cloned — only when there
-    /// is a WAL to append it to.
-    fn wal_append_op(&self, op: impl FnOnce() -> WalOp) -> Result<Option<u64>> {
-        if self.inner.dur.is_none() {
-            return Ok(None);
-        }
-        self.wal_append_ops(&[op()])
     }
 
     /// What the open that produced this handle recovered from the WAL
@@ -846,30 +720,12 @@ impl Database {
                 StorageError::Bug("checkpoint_now on a non-durable database".into())
             })?;
         let _ckpt = lock(&dur.ckpt_gate);
-        let (sources, cut) = {
-            // The same consistent cut `fork` takes: catalog + storage map
-            // read together, then every relation's writer gate in name
-            // order, then the read guards — so a multi-relation transaction
-            // is captured fully or not at all.
-            let cat = read(&self.inner.catalog);
-            let catalog = Arc::clone(&cat);
-            let storage_map = read(&self.inner.storage);
-            let gates: Vec<MutexGuard<'_, ()>> =
-                storage_map.values().map(|s| lock(&s.gate)).collect();
-            let guards: Vec<(
-                &String,
-                RwLockReadGuard<'_, PartitionedHeap>,
-                RwLockReadGuard<'_, IndexSet>,
-            )> = storage_map
-                .iter()
-                .map(|(name, store)| (name, read(&store.parts), read(&store.indexes)))
-                .collect();
-            let sources: Vec<CheckpointSource> = guards
-                .iter()
+        let (sources, cut) = self.with_cut(|catalog, rels| {
+            let sources: Vec<CheckpointSource> = rels
+                .into_iter()
                 .filter_map(|(name, parts, indexes)| {
-                    let def = catalog.get(name).ok()?;
                     Some(CheckpointSource {
-                        def: def.clone(),
+                        def: catalog.get(name).ok()?.clone(),
                         indexes: indexes
                             .iter()
                             .map(|si| (si.idx.key().clone(), si.auto))
@@ -878,14 +734,11 @@ impl Database {
                     })
                 })
                 .collect();
-            // Rotating under the gates guarantees no transaction spans the
+            // Rotating inside the cut guarantees no transaction spans the
             // segment boundary, and the cut LSN covers exactly the state
             // just captured.
-            let cut = dur.wal.rotate()?;
-            drop(guards);
-            drop(gates);
-            (sources, cut)
-        };
+            dur.wal.rotate().map(|cut| (sources, cut))
+        })?;
         match write_checkpoint(&dur.dir, cut, &sources, &dur.fault) {
             Ok(()) => {
                 // Best effort: a segment that survives deletion is re-read
@@ -930,80 +783,84 @@ impl Database {
     }
 
     /// Revalidates every invariant the storage layer maintains: scheme
-    /// admission per partition shape, attribute domains per tuple,
-    /// dependency satisfaction over the whole instance, and index
-    /// consistency (every stored index equals a canonical rebuild).  Used
-    /// by the crash-recovery tests; cheap enough for assertions in small
-    /// databases, O(instance) in general.
+    /// admission per partition shape, the heap bookkeeping `replay` must
+    /// keep (no live partition is empty; each partition's live count and
+    /// the heap's total equal the tuples a scan finds), attribute domains
+    /// per tuple, dependency satisfaction over the whole instance, and
+    /// index consistency (every stored index equals a canonical rebuild).
+    /// Used by the crash-recovery tests; cheap enough for assertions in
+    /// small databases, O(instance) in general.
     pub fn verify_invariants(&self) -> std::result::Result<(), StorageError> {
+        type Canonical = (BTreeMap<Tuple, Vec<Rid>>, Vec<Rid>);
+        let canonical = |idx: &HashIndex| -> Canonical {
+            let entries = idx.entries().map(|(k, rids)| {
+                let mut rids = rids.to_vec();
+                rids.sort_unstable();
+                (k.clone(), rids)
+            });
+            let mut partial = idx.partial_tuples().to_vec();
+            partial.sort_unstable();
+            (entries.collect(), partial)
+        };
         let catalog = self.catalog();
         let storage_map = read(&self.inner.storage);
         for (name, store) in storage_map.iter() {
-            let def = catalog
-                .get(name)
-                .map_err(|_| StorageError::Bug(format!("relation {} has no definition", name)))?;
+            let bug = |what: String| StorageError::Bug(format!("relation {}: {}", name, what));
+            let def = catalog.get(name).map_err(|_| bug("no definition".into()))?;
             let parts = read(&store.parts);
             let indexes = read(&store.indexes);
+            let mut scanned = 0;
             for (_, part) in parts.partitions() {
                 if !def.scheme.admits(part.shape()) {
-                    return Err(StorageError::Bug(format!(
-                        "partition shape {} of {} is not admitted by its scheme",
-                        part.shape(),
-                        name
+                    return Err(bug(format!(
+                        "partition shape {} not admitted",
+                        part.shape()
                     )));
                 }
+                let live = part.tuple_refs().count();
+                if live == 0 || part.len() != live {
+                    return Err(bug(format!(
+                        "partition {} counts {} live tuples but scans {}",
+                        part.shape(),
+                        part.len(),
+                        live
+                    )));
+                }
+                scanned += live;
+            }
+            if parts.len() != scanned {
+                return Err(bug(format!(
+                    "heap counts {} live tuples but scans {}",
+                    parts.len(),
+                    scanned
+                )));
             }
             let tuples = parts.all_tuples();
             for t in &tuples {
                 check_domains(def, t).map_err(StorageError::Constraint)?;
             }
             if let Some(dep) = def.deps.first_violation(&tuples) {
-                return Err(StorageError::Bug(format!(
-                    "dependency {:?} violated in recovered relation {}",
-                    dep, name
-                )));
+                return Err(bug(format!("dependency {:?} violated", dep)));
             }
             for si in indexes.iter() {
-                let mut canonical = HashIndex::new(si.idx.key().clone());
+                let mut rebuilt = HashIndex::new(si.idx.key().clone());
                 for (rid, t) in parts.scan() {
-                    canonical.insert(rid, &t);
+                    rebuilt.insert(rid, &t);
                 }
-                let stored: BTreeMap<Tuple, Vec<Rid>> = si
-                    .idx
-                    .entries()
-                    .map(|(k, rids)| {
-                        let mut rids = rids.to_vec();
-                        rids.sort_unstable();
-                        (k.clone(), rids)
-                    })
-                    .collect();
-                let rebuilt: BTreeMap<Tuple, Vec<Rid>> = canonical
-                    .entries()
-                    .map(|(k, rids)| {
-                        let mut rids = rids.to_vec();
-                        rids.sort_unstable();
-                        (k.clone(), rids)
-                    })
-                    .collect();
-                let mut stored_partial = si.idx.partial_tuples().to_vec();
-                let mut rebuilt_partial = canonical.partial_tuples().to_vec();
-                stored_partial.sort_unstable();
-                rebuilt_partial.sort_unstable();
-                let walked = stored.values().map(Vec::len).sum::<usize>() + stored_partial.len();
+                let (entries, partial) = canonical(&si.idx);
+                let walked = entries.values().map(Vec::len).sum::<usize>() + partial.len();
                 if si.idx.len() != walked {
-                    return Err(StorageError::Bug(format!(
-                        "index on {} for {} counts {} entries but holds {}",
+                    return Err(bug(format!(
+                        "index on {} counts {} entries but holds {}",
                         si.idx.key(),
-                        name,
                         si.idx.len(),
                         walked
                     )));
                 }
-                if stored != rebuilt || stored_partial != rebuilt_partial {
-                    return Err(StorageError::Bug(format!(
-                        "index on {} for {} disagrees with a canonical rebuild",
-                        si.idx.key(),
-                        name
+                if (entries, partial) != canonical(&rebuilt) {
+                    return Err(bug(format!(
+                        "index on {} disagrees with a canonical rebuild",
+                        si.idx.key()
                     )));
                 }
             }
@@ -1018,57 +875,52 @@ impl Database {
         Arc::clone(&read(&self.inner.catalog))
     }
 
+    /// Runs `f` on a consistent cut of the whole database: the catalog and
+    /// every relation's partitions and indexes, read-locked together in
+    /// name order (the order [`Database::transact`] write-locks in) and
+    /// held until `f` returns.  Writers hold their write locks for the
+    /// whole transaction, so a concurrent multi-relation transaction is
+    /// captured fully or not at all, and no relation can hold a tuple its
+    /// indexes disagree with; the catalog guard keeps relations from being
+    /// created or dropped meanwhile.  [`Database::fork`] and
+    /// [`Database::checkpoint_now`] both take this cut.
+    fn with_cut<R>(
+        &self,
+        f: impl FnOnce(&Arc<Catalog>, Vec<(&str, &PartitionedHeap, &IndexSet)>) -> R,
+    ) -> R {
+        let catalog = read(&self.inner.catalog);
+        let storage_map = read(&self.inner.storage);
+        let guards: Vec<_> = storage_map
+            .iter()
+            .map(|(name, store)| (name.as_str(), read(&store.parts), read(&store.indexes)))
+            .collect();
+        let rels = guards.iter().map(|(name, p, i)| (*name, &**p, &**i));
+        f(&catalog, rels.collect())
+    }
+
     /// An independent deep copy of the database: the new handle shares no
     /// mutable state with `self`.  Cheap — partitions, segments and indexes
     /// are copy-on-write, so the fork costs refcount bumps until either
-    /// side writes.
-    ///
-    /// The fork is a consistent cut of the *whole* database: the read
-    /// locks of every relation (partitions and indexes together, in name
-    /// order — the same order [`Database::transact`] locks in) are
-    /// acquired before anything is cloned, so a concurrent multi-relation
-    /// transaction is observed either fully or not at all, and no relation
-    /// can hold a tuple its determinant indexes disagree with.  The
-    /// catalog guard is held across the walk so relations cannot be
-    /// created or dropped mid-fork.
+    /// side writes.  The fork is a consistent cut of the *whole* database
+    /// (see `with_cut`).
     pub fn fork(&self) -> Database {
-        let cat = read(&self.inner.catalog);
-        let catalog = Arc::clone(&cat);
-        let storage_map = read(&self.inner.storage);
-        // Acquire every relation's guards first (BTreeMap iteration is
-        // name order), then clone under the complete lock set.
-        let guards: Vec<(
-            &String,
-            RwLockReadGuard<'_, PartitionedHeap>,
-            RwLockReadGuard<'_, IndexSet>,
-        )> = storage_map
-            .iter()
-            .map(|(name, store)| (name, read(&store.parts), read(&store.indexes)))
-            .collect();
-        let storage: BTreeMap<String, Arc<RelStore>> = guards
-            .iter()
-            .map(|(name, parts, indexes)| {
-                (
-                    (*name).clone(),
-                    Arc::new(RelStore {
-                        gate: Mutex::new(()),
-                        parts: RwLock::new((**parts).clone()),
-                        indexes: RwLock::new((**indexes).clone()),
-                    }),
-                )
-            })
-            .collect();
-        Database {
-            inner: Arc::new(DbInner {
-                catalog: RwLock::new(catalog),
-                storage: RwLock::new(storage),
-                // A fork is an independent in-memory copy; it does not
-                // share (or inherit) the parent's WAL and checkpoints —
-                // nor the parent's statistics cache (rebuilt lazily).
-                dur: None,
-                stats: Default::default(),
-            }),
-        }
+        self.with_cut(|catalog, rels| {
+            let storage = rels.into_iter().map(|(name, parts, indexes)| {
+                let store = RelStore::new(parts.clone(), indexes.clone());
+                (name.to_string(), Arc::new(store))
+            });
+            Database {
+                inner: Arc::new(DbInner {
+                    catalog: RwLock::new(Arc::clone(catalog)),
+                    storage: RwLock::new(storage.collect()),
+                    // A fork is an independent in-memory copy; it does not
+                    // share (or inherit) the parent's WAL and checkpoints —
+                    // nor the parent's statistics cache (rebuilt lazily).
+                    dur: None,
+                    stats: Default::default(),
+                }),
+            }
+        })
     }
 
     fn store(&self, relation: &str) -> Result<Arc<RelStore>> {
@@ -1076,13 +928,6 @@ impl Database {
             .get(relation)
             .cloned()
             .ok_or_else(|| CoreError::NotFound(format!("relation {}", relation)))
-    }
-
-    /// Looks up a relation definition in the current catalog snapshot.
-    fn def<'a>(&self, catalog: &'a Catalog, relation: &str) -> Result<&'a RelationDef> {
-        catalog
-            .get(relation)
-            .map_err(|_| CoreError::NotFound(format!("relation {}", relation)))
     }
 
     /// Creates a relation from a definition, building one hash index per
@@ -1109,7 +954,8 @@ impl Database {
             let mut cat = write(&self.inner.catalog);
             let mut next = (**cat).clone();
             next.register(def)?;
-            write(&self.inner.storage).insert(name, Arc::new(RelStore::new(indexes)));
+            let store = RelStore::new(PartitionedHeap::new(), indexes);
+            write(&self.inner.storage).insert(name, Arc::new(store));
             *cat = Arc::new(next);
         }
         self.ddl_barrier()
@@ -1140,9 +986,9 @@ impl Database {
         }
         let store = self.store(relation)?;
         {
-            // The gate keeps writers out so the backfill is complete; readers
-            // continue against the partition lock.
-            let _g = lock(&store.gate);
+            // The partition read lock keeps writers out (they write-lock it
+            // for their whole transaction), so the backfill is complete;
+            // readers continue against it.
             let parts = read(&store.parts);
             let mut indexes = write(&store.indexes);
             if indexes.iter().any(|si| si.idx.key() == &key) {
@@ -1169,7 +1015,6 @@ impl Database {
     pub fn drop_index(&self, relation: &str, key: &AttrSet) -> Result<()> {
         let store = self.store(relation)?;
         {
-            let _g = lock(&store.gate);
             let mut indexes = write(&store.indexes);
             let pos = indexes
                 .iter()
@@ -1231,121 +1076,40 @@ impl Database {
     /// the moment of the check.
     pub fn check_insert(&self, relation: &str, t: &Tuple) -> Result<()> {
         let catalog = self.catalog();
-        let def = self.def(&catalog, relation)?;
+        let def = catalog.get(relation)?;
         let store = self.store(relation)?;
         let parts = read(&store.parts);
         let indexes = read(&store.indexes);
-        check_insert_full(def, &parts, &indexes, t)
+        check_tuple(def, &parts, &indexes, None, t, None)
     }
 
-    /// Inserts a tuple with full type checking, memoized per shape.
-    ///
-    /// The constraint checks run under the writer gate with only *read*
-    /// locks held, so concurrent scans proceed; the effects are then
-    /// published atomically under the partition + index write locks.
+    /// Inserts a tuple with full type checking, memoized per shape: a
+    /// one-statement [`Database::transact`].
     pub fn insert(&self, relation: &str, t: Tuple) -> Result<Rid> {
-        let catalog = self.catalog();
-        let def = self.def(&catalog, relation)?;
-        let store = self.store(relation)?;
-        let _g = lock(&store.gate);
-        let memo = {
-            let parts = read(&store.parts);
-            let indexes = read(&store.indexes);
-            precheck_insert(def, &parts, &indexes, &t)?
-            // The gate is still held: no writer can invalidate the verdict
-            // (or the memo decision) between dropping the read locks and
-            // acquiring the write locks below.
-        };
-        let (rid, lsn) = {
-            let mut parts = write(&store.parts);
-            let mut indexes = write(&store.indexes);
-            // The WAL append happens under the gate + write locks, so log
-            // order equals apply order for this relation; it buffers only
-            // (no I/O) and fails only when the WAL is already poisoned —
-            // in which case nothing has been applied yet.
-            let lsn = self.wal_append_op(|| WalOp::Insert {
-                relation: relation.to_string(),
-                tuple: t.clone(),
-            })?;
-            let rid =
-                apply_insert(&mut parts, &mut indexes, t, memo).map_err(StorageError::into_core)?;
-            (rid, lsn)
-        };
-        drop(_g);
-        // Locks and gate are released before the fsync: group commit
-        // batches syncs across relations and threads.
-        self.wal_sync(lsn)?;
-        Ok(rid)
+        self.transact(&[relation], |tx| tx.insert(relation, t))
     }
 
-    /// Deletes a tuple by identifier, returning it.  Deleting the last tuple
-    /// of a partition drops the partition (and its shape memo).
+    /// Deletes a tuple by identifier, returning it: a one-statement
+    /// [`Database::transact`].  Deleting the last tuple of a partition
+    /// drops the partition (and its shape memo).
     pub fn delete(&self, relation: &str, rid: Rid) -> Result<Tuple> {
-        let store = self.store(relation)?;
-        let _g = lock(&store.gate);
-        let (old, lsn) = {
-            let mut parts = write(&store.parts);
-            let mut indexes = write(&store.indexes);
-            let old = parts
-                .get(rid)
-                .ok_or_else(|| CoreError::NotFound(format!("tuple {} in {}", rid, relation)))?;
-            let lsn = self.wal_append_op(|| WalOp::Delete {
-                relation: relation.to_string(),
-                tuple: old.clone(),
-            })?;
-            let old = apply_delete(&mut parts, &mut indexes, rid).ok_or_else(|| {
-                StorageError::Bug(format!("tuple {} vanished under the write lock", rid))
-                    .into_core()
-            })?;
-            (old, lsn)
-        };
-        drop(_g);
-        self.wal_sync(lsn)?;
-        Ok(old)
+        self.transact(&[relation], |tx| tx.delete(relation, rid))
     }
 
     /// Replaces the tuple under `rid` after re-checking all constraints
-    /// against the rest of the instance.  The replacement may change the
-    /// tuple's shape, in which case it moves to another partition (a *type
-    /// change* in the sense of §3.1 footnote 3) under a *new* [`Rid`].
+    /// against the rest of the instance: a one-statement
+    /// [`Database::transact`].  The replacement may change the tuple's
+    /// shape, in which case it moves to another partition (a *type change*
+    /// in the sense of §3.1 footnote 3) under a *new* [`Rid`].
     ///
     /// Returns the replacement's identifier together with the previous
     /// tuple, so callers can still locate the tuple after a shape-changing
-    /// update.  On failure the previous tuple is restored (including every
-    /// index) and the error returned.  The whole remove–check–reinsert
-    /// sequence runs under the write locks, so concurrent readers observe
-    /// either the old or the new tuple, never neither.
+    /// update.  The replacement is checked before anything changes, so a
+    /// failing update leaves the tuple, its rid and every index as they
+    /// were.  Concurrent readers observe either the old or the new tuple,
+    /// never neither.
     pub fn update(&self, relation: &str, rid: Rid, new: Tuple) -> Result<(Rid, Tuple)> {
-        let catalog = self.catalog();
-        let def = self.def(&catalog, relation)?;
-        let store = self.store(relation)?;
-        let _g = lock(&store.gate);
-        let (result, lsn) = {
-            let mut parts = write(&store.parts);
-            let mut indexes = write(&store.indexes);
-            // Apply first so constraint violations return without logging
-            // anything; then log, and revert in memory if the WAL is
-            // already poisoned (append does no I/O, so that is the only
-            // way it can fail).
-            let (new_rid, old) =
-                update_in(def, &mut parts, &mut indexes, rid, new.clone(), relation)?;
-            match self.wal_append_op(|| WalOp::Update {
-                relation: relation.to_string(),
-                old: old.clone(),
-                new: new.clone(),
-            }) {
-                Ok(lsn) => ((new_rid, old), lsn),
-                Err(e) => {
-                    if undo_remove_in(&mut parts, &mut indexes, new_rid, &new) {
-                        insert_unchecked_into(def, &mut parts, &mut indexes, old);
-                    }
-                    return Err(e);
-                }
-            }
-        };
-        drop(_g);
-        self.wal_sync(lsn)?;
-        Ok(result)
+        self.transact(&[relation], |tx| tx.update(relation, rid, new))
     }
 
     /// Reads the tuple stored under `rid`, if it is live.
@@ -1495,7 +1259,7 @@ impl Database {
     /// algebra and the query executor.
     pub fn snapshot(&self, relation: &str) -> Result<FlexRelation> {
         let catalog = self.catalog();
-        let def = self.def(&catalog, relation)?;
+        let def = catalog.get(relation)?;
         let store = self.store(relation)?;
         let tuples = read(&store.parts).all_tuples();
         Ok(FlexRelation::from_parts(
@@ -1507,16 +1271,21 @@ impl Database {
         ))
     }
 
-    /// Runs `f` as one atomic transaction over the declared `relations`.
+    /// Runs `f` as one atomic transaction over the declared `relations` —
+    /// the one write path: [`Database::insert`], [`Database::delete`] and
+    /// [`Database::update`] are one-statement transactions.
     ///
-    /// The write locks (and writer gates) of every declared relation are
+    /// The partition and index write locks of every declared relation are
     /// held for the whole call — acquired in name order, so concurrent
-    /// transactions cannot deadlock — which gives full isolation:
+    /// transactions cannot deadlock — from the first constraint check
+    /// through the WAL append.  That totally orders each relation's writes
+    /// (the pairwise AD/FD checks need it) and gives full isolation:
     /// concurrent scanners observe either none or all of the transaction's
-    /// effects.  If `f` returns an error (or panics), every recorded action
-    /// is undone *before* the locks are released, restoring tuples, the
-    /// partition catalog and all index contents exactly; on success the
-    /// effects become visible atomically when the locks drop.
+    /// effects.  If `f` returns an error (or panics), the operation log is
+    /// replayed inverted, newest first, *before* the locks are released,
+    /// restoring tuples, the partition catalog and all index contents
+    /// exactly; on success the log is appended to the WAL and the effects
+    /// become visible atomically when the locks drop.
     ///
     /// Operations inside the scope see the transaction's own uncommitted
     /// writes.  Accessing a relation that was not declared returns an
@@ -1526,61 +1295,53 @@ impl Database {
         F: FnOnce(&mut TxnScope<'_>) -> Result<T>,
     {
         let catalog = self.catalog();
-        let mut names: Vec<&str> = relations.to_vec();
-        names.sort_unstable();
-        names.dedup();
-        let stores: Vec<(String, Arc<RelStore>)> = names
+        // Resolve every declared relation — failing before locking anything
+        // if one is unknown or has no definition (dropped concurrently) —
+        // then lock them in name order.
+        let mut stores: Vec<(&RelationDef, Arc<RelStore>)> = relations
             .iter()
-            .map(|n| Ok((n.to_string(), self.store(n)?)))
+            .map(|name| {
+                let store = self.store(name)?;
+                Ok((catalog.get(name)?, store))
+            })
             .collect::<Result<_>>()?;
-        for (name, _) in &stores {
-            // Fail before locking anything if a declared relation has no
-            // definition (dropped concurrently).
-            catalog.get(name)?;
-        }
-        let _gates: Vec<MutexGuard<'_, ()>> = stores.iter().map(|(_, s)| lock(&s.gate)).collect();
-        let mut guards = Vec::with_capacity(stores.len());
-        let mut rels = BTreeMap::new();
-        for (i, (name, s)) in stores.iter().enumerate() {
-            guards.push((write(&s.parts), write(&s.indexes)));
-            rels.insert(name.clone(), i);
-        }
+        stores.sort_unstable_by(|(a, _), (b, _)| a.name.cmp(&b.name));
+        stores.dedup_by(|(a, _), (b, _)| a.name == b.name);
+        let rels = stores.iter().map(|(def, s)| TxnRel {
+            def,
+            parts: write(&s.parts),
+            indexes: write(&s.indexes),
+        });
         let mut scope = TxnScope {
-            catalog,
-            rels,
-            guards,
-            undo: Vec::new(),
-            durable: self.inner.dur.is_some(),
-            redo: Vec::new(),
+            rels: rels.collect(),
+            log: Vec::new(),
         };
         match catch_unwind(AssertUnwindSafe(|| f(&mut scope))) {
             Ok(Ok(v)) => {
-                // Log the whole transaction as one atomic WAL bracket while
-                // the write locks are still held (log order = apply order);
-                // the undo log is dropped with the scope.  An append failure
-                // means the WAL was already poisoned: nothing was logged, so
-                // rolling back in memory keeps log and heap agreeing.
-                let redo = std::mem::take(&mut scope.redo);
-                let lsn = match self.wal_append_ops(&redo) {
+                // Log the whole transaction as one atomic WAL unit while
+                // the write locks are still held (log order = apply order).
+                // An append failure means the WAL was already poisoned:
+                // nothing was logged, so rolling back in memory keeps log
+                // and heap agreeing.
+                let lsn = match self.wal_append(&scope.log) {
                     Ok(lsn) => lsn,
                     Err(e) => {
-                        scope.rollback_in_place();
+                        scope.rollback()?;
                         return Err(e);
                     }
                 };
                 drop(scope);
-                drop(_gates);
                 // The fsync happens after every lock is released, so
                 // concurrent transactions batch into one group commit.
                 self.wal_sync(lsn)?;
                 Ok(v)
             }
             Ok(Err(e)) => {
-                scope.rollback_in_place();
+                scope.rollback()?;
                 Err(e)
             }
             Err(payload) => {
-                scope.rollback_in_place();
+                let _ = scope.rollback();
                 resume_unwind(payload)
             }
         }
@@ -1588,30 +1349,29 @@ impl Database {
 }
 
 /// The handle a [`Database::transact`] closure operates through: every
-/// mutation is recorded in an undo log and applied against write locks held
-/// for the whole transaction, so the outside world sees all-or-nothing.
+/// change is applied against write locks held for the whole transaction and
+/// recorded in one operation log, so the outside world sees all-or-nothing.
 pub struct TxnScope<'a> {
-    catalog: Arc<Catalog>,
-    rels: BTreeMap<String, usize>,
-    #[allow(clippy::type_complexity)]
-    guards: Vec<(
-        RwLockWriteGuard<'a, PartitionedHeap>,
-        RwLockWriteGuard<'a, IndexSet>,
-    )>,
-    /// The undo log: the relation each action touched plus the action,
-    /// replayed in reverse by a rollback.
-    undo: Vec<(String, Undo)>,
-    /// Whether the database logs to a WAL; when `false` the redo log is
-    /// not recorded (no clones on the in-memory fast path).
-    durable: bool,
-    /// The transaction's redo log, appended to the WAL as one atomic
-    /// bracket on commit.
-    redo: Vec<WalOp>,
+    /// The declared relations, in name order.
+    rels: Vec<TxnRel<'a>>,
+    /// The operation log: each applied op with the rid its result landed
+    /// under (for a delete, the rid it emptied) — only a fast-path hint for
+    /// rollback.  Commit appends the ops to the WAL; rollback replays their
+    /// inverses newest-first.
+    log: Vec<(Rid, WalOp)>,
+}
+
+/// One declared relation of a transaction: its definition and write guards.
+struct TxnRel<'a> {
+    def: &'a RelationDef,
+    parts: RwLockWriteGuard<'a, PartitionedHeap>,
+    indexes: RwLockWriteGuard<'a, IndexSet>,
 }
 
 impl TxnScope<'_> {
     fn slot(&self, relation: &str) -> Result<usize> {
-        self.rels.get(relation).copied().ok_or_else(|| {
+        let found = self.rels.iter().position(|r| r.def.name == relation);
+        found.ok_or_else(|| {
             CoreError::Invalid(format!(
                 "relation {} was not declared by this transaction",
                 relation
@@ -1619,86 +1379,67 @@ impl TxnScope<'_> {
         })
     }
 
-    /// Number of undo actions recorded so far.
+    /// Number of operations logged so far.
     pub fn pending_actions(&self) -> usize {
-        self.undo.len()
+        self.log.len()
     }
 
     /// Inserts a tuple with full type checking (the transaction sees its
-    /// own prior writes), recording the undo action.
+    /// own prior writes) and logs it.
     pub fn insert(&mut self, relation: &str, t: Tuple) -> Result<Rid> {
         let i = self.slot(relation)?;
-        let catalog = Arc::clone(&self.catalog);
-        let def = catalog.get(relation)?;
-        let (parts, indexes) = &mut self.guards[i];
-        let rid = checked_insert_in(def, parts, indexes, t.clone())?;
-        if self.durable {
-            self.redo.push(WalOp::Insert {
-                relation: relation.to_string(),
-                tuple: t.clone(),
-            });
-        }
-        self.undo
-            .push((relation.to_string(), Undo::Insert { rid, tuple: t }));
+        let rel = &mut self.rels[i];
+        let rid = checked_insert_in(rel.def, &mut rel.parts, &mut rel.indexes, &t)?;
+        let relation = relation.to_string();
+        self.log.push((rid, WalOp::Insert { relation, tuple: t }));
         Ok(rid)
     }
 
-    /// Deletes a tuple by identifier, recording the undo action.
+    /// Deletes a tuple by identifier and logs it.
     pub fn delete(&mut self, relation: &str, rid: Rid) -> Result<Tuple> {
         let i = self.slot(relation)?;
-        let (parts, indexes) = &mut self.guards[i];
-        let old = apply_delete(parts, indexes, rid)
-            .ok_or_else(|| CoreError::NotFound(format!("tuple {} in {}", rid, relation)))?;
-        if self.durable {
-            self.redo.push(WalOp::Delete {
-                relation: relation.to_string(),
-                tuple: old.clone(),
-            });
-        }
-        let tuple = old.clone();
-        self.undo
-            .push((relation.to_string(), Undo::Delete { tuple }));
+        let rel = &mut self.rels[i];
+        let old = apply_delete(&mut rel.parts, &mut rel.indexes, rid)
+            .ok_or_else(|| not_found(rid, relation))?;
+        let (relation, tuple) = (relation.to_string(), old.clone());
+        self.log.push((rid, WalOp::Delete { relation, tuple }));
         Ok(old)
     }
 
-    /// Replaces the tuple under `rid` (constraints re-checked, shape
-    /// changes move partitions), recording the undo action.
+    /// Replaces the tuple under `rid` (constraints re-checked first, shape
+    /// changes move partitions) and logs it.  A failing update changes
+    /// nothing.
     pub fn update(&mut self, relation: &str, rid: Rid, new: Tuple) -> Result<(Rid, Tuple)> {
         let i = self.slot(relation)?;
-        let catalog = Arc::clone(&self.catalog);
-        let def = catalog.get(relation)?;
-        let (parts, indexes) = &mut self.guards[i];
-        let (new_rid, old) = update_in(def, parts, indexes, rid, new.clone(), relation)?;
-        if self.durable {
-            self.redo.push(WalOp::Update {
-                relation: relation.to_string(),
-                old: old.clone(),
-                new: new.clone(),
-            });
-        }
-        self.undo.push((
-            relation.to_string(),
-            Undo::Update {
-                rid: new_rid,
-                replacement: new,
-                previous: old.clone(),
-            },
-        ));
+        let rel = &mut self.rels[i];
+        let (new_rid, old) = update_in(
+            rel.def,
+            &mut rel.parts,
+            &mut rel.indexes,
+            rid,
+            &new,
+            relation,
+        )?;
+        let (relation, previous) = (relation.to_string(), old.clone());
+        let op = WalOp::Update {
+            relation,
+            old: previous,
+            new,
+        };
+        self.log.push((new_rid, op));
         Ok((new_rid, old))
     }
 
     /// Number of live tuples of a declared relation, *including* the
     /// transaction's own uncommitted writes.
     pub fn count(&self, relation: &str) -> Result<usize> {
-        let i = self.slot(relation)?;
-        Ok(self.guards[i].0.len())
+        Ok(self.rels[self.slot(relation)?].parts.len())
     }
 
     /// Scans a declared relation, including the transaction's own
     /// uncommitted writes.
     pub fn scan(&self, relation: &str) -> Result<Vec<(Rid, Tuple)>> {
-        let i = self.slot(relation)?;
-        Ok(self.guards[i].0.scan().collect())
+        Ok(self.rels[self.slot(relation)?].parts.scan().collect())
     }
 
     /// [`Database::lookup_eq`] inside the transaction: index first, pruned
@@ -1711,22 +1452,32 @@ impl TxnScope<'_> {
         key: &AttrSet,
         key_value: &Tuple,
     ) -> Result<Vec<(Rid, Tuple)>> {
-        let i = self.slot(relation)?;
-        let (parts, indexes) = &self.guards[i];
-        Ok(lookup_eq_in(parts, indexes, key, key_value))
+        let rel = &self.rels[self.slot(relation)?];
+        Ok(lookup_eq_in(&rel.parts, &rel.indexes, key, key_value))
     }
 
-    fn rollback_in_place(&mut self) {
-        let catalog = Arc::clone(&self.catalog);
-        while let Some((relation, action)) = self.undo.pop() {
-            let (Ok(i), Ok(def)) = (self.slot(&relation), catalog.get(&relation)) else {
-                // Actions are only recorded through this scope, so the
-                // relation is always declared; be defensive anyway.
-                continue;
+    /// Undoes the transaction: replays every logged op's inverse, newest
+    /// first.  Every op must find its target — the log says it is there —
+    /// so a miss is reported as [`StorageError::Bug`] (after the rest of
+    /// the log has still been undone).
+    fn rollback(&mut self) -> Result<()> {
+        let mut first_err = None;
+        while let Some((hint, op)) = self.log.pop() {
+            let op = op.inverse();
+            let res = match self.rels.iter_mut().find(|r| r.def.name == op.relation()) {
+                Some(r) => replay(
+                    r.def,
+                    &mut r.parts,
+                    &mut r.indexes,
+                    &op,
+                    Some(hint),
+                    StorageError::Bug,
+                ),
+                None => Err(StorageError::Bug(format!("logged op on {}", op.relation()))),
             };
-            let (parts, indexes) = &mut self.guards[i];
-            apply_undo(def, parts, indexes, action);
+            first_err = first_err.or(res.err());
         }
+        first_err.map_or(Ok(()), |e| Err(e.into_core()))
     }
 }
 
@@ -2267,8 +2018,8 @@ mod tests {
             .collect();
 
         // A shape-changing update that fails the EAD check: jobtype flips but
-        // the variant attributes stay, so the insert is rejected after the
-        // delete already ran — the automatic restore must undo everything.
+        // the variant attributes stay, so the replacement is rejected — and
+        // nothing may have changed.
         let (rid, original) = db
             .scan("employee")
             .unwrap()
@@ -2283,7 +2034,7 @@ mod tests {
         assert_eq!(
             index_snapshot(&db, "employee"),
             idx_before,
-            "every index (entries and partial lists) is byte-identical after the restore"
+            "every index (entries and partial lists) is byte-identical after the failure"
         );
         let tuples_after: std::collections::BTreeSet<Tuple> = db
             .scan("employee")
@@ -2292,9 +2043,60 @@ mod tests {
             .map(|(_, t)| t)
             .collect();
         assert_eq!(tuples_after, tuples_before);
-        // The restored tuple is live under its original identifier again
-        // (the freed slot is reused by the restore).
+        // The tuple is still live under its original identifier.
         assert_eq!(db.get("employee", rid).unwrap(), Some(original));
+    }
+
+    /// `r(k, v)` with `k → v`, holding one tuple in slot 5 of its partition
+    /// (slots 0–4 inserted and deleted): updating it empties the partition.
+    fn lone_tuple_in_slot_five() -> (Database, Rid, Tuple) {
+        use flexrel_core::dep::Fd;
+        use flexrel_core::scheme::FlexScheme;
+        use flexrel_core::tuple;
+        use flexrel_core::value::Domain;
+        let def = RelationDef::new("r", FlexScheme::relational(attrs!["k", "v"]))
+            .with_domain("v", Domain::Int)
+            .with_dep(Fd::new(attrs!["k"], attrs!["v"]));
+        let db = Database::new();
+        db.create_relation(def).unwrap();
+        let rids: Vec<Rid> = (0..6)
+            .map(|i| db.insert("r", tuple! {"k" => i, "v" => i}).unwrap())
+            .collect();
+        for rid in &rids[..5] {
+            db.delete("r", *rid).unwrap();
+        }
+        (db, rids[5], tuple! {"k" => 5, "v" => 5})
+    }
+
+    /// A failed update changes nothing — not even the rid of the tuple it
+    /// leaves in place, when removing it would empty its partition (a
+    /// delete-then-restore re-creates the partition with fresh slots and
+    /// moves the tuple to slot 0).  Both write surfaces.
+    #[test]
+    fn transact_and_autocommit_failed_update_changes_nothing() {
+        use flexrel_core::tuple;
+        let bad = tuple! {"k" => 5, "v" => "not an int"};
+        let (db, rid, kept) = lone_tuple_in_slot_five();
+        let err = db.update("r", rid, bad.clone()).unwrap_err();
+        assert!(matches!(err, CoreError::DomainViolation { .. }), "{}", err);
+        assert_eq!(db.get("r", rid).unwrap(), Some(kept.clone()));
+        db.verify_invariants().unwrap();
+
+        let (db, rid, kept) = lone_tuple_in_slot_five();
+        let fixed = tuple! {"k" => 5, "v" => 6};
+        let new_rid = db
+            .transact(&["r"], |tx| {
+                let err = tx.update("r", rid, bad).unwrap_err();
+                assert!(matches!(err, CoreError::DomainViolation { .. }), "{}", err);
+                let found = tx.lookup_eq("r", &attrs!["k"], &tuple! {"k" => 5})?;
+                assert_eq!(found, vec![(rid, kept)]);
+                assert_eq!(tx.pending_actions(), 0, "a failed update logs nothing");
+                // A retry with the caller's rid finds the tuple.
+                Ok(tx.update("r", rid, fixed.clone())?.0)
+            })
+            .unwrap();
+        assert_eq!(db.get("r", new_rid).unwrap(), Some(fixed));
+        db.verify_invariants().unwrap();
     }
 
     #[test]
@@ -2517,6 +2319,80 @@ mod tests {
         }
     }
 
+    /// An auto-committed insert writes the one `txn 0` record it always
+    /// wrote, and a one-op `transact` writes the very same bytes — both
+    /// checked against frames assembled here by hand.
+    #[test]
+    fn autocommit_and_one_op_transact_write_identical_wal_frames() {
+        use flexrel_core::scheme::FlexScheme;
+        use flexrel_core::tuple;
+        // `[len u32][crc32 u32][payload]`, little-endian.
+        let frame = |parts: &[&[u8]]| {
+            let payload = parts.concat();
+            let len = (payload.len() as u32).to_le_bytes();
+            [
+                &len[..],
+                &crate::codec::crc32(&payload).to_le_bytes(),
+                &payload,
+            ]
+            .concat()
+        };
+        let text = |s: &str| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat();
+        for through_txn in [false, true] {
+            let tmp = TempDir::new(&format!("wal-bytes-{}", through_txn));
+            let db = Database::open_with(&tmp.0, quiet_options()).unwrap();
+            let def = RelationDef::new("r", FlexScheme::relational(attrs!["k", "v"]));
+            db.create_relation(def).unwrap();
+            let t = tuple! {"k" => 1, "v" => 2};
+            if through_txn {
+                db.transact(&["r"], |tx| tx.insert("r", t)).unwrap();
+            } else {
+                db.insert("r", t).unwrap();
+            }
+            drop(db);
+            // The segment the DDL checkpoint rotated to, named by its cut.
+            let (cut, path) = std::fs::read_dir(&tmp.0)
+                .unwrap()
+                .filter_map(|e| {
+                    let path = e.unwrap().path();
+                    let name = path.file_name()?.to_str()?;
+                    Some((crate::wal::parse_segment_name(name)?, path))
+                })
+                .max()
+                .unwrap();
+            let expected = [
+                // Checkpoint { lsn: cut } — the rotation marker.
+                frame(&[&[8], &cut.to_le_bytes()]),
+                // DefineShape { local: 0, attrs: [k, v] }.
+                frame(&[
+                    &[1],
+                    &0u32.to_le_bytes(),
+                    &2u32.to_le_bytes(),
+                    &text("k"),
+                    &text("v"),
+                ]),
+                // Insert { txn: 0, relation: r, shape 0, Int 1, Int 2 }.
+                frame(&[
+                    &[5],
+                    &0u64.to_le_bytes(),
+                    &text("r"),
+                    &0u32.to_le_bytes(),
+                    &[0],
+                    &1i64.to_le_bytes(),
+                    &[0],
+                    &2i64.to_le_bytes(),
+                ]),
+            ]
+            .concat();
+            assert_eq!(
+                std::fs::read(path).unwrap(),
+                expected,
+                "txn: {}",
+                through_txn
+            );
+        }
+    }
+
     #[test]
     fn durable_database_survives_reopen() {
         let tmp = TempDir::new("reopen");
@@ -2620,7 +2496,7 @@ mod tests {
             before,
             "the panicked transaction rolled back"
         );
-        // The poisoned gate and write locks recover: both a follow-up
+        // The poisoned write locks recover: both a follow-up
         // transaction and a plain insert succeed.
         db.transact(&["employee"], |tx| {
             let mut t = generate_employees(&EmployeeConfig::clean(1)).pop().unwrap();

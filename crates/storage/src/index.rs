@@ -53,14 +53,7 @@ impl HashIndex {
 
     /// Indexes a tuple.
     pub fn insert(&mut self, rid: Rid, t: &Tuple) {
-        self.insert_key(rid, self.key_of(t));
-    }
-
-    /// Indexes `rid` under a key projection obtained from
-    /// [`HashIndex::key_of`] — lets the caller extract the key, give the
-    /// tuple away (to the heap), and index the identifier it got back.
-    pub fn insert_key(&mut self, rid: Rid, key_value: Option<Tuple>) {
-        match key_value {
+        match self.key_of(t) {
             Some(k) => self.entries.entry(k).or_default().push(rid),
             None => self.partial.push(rid),
         }

@@ -31,10 +31,11 @@
 //!
 //! The [`Database`] is **concurrent**: it is a cheap cloneable handle onto
 //! `Send + Sync` shared state with per-relation reader/writer lock sharding
-//! (writer gate, partition-catalog lock, index-set lock), point-in-time
+//! (partition-catalog lock, index-set lock), point-in-time
 //! [`PartitionSnapshot`] scans that never hold a lock while streaming, and
-//! an atomic multi-statement transaction scope
-//! ([`Database::transact`]/[`TxnScope`]) whose rollback restores tuples,
+//! one write path: the atomic transaction scope
+//! ([`Database::transact`]/[`TxnScope`], of which the auto-committed
+//! writes are one-statement instances) whose rollback restores tuples,
 //! partition catalog and indexes exactly.  See the [`db`] module docs for
 //! the lock hierarchy.
 //!

@@ -339,11 +339,12 @@ impl PartitionedHeap {
     /// i.e. when the caller just ran the full shape-level checks.  A missing
     /// memo for a new shape is a logic error in the caller, reported as
     /// [`StorageError::Bug`] (recovery code must be able to tell it apart
-    /// from disk corruption — this used to be an `expect`).
+    /// from disk corruption — this used to be an `expect`).  The tuple is
+    /// borrowed: the column heap copies its values out.
     pub fn insert(
         &mut self,
         shape: ShapeId,
-        t: Tuple,
+        t: &Tuple,
         memo: Option<ShapeMemo>,
     ) -> Result<Rid, StorageError> {
         let part = match self.parts.entry(shape) {
@@ -577,7 +578,7 @@ mod tests {
         } else {
             None
         };
-        h.insert(sid, t, memo).unwrap()
+        h.insert(sid, &t, memo).unwrap()
     }
 
     #[test]
@@ -585,10 +586,10 @@ mod tests {
         let mut h = PartitionedHeap::new();
         let t = tuple! {"x" => 1};
         let sid = t.shape_id();
-        let err = h.insert(sid, t.clone(), None).unwrap_err();
+        let err = h.insert(sid, &t, None).unwrap_err();
         assert!(matches!(err, StorageError::Bug(_)));
         assert!(h.is_empty(), "failed insert leaves the heap untouched");
-        h.insert(sid, t, Some(memo_for(&attrs!["x"]))).unwrap();
+        h.insert(sid, &t, Some(memo_for(&attrs!["x"]))).unwrap();
         assert_eq!(h.len(), 1);
     }
 

@@ -8,14 +8,16 @@
 //! [`crate::wal::replay_dir`] by truncating at the corruption point; the
 //! replay here only ever sees complete, committed transactions.
 //!
-//! Replayed deletes and updates identify their target **by value**, not by
-//! [`Rid`]: slot numbers are an artifact of insert
-//! order and segment reuse, so they are not stable across a rebuild — but
-//! equal tuples are interchangeable in a multiset, so deleting *any* equal
-//! tuple reproduces the committed state (the same rule transaction rollback
-//! uses).  Operations on relations the checkpoint does not know are skipped:
-//! DDL is not WAL-logged, and the window between an in-memory DDL statement
-//! and its synchronous checkpoint is the documented DDL durability window.
+//! Each op is re-applied by `db::replay`, the routine transaction rollback
+//! runs too.  Without a rid hint it identifies delete and update targets
+//! **by value**: slot numbers are an artifact of insert order and segment
+//! reuse, so they are not stable across a rebuild — but equal tuples are
+//! interchangeable in a multiset, so deleting *any* equal tuple reproduces
+//! the committed state; a target that is not there is
+//! [`StorageError::Corruption`].  Operations on relations the checkpoint
+//! does not know are skipped: DDL is not WAL-logged, and the window between
+//! an in-memory DDL statement and its synchronous checkpoint is the
+//! documented DDL durability window.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -23,11 +25,11 @@ use std::sync::Arc;
 
 use crate::catalog::Catalog;
 use crate::checkpoint::read_checkpoint;
-use crate::db::{apply_delete, insert_unchecked_into, shape_memo, IndexSet, RelStore, StoredIndex};
+use crate::db::{replay, shape_memo, IndexSet, RelStore, StoredIndex};
 use crate::errors::StorageError;
 use crate::index::HashIndex;
-use crate::partition::{Partition, PartitionedHeap, Rid};
-use crate::wal::{replay_dir, WalOp};
+use crate::partition::{Partition, PartitionedHeap};
+use crate::wal::replay_dir;
 
 /// Everything [`recover`] rebuilds from disk, handed to
 /// [`Database::open_with`](crate::db::Database::open_with).
@@ -46,26 +48,10 @@ pub(crate) struct RecoveredState {
     pub truncated: bool,
 }
 
-/// In-memory mutable state of one relation during replay.
-struct RelState {
-    parts: PartitionedHeap,
-    indexes: IndexSet,
-}
-
-/// Locates a tuple equal to `t` in its shape's partition, by value.
-fn find_by_value(parts: &PartitionedHeap, t: &flexrel_core::tuple::Tuple) -> Option<Rid> {
-    let sid = t.shape_id();
-    parts.partition(sid).and_then(|p| {
-        p.tuple_refs()
-            .find(|(_, r)| r.eq_tuple(t))
-            .map(|(loc, _)| Rid::new(sid, loc))
-    })
-}
-
 /// Rebuilds the durable database state from `dir`: checkpoint + WAL tail.
 pub(crate) fn recover(dir: &Path) -> Result<RecoveredState, StorageError> {
     let mut catalog = Catalog::default();
-    let mut rels: BTreeMap<String, RelState> = BTreeMap::new();
+    let mut rels: BTreeMap<String, (PartitionedHeap, IndexSet)> = BTreeMap::new();
     let ckpt_lsn = match read_checkpoint(dir)? {
         Some(image) => {
             for rel in image.relations {
@@ -94,7 +80,7 @@ pub(crate) fn recover(dir: &Path) -> Result<RecoveredState, StorageError> {
                         name, e
                     ))
                 })?;
-                rels.insert(name, RelState { parts, indexes });
+                rels.insert(name, (parts, indexes));
             }
             image.wal_lsn
         }
@@ -102,74 +88,24 @@ pub(crate) fn recover(dir: &Path) -> Result<RecoveredState, StorageError> {
     };
 
     let outcome = replay_dir(dir, ckpt_lsn)?;
-    let replayed_commits = outcome.commits.len();
-    for ops in outcome.commits {
-        for op in ops {
-            apply_op(&catalog, &mut rels, op)?;
-        }
+    for op in outcome.commits.iter().flatten() {
+        let (Some((parts, indexes)), Ok(def)) =
+            (rels.get_mut(op.relation()), catalog.get(op.relation()))
+        else {
+            continue;
+        };
+        replay(def, parts, indexes, op, None, StorageError::Corruption)?;
     }
 
     let storage = rels
         .into_iter()
-        .map(|(name, st)| (name, Arc::new(RelStore::from_parts(st.parts, st.indexes))))
+        .map(|(name, (parts, indexes))| (name, Arc::new(RelStore::new(parts, indexes))))
         .collect();
     Ok(RecoveredState {
         catalog,
         storage,
         resume_end: outcome.resume_end,
-        replayed_commits,
+        replayed_commits: outcome.commits.len(),
         truncated: outcome.truncated,
     })
-}
-
-/// Applies one committed WAL operation.  Unknown relations are skipped (the
-/// DDL durability window); a missing target tuple for a delete/update is
-/// genuine corruption — the WAL only logs operations that succeeded.
-fn apply_op(
-    catalog: &Catalog,
-    rels: &mut BTreeMap<String, RelState>,
-    op: WalOp,
-) -> Result<(), StorageError> {
-    match op {
-        WalOp::Insert { relation, tuple } => {
-            let Some(st) = rels.get_mut(&relation) else {
-                return Ok(());
-            };
-            let Ok(def) = catalog.get(&relation) else {
-                return Ok(());
-            };
-            insert_unchecked_into(def, &mut st.parts, &mut st.indexes, tuple);
-            Ok(())
-        }
-        WalOp::Delete { relation, tuple } => {
-            let Some(st) = rels.get_mut(&relation) else {
-                return Ok(());
-            };
-            let rid = find_by_value(&st.parts, &tuple).ok_or_else(|| {
-                StorageError::Corruption(format!(
-                    "WAL delete in {} names a tuple the recovered state does not hold",
-                    relation
-                ))
-            })?;
-            apply_delete(&mut st.parts, &mut st.indexes, rid);
-            Ok(())
-        }
-        WalOp::Update { relation, old, new } => {
-            let Some(st) = rels.get_mut(&relation) else {
-                return Ok(());
-            };
-            let Ok(def) = catalog.get(&relation) else {
-                return Ok(());
-            };
-            let rid = find_by_value(&st.parts, &old).ok_or_else(|| {
-                StorageError::Corruption(format!(
-                    "WAL update in {} names a tuple the recovered state does not hold",
-                    relation
-                ))
-            })?;
-            apply_delete(&mut st.parts, &mut st.indexes, rid);
-            insert_unchecked_into(def, &mut st.parts, &mut st.indexes, new);
-            Ok(())
-        }
-    }
 }

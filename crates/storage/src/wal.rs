@@ -26,14 +26,17 @@
 //! [`Rid`](crate::partition::Rid): slot assignment depends on free-list
 //! history, which recovery does not reproduce.  Equal tuples are
 //! interchangeable (the instance is a multiset), so replay deletes *a*
-//! matching tuple — the same rule transaction rollback already uses.
+//! matching tuple — recovery and transaction rollback run the same replay.
 //!
 //! # Group commit
 //!
-//! Commits append their records to an in-memory tail buffer under the
-//! writer's lock (while still holding their relation write locks, so WAL
-//! order equals apply order per relation), then wait for their LSN to
-//! become durable.  The first waiter becomes the **leader**: it takes the
+//! Every write is a transaction (an auto-committed statement is a
+//! one-statement transaction).  On commit it appends its operation log —
+//! one `txn 0` record for a single op, a `Begin … Commit` bracket for
+//! several — to an in-memory tail buffer under the writer's lock (while
+//! still holding its relation write locks, so WAL order equals apply
+//! order per relation), then waits for its LSN to become durable.  The
+//! first waiter becomes the **leader**: it takes the
 //! whole buffer, writes it, issues **one** `fdatasync`, and wakes every
 //! commit the sync covered — concurrent `transact` closures on different
 //! relations amortize a single fsync.  With `group_commit` off every
@@ -63,8 +66,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One logical redo operation, as applied (and re-applied on recovery) in
-/// order.
+/// One logical operation, as applied in order.  A transaction records each
+/// one it applies; the same log is appended to the WAL on commit, replayed
+/// inverted on rollback, and replayed from the WAL on recovery (see
+/// `db::replay`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalOp {
     /// A tuple was inserted into `relation`.
@@ -90,6 +95,31 @@ pub enum WalOp {
         /// The replacement tuple.
         new: Tuple,
     },
+}
+
+impl WalOp {
+    /// The relation the operation changes.
+    pub fn relation(&self) -> &str {
+        match self {
+            WalOp::Insert { relation, .. }
+            | WalOp::Delete { relation, .. }
+            | WalOp::Update { relation, .. } => relation,
+        }
+    }
+
+    /// The operation that undoes this one: an insert becomes a delete of
+    /// the same tuple and vice versa, an update swaps `old` and `new`.
+    pub fn inverse(self) -> WalOp {
+        match self {
+            WalOp::Insert { relation, tuple } => WalOp::Delete { relation, tuple },
+            WalOp::Delete { relation, tuple } => WalOp::Insert { relation, tuple },
+            WalOp::Update { relation, old, new } => WalOp::Update {
+                relation,
+                old: new,
+                new: old,
+            },
+        }
+    }
 }
 
 /// One decoded WAL record.  `txn = 0` marks an auto-committed single
@@ -166,45 +196,35 @@ impl RecordEncoder {
     /// Appends `rec` to `out` as one or more frames (shape definitions
     /// precede the record that needs them).
     pub fn encode(&mut self, rec: &WalRecord, out: &mut Vec<u8>) {
+        let (tag, n) = match rec {
+            WalRecord::Begin(txn) => (REC_BEGIN, *txn),
+            WalRecord::Commit(txn) => (REC_COMMIT, *txn),
+            WalRecord::Abort(txn) => (REC_ABORT, *txn),
+            WalRecord::Checkpoint(lsn) => (REC_CHECKPOINT, *lsn),
+            WalRecord::Op { txn, op } => return self.encode_op(*txn, op, out),
+        };
         let mut payload = Vec::new();
-        match rec {
-            WalRecord::Begin(txn) => {
-                put_u8(&mut payload, REC_BEGIN);
-                put_u64(&mut payload, *txn);
-            }
-            WalRecord::Commit(txn) => {
-                put_u8(&mut payload, REC_COMMIT);
-                put_u64(&mut payload, *txn);
-            }
-            WalRecord::Abort(txn) => {
-                put_u8(&mut payload, REC_ABORT);
-                put_u64(&mut payload, *txn);
-            }
-            WalRecord::Checkpoint(lsn) => {
-                put_u8(&mut payload, REC_CHECKPOINT);
-                put_u64(&mut payload, *lsn);
-            }
-            WalRecord::Op { txn, op } => match op {
-                WalOp::Insert { relation, tuple } => {
-                    put_u8(&mut payload, REC_INSERT);
-                    put_u64(&mut payload, *txn);
-                    put_str(&mut payload, relation);
-                    self.put_tuple(tuple, out, &mut payload);
-                }
-                WalOp::Delete { relation, tuple } => {
-                    put_u8(&mut payload, REC_DELETE);
-                    put_u64(&mut payload, *txn);
-                    put_str(&mut payload, relation);
-                    self.put_tuple(tuple, out, &mut payload);
-                }
-                WalOp::Update { relation, old, new } => {
-                    put_u8(&mut payload, REC_UPDATE);
-                    put_u64(&mut payload, *txn);
-                    put_str(&mut payload, relation);
-                    self.put_tuple(old, out, &mut payload);
-                    self.put_tuple(new, out, &mut payload);
-                }
-            },
+        put_u8(&mut payload, tag);
+        put_u64(&mut payload, n);
+        put_frame(out, &payload);
+    }
+
+    /// Appends the record of `op` under transaction `txn` (0 = auto-commit)
+    /// — [`RecordEncoder::encode`] of a [`WalRecord::Op`] without building
+    /// one, so a commit encodes its log in place.
+    fn encode_op(&mut self, txn: u64, op: &WalOp, out: &mut Vec<u8>) {
+        let (tag, first, second) = match op {
+            WalOp::Insert { tuple, .. } => (REC_INSERT, tuple, None),
+            WalOp::Delete { tuple, .. } => (REC_DELETE, tuple, None),
+            WalOp::Update { old, new, .. } => (REC_UPDATE, old, Some(new)),
+        };
+        let mut payload = Vec::new();
+        put_u8(&mut payload, tag);
+        put_u64(&mut payload, txn);
+        put_str(&mut payload, op.relation());
+        self.put_tuple(first, out, &mut payload);
+        if let Some(new) = second {
+            self.put_tuple(new, out, &mut payload);
         }
         put_frame(out, &payload);
     }
@@ -433,43 +453,36 @@ impl WalWriter {
         self.cond.notify_all();
     }
 
-    /// Appends one committed unit — a single auto-committed op, or a
-    /// `Begin … Commit` bracket for several — to the log tail and returns
-    /// the LSN the caller must [`WalWriter::sync_to`] before acknowledging.
-    /// Must be called while the relation write locks of every touched
-    /// relation are held, so log order equals apply order.
-    pub fn append_commit(&self, ops: &[WalOp]) -> Result<u64, StorageError> {
-        let mut st = lock(&self.state);
+    /// Appends one committed transaction's ops to the log tail — one
+    /// auto-commit record (`txn` 0) for a single op, a `Begin … Commit`
+    /// bracket for several — and returns the LSN the caller must
+    /// [`WalWriter::sync_to`] before acknowledging.  The ops are encoded
+    /// in place, never cloned.  Must be called while the write locks of
+    /// every touched relation are held, so log order equals apply order.
+    pub fn append_commit<'o, I>(&self, ops: I) -> Result<u64, StorageError>
+    where
+        I: IntoIterator<Item = &'o WalOp>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let ops = ops.into_iter();
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
         if st.poisoned {
             return Err(StorageError::Io("wal is poisoned after a crash".into()));
         }
         let mut bytes = Vec::new();
-        if ops.len() == 1 {
-            let mut enc = std::mem::take(&mut st.enc);
-            enc.encode(
-                &WalRecord::Op {
-                    txn: 0,
-                    op: ops[0].clone(),
-                },
-                &mut bytes,
-            );
-            st.enc = enc;
+        let txn = if ops.len() == 1 {
+            0
         } else {
             st.next_txn += 1;
-            let txn = st.next_txn;
-            let mut enc = std::mem::take(&mut st.enc);
-            enc.encode(&WalRecord::Begin(txn), &mut bytes);
-            for op in ops {
-                enc.encode(
-                    &WalRecord::Op {
-                        txn,
-                        op: op.clone(),
-                    },
-                    &mut bytes,
-                );
-            }
-            enc.encode(&WalRecord::Commit(txn), &mut bytes);
-            st.enc = enc;
+            st.enc.encode(&WalRecord::Begin(st.next_txn), &mut bytes);
+            st.next_txn
+        };
+        for op in ops {
+            st.enc.encode_op(txn, op, &mut bytes);
+        }
+        if txn != 0 {
+            st.enc.encode(&WalRecord::Commit(txn), &mut bytes);
         }
         st.appended += bytes.len() as u64;
         st.since_checkpoint += bytes.len() as u64;
@@ -569,9 +582,9 @@ impl WalWriter {
 
     /// Rotates to a fresh segment at the current append position and
     /// returns its base LSN — the checkpoint cut.  Must be called while
-    /// every relation's writer gate is held (the checkpointer's consistent
-    /// cut), so no append can interleave; any pending bytes are flushed to
-    /// the old segment first.
+    /// every relation's read guards are held (the checkpointer's consistent
+    /// cut): writers append under their write locks, so no append can
+    /// interleave.  Any pending bytes are flushed to the old segment first.
     pub fn rotate(&self) -> Result<u64, StorageError> {
         let mut st = lock(&self.state);
         loop {
@@ -603,9 +616,7 @@ impl WalWriter {
         // A rotation marker: replay ignores it, humans (and tests) can see
         // where the cut happened.
         let mut bytes = Vec::new();
-        let mut enc = std::mem::take(&mut st.enc);
-        enc.encode(&WalRecord::Checkpoint(cut), &mut bytes);
-        st.enc = enc;
+        st.enc.encode(&WalRecord::Checkpoint(cut), &mut bytes);
         st.appended += bytes.len() as u64;
         st.buf.extend_from_slice(&bytes);
         Ok(cut)

@@ -57,7 +57,7 @@ proptest! {
                         (rng.next_u64() % 4) as u8,
                         (rng.next_u64() % 1_000) as i64,
                     );
-                    let tid = col.insert(t.clone());
+                    let tid = col.insert(&t);
                     prop_assert!(model.insert(tid, t).is_none(), "{} was live", tid);
                     live.push(tid);
                 }

@@ -447,7 +447,7 @@ proptest! {
                 (rng.next_u64() % 1_000) as i64
             };
             heap.insert(
-                Tuple::new()
+                &Tuple::new()
                     .with("g", Value::tag(format!("g{}", rng.next_u64() % 5)))
                     .with("x", x)
                     .with("y", (rng.next_u64() % 1_000) as f64 / 8.0),
@@ -493,7 +493,7 @@ fn aggregation_over_a_spilled_wide_shape_matches_the_tuple_fold() {
             t.insert(name.as_str(), i.wrapping_mul(71) + j as i64);
         }
         t.insert("a69", i % 7); // a small group domain on the spilled word
-        heap.insert(t);
+        heap.insert(&t);
     }
     let aggs = vec![
         AggExpr::new(AggFunc::Count, None),
