@@ -16,8 +16,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use flexrel_core::tuple::Tuple;
 use flexrel_server::proto::{
-    decode_response, write_request, ErrorCode, FrameReader, Recv, Request, Response, WireError,
-    WriteOp, PROTOCOL_VERSION,
+    decode_response, put_request, ErrorCode, FrameReader, FrameWriter, Recv, Request, Response,
+    WireError, WriteOp, PROTOCOL_VERSION,
 };
 
 /// Client-side errors: transport/wire failures, or a typed error response
@@ -94,6 +94,7 @@ impl ClientError {
 pub struct Connection {
     stream: TcpStream,
     reader: FrameReader,
+    frame: FrameWriter,
     session: u64,
     /// Requests sent but not yet answered (pipelining depth).
     pending: usize,
@@ -107,6 +108,7 @@ impl Connection {
         let mut conn = Connection {
             stream,
             reader: FrameReader::new(),
+            frame: FrameWriter::new(),
             session: 0,
             pending: 0,
         };
@@ -135,7 +137,8 @@ impl Connection {
 
     /// Sends one request without waiting for its response (pipelining).
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        write_request(&mut self.stream, req)?;
+        put_request(self.frame.begin(), req);
+        self.frame.send(&mut self.stream)?;
         self.pending += 1;
         Ok(())
     }
@@ -146,7 +149,7 @@ impl Connection {
             match self.reader.recv(&mut self.stream)? {
                 Recv::Message(payload) => {
                     self.pending = self.pending.saturating_sub(1);
-                    return Ok(decode_response(&payload)?);
+                    return Ok(decode_response(payload)?);
                 }
                 Recv::Idle => continue,
                 Recv::Closed => {

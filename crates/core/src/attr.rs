@@ -13,7 +13,10 @@
 //! Attribute names are interned once, process-wide, in the [`AttrUniverse`]:
 //! every distinct name is assigned a dense `u32` id in first-come order.  An
 //! [`Attr`] carries both its id (for O(1) equality and set membership) and a
-//! shared pointer to its name (for lock-free display and ordering).
+//! `&'static str` to its name (for lock-free display and ordering).  The
+//! interner never frees a name, so it hands each one out as a leaked
+//! `'static` string: cloning or dropping an [`Attr`] copies two words and
+//! touches no shared counter.
 //!
 //! An [`AttrSet`] is a bitset over those ids.  Sets whose members all have
 //! ids below 64 — the overwhelmingly common case — live in a single inline
@@ -36,7 +39,7 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// The process-wide attribute interner: a bijection between attribute names
 /// and dense `u32` ids.
@@ -50,8 +53,8 @@ pub struct AttrUniverse {
 
 #[derive(Default)]
 struct UniverseInner {
-    names: Vec<Arc<str>>,
-    ids: HashMap<Arc<str>, u32>,
+    names: Vec<&'static str>,
+    ids: HashMap<&'static str, u32>,
 }
 
 impl AttrUniverse {
@@ -67,25 +70,27 @@ impl AttrUniverse {
         GLOBAL.get_or_init(AttrUniverse::new)
     }
 
-    /// Interns `name`, returning its id and the shared name storage.
-    pub fn intern(&self, name: &str) -> (u32, Arc<str>) {
+    /// Interns `name`, returning its id and the interned name.  Names live
+    /// as long as the process (the universe never forgets one), so the
+    /// storage is handed out as `&'static str`.
+    pub fn intern(&self, name: &str) -> (u32, &'static str) {
         {
             let inner = self.inner.read().unwrap();
             if let Some(&id) = inner.ids.get(name) {
-                return (id, inner.names[id as usize].clone());
+                return (id, inner.names[id as usize]);
             }
         }
         let mut inner = self.inner.write().unwrap();
         // Re-check under the write lock: another thread may have interned the
         // name between our read and write acquisitions.
         if let Some(&id) = inner.ids.get(name) {
-            return (id, inner.names[id as usize].clone());
+            return (id, inner.names[id as usize]);
         }
         let id = u32::try_from(inner.names.len()).expect("attribute universe exhausted u32 ids");
-        let arc: Arc<str> = Arc::from(name);
-        inner.names.push(arc.clone());
-        inner.ids.insert(arc.clone(), id);
-        (id, arc)
+        let name: &'static str = Box::leak(name.into());
+        inner.names.push(name);
+        inner.ids.insert(name, id);
+        (id, name)
     }
 
     /// Looks up the id of an already-interned name, without interning it.
@@ -97,8 +102,8 @@ impl AttrUniverse {
     ///
     /// # Panics
     /// Panics if `id` was never handed out by this universe.
-    pub fn resolve(&self, id: u32) -> Arc<str> {
-        self.inner.read().unwrap().names[id as usize].clone()
+    pub fn resolve(&self, id: u32) -> &'static str {
+        self.inner.read().unwrap().names[id as usize]
     }
 
     /// Resolves many ids under a single lock acquisition.
@@ -107,7 +112,7 @@ impl AttrUniverse {
         ids.into_iter()
             .map(|id| Attr {
                 id,
-                name: inner.names[id as usize].clone(),
+                name: inner.names[id as usize],
             })
             .collect()
     }
@@ -126,14 +131,14 @@ impl AttrUniverse {
 /// A single attribute name.
 ///
 /// Attributes are interned in the global [`AttrUniverse`]: equality is a
-/// `u32` comparison, cloning is a reference-count bump, and the name is
-/// available without touching the interner.  Ordering is lexicographic on the
+/// `u32` comparison, cloning copies an id and a `&'static str`, and the name
+/// is available without touching the interner.  Ordering is lexicographic on the
 /// name, which gives attribute sets, schemes and dependency sets a canonical
 /// order independent of interning order.
 #[derive(Clone)]
 pub struct Attr {
     id: u32,
-    name: Arc<str>,
+    name: &'static str,
 }
 
 impl Attr {
@@ -160,8 +165,8 @@ impl Attr {
     }
 
     /// The attribute's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Promotes this attribute to a singleton [`AttrSet`] (the paper's
@@ -193,7 +198,7 @@ impl Ord for Attr {
         if self.id == other.id {
             std::cmp::Ordering::Equal
         } else {
-            self.name.cmp(&other.name)
+            self.name.cmp(other.name)
         }
     }
 }
@@ -238,13 +243,13 @@ impl From<&Attr> for Attr {
 
 impl Borrow<str> for Attr {
     fn borrow(&self) -> &str {
-        &self.name
+        self.name
     }
 }
 
 impl AsRef<str> for Attr {
     fn as_ref(&self) -> &str {
-        &self.name
+        self.name
     }
 }
 
@@ -515,7 +520,7 @@ impl AttrSet {
     /// Returns the attributes as a vector in lexicographic name order.
     pub fn to_vec(&self) -> Vec<Attr> {
         let mut attrs = AttrUniverse::global().resolve_all(self.ids());
-        attrs.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        attrs.sort_unstable_by(|a, b| a.name.cmp(b.name));
         attrs
     }
 
@@ -588,11 +593,10 @@ impl Ord for AttrSet {
             return std::cmp::Ordering::Equal;
         }
         // Resolve both sides under a single interner lock and compare the
-        // sorted name sequences as borrowed strings — no `Attr` construction
-        // or `Arc` clones per comparison.
+        // sorted name sequences — no `Attr` construction per comparison.
         let inner = AttrUniverse::global().inner.read().unwrap();
-        let mut a: Vec<&str> = self.ids().map(|id| &*inner.names[id as usize]).collect();
-        let mut b: Vec<&str> = other.ids().map(|id| &*inner.names[id as usize]).collect();
+        let mut a: Vec<&str> = self.ids().map(|id| inner.names[id as usize]).collect();
+        let mut b: Vec<&str> = other.ids().map(|id| inner.names[id as usize]).collect();
         a.sort_unstable();
         b.sort_unstable();
         a.cmp(&b)

@@ -5,7 +5,7 @@
 //! defined on *different* attribute sets; the function `attr(t)` (here
 //! [`Tuple::attrs`]) yields the attribute set a tuple is defined on.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -83,21 +83,27 @@ fn shape_universe() -> &'static RwLock<ShapeUniverseInner> {
 
 /// A tuple: a finite mapping from attributes to values.
 ///
-/// The map is ordered by attribute name so that tuples have a canonical
-/// rendering; the tuple additionally caches its shape `attr(t)` as a bitset
-/// so that the ubiquitous type guard `X ⊆ attr(t)` (Def. 4.1/4.2) is a
-/// word-level subset test instead of per-attribute map lookups.
+/// The mapping is one vector of `(attribute, value)` pairs sorted by
+/// attribute name — the labelled tuple as a partial function from labels to
+/// values, with nothing attached — so tuples have a canonical rendering and
+/// a tuple over `n` attributes is one allocation.  The tuple additionally
+/// caches its shape `attr(t)` as a bitset so that the ubiquitous type guard
+/// `X ⊆ attr(t)` (Def. 4.1/4.2) is a word-level subset test instead of
+/// per-attribute lookups.
 #[derive(Clone, Default)]
 pub struct Tuple {
-    values: BTreeMap<Attr, Value>,
+    /// Sorted by attribute name, one pair per attribute.
+    pairs: Vec<(Attr, Value)>,
     shape: AttrSet,
 }
 
-// Equality, ordering and hashing are over the value map alone: the shape is
-// derived state (it is exactly the key set of `values`).
+// Equality, ordering and hashing are over the pairs alone: the shape is
+// derived state (it is exactly the attribute set of `pairs`).  Comparing
+// the name-sorted pair vectors lexicographically is the order a map keyed
+// by attribute name would give.
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
-        self.values == other.values
+        self.pairs == other.pairs
     }
 }
 
@@ -111,20 +117,20 @@ impl PartialOrd for Tuple {
 
 impl Ord for Tuple {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.values.cmp(&other.values)
+        self.pairs.cmp(&other.pairs)
     }
 }
 
 // Hashes the shape bitset followed by the values in canonical attribute
-// order.  This is consistent with `Eq` (equal value maps have equal key sets,
-// hence equal shape bitsets, and equal values) while avoiding re-hashing the
-// attribute *names* — tuples are hash-map keys on several hot paths (hash
-// joins, determinant indexes, dependency grouping) and the shape words
-// already discriminate the attributes.
+// order.  This is consistent with `Eq` (equal pair vectors have equal
+// attribute sets, hence equal shape bitsets, and equal values) while
+// avoiding re-hashing the attribute *names* — tuples are hash-map keys on
+// several hot paths (hash joins, determinant indexes, dependency grouping)
+// and the shape words already discriminate the attributes.
 impl std::hash::Hash for Tuple {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.shape.hash(state);
-        for v in self.values.values() {
+        for (_, v) in &self.pairs {
             v.hash(state);
         }
     }
@@ -136,9 +142,21 @@ impl Tuple {
         Tuple::default()
     }
 
-    fn from_map(values: BTreeMap<Attr, Value>) -> Self {
-        let shape = values.keys().collect();
-        Tuple { values, shape }
+    /// Builds a tuple from pairs in any order; on a repeated attribute the
+    /// later pair wins.
+    fn from_unsorted(mut pairs: Vec<(Attr, Value)>) -> Self {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        // `dedup_by` hands over (later, earlier): keep the later value in
+        // the earlier slot, drop the later one.
+        pairs.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut earlier.1);
+            }
+            same
+        });
+        let shape = pairs.iter().map(|(a, _)| a).collect();
+        Tuple { pairs, shape }
     }
 
     /// Starts building a tuple: `Tuple::new().with("salary", 5000)…`.
@@ -156,6 +174,7 @@ impl Tuple {
     /// canonical (attribute-name) order — the fast materialization path for
     /// columnar partition storage, where every stored row shares the
     /// partition's shape and the column order *is* the canonical order.
+    /// One allocation, no sort.
     ///
     /// `attrs` must be exactly the members of `shape` in canonical order
     /// (as produced by [`AttrSet::to_vec`]), and `values` must yield one
@@ -164,14 +183,39 @@ impl Tuple {
     where
         I: IntoIterator<Item = Value>,
     {
-        let values: BTreeMap<Attr, Value> = attrs.iter().cloned().zip(values).collect();
-        debug_assert_eq!(values.len(), attrs.len(), "one value per attribute");
+        let mut pairs = Vec::with_capacity(attrs.len());
+        pairs.extend(attrs.iter().cloned().zip(values));
+        debug_assert_eq!(pairs.len(), attrs.len(), "one value per attribute");
+        Tuple::from_canonical(shape, pairs)
+    }
+
+    /// [`Tuple::from_shape_values`] with a fallible value source: `value`
+    /// is called once per attribute of `attrs`, in order, and the first
+    /// error is returned.  The decoders use it to rebuild a tuple in one
+    /// allocation straight from a byte cursor.
+    pub fn try_from_shape_values<E>(
+        shape: AttrSet,
+        attrs: &[Attr],
+        mut value: impl FnMut() -> Result<Value, E>,
+    ) -> Result<Self, E> {
+        let mut pairs = Vec::with_capacity(attrs.len());
+        for a in attrs {
+            pairs.push((a.clone(), value()?));
+        }
+        Ok(Tuple::from_canonical(shape, pairs))
+    }
+
+    fn from_canonical(shape: AttrSet, pairs: Vec<(Attr, Value)>) -> Self {
+        debug_assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "attrs must be in canonical order"
+        );
         debug_assert_eq!(
             shape,
-            values.keys().collect(),
+            pairs.iter().map(|(a, _)| a).collect(),
             "attrs must spell out exactly the shape"
         );
-        Tuple { values, shape }
+        Tuple { pairs, shape }
     }
 
     /// Builds a tuple from `(attribute, value)` pairs.
@@ -181,7 +225,7 @@ impl Tuple {
         A: Into<Attr>,
         V: Into<Value>,
     {
-        Tuple::from_map(
+        Tuple::from_unsorted(
             pairs
                 .into_iter()
                 .map(|(a, v)| (a.into(), v.into()))
@@ -189,20 +233,37 @@ impl Tuple {
         )
     }
 
+    /// The position of `a` in the sorted pairs, or where it would go.
+    fn position(&self, a: &Attr) -> Result<usize, usize> {
+        self.pairs.binary_search_by(|(b, _)| b.cmp(a))
+    }
+
+    fn position_of_name(&self, name: &str) -> Option<usize> {
+        self.pairs
+            .binary_search_by(|(b, _)| b.name().cmp(name))
+            .ok()
+    }
+
     /// Inserts (or replaces) a value for an attribute.
     pub fn insert(&mut self, attr: impl Into<Attr>, value: impl Into<Value>) {
         let attr = attr.into();
-        self.shape.insert(attr.clone());
-        self.values.insert(attr, value.into());
+        let value = value.into();
+        match self.position(&attr) {
+            Ok(i) => self.pairs[i].1 = value,
+            Err(i) => {
+                self.shape.insert(attr.clone());
+                self.pairs.insert(i, (attr, value));
+            }
+        }
     }
 
     /// Removes an attribute from the tuple, returning its value if present.
     pub fn remove(&mut self, attr: &Attr) -> Option<Value> {
-        let removed = self.values.remove(attr);
-        if removed.is_some() {
-            self.shape.remove(attr);
+        if !self.shape.remove(attr) {
+            return None;
         }
-        removed
+        let i = self.position(attr).expect("the shape mirrors the pairs");
+        Some(self.pairs.remove(i).1)
     }
 
     /// `attr(t)`: the attribute set this tuple is defined on.
@@ -226,12 +287,12 @@ impl Tuple {
 
     /// Number of attributes the tuple is defined on.
     pub fn arity(&self) -> usize {
-        self.values.len()
+        self.pairs.len()
     }
 
     /// Whether the tuple is defined on no attributes.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Whether the tuple is defined on attribute `a`.
@@ -241,7 +302,7 @@ impl Tuple {
 
     /// Whether the tuple is defined on an attribute with the given name.
     pub fn has_name(&self, name: &str) -> bool {
-        self.values.contains_key(name)
+        self.position_of_name(name).is_some()
     }
 
     /// Whether the tuple is defined on *all* attributes of `x` (the type
@@ -252,12 +313,15 @@ impl Tuple {
 
     /// The value of attribute `a`, if the tuple is defined on it.
     pub fn get(&self, a: &Attr) -> Option<&Value> {
-        self.values.get(a)
+        if !self.shape.contains(a) {
+            return None;
+        }
+        self.position(a).ok().map(|i| &self.pairs[i].1)
     }
 
     /// The value of the attribute with the given name, if present.
     pub fn get_name(&self, name: &str) -> Option<&Value> {
-        self.values.get(name)
+        self.position_of_name(name).map(|i| &self.pairs[i].1)
     }
 
     /// `t[X]`: the restriction (projection) of the tuple to the attributes of
@@ -266,11 +330,11 @@ impl Tuple {
     /// heterogeneous tuples.
     pub fn project(&self, x: &AttrSet) -> Tuple {
         Tuple {
-            values: self
-                .values
+            pairs: self
+                .pairs
                 .iter()
                 .filter(|(a, _)| x.contains(a))
-                .map(|(a, v)| (a.clone(), v.clone()))
+                .cloned()
                 .collect(),
             shape: self.shape.intersection(x),
         }
@@ -282,20 +346,40 @@ impl Tuple {
         if !x.is_subset(&self.shape) || !x.is_subset(&other.shape) {
             return false;
         }
-        x.iter_unordered()
-            .all(|a| self.values.get(&a) == other.values.get(&a))
+        self.pairs
+            .iter()
+            .filter(|(a, _)| x.contains(a))
+            .all(|(a, v)| other.get(a) == Some(v))
     }
 
     /// Extends the tuple with all attribute/value pairs of `other`.  On
     /// conflicts `other` wins.  This is the tuple-level operation behind the
     /// cartesian product, the extension operator `ε` and joins.
     pub fn merged_with(&self, other: &Tuple) -> Tuple {
-        let mut values = self.values.clone();
-        for (a, v) in &other.values {
-            values.insert(a.clone(), v.clone());
+        let (left, right) = (&self.pairs, &other.pairs);
+        let mut pairs = Vec::with_capacity(left.len() + right.len());
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() && j < right.len() {
+            match left[i].0.cmp(&right[j].0) {
+                std::cmp::Ordering::Less => {
+                    pairs.push(left[i].clone());
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    pairs.push(right[j].clone());
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    pairs.push(right[j].clone());
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
+        pairs.extend_from_slice(&left[i..]);
+        pairs.extend_from_slice(&right[j..]);
         Tuple {
-            values,
+            pairs,
             shape: self.shape.union(&other.shape),
         }
     }
@@ -309,40 +393,41 @@ impl Tuple {
 
     /// Iterates over `(attribute, value)` pairs in attribute order.
     pub fn iter(&self) -> impl Iterator<Item = (&Attr, &Value)> + '_ {
-        self.values.iter()
+        self.pairs.iter().map(|(a, v)| (a, v))
     }
 
     /// Renames attribute `from` to `to`, if present.
     pub fn rename(&self, from: &Attr, to: &Attr) -> Tuple {
-        let mut values = self.values.clone();
-        if let Some(v) = values.remove(from) {
-            values.insert(to.clone(), v);
+        let mut t = self.clone();
+        if let Some(v) = t.remove(from) {
+            t.insert(to.clone(), v);
         }
-        Tuple::from_map(values)
+        t
     }
 
     /// Strips all attributes whose value is [`Value::Null`].  Used when
     /// converting from the null-padded baseline representation back into a
     /// flexible tuple.
     pub fn without_nulls(&self) -> Tuple {
-        Tuple::from_map(
-            self.values
-                .iter()
-                .filter(|(_, v)| !v.is_null())
-                .map(|(a, v)| (a.clone(), v.clone()))
-                .collect(),
-        )
+        let pairs: Vec<(Attr, Value)> = self
+            .pairs
+            .iter()
+            .filter(|(_, v)| !v.is_null())
+            .cloned()
+            .collect();
+        let shape = pairs.iter().map(|(a, _)| a).collect();
+        Tuple { pairs, shape }
     }
 
     /// Pads the tuple with [`Value::Null`] for every attribute of `universe`
     /// it is not defined on.  Used to build the flat baseline representation.
     pub fn null_padded(&self, universe: &AttrSet) -> Tuple {
-        let mut values = self.values.clone();
-        for a in universe.iter() {
-            values.entry(a.clone()).or_insert(Value::Null);
-        }
+        let padding = universe.difference(&self.shape);
+        let mut pairs = self.pairs.clone();
+        pairs.extend(padding.iter().map(|a| (a, Value::Null)));
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
         Tuple {
-            values,
+            pairs,
             shape: self.shape.union(universe),
         }
     }
@@ -357,7 +442,7 @@ impl fmt::Debug for Tuple {
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "<")?;
-        for (i, (a, v)) in self.values.iter().enumerate() {
+        for (i, (a, v)) in self.pairs.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -369,7 +454,7 @@ impl fmt::Display for Tuple {
 
 impl FromIterator<(Attr, Value)> for Tuple {
     fn from_iter<T: IntoIterator<Item = (Attr, Value)>>(iter: T) -> Self {
-        Tuple::from_map(iter.into_iter().collect())
+        Tuple::from_unsorted(iter.into_iter().collect())
     }
 }
 

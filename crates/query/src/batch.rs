@@ -7,8 +7,9 @@
 //! a single tuple.  Owned tuples are built only at the points that
 //! genuinely need them:
 //!
-//! * the **result boundary** (`chunks_to_tuples`) — the final
-//!   materialization, restricted to rows that survived every operator;
+//! * the **result boundary** ([`execute_chunks`](crate::execute_chunks)
+//!   hands the surviving chunks to one of two consumers: the wire encoder
+//!   reads them in place, [`Chunk::collect_tuples`] materializes them);
 //! * **projection**, which materializes *narrow* tuples carrying only the
 //!   projected columns (duplicate elimination needs owned keys anyway);
 //! * the **build side of a hash join**, which is spilled into the compact
@@ -39,7 +40,7 @@ use std::sync::Arc;
 
 use flexrel_algebra::predicate::Predicate;
 use flexrel_core::attr::{Attr, AttrSet};
-use flexrel_core::error::Result;
+use flexrel_core::error::{CoreError, Result};
 use flexrel_core::tuple::{ShapeId, Tuple};
 use flexrel_storage::{Partition, Rid, RowBlock, SelVec};
 
@@ -86,10 +87,23 @@ impl ExecStats {
         self.inner.timed_out.load(Ordering::Relaxed)
     }
 
+    /// The deadline as an error: [`CoreError::Timeout`] once it has
+    /// passed.  Consumers of a finished chunk list call it between chunks,
+    /// so a statement that runs out of time while its result is being
+    /// encoded still ends in a timeout rather than a truncated reply.
+    pub fn check_deadline(&self) -> Result<()> {
+        if self.deadline_expired() {
+            return Err(CoreError::Timeout(
+                "statement deadline passed while its result was being produced".into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Checks the deadline, recording and reporting expiry.  Called once
     /// per chunk (≤1024 rows of work) at each source, so the `Instant`
     /// read is off the per-row fast path.
-    fn deadline_expired(&self) -> bool {
+    pub(crate) fn deadline_expired(&self) -> bool {
         match self.inner.deadline {
             Some(d) if std::time::Instant::now() >= d => {
                 self.inner.timed_out.store(true, Ordering::Relaxed);
@@ -191,6 +205,24 @@ impl Chunk {
             }
             Chunk::Rows(v) => v,
         }
+    }
+
+    /// The rows of a whole chunk list as owned tuples, in chunk order —
+    /// the result boundary's materializing consumer.  Columnar chunks are
+    /// built straight into one output vector and counted into `stats`.
+    pub fn collect_tuples(chunks: Vec<Chunk>, stats: &ExecStats) -> Vec<Tuple> {
+        let mut out = Vec::with_capacity(chunks.iter().map(Chunk::len).sum());
+        for chunk in chunks {
+            match chunk {
+                Chunk::Cols(c) => {
+                    let before = out.len();
+                    c.materialize_into(&mut out);
+                    stats.note_materialized((out.len() - before) as u64);
+                }
+                Chunk::Rows(v) => out.extend(v),
+            }
+        }
+        out
     }
 }
 

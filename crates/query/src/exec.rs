@@ -29,7 +29,7 @@ use flexrel_core::error::{CoreError, Result};
 use flexrel_core::tuple::Tuple;
 use flexrel_storage::{Catalog, Database, HashIndex, PartitionSnapshot, TableStats};
 
-use crate::batch;
+use crate::batch::{self, Chunk};
 use crate::logical::LogicalPlan;
 
 /// A stream of result tuples.
@@ -41,10 +41,9 @@ pub struct ExecOptions {
     /// Optional execution deadline.  The pipeline checks it at every chunk
     /// source (scans and the result boundary), so a statement is cancelled
     /// within one 1024-slot segment of work.  When it trips, the chunk
-    /// stream ends early and the collecting entry points
-    /// ([`execute_collect`], [`execute_with`]) return
-    /// [`CoreError::Timeout`] instead of the truncated rows.  `None` (the
-    /// default) never cancels.
+    /// stream ends early and [`execute_chunks`] — and every entry point
+    /// built on it — returns [`CoreError::Timeout`] instead of the
+    /// truncated result.  `None` (the default) never cancels.
     pub deadline: Option<std::time::Instant>,
 }
 
@@ -273,14 +272,13 @@ pub(crate) fn snap_plan_attrs(plan: &LogicalPlan, ctx: &ExecContext) -> AttrSet 
 
 /// Builds the lazy result stream for a plan under explicit execution
 /// options.  Catalog errors (unknown relations) surface here, before any
-/// tuple flows; so does the per-relation snapshot capture.  The stream is
-/// the chunk pipeline's result boundary — the point where selection
-/// vectors finally become owned tuples.
+/// tuple flows; so does the per-relation snapshot capture.  Tuples are
+/// built one chunk at a time as the stream is pulled.
 ///
 /// A lazily drained stream has no way to report an expired
 /// [`ExecOptions::deadline`]: it just ends early.  Callers that set a
-/// deadline use [`execute_collect`] / [`execute_with`], which turn expiry
-/// into [`CoreError::Timeout`].
+/// deadline use [`execute_chunks`] or the entry points built on it, which
+/// turn expiry into [`CoreError::Timeout`].
 pub fn execute_stream_with<'a>(
     plan: &'a LogicalPlan,
     db: &'a Database,
@@ -292,36 +290,52 @@ pub fn execute_stream_with<'a>(
     Ok(batch::chunks_to_tuples(chunks, stats))
 }
 
+/// Runs a plan to its result chunks: the chunk pipeline's one result
+/// boundary.  Columnar chunks are still selections over shared column
+/// segments — nothing is materialized here — and the returned
+/// [`batch::ExecStats`] keep counting for whichever consumer reads them:
+/// [`Chunk::collect_tuples`] (the embedded API) or the network server's
+/// reply encoder, which reads the columns in place.
+///
+/// This is the one place an expired deadline becomes
+/// [`CoreError::Timeout`]: the chunk list would be truncated, so it is
+/// discarded rather than returned.
+pub fn execute_chunks(
+    plan: &LogicalPlan,
+    db: &Database,
+    opts: &ExecOptions,
+) -> Result<(Vec<Chunk>, batch::ExecStats)> {
+    let ctx = ExecContext::build(plan, db)?;
+    let stats = batch::ExecStats::with_deadline(opts.deadline);
+    let stream = batch::exec_chunks(plan, &ctx, &stats)?;
+    // The operators own what they read.  Releasing the context — and with
+    // it every index snapshot no operator kept — before the drain means a
+    // writer arriving while the pipeline runs mutates its index in place
+    // instead of copying it whole.
+    drop(ctx);
+    let chunks: Vec<Chunk> = stream.take_while(|_| !stats.deadline_expired()).collect();
+    if stats.timed_out() {
+        return Err(CoreError::Timeout(format!(
+            "deadline passed after {} result chunks were produced",
+            chunks.len()
+        )));
+    }
+    Ok((chunks, stats))
+}
+
 /// Executes a plan, returning the result tuples together with the
 /// pipeline's [`batch::ExecStats`] — notably how many input-side tuples
 /// were materialized.  The stats are how tests pin down that late
 /// materialization is actually happening (an aggregate query must report
-/// **zero** materialized input tuples).
-///
-/// This is the one place an expired deadline becomes
-/// [`CoreError::Timeout`]: the drained rows are truncated, so they are
-/// discarded rather than returned.
+/// **zero** materialized input tuples).  It is [`execute_chunks`] followed
+/// by [`Chunk::collect_tuples`].
 pub fn execute_collect(
     plan: &LogicalPlan,
     db: &Database,
     opts: &ExecOptions,
 ) -> Result<(Vec<Tuple>, batch::ExecStats)> {
-    let ctx = ExecContext::build(plan, db)?;
-    let stats = batch::ExecStats::with_deadline(opts.deadline);
-    let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
-    // The operators own what they read.  Releasing the context — and with
-    // it every index snapshot no operator kept — before the drain means a
-    // writer arriving while the rows are built mutates its index in place
-    // instead of copying it whole.
-    drop(ctx);
-    let rows: Vec<Tuple> = batch::chunks_to_tuples(chunks, stats.clone()).collect();
-    if stats.timed_out() {
-        return Err(CoreError::Timeout(format!(
-            "deadline passed after {} rows were produced",
-            rows.len()
-        )));
-    }
-    Ok((rows, stats))
+    let (chunks, stats) = execute_chunks(plan, db, opts)?;
+    Ok((Chunk::collect_tuples(chunks, &stats), stats))
 }
 
 /// Builds the result stream for a plan without a deadline.

@@ -86,8 +86,8 @@ pub use colscan::{
     aggregate_partition, aggregate_selected, compile as compile_predicates, Compiled,
 };
 pub use exec::{
-    execute, execute_collect, execute_stream, execute_stream_with, execute_with, plan_attrs,
-    ExecOptions, TupleStream,
+    execute, execute_chunks, execute_collect, execute_stream, execute_stream_with, execute_with,
+    plan_attrs, ExecOptions, TupleStream,
 };
 pub use logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
 pub use optimizer::cost::{estimate_rows, join_strategy, JoinStrategy};
@@ -97,12 +97,13 @@ pub use optimizer::{
 };
 pub use parser::{parse, Query};
 pub use planner::plan_query;
-pub use statement::{run_statement, StatementOutcome};
+pub use statement::{run_statement, run_statement_chunks, StatementOutcome};
 
 /// The most commonly used items.
 pub mod prelude {
     pub use crate::exec::{
-        execute, execute_collect, execute_stream, execute_stream_with, execute_with, ExecOptions,
+        execute, execute_chunks, execute_collect, execute_stream, execute_stream_with,
+        execute_with, ExecOptions,
     };
     pub use crate::logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
     pub use crate::optimizer::cost::{join_strategy, JoinStrategy};

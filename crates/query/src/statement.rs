@@ -9,44 +9,69 @@
 //! * **`EXPLAIN` dispatch** — a statement prefixed with `EXPLAIN` returns
 //!   the rendered optimized plan instead of rows.
 //! * **Timeout surfacing** — when [`ExecOptions::deadline`] trips, the
-//!   pipeline ends its chunk stream early and [`execute_collect`] returns
+//!   pipeline ends its chunk stream early and [`execute_chunks`] returns
 //!   [`CoreError::Timeout`](flexrel_core::error::CoreError::Timeout), so
 //!   truncated row sets never escape to a client.
+//!
+//! Parse → plan → optimize → execute exists once, in
+//! [`run_statement_chunks`], which stops at the result chunks;
+//! [`run_statement`] materializes them, the network server encodes them in
+//! place.
 
 use flexrel_core::error::Result;
 use flexrel_core::tuple::Tuple;
 use flexrel_storage::Database;
 
-use crate::exec::{execute_collect, ExecOptions};
+use crate::batch::{Chunk, ExecStats};
+use crate::exec::{execute_chunks, ExecOptions};
 use crate::optimizer::{explain_query, optimize_with_db};
 use crate::parser::parse;
 use crate::planner::plan_query;
 
-/// What a successfully executed statement produced.
+/// What a successfully executed statement produced: by default its result
+/// tuples; [`run_statement_chunks`] yields the unmaterialized result chunks
+/// instead.
 #[derive(Clone, Debug, PartialEq)]
-pub enum StatementOutcome {
-    /// Result tuples of a query, in pipeline order (a multiset).
-    Rows(Vec<Tuple>),
+pub enum StatementOutcome<R = Vec<Tuple>> {
+    /// The result of a query, in pipeline order (a multiset).
+    Rows(R),
     /// The rendered optimized plan of an `EXPLAIN` statement.
     Explain(String),
 }
 
 /// Parses, plans, optimizes (against the live database's statistics and
-/// indexes) and executes one FRQL statement.
+/// indexes) and executes one FRQL statement up to its result chunks
+/// ([`execute_chunks`]): nothing is materialized yet.
 ///
 /// Errors from every stage come back as
 /// [`CoreError`](flexrel_core::error::CoreError): parse and binding errors,
 /// unknown relations, and — when `opts.deadline` has passed before the
-/// result stream is drained — `CoreError::Timeout`.
-pub fn run_statement(db: &Database, frql: &str, opts: &ExecOptions) -> Result<StatementOutcome> {
+/// pipeline finished — `CoreError::Timeout`.
+pub fn run_statement_chunks(
+    db: &Database,
+    frql: &str,
+    opts: &ExecOptions,
+) -> Result<StatementOutcome<(Vec<Chunk>, ExecStats)>> {
     let query = parse(frql)?;
     if query.explain {
         return Ok(StatementOutcome::Explain(explain_query(frql, db)?));
     }
     let plan = plan_query(&query, &db.catalog())?;
     let (optimized, _notes) = optimize_with_db(plan, db);
-    let (rows, _stats) = execute_collect(&optimized, db, opts)?;
-    Ok(StatementOutcome::Rows(rows))
+    Ok(StatementOutcome::Rows(execute_chunks(
+        &optimized, db, opts,
+    )?))
+}
+
+/// [`run_statement_chunks`] with the result materialized as tuples
+/// ([`Chunk::collect_tuples`]).
+pub fn run_statement(db: &Database, frql: &str, opts: &ExecOptions) -> Result<StatementOutcome> {
+    Ok(match run_statement_chunks(db, frql, opts)? {
+        StatementOutcome::Rows((chunks, stats)) => {
+            StatementOutcome::Rows(Chunk::collect_tuples(chunks, &stats))
+        }
+        StatementOutcome::Explain(text) => StatementOutcome::Explain(text),
+    })
 }
 
 #[cfg(test)]

@@ -43,9 +43,9 @@ pub mod seed;
 pub mod server;
 
 pub use proto::{
-    decode_request, decode_response, encode_request, encode_response, get_rows, put_rows,
-    write_request, write_response, ErrorCode, FrameReader, Recv, Request, Response, WireError,
-    WriteOp, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, get_rows, put_request,
+    put_response, put_rows, put_rows_from_chunks, write_request, write_response, ErrorCode,
+    FrameReader, FrameWriter, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
 };
 pub use seed::{kinds_relation, seed_wide};
 pub use server::{Server, ServerConfig, ServerStats, StatsSnapshot};

@@ -7,22 +7,31 @@
 //! Result sets reuse the columnar row format's shape-table idea
 //! ([`flexrel_storage::RowBlock`]): the distinct attribute sets of the
 //! result are written once, then each row is a shape-slot reference plus
-//! its values in the shape's canonical order.  Strings and tags intern on
-//! decode, floats round-trip bit-exactly (NaN and `-0.0` included), and
-//! any truncated or bit-flipped input surfaces as a typed
+//! its values in the shape's canonical order.  The server writes that
+//! layout straight from the executor's column chunks
+//! ([`put_rows_from_chunks`]), byte for byte what [`put_rows`] writes for
+//! the materialized tuples.  Floats round-trip bit-exactly (NaN and `-0.0`
+//! included), and any truncated or bit-flipped input surfaces as a typed
 //! [`WireError`] — never a panic.
+//!
+//! A message is copied once on each side: the sender encodes into a reused
+//! [`FrameWriter`] behind a reserved header that is patched in place, and
+//! the receiver's [`FrameReader`] reads into its own buffer and lends the
+//! payload out of it.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
+use flexrel_core::value::Value;
+use flexrel_query::{Chunk, ColChunk, ExecStats};
 use flexrel_storage::codec::{
     self, crc32, put_str, put_u32, put_u64, put_u8, Cursor, MAX_FRAME_LEN,
 };
-use flexrel_storage::StorageError;
+use flexrel_storage::{ColKind, StorageError};
 
 /// The protocol version spoken by this build.  A [`Request::Hello`] carrying
 /// a different version is rejected with [`ErrorCode::Protocol`].
@@ -264,28 +273,132 @@ const OP_DELETE_EQ: u8 = 0x02;
 // Result-set encoding: shape table + rows in canonical value order.
 // ---------------------------------------------------------------------------
 
+/// The shape table of a result set: each distinct attribute set gets the
+/// next slot on first sight.
+#[derive(Default)]
+struct ShapeTable<'a> {
+    slots: HashMap<&'a AttrSet, u32>,
+    shapes: Vec<&'a AttrSet>,
+}
+
+impl<'a> ShapeTable<'a> {
+    fn slot(&mut self, shape: &'a AttrSet) -> u32 {
+        let next = self.shapes.len() as u32;
+        *self.slots.entry(shape).or_insert_with(|| {
+            self.shapes.push(shape);
+            next
+        })
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.shapes.len() as u32);
+        for s in &self.shapes {
+            codec::put_attrs(out, s);
+        }
+    }
+}
+
 /// Encodes a result set: `[n_shapes][attrs…] [n_rows]([slot][values…])…`,
 /// with each distinct attribute set written once and every row referencing
 /// its shape by slot — the wire twin of the columnar
 /// [`RowBlock`](flexrel_storage::RowBlock) layout.
 pub fn put_rows(out: &mut Vec<u8>, rows: &[Tuple]) {
-    let mut slots: BTreeMap<AttrSet, u32> = BTreeMap::new();
-    let mut shapes: Vec<&AttrSet> = Vec::new();
+    let mut table = ShapeTable::default();
     for t in rows {
-        let shape = t.shape();
-        if !slots.contains_key(shape) {
-            slots.insert(shape.clone(), shapes.len() as u32);
-            shapes.push(shape);
-        }
+        table.slot(t.shape());
     }
-    put_u32(out, shapes.len() as u32);
-    for s in &shapes {
-        codec::put_attrs(out, s);
-    }
+    table.put(out);
     put_u32(out, rows.len() as u32);
     for t in rows {
-        put_u32(out, slots[t.shape()]);
+        put_u32(out, table.slot(t.shape()));
         codec::put_shaped_values(out, t);
+    }
+}
+
+/// Appends a [`Response::Rows`] payload (tag included) encoded straight
+/// from a statement's result chunks: byte for byte what
+/// [`encode_response`] writes for the same rows materialized with
+/// [`Chunk::collect_tuples`], without building a tuple.  A columnar
+/// chunk's rows are read in place — integer and float columns as slices,
+/// dictionary columns through their value pools — and row chunks go
+/// through [`codec::put_shaped_values`].
+///
+/// The statement's deadline is checked between chunks; once it has
+/// passed the result is [`CoreError::Timeout`] and `out` holds a partial
+/// payload the caller must discard, so no truncated reply is ever sent.
+pub fn put_rows_from_chunks(
+    out: &mut Vec<u8>,
+    chunks: &[Chunk],
+    stats: &ExecStats,
+) -> Result<(), CoreError> {
+    let mut table = ShapeTable::default();
+    let mut n_rows = 0;
+    for chunk in chunks {
+        match chunk {
+            Chunk::Cols(c) if !c.is_empty() => {
+                table.slot(c.part.shape());
+                n_rows += c.len();
+            }
+            Chunk::Cols(_) => {}
+            Chunk::Rows(rows) => {
+                for t in rows {
+                    table.slot(t.shape());
+                }
+                n_rows += rows.len();
+            }
+        }
+    }
+    put_u8(out, RSP_ROWS);
+    table.put(out);
+    put_u32(out, n_rows as u32);
+    for chunk in chunks {
+        stats.check_deadline()?;
+        match chunk {
+            Chunk::Cols(c) if !c.is_empty() => put_col_rows(out, c, table.slot(c.part.shape())),
+            Chunk::Cols(_) => {}
+            Chunk::Rows(rows) => {
+                for t in rows {
+                    put_u32(out, table.slot(t.shape()));
+                    codec::put_shaped_values(out, t);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One column of a segment, borrowed in its stored representation.
+enum ColRef<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Dict(&'a [u32], &'a [Value]),
+}
+
+/// Writes the selected rows of a columnar chunk, each as `[slot][values…]`
+/// in the partition's canonical column order — the order a materialized
+/// tuple iterates in.
+fn put_col_rows(out: &mut Vec<u8>, c: &ColChunk, slot: u32) {
+    let heap = c.part.columns();
+    let seg = heap.segment(c.seg).expect("segment index in range");
+    let cols: Vec<ColRef<'_>> = (0..heap.attrs().len())
+        .map(|ci| match seg.col_kind(ci) {
+            ColKind::Int => ColRef::Int(seg.int_slice(ci).expect("int column")),
+            ColKind::Float => ColRef::Float(seg.float_slice(ci).expect("float column")),
+            ColKind::Dict => {
+                let (codes, pool) = seg.dict_parts(ci).expect("dictionary column");
+                ColRef::Dict(codes, pool)
+            }
+        })
+        .collect();
+    for row in c.sel.iter() {
+        put_u32(out, slot);
+        for col in &cols {
+            match col {
+                ColRef::Int(xs) => codec::put_value(out, &Value::Int(xs[row])),
+                ColRef::Float(xs) => codec::put_value(out, &Value::Float(xs[row])),
+                ColRef::Dict(codes, pool) => codec::put_value(out, &pool[codes[row] as usize]),
+            }
+        }
     }
 }
 
@@ -317,40 +430,45 @@ pub fn get_rows(cur: &mut Cursor<'_>) -> Result<Vec<Tuple>, WireError> {
 /// Encodes a request payload (tag + body, no framing).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::new();
+    put_request(&mut out, req);
+    out
+}
+
+/// Appends a request payload (tag + body, no framing) to `out`.
+pub fn put_request(out: &mut Vec<u8>, req: &Request) {
     match req {
         Request::Hello { version } => {
-            put_u8(&mut out, REQ_HELLO);
-            put_u32(&mut out, *version);
+            put_u8(out, REQ_HELLO);
+            put_u32(out, *version);
         }
         Request::Query { frql } => {
-            put_u8(&mut out, REQ_QUERY);
-            put_str(&mut out, frql);
+            put_u8(out, REQ_QUERY);
+            put_str(out, frql);
         }
         Request::Transact { relation, ops } => {
-            put_u8(&mut out, REQ_TRANSACT);
-            put_str(&mut out, relation);
-            put_u32(&mut out, ops.len() as u32);
+            put_u8(out, REQ_TRANSACT);
+            put_str(out, relation);
+            put_u32(out, ops.len() as u32);
             for op in ops {
                 match op {
                     WriteOp::Insert(t) => {
-                        put_u8(&mut out, OP_INSERT);
-                        codec::put_named_tuple(&mut out, t);
+                        put_u8(out, OP_INSERT);
+                        codec::put_named_tuple(out, t);
                     }
                     WriteOp::DeleteEq { key, key_value } => {
-                        put_u8(&mut out, OP_DELETE_EQ);
-                        codec::put_attrs(&mut out, key);
-                        codec::put_named_tuple(&mut out, key_value);
+                        put_u8(out, OP_DELETE_EQ);
+                        codec::put_attrs(out, key);
+                        codec::put_named_tuple(out, key_value);
                     }
                 }
             }
         }
         Request::Ping { token } => {
-            put_u8(&mut out, REQ_PING);
-            put_u64(&mut out, *token);
+            put_u8(out, REQ_PING);
+            put_u64(out, *token);
         }
-        Request::Goodbye => put_u8(&mut out, REQ_GOODBYE),
+        Request::Goodbye => put_u8(out, REQ_GOODBYE),
     }
-    out
 }
 
 /// Decodes a request payload.  Trailing garbage after a well-formed body is
@@ -408,37 +526,42 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 /// Encodes a response payload (tag + body, no framing).
 pub fn encode_response(rsp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    put_response(&mut out, rsp);
+    out
+}
+
+/// Appends a response payload (tag + body, no framing) to `out`.
+pub fn put_response(out: &mut Vec<u8>, rsp: &Response) {
     match rsp {
         Response::HelloOk { version, session } => {
-            put_u8(&mut out, RSP_HELLO_OK);
-            put_u32(&mut out, *version);
-            put_u64(&mut out, *session);
+            put_u8(out, RSP_HELLO_OK);
+            put_u32(out, *version);
+            put_u64(out, *session);
         }
         Response::Rows(rows) => {
-            put_u8(&mut out, RSP_ROWS);
-            put_rows(&mut out, rows);
+            put_u8(out, RSP_ROWS);
+            put_rows(out, rows);
         }
         Response::Explain(text) => {
-            put_u8(&mut out, RSP_EXPLAIN);
-            put_str(&mut out, text);
+            put_u8(out, RSP_EXPLAIN);
+            put_str(out, text);
         }
         Response::TxnOk { inserted, deleted } => {
-            put_u8(&mut out, RSP_TXN_OK);
-            put_u64(&mut out, *inserted);
-            put_u64(&mut out, *deleted);
+            put_u8(out, RSP_TXN_OK);
+            put_u64(out, *inserted);
+            put_u64(out, *deleted);
         }
         Response::Error { code, message } => {
-            put_u8(&mut out, RSP_ERROR);
-            put_u8(&mut out, *code as u8);
-            put_str(&mut out, message);
+            put_u8(out, RSP_ERROR);
+            put_u8(out, *code as u8);
+            put_str(out, message);
         }
         Response::Pong { token } => {
-            put_u8(&mut out, RSP_PONG);
-            put_u64(&mut out, *token);
+            put_u8(out, RSP_PONG);
+            put_u64(out, *token);
         }
-        Response::Bye => put_u8(&mut out, RSP_BYE),
+        Response::Bye => put_u8(out, RSP_BYE),
     }
-    out
 }
 
 /// Decodes a response payload.
@@ -485,27 +608,67 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 /// Writes one framed message to a stream (header + CRC + payload in a
 /// single `write_all`, so small messages stay one syscall).
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let mut framed = Vec::with_capacity(8 + payload.len());
-    codec::put_frame(&mut framed, payload);
-    w.write_all(&framed)?;
-    Ok(())
+    let mut frame = FrameWriter::new();
+    frame.begin().extend_from_slice(payload);
+    frame.send(w)
 }
 
 /// Writes a framed request.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), WireError> {
-    write_frame(w, &encode_request(req))
+    let mut frame = FrameWriter::new();
+    put_request(frame.begin(), req);
+    frame.send(w)
 }
 
 /// Writes a framed response.
 pub fn write_response<W: Write>(w: &mut W, rsp: &Response) -> Result<(), WireError> {
-    write_frame(w, &encode_response(rsp))
+    let mut frame = FrameWriter::new();
+    put_response(frame.begin(), rsp);
+    frame.send(w)
+}
+
+/// A reusable outgoing frame.  [`FrameWriter::begin`] reserves the 8-byte
+/// `[len][crc]` header and hands out the buffer for the payload to be
+/// encoded into; [`FrameWriter::send`] patches the header in place and
+/// writes header and payload with one `write_all`.  The payload is encoded
+/// once and never copied, and the buffer's capacity carries over from one
+/// message to the next.
+#[derive(Debug, Default)]
+pub struct FrameWriter {
+    buf: Vec<u8>,
+}
+
+impl FrameWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        FrameWriter::default()
+    }
+
+    /// Starts a new message, discarding any unsent one, and returns the
+    /// buffer to append its payload to.
+    pub fn begin(&mut self) -> &mut Vec<u8> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 8]);
+        &mut self.buf
+    }
+
+    /// Seals the message begun last — length and CRC of everything after
+    /// the header — and writes it.
+    pub fn send<W: Write>(&mut self, w: &mut W) -> Result<(), WireError> {
+        let (head, payload) = self.buf.split_at_mut(8);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        w.write_all(&self.buf)?;
+        Ok(())
+    }
 }
 
 /// What one poll of a [`FrameReader`] produced.
 #[derive(Debug)]
-pub enum Recv {
-    /// A complete, CRC-valid message payload.
-    Message(Vec<u8>),
+pub enum Recv<'a> {
+    /// A complete, CRC-valid message payload, lent from the reader's
+    /// buffer until its next `recv`.
+    Message(&'a [u8]),
     /// No complete frame yet and the read would block (the stream has a
     /// read timeout, or is non-blocking).  Poll again.
     Idle,
@@ -513,17 +676,25 @@ pub enum Recv {
     Closed,
 }
 
+/// The reader's smallest read window, and its first buffer size.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Incremental frame reader over a byte stream.
 ///
-/// Bytes are accumulated across reads, so a read timeout in the middle of a
-/// frame loses nothing — the server leans on this to poll its shutdown flag
-/// between messages.  A close in the middle of a frame is reported as
-/// [`WireError::Corrupt`], a close on a frame boundary as [`Recv::Closed`].
+/// Bytes are read straight into the reader's own buffer and a complete
+/// payload is lent out of it ([`Recv::Message`]), so a message is copied
+/// once, by the kernel.  Bytes are kept across reads, so a read timeout in
+/// the middle of a frame loses nothing — the server leans on this to poll
+/// its shutdown flag between messages.  A close in the middle of a frame
+/// is reported as [`WireError::Corrupt`], a close on a frame boundary as
+/// [`Recv::Closed`].
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Received, unconsumed bytes are `buf[pos..end]`; `buf[end..]` is
+    /// space for the next read.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted lazily.
     pos: usize,
+    end: usize,
 }
 
 impl FrameReader {
@@ -532,51 +703,40 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Tries to extract the next complete frame from the buffered bytes.
-    fn try_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[0..4].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::Corrupt(format!(
-                "frame length {} exceeds maximum {}",
-                len, MAX_FRAME_LEN
-            )));
-        }
-        let total = 8 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let crc = u32::from_le_bytes(avail[4..8].try_into().unwrap());
-        let payload = &avail[8..total];
-        if crc32(payload) != crc {
-            return Err(WireError::Corrupt("frame CRC mismatch".into()));
-        }
-        let out = payload.to_vec();
-        self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > (1 << 16) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some(out))
-    }
-
     /// Reads until one complete frame is available, the stream closes, or a
-    /// read would block.
-    pub fn recv<R: Read>(&mut self, r: &mut R) -> Result<Recv, WireError> {
+    /// read would block.  The payload of a complete frame stays valid until
+    /// the next call.
+    pub fn recv<R: Read>(&mut self, r: &mut R) -> Result<Recv<'_>, WireError> {
         loop {
-            if let Some(payload) = self.try_frame()? {
-                return Ok(Recv::Message(payload));
+            let avail = self.end - self.pos;
+            // Bytes the next frame needs from `pos` on: its header, then
+            // header and payload once the length is known.
+            let mut want = 8;
+            if avail >= 8 {
+                let head = &self.buf[self.pos..self.pos + 8];
+                let len = u32::from_le_bytes(head[..4].try_into().unwrap());
+                if len > MAX_FRAME_LEN {
+                    return Err(WireError::Corrupt(format!(
+                        "frame length {} exceeds maximum {}",
+                        len, MAX_FRAME_LEN
+                    )));
+                }
+                want = 8 + len as usize;
+                if avail >= want {
+                    let crc = u32::from_le_bytes(head[4..].try_into().unwrap());
+                    let start = self.pos + 8;
+                    self.pos += want;
+                    let payload = &self.buf[start..self.pos];
+                    if crc32(payload) != crc {
+                        return Err(WireError::Corrupt("frame CRC mismatch".into()));
+                    }
+                    return Ok(Recv::Message(payload));
+                }
             }
-            let mut chunk = [0u8; 16 * 1024];
-            match r.read(&mut chunk) {
+            self.make_room(want);
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(0) => {
-                    return if self.pos == self.buf.len() {
+                    return if avail == 0 {
                         Ok(Recv::Closed)
                     } else {
                         Err(WireError::Corrupt(
@@ -584,7 +744,7 @@ impl FrameReader {
                         ))
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -597,9 +757,30 @@ impl FrameReader {
         }
     }
 
+    /// Leaves read space after `end` for a frame that needs `want` bytes
+    /// from `pos` on.  Unconsumed bytes move to the front only when the
+    /// frame would not fit behind them.  The buffer grows toward the frame's
+    /// size only when it is full, at most doubling each time, so a forged
+    /// length makes the reader hold at most twice what actually arrived.
+    fn make_room(&mut self, want: usize) {
+        if self.pos == self.end {
+            (self.pos, self.end) = (0, 0);
+        } else if self.pos + want > self.buf.len() {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        // A full buffer is smaller than `want` (else the frame would be
+        // complete), so this always makes room.
+        if self.end == self.buf.len() {
+            let grown = (2 * self.buf.len()).clamp(READ_CHUNK, want.max(READ_CHUNK));
+            self.buf.resize(grown, 0);
+        }
+    }
+
     /// Whether any partially buffered bytes are pending (frames started but
     /// not complete).
     pub fn has_partial(&self) -> bool {
-        self.pos < self.buf.len()
+        self.pos < self.end
     }
 }

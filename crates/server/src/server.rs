@@ -18,12 +18,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use flexrel_query::{run_statement, ExecOptions, StatementOutcome};
+use flexrel_query::{run_statement_chunks, ExecOptions, StatementOutcome};
 use flexrel_storage::Database;
 
 use crate::proto::{
-    write_response, ErrorCode, FrameReader, Recv, Request, Response, WireError, WriteOp,
-    PROTOCOL_VERSION,
+    decode_request, put_response, put_rows_from_chunks, write_response, ErrorCode, FrameReader,
+    FrameWriter, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
 };
 
 /// Server tuning knobs.
@@ -38,6 +38,9 @@ pub struct ServerConfig {
     /// unbounded work behind the socket buffers.
     pub max_inflight: usize,
     /// Per-statement execution deadline; `None` disables cancellation.
+    /// It also bounds how long one reply may take to write: a session whose
+    /// peer stops reading is closed once a write stalls this long, instead
+    /// of pinning its thread for good.
     pub statement_timeout: Option<Duration>,
     /// Execution options for query statements.
     pub exec: ExecOptions,
@@ -297,8 +300,15 @@ fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str) {
 
 fn session_loop(mut stream: TcpStream, session_id: u64, shared: &Shared) {
     let _ = stream.set_nodelay(true);
+    // A socket write timeout cannot be zero; the smallest one still tears
+    // down a peer that never reads.
+    let write_timeout = shared
+        .cfg
+        .statement_timeout
+        .map(|t| t.max(Duration::from_millis(1)));
     if stream
         .set_read_timeout(Some(shared.cfg.poll_interval))
+        .and_then(|()| stream.set_write_timeout(write_timeout))
         .is_err()
     {
         return;
@@ -308,10 +318,24 @@ fn session_loop(mut stream: TcpStream, session_id: u64, shared: &Shared) {
         .sessions_accepted
         .fetch_add(1, Ordering::Relaxed);
     let mut reader = FrameReader::new();
+    let mut frame = FrameWriter::new();
     let mut hello_done = false;
     loop {
-        let msg = match reader.recv(&mut stream) {
-            Ok(Recv::Message(payload)) => payload,
+        let req = match reader.recv(&mut stream) {
+            Ok(Recv::Message(payload)) => match decode_request(payload) {
+                Ok(r) => r,
+                Err(_) => {
+                    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    let _ = write_response(
+                        &mut stream,
+                        &Response::Error {
+                            code: ErrorCode::Protocol,
+                            message: "malformed request".into(),
+                        },
+                    );
+                    return;
+                }
+            },
             Ok(Recv::Idle) => {
                 // No complete request pending.  During drain, an idle
                 // session with nothing buffered has answered everything in
@@ -336,38 +360,24 @@ fn session_loop(mut stream: TcpStream, session_id: u64, shared: &Shared) {
                 return;
             }
         };
-        let req = match crate::proto::decode_request(&msg) {
-            Ok(r) => r,
-            Err(_) => {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: "malformed request".into(),
-                    },
-                );
-                return;
-            }
-        };
-        let (rsp, close) = handle_request(req, session_id, &mut hello_done, shared);
-        if write_response(&mut stream, &rsp).is_err() {
-            return;
-        }
-        if close {
+        let close = handle_request(req, session_id, &mut hello_done, shared, &mut frame);
+        // A failed or timed-out write (the peer stopped reading) ends the
+        // session: the reply stream is torn, and the thread must not hang.
+        if frame.send(&mut stream).is_err() || close {
             return;
         }
     }
 }
 
-/// Executes one request, returning the in-order response and whether the
-/// session ends after it.
+/// Executes one request, encoding its in-order response into `frame`, and
+/// returns whether the session ends after it.
 fn handle_request(
     req: Request,
     session_id: u64,
     hello_done: &mut bool,
     shared: &Shared,
-) -> (Response, bool) {
+    frame: &mut FrameWriter,
+) -> bool {
     let stats = &shared.stats;
     if !*hello_done {
         return match req {
@@ -375,7 +385,8 @@ fn handle_request(
                 version: PROTOCOL_VERSION,
             } => {
                 *hello_done = true;
-                (
+                reply(
+                    frame,
                     Response::HelloOk {
                         version: PROTOCOL_VERSION,
                         session: session_id,
@@ -385,7 +396,8 @@ fn handle_request(
             }
             Request::Hello { version } => {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                (
+                reply(
+                    frame,
                     Response::Error {
                         code: ErrorCode::Protocol,
                         message: format!(
@@ -398,7 +410,8 @@ fn handle_request(
             }
             _ => {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                (
+                reply(
+                    frame,
                     Response::Error {
                         code: ErrorCode::Protocol,
                         message: "first message must be Hello".into(),
@@ -411,7 +424,8 @@ fn handle_request(
     match req {
         Request::Hello { .. } => {
             stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            (
+            reply(
+                frame,
                 Response::Error {
                     code: ErrorCode::Protocol,
                     message: "duplicate Hello".into(),
@@ -419,26 +433,37 @@ fn handle_request(
                 true,
             )
         }
-        Request::Ping { token } => (Response::Pong { token }, false),
-        Request::Goodbye => (Response::Bye, true),
+        Request::Ping { token } => reply(frame, Response::Pong { token }, false),
+        Request::Goodbye => reply(frame, Response::Bye, true),
         Request::Query { frql } => {
             let Some(_permit) = Permit::try_acquire(&shared.inflight, shared.cfg.max_inflight)
             else {
                 stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                return (busy_response(), false);
+                return reply(frame, busy_response(), false);
             };
             let mut opts = shared.cfg.exec.clone();
             if let Some(t) = shared.cfg.statement_timeout {
                 opts = opts.with_deadline(Instant::now() + t);
             }
-            match run_statement(&shared.db, &frql, &opts) {
-                Ok(StatementOutcome::Rows(rows)) => {
-                    stats.statements_ok.fetch_add(1, Ordering::Relaxed);
-                    (Response::Rows(rows), false)
+            // The reply is encoded from the result chunks under the permit
+            // and the deadline; on any error the partial payload is
+            // replaced by the error response.
+            let encoded = run_statement_chunks(&shared.db, &frql, &opts).and_then(|outcome| {
+                let out = frame.begin();
+                match outcome {
+                    StatementOutcome::Rows((chunks, exec)) => {
+                        put_rows_from_chunks(out, &chunks, &exec)
+                    }
+                    StatementOutcome::Explain(text) => {
+                        put_response(out, &Response::Explain(text));
+                        Ok(())
+                    }
                 }
-                Ok(StatementOutcome::Explain(text)) => {
+            });
+            match encoded {
+                Ok(()) => {
                     stats.statements_ok.fetch_add(1, Ordering::Relaxed);
-                    (Response::Explain(text), false)
+                    false
                 }
                 Err(e) => {
                     let code = ErrorCode::classify(&e);
@@ -446,7 +471,8 @@ fn handle_request(
                         ErrorCode::Timeout => stats.timeouts.fetch_add(1, Ordering::Relaxed),
                         _ => stats.statements_err.fetch_add(1, Ordering::Relaxed),
                     };
-                    (
+                    reply(
+                        frame,
                         Response::Error {
                             code,
                             message: e.to_string(),
@@ -460,16 +486,17 @@ fn handle_request(
             let Some(_permit) = Permit::try_acquire(&shared.inflight, shared.cfg.max_inflight)
             else {
                 stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                return (busy_response(), false);
+                return reply(frame, busy_response(), false);
             };
             match apply_transact(&shared.db, &relation, &ops) {
                 Ok((inserted, deleted)) => {
                     stats.statements_ok.fetch_add(1, Ordering::Relaxed);
-                    (Response::TxnOk { inserted, deleted }, false)
+                    reply(frame, Response::TxnOk { inserted, deleted }, false)
                 }
                 Err(e) => {
                     stats.statements_err.fetch_add(1, Ordering::Relaxed);
-                    (
+                    reply(
+                        frame,
                         Response::Error {
                             code: ErrorCode::classify(&e),
                             message: e.to_string(),
@@ -480,6 +507,12 @@ fn handle_request(
             }
         }
     }
+}
+
+/// Encodes `rsp` as the request's reply; returns `close` for the caller.
+fn reply(frame: &mut FrameWriter, rsp: Response, close: bool) -> bool {
+    put_response(frame.begin(), &rsp);
+    close
 }
 
 fn busy_response() -> Response {

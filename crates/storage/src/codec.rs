@@ -39,11 +39,15 @@ fn corrupt(what: &str) -> StorageError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
+// CRC-32 (IEEE 802.3, reflected), slice-by-8.
 // ---------------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The eight lookup tables of slice-by-8: `T[0]` is the classic bytewise
+/// table, and `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight input bytes fold into the register with eight independent
+/// lookups instead of eight dependent ones.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -56,19 +60,43 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// The CRC-32 (IEEE) checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for b in bytes {
-        c = CRC_TABLE[((c ^ *b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for b in words.remainder() {
+        c = t[0][((c ^ *b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -279,13 +307,13 @@ pub fn get_value(cur: &mut Cursor<'_>) -> Result<Value, StorageError> {
     match cur.u8()? {
         VAL_INT => Ok(Value::Int(cur.i64()?)),
         VAL_FLOAT => Ok(Value::Float(cur.f64()?)),
-        VAL_STR => Ok(Value::str(cur.str()?)),
+        VAL_STR => Ok(Value::Str(Arc::from(cur.str()?))),
         VAL_BOOL => Ok(Value::Bool(match cur.u8()? {
             0 => false,
             1 => true,
             _ => return Err(corrupt("bool out of range")),
         })),
-        VAL_TAG => Ok(Value::tag(cur.str()?)),
+        VAL_TAG => Ok(Value::Tag(Arc::from(cur.str()?))),
         VAL_NULL => Ok(Value::Null),
         t => Err(corrupt(&format!("unknown value tag {}", t))),
     }
@@ -346,17 +374,13 @@ pub fn put_shaped_values(out: &mut Vec<u8>, t: &Tuple) {
 }
 
 /// Reads the values of a tuple of the given shape (canonical order) and
-/// rebuilds the tuple via the canonical-order fast path.
+/// rebuilds the tuple via the canonical-order fast path, one allocation.
 pub fn get_shaped_values(
     cur: &mut Cursor<'_>,
     shape: &AttrSet,
     attrs: &Arc<[Attr]>,
 ) -> Result<Tuple, StorageError> {
-    let mut values = Vec::with_capacity(attrs.len());
-    for _ in 0..attrs.len() {
-        values.push(get_value(cur)?);
-    }
-    Ok(Tuple::from_shape_values(shape.clone(), attrs, values))
+    Tuple::try_from_shape_values(shape.clone(), attrs, || get_value(cur))
 }
 
 // ---------------------------------------------------------------------------
@@ -601,6 +625,39 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The bytewise table-driven CRC, one dependent lookup per byte: the
+    /// oracle slice-by-8 must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for b in bytes {
+            c = CRC_TABLES[0][((c ^ *b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Slice-by-8 equals the bytewise CRC on random inputs of every length
+    /// up to 4 KiB, starting at every alignment of the 8-byte stride.
+    #[test]
+    fn slice_by_8_matches_the_bytewise_crc() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for len in 0..=4096 {
+            let offset = (next() % 8) as usize;
+            let bytes = &buf[offset..offset + len];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len} at {offset}");
+        }
+        for offset in 0..8 {
+            let bytes = &buf[offset..offset + 4096];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "offset {offset}");
+        }
     }
 
     #[test]

@@ -767,8 +767,8 @@ impl ColumnHeap {
     pub fn insert(&mut self, t: &Tuple) -> TupleId {
         self.check_shape(t);
         self.live += 1;
-        // Tuple iteration is BTreeMap order = attribute-name order = the
-        // canonical column order, so values line up with columns 1:1.
+        // Tuple iteration is attribute-name order = the canonical column
+        // order, so values line up with columns 1:1.
         if let Some(tid) = self.free.pop() {
             let seg = Arc::make_mut(&mut self.segments[tid.segment() as usize]);
             let row = tid.slot() as usize;

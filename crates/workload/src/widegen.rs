@@ -138,7 +138,8 @@ pub fn wide_relation(variants: usize) -> FlexRelation {
 /// prefix of the output mixes shapes.
 pub fn generate_wide(cfg: &WideConfig) -> Vec<Tuple> {
     // Interned attributes and kind tags are built once per variant, not
-    // once per tuple: cloning either is a refcount bump.
+    // once per tuple: cloning an attribute copies two words, a tag bumps a
+    // refcount.
     let (id, kind) = (Attr::new("id"), Attr::new("kind"));
     let variants: Vec<(Value, Attr)> = (0..cfg.variants)
         .map(|v| {

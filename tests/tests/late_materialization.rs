@@ -7,7 +7,9 @@
 //! semantics), and after rollback.  The aggregation kernels are
 //! additionally property-tested against a naive fold over materialized
 //! tuples, including wrapping `i64` sums, all-filtered selections, and
-//! shapes wide enough to spill the attribute bitset past one word.
+//! shapes wide enough to spill the attribute bitset past one word.  The
+//! network server's reply encoder, which reads the result chunks in place,
+//! must write the bytes the tuple encoder writes for the materialized rows.
 
 use proptest::prelude::*;
 
@@ -19,7 +21,10 @@ use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
-use flexrel_query::{aggregate_selected, GroupedAggs};
+use flexrel_query::{
+    aggregate_selected, run_statement_chunks, ExecStats, GroupedAggs, StatementOutcome,
+};
+use flexrel_server::{encode_response, put_rows_from_chunks, seed_wide, Response};
 use flexrel_storage::heap::SEGMENT_SIZE;
 use flexrel_storage::{ColumnHeap, Database, RelationDef, SelVec};
 use flexrel_tests::{assert_inhabits_props, partial_key_db, reference_eval};
@@ -401,6 +406,135 @@ fn post_rollback_state_matches_the_reference() {
         agg_before,
         "rollback must restore the aggregated state"
     );
+}
+
+/// The server's chunk encoder writes, byte for byte, the `Rows` reply the
+/// tuple encoder writes for `execute_collect`'s rows, and materializes
+/// nothing doing it.
+fn assert_chunk_encoding_matches(db: &Database, plan: &LogicalPlan, label: &str) {
+    let (rows, _) = execute_collect(plan, db, &ExecOptions::serial()).unwrap();
+    let expect = encode_response(&Response::Rows(rows));
+    let (chunks, stats) = execute_chunks(plan, db, &ExecOptions::serial()).unwrap();
+    let built = stats.materialized();
+    let mut got = Vec::new();
+    put_rows_from_chunks(&mut got, &chunks, &stats).unwrap();
+    assert!(
+        got == expect,
+        "chunk encoding differs from the tuple encoding on {label}"
+    );
+    assert_eq!(
+        stats.materialized(),
+        built,
+        "the encoder built tuples on {label}"
+    );
+}
+
+/// Every statement of the FRQL catalogue, naive and optimized, and every
+/// producer of row chunks — joins, `Extend`, aggregates, a union of two
+/// shapes, an empty result, partitions of partial shapes and index
+/// lookups — encodes identically from chunks and from tuples.
+#[test]
+fn chunk_encoder_writes_the_tuple_encoders_bytes() {
+    let db = employee_db(600, 11);
+    for frql in [
+        "SELECT * FROM employee",
+        "SELECT * FROM employee WHERE salary > 4000",
+        "SELECT * FROM employee WHERE salary > 3000 AND jobtype = 'secretary'",
+        "SELECT * FROM employee WHERE typing-speed > 200 OR salary <= 2500",
+        "SELECT * FROM employee WHERE NOT PRESENT(typing-speed)",
+        "SELECT * FROM employee WHERE NOT (jobtype = 'secretary' AND salary > 3000)",
+        "SELECT empno, name FROM employee WHERE salary >= 2000",
+        "SELECT empno, typing-speed FROM employee GUARD typing-speed",
+        "SELECT * FROM employee WHERE jobtype = 'secretary' GUARD typing-speed",
+        "SELECT COUNT(*) FROM employee",
+        "SELECT COUNT(typing-speed), SUM(salary), MIN(salary), MAX(salary) FROM employee",
+        "SELECT COUNT(*), SUM(salary) FROM employee WHERE salary > 9999999",
+        "SELECT jobtype, COUNT(*), SUM(salary), MAX(empno) FROM employee GROUP BY jobtype",
+        "SELECT jobtype, salary, COUNT(*) FROM employee \
+         WHERE salary > 2000 GROUP BY jobtype, salary",
+        "SELECT * FROM employee WHERE empno = 17",
+        "SELECT * FROM employee WHERE salary > 9999999",
+    ] {
+        let plan = plan_query(&parse(frql).unwrap(), &db.catalog()).unwrap();
+        assert_chunk_encoding_matches(&db, &plan, frql);
+        let (optimized, _) = optimize_with_db(plan, &db);
+        assert_chunk_encoding_matches(&db, &optimized, frql);
+    }
+
+    let db = partial_key_db();
+    let inner = LogicalPlan::scan("inner");
+    let outer = LogicalPlan::scan("outer");
+    let plans = [
+        inner.clone(),
+        outer.clone().join(inner.clone()),
+        LogicalPlan::scan("inner_nx").join(outer.clone()),
+        extend(inner.clone(), "src", Value::tag("inner")),
+        inner.clone().aggregate(
+            attrs!["b"],
+            vec![
+                AggExpr::new(AggFunc::Count, None),
+                AggExpr::new(AggFunc::Sum, Some(Attr::new("v"))),
+            ],
+        ),
+        LogicalPlan::UnionAll {
+            inputs: vec![inner.clone().filter(Predicate::lt("a", 3i64)), outer],
+        },
+        inner.clone().filter(Predicate::gt("a", 10_000i64)),
+        LogicalPlan::Empty,
+        LogicalPlan::IndexLookup {
+            relation: "inner".into(),
+            key: attrs!["a", "b"],
+            key_value: Tuple::new().with("a", 1).with("b", 1),
+            shapes: None,
+        },
+        LogicalPlan::IndexLookup {
+            relation: "inner_nx".into(),
+            key: attrs!["a"],
+            key_value: Tuple::new().with("a", 2),
+            shapes: None,
+        },
+    ];
+    for plan in plans {
+        assert_chunk_encoding_matches(&db, &plan, &plan.to_string());
+    }
+}
+
+/// The server's path for the benchmark's scan — statement to chunks to
+/// reply bytes — builds no tuple at all, and still writes the tuple
+/// encoder's bytes.
+#[test]
+fn the_wire_scan_path_materializes_nothing() {
+    let db = Database::new();
+    seed_wide(&db, 2_000, 8, 0.8).unwrap();
+    let frql = "SELECT * FROM wide WHERE kind = 'k0'";
+    let StatementOutcome::Rows((chunks, stats)) =
+        run_statement_chunks(&db, frql, &ExecOptions::serial()).unwrap()
+    else {
+        panic!("a query answered with a plan");
+    };
+    let mut got = Vec::new();
+    put_rows_from_chunks(&mut got, &chunks, &stats).unwrap();
+    assert_eq!(stats.materialized(), 0);
+    assert!(stats.chunks() >= 1);
+    let StatementOutcome::Rows(rows) = run_statement(&db, frql, &ExecOptions::serial()).unwrap()
+    else {
+        panic!("a query answered with a plan");
+    };
+    assert!(!rows.is_empty());
+    assert!(got == encode_response(&Response::Rows(rows)));
+}
+
+/// A deadline that has passed by the time the reply is encoded ends the
+/// encoding in a timeout, so no truncated reply can be sent.
+#[test]
+fn the_chunk_encoder_checks_the_deadline_between_chunks() {
+    let db = employee_db(300, 5);
+    let (chunks, _) =
+        execute_chunks(&LogicalPlan::scan("employee"), &db, &ExecOptions::serial()).unwrap();
+    assert!(!chunks.is_empty());
+    let expired = ExecStats::with_deadline(Some(std::time::Instant::now()));
+    let err = put_rows_from_chunks(&mut Vec::new(), &chunks, &expired).unwrap_err();
+    assert!(matches!(err, CoreError::Timeout(_)), "{err:?}");
 }
 
 fn finished_sorted(state: GroupedAggs) -> Vec<Tuple> {

@@ -16,8 +16,9 @@
 //! the index and through the scan fallback, inside a batch and beside a
 //! reader.
 
-use std::io::Read;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -29,9 +30,10 @@ use flexrel_core::value::Value;
 use flexrel_query::{execute_stream, LogicalPlan};
 use flexrel_server::proto::{
     decode_request, decode_response, encode_request, encode_response, write_frame, ErrorCode,
-    FrameReader, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
+    FrameReader, FrameWriter, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
 };
 use flexrel_server::{seed_wide, Server, ServerConfig};
+use flexrel_storage::codec::put_frame;
 use flexrel_storage::Database;
 use flexrel_tests::partial_key_db;
 
@@ -178,12 +180,69 @@ fn drain_frames(bytes: &[u8], chunk: usize) -> (Vec<Vec<u8>>, Option<WireError>)
     let mut payloads = Vec::new();
     loop {
         match reader.recv(&mut r) {
-            Ok(Recv::Message(p)) => payloads.push(p),
+            Ok(Recv::Message(p)) => payloads.push(p.to_vec()),
             Ok(Recv::Closed) => return (payloads, None),
             Ok(Recv::Idle) => unreachable!("TrickleReader never blocks"),
             Err(e) => return (payloads, Some(e)),
         }
     }
+}
+
+/// A `Read` like a non-blocking socket under load: each call either
+/// reports `WouldBlock` or hands out a random short prefix of what is
+/// left, anywhere from one byte to 40 KiB.
+struct ChoppyReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    rng: TestRng,
+}
+
+impl Read for ChoppyReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.rng.next_u64().is_multiple_of(4) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let max = 1 + (self.rng.next_u64() as usize) % (40 * 1024);
+        let n = max.min(buf.len()).min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Drains `bytes` through one [`FrameReader`] fed by a [`ChoppyReader`],
+/// polling again on every `Idle`.  Returns the payloads up to the stream's
+/// end and how it ended.
+fn drain_choppy(bytes: &[u8], seed: u64) -> (Vec<Vec<u8>>, Result<(), WireError>) {
+    let mut r = ChoppyReader {
+        bytes,
+        pos: 0,
+        rng: TestRng::new(seed),
+    };
+    let mut reader = FrameReader::new();
+    let mut payloads = Vec::new();
+    loop {
+        match reader.recv(&mut r) {
+            Ok(Recv::Message(p)) => payloads.push(p.to_vec()),
+            Ok(Recv::Idle) => continue,
+            Ok(Recv::Closed) => return (payloads, Ok(())),
+            Err(e) => return (payloads, Err(e)),
+        }
+    }
+}
+
+/// Random payloads, about half of them larger than a 16 KiB read window.
+fn arb_payloads(rng: &mut TestRng) -> Vec<Vec<u8>> {
+    let n = 1 + (rng.next_u64() as usize) % 8;
+    (0..n)
+        .map(|_| {
+            let len = match rng.next_u64() % 3 {
+                0 => (rng.next_u64() as usize) % 64,
+                _ => 16 * 1024 + (rng.next_u64() as usize) % (56 * 1024),
+            };
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -304,6 +363,52 @@ proptest! {
                     matches!(e, WireError::Corrupt(_)),
                     "corruption surfaced as {:?}, not Corrupt",
                     e
+                );
+            }
+        }
+    }
+
+    /// Multi-frame streams with frames past the 16 KiB read window,
+    /// framed by one reused [`FrameWriter`] (which must write exactly the
+    /// WAL's `[len][crc][payload]` frames), reassemble to the same payloads through
+    /// random short reads and `WouldBlock`s.  Truncating the stream
+    /// anywhere keeps the whole frames before the cut and ends in `Closed`
+    /// exactly on a frame boundary, `Corrupt` anywhere else.
+    #[test]
+    fn multi_frame_streams_reassemble_through_short_reads(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let payloads = arb_payloads(&mut rng);
+        let mut bytes = Vec::new();
+        let mut boundaries = vec![0usize];
+        let mut frame = FrameWriter::new();
+        for p in &payloads {
+            let mut one = Vec::new();
+            put_frame(&mut one, p);
+            frame.begin().extend_from_slice(p);
+            frame.send(&mut bytes).unwrap();
+            prop_assert_eq!(&bytes[*boundaries.last().unwrap()..], &one[..]);
+            boundaries.push(bytes.len());
+        }
+        let (got, end) = drain_choppy(&bytes, rng.next_u64());
+        prop_assert!(end.is_ok(), "clean stream ended in {:?}", end);
+        prop_assert_eq!(&got, &payloads);
+
+        for _ in 0..8 {
+            let cut = match rng.next_u64() % 3 {
+                0 => boundaries[(rng.next_u64() as usize) % boundaries.len()],
+                _ => (rng.next_u64() as usize) % (bytes.len() + 1),
+            };
+            let (got, end) = drain_choppy(&bytes[..cut], rng.next_u64());
+            let whole = boundaries.iter().filter(|&&b| b <= cut && b > 0).count();
+            prop_assert_eq!(&got[..], &payloads[..whole], "cut at {}", cut);
+            if boundaries.contains(&cut) {
+                prop_assert!(end.is_ok(), "boundary cut at {} ended in {:?}", cut, end);
+            } else {
+                prop_assert!(
+                    matches!(end, Err(WireError::Corrupt(_))),
+                    "mid-frame cut at {} ended in {:?}",
+                    cut,
+                    end
                 );
             }
         }
@@ -506,12 +611,65 @@ fn hello_violations_are_protocol_errors() {
         Recv::Message(p) => p,
         other => panic!("no handshake answer: {:?}", other),
     };
-    match decode_response(&payload).unwrap() {
+    match decode_response(payload).unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
         other => panic!("wrong version accepted: {:?}", other),
     }
 
     server.shutdown();
+}
+
+/// A peer that pipelines scans and never reads a reply cannot pin its
+/// session: once the socket buffers fill, a reply write stalls past the
+/// statement timeout, the session closes on the torn write, and shutdown
+/// completes.  A watchdog thread bounds the wait, so a regression fails
+/// here instead of hanging the suite.
+#[test]
+fn a_peer_that_never_reads_cannot_pin_its_session() {
+    let cfg = ServerConfig {
+        statement_timeout: Some(Duration::from_secs(1)),
+        ..ServerConfig::default()
+    };
+    let server = boot(cfg, 4_000);
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    flexrel_server::write_request(
+        &mut stream,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .unwrap();
+    // ~200 replies of ~100 KiB each: far more than the two socket buffers
+    // between the server and this never-reading client hold.
+    let scan = encode_request(&Request::Query {
+        frql: "SELECT * FROM wide".into(),
+    });
+    let mut pipelined = Vec::new();
+    for _ in 0..200 {
+        write_frame(&mut pipelined, &scan).unwrap();
+    }
+    stream.write_all(&pipelined).unwrap();
+    // Shut down only once the session runs: a drain refuses a connection
+    // the accept loop has not picked up yet, which would leave nothing to
+    // pin.
+    let started = Instant::now();
+    while server.stats().statements_ok.load(Ordering::Relaxed) == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the session never answered a scan"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        done_tx.send(server.shutdown()).ok();
+    });
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown hung behind a session whose peer never reads");
+    assert!(stats.statements_ok >= 1, "{:?}", stats);
+    drop(stream);
 }
 
 // ---------------------------------------------------------------------------
