@@ -4,20 +4,29 @@
 //! Every message travels as one [`flexrel_storage::codec`] frame —
 //! `[len u32][crc32 u32][payload]`, little-endian, the exact discipline the
 //! WAL uses on disk — whose payload starts with a one-byte message tag.
-//! Result sets reuse the columnar row format's shape-table idea
-//! ([`flexrel_storage::RowBlock`]): the distinct attribute sets of the
-//! result are written once, then each row is a shape-slot reference plus
-//! its values in the shape's canonical order.  The server writes that
-//! layout straight from the executor's column chunks
-//! ([`put_rows_from_chunks`]), byte for byte what [`put_rows`] writes for
-//! the materialized tuples.  Floats round-trip bit-exactly (NaN and `-0.0`
-//! included), and any truncated or bit-flipped input surfaces as a typed
-//! [`WireError`] — never a panic.
+//! A result set travels as **shape blocks**.  Its distinct attribute sets
+//! are written once, as a shape table; then come the row count, the block
+//! count and the blocks.  A block is a run of rows of one shape — in the
+//! paper's terms one subtype, an ordinary relation over a fixed attribute
+//! set — so it needs no null bitmap and no per-value type tag: it is
+//! `[slot][len]` followed by one column per attribute, in canonical order,
+//! each `INT` (`len` × i64), `FLOAT` (`len` × f64 bit patterns) or `DICT`
+//! (a value pool, then `len` × u32 codes).  The server writes a columnar
+//! result chunk as one block straight from its segment
+//! ([`put_rows_from_chunks`]); tuples are written one block per same-shape
+//! run ([`put_rows`]).  Block boundaries therefore depend on the input, and
+//! the two writers agree on the decoded rows, not on the bytes.  The
+//! client reads a column with one bounds check and builds each row in one
+//! allocation ([`get_rows`]).  Floats round-trip bit-exactly (NaN and
+//! `-0.0` included), and any truncated, forged or bit-flipped input
+//! surfaces as a typed [`WireError`] — never a panic, and never an
+//! allocation the payload's size does not justify.
 //!
 //! A message is copied once on each side: the sender encodes into a reused
 //! [`FrameWriter`] behind a reserved header that is patched in place, and
 //! the receiver's [`FrameReader`] reads into its own buffer and lends the
-//! payload out of it.
+//! payload out of it.  Neither keeps a buffer that a message over 1 MiB
+//! grew.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -29,13 +38,13 @@ use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::{Chunk, ColChunk, ExecStats};
 use flexrel_storage::codec::{
-    self, crc32, put_str, put_u32, put_u64, put_u8, Cursor, MAX_FRAME_LEN,
+    self, crc32, put_f64, put_i64, put_str, put_u32, put_u64, put_u8, Cursor, MAX_FRAME_LEN,
 };
 use flexrel_storage::{ColKind, StorageError};
 
 /// The protocol version spoken by this build.  A [`Request::Hello`] carrying
 /// a different version is rejected with [`ErrorCode::Protocol`].
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -270,7 +279,7 @@ const OP_INSERT: u8 = 0x01;
 const OP_DELETE_EQ: u8 = 0x02;
 
 // ---------------------------------------------------------------------------
-// Result-set encoding: shape table + rows in canonical value order.
+// Result-set encoding: shape table + one columnar block per shape run.
 // ---------------------------------------------------------------------------
 
 /// The shape table of a result set: each distinct attribute set gets the
@@ -298,30 +307,45 @@ impl<'a> ShapeTable<'a> {
     }
 }
 
-/// Encodes a result set: `[n_shapes][attrs…] [n_rows]([slot][values…])…`,
-/// with each distinct attribute set written once and every row referencing
-/// its shape by slot — the wire twin of the columnar
-/// [`RowBlock`](flexrel_storage::RowBlock) layout.
+/// Splits a row list into the runs it is written as, one block each: the
+/// maximal runs of one shape, except that a row of the empty shape is a
+/// run of its own (a zero-arity block has no bytes per row, so the decoder
+/// caps it at one row).
+fn shape_runs(rows: &[Tuple]) -> impl Iterator<Item = &[Tuple]> {
+    rows.chunk_by(|a, b| !a.is_empty() && a.shape() == b.shape())
+}
+
+/// A decode failure: the payload is not a well-formed result set.
+fn corrupt<T>(msg: String) -> Result<T, WireError> {
+    Err(WireError::Corrupt(msg))
+}
+
+/// Encodes a result set: the shape table `[n_shapes][attrs…]`, then
+/// `[n_rows][n_blocks]` and the blocks — here one per maximal run of
+/// same-shape rows, and one per row of the empty shape.  A block is
+/// `[slot][len]` followed by one column per attribute of its shape, in
+/// canonical order: `INT` or `FLOAT` when every value has that kind,
+/// otherwise `DICT` (see the module documentation).
 pub fn put_rows(out: &mut Vec<u8>, rows: &[Tuple]) {
     let mut table = ShapeTable::default();
-    for t in rows {
-        table.slot(t.shape());
+    for run in shape_runs(rows) {
+        table.slot(run[0].shape());
     }
     table.put(out);
     put_u32(out, rows.len() as u32);
-    for t in rows {
-        put_u32(out, table.slot(t.shape()));
-        codec::put_shaped_values(out, t);
-    }
+    let at = out.len();
+    put_u32(out, 0);
+    let blocks = put_tuple_blocks(out, &mut table, rows);
+    out[at..at + 4].copy_from_slice(&blocks.to_le_bytes());
 }
 
 /// Appends a [`Response::Rows`] payload (tag included) encoded straight
-/// from a statement's result chunks: byte for byte what
-/// [`encode_response`] writes for the same rows materialized with
-/// [`Chunk::collect_tuples`], without building a tuple.  A columnar
-/// chunk's rows are read in place — integer and float columns as slices,
-/// dictionary columns through their value pools — and row chunks go
-/// through [`codec::put_shaped_values`].
+/// from a statement's result chunks, without building a tuple: a columnar
+/// chunk is one block written from its segment, a row chunk is written by
+/// the same block writer as [`put_rows`].  Block
+/// boundaries follow the chunks, so the bytes may differ from
+/// [`encode_response`] over the same rows materialized with
+/// [`Chunk::collect_tuples`]; the decoded rows do not.
 ///
 /// The statement's deadline is checked between chunks; once it has
 /// passed the result is [`CoreError::Timeout`] and `out` holds a partial
@@ -332,77 +356,214 @@ pub fn put_rows_from_chunks(
     stats: &ExecStats,
 ) -> Result<(), CoreError> {
     let mut table = ShapeTable::default();
-    let mut n_rows = 0;
     for chunk in chunks {
         match chunk {
-            Chunk::Cols(c) if !c.is_empty() => {
+            Chunk::Cols(c) => {
                 table.slot(c.part.shape());
-                n_rows += c.len();
             }
-            Chunk::Cols(_) => {}
             Chunk::Rows(rows) => {
-                for t in rows {
-                    table.slot(t.shape());
+                for run in shape_runs(rows) {
+                    table.slot(run[0].shape());
                 }
-                n_rows += rows.len();
             }
         }
     }
     put_u8(out, RSP_ROWS);
     table.put(out);
-    put_u32(out, n_rows as u32);
+    put_u32(out, chunks.iter().map(Chunk::len).sum::<usize>() as u32);
+    let at = out.len();
+    put_u32(out, 0);
+    let mut blocks = 0u32;
     for chunk in chunks {
         stats.check_deadline()?;
-        match chunk {
-            Chunk::Cols(c) if !c.is_empty() => put_col_rows(out, c, table.slot(c.part.shape())),
-            Chunk::Cols(_) => {}
-            Chunk::Rows(rows) => {
-                for t in rows {
-                    put_u32(out, table.slot(t.shape()));
-                    codec::put_shaped_values(out, t);
-                }
-            }
-        }
+        blocks += match chunk {
+            Chunk::Cols(c) => put_col_block(out, c, table.slot(c.part.shape())),
+            Chunk::Rows(rows) => put_tuple_blocks(out, &mut table, rows),
+        };
     }
+    out[at..at + 4].copy_from_slice(&blocks.to_le_bytes());
     Ok(())
 }
 
-/// One column of a segment, borrowed in its stored representation.
-enum ColRef<'a> {
-    Int(&'a [i64]),
-    Float(&'a [f64]),
-    Dict(&'a [u32], &'a [Value]),
-}
+// Column kinds inside a block.
+const COL_INT: u8 = 0;
+const COL_FLOAT: u8 = 1;
+const COL_DICT: u8 = 2;
 
-/// Writes the selected rows of a columnar chunk, each as `[slot][values…]`
-/// in the partition's canonical column order — the order a materialized
-/// tuple iterates in.
-fn put_col_rows(out: &mut Vec<u8>, c: &ColChunk, slot: u32) {
+/// Writes the selected rows of a columnar chunk straight from its segment
+/// and returns the number of blocks written: one, or one per row at arity
+/// zero.  Integer and float columns are gathered through the selection;
+/// dictionary codes are renumbered in order of first use, so the pool
+/// holds only the values a selected row uses.
+fn put_col_block(out: &mut Vec<u8>, c: &ColChunk, slot: u32) -> u32 {
     let heap = c.part.columns();
     let seg = heap.segment(c.seg).expect("segment index in range");
-    let cols: Vec<ColRef<'_>> = (0..heap.attrs().len())
-        .map(|ci| match seg.col_kind(ci) {
-            ColKind::Int => ColRef::Int(seg.int_slice(ci).expect("int column")),
-            ColKind::Float => ColRef::Float(seg.float_slice(ci).expect("float column")),
+    let len = c.len() as u32;
+    let (blocks, rows) = if heap.attrs().is_empty() {
+        (len, 1)
+    } else {
+        (1, len)
+    };
+    for _ in 0..blocks {
+        put_u32(out, slot);
+        put_u32(out, rows);
+    }
+    let (mut renumber, mut used) = (Vec::new(), Vec::new());
+    for ci in 0..heap.attrs().len() {
+        match seg.col_kind(ci) {
+            ColKind::Int => {
+                put_u8(out, COL_INT);
+                let xs = seg.int_slice(ci).expect("int column");
+                c.sel.iter().for_each(|row| put_i64(out, xs[row]));
+            }
+            ColKind::Float => {
+                put_u8(out, COL_FLOAT);
+                let xs = seg.float_slice(ci).expect("float column");
+                c.sel.iter().for_each(|row| put_f64(out, xs[row]));
+            }
             ColKind::Dict => {
                 let (codes, pool) = seg.dict_parts(ci).expect("dictionary column");
-                ColRef::Dict(codes, pool)
+                renumber.clear();
+                renumber.resize(pool.len(), u32::MAX);
+                used.clear();
+                for row in c.sel.iter() {
+                    let code = codes[row] as usize;
+                    if renumber[code] == u32::MAX {
+                        renumber[code] = used.len() as u32;
+                        used.push(code);
+                    }
+                }
+                put_u8(out, COL_DICT);
+                put_u32(out, used.len() as u32);
+                used.iter()
+                    .for_each(|&code| codec::put_value(out, &pool[code]));
+                c.sel
+                    .iter()
+                    .for_each(|row| put_u32(out, renumber[codes[row] as usize]));
             }
+        }
+    }
+    blocks
+}
+
+/// Writes a row list as one block per run of [`shape_runs`] and returns
+/// the number of blocks written.  `table` already holds every run's shape.
+fn put_tuple_blocks<'a>(out: &mut Vec<u8>, table: &mut ShapeTable<'a>, rows: &'a [Tuple]) -> u32 {
+    let mut blocks = 0;
+    let mut col: Vec<&Value> = Vec::new();
+    for run in shape_runs(rows) {
+        put_u32(out, table.slot(run[0].shape()));
+        put_u32(out, run.len() as u32);
+        let mut values: Vec<_> = run.iter().map(|t| t.iter().map(|(_, v)| v)).collect();
+        for _ in 0..run[0].arity() {
+            col.clear();
+            col.extend(values.iter_mut().filter_map(Iterator::next));
+            put_value_column(out, &col);
+        }
+        blocks += 1;
+    }
+    blocks
+}
+
+/// Writes one column of a run.  It is `INT` (`len` × i64) or `FLOAT`
+/// (`len` × f64 bit patterns) when every value has that kind; otherwise
+/// `DICT`: `[pool_len][pool values]` then `len` × u32 codes.  The pool gets
+/// a new entry wherever a value differs from the one in the row above —
+/// bit for bit, so `-0.0` is not `0.0`, and without hashing — so it may
+/// hold a value twice.
+fn put_value_column(out: &mut Vec<u8>, col: &[&Value]) {
+    let ints = col.iter().all(|v| matches!(v, Value::Int(_)));
+    if ints || col.iter().all(|v| matches!(v, Value::Float(_))) {
+        put_u8(out, if ints { COL_INT } else { COL_FLOAT });
+        for v in col {
+            match v {
+                Value::Int(i) => put_i64(out, *i),
+                Value::Float(f) => put_f64(out, *f),
+                _ => unreachable!("the column holds one numeric kind"),
+            }
+        }
+        return;
+    }
+    let changes = || col.windows(2).map(|w| !same_bits(w[0], w[1]));
+    put_u8(out, COL_DICT);
+    put_u32(out, 1 + changes().filter(|&c| c).count() as u32);
+    codec::put_value(out, col[0]);
+    for (w, changed) in col.windows(2).zip(changes()) {
+        if changed {
+            codec::put_value(out, w[1]);
+        }
+    }
+    put_u32(out, 0);
+    let mut code = 0;
+    for changed in changes() {
+        code += changed as u32;
+        put_u32(out, code);
+    }
+}
+
+/// Value equality bit for bit: IEEE `==` would merge `0.0` with `-0.0`
+/// and split a NaN from itself.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// One column of a block as it lies in the payload: fixed-width values
+/// read in place, or a decoded pool with its codes (all checked in range).
+enum Column<'a> {
+    Int(&'a [u8]),
+    Float(&'a [u8]),
+    Dict(Vec<Value>, &'a [u8]),
+}
+
+/// The `i`-th `N`-byte word of a column.
+fn word<const N: usize>(bytes: &[u8], i: usize) -> [u8; N] {
+    bytes[i * N..(i + 1) * N]
+        .try_into()
+        .expect("a range of N bytes")
+}
+
+impl<'a> Column<'a> {
+    /// Reads a column of `len` rows with one bounds check, decoding each
+    /// pool value once and checking every code against the pool once.
+    fn get(cur: &mut Cursor<'a>, len: usize) -> Result<Column<'a>, WireError> {
+        Ok(match cur.u8()? {
+            COL_INT => Column::Int(cur.bytes(8 * len)?),
+            COL_FLOAT => Column::Float(cur.bytes(8 * len)?),
+            COL_DICT => {
+                let pool_len = cur.u32()? as usize;
+                if pool_len > len {
+                    return corrupt(format!("a pool of {pool_len} values for {len} rows"));
+                }
+                let pool = (0..pool_len)
+                    .map(|_| codec::get_value(cur))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let codes = cur.bytes(4 * len)?;
+                if (0..len).any(|i| u32::from_le_bytes(word(codes, i)) as usize >= pool_len) {
+                    return corrupt(format!("a code past its pool of {pool_len}"));
+                }
+                Column::Dict(pool, codes)
+            }
+            kind => return corrupt(format!("unknown column kind {kind}")),
         })
-        .collect();
-    for row in c.sel.iter() {
-        put_u32(out, slot);
-        for col in &cols {
-            match col {
-                ColRef::Int(xs) => codec::put_value(out, &Value::Int(xs[row])),
-                ColRef::Float(xs) => codec::put_value(out, &Value::Float(xs[row])),
-                ColRef::Dict(codes, pool) => codec::put_value(out, &pool[codes[row] as usize]),
+    }
+
+    fn value(&self, row: usize) -> Value {
+        match self {
+            Column::Int(bytes) => Value::Int(i64::from_le_bytes(word(bytes, row))),
+            Column::Float(bytes) => Value::Float(f64::from_le_bytes(word(bytes, row))),
+            Column::Dict(pool, codes) => {
+                pool[u32::from_le_bytes(word(codes, row)) as usize].clone()
             }
         }
     }
 }
 
-/// Decodes a result set written by [`put_rows`].
+/// Decodes a result set written by [`put_rows`] or
+/// [`put_rows_from_chunks`], a column at a time: each row is then built in
+/// one allocation, its strings shared with the block's pool.
 pub fn get_rows(cur: &mut Cursor<'_>) -> Result<Vec<Tuple>, WireError> {
     let n_shapes = cur.u32()? as usize;
     let mut shapes: Vec<(AttrSet, Arc<[Attr]>)> = Vec::with_capacity(n_shapes.min(1024));
@@ -412,13 +573,34 @@ pub fn get_rows(cur: &mut Cursor<'_>) -> Result<Vec<Tuple>, WireError> {
         shapes.push((shape, attrs));
     }
     let n_rows = cur.u32()? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
-    for _ in 0..n_rows {
+    let n_blocks = cur.u32()?;
+    // A row costs at least four bytes: a code or a value in each column,
+    // or at arity zero a block header of its own.  A count the rest of the
+    // payload cannot hold is refused before anything is allocated for it.
+    if n_rows > cur.remaining() / 4 {
+        return corrupt(format!("{n_rows} rows in {} bytes", cur.remaining()));
+    }
+    let mut rows = Vec::with_capacity(n_rows);
+    let mut cols = Vec::new();
+    for _ in 0..n_blocks {
         let slot = cur.u32()? as usize;
-        let (shape, attrs) = shapes
-            .get(slot)
-            .ok_or_else(|| WireError::Corrupt(format!("shape slot {} out of range", slot)))?;
-        rows.push(codec::get_shaped_values(cur, shape, attrs)?);
+        let len = cur.u32()? as usize;
+        let Some((shape, attrs)) = shapes.get(slot) else {
+            return corrupt(format!("shape slot {slot} out of range"));
+        };
+        if len > n_rows - rows.len() || (attrs.is_empty() && len > 1) {
+            return corrupt(format!("a block of {len} rows past the reply's {n_rows}"));
+        }
+        cols.clear();
+        for _ in 0..attrs.len() {
+            cols.push(Column::get(cur, len)?);
+        }
+        rows.extend((0..len).map(|i| {
+            Tuple::from_shape_values(shape.clone(), attrs, cols.iter().map(|c| c.value(i)))
+        }));
+    }
+    if rows.len() != n_rows {
+        return corrupt(format!("blocks hold {} of {n_rows} rows", rows.len()));
     }
     Ok(rows)
 }
@@ -632,7 +814,8 @@ pub fn write_response<W: Write>(w: &mut W, rsp: &Response) -> Result<(), WireErr
 /// encoded into; [`FrameWriter::send`] patches the header in place and
 /// writes header and payload with one `write_all`.  The payload is encoded
 /// once and never copied, and the buffer's capacity carries over from one
-/// message to the next.
+/// message to the next.  A buffer grown past 1 MiB is kept while messages
+/// stay large and given back after the first small one, as the reader does.
 #[derive(Debug, Default)]
 pub struct FrameWriter {
     buf: Vec<u8>,
@@ -658,8 +841,12 @@ impl FrameWriter {
         let (head, payload) = self.buf.split_at_mut(8);
         head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-        w.write_all(&self.buf)?;
-        Ok(())
+        let sent = w.write_all(&self.buf);
+        if self.buf.capacity() > LARGE_MESSAGE && self.buf.len() <= READ_CHUNK {
+            self.buf.clear();
+            self.buf.shrink_to(READ_CHUNK);
+        }
+        sent.map_err(WireError::Io)
     }
 }
 
@@ -678,6 +865,12 @@ pub enum Recv<'a> {
 
 /// The reader's smallest read window, and its first buffer size.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// A message larger than this does not leave its buffer behind: the frame
+/// writer and reader shrink back to [`READ_CHUNK`] at the first small
+/// message after it, so one large reply does not pin its size for the rest
+/// of a session, and a series of large ones does not regrow it each time.
+const LARGE_MESSAGE: usize = 1 << 20;
 
 /// Incremental frame reader over a byte stream.
 ///
@@ -762,13 +955,21 @@ impl FrameReader {
     /// frame would not fit behind them.  The buffer grows toward the frame's
     /// size only when it is full, at most doubling each time, so a forged
     /// length makes the reader hold at most twice what actually arrived.
+    /// A buffer grown past [`LARGE_MESSAGE`] shrinks back to [`READ_CHUNK`]
+    /// as soon as the frame it is waiting for is a small one.
     fn make_room(&mut self, want: usize) {
+        let shrink = self.buf.len() > LARGE_MESSAGE && want <= READ_CHUNK;
         if self.pos == self.end {
             (self.pos, self.end) = (0, 0);
-        } else if self.pos + want > self.buf.len() {
+        } else if shrink || self.pos + want > self.buf.len() {
             self.buf.copy_within(self.pos..self.end, 0);
             self.end -= self.pos;
             self.pos = 0;
+        }
+        if shrink {
+            // The pending bytes are less than one small frame.
+            self.buf.truncate(READ_CHUNK);
+            self.buf.shrink_to_fit();
         }
         // A full buffer is smaller than `want` (else the frame would be
         // complete), so this always makes room.
@@ -782,5 +983,54 @@ impl FrameReader {
     /// not complete).
     pub fn has_partial(&self) -> bool {
         self.pos < self.end
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Large messages do not pin their buffer for the rest of a session:
+    /// writer and reader keep it while messages stay large and give it back
+    /// at the first small one.
+    #[test]
+    fn frame_buffers_shrink_back_after_a_large_message() {
+        let big = vec![7u8; 4 << 20];
+        let mut frame = FrameWriter::new();
+        let mut stream = Vec::new();
+        for _ in 0..2 {
+            frame.begin().extend_from_slice(&big);
+            frame.send(&mut stream).unwrap();
+            assert!(
+                frame.buf.capacity() > big.len(),
+                "writer gave its buffer back between large messages"
+            );
+        }
+        frame.begin().extend_from_slice(b"small");
+        frame.send(&mut stream).unwrap();
+        assert!(
+            frame.buf.capacity() <= LARGE_MESSAGE,
+            "writer kept {} bytes",
+            frame.buf.capacity()
+        );
+
+        let mut reader = FrameReader::new();
+        let mut bytes = &stream[..];
+        for _ in 0..2 {
+            match reader.recv(&mut bytes).unwrap() {
+                Recv::Message(p) => assert_eq!(p, &big[..]),
+                other => panic!("large frame not received: {:?}", other),
+            }
+        }
+        match reader.recv(&mut bytes).unwrap() {
+            Recv::Message(p) => assert_eq!(p, b"small"),
+            other => panic!("small frame not received: {:?}", other),
+        }
+        assert!(
+            reader.buf.capacity() <= LARGE_MESSAGE,
+            "reader kept {} bytes",
+            reader.buf.capacity()
+        );
+        assert!(matches!(reader.recv(&mut bytes).unwrap(), Recv::Closed));
     }
 }

@@ -161,7 +161,9 @@ impl<'a> Cursor<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
+    /// Reads the next `n` bytes as one slice, so a whole fixed-width column
+    /// costs one bounds check.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
         if self.remaining() < n {
             return Err(corrupt("truncated input"));
         }
@@ -172,22 +174,22 @@ impl<'a> Cursor<'a> {
 
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, StorageError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Reads an `f64` bit pattern.
@@ -201,7 +203,7 @@ impl<'a> Cursor<'a> {
         if n > self.remaining() {
             return Err(corrupt("string length past end of input"));
         }
-        std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("invalid utf-8 in string"))
+        std::str::from_utf8(self.bytes(n)?).map_err(|_| corrupt("invalid utf-8 in string"))
     }
 }
 

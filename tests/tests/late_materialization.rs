@@ -9,7 +9,7 @@
 //! tuples, including wrapping `i64` sums, all-filtered selections, and
 //! shapes wide enough to spill the attribute bitset past one word.  The
 //! network server's reply encoder, which reads the result chunks in place,
-//! must write the bytes the tuple encoder writes for the materialized rows.
+//! must write a reply that decodes to the materialized rows.
 
 use proptest::prelude::*;
 
@@ -18,13 +18,15 @@ use flexrel_bench::experiments::wide_access_path_db;
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::attrs;
 use flexrel_core::error::CoreError;
+use flexrel_core::scheme::FlexScheme;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
 use flexrel_query::{
     aggregate_selected, run_statement_chunks, ExecStats, GroupedAggs, StatementOutcome,
 };
-use flexrel_server::{encode_response, put_rows_from_chunks, seed_wide, Response};
+use flexrel_server::{decode_response, encode_response, put_rows_from_chunks, seed_wide, Response};
+use flexrel_storage::codec::{get_attrs, get_value, Cursor};
 use flexrel_storage::heap::SEGMENT_SIZE;
 use flexrel_storage::{ColumnHeap, Database, RelationDef, SelVec};
 use flexrel_tests::{assert_inhabits_props, partial_key_db, reference_eval};
@@ -408,33 +410,73 @@ fn post_rollback_state_matches_the_reference() {
     );
 }
 
-/// The server's chunk encoder writes, byte for byte, the `Rows` reply the
-/// tuple encoder writes for `execute_collect`'s rows, and materializes
-/// nothing doing it.
+/// The block layout of a `Rows` payload, walked independently of the
+/// decoder: the number of blocks, and `(rows, pool length)` for every
+/// `DICT` column.
+fn block_layout(payload: &[u8]) -> (u32, Vec<(usize, usize)>) {
+    let mut cur = Cursor::new(&payload[1..]);
+    let n_shapes = cur.u32().unwrap();
+    let arities: Vec<usize> = (0..n_shapes)
+        .map(|_| get_attrs(&mut cur).unwrap().len())
+        .collect();
+    let _n_rows = cur.u32().unwrap();
+    let n_blocks = cur.u32().unwrap();
+    let mut pools = Vec::new();
+    for _ in 0..n_blocks {
+        let arity = arities[cur.u32().unwrap() as usize];
+        let len = cur.u32().unwrap() as usize;
+        for _ in 0..arity {
+            match cur.u8().unwrap() {
+                0 | 1 => {
+                    cur.bytes(8 * len).unwrap();
+                }
+                2 => {
+                    let pool_len = cur.u32().unwrap() as usize;
+                    for _ in 0..pool_len {
+                        get_value(&mut cur).unwrap();
+                    }
+                    cur.bytes(4 * len).unwrap();
+                    pools.push((len, pool_len));
+                }
+                kind => panic!("unknown column kind {kind}"),
+            }
+        }
+    }
+    assert!(cur.is_empty(), "bytes after the last block");
+    (n_blocks, pools)
+}
+
+/// The server's chunk encoder and the tuple encoder agree on the rows:
+/// the reply written from the chunks decodes to exactly `execute_collect`'s
+/// rows, in order, and the encoder materializes nothing writing it.  The
+/// bytes may differ — block boundaries follow the chunks — but every
+/// dictionary pool holds at most one value per row of its block.
 fn assert_chunk_encoding_matches(db: &Database, plan: &LogicalPlan, label: &str) {
     let (rows, _) = execute_collect(plan, db, &ExecOptions::serial()).unwrap();
-    let expect = encode_response(&Response::Rows(rows));
     let (chunks, stats) = execute_chunks(plan, db, &ExecOptions::serial()).unwrap();
     let built = stats.materialized();
     let mut got = Vec::new();
     put_rows_from_chunks(&mut got, &chunks, &stats).unwrap();
-    assert!(
-        got == expect,
-        "chunk encoding differs from the tuple encoding on {label}"
-    );
     assert_eq!(
         stats.materialized(),
         built,
         "the encoder built tuples on {label}"
     );
+    assert_eq!(
+        decode_response(&got).unwrap(),
+        Response::Rows(rows),
+        "chunk encoding decodes to other rows on {label}"
+    );
+    let (_, pools) = block_layout(&got);
+    assert!(pools.iter().all(|(len, pool)| pool <= len), "{label}");
 }
 
 /// Every statement of the FRQL catalogue, naive and optimized, and every
 /// producer of row chunks — joins, `Extend`, aggregates, a union of two
 /// shapes, an empty result, partitions of partial shapes and index
-/// lookups — encodes identically from chunks and from tuples.
+/// lookups — decodes to the same rows from chunks and from tuples.
 #[test]
-fn chunk_encoder_writes_the_tuple_encoders_bytes() {
+fn chunk_encoder_and_tuple_encoder_agree_on_rows() {
     let db = employee_db(600, 11);
     for frql in [
         "SELECT * FROM employee",
@@ -497,15 +539,59 @@ fn chunk_encoder_writes_the_tuple_encoders_bytes() {
     for plan in plans {
         assert_chunk_encoding_matches(&db, &plan, &plan.to_string());
     }
+
+    // Storage holds multisets, so a result can repeat the empty tuple: a
+    // zero-arity block carries one row, and a partition of the empty shape
+    // is written as one block per row.
+    let db = Database::new();
+    db.create_relation(RelationDef::new("opt", FlexScheme::optional("a")))
+        .unwrap();
+    for t in [Tuple::empty(), Tuple::new().with("a", 1), Tuple::empty()] {
+        db.insert("opt", t).unwrap();
+    }
+    let scan = LogicalPlan::scan("opt");
+    let (rows, _) = execute_collect(&scan, &db, &ExecOptions::serial()).unwrap();
+    assert_eq!(rows.iter().filter(|t| t.is_empty()).count(), 2);
+    assert_chunk_encoding_matches(&db, &scan, "two empty tuples");
+}
+
+/// A selective filter over a many-valued string column (`name`, one value
+/// per employee): each block's pool holds the selected rows' names only,
+/// not every name stored in the segment.
+#[test]
+fn a_selective_filter_sends_only_the_selected_strings() {
+    let db = employee_db(600, 11);
+    let plan = plan_query(
+        &parse("SELECT * FROM employee WHERE salary > 9000").unwrap(),
+        &db.catalog(),
+    )
+    .unwrap();
+    let (chunks, stats) = execute_chunks(&plan, &db, &ExecOptions::serial()).unwrap();
+    let mut payload = Vec::new();
+    put_rows_from_chunks(&mut payload, &chunks, &stats).unwrap();
+    let Response::Rows(rows) = decode_response(&payload).unwrap() else {
+        panic!("a query answered with something else");
+    };
+    assert!(
+        !rows.is_empty() && rows.len() < 600 / 4,
+        "{} rows",
+        rows.len()
+    );
+    let (blocks, pools) = block_layout(&payload);
+    assert_eq!(blocks as usize, chunks.len());
+    assert!(pools.iter().all(|(len, pool)| pool <= len), "{pools:?}");
+    // `name` is unique, so its pool is exactly its block's rows.
+    assert!(pools.iter().any(|(len, pool)| pool == len && *len > 1));
 }
 
 /// The server's path for the benchmark's scan — statement to chunks to
-/// reply bytes — builds no tuple at all, and still writes the tuple
-/// encoder's bytes.
+/// reply bytes — builds no tuple at all, writes one block per chunk where
+/// the tuple encoder writes one for the whole run, and decodes to the
+/// tuple encoder's rows.
 #[test]
 fn the_wire_scan_path_materializes_nothing() {
     let db = Database::new();
-    seed_wide(&db, 2_000, 8, 0.8).unwrap();
+    seed_wide(&db, 8_000, 8, 0.8).unwrap();
     let frql = "SELECT * FROM wide WHERE kind = 'k0'";
     let StatementOutcome::Rows((chunks, stats)) =
         run_statement_chunks(&db, frql, &ExecOptions::serial()).unwrap()
@@ -515,13 +601,16 @@ fn the_wire_scan_path_materializes_nothing() {
     let mut got = Vec::new();
     put_rows_from_chunks(&mut got, &chunks, &stats).unwrap();
     assert_eq!(stats.materialized(), 0);
-    assert!(stats.chunks() >= 1);
+    assert!(stats.chunks() > 1);
     let StatementOutcome::Rows(rows) = run_statement(&db, frql, &ExecOptions::serial()).unwrap()
     else {
         panic!("a query answered with a plan");
     };
     assert!(!rows.is_empty());
-    assert!(got == encode_response(&Response::Rows(rows)));
+    let tuple_encoded = encode_response(&Response::Rows(rows.clone()));
+    assert_eq!(block_layout(&got).0 as u64, stats.chunks());
+    assert_eq!(block_layout(&tuple_encoded).0, 1);
+    assert_eq!(decode_response(&got).unwrap(), Response::Rows(rows));
 }
 
 /// A deadline that has passed by the time the reply is encoded ends the

@@ -2,11 +2,13 @@
 //!
 //! The codec half mirrors the WAL record suite in `durability_recovery.rs`:
 //! arbitrary requests and responses — including result rows over shapes
-//! past the 64-attribute inline `AttrSet` words and dictionary-encoded
-//! strings — round trip bit-identically through the
-//! CRC-checked framing, byte-dribbled reads reassemble, and truncation or
-//! single-byte corruption yields a typed [`WireError`], never a panic and
-//! never silently the original message.
+//! past the 64-attribute inline `AttrSet` words, same-shape runs whose
+//! columns mix value kinds, and rows of the empty shape — round trip
+//! bit-identically through the CRC-checked framing, byte-dribbled reads
+//! reassemble, and truncation, single-byte corruption, malformed shape
+//! blocks or forged counts yield a typed [`WireError`], never a panic and
+//! never silently the original message.  One golden fixture pins the bytes
+//! of protocol version 2.
 //!
 //! The server half pins down the conversation rules that make client-side
 //! pipelining sound: in-order responses, deterministic `Busy` under a zero
@@ -16,6 +18,8 @@
 //! the index and through the scan fallback, inside a batch and beside a
 //! reader.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -33,7 +37,7 @@ use flexrel_server::proto::{
     FrameReader, FrameWriter, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
 };
 use flexrel_server::{seed_wide, Server, ServerConfig};
-use flexrel_storage::codec::put_frame;
+use flexrel_storage::codec::{put_attrs, put_frame, put_u32, put_value};
 use flexrel_storage::Database;
 use flexrel_tests::partial_key_db;
 
@@ -50,17 +54,20 @@ fn arb_row(rng: &mut TestRng, max_attrs: usize) -> Tuple {
     let mut t = Tuple::new();
     for _ in 0..n {
         let a = format!("a{:02}", rng.next_u64() % 90);
-        let v = match rng.next_u64() % 6 {
-            0 => Value::from(rng.next_u64() as i64 % 10_000),
-            1 => Value::from((rng.next_u64() % 1000) as f64 / 8.0),
-            2 => Value::from(format!("s{}", rng.next_u64() % 50)),
-            3 => Value::tag(format!("t{}", rng.next_u64() % 20)),
-            4 => Value::from(rng.next_u64().is_multiple_of(2)),
-            _ => Value::Null,
-        };
-        t.insert(a, v);
+        t.insert(a, arb_value(rng));
     }
     t
+}
+
+fn arb_value(rng: &mut TestRng) -> Value {
+    match rng.next_u64() % 6 {
+        0 => Value::from(rng.next_u64() as i64 % 10_000),
+        1 => Value::from((rng.next_u64() % 1000) as f64 / 8.0),
+        2 => Value::from(format!("s{}", rng.next_u64() % 50)),
+        3 => Value::tag(format!("t{}", rng.next_u64() % 20)),
+        4 => Value::from(rng.next_u64().is_multiple_of(2)),
+        _ => Value::Null,
+    }
 }
 
 /// A tuple guaranteed to spill past the 64-attribute inline representation.
@@ -71,6 +78,35 @@ fn big_row() -> Tuple {
     }
     assert!(t.attrs().len() > 64);
     t
+}
+
+/// A run of 1–300 rows over one shape, each column mixing value kinds its
+/// own way: all integers, all floats, a palette of three values of three
+/// kinds (an integer beside a string beside a null) that often repeat from
+/// row to row, or fresh values of every kind.  Between them these exercise
+/// every column kind of a block and the run-length dictionary pool.
+fn arb_run(rng: &mut TestRng) -> Vec<Tuple> {
+    let width = 1 + (rng.next_u64() as usize) % 6;
+    let columns: Vec<(String, u64)> = (0..width)
+        .map(|_| (format!("a{:02}", rng.next_u64() % 90), rng.next_u64() % 4))
+        .collect();
+    let palette = [Value::from(7i64), Value::from("seven"), Value::Null];
+    let len = 1 + (rng.next_u64() as usize) % 300;
+    (0..len)
+        .map(|_| {
+            let mut t = Tuple::new();
+            for (name, mix) in &columns {
+                let v = match mix {
+                    0 => Value::from(rng.next_u64() as i64 % 1_000),
+                    1 => Value::from((rng.next_u64() % 1_000) as f64 / 8.0),
+                    2 => palette[(rng.next_u64() as usize) % 3].clone(),
+                    _ => arb_value(rng),
+                };
+                t.insert(name.as_str(), v);
+            }
+            t
+        })
+        .collect()
 }
 
 fn arb_request(rng: &mut TestRng) -> Request {
@@ -128,10 +164,29 @@ fn arb_response(rng: &mut TestRng) -> Response {
             session: rng.next_u64(),
         },
         1 => {
-            let n = (rng.next_u64() as usize) % 8;
-            let mut rows: Vec<Tuple> = (0..n).map(|_| arb_row(rng, 80)).collect();
+            let mut rows = Vec::new();
             if rng.next_u64().is_multiple_of(2) {
-                rows.push(big_row());
+                // Up to 7 lone rows of fresh shapes, then perhaps a spilled
+                // one; often empty.
+                for _ in 0..rng.next_u64() % 8 {
+                    rows.push(arb_row(rng, 80));
+                }
+                if rng.next_u64().is_multiple_of(2) {
+                    rows.push(big_row());
+                }
+            } else {
+                // Same-shape runs between lone rows.
+                for _ in 0..1 + rng.next_u64() % 4 {
+                    match rng.next_u64() % 3 {
+                        0 => rows.push(arb_row(rng, 80)),
+                        _ => rows.extend(arb_run(rng)),
+                    }
+                }
+            }
+            // Rows of the empty shape: zero-arity blocks of one row each.
+            for _ in 0..rng.next_u64() % 3 {
+                let at = (rng.next_u64() as usize) % (rows.len() + 1);
+                rows.insert(at, Tuple::empty());
             }
             Response::Rows(rows)
         }
@@ -429,11 +484,24 @@ proptest! {
         padded.push(0xFF);
         prop_assert!(decode_request(&padded).is_err(), "trailing byte accepted");
 
+        // Every prefix of a response up to 16 KiB — which covers every
+        // reply of lone rows (at most 7 × 80 attributes of ≤ 24 bytes each,
+        // shape table included, plus a spilled row's 70 × 16) — and a
+        // sample of a larger one's, where several long runs would make the
+        // exhaustive check quadratic in tens of kilobytes.
         let rsp = arb_response(&mut rng);
         let payload = encode_response(&rsp);
-        for cut in 0..payload.len() {
+        let cuts: Vec<usize> = if payload.len() <= 16 * 1024 {
+            (0..payload.len()).collect()
+        } else {
+            (0..512).map(|_| (rng.next_u64() as usize) % payload.len()).collect()
+        };
+        for cut in cuts {
             prop_assert!(decode_response(&payload[..cut]).is_err(), "prefix {} decoded", cut);
         }
+        let mut padded = payload.clone();
+        padded.push(0xFF);
+        prop_assert!(decode_response(&padded).is_err(), "trailing byte accepted");
     }
 }
 
@@ -477,6 +545,248 @@ fn special_floats_round_trip_bit_exact() {
         };
         assert_eq!(a.to_bits(), b.to_bits(), "float bits changed on the wire");
     }
+
+    // A column mixing kinds is dictionary-coded with one pool entry per
+    // change from the row above; `0.0` beside `-0.0` and a NaN beside
+    // itself must not be merged by IEEE `==` (which calls them equal and
+    // unequal respectively).
+    let mixed = [
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Float(f64::NAN),
+        Value::Float(f64::NAN),
+        Value::Float(-f64::NAN),
+        Value::str("not a float"),
+        Value::Float(-0.0),
+    ];
+    let rows: Vec<Tuple> = mixed
+        .iter()
+        .map(|v| Tuple::new().with("x", v.clone()))
+        .collect();
+    let Response::Rows(decoded) =
+        decode_response(&encode_response(&Response::Rows(rows.clone()))).unwrap()
+    else {
+        panic!("Rows decoded as a different message");
+    };
+    let bits = |rows: &[Tuple]| -> Vec<Option<u64>> {
+        rows.iter()
+            .map(|t| match t.get_name("x") {
+                Some(Value::Float(f)) => Some(f.to_bits()),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(
+        bits(&decoded),
+        bits(&rows),
+        "a mixed column lost float bits"
+    );
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Protocol version 2, pinned: a four-row reply over two shapes whose
+/// first shape's run is broken by the second, with one column of each
+/// kind — `f` FLOAT, `n` INT, `s` DICT (two equal neighbours share a pool
+/// entry) and the tag column `t` DICT.  Any change to the format fails
+/// here.
+#[test]
+fn a_small_reply_encodes_to_the_pinned_bytes() {
+    let rows = vec![
+        Tuple::new().with("n", 1).with("f", 0.5).with("s", "a"),
+        Tuple::new().with("n", 2).with("f", 1.5).with("s", "a"),
+        Tuple::new().with("t", Value::tag("x")),
+        Tuple::new().with("n", 3).with("f", 2.5).with("s", "b"),
+    ];
+    const GOLDEN: &str = concat!(
+        "82",                                           // Rows
+        "02000000",                                     // two shapes
+        "03000000 01000000 66 01000000 6e 01000000 73", // {f, n, s}
+        "01000000 01000000 74",                         // {t}
+        "04000000",                                     // four rows
+        "03000000",                                     // in three blocks
+        "00000000 02000000",                            // block: shape 0, two rows
+        "01 000000000000e03f 000000000000f83f",         // f FLOAT 0.5, 1.5
+        "00 0100000000000000 0200000000000000",         // n INT 1, 2
+        "02 01000000 02 01000000 61 00000000 00000000", // s DICT ["a"], codes 0 0
+        "01000000 01000000",                            // block: shape 1, one row
+        "02 01000000 04 01000000 78 00000000",          // t DICT ['x'], code 0
+        "00000000 01000000",                            // block: shape 0, one row
+        "01 0000000000000440",                          // f FLOAT 2.5
+        "00 0300000000000000",                          // n INT 3
+        "02 01000000 02 01000000 62 00000000",          // s DICT ["b"], code 0
+    );
+    let payload = encode_response(&Response::Rows(rows.clone()));
+    assert_eq!(hex(&payload), GOLDEN.replace(' ', ""));
+    assert_eq!(decode_response(&payload).unwrap(), Response::Rows(rows));
+}
+
+/// Counts the bytes each thread allocates, so a test can bound what a
+/// decoder allocates for a forged payload.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// A hand-built `Rows` payload: the shape table of `shapes`, `n_rows`,
+/// `n_blocks`, then `blocks` verbatim.
+fn rows_payload(shapes: &[AttrSet], n_rows: u32, n_blocks: u32, blocks: &[Vec<u8>]) -> Vec<u8> {
+    let mut p = vec![0x82];
+    put_u32(&mut p, shapes.len() as u32);
+    for s in shapes {
+        put_attrs(&mut p, s);
+    }
+    put_u32(&mut p, n_rows);
+    put_u32(&mut p, n_blocks);
+    blocks.iter().for_each(|b| p.extend_from_slice(b));
+    p
+}
+
+/// A block: `[slot][len]`, then the columns' bytes.
+fn block(slot: u32, len: u32, cols: &[Vec<u8>]) -> Vec<u8> {
+    let mut b = Vec::new();
+    put_u32(&mut b, slot);
+    put_u32(&mut b, len);
+    cols.iter().for_each(|c| b.extend_from_slice(c));
+    b
+}
+
+fn int_col(xs: &[i64]) -> Vec<u8> {
+    let mut c = vec![0];
+    xs.iter()
+        .for_each(|x| c.extend_from_slice(&x.to_le_bytes()));
+    c
+}
+
+fn dict_col(pool: &[Value], codes: &[u32]) -> Vec<u8> {
+    let mut c = vec![2];
+    put_u32(&mut c, pool.len() as u32);
+    pool.iter().for_each(|v| put_value(&mut c, v));
+    codes.iter().for_each(|k| put_u32(&mut c, *k));
+    c
+}
+
+/// Malformed blocks are typed `Corrupt` errors, never panics: a code past
+/// its pool, a pool longer than its block, an unknown column kind, a
+/// column cut short, a shape slot out of range, block lengths that do not
+/// add up to the row count, and a zero-arity block of more than one row
+/// (such a block costs no bytes per row).  A forged 64-byte payload that
+/// declares 2³²−1 rows fails before allocating for them.
+#[test]
+fn malformed_blocks_are_typed_errors() {
+    let a = [attrs!["a"]];
+    let five = [Value::from(5i64)];
+    let decode = |p: &[u8]| decode_response(p);
+    let ok = rows_payload(&a, 2, 1, &[block(0, 2, &[int_col(&[1, 2])])]);
+    assert_eq!(
+        decode(&ok).unwrap(),
+        Response::Rows(vec![Tuple::new().with("a", 1), Tuple::new().with("a", 2)])
+    );
+    let two_empty = rows_payload(
+        &[AttrSet::empty()],
+        2,
+        2,
+        &[block(0, 1, &[]), block(0, 1, &[])],
+    );
+    assert_eq!(
+        decode(&two_empty).unwrap(),
+        Response::Rows(vec![Tuple::empty(), Tuple::empty()])
+    );
+
+    let cases = [
+        (
+            "code past the pool",
+            rows_payload(&a, 2, 1, &[block(0, 2, &[dict_col(&five, &[0, 1])])]),
+        ),
+        (
+            "pool longer than the block",
+            rows_payload(
+                &a,
+                1,
+                1,
+                &[block(0, 1, &[dict_col(&[Value::Null, Value::Null], &[0])])],
+            ),
+        ),
+        (
+            "unknown column kind",
+            rows_payload(&a, 1, 1, &[block(0, 1, &[vec![9; 9]])]),
+        ),
+        (
+            "INT column cut short",
+            rows_payload(&a, 3, 1, &[block(0, 3, &[int_col(&[1, 2])])]),
+        ),
+        (
+            "codes cut short",
+            rows_payload(&a, 2, 1, &[block(0, 2, &[dict_col(&five, &[0])])]),
+        ),
+        (
+            "shape slot out of range",
+            rows_payload(&a, 1, 1, &[block(1, 1, &[int_col(&[1])])]),
+        ),
+        (
+            "blocks short of n_rows",
+            rows_payload(&a, 3, 1, &[block(0, 2, &[int_col(&[1, 2])])]),
+        ),
+        (
+            "block past n_rows",
+            rows_payload(&a, 1, 1, &[block(0, 2, &[int_col(&[1, 2])])]),
+        ),
+        (
+            "no block for a row",
+            rows_payload(&a, 1, 0, &[int_col(&[1])]),
+        ),
+        (
+            "zero-arity block of two rows",
+            rows_payload(&[AttrSet::empty()], 2, 1, &[block(0, 2, &[]), vec![0; 8]]),
+        ),
+    ];
+    for (label, payload) in cases {
+        assert!(
+            matches!(decode(&payload), Err(WireError::Corrupt(_))),
+            "{label}: {:?}",
+            decode(&payload)
+        );
+    }
+
+    let mut forged = rows_payload(&a, u32::MAX, 1, &[block(0, u32::MAX, &[vec![0]])]);
+    forged.resize(64, 0);
+    let before = ALLOCATED.with(Cell::get);
+    let result = decode(&forged);
+    let allocated = ALLOCATED.with(Cell::get) - before;
+    assert!(matches!(result, Err(WireError::Corrupt(_))), "{result:?}");
+    assert!(
+        allocated <= 16 * forged.len(),
+        "{allocated} bytes allocated decoding a {}-byte payload",
+        forged.len()
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -603,9 +913,17 @@ fn hello_violations_are_protocol_errors() {
         other => panic!("duplicate Hello accepted: {:?}", other),
     }
 
-    // Wrong version at the handshake, over a raw socket.
+    // Wrong version at the handshake.
+    assert_handshake_refused(&server, 999);
+
+    server.shutdown();
+}
+
+/// Opens a raw socket, says Hello with `version`, and asserts the server
+/// answers with a typed `Protocol` error.
+fn assert_handshake_refused(server: &Server, version: u32) {
     let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    flexrel_server::write_request(&mut stream, &Request::Hello { version: 999 }).unwrap();
+    flexrel_server::write_request(&mut stream, &Request::Hello { version }).unwrap();
     let mut reader = FrameReader::new();
     let payload = match reader.recv(&mut stream).unwrap() {
         Recv::Message(p) => p,
@@ -613,9 +931,18 @@ fn hello_violations_are_protocol_errors() {
     };
     match decode_response(payload).unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-        other => panic!("wrong version accepted: {:?}", other),
+        other => panic!("version {} accepted: {:?}", version, other),
     }
+}
 
+/// A client of the row-major version 1 format cannot read shape blocks, so
+/// its Hello is refused at the handshake rather than its first reply
+/// misread.
+#[test]
+fn a_version_1_client_is_refused_at_the_handshake() {
+    assert_eq!(PROTOCOL_VERSION, 2);
+    let server = boot(ServerConfig::default(), 16);
+    assert_handshake_refused(&server, 1);
     server.shutdown();
 }
 
