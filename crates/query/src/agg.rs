@@ -24,7 +24,9 @@
 //! sums reproducible, [`Acc`] accumulates integer and float contributions
 //! separately: integer addition wraps (order-independent) and float
 //! contributions are added in row order, so the kernels match the row fold
-//! exactly as long as they fold each group's rows in storage order.
+//! exactly as long as they fold each group's rows in storage order — with
+//! "group" read under [`Value`]'s total order, which is how the groups are
+//! keyed: `Int 1` and `Float 1.0` are one group, and their rows interleave.
 
 use std::collections::BTreeMap;
 
@@ -131,6 +133,25 @@ impl Acc {
                 *any = true;
             }
             _ => unreachable!("add_int_sum is a SUM-only fast path"),
+        }
+    }
+
+    /// Bulk float-`SUM` update over a non-empty run of rows, added one by
+    /// one in the order given — the row order of the element-wise fold, so
+    /// the result is bit-identical to it.  Only valid on `SUM`.
+    pub fn add_floats(&mut self, xs: impl IntoIterator<Item = f64>) {
+        match self {
+            Acc::Sum {
+                float,
+                saw_float,
+                any,
+                ..
+            } => {
+                *float = xs.into_iter().fold(*float, |s, x| s + x);
+                *saw_float = true;
+                *any = true;
+            }
+            _ => unreachable!("add_floats is a SUM-only fast path"),
         }
     }
 

@@ -16,9 +16,13 @@
 //! 2. **Vectorized comparison.**  What remains is a tree over column
 //!    comparisons ([`flexrel_storage::ColCmp`]): each leaf evaluates one
 //!    kernel over a 1024-slot segment into a [`SelVec`] selection bitmap,
-//!    and the boolean structure combines bitmaps word-at-a-time.
+//!    and the boolean structure combines bitmaps word-at-a-time.  A leaf on
+//!    a dictionary column whose pool passes or fails as a whole (a
+//!    one-entry pool) decides the segment without reading a row.
 //! 3. **Late materialization.**  Only the rows whose selection bit survives
-//!    (masked by the segment's live bitmap) are materialized into [`Tuple`]s.
+//!    (masked by the segment's live bitmap) are materialized into [`Tuple`]s,
+//!    and an aggregate materializes none: [`aggregate_selected`] folds the
+//!    selection words straight into [`GroupedAggs`].
 //!
 //! The result is bit-for-bit the row semantics: `compile` mirrors
 //! [`Predicate::eval`] exactly (including the "comparison on a missing
@@ -27,6 +31,8 @@
 //! check against per-tuple evaluation.
 //!
 //! [`ShapePredicate`]: crate::logical::ShapePredicate
+
+use std::collections::BTreeMap;
 
 use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::Attr;
@@ -183,18 +189,19 @@ pub fn compile(preds: &[Predicate], heap: &ColumnHeap) -> Compiled {
 
 /// One aggregate's columnar execution plan against one segment: resolved
 /// once per segment (column representations are per segment), then applied
-/// to every row run of that segment.
+/// to every group's selection within it.
 enum ColAgg {
     /// `COUNT(*)`, and `COUNT(x)` with `x` in the shape: columns are dense
-    /// (shape membership *is* presence), so the count is the run length.
-    CountRun,
+    /// (shape membership *is* presence), so the count is a popcount.
+    Count,
     /// The input attribute is outside this partition's shape — the
     /// aggregate sees nothing here (`COUNT(x)` contributes 0).
     Skip,
-    /// `SUM` over a plain integer column: wrapping partial sums per run.
+    /// `SUM` over a plain integer column: a wrapping sum per run of
+    /// selected rows, straight over the column slice.
     SumInt(usize),
-    /// `SUM` over a plain float column: element-wise adds in row order (the
-    /// order the row-wise reference fold would use).
+    /// `SUM` over a plain float column: the runs' elements added in row
+    /// order (the order the row-wise reference fold would use).
     SumFloat(usize),
     /// `MIN`/`MAX` over any column, and `SUM` over a dictionary column
     /// (mixed-kind segments can hold numerics behind codes): per-row
@@ -206,13 +213,13 @@ fn col_agg_plan(aggs: &[AggExpr], heap: &ColumnHeap, seg: &ColumnSegment) -> Vec
     aggs.iter()
         .map(|a| {
             let Some(input) = &a.input else {
-                return ColAgg::CountRun;
+                return ColAgg::Count;
             };
             let Some(col) = heap.col_index(input.name()) else {
                 return ColAgg::Skip;
             };
             match (a.func, seg.col_kind(col)) {
-                (AggFunc::Count, _) => ColAgg::CountRun,
+                (AggFunc::Count, _) => ColAgg::Count,
                 (AggFunc::Sum, ColKind::Int) => ColAgg::SumInt(col),
                 (AggFunc::Sum, ColKind::Float) => ColAgg::SumFloat(col),
                 _ => ColAgg::FoldValues(col),
@@ -221,61 +228,90 @@ fn col_agg_plan(aggs: &[AggExpr], heap: &ColumnHeap, seg: &ColumnSegment) -> Vec
         .collect()
 }
 
-/// Folds one run of selected rows (ascending row order) of a segment into a
-/// group's accumulators.
-fn fold_run(seg: &ColumnSegment, rows: &[u32], plan: &[ColAgg], accs: &mut [Acc]) {
-    if rows.is_empty() {
-        return;
-    }
+/// Folds one group's non-empty selection of a segment into its
+/// accumulators, walking the selection's words: `COUNT` is a popcount and
+/// the sums run over maximal runs of selected rows, so a dense selection
+/// costs one slice pass per aggregate, not one step per row.
+fn fold_selection(seg: &ColumnSegment, sel: &SelVec, plan: &[ColAgg], accs: &mut [Acc]) {
     for (op, acc) in plan.iter().zip(accs.iter_mut()) {
         match op {
-            ColAgg::CountRun => acc.add_count(rows.len() as i64),
+            ColAgg::Count => acc.add_count(sel.count() as i64),
             ColAgg::Skip => {}
             ColAgg::SumInt(c) => {
                 let xs = seg.int_slice(*c).expect("plan resolved an int column");
-                let partial = rows
-                    .iter()
-                    .fold(0i64, |s, &r| s.wrapping_add(xs[r as usize]));
+                let partial = sel.runs().fold(0i64, |s, run| {
+                    xs[run].iter().fold(s, |s, x| s.wrapping_add(*x))
+                });
                 acc.add_int_sum(partial);
             }
             ColAgg::SumFloat(c) => {
                 let xs = seg.float_slice(*c).expect("plan resolved a float column");
-                for &r in rows {
-                    acc.add_value(&Value::Float(xs[r as usize]));
+                for run in sel.runs() {
+                    acc.add_floats(xs[run].iter().copied());
                 }
             }
             ColAgg::FoldValues(c) => {
-                for &r in rows {
-                    acc.add_value(&seg.value_at(*c, r as usize));
+                for r in sel.iter() {
+                    acc.add_value(&seg.value_at(*c, r));
                 }
             }
         }
     }
 }
 
+/// The groups of one segment's selection: each group's key and the
+/// selection of its rows, in first-row order.  Keys are merged under the
+/// total order — the order [`GroupedAggs`] keys its groups by — so values
+/// that tie under it (`Int 1` and `Float 1.0`) share one selection and
+/// their rows fold in row order, exactly as the row-wise fold sees them.
+struct SegmentGroups {
+    slots: BTreeMap<Tuple, usize>,
+    groups: Vec<(Tuple, SelVec)>,
+}
+
+impl SegmentGroups {
+    fn new() -> Self {
+        SegmentGroups {
+            slots: BTreeMap::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// The slot of `key`'s group, opened on first sight.
+    fn slot(&mut self, key: Tuple) -> usize {
+        if let Some(s) = self.slots.get(&key) {
+            return *s;
+        }
+        self.groups.push((key.clone(), SelVec::none()));
+        self.slots.insert(key, self.groups.len() - 1);
+        self.groups.len() - 1
+    }
+}
+
 /// Folds one segment's selected rows directly into grouped aggregation
 /// state — the columnar aggregation kernel.  No input tuple is ever
-/// materialized: `COUNT` is a popcount, integer `SUM` runs over the raw
-/// column slice, and `GROUP BY` on a dictionary-encoded column buckets rows
-/// by dictionary code, building one key tuple per *distinct group* rather
-/// than per row.
+/// materialized: rows are split into one selection per group, and each
+/// group's selection folds through one word-walking kernel.  `GROUP BY` on a
+/// dictionary-encoded column builds one key tuple per *distinct code*, not
+/// per row, and a one-entry dictionary — a segment holding one group, as a
+/// shape partition under an EAD determinant does — is decided once per
+/// segment: the whole selection is that group, and no code is read.
 ///
 /// `sel` must already be masked by the segment's live bitmap (as
 /// [`Compiled::select`] guarantees).  Partitions whose shape lacks a
 /// grouping attribute contribute no rows — grouping is a type guard — and
 /// aggregates whose input attribute is outside the shape see no input from
 /// this partition; both checks are shape-level constants here, never
-/// per-row tests.  The fold visits rows in storage order, so the result is
-/// bit-for-bit the row-wise [`GroupedAggs::add_tuple`] fold.
+/// per-row tests.  Each group's rows fold in storage order, so the result
+/// is bit-for-bit the row-wise [`GroupedAggs::add_tuple`] fold.
 pub fn aggregate_selected(heap: &ColumnHeap, si: usize, sel: &SelVec, state: &mut GroupedAggs) {
     if sel.is_empty() || !state.group_by().is_subset(heap.shape()) {
         return;
     }
     let seg = heap.segment(si).expect("segment index in range");
     let plan = col_agg_plan(state.aggs(), heap, seg);
-    let rows: Vec<u32> = sel.iter().map(|r| r as u32).collect();
     if state.group_by().is_empty() {
-        fold_run(seg, &rows, &plan, state.group_accs(Tuple::empty()));
+        fold_selection(seg, sel, &plan, state.group_accs(Tuple::empty()));
         return;
     }
     // Grouping columns in canonical attribute order (subset of the shape,
@@ -286,51 +322,43 @@ pub fn aggregate_selected(heap: &ColumnHeap, si: usize, sel: &SelVec, state: &mu
         .filter(|a| state.group_by().contains(a))
         .map(|a| (a.clone(), heap.col_index(a.name()).expect("attr in shape")))
         .collect();
-    // Fast path: a single dictionary-encoded grouping column.  Bucket the
-    // selected rows by code and touch each group once per segment.
-    if let [(attr, gcol)] = &group_cols[..] {
-        if let Some((codes, vals)) = seg.dict_parts(*gcol) {
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); vals.len()];
-            for &r in &rows {
-                buckets[codes[r as usize] as usize].push(r);
+    let mut groups = SegmentGroups::new();
+    match (
+        &group_cols[..],
+        group_cols.first().and_then(|(_, c)| seg.dict_parts(*c)),
+    ) {
+        ([(attr, _)], Some((_, [only]))) => {
+            groups
+                .groups
+                .push((Tuple::new().with(attr.clone(), only.clone()), *sel));
+        }
+        ([(attr, _)], Some((codes, vals))) => {
+            // One key per distinct code, then one bit per row.
+            let mut slot_of = vec![usize::MAX; vals.len()];
+            for r in sel.iter() {
+                let code = codes[r] as usize;
+                if slot_of[code] == usize::MAX {
+                    slot_of[code] =
+                        groups.slot(Tuple::new().with(attr.clone(), vals[code].clone()));
+                }
+                groups.groups[slot_of[code]].1.set(r);
             }
-            // Visit groups in first-row order so key ties under the total
-            // order (e.g. Int 1 vs Float 1.0 in a mixed segment) resolve
-            // exactly as the row-order fold would.
-            let mut order: Vec<usize> = (0..buckets.len())
-                .filter(|c| !buckets[*c].is_empty())
-                .collect();
-            order.sort_by_key(|c| buckets[*c][0]);
-            for c in order {
-                let key = Tuple::new().with(attr.clone(), vals[c].clone());
-                fold_run(seg, &buckets[c], &plan, state.group_accs(key));
+        }
+        // Multi-attribute or non-dictionary grouping: the key per row from
+        // the grouping columns alone — still no full-row materialization.
+        _ => {
+            for r in sel.iter() {
+                let mut key = Tuple::new();
+                for (a, c) in &group_cols {
+                    key.insert(a.clone(), seg.value_at(*c, r));
+                }
+                let s = groups.slot(key);
+                groups.groups[s].1.set(r);
             }
-            return;
         }
     }
-    // General path (multi-attribute or non-dictionary grouping): build the
-    // key per row from the grouping columns alone — still no full-row
-    // materialization.
-    for &r in &rows {
-        let mut key = Tuple::new();
-        for (a, c) in &group_cols {
-            key.insert(a.clone(), seg.value_at(*c, r as usize));
-        }
-        fold_run(seg, &[r], &plan, state.group_accs(key));
-    }
-}
-
-/// Runs a compiled predicate over every segment of a partition, folding the
-/// qualifying rows into the aggregation state — the partition-level driver
-/// of [`aggregate_selected`].
-pub fn aggregate_partition(heap: &ColumnHeap, compiled: &Compiled, state: &mut GroupedAggs) {
-    if compiled.is_never() || !state.group_by().is_subset(heap.shape()) {
-        return;
-    }
-    for si in 0..heap.segment_count() {
-        let seg = heap.segment(si).expect("segment index in range");
-        let sel = compiled.select(seg);
-        aggregate_selected(heap, si, &sel, state);
+    for (key, group_sel) in groups.groups {
+        fold_selection(seg, &group_sel, &plan, state.group_accs(key));
     }
 }
 
@@ -483,7 +511,10 @@ mod tests {
                 for p in &parts {
                     let heap = p.columns();
                     let compiled = compile(preds, heap);
-                    aggregate_partition(heap, &compiled, &mut fast);
+                    for si in 0..heap.segment_count() {
+                        let sel = compiled.select(heap.segment(si).unwrap());
+                        aggregate_selected(heap, si, &sel, &mut fast);
+                    }
                 }
                 let mut expect = naive.finish();
                 let mut got = fast.finish();

@@ -82,9 +82,7 @@ pub mod statement;
 
 pub use agg::{Acc, GroupedAggs};
 pub use batch::{Chunk, ColChunk, ExecStats};
-pub use colscan::{
-    aggregate_partition, aggregate_selected, compile as compile_predicates, Compiled,
-};
+pub use colscan::{aggregate_selected, compile as compile_predicates, Compiled};
 pub use exec::{
     execute, execute_chunks, execute_collect, execute_stream, execute_stream_with, execute_with,
     plan_attrs, ExecOptions, TupleStream,

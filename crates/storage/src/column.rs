@@ -32,8 +32,12 @@
 //! Predicates evaluate column-at-a-time into [`SelVec`] selection bitmaps
 //! (one bit per slot): [`ColumnSegment::cmp_bitmap`] runs one comparison
 //! kernel over a column — a tight `i64`/`f64` loop for numeric columns, a
-//! pool-sized pass table followed by a code loop for dictionary columns —
-//! and the caller combines bitmaps with word-parallel `AND`/`OR`/`NOT`.
+//! pool-sized pass table followed by a code loop for dictionary columns,
+//! skipped when the pool decides the whole segment — and the caller
+//! combines bitmaps with word-parallel `AND`/`OR`/`NOT`.  Kernels that
+//! consume a selection walk its words: [`SelVec::count`] is a popcount and
+//! [`SelVec::runs`] yields the maximal runs of selected rows as slice
+//! ranges.
 //! Only the rows that survive selection are materialized into [`Tuple`]s
 //! (via the canonical-order fast path
 //! [`Tuple::from_shape_values`]); a [`TupleRef`] offers a zero-copy view
@@ -177,11 +181,53 @@ impl SelVec {
         self.words.iter().all(|w| *w == 0)
     }
 
-    /// The raw selection words (one bit per slot, little-endian within a
-    /// word).  Aggregation kernels walk these directly so a 64-row stretch
-    /// costs one branch when fully selected or fully masked.
-    pub fn words(&self) -> &[u64; SEGMENT_WORDS] {
-        &self.words
+    /// The selection of every slot where `pass` holds for `xs[slot]`, built
+    /// one 64-bit word at a time (slots past `xs.len()` stay unselected).
+    pub fn matching<T: Copy>(xs: &[T], pass: impl Fn(T) -> bool) -> Self {
+        let mut out = SelVec::none();
+        for (w, chunk) in out.words.iter_mut().zip(xs.chunks(64)) {
+            *w = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |bits, (i, x)| bits | (pass(*x) as u64) << i);
+        }
+        out
+    }
+
+    /// The selected rows as maximal runs of consecutive slots, in ascending
+    /// order.  A run may span words: a fully selected segment is one run, so
+    /// a kernel over a dense selection works on whole column slices.
+    pub fn runs(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let mut wi = 0;
+        let mut bits = self.words[0];
+        std::iter::from_fn(move || {
+            while bits == 0 {
+                wi += 1;
+                bits = *self.words.get(wi)?;
+            }
+            let tz = bits.trailing_zeros() as usize;
+            let start = wi * 64 + tz;
+            let ones = (bits >> tz).trailing_ones() as usize;
+            if tz + ones < 64 {
+                bits &= !(((1u64 << ones) - 1) << tz);
+                return Some(start..start + ones);
+            }
+            // The run reaches the end of its word: follow it into the next.
+            let mut end = (wi + 1) * 64;
+            loop {
+                wi += 1;
+                let Some(&w) = self.words.get(wi) else {
+                    bits = 0;
+                    return Some(start..end);
+                };
+                let lead = w.trailing_ones() as usize;
+                end += lead;
+                if lead < 64 {
+                    bits = w & !((1u64 << lead) - 1);
+                    return Some(start..end);
+                }
+            }
+        })
     }
 
     /// Iterates over the selected row numbers in ascending order.
@@ -393,52 +439,42 @@ impl ColumnSegment {
     }
 
     /// Evaluates `column <cmp> rhs` over every slot of the segment into a
-    /// selection vector (tombstoned slots may carry garbage bits; callers
-    /// mask with [`ColumnSegment::live_sel`]).  Numeric columns run a tight
-    /// scalar loop; dictionary columns evaluate the operator once per
-    /// *distinct pool value* and then test one `u32` per row.
+    /// selection vector (tombstoned slots and slots past the row count may
+    /// carry garbage bits; callers mask with [`ColumnSegment::live_sel`]).
+    /// Numeric columns build the selection 64 rows to a word; dictionary
+    /// columns evaluate the operator once per *distinct pool value*, and a
+    /// pool that passes or fails as a whole — a one-entry dictionary always
+    /// does — decides the segment without reading a code.
     pub fn cmp_bitmap(&self, col: usize, cmp: ColCmp, rhs: &Value) -> SelVec {
-        let mut out = SelVec::none();
         match (&self.cols[col], rhs) {
-            (Column::Int(xs), Value::Int(c)) => {
-                for (i, x) in xs.iter().enumerate() {
-                    if cmp.pass_i64(*x, *c) {
-                        out.set(i);
-                    }
-                }
-            }
-            (Column::Float(xs), Value::Float(c)) => {
-                for (i, x) in xs.iter().enumerate() {
-                    if cmp.pass_f64(*x, *c) {
-                        out.set(i);
-                    }
-                }
-            }
+            (Column::Int(xs), Value::Int(c)) => SelVec::matching(xs, |x| cmp.pass_i64(x, *c)),
+            (Column::Float(xs), Value::Float(c)) => SelVec::matching(xs, |x| cmp.pass_f64(x, *c)),
             (Column::Dict(d), rhs) => {
-                // One pass over the pool, then a code-compare loop.  For
-                // equality the pass table has at most one `true` entry (the
-                // pool is deduplicated), so this *is* code equality.
+                // For equality the pass table has at most one `true` entry
+                // (the pool is deduplicated), so the code loop *is* code
+                // equality.
                 let pass: Vec<bool> = d.pool.iter().map(|p| cmp.pass(p, rhs)).collect();
-                if pass.iter().any(|p| *p) {
-                    for (i, code) in d.codes.iter().enumerate() {
-                        if pass[*code as usize] {
-                            out.set(i);
-                        }
-                    }
+                if pass.iter().all(|p| *p) {
+                    SelVec::all()
+                } else if !pass.iter().any(|p| *p) {
+                    SelVec::none()
+                } else {
+                    SelVec::matching(&d.codes, |code| pass[code as usize])
                 }
             }
             // Cross-kind comparisons against a numeric column (e.g. an Int
             // column vs. a Float constant, or vs. a Str): fall back to the
             // row-at-a-time reference semantics per element.
             (col_ref, rhs) => {
+                let mut out = SelVec::none();
                 for i in 0..col_ref.len() {
                     if cmp.pass(&col_ref.value(i), rhs) {
                         out.set(i);
                     }
                 }
+                out
             }
         }
-        out
     }
 
     fn value(&self, col: usize, row: usize) -> Value {
@@ -1073,6 +1109,70 @@ mod tests {
         let mut o = SelVec::none();
         o.or(&sel);
         assert_eq!(o.count(), 6);
+    }
+
+    #[test]
+    fn selection_runs_are_the_maximal_runs_of_set_bits() {
+        let runs = |sel: &SelVec| sel.runs().collect::<Vec<_>>();
+        assert!(runs(&SelVec::none()).is_empty());
+        assert_eq!(runs(&SelVec::all()), vec![0..SEGMENT_SIZE]);
+        let mut sel = SelVec::none();
+        for row in [0, 2, 3, 63, 64, 65, 127, 128, 1023] {
+            sel.set(row);
+        }
+        (200..700).for_each(|r| sel.set(r));
+        assert_eq!(
+            runs(&sel),
+            vec![0..1, 2..4, 63..66, 127..129, 200..700, 1023..1024]
+        );
+        // Random patterns of every density: the runs cover exactly the set
+        // bits, in order, and no two of them touch.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for density in 0..=8u64 {
+            let mut sel = SelVec::none();
+            for row in 0..SEGMENT_SIZE {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state % 8 < density {
+                    sel.set(row);
+                }
+            }
+            let runs = runs(&sel);
+            let rows: Vec<usize> = runs.iter().cloned().flatten().collect();
+            assert_eq!(rows, sel.iter().collect::<Vec<_>>());
+            assert!(runs.iter().all(|r| !r.is_empty()));
+            assert!(runs.windows(2).all(|w| w[0].end < w[1].start));
+        }
+    }
+
+    #[test]
+    fn a_pool_that_passes_or_fails_whole_decides_the_segment() {
+        let mut h = heap_of(&tuple! {"k" => Value::tag("k0"), "n" => 0});
+        for i in 0..100i64 {
+            h.insert(&tuple! {"k" => Value::tag("k0"), "n" => i});
+        }
+        let seg = h.segment(0).unwrap();
+        let k = h.col_index("k").unwrap();
+        // A one-entry pool: every slot, past the row count too, is decided
+        // at once; the live mask brings the selection back to the rows.
+        let sel = seg.cmp_bitmap(k, ColCmp::Eq, &Value::tag("k0"));
+        assert_eq!(sel.count(), SEGMENT_SIZE);
+        let mut live = sel;
+        live.and(&seg.live_sel());
+        assert_eq!(live.count(), 100);
+        assert!(seg.cmp_bitmap(k, ColCmp::Ne, &Value::tag("k0")).is_empty());
+        assert!(seg.cmp_bitmap(k, ColCmp::Eq, &Value::str("k0")).is_empty());
+        // A multi-entry pool that passes as a whole is decided the same way.
+        let mut h = heap_of(&tuple! {"s" => Value::str("")});
+        for i in 0..100 {
+            h.insert(&tuple! {"s" => Value::str(format!("s{}", i % 3))});
+        }
+        let seg = h.segment(0).unwrap();
+        let sel = seg.cmp_bitmap(0, ColCmp::Lt, &Value::str("t"));
+        assert_eq!(sel.count(), SEGMENT_SIZE);
+        let sel = seg.cmp_bitmap(0, ColCmp::Lt, &Value::str("s1"));
+        assert_eq!(sel.count(), 34, "a split pool reads the codes");
     }
 
     #[test]

@@ -644,61 +644,153 @@ fn standard_aggs() -> Vec<AggExpr> {
     ]
 }
 
+/// Rows with their value kinds and float bits spelled out, so two results
+/// compare bit-exactly (`Value`'s `==` equates `0.0` and `-0.0`).
+fn exact(rows: &[Tuple]) -> Vec<String> {
+    rows.iter()
+        .map(|t| format!("{:?}", t.iter().collect::<Vec<_>>()))
+        .collect()
+}
+
+/// Folds every segment of `heap` under one selection per segment, through
+/// the kernels and through the row-wise fold, and returns both results.
+fn kernel_and_row_fold(
+    heap: &ColumnHeap,
+    group_by: &AttrSet,
+    aggs: &[AggExpr],
+    mut select: impl FnMut() -> SelVec,
+) -> (Vec<Tuple>, Vec<Tuple>) {
+    let mut kernel = GroupedAggs::new(group_by.clone(), aggs.to_vec());
+    let mut naive = GroupedAggs::new(group_by.clone(), aggs.to_vec());
+    for si in 0..heap.segment_count() {
+        let seg = heap.segment(si).unwrap();
+        let mut sel = select();
+        sel.and(&seg.live_sel());
+        for row in sel.iter() {
+            naive.add_tuple(&heap.materialize(seg, row));
+        }
+        aggregate_selected(heap, si, &sel, &mut kernel);
+    }
+    (finished_sorted(kernel), finished_sorted(naive))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The columnar aggregation kernels against the naive fold: random
-    /// typed columns (dictionary tags, ints seeded with near-`i64::MAX`
-    /// values so sums wrap, floats) under random per-segment selection
-    /// masks — including empty masks (all-filtered segments) — grouped
-    /// globally and by the dictionary column.  Both sides share the `Acc`
-    /// semantics; what this pins down is the bulk kernels (popcount
-    /// counts, word-skipping slice sums, dict bucketing) against the
-    /// row-at-a-time fold.
+    /// The columnar aggregation kernels against the naive fold, compared
+    /// bit-exactly: random typed columns (ints seeded with near-`i64::MAX`
+    /// values so sums wrap, floats) with tombstoned slots, under random
+    /// per-segment selections — empty, per-row random, every live row, and
+    /// long runs crossing word boundaries — grouped globally, by the
+    /// dictionary column, by an int column and by both.  The group keys are
+    /// many tags, one tag (a one-entry dictionary in every segment), or
+    /// `Int`/`Float` values that tie under the total order, beside float
+    /// inputs whose sum depends on the order they are added in and a
+    /// mixed-kind `MIN` input whose ties depend on which row came first.
+    /// Both sides share the `Acc` semantics; what this pins down is the bulk
+    /// kernels (popcount counts, run-wise slice sums, per-group selections,
+    /// the one-entry dictionary) against the row-at-a-time fold.
     #[test]
     fn aggregation_kernels_match_the_tuple_fold(
         seed in 0u64..5_000,
         n in 0usize..2_400,
-        density in 0u64..5,
+        density in 0u64..7,
+        keys in 0u64..4,
     ) {
         let mut rng = TestRng::new(seed);
         let mut heap = ColumnHeap::new(AttrSet::from_names(["g", "x", "y"]));
+        let mut ids = Vec::new();
         for _ in 0..n {
             let x = if rng.next_u64().is_multiple_of(16) {
                 i64::MAX - (rng.next_u64() % 3) as i64
             } else {
                 (rng.next_u64() % 1_000) as i64
             };
-            heap.insert(
-                &Tuple::new()
-                    .with("g", Value::tag(format!("g{}", rng.next_u64() % 5)))
-                    .with("x", x)
-                    .with("y", (rng.next_u64() % 1_000) as f64 / 8.0),
-            );
+            let k = (rng.next_u64() % 5) as i64;
+            // `Int k` or `Float k`: the two tie under the total order.
+            let tie = |k: i64, float: bool| {
+                if float {
+                    Value::Float(k as f64)
+                } else {
+                    Value::Int(k)
+                }
+            };
+            let as_float = rng.next_u64().is_multiple_of(2);
+            let eighths = Value::Float((rng.next_u64() % 1_000) as f64 / 8.0);
+            let order_sensitive = Value::Float([1e17, -1e17, 1.0, 0.5][(rng.next_u64() % 4) as usize]);
+            let (g, y) = match keys {
+                0 => (Value::tag(format!("g{k}")), eighths),
+                1 => (Value::tag("g"), eighths),
+                2 => (tie(k % 3, as_float), order_sensitive),
+                _ => (tie(k % 3, as_float), tie(2 + k % 2, rng.next_u64().is_multiple_of(2))),
+            };
+            ids.push(heap.insert(&Tuple::new().with("g", g).with("x", x).with("y", y)));
         }
-        for group_by in [AttrSet::empty(), AttrSet::singleton("g")] {
-            let mut kernel = GroupedAggs::new(group_by.clone(), standard_aggs());
-            let mut naive = GroupedAggs::new(group_by, standard_aggs());
-            for si in 0..heap.segment_count() {
-                let seg = heap.segment(si).unwrap();
-                // `density` 0 keeps every mask empty — the all-filtered
-                // segment case the kernels must skip without touching
-                // accumulators.
-                let mut sel = SelVec::none();
-                for row in 0..SEGMENT_SIZE {
-                    if rng.next_u64() % 5 < density {
-                        sel.set(row);
-                    }
-                }
-                sel.and(&seg.live_sel());
-                for row in sel.iter() {
-                    naive.add_tuple(&heap.materialize(seg, row));
-                }
-                aggregate_selected(&heap, si, &sel, &mut kernel);
+        for id in ids {
+            if rng.next_u64().is_multiple_of(10) {
+                heap.delete(id);
             }
-            prop_assert_eq!(finished_sorted(kernel), finished_sorted(naive));
+        }
+        for group_by in [
+            AttrSet::empty(),
+            AttrSet::singleton("g"),
+            AttrSet::singleton("x"),
+            AttrSet::from_names(["g", "x"]),
+        ] {
+            let (kernel, naive) = kernel_and_row_fold(&heap, &group_by, &standard_aggs(), || {
+                let mut sel = SelVec::none();
+                match density {
+                    // 0 keeps every mask empty — the all-filtered segment
+                    // the kernels must skip without touching accumulators.
+                    5 => sel = SelVec::all(),
+                    6 => {
+                        for _ in 0..4 {
+                            let start = (rng.next_u64() % SEGMENT_SIZE as u64) as usize;
+                            let len = (rng.next_u64() % 300) as usize;
+                            (start..(start + len).min(SEGMENT_SIZE)).for_each(|r| sel.set(r));
+                        }
+                    }
+                    d => (0..SEGMENT_SIZE)
+                        .filter(|_| rng.next_u64() % 5 < d)
+                        .for_each(|r| sel.set(r)),
+                }
+                sel
+            });
+            prop_assert_eq!(exact(&kernel), exact(&naive), "group by {}", group_by);
         }
     }
+}
+
+/// Keys that tie under the total order (`Int 1`, `Float 1.0`) are one
+/// group, and that group's rows must fold in row order even when they
+/// interleave: a float sum depends on the order of its additions, and
+/// `MIN` keeps the first of two tying values.  Folding the rows of one key
+/// kind before those of the other gives `1.0` for the sum (not `0.0`) and
+/// `Float(2.0)` for the minimum (not `Int(2)`).
+#[test]
+fn grouping_keys_that_tie_under_the_total_order_fold_in_row_order() {
+    let mut heap = ColumnHeap::new(AttrSet::from_names(["g", "x", "y"]));
+    for (g, x, y) in [
+        (Value::Int(1), 1e17, Value::Int(5)),
+        (Value::Float(1.0), 1.0, Value::Int(2)),
+        (Value::Int(1), -1e17, Value::Float(2.0)),
+    ] {
+        heap.insert(&Tuple::new().with("g", g).with("x", x).with("y", y));
+    }
+    let aggs = vec![
+        AggExpr::new(AggFunc::Sum, Some(Attr::new("x"))),
+        AggExpr::new(AggFunc::Min, Some(Attr::new("y"))),
+    ];
+    let (kernel, naive) = kernel_and_row_fold(&heap, &AttrSet::singleton("g"), &aggs, SelVec::all);
+    assert_eq!(exact(&kernel), exact(&naive));
+    assert_eq!(naive.len(), 1);
+    assert_eq!(
+        naive[0].get_name("g"),
+        Some(&Value::Int(1)),
+        "the first row's key"
+    );
+    assert_eq!(naive[0].get_name("sum-x"), Some(&Value::Float(0.0)));
+    assert_eq!(naive[0].get_name("min-y"), Some(&Value::Int(2)));
 }
 
 /// A shape wide enough that its attribute set spills past one 64-bit
