@@ -191,9 +191,18 @@ struct DbInner {
     stats: crate::stats::StatsCache,
 }
 
-impl Drop for DbInner {
+/// Shared by the user's [`Database`] handles only — never by the
+/// background checkpointer, which holds a [`Weak`] to [`DbInner`] and, for
+/// the length of one checkpoint, a strong one.  Dropping the last handle
+/// therefore drops this guard, which stops and joins the checkpointer: a
+/// checkpoint in flight finishes before `drop` returns, so a reopen of the
+/// directory never races its rename and segment deletion.
+#[derive(Debug, Default)]
+struct Checkpointer(Option<Arc<Durability>>);
+
+impl Drop for Checkpointer {
     fn drop(&mut self) {
-        if let Some(dur) = &self.dur {
+        if let Some(dur) = &self.0 {
             dur.shutdown();
         }
     }
@@ -226,16 +235,14 @@ struct Durability {
 }
 
 impl Durability {
-    /// Stops and joins the background checkpoint thread.  Safe to call from
-    /// the thread itself (the checkpointer briefly owns the last handle
-    /// when the user drops theirs mid-checkpoint): joining is skipped then.
+    /// Stops the background checkpoint thread and joins it, waiting out a
+    /// checkpoint it is running.  Only [`Checkpointer`]'s drop calls this,
+    /// never the checkpoint thread itself.
     fn shutdown(&self) {
         *lock(&self.stop) = true;
         self.stop_cond.notify_all();
         if let Some(h) = lock(&self.thread).take() {
-            if h.thread().id() != std::thread::current().id() {
-                let _ = h.join();
-            }
+            let _ = h.join();
         }
     }
 }
@@ -271,7 +278,8 @@ impl Default for DurabilityOptions {
 
 /// The background checkpointer: wakes periodically, and once the WAL has
 /// grown past the threshold takes a checkpoint.  Holds only a [`Weak`]
-/// reference so an idle database can be dropped.
+/// reference between checkpoints; the last user handle's drop stops and
+/// joins it (see [`Checkpointer`]).
 fn background_checkpoint_loop(weak: Weak<DbInner>, dur: Arc<Durability>) {
     loop {
         {
@@ -285,11 +293,10 @@ fn background_checkpoint_loop(weak: Weak<DbInner>, dur: Arc<Durability>) {
             }
         }
         let Some(inner) = weak.upgrade() else { return };
-        let db = Database { inner };
         if !dur.wal.is_poisoned() && dur.wal.bytes_since_checkpoint() >= dur.checkpoint_bytes {
             // A failed checkpoint poisons the WAL; the next iteration's
             // check sees that and the loop idles until shutdown.
-            let _ = db.checkpoint_now();
+            let _ = inner.checkpoint();
         }
     }
 }
@@ -334,6 +341,9 @@ fn prewarm_stats(inner: &DbInner) {
 /// [`Database::fork`] for an independent copy.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
+    /// Declared first so it drops first: the checkpointer is joined before
+    /// this handle lets go of the shared state.
+    _checkpointer: Arc<Checkpointer>,
     inner: Arc<DbInner>,
 }
 
@@ -629,6 +639,11 @@ impl Database {
     /// durability options.  Recovery tolerates a torn final WAL record by
     /// truncating at the corruption point; structural damage beyond that is
     /// reported as [`StorageError::Corruption`], never panicked on.
+    ///
+    /// Dropping the last handle stops and joins the background
+    /// checkpointer, waiting out a checkpoint it is running, and trims the
+    /// open WAL segment to its written length: once `drop` returns, the
+    /// directory can be reopened.
     pub fn open_with(
         dir: impl AsRef<Path>,
         opts: DurabilityOptions,
@@ -673,7 +688,10 @@ impl Database {
                 .map_err(|e| StorageError::Io(format!("spawn checkpoint thread: {}", e)))?;
             *lock(&dur.thread) = Some(handle);
         }
-        Ok(Database { inner })
+        Ok(Database {
+            _checkpointer: Arc::new(Checkpointer(Some(dur))),
+            inner,
+        })
     }
 
     /// Appends a committing transaction's log to the WAL, when the database
@@ -715,10 +733,18 @@ impl Database {
     /// checkpoint leaves the on-disk state ambiguous, so the database goes
     /// read-only until reopened.
     pub fn checkpoint_now(&self) -> std::result::Result<u64, StorageError> {
-        let dur =
-            self.inner.dur.as_ref().ok_or_else(|| {
-                StorageError::Bug("checkpoint_now on a non-durable database".into())
-            })?;
+        self.inner.checkpoint()
+    }
+}
+
+impl DbInner {
+    /// [`Database::checkpoint_now`]; the background checkpointer calls it
+    /// without a user handle.
+    fn checkpoint(&self) -> std::result::Result<u64, StorageError> {
+        let dur = self
+            .dur
+            .as_ref()
+            .ok_or_else(|| StorageError::Bug("checkpoint_now on a non-durable database".into()))?;
         let _ckpt = lock(&dur.ckpt_gate);
         let (sources, cut) = self.with_cut(|catalog, rels| {
             let sources: Vec<CheckpointSource> = rels
@@ -752,7 +778,7 @@ impl Database {
                 let rels: Vec<(String, Vec<crate::stats::PartitionStats>)> = sources
                     .iter()
                     .map(|s| {
-                        let stats = self.inner.stats.table_stats(&s.def.name, &s.snapshot);
+                        let stats = self.stats.table_stats(&s.def.name, &s.snapshot);
                         (
                             s.def.name.clone(),
                             stats.parts.iter().map(|p| (**p).clone()).collect(),
@@ -770,6 +796,31 @@ impl Database {
         }
     }
 
+    /// Runs `f` on a consistent cut of the whole database: the catalog and
+    /// every relation's partitions and indexes, read-locked together in
+    /// name order (the order [`Database::transact`] write-locks in) and
+    /// held until `f` returns.  Writers hold their write locks for the
+    /// whole transaction, so a concurrent multi-relation transaction is
+    /// captured fully or not at all, and no relation can hold a tuple its
+    /// indexes disagree with; the catalog guard keeps relations from being
+    /// created or dropped meanwhile.  [`Database::fork`] and
+    /// [`Database::checkpoint_now`] both take this cut.
+    fn with_cut<R>(
+        &self,
+        f: impl FnOnce(&Arc<Catalog>, Vec<(&str, &PartitionedHeap, &IndexSet)>) -> R,
+    ) -> R {
+        let catalog = read(&self.catalog);
+        let storage_map = read(&self.storage);
+        let guards: Vec<_> = storage_map
+            .iter()
+            .map(|(name, store)| (name.as_str(), read(&store.parts), read(&store.indexes)))
+            .collect();
+        let rels = guards.iter().map(|(name, p, i)| (*name, &**p, &**i));
+        f(&catalog, rels.collect())
+    }
+}
+
+impl Database {
     /// DDL is not WAL-logged; a synchronous checkpoint right after each DDL
     /// statement makes it durable instead.  (The window between the DDL
     /// taking effect in memory and the checkpoint landing is the documented
@@ -875,41 +926,19 @@ impl Database {
         Arc::clone(&read(&self.inner.catalog))
     }
 
-    /// Runs `f` on a consistent cut of the whole database: the catalog and
-    /// every relation's partitions and indexes, read-locked together in
-    /// name order (the order [`Database::transact`] write-locks in) and
-    /// held until `f` returns.  Writers hold their write locks for the
-    /// whole transaction, so a concurrent multi-relation transaction is
-    /// captured fully or not at all, and no relation can hold a tuple its
-    /// indexes disagree with; the catalog guard keeps relations from being
-    /// created or dropped meanwhile.  [`Database::fork`] and
-    /// [`Database::checkpoint_now`] both take this cut.
-    fn with_cut<R>(
-        &self,
-        f: impl FnOnce(&Arc<Catalog>, Vec<(&str, &PartitionedHeap, &IndexSet)>) -> R,
-    ) -> R {
-        let catalog = read(&self.inner.catalog);
-        let storage_map = read(&self.inner.storage);
-        let guards: Vec<_> = storage_map
-            .iter()
-            .map(|(name, store)| (name.as_str(), read(&store.parts), read(&store.indexes)))
-            .collect();
-        let rels = guards.iter().map(|(name, p, i)| (*name, &**p, &**i));
-        f(&catalog, rels.collect())
-    }
-
     /// An independent deep copy of the database: the new handle shares no
     /// mutable state with `self`.  Cheap — partitions, segments and indexes
     /// are copy-on-write, so the fork costs refcount bumps until either
     /// side writes.  The fork is a consistent cut of the *whole* database
     /// (see `with_cut`).
     pub fn fork(&self) -> Database {
-        self.with_cut(|catalog, rels| {
+        self.inner.with_cut(|catalog, rels| {
             let storage = rels.into_iter().map(|(name, parts, indexes)| {
                 let store = RelStore::new(parts.clone(), indexes.clone());
                 (name.to_string(), Arc::new(store))
             });
             Database {
+                _checkpointer: Default::default(),
                 inner: Arc::new(DbInner {
                     catalog: RwLock::new(Arc::clone(catalog)),
                     storage: RwLock::new(storage.collect()),

@@ -76,7 +76,9 @@ pub enum FaultAction {
 }
 
 /// A hook intercepting every durable-I/O boundary.  Implementations must
-/// be cheap and deterministic; they run under the WAL's internal lock.
+/// be cheap and deterministic; a WAL write boundary runs under the WAL's
+/// `io` lock, a WAL sync boundary outside it (another leader round may be
+/// writing meanwhile).
 pub trait IoFault: Send + Sync + std::fmt::Debug {
     /// Decides what the boundary `ev` should do.
     fn intercept(&self, ev: IoEvent) -> FaultAction;

@@ -35,20 +35,41 @@
 //! one `txn 0` record for a single op, a `Begin … Commit` bracket for
 //! several — to an in-memory tail buffer under the writer's lock (while
 //! still holding its relation write locks, so WAL order equals apply
-//! order per relation), then waits for its LSN to become durable.  The
-//! first waiter becomes the **leader**: it takes the
-//! whole buffer, writes it, issues **one** `fdatasync`, and wakes every
-//! commit the sync covered — concurrent `transact` closures on different
-//! relations amortize a single fsync.  With `group_commit` off every
-//! commit pays its own fsync (the baseline experiment E15 measures the
-//! difference).
+//! order per relation), then waits for its LSN to become durable.  A
+//! waiter whose bytes no round has taken yet becomes a **leader**: under
+//! the `io` lock it takes the whole buffer and writes it at the segment's
+//! write offset, then — outside that lock — runs **one** `fdatasync`
+//! and wakes every commit the sync covered.  Up to two rounds are in
+//! flight at once: while one leader's `fdatasync` runs, the next can
+//! already take and write the commits that arrived meanwhile, so a
+//! committer waits for about one sync, not for the tail of the previous
+//! one plus its own.  Batches are taken and written in LSN order, and a
+//! sync covers every byte written before it started, so a finishing round
+//! publishes `synced = max(synced, its target)`; once the log is poisoned
+//! a finishing round publishes nothing.  With `group_commit` off every
+//! commit pays its own fsync, one round at a time (the baseline
+//! experiment E15 measures the difference).
 //!
 //! A commit is acknowledged only after its sync boundary proceeded; see
 //! [`crate::fault`] for the crash model this guarantees under.
+//!
+//! # Preallocated segments
+//!
+//! An append that grows a file makes `fdatasync` journal the new size as
+//! well as the data.  The writer therefore keeps the segment allocated
+//! ([`PREALLOC_STEP`] ahead of the write offset, by `fallocate`) and writes
+//! each batch at its offset, so most syncs flush data only.  The file is
+//! longer than the log: past the last frame it reads as zeros.  Replay
+//! takes a zero-length frame header as the end of a segment when no later
+//! segment exists or the next one starts exactly at the LSN reached;
+//! anywhere else it is corruption (see [`replay_dir`]).  Rotation and a
+//! clean close trim the segment back to its written length, so a cleanly
+//! closed directory holds no zero tail.  Where `fallocate` is unavailable
+//! the segment simply grows with each write.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -333,6 +354,21 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
         .ok()
 }
 
+/// How far past the write offset a segment is kept allocated.  One
+/// `fallocate` per step (a mebibyte is some 19 000 single-insert commits)
+/// keeps the file size out of nearly every `fdatasync`.
+pub const PREALLOC_STEP: u64 = 1 << 20;
+
+/// Leader rounds that may be in flight at once under group commit: one
+/// syncing while the next takes and writes the commits that queued up
+/// behind it.
+const MAX_ROUNDS: usize = 2;
+
+/// Bytes of a frame header (`len` and `crc32`).  The writer keeps at least
+/// this many preallocated zeros past its last write, so a zero tail always
+/// starts with a whole zero-length header.
+const FRAME_HEADER: u64 = 8;
+
 struct WalState {
     /// Bytes appended but not yet handed to a leader.
     buf: Vec<u8>,
@@ -340,10 +376,14 @@ struct WalState {
     seg_base: u64,
     /// LSN after the last appended byte.
     appended: u64,
+    /// LSN up to which leaders have taken bytes: a commit at or below it
+    /// is covered by a round already in flight (or finished).
+    taken: u64,
     /// LSN up to which the log is durable.
     synced: u64,
-    /// Whether a leader is currently performing I/O.
-    syncing: bool,
+    /// Leader rounds in flight; [`WalWriter::rotate`] holds every slot
+    /// while it switches segments.
+    rounds: usize,
     /// Set after an I/O failure or injected crash; every later operation
     /// fails with [`StorageError::Io`].
     poisoned: bool,
@@ -352,8 +392,83 @@ struct WalState {
     since_checkpoint: u64,
 }
 
+/// The open segment.  Guarded by the writer's `io` lock, which orders
+/// batch writes; syncs run on a clone of `file` outside it.
 struct WalIo {
-    file: File,
+    file: Arc<File>,
+    /// Bytes written to the segment: the next batch's offset.
+    written: u64,
+    /// Bytes allocated with `fallocate`; `None` once it failed, after
+    /// which the segment grows with each write.
+    allocated: Option<u64>,
+}
+
+impl WalIo {
+    /// Creates (or empties) the segment file starting at `base`.  A file
+    /// already there holds no valid frame — recovery resumes only at the
+    /// end of the last one — so emptying it loses nothing.
+    fn create(dir: &Path, base: u64) -> Result<WalIo, StorageError> {
+        let path = dir.join(segment_file_name(base));
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .map_err(|e| StorageError::Io(format!("open {}: {}", path.display(), e)))?;
+        Ok(WalIo {
+            file: Arc::new(file),
+            written: 0,
+            allocated: Some(0),
+        })
+    }
+
+    /// Makes sure a write ending at `end` lands in allocated space with a
+    /// whole zero frame header after it, extending the allocation a
+    /// [`PREALLOC_STEP`] past `end` when it does not.
+    fn reserve(&mut self, end: u64) {
+        if let Some(allocated) = self.allocated {
+            if end + FRAME_HEADER > allocated {
+                let target = end + PREALLOC_STEP;
+                self.allocated =
+                    preallocate(&self.file, allocated, target - allocated).then_some(target);
+            }
+        }
+    }
+
+    /// Cuts the preallocated tail off: the file ends at its last frame.
+    fn trim(&self) {
+        let _ = self.file.set_len(self.written);
+    }
+}
+
+/// Allocates `len` bytes of `file` from `offset` on (extending its size),
+/// so later writes there change no file metadata.  Returns whether the
+/// filesystem did it.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn preallocate(file: &File, offset: u64, len: u64) -> bool {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn fallocate(fd: i32, mode: i32, offset: i64, len: i64) -> i32;
+    }
+    let (Ok(offset), Ok(len)) = (i64::try_from(offset), i64::try_from(len)) else {
+        return false;
+    };
+    // SAFETY: on 64-bit Linux `off_t` is `i64`, so the declaration matches
+    // the C signature.  The descriptor belongs to `file`, which the borrow
+    // keeps open for the whole call; mode 0 only allocates blocks in the
+    // given range and never touches memory of this process.
+    unsafe { fallocate(file.as_raw_fd(), 0, offset, len) == 0 }
+}
+
+/// Elsewhere the segment grows with each write.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn preallocate(_file: &File, _offset: u64, _len: u64) -> bool {
+    false
+}
+
+fn poisoned_error() -> StorageError {
+    StorageError::Io("wal is poisoned after a crash".into())
 }
 
 /// The write-ahead-log writer: segment files, group commit, fault
@@ -396,30 +511,25 @@ impl WalWriter {
         group_commit: bool,
         fault: Arc<dyn IoFault>,
     ) -> Result<Self, StorageError> {
-        let seg_base = end;
-        let path = dir.join(segment_file_name(seg_base));
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| StorageError::Io(format!("open {}: {}", path.display(), e)))?;
+        let io = WalIo::create(dir, end)?;
         Ok(WalWriter {
             dir: dir.to_path_buf(),
             group_commit,
             fault,
             state: Mutex::new(WalState {
                 buf: Vec::new(),
-                seg_base,
+                seg_base: end,
                 appended: end,
+                taken: end,
                 synced: end,
-                syncing: false,
+                rounds: 0,
                 poisoned: false,
                 enc: RecordEncoder::new(),
                 next_txn: 0,
                 since_checkpoint: 0,
             }),
             cond: Condvar::new(),
-            io: Mutex::new(WalIo { file }),
+            io: Mutex::new(io),
         })
     }
 
@@ -468,7 +578,7 @@ impl WalWriter {
         let mut guard = lock(&self.state);
         let st = &mut *guard;
         if st.poisoned {
-            return Err(StorageError::Io("wal is poisoned after a crash".into()));
+            return Err(poisoned_error());
         }
         let mut bytes = Vec::new();
         let txn = if ops.len() == 1 {
@@ -490,66 +600,105 @@ impl WalWriter {
         Ok(st.appended)
     }
 
-    /// One leader round: takes the pending buffer, writes and syncs it
-    /// (through the fault hook), and publishes the new durable LSN.
-    /// Returns the reacquired state guard.
-    fn leader_round<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, WalState>,
-    ) -> Result<MutexGuard<'a, WalState>, StorageError> {
-        st.syncing = true;
-        let batch = std::mem::take(&mut st.buf);
-        let target = st.appended;
-        let synced_off = st.synced - st.seg_base;
-        drop(st);
-
-        let outcome = self.leader_io(&batch, synced_off);
-
+    /// One leader round, run in a slot the caller reserved in `rounds`:
+    /// writes the pending buffer, syncs, and publishes what the sync made
+    /// durable.  Returns the reacquired state guard (still counting the
+    /// slot, which the caller releases) and the round's outcome.
+    fn leader_round(&self) -> (MutexGuard<'_, WalState>, Result<(), StorageError>) {
+        let outcome = self
+            .write_batch()
+            .and_then(|(file, target)| self.sync_batch(&file).map(|()| target));
         let mut st = lock(&self.state);
-        st.syncing = false;
-        match outcome {
-            Ok(()) => st.synced = target,
-            Err(_) => st.poisoned = true,
-        }
+        let result = match outcome {
+            Err(e) => {
+                st.poisoned = true;
+                Err(e)
+            }
+            // A crash elsewhere may already have cut the file back to the
+            // durable prefix: this round's bytes are not durable after all.
+            Ok(_) if st.poisoned => Err(poisoned_error()),
+            // The sync started after every byte up to `target` was written.
+            Ok(target) => {
+                st.synced = st.synced.max(target);
+                Ok(())
+            }
+        };
         self.cond.notify_all();
-        outcome.map(|()| st)
+        (st, result)
     }
 
-    fn leader_io(&self, batch: &[u8], synced_off: u64) -> Result<(), StorageError> {
+    /// Takes the pending buffer and writes it at the segment's write
+    /// offset (through the fault hook).  Taking and writing both happen
+    /// under the `io` lock, so batches reach the file in LSN order.
+    /// Returns the segment to sync and the LSN that sync makes durable.
+    fn write_batch(&self) -> Result<(Arc<File>, u64), StorageError> {
         let mut io = lock(&self.io);
+        let (batch, target) = {
+            let mut st = lock(&self.state);
+            if st.poisoned {
+                return Err(poisoned_error());
+            }
+            st.taken = st.appended;
+            (std::mem::take(&mut st.buf), st.appended)
+        };
         if !batch.is_empty() {
-            match self.fault.intercept(IoEvent::WalWrite { len: batch.len() }) {
-                FaultAction::Proceed => io
-                    .file
-                    .write_all(batch)
-                    .map_err(|e| StorageError::Io(format!("wal write: {}", e)))?,
-                FaultAction::Crash => {
-                    return Err(StorageError::Io("injected crash at wal write".into()))
-                }
-                FaultAction::Torn { keep } => {
-                    let keep = keep.min(batch.len());
-                    let _ = io.file.write_all(&batch[..keep]);
-                    return Err(StorageError::Io("injected torn wal write".into()));
-                }
-                FaultAction::FlipBit { offset } => {
-                    let mut bytes = batch.to_vec();
-                    let byte = (offset / 8) % bytes.len();
-                    bytes[byte] ^= 1 << (offset % 8);
-                    io.file
-                        .write_all(&bytes)
-                        .map_err(|e| StorageError::Io(format!("wal write: {}", e)))?;
-                }
+            let (at, end) = (io.written, io.written + batch.len() as u64);
+            io.reserve(end);
+            if let Err(e) = self.write_at(&io.file, batch, at) {
+                // Poison before the `io` lock drops: no later batch may
+                // land past bytes that never reached the file (it could
+                // name shapes only this batch defined).
+                self.poison_now();
+                return Err(e);
+            }
+            io.written = end;
+        }
+        Ok((Arc::clone(&io.file), target))
+    }
+
+    fn write_at(&self, file: &File, mut batch: Vec<u8>, at: u64) -> Result<(), StorageError> {
+        let write = |bytes: &[u8]| {
+            file.write_all_at(bytes, at)
+                .map_err(|e| StorageError::Io(format!("wal write: {}", e)))
+        };
+        match self.fault.intercept(IoEvent::WalWrite { len: batch.len() }) {
+            FaultAction::Proceed => write(&batch),
+            FaultAction::Crash => Err(StorageError::Io("injected crash at wal write".into())),
+            FaultAction::Torn { keep } => {
+                let _ = write(&batch[..keep.min(batch.len())]);
+                Err(StorageError::Io("injected torn wal write".into()))
+            }
+            FaultAction::FlipBit { offset } => {
+                let byte = (offset / 8) % batch.len();
+                batch[byte] ^= 1 << (offset % 8);
+                write(&batch)
             }
         }
+    }
+
+    /// Marks the log poisoned and returns the segment offset it is durable
+    /// up to, which no round can move past from now on.
+    fn poison_now(&self) -> u64 {
+        let mut st = lock(&self.state);
+        st.poisoned = true;
+        st.synced - st.seg_base
+    }
+
+    /// `fdatasync`s the segment (through the fault hook), outside the `io`
+    /// lock so the next round can write meanwhile.
+    fn sync_batch(&self, file: &File) -> Result<(), StorageError> {
         match self.fault.intercept(IoEvent::WalSync) {
-            FaultAction::Proceed => io
-                .file
-                .sync_data()
-                .map_err(|e| StorageError::Io(format!("wal sync: {}", e))),
+            FaultAction::Proceed => file.sync_data().map_err(|e| {
+                self.poison_now();
+                StorageError::Io(format!("wal sync: {}", e))
+            }),
             // Any fault at the sync boundary is a crash before durability:
-            // the pessimistic model discards everything unsynced.
+            // the pessimistic model discards everything unsynced.  Poison
+            // first, so no round publishes past the prefix kept, and cut
+            // under the `io` lock, so no write lands after the cut.
             _ => {
-                let _ = io.file.set_len(synced_off);
+                let io = lock(&self.io);
+                let _ = io.file.set_len(self.poison_now());
                 Err(StorageError::Io("injected crash at wal sync".into()))
             }
         }
@@ -557,23 +706,32 @@ impl WalWriter {
 
     /// Blocks until the log is durable up to `lsn` (group commit: the
     /// caller may ride on another commit's fsync) or the log is poisoned.
-    /// With `group_commit` off, every call pays its own fsync.
+    /// With `group_commit` off, every call pays its own fsync, one round
+    /// at a time.
     pub fn sync_to(&self, lsn: u64) -> Result<(), StorageError> {
+        let max_rounds = if self.group_commit { MAX_ROUNDS } else { 1 };
         let mut st = lock(&self.state);
         loop {
-            if st.poisoned {
-                return Err(StorageError::Io("wal is poisoned after a crash".into()));
-            }
             if self.group_commit && st.synced >= lsn {
                 return Ok(());
             }
-            if !st.syncing {
-                let st2 = self.leader_round(st)?;
+            if st.poisoned {
+                return Err(poisoned_error());
+            }
+            // Under group commit a round that already took `lsn` will
+            // publish it: wait for that round rather than start another.
+            let covered = self.group_commit && st.taken >= lsn;
+            if !covered && st.rounds < max_rounds {
+                st.rounds += 1;
+                drop(st);
+                let (mut reacquired, result) = self.leader_round();
+                reacquired.rounds -= 1;
+                result?;
                 if !self.group_commit {
                     // Per-commit fsync mode: this round *was* our fsync.
                     return Ok(());
                 }
-                st = st2;
+                st = reacquired;
                 continue;
             }
             st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -584,32 +742,40 @@ impl WalWriter {
     /// returns its base LSN — the checkpoint cut.  Must be called while
     /// every relation's read guards are held (the checkpointer's consistent
     /// cut): writers append under their write locks, so no append can
-    /// interleave.  Any pending bytes are flushed to the old segment first.
+    /// interleave.  Waits until no leader round is in flight and holds
+    /// every slot meanwhile; pending bytes are flushed to the old segment,
+    /// which is then trimmed to its written length.
     pub fn rotate(&self) -> Result<u64, StorageError> {
         let mut st = lock(&self.state);
         loop {
             if st.poisoned {
-                return Err(StorageError::Io("wal is poisoned after a crash".into()));
+                return Err(poisoned_error());
             }
-            if !st.syncing {
+            if st.rounds == 0 {
                 break;
             }
             st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        if st.synced < st.appended || !st.buf.is_empty() {
-            st = self.leader_round(st)?;
+        st.rounds = MAX_ROUNDS;
+        let pending = st.synced < st.appended || !st.buf.is_empty();
+        drop(st);
+        let result = self.switch_segment(pending);
+        let mut st = lock(&self.state);
+        st.rounds = 0;
+        self.cond.notify_all();
+        result
+    }
+
+    /// [`WalWriter::rotate`]'s work, run while it holds every round slot.
+    fn switch_segment(&self, pending: bool) -> Result<u64, StorageError> {
+        if pending {
+            self.leader_round().1?;
         }
+        let mut io = lock(&self.io);
+        let mut st = lock(&self.state);
         let cut = st.appended;
-        let path = self.dir.join(segment_file_name(cut));
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| StorageError::Io(format!("open {}: {}", path.display(), e)))?;
-        {
-            let mut io = lock(&self.io);
-            io.file = file;
-        }
+        let next = WalIo::create(&self.dir, cut)?;
+        std::mem::replace(&mut *io, next).trim();
         st.seg_base = cut;
         st.enc.reset();
         st.since_checkpoint = 0;
@@ -641,6 +807,24 @@ impl WalWriter {
     }
 }
 
+impl Drop for WalWriter {
+    /// A clean close trims the open segment to its written length.  A
+    /// poisoned log models a dead process and keeps what the crash left.
+    fn drop(&mut self) {
+        let poisoned = self
+            .state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .poisoned;
+        if !poisoned {
+            self.io
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .trim();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Replay.
 // ---------------------------------------------------------------------------
@@ -652,7 +836,8 @@ pub struct WalReplayOutcome {
     pub commits: Vec<Vec<WalOp>>,
     /// Base LSN of the segment the writer should resume in.
     pub resume_base: u64,
-    /// LSN after the last valid byte (the resume append position).
+    /// LSN after the last valid frame (the resume append position) — not
+    /// the file length, which a preallocated zero tail may exceed.
     pub resume_end: u64,
     /// Whether a torn or corrupted tail was truncated away.
     pub truncated: bool,
@@ -663,6 +848,12 @@ pub struct WalReplayOutcome {
 /// is cut back to the last valid frame and any later segment is deleted —
 /// and replay stops: this is the expected shape of a crash, not an error.
 /// Transactions without a `Commit` are discarded.
+///
+/// A zero-length frame header (eight zero bytes — no record encodes to an
+/// empty payload) is the preallocated tail of a segment.  It ends the
+/// segment only when no later segment exists or the next one starts at
+/// exactly the LSN reached; anywhere else it is handled as corruption,
+/// never skipped.
 pub fn replay_dir(dir: &Path, from_lsn: u64) -> Result<WalReplayOutcome, StorageError> {
     let mut segments: Vec<(u64, PathBuf)> = Vec::new();
     for entry in
@@ -691,15 +882,20 @@ pub fn replay_dir(dir: &Path, from_lsn: u64) -> Result<WalReplayOutcome, Storage
         let mut dec = RecordDecoder::new();
         let mut offset = 0usize;
         resume_base = *base;
-        resume_end = base + bytes.len() as u64;
         loop {
+            resume_end = base + offset as u64;
+            let zero_tail_ends_log = || {
+                segments
+                    .get(i + 1)
+                    .is_none_or(|(next, _)| *next == resume_end)
+            };
             match read_frame(&bytes, offset) {
                 FrameRead::Eof => break,
-                FrameRead::Corrupt => {
+                FrameRead::Frame { payload: [], .. } if zero_tail_ends_log() => break,
+                FrameRead::Frame { payload: [], .. } | FrameRead::Corrupt => {
                     // The expected crash shape: truncate the tail here and
                     // drop anything after it.
                     truncated = true;
-                    resume_end = base + offset as u64;
                     let f = OpenOptions::new()
                         .write(true)
                         .open(path)
@@ -894,11 +1090,15 @@ mod tests {
         let wal = WalWriter::resume(&dir, 0, true, Arc::new(NoFault)).unwrap();
         let lsn = wal.append_commit(&[op(1)]).unwrap();
         wal.sync_to(lsn).unwrap();
-        // Hand-append a torn frame: a valid header claiming more bytes
-        // than exist.
+        // Hand-write a torn frame: a valid header claiming more bytes than
+        // exist.  It goes at the log's end (LSN `lsn`), not at the file's:
+        // the open segment is preallocated, so past the last frame lie
+        // zeros, and a frame appended after them would sit beyond the zero
+        // header that ends the log — replay would never reach it.
         let path = dir.join(segment_file_name(0));
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[200, 0, 0, 0, 1, 2, 3, 4, 9, 9]).unwrap();
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        f.write_all_at(&[200, 0, 0, 0, 1, 2, 3, 4, 9, 9], lsn)
+            .unwrap();
         let out = replay_dir(&dir, 0).unwrap();
         assert!(out.truncated);
         assert_eq!(out.commits, vec![vec![op(1)]]);
@@ -929,6 +1129,167 @@ mod tests {
         );
         let out = replay_dir(&dir, 0).unwrap();
         assert_eq!(out.commits, vec![vec![op(1)]], "unsynced commit is gone");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    #[test]
+    fn a_crash_leaves_a_zero_tail_that_ends_the_log() {
+        let dir = tmp_dir("zero-tail");
+        let wal = WalWriter::resume(&dir, 0, true, Arc::new(NoFault)).unwrap();
+        let lsn = wal.append_commit(&[op(1), op(2)]).unwrap();
+        wal.sync_to(lsn).unwrap();
+        // A dead process never trims: the poisoned writer keeps its
+        // preallocated tail on drop.
+        wal.poison();
+        drop(wal);
+        let path = dir.join(segment_file_name(0));
+        assert!(file_len(&path) >= lsn);
+        let out = replay_dir(&dir, 0).unwrap();
+        assert!(!out.truncated, "a zero tail is the log's end, not damage");
+        assert_eq!(out.commits, vec![vec![op(1), op(2)]]);
+        assert_eq!(
+            out.resume_end, lsn,
+            "resume at the last frame, not the file end"
+        );
+        // Resuming there starts the next segment at exactly the LSN the
+        // zero tail begins at, so the tail stays acceptable.
+        let wal = WalWriter::resume(&dir, out.resume_end, true, Arc::new(NoFault)).unwrap();
+        let lsn2 = wal.append_commit(&[op(3)]).unwrap();
+        wal.sync_to(lsn2).unwrap();
+        drop(wal);
+        let again = replay_dir(&dir, 0).unwrap();
+        assert!(!again.truncated);
+        assert_eq!(again.commits.len(), 2);
+        assert_eq!(again.resume_end, lsn2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_zero_header_inside_the_log_is_corruption() {
+        let dir = tmp_dir("zero-mid");
+        let wal = WalWriter::resume(&dir, 0, true, Arc::new(NoFault)).unwrap();
+        let l1 = wal.append_commit(&[op(1)]).unwrap();
+        wal.sync_to(l1).unwrap();
+        let l2 = wal.append_commit(&[op(2)]).unwrap();
+        wal.sync_to(l2).unwrap();
+        let cut = wal.rotate().unwrap();
+        let l3 = wal.append_commit(&[op(3)]).unwrap();
+        wal.sync_to(l3).unwrap();
+        drop(wal);
+        // Zero the second commit's frame header: the first segment now
+        // "ends" at `l1`, but the next segment starts at `cut` ≠ `l1`.
+        let first = dir.join(segment_file_name(0));
+        let f = OpenOptions::new().write(true).open(&first).unwrap();
+        f.write_all_at(&[0; 8], l1).unwrap();
+        let out = replay_dir(&dir, 0).unwrap();
+        assert!(
+            out.truncated,
+            "a zero header before the next segment is damage"
+        );
+        assert_eq!(out.commits, vec![vec![op(1)]]);
+        assert_eq!(out.resume_end, l1);
+        assert_eq!(file_len(&first), l1, "cut back to the last valid frame");
+        assert!(
+            !dir.join(segment_file_name(cut)).exists(),
+            "segments past the damage are dropped"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_clean_close_trims_every_segment_to_its_bytes() {
+        let dir = tmp_dir("trim");
+        let wal = WalWriter::resume(&dir, 0, true, Arc::new(NoFault)).unwrap();
+        let l1 = wal.append_commit(&[op(1), op(2)]).unwrap();
+        wal.sync_to(l1).unwrap();
+        let cut = wal.rotate().unwrap();
+        assert_eq!(file_len(&dir.join(segment_file_name(0))), cut);
+        let l2 = wal.append_commit(&[op(3)]).unwrap();
+        wal.sync_to(l2).unwrap();
+        drop(wal);
+        assert_eq!(file_len(&dir.join(segment_file_name(cut))), l2 - cut);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_without_preallocation_reopens_unchanged() {
+        // Two segments as an appending writer leaves them: each file ends
+        // at its last frame, the second opens with its rotation marker.
+        let dir = tmp_dir("legacy");
+        let mut first = Vec::new();
+        let mut enc = RecordEncoder::new();
+        for rec in [
+            WalRecord::Op { txn: 0, op: op(1) },
+            WalRecord::Begin(1),
+            WalRecord::Op { txn: 1, op: op(2) },
+            WalRecord::Commit(1),
+        ] {
+            enc.encode(&rec, &mut first);
+        }
+        let cut = first.len() as u64;
+        let mut second = Vec::new();
+        let mut enc = RecordEncoder::new();
+        enc.encode(&WalRecord::Checkpoint(cut), &mut second);
+        enc.encode(&WalRecord::Op { txn: 0, op: op(3) }, &mut second);
+        let end = cut + second.len() as u64;
+        std::fs::write(dir.join(segment_file_name(0)), &first).unwrap();
+        std::fs::write(dir.join(segment_file_name(cut)), &second).unwrap();
+
+        let out = replay_dir(&dir, 0).unwrap();
+        assert!(!out.truncated);
+        assert_eq!(out.commits, vec![vec![op(1)], vec![op(2)], vec![op(3)]]);
+        assert_eq!((out.resume_base, out.resume_end), (cut, end));
+        // Resuming and closing cleanly leaves the old files byte-identical.
+        let wal = WalWriter::resume(&dir, end, true, Arc::new(NoFault)).unwrap();
+        drop(wal);
+        assert_eq!(
+            std::fs::read(dir.join(segment_file_name(0))).unwrap(),
+            first
+        );
+        assert_eq!(
+            std::fs::read(dir.join(segment_file_name(cut))).unwrap(),
+            second
+        );
+        assert_eq!(replay_dir(&dir, 0).unwrap().commits.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pipelined_rounds_publish_nothing_after_a_crash() {
+        // Crash at the first sync while other writers keep committing:
+        // every commit that was acknowledged survives, and the poisoned log
+        // acknowledges nothing else.
+        let dir = tmp_dir("pipeline-crash");
+        let fault = Arc::new(crate::fault::NthEventFault::new(5, FaultAction::Crash));
+        let wal = Arc::new(WalWriter::resume(&dir, 0, true, fault).unwrap());
+        let acked = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for t in 0..4i64 {
+                let (wal, acked) = (Arc::clone(&wal), &acked);
+                s.spawn(move || {
+                    for i in 0..16 {
+                        let op = op(t * 100 + i);
+                        let Ok(lsn) = wal.append_commit(std::slice::from_ref(&op)) else {
+                            return;
+                        };
+                        match wal.sync_to(lsn) {
+                            Ok(()) => lock(acked).push(op),
+                            Err(_) => return,
+                        }
+                    }
+                });
+            }
+        });
+        assert!(wal.is_poisoned());
+        let out = replay_dir(&dir, 0).unwrap();
+        let recovered: Vec<WalOp> = out.commits.into_iter().flatten().collect();
+        for op in lock(&acked).iter() {
+            assert!(recovered.contains(op), "acked {:?} was lost", op);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,7 +15,9 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -25,8 +27,9 @@ use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_storage::codec::{read_frame, FrameRead};
 use flexrel_storage::{
-    CountingFault, Database, DurabilityOptions, FaultAction, IoFault, NoFault, NthEventFault,
-    PartitionInfo, RecordDecoder, RecordEncoder, RelationDef, Rid, TxnScope, WalOp, WalRecord,
+    CountingFault, Database, DurabilityOptions, FaultAction, IoEvent, IoFault, NoFault,
+    NthEventFault, PartitionInfo, RecordDecoder, RecordEncoder, RelationDef, Rid, TxnScope, WalOp,
+    WalRecord,
 };
 use flexrel_workload::{
     employee_relation, generate_employees, wide_kind_tag, wide_relation, wide_variant_attr,
@@ -335,6 +338,194 @@ fn group_commit_batches_syncs_across_concurrent_writers() {
     // And every acked commit survives the restart.
     let db = Database::open_with(&tmp.0, options_with(Arc::new(NoFault))).unwrap();
     assert_eq!(db.count("employee").unwrap(), THREADS * PER_THREAD);
+    db.verify_invariants().unwrap();
+}
+
+/// A scripted crash behind a slow disk: every WAL write and sync boundary
+/// takes `pause`, so concurrent leader rounds overlap — one writing while
+/// another syncs — as they do on a real disk.  The boundary that crashes
+/// hangs for `stall` first, long enough for a later round to write, sync
+/// and publish if the writer let it overtake an earlier one.
+#[derive(Debug)]
+struct SlowDisk {
+    crash: NthEventFault,
+    pause: Duration,
+    stall: Duration,
+}
+
+impl IoFault for SlowDisk {
+    fn intercept(&self, ev: IoEvent) -> FaultAction {
+        let action = self.crash.intercept(ev);
+        if matches!(ev, IoEvent::WalWrite { .. } | IoEvent::WalSync) {
+            let hang = action != FaultAction::Proceed;
+            std::thread::sleep(if hang { self.stall } else { self.pause });
+        }
+        action
+    }
+}
+
+/// Concurrent writers, a crash at each WAL boundary in turn: after the
+/// reopen, acked ⊆ recovered ⊆ acked ∪ in flight, and every invariant
+/// holds.  An in-flight commit is one whose insert failed with the crash —
+/// its bytes may or may not have reached the disk.
+#[test]
+fn concurrent_writers_crash_recovers_between_acked_and_in_flight() {
+    const WRITERS: usize = 3;
+    const PER_WRITER: usize = 6;
+    let mut fired = 0;
+    // Boundaries 0-2 are the relation's DDL checkpoint; from 3 on, every
+    // boundary is a WAL write or sync of the writers' commits.
+    for n in 3..3 + 2 * WRITERS * PER_WRITER {
+        let tmp = TempDir::new(&format!("concurrent-crash-{}", n));
+        let fault = Arc::new(SlowDisk {
+            crash: NthEventFault::new(n, FaultAction::Crash),
+            pause: Duration::from_micros(200),
+            stall: Duration::from_millis(3),
+        });
+        let db = Database::open_with(&tmp.0, options_with(Arc::clone(&fault) as _)).unwrap();
+        db.create_relation(RelationDef::from_relation(&employee_relation()))
+            .unwrap();
+        let acked = Mutex::new(Vec::new());
+        let in_flight = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (db, acked, in_flight) = (&db, &acked, &in_flight);
+                s.spawn(move || {
+                    let rows = generate_employees(&EmployeeConfig::clean(PER_WRITER));
+                    for (i, mut t) in rows.into_iter().enumerate() {
+                        t.insert("empno", (w * PER_WRITER + i) as i64 + 20_000);
+                        t.insert("name", format!("c{}-{}", w, i));
+                        match db.insert("employee", t.clone()) {
+                            Ok(_) => acked.lock().unwrap().push(t),
+                            Err(_) => {
+                                // The log is poisoned: later inserts fail
+                                // before logging anything.
+                                in_flight.lock().unwrap().push(t);
+                                return;
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        fired += usize::from(fault.crash.fired());
+        drop(db);
+        let ctx = format!("crash at boundary {}", n);
+        let db = Database::open_with(&tmp.0, options_with(Arc::new(NoFault)))
+            .unwrap_or_else(|e| panic!("{}: recovery must not fail: {}", ctx, e));
+        let recovered = tuple_multiset(db.scan("employee").unwrap().into_iter().map(|(_, t)| t));
+        let acked = acked.into_inner().unwrap();
+        let in_flight = in_flight.into_inner().unwrap();
+        for t in &acked {
+            assert!(recovered.contains(t), "{}: acked {} was lost", ctx, t);
+        }
+        for t in &recovered {
+            assert!(
+                acked.contains(t) || in_flight.contains(t),
+                "{}: recovered {}, which was never attempted",
+                ctx,
+                t
+            );
+        }
+        db.verify_invariants()
+            .unwrap_or_else(|e| panic!("{}: recovered invariants violated: {}", ctx, e));
+    }
+    assert!(fired > 0, "no crash point was reached");
+}
+
+/// Blocks the checkpoint image write once armed, until released, and
+/// counts every boundary crossed after the last handle's drop returned.
+#[derive(Debug, Default)]
+struct CheckpointGate {
+    state: Mutex<GateState>,
+    cond: Condvar,
+    dropped: AtomicBool,
+    late_events: AtomicUsize,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    armed: bool,
+    blocked: bool,
+    released: bool,
+}
+
+impl IoFault for CheckpointGate {
+    fn intercept(&self, ev: IoEvent) -> FaultAction {
+        if self.dropped.load(Ordering::SeqCst) {
+            self.late_events.fetch_add(1, Ordering::SeqCst);
+        }
+        if matches!(ev, IoEvent::CheckpointWrite { .. }) {
+            let mut st = self.state.lock().unwrap();
+            if st.armed {
+                st.blocked = true;
+                self.cond.notify_all();
+                while !st.released {
+                    st = self.cond.wait(st).unwrap();
+                }
+            }
+        }
+        FaultAction::Proceed
+    }
+}
+
+/// Dropping the last handle while the background checkpointer is inside a
+/// checkpoint waits for that checkpoint: otherwise a reopen of the
+/// directory races the checkpoint's rename and segment deletion.
+#[test]
+fn dropping_the_last_handle_joins_a_running_checkpoint() {
+    let tmp = TempDir::new("drop-joins");
+    let gate = Arc::new(CheckpointGate::default());
+    let db = Database::open_with(
+        &tmp.0,
+        DurabilityOptions {
+            background_checkpoint: true,
+            checkpoint_bytes: 1,
+            fault: Arc::clone(&gate) as _,
+            ..DurabilityOptions::default()
+        },
+    )
+    .unwrap();
+    // The DDL checkpoint runs on this thread, before the gate is armed.
+    db.create_relation(RelationDef::from_relation(&employee_relation()))
+        .unwrap();
+    gate.state.lock().unwrap().armed = true;
+    let row = generate_employees(&EmployeeConfig::clean(1)).pop().unwrap();
+    db.insert("employee", row.clone()).unwrap();
+    // The insert crosses `checkpoint_bytes`: the background checkpointer
+    // takes a checkpoint and blocks in its image write.
+    {
+        let mut st = gate.state.lock().unwrap();
+        while !st.blocked {
+            st = gate.cond.wait(st).unwrap();
+        }
+    }
+    let (done, returned) = std::sync::mpsc::channel();
+    let dropper = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            drop(db);
+            gate.dropped.store(true, Ordering::SeqCst);
+            done.send(()).unwrap();
+        })
+    };
+    assert!(
+        returned.recv_timeout(Duration::from_millis(300)).is_err(),
+        "drop returned while a checkpoint was still running"
+    );
+    gate.state.lock().unwrap().released = true;
+    gate.cond.notify_all();
+    returned
+        .recv_timeout(Duration::from_secs(30))
+        .expect("drop returns once the checkpoint finished");
+    dropper.join().unwrap();
+    assert_eq!(
+        gate.late_events.load(Ordering::SeqCst),
+        0,
+        "an I/O boundary was crossed after drop returned"
+    );
+    let db = Database::open_with(&tmp.0, options_with(Arc::new(NoFault))).unwrap();
+    assert_eq!(db.scan("employee").unwrap().len(), 1);
     db.verify_invariants().unwrap();
 }
 
