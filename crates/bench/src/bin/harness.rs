@@ -2,24 +2,15 @@
 //! EXPERIMENTS.md.
 //!
 //! ```text
-//! cargo run -p flexrel-bench --release --bin harness [scale] [--json [DIR]] \
-//!     [--compare BASELINE_DIR] [--tolerance FRACTION]
+//! cargo run -p flexrel-bench --release --bin harness [scale] [--json [DIR]]
 //! ```
 //!
 //! `scale` is the base tuple count for the data-heavy experiments
 //! (default 10 000).  With `--json`, one machine-readable
 //! `BENCH_<ID>.json` file per experiment (id, title, scale, wall-clock
-//! `elapsed_ms`, the headline metric when the experiment defines one, and
-//! the full table) is written to `DIR` (default: the current directory) in
-//! addition to the printed tables.
-//!
-//! With `--compare BASELINE_DIR` the freshly emitted reports are compared
-//! against the committed `BENCH_*.json` baselines in `BASELINE_DIR` (the
-//! CI bench-regression gate): the process exits non-zero when any
-//! experiment's headline metric regresses by more than `--tolerance`
-//! (default `0.25` = 25%) against its direction, when a baseline has no
-//! current counterpart, or when the scales differ.  `--compare` implies
-//! `--json` (default directory `bench-json`).
+//! `elapsed_ms`, and the full table) is written to `DIR` (default: the
+//! current directory) in addition to the printed tables;
+//! `scripts/check_bench_json.sh DIR` checks their exact facts.
 
 use std::path::PathBuf;
 
@@ -29,14 +20,10 @@ use flexrel_bench::report;
 struct Args {
     scale: usize,
     json_dir: Option<PathBuf>,
-    compare_dir: Option<PathBuf>,
-    tolerance: f64,
 }
 
 fn usage_exit() -> ! {
-    eprintln!(
-        "usage: harness [scale] [--json [DIR]] [--compare BASELINE_DIR] [--tolerance FRACTION]"
-    );
+    eprintln!("usage: harness [scale] [--json [DIR]]");
     std::process::exit(2);
 }
 
@@ -44,8 +31,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         scale: 10_000,
         json_dir: None,
-        compare_dir: None,
-        tolerance: 0.25,
     };
     let mut argv = std::env::args().skip(1).peekable();
     while let Some(arg) = argv.next() {
@@ -62,20 +47,6 @@ fn parse_args() -> Args {
                 };
                 args.json_dir = Some(dir);
             }
-            "--compare" => match argv.next() {
-                Some(dir) => args.compare_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --compare requires a baseline directory");
-                    usage_exit();
-                }
-            },
-            "--tolerance" => match argv.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => args.tolerance = t,
-                _ => {
-                    eprintln!("error: --tolerance requires a non-negative fraction, e.g. 0.25");
-                    usage_exit();
-                }
-            },
             "--help" | "-h" => usage_exit(),
             other => match other.parse() {
                 // The data-heavy experiments divide the scale by up to 10 and
@@ -97,12 +68,7 @@ fn parse_args() -> Args {
 }
 
 fn main() {
-    let mut args = parse_args();
-    // The gate compares freshly emitted reports, so it implies --json.
-    if args.compare_dir.is_some() && args.json_dir.is_none() {
-        args.json_dir = Some(PathBuf::from("bench-json"));
-    }
-    let args = args;
+    let args = parse_args();
     println!(
         "flexrel experiment harness (scale = {} tuples)\n",
         args.scale
@@ -120,43 +86,6 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("error: writing JSON reports to {}: {}", dir.display(), e);
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(baseline) = &args.compare_dir {
-        let current = args.json_dir.as_ref().expect("--compare implies --json");
-        println!(
-            "\ncomparing against baselines in {} (tolerance {:.0}%)",
-            baseline.display(),
-            args.tolerance * 100.0
-        );
-        match flexrel_bench::compare_dirs(baseline, current, args.tolerance) {
-            Ok(cmp) => {
-                for row in &cmp.rows {
-                    println!("  {}", row);
-                }
-                if !cmp.skipped.is_empty() {
-                    println!(
-                        "  (skipped — no headline or marked unmeasurable: {})",
-                        cmp.skipped.join(", ")
-                    );
-                }
-                for p in &cmp.problems {
-                    eprintln!("  problem: {}", p);
-                }
-                if !cmp.passed() {
-                    eprintln!("bench-regression gate FAILED");
-                    std::process::exit(1);
-                }
-                println!("bench-regression gate passed");
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: reading baselines from {}: {}",
-                    baseline.display(),
-                    e
-                );
                 std::process::exit(1);
             }
         }

@@ -4,28 +4,6 @@ use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// The one number the CI bench-regression gate tracks for an experiment,
-/// with its direction.  Ratio-style metrics (speedups, scaling factors)
-/// make the most robust headlines: they compare two timings of the same
-/// run, so they transfer across machines in a way raw microseconds do not.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Headline {
-    /// Short metric name, e.g. `"pruning speedup (best)"`.
-    pub metric: String,
-    /// The measured value, **uncapped** — the regression gate compares raw
-    /// values; any cosmetic capping happens at display time only (see
-    /// [`crate::compare::display_value`]).
-    pub value: f64,
-    /// Whether larger values are better (`true` for speedups/throughput,
-    /// `false` for latencies).
-    pub higher_is_better: bool,
-    /// Whether the metric could not be measured meaningfully in this
-    /// environment (e.g. group-commit amortization on a single-CPU host).  A skipped
-    /// headline is emitted for provenance but excluded from regression
-    /// comparison on either side.
-    pub skipped: bool,
-}
-
 /// A simple text table: a title, a header row and data rows.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
@@ -35,8 +13,6 @@ pub struct Table {
     pub header: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
-    /// Optional headline metric for the bench-regression gate.
-    pub headline: Option<Headline>,
 }
 
 impl Table {
@@ -46,32 +22,7 @@ impl Table {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            headline: None,
         }
-    }
-
-    /// Attaches the headline metric (builder style).
-    pub fn with_headline(mut self, metric: impl Into<String>, value: f64, higher: bool) -> Self {
-        self.headline = Some(Headline {
-            metric: metric.into(),
-            value,
-            higher_is_better: higher,
-            skipped: false,
-        });
-        self
-    }
-
-    /// Attaches a headline that could not be measured meaningfully in this
-    /// environment (builder style).  The regression gate lists the
-    /// experiment as skipped instead of comparing the placeholder value.
-    pub fn with_skipped_headline(mut self, metric: impl Into<String>, higher: bool) -> Self {
-        self.headline = Some(Headline {
-            metric: metric.into(),
-            value: 0.0,
-            higher_is_better: higher,
-            skipped: true,
-        });
-        self
     }
 
     /// Appends a row.
@@ -104,19 +55,6 @@ impl Table {
         out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
         out.push_str(&format!("  \"scale\": {},\n", scale));
         out.push_str(&format!("  \"elapsed_ms\": {:.3},\n", elapsed_ms));
-        if let Some(h) = &self.headline {
-            out.push_str(&format!(
-                "  \"headline\": {{\"metric\": {}, \"value\": {:.4}, \"direction\": {}{}}},\n",
-                json_string(&h.metric),
-                h.value,
-                json_string(if h.higher_is_better {
-                    "higher"
-                } else {
-                    "lower"
-                }),
-                if h.skipped { ", \"skipped\": true" } else { "" }
-            ));
-        }
         out.push_str(&format!(
             "  \"header\": [{}],\n",
             self.header
@@ -229,27 +167,6 @@ mod tests {
         assert!(s.contains("== E0: demo =="));
         assert!(s.contains("| name"));
         assert!(s.contains("| a much longer name | 123456 |"));
-    }
-
-    #[test]
-    fn headline_is_emitted_when_present() {
-        let mut t = Table::new("E0: demo", &["k"]).with_headline("scaling @4", 2.5, true);
-        t.row(["x"]);
-        let j = t.to_json("E0", 100, 1.0);
-        assert!(j.contains("\"headline\": {\"metric\": \"scaling @4\", \"value\": 2.5000, \"direction\": \"higher\"}"));
-        let plain = Table::new("E0: demo", &["k"]).to_json("E0", 100, 1.0);
-        assert!(!plain.contains("headline"));
-    }
-
-    #[test]
-    fn skipped_headline_is_marked_in_json() {
-        let mut t = Table::new("E14: demo", &["k"]).with_skipped_headline("scaling", true);
-        t.row(["x"]);
-        let j = t.to_json("E14", 100, 1.0);
-        assert!(j.contains(
-            "\"headline\": {\"metric\": \"scaling\", \"value\": 0.0000, \"direction\": \"higher\", \"skipped\": true}"
-        ));
-        assert!(t.headline.as_ref().unwrap().skipped);
     }
 
     #[test]

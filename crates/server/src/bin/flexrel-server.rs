@@ -10,7 +10,9 @@
 //!
 //! `--port-file` writes the bound address (useful with `--addr 127.0.0.1:0`
 //! under test harnesses) after the listener is up, so a supervisor can
-//! `wait`-free poll for readiness.
+//! `wait`-free poll for readiness.  The signal handlers are installed
+//! before the listener starts, so a supervisor may send SIGTERM as soon as
+//! the file appears and still get a drain.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,6 +142,10 @@ fn main() -> ExitCode {
         }
     };
 
+    // Before the port file announces readiness: a SIGTERM sent the moment
+    // it appears must drain, not kill the process by default disposition.
+    sig::install();
+
     let db = Database::new();
     if let Some((n, variants, skew)) = args.seed {
         if let Err(e) = seed_wide(&db, n, variants, skew) {
@@ -181,7 +187,6 @@ fn main() -> ExitCode {
     }
     eprintln!("flexrel-server listening on {}", addr);
 
-    sig::install();
     while !SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(50));
     }

@@ -83,9 +83,9 @@ if [ -z "$objects" ]; then
   exit 1
 fi
 
-# src/bin/ holds the server's CLI entry point, exercised by the CI
-# server-smoke job rather than the instrumented suite — keep it out of the
-# line count.
+# src/bin/ holds the server's CLI entry point, exercised by the spawned-
+# binary test crates/server/tests/binary.rs rather than the instrumented
+# suite — keep it out of the line count.
 report="$("$tooldir/llvm-cov" report $objects \
   --instr-profile "$profdir/query.profdata" \
   --ignore-filename-regex '(registry|toolchains|vendor|/tests/|/src/bin/)' \
