@@ -65,11 +65,6 @@ impl Dependency {
         matches!(self, Dependency::Ad(_) | Dependency::Ead(_))
     }
 
-    /// Whether this is an explicit attribute dependency.
-    pub fn is_ead(&self) -> bool {
-        matches!(self, Dependency::Ead(_))
-    }
-
     /// Whether this is a functional dependency.
     pub fn is_fd(&self) -> bool {
         matches!(self, Dependency::Fd(_))

@@ -30,11 +30,6 @@ use crate::value::Value;
 pub struct ShapeId(u32);
 
 impl ShapeId {
-    /// The dense interned index of this shape.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-
     /// Resolves the shape back to its attribute set.
     ///
     /// # Panics

@@ -12,10 +12,8 @@
 //!   reads them in place, [`Chunk::collect_tuples`] materializes them);
 //! * **projection**, which materializes *narrow* tuples carrying only the
 //!   projected columns (duplicate elimination needs owned keys anyway);
-//! * the **build side of a hash join**, which is spilled into the compact
-//!   binary row format ([`RowBlock`], reusing the WAL value codec) and
-//!   probed by row index — probe-side rows are materialized only on a
-//!   match;
+//! * the **build side of a hash join**, held as owned tuples and bucketed
+//!   by row index — probe-side rows are materialized only on a match;
 //! * operators that change shape or leave the columnar world
 //!   (`Extend`, `UnionAll` dedup, index probes).
 //!
@@ -42,7 +40,7 @@ use flexrel_algebra::predicate::Predicate;
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::error::{CoreError, Result};
 use flexrel_core::tuple::{ShapeId, Tuple};
-use flexrel_storage::{Partition, Rid, RowBlock, SelVec};
+use flexrel_storage::{Partition, Rid, SelVec};
 
 use crate::agg::GroupedAggs;
 use crate::colscan;
@@ -433,30 +431,26 @@ fn project_chunks<'a>(
     }))
 }
 
-/// Hash join over chunks.  The build side is drained into a [`RowBlock`]
-/// (the compact binary row format shared with the WAL codec) with hash
-/// buckets holding row *indices*; the probe side stays columnar: per
-/// probe row only the join-key columns are read to form the lookup key,
-/// and the full row is materialized only when it actually has partners.
+/// Hash join over chunks.  The build side is drained into owned tuples
+/// with hash buckets holding row *indices*; the probe side stays columnar:
+/// per probe row only the join-key columns are read to form the lookup
+/// key, and the full row is materialized only when it actually has
+/// partners.
 fn hash_join_chunks<'a>(
     probe: ChunkStream<'a>,
     build: ChunkStream<'a>,
     common: AttrSet,
     stats: ExecStats,
 ) -> ChunkStream<'a> {
-    let mut block = RowBlock::new();
+    let build: Vec<Tuple> = build.flat_map(|c| c.into_tuples(&stats)).collect();
     let mut hashed: HashMap<Tuple, Vec<u32>> = HashMap::new();
     let mut scan_side: Vec<u32> = Vec::new();
-    for chunk in build {
-        for t in chunk.into_tuples(&stats) {
-            if t.defined_on(&common) {
-                let key = t.project(&common);
-                let idx = block.push(&t);
-                hashed.entry(key).or_default().push(idx);
-            } else {
-                let idx = block.push(&t);
-                scan_side.push(idx);
-            }
+    for (idx, t) in build.iter().enumerate() {
+        let idx = u32::try_from(idx).expect("hash join build side exceeds u32 rows");
+        if t.defined_on(&common) {
+            hashed.entry(t.project(&common)).or_default().push(idx);
+        } else {
+            scan_side.push(idx);
         }
     }
     // Per-partition probe-side key plan: the common attributes' column
@@ -502,12 +496,12 @@ fn hash_join_chunks<'a>(
                             let l = heap.materialize(seg, row);
                             stats.note_materialized(1);
                             for &idx in partners.into_iter().flatten() {
-                                out.push(l.merged_with(&block.get(idx)));
+                                out.push(l.merged_with(&build[idx as usize]));
                             }
                             for &idx in &scan_side {
-                                let r = block.get(idx);
-                                if l.joinable_with(&r) {
-                                    out.push(l.merged_with(&r));
+                                let r = &build[idx as usize];
+                                if l.joinable_with(r) {
+                                    out.push(l.merged_with(r));
                                 }
                             }
                         }
@@ -519,9 +513,9 @@ fn hash_join_chunks<'a>(
                         c.materialize_into(&mut probe_rows);
                         stats.note_materialized(probe_rows.len() as u64);
                         for l in probe_rows {
-                            for r in block.iter() {
-                                if l.joinable_with(&r) {
-                                    out.push(l.merged_with(&r));
+                            for r in &build {
+                                if l.joinable_with(r) {
+                                    out.push(l.merged_with(r));
                                 }
                             }
                         }
@@ -533,19 +527,19 @@ fn hash_join_chunks<'a>(
                     if l.defined_on(&common) {
                         if let Some(partners) = hashed.get(&l.project(&common)) {
                             for &idx in partners {
-                                out.push(l.merged_with(&block.get(idx)));
+                                out.push(l.merged_with(&build[idx as usize]));
                             }
                         }
                         for &idx in &scan_side {
-                            let r = block.get(idx);
-                            if l.joinable_with(&r) {
-                                out.push(l.merged_with(&r));
+                            let r = &build[idx as usize];
+                            if l.joinable_with(r) {
+                                out.push(l.merged_with(r));
                             }
                         }
                     } else {
-                        for r in block.iter() {
-                            if l.joinable_with(&r) {
-                                out.push(l.merged_with(&r));
+                        for r in &build {
+                            if l.joinable_with(r) {
+                                out.push(l.merged_with(r));
                             }
                         }
                     }

@@ -162,7 +162,6 @@ fn main() -> ExitCode {
         max_sessions: args.max_sessions,
         max_inflight: args.max_inflight,
         statement_timeout: (args.timeout_ms > 0).then(|| Duration::from_millis(args.timeout_ms)),
-        ..ServerConfig::default()
     };
     let server = match Server::start(db, args.addr.as_str(), cfg) {
         Ok(s) => s,

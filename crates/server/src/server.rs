@@ -42,12 +42,11 @@ pub struct ServerConfig {
     /// peer stops reading is closed once a write stalls this long, instead
     /// of pinning its thread for good.
     pub statement_timeout: Option<Duration>,
-    /// Execution options for query statements.
-    pub exec: ExecOptions,
-    /// How often idle loops (accept, session reads) wake to poll the
-    /// shutdown flag.
-    pub poll_interval: Duration,
 }
+
+/// How often idle loops (accept, session reads) wake to poll the shutdown
+/// flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -55,8 +54,6 @@ impl Default for ServerConfig {
             max_sessions: 4096,
             max_inflight: 64,
             statement_timeout: Some(Duration::from_secs(5)),
-            exec: ExecOptions::serial(),
-            poll_interval: Duration::from_millis(5),
         }
     }
 }
@@ -267,10 +264,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(shared.cfg.poll_interval);
+                thread::sleep(POLL_INTERVAL);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(shared.cfg.poll_interval),
+            Err(_) => thread::sleep(POLL_INTERVAL),
         }
     }
     // Drain: refuse connections that raced the flag (the listener is
@@ -307,7 +304,7 @@ fn session_loop(mut stream: TcpStream, session_id: u64, shared: &Shared) {
         .statement_timeout
         .map(|t| t.max(Duration::from_millis(1)));
     if stream
-        .set_read_timeout(Some(shared.cfg.poll_interval))
+        .set_read_timeout(Some(POLL_INTERVAL))
         .and_then(|()| stream.set_write_timeout(write_timeout))
         .is_err()
     {
@@ -441,7 +438,7 @@ fn handle_request(
                 stats.busy_rejections.fetch_add(1, Ordering::Relaxed);
                 return reply(frame, busy_response(), false);
             };
-            let mut opts = shared.cfg.exec.clone();
+            let mut opts = ExecOptions::serial();
             if let Some(t) = shared.cfg.statement_timeout {
                 opts = opts.with_deadline(Instant::now() + t);
             }

@@ -80,7 +80,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// The CRC-32 (IEEE) checksum of `bytes` — the checksum of every frame, WAL
-/// record, checkpoint and statistics image, and of every wire message.
+/// record and checkpoint image, and of every wire message.
 ///
 /// On x86_64 CPUs with `pclmulqdq` and `sse4.1`, an input of at least
 /// 128 bytes (`CLMUL_MIN_LEN`) is folded 64 bytes at a time by carry-less

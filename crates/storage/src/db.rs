@@ -64,7 +64,7 @@ use flexrel_core::attr::AttrSet;
 use flexrel_core::dep::Dependency;
 use flexrel_core::error::{CoreError, Result};
 use flexrel_core::relation::FlexRelation;
-use flexrel_core::tuple::{ShapeId, Tuple};
+use flexrel_core::tuple::Tuple;
 
 use crate::catalog::{Catalog, RelationDef};
 use crate::checkpoint::{write_checkpoint, CheckpointSource};
@@ -187,7 +187,7 @@ struct DbInner {
     /// in-memory database — entirely unchanged.
     dur: Option<Arc<Durability>>,
     /// Lazily-built per-partition column statistics, validated against
-    /// partition versions on every read (see [`crate::stats`]).
+    /// partition mutation counts on every read (see [`crate::stats`]).
     stats: crate::stats::StatsCache,
 }
 
@@ -297,39 +297,6 @@ fn background_checkpoint_loop(weak: Weak<DbInner>, dur: Arc<Durability>) {
             // A failed checkpoint poisons the WAL; the next iteration's
             // check sees that and the loop idles until shutdown.
             let _ = inner.checkpoint();
-        }
-    }
-}
-
-/// Pre-warms the statistics cache from the checkpoint sidecar, if one is
-/// readable.  A persisted entry is installed only when the recovered
-/// partition still matches it exactly by shape *and* row count — WAL-tail
-/// replay past the checkpoint changes the row count and the entry is
-/// silently skipped (it would be rebuilt lazily anyway).  Matching entries
-/// are stamped with the live partition's current version so the first
-/// reader accepts them; statistics are advisory, so a coincidental match
-/// against changed contents — the image may itself have been written from
-/// an entry within [`crate::stats::STATS_DRIFT`] of its partition — can
-/// only misprice a plan, never corrupt a result.
-fn prewarm_stats(inner: &DbInner) {
-    let Some(dur) = &inner.dur else { return };
-    let Ok(bytes) = std::fs::read(dur.dir.join(crate::stats::STATS_SIDECAR)) else {
-        return;
-    };
-    let Ok(rels) = crate::stats::decode_sidecar(&bytes) else {
-        return;
-    };
-    let storage = read(&inner.storage);
-    for (name, parts) in rels {
-        let Some(store) = storage.get(&name) else {
-            continue;
-        };
-        let live = read(&store.parts);
-        for stats in parts {
-            let part = live.partition(ShapeId::intern(&stats.shape));
-            if let Some(part) = part.filter(|p| p.len() as u64 == stats.rows) {
-                inner.stats.prewarm(&name, stats, part);
-            }
         }
     }
 }
@@ -678,7 +645,6 @@ impl Database {
             dur: Some(Arc::clone(&dur)),
             stats: Default::default(),
         });
-        prewarm_stats(&inner);
         if opts.background_checkpoint {
             let weak = Arc::downgrade(&inner);
             let dur2 = Arc::clone(&dur);
@@ -771,22 +737,6 @@ impl DbInner {
                 // on the next open and its records skipped (all below the
                 // checkpoint cut).
                 let _ = dur.wal.delete_segments_below(cut);
-                // Best-effort statistics sidecar from the same snapshots —
-                // plain fs I/O, deliberately outside the fault hook: the
-                // sidecar is advisory (costs only), so a lost or torn write
-                // must never fail a checkpoint or affect recovery.
-                let rels: Vec<(String, Vec<crate::stats::PartitionStats>)> = sources
-                    .iter()
-                    .map(|s| {
-                        let stats = self.stats.table_stats(&s.def.name, &s.snapshot);
-                        (
-                            s.def.name.clone(),
-                            stats.parts.iter().map(|p| (**p).clone()).collect(),
-                        )
-                    })
-                    .collect();
-                let bytes = crate::stats::encode_sidecar(&rels);
-                let _ = std::fs::write(dur.dir.join(crate::stats::STATS_SIDECAR), bytes);
                 Ok(cut)
             }
             Err(e) => {
@@ -1155,7 +1105,8 @@ impl Database {
     }
 
     /// Streams the tuples of the partitions admitted by the shape predicate
-    /// — the pruned scan behind the streaming executor.  `admits` is given
+    /// — a shape-pruned scan for embedded callers (the query executor
+    /// prunes its own [`PartitionSnapshot`] instead).  `admits` is given
     /// each live partition's shape once, not once per tuple.  The returned
     /// iterator owns a [`PartitionSnapshot`]: it holds no lock and is
     /// unaffected by concurrent writes.
@@ -1224,7 +1175,8 @@ impl Database {
     /// The tuples of a relation *not* defined on all of `key` — exactly the
     /// tuples an equality lookup on `key` can never return.  Served from the
     /// index's partial-tuple bookkeeping when an index exists, otherwise by
-    /// a scan.  The index-nested-loop join uses this as its fallback side.
+    /// a scan.  (The index-nested-loop join reads the same partial list from
+    /// its snapshot index, [`HashIndex::partial_tuples`].)
     pub fn lookup_partial(&self, relation: &str, key: &AttrSet) -> Result<Vec<(Rid, Tuple)>> {
         let store = self.store(relation)?;
         let parts = read(&store.parts);
@@ -1514,6 +1466,7 @@ impl TxnScope<'_> {
 mod tests {
     use super::*;
     use flexrel_core::attrs;
+    use flexrel_core::tuple::ShapeId;
     use flexrel_core::value::Value;
     use flexrel_workload::{
         employee_domains, employee_relation, generate_employees, EmployeeConfig,

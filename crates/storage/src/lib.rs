@@ -60,7 +60,6 @@ pub mod heap;
 pub mod index;
 pub mod partition;
 pub mod recovery;
-pub mod rowfmt;
 pub mod stats;
 pub mod wal;
 
@@ -75,6 +74,5 @@ pub use partition::{
     DepGuard, Partition, PartitionInfo, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo,
     SnapshotScan,
 };
-pub use rowfmt::RowBlock;
 pub use stats::{ColumnStats, Histogram, PartitionStats, TableStats, STATS_DRIFT};
 pub use wal::{RecordDecoder, RecordEncoder, WalOp, WalRecord, WalWriter};

@@ -118,25 +118,12 @@ pub enum DepGuard {
     },
 }
 
-/// The global partition-version counter.  [`Arc::make_mut`] mutates a
-/// partition *in place* when the refcount is one, so Arc pointer identity
-/// cannot distinguish "same data" from "mutated since" — an explicit version
-/// stamp can.  Drawing fresh stamps from one process-wide counter makes
-/// every write observable: a partition dropped and re-created (delete-all
-/// then re-insert) gets a version no cached reading has ever seen.
-static PARTITION_VERSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn next_partition_version() -> u64 {
-    PARTITION_VERSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
 /// One heap partition: all live tuples of a single shape.
 #[derive(Clone, Debug)]
 pub struct Partition {
     shape: AttrSet,
     heap: ColumnHeap,
     memo: ShapeMemo,
-    version: u64,
     mutations: u64,
 }
 
@@ -146,7 +133,6 @@ impl Partition {
             heap: ColumnHeap::new(shape.clone()),
             shape,
             memo,
-            version: next_partition_version(),
             mutations: 0,
         }
     }
@@ -159,15 +145,12 @@ impl Partition {
             shape: heap.shape().clone(),
             heap,
             memo,
-            version: next_partition_version(),
             mutations: 0,
         }
     }
 
-    /// Records one insert or delete: a fresh version stamp, one more
-    /// mutation.
+    /// Records one insert or delete.
     fn touch(&mut self) {
-        self.version = next_partition_version();
         self.mutations += 1;
     }
 
@@ -181,21 +164,12 @@ impl Partition {
         &self.memo
     }
 
-    /// The partition's modification stamp: drawn from a process-wide counter
-    /// at creation and bumped on every insert or delete (updates and
-    /// rollbacks go through those).  Two observations with equal versions
-    /// saw identical contents, so derived data (column statistics) keyed by
-    /// the version is safe to reuse; pointer identity of the enclosing `Arc`
-    /// is *not* a substitute because copy-on-write mutates in place at
-    /// refcount one.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// How many inserts and deletes the partition has absorbed since it was
-    /// opened.  Unlike [`Partition::version`] (a process-wide stamp) the
-    /// difference of two readings counts *this* partition's changed rows,
-    /// which is what the statistics cache measures drift in.
+    /// opened (updates and rollbacks go through those).  The difference of
+    /// two readings counts *this* partition's changed rows, which is what
+    /// the statistics cache measures drift in; pointer identity of the
+    /// enclosing `Arc` is no substitute, because copy-on-write mutates in
+    /// place at refcount one.
     pub fn mutations(&self) -> u64 {
         self.mutations
     }

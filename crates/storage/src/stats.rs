@@ -1,23 +1,19 @@
 //! Per-partition column statistics: distinct counts and equi-depth
-//! histograms, built lazily from the columnar segments and cached by
-//! partition [`version`](crate::partition::Partition::version).
+//! histograms, built lazily from the columnar segments and cached per
+//! partition.
 //!
 //! The statistics feed the query layer's cost model (selectivity estimates,
 //! join ordering, the index-nested-loop gate).  They are *advisory*: every
 //! plan the optimizer can emit returns the same rows regardless of what the
 //! statistics say, so a stale histogram can only misprice a plan, never
-//! corrupt a result.  Freshness is tracked by the partition version stamp —
-//! copy-on-write mutates partitions in place at refcount one, so pointer
-//! identity is useless as a cache key, while the version is bumped on every
-//! insert and delete (updates and rollbacks included).  Because stale
-//! statistics are harmless, a changed partition keeps serving its cached
-//! entry until the rows changed since the build exceed [`STATS_DRIFT`] of
-//! the rows it was built from; only then does a reader pay for a rebuild.
+//! corrupt a result.  Freshness is measured by the partition's mutation
+//! count ([`Partition::mutations`]): because stale statistics are harmless,
+//! a changed partition keeps serving its cached entry until the rows changed
+//! since the build exceed [`STATS_DRIFT`] of the rows it was built from;
+//! only then does a reader pay for a rebuild.
 //!
-//! Statistics are persisted best-effort alongside checkpoints (keyed by
-//! relation name, shape attribute set and row count — *not* by [`ShapeId`],
-//! whose interner ids are process-local) and pre-warmed on recovery when the
-//! recovered partition still matches.
+//! Statistics are derived state and are never persisted: a reopened
+//! database rebuilds them from the recovered partitions on first use.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -25,9 +21,7 @@ use std::sync::{Arc, Mutex};
 use flexrel_core::attr::AttrSet;
 use flexrel_core::tuple::ShapeId;
 
-use crate::codec::{self, Cursor};
 use crate::column::ColKind;
-use crate::errors::StorageError;
 use crate::partition::{Partition, PartitionSnapshot};
 
 /// Number of buckets an equi-depth histogram aims for.
@@ -104,12 +98,9 @@ pub struct ColumnStats {
 }
 
 /// Statistics for one partition: live row count plus per-column distinct
-/// counts and histograms, stamped with the partition version they were
-/// built from.
+/// counts and histograms.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionStats {
-    /// The partition version the statistics were computed at.
-    pub version: u64,
     /// Live rows at build time.
     pub rows: u64,
     /// The partition's shape.
@@ -174,7 +165,6 @@ impl PartitionStats {
             );
         }
         PartitionStats {
-            version: part.version(),
             rows: part.len() as u64,
             shape: part.shape().clone(),
             cols,
@@ -273,9 +263,9 @@ impl TableStats {
 }
 
 /// The database-level statistics cache: per (relation, shape) partition
-/// statistics, checked against the live partition on every read — reused
-/// while the version matches, served stale while the partition has drifted
-/// by no more than [`STATS_DRIFT`], rebuilt beyond.
+/// statistics, checked against the live partition on every read — served
+/// while the partition has drifted by no more than [`STATS_DRIFT`] since the
+/// build, rebuilt beyond.
 #[derive(Debug, Default)]
 pub struct StatsCache {
     entries: Mutex<BTreeMap<(String, ShapeId), CacheEntry>>,
@@ -307,18 +297,6 @@ impl StatsCache {
         out
     }
 
-    /// Installs pre-built statistics (checkpoint prewarm) as a fresh entry
-    /// for `part`: stamped with its current version and mutation count.
-    pub(crate) fn prewarm(&self, relation: &str, mut stats: PartitionStats, part: &Partition) {
-        stats.version = part.version();
-        let sid = ShapeId::intern(&stats.shape);
-        let mut entries = self.entries.lock().expect("stats cache poisoned");
-        entries.insert(
-            (relation.to_string(), sid),
-            (Arc::new(stats), part.mutations()),
-        );
-    }
-
     /// Drops every cached entry for `relation` (the relation was dropped; a
     /// successor of the same name must not be served its statistics).
     pub(crate) fn invalidate_relation(&self, relation: &str) {
@@ -327,123 +305,17 @@ impl StatsCache {
     }
 }
 
-/// Whether a cached entry may be served for `part`: built from this very
-/// version, or from an earlier state of the same partition that has since
-/// changed by at most [`STATS_DRIFT`] of the rows the entry describes.  (A
-/// partition dropped and re-opened restarts its mutation count; a reading
-/// below the entry's means exactly that, and the entry is rebuilt.)
+/// Whether a cached entry may be served for `part`: built from an earlier
+/// (or the current) state of the same partition that has since changed by at
+/// most [`STATS_DRIFT`] of the rows the entry describes.  (A partition
+/// dropped and re-opened restarts its mutation count; a reading below the
+/// entry's means exactly that, and the entry is rebuilt.)
 fn usable(stats: &PartitionStats, built_at: u64, part: &Partition) -> bool {
-    if stats.version == part.version() {
-        return true;
-    }
     match part.mutations().checked_sub(built_at) {
         Some(changed) => changed as f64 <= STATS_DRIFT * stats.rows as f64,
         None => false,
     }
 }
-
-// ---------------------------------------------------------------------------
-// Sidecar persistence
-// ---------------------------------------------------------------------------
-
-const STATS_MAGIC: u32 = 0x464c_5354; // "FLST"
-
-/// Encodes the statistics of all partitions of all relations into the
-/// checkpoint-sidecar format.  Keys are (relation, shape attrs, rows) so the
-/// image survives the process-local `ShapeId` interner.
-pub(crate) fn encode_sidecar(rels: &[(String, Vec<PartitionStats>)]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    codec::put_u32(&mut payload, STATS_MAGIC);
-    codec::put_u32(&mut payload, rels.len() as u32);
-    for (name, parts) in rels {
-        codec::put_str(&mut payload, name);
-        codec::put_u32(&mut payload, parts.len() as u32);
-        for p in parts {
-            codec::put_attrs(&mut payload, &p.shape);
-            codec::put_u64(&mut payload, p.rows);
-            codec::put_u32(&mut payload, p.cols.len() as u32);
-            for (attr, c) in &p.cols {
-                codec::put_str(&mut payload, attr);
-                codec::put_u64(&mut payload, c.distinct);
-                match &c.histogram {
-                    Some(h) => {
-                        codec::put_u32(&mut payload, h.fences.len() as u32);
-                        for f in &h.fences {
-                            codec::put_f64(&mut payload, *f);
-                        }
-                    }
-                    None => codec::put_u32(&mut payload, 0),
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    codec::put_frame(&mut out, &payload);
-    out
-}
-
-/// Decodes a statistics sidecar.  The returned `PartitionStats` carry
-/// `version: 0` — the caller stamps them with the live partition's version
-/// when (and only when) shape and row count still match.
-pub(crate) fn decode_sidecar(
-    buf: &[u8],
-) -> Result<Vec<(String, Vec<PartitionStats>)>, StorageError> {
-    let frame = match codec::read_frame(buf, 0) {
-        codec::FrameRead::Frame { payload, .. } => payload,
-        _ => {
-            return Err(StorageError::Corruption("stats sidecar: bad frame".into()));
-        }
-    };
-    let mut cur = Cursor::new(frame);
-    if cur.u32()? != STATS_MAGIC {
-        return Err(StorageError::Corruption("stats sidecar: bad magic".into()));
-    }
-    let nrels = cur.u32()? as usize;
-    let mut out = Vec::with_capacity(nrels);
-    for _ in 0..nrels {
-        let name = cur.str()?.to_string();
-        let nparts = cur.u32()? as usize;
-        let mut parts = Vec::with_capacity(nparts);
-        for _ in 0..nparts {
-            let shape = codec::get_attrs(&mut cur)?;
-            let rows = cur.u64()?;
-            let ncols = cur.u32()? as usize;
-            let mut cols = BTreeMap::new();
-            for _ in 0..ncols {
-                let attr = cur.str()?.to_string();
-                let distinct = cur.u64()?;
-                let nfences = cur.u32()? as usize;
-                let histogram = if nfences == 0 {
-                    None
-                } else {
-                    let mut fences = Vec::with_capacity(nfences);
-                    for _ in 0..nfences {
-                        fences.push(cur.f64()?);
-                    }
-                    Some(Histogram { fences })
-                };
-                cols.insert(
-                    attr,
-                    ColumnStats {
-                        distinct,
-                        histogram,
-                    },
-                );
-            }
-            parts.push(PartitionStats {
-                version: 0,
-                rows,
-                shape,
-                cols,
-            });
-        }
-        out.push((name, parts));
-    }
-    Ok(out)
-}
-
-/// The sidecar file name inside a durability directory.
-pub(crate) const STATS_SIDECAR: &str = "stats.sidecar";
 
 #[cfg(test)]
 mod tests {
@@ -465,43 +337,5 @@ mod tests {
         let h = Histogram::build(vec![7.0; 50]).unwrap();
         assert_eq!(h.fraction_le(6.9), 0.0);
         assert_eq!(h.fraction_le(7.0), 1.0);
-    }
-
-    #[test]
-    fn sidecar_roundtrip() {
-        let stats = PartitionStats {
-            version: 42,
-            rows: 10,
-            shape: flexrel_core::attrs!["a", "b"],
-            cols: [
-                (
-                    "a".to_string(),
-                    ColumnStats {
-                        distinct: 10,
-                        histogram: Histogram::build((0..10).map(f64::from).collect()),
-                    },
-                ),
-                (
-                    "b".to_string(),
-                    ColumnStats {
-                        distinct: 3,
-                        histogram: None,
-                    },
-                ),
-            ]
-            .into_iter()
-            .collect(),
-        };
-        let encoded = encode_sidecar(&[("r".to_string(), vec![stats.clone()])]);
-        let decoded = decode_sidecar(&encoded).unwrap();
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].0, "r");
-        let got = &decoded[0].1[0];
-        assert_eq!(got.version, 0, "persisted stats are version-less");
-        assert_eq!(got.rows, stats.rows);
-        assert_eq!(got.shape, stats.shape);
-        assert_eq!(got.cols, stats.cols);
-        // A truncated image is rejected, not misread.
-        assert!(decode_sidecar(&encoded[..encoded.len() - 3]).is_err());
     }
 }

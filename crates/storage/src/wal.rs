@@ -533,16 +533,6 @@ impl WalWriter {
         })
     }
 
-    /// LSN after the last appended byte.
-    pub fn appended_lsn(&self) -> u64 {
-        lock(&self.state).appended
-    }
-
-    /// LSN up to which the log is durable.
-    pub fn synced_lsn(&self) -> u64 {
-        lock(&self.state).synced
-    }
-
     /// Bytes appended since the last rotation — the background
     /// checkpointer's trigger signal.
     pub fn bytes_since_checkpoint(&self) -> u64 {

@@ -25,7 +25,9 @@ use flexrel_core::attr::AttrSet;
 use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
+use flexrel_query::{run_statement, ExecOptions, StatementOutcome};
 use flexrel_storage::codec::{read_frame, FrameRead};
+use flexrel_storage::wal::parse_segment_name;
 use flexrel_storage::{
     CountingFault, Database, DurabilityOptions, FaultAction, IoEvent, IoFault, NoFault,
     NthEventFault, PartitionInfo, RecordDecoder, RecordEncoder, RelationDef, Rid, TxnScope, WalOp,
@@ -300,6 +302,47 @@ fn corrupt_checkpoint_is_a_clean_error_not_a_panic() {
     let err = Database::open_with(&tmp.0, options_with(Arc::new(NoFault)))
         .expect_err("a corrupt checkpoint must be rejected");
     assert!(err.is_corruption(), "unexpected error class: {}", err);
+}
+
+/// Statistics are derived state: a checkpoint writes only the image, and a
+/// reopened database rebuilds from the recovered partitions the statistics
+/// the closed one had, so a statement priced from them plans the same.
+#[test]
+fn checkpoint_writes_only_the_image_and_reopen_plans_the_same() {
+    let tmp = TempDir::new("stats-derived");
+    let explain =
+        "EXPLAIN SELECT empno, salary FROM employee WHERE jobtype = 'secretary' AND salary > 4000";
+    let summary = |db: &Database| {
+        let stats = db.table_stats("employee").unwrap();
+        let cols = ["empno", "name", "salary", "jobtype", "typing-speed"];
+        let distinct: Vec<_> = cols.iter().map(|c| stats.distinct(c)).collect();
+        let plan = match run_statement(db, explain, &ExecOptions::serial()).unwrap() {
+            StatementOutcome::Explain(text) => text,
+            other => panic!("{:?} gave {:?}", explain, other),
+        };
+        (stats.rows(), distinct, plan)
+    };
+    let before = {
+        let db = Database::open_with(&tmp.0, options_with(Arc::new(NoFault))).unwrap();
+        db.create_relation(RelationDef::from_relation(&employee_relation()))
+            .unwrap();
+        for t in generate_employees(&EmployeeConfig::clean(300)) {
+            db.insert("employee", t).unwrap();
+        }
+        let before = summary(&db);
+        db.checkpoint_now().unwrap();
+        before
+    };
+    for entry in std::fs::read_dir(&tmp.0).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(
+            name == "checkpoint.ckpt" || parse_segment_name(&name).is_some(),
+            "a checkpoint left {:?} beside the image and the WAL",
+            name
+        );
+    }
+    let db = Database::open_with(&tmp.0, options_with(Arc::new(NoFault))).unwrap();
+    assert_eq!(summary(&db), before);
 }
 
 #[test]

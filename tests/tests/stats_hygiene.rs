@@ -108,6 +108,27 @@ fn stats_track_inserts_deletes_and_rollbacks() {
     );
     assert_eq!(after.rows(), N as u64);
     assert_eq!(after.distinct("empno"), Some(N as u64));
+
+    // Deleting every secretary drops the partition; the one re-created by
+    // five inserts restarts its mutation count below the cached entry's, so
+    // it must be rebuilt rather than served the dead partition's entry.
+    let partitions = db.partitions("employee").unwrap().len();
+    for (rid, t) in db.scan("employee").unwrap() {
+        if t.attrs().contains_name("typing-speed") {
+            db.delete("employee", rid).unwrap();
+        }
+    }
+    assert_eq!(db.partitions("employee").unwrap().len(), partitions - 1);
+    for i in 0..5 {
+        db.insert("employee", secretary(40_000 + i)).unwrap();
+    }
+    let recreated = db.table_stats("employee").unwrap();
+    let secretaries = recreated
+        .parts
+        .iter()
+        .find(|p| p.shape.contains_name("typing-speed"))
+        .unwrap();
+    assert_eq!(secretaries.rows, 5);
 }
 
 /// A plan optimized against yesterday's statistics still returns exactly
