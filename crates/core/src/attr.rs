@@ -140,8 +140,9 @@ impl AttrUniverse {
 /// A single attribute name.
 ///
 /// Attributes are interned in the global [`AttrUniverse`]: an `Attr` is one
-/// pointer to its interned entry, equality compares ids, cloning copies the
-/// pointer, and the name is available without touching the interner.
+/// pointer to its interned entry, equality compares the pointers (one entry
+/// per id), cloning copies the pointer, and the name is available without
+/// touching the interner.
 /// Ordering is lexicographic on the name, which gives attribute sets,
 /// schemes and dependency sets a canonical order independent of interning
 /// order.
@@ -191,16 +192,18 @@ impl Attr {
     }
 }
 
+// Identity: the interner leaks exactly one entry per id, so two attributes
+// are equal exactly when they point at the same entry.
 impl PartialEq for Attr {
     fn eq(&self, other: &Self) -> bool {
-        self.id() == other.id()
+        std::ptr::eq(self.entry, other.entry)
     }
 }
 
 impl Eq for Attr {}
 
 // Ordering is by name so canonical order survives arbitrary interning order;
-// this is consistent with id equality because the interner is a bijection.
+// this is consistent with equality because the interner is a bijection.
 impl PartialOrd for Attr {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -209,7 +212,7 @@ impl PartialOrd for Attr {
 
 impl Ord for Attr {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if self.id() == other.id() {
+        if self == other {
             std::cmp::Ordering::Equal
         } else {
             self.name().cmp(other.name())

@@ -85,6 +85,14 @@ fn shape_universe() -> &'static RwLock<ShapeUniverseInner> {
 /// caches its shape `attr(t)` as a bitset so that the ubiquitous type guard
 /// `X ⊆ attr(t)` (Def. 4.1/4.2) is a word-level subset test instead of
 /// per-attribute lookups.
+///
+/// A pair is found by a front-to-back scan: [`Tuple::get`] and
+/// [`Tuple::remove`] compare attributes by identity (one pointer compare per
+/// pair), [`Tuple::get_name`] and [`Tuple::has_name`] compare names, which
+/// checks the length before any byte.  At the arities of a record that
+/// beats a binary search, every step of which compares names byte by byte.
+/// The name order is kept for rendering, `Ord` and `Hash`; only
+/// [`Tuple::insert`] searches it, for where a new pair goes.
 #[derive(Clone, Default)]
 pub struct Tuple {
     /// Sorted by attribute name, one pair per attribute.
@@ -228,22 +236,22 @@ impl Tuple {
         )
     }
 
-    /// The position of `a` in the sorted pairs, or where it would go.
-    fn position(&self, a: &Attr) -> Result<usize, usize> {
+    /// Where `a` goes in the name-sorted pairs: `Ok` at its pair if the
+    /// tuple is defined on it.
+    fn insertion_point(&self, a: &Attr) -> Result<usize, usize> {
         self.pairs.binary_search_by(|(b, _)| b.cmp(a))
     }
 
-    fn position_of_name(&self, name: &str) -> Option<usize> {
-        self.pairs
-            .binary_search_by(|(b, _)| b.name().cmp(name))
-            .ok()
+    /// The index of `a`'s pair, found by identity.
+    fn index_of(&self, a: &Attr) -> Option<usize> {
+        self.pairs.iter().position(|(b, _)| b == a)
     }
 
     /// Inserts (or replaces) a value for an attribute.
     pub fn insert(&mut self, attr: impl Into<Attr>, value: impl Into<Value>) {
         let attr = attr.into();
         let value = value.into();
-        match self.position(&attr) {
+        match self.insertion_point(&attr) {
             Ok(i) => self.pairs[i].1 = value,
             Err(i) => {
                 self.shape.insert(attr.clone());
@@ -254,10 +262,8 @@ impl Tuple {
 
     /// Removes an attribute from the tuple, returning its value if present.
     pub fn remove(&mut self, attr: &Attr) -> Option<Value> {
-        if !self.shape.remove(attr) {
-            return None;
-        }
-        let i = self.position(attr).expect("the shape mirrors the pairs");
+        let i = self.index_of(attr)?;
+        self.shape.remove(attr);
         Some(self.pairs.remove(i).1)
     }
 
@@ -297,7 +303,7 @@ impl Tuple {
 
     /// Whether the tuple is defined on an attribute with the given name.
     pub fn has_name(&self, name: &str) -> bool {
-        self.position_of_name(name).is_some()
+        self.get_name(name).is_some()
     }
 
     /// Whether the tuple is defined on *all* attributes of `x` (the type
@@ -308,15 +314,15 @@ impl Tuple {
 
     /// The value of attribute `a`, if the tuple is defined on it.
     pub fn get(&self, a: &Attr) -> Option<&Value> {
-        if !self.shape.contains(a) {
-            return None;
-        }
-        self.position(a).ok().map(|i| &self.pairs[i].1)
+        self.index_of(a).map(|i| &self.pairs[i].1)
     }
 
     /// The value of the attribute with the given name, if present.
     pub fn get_name(&self, name: &str) -> Option<&Value> {
-        self.position_of_name(name).map(|i| &self.pairs[i].1)
+        self.pairs
+            .iter()
+            .find(|(b, _)| b.name() == name)
+            .map(|(_, v)| v)
     }
 
     /// `t[X]`: the restriction (projection) of the tuple to the attributes of

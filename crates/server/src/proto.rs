@@ -40,7 +40,7 @@ use flexrel_query::{Chunk, ColChunk, ExecStats};
 use flexrel_storage::codec::{
     self, crc32, put_f64, put_i64, put_str, put_u32, put_u64, put_u8, Cursor, MAX_FRAME_LEN,
 };
-use flexrel_storage::{ColKind, StorageError};
+use flexrel_storage::{ColKind, SelVec, StorageError};
 
 /// The protocol version spoken by this build.  A [`Request::Hello`] carrying
 /// a different version is rejected with [`ErrorCode::Protocol`].
@@ -392,9 +392,10 @@ const COL_DICT: u8 = 2;
 
 /// Writes the selected rows of a columnar chunk straight from its segment
 /// and returns the number of blocks written: one, or one per row at arity
-/// zero.  Integer and float columns are gathered through the selection;
-/// dictionary codes are renumbered in order of first use, so the pool
-/// holds only the values a selected row uses.
+/// zero.  Integer and float columns are copied run by run of the
+/// selection; dictionary codes are renumbered in order of first use, so the
+/// pool holds only the values a selected row uses, and then copied the
+/// same way.
 fn put_col_block(out: &mut Vec<u8>, c: &ColChunk, slot: u32) -> u32 {
     let heap = c.part.columns();
     let seg = heap.segment(c.seg).expect("segment index in range");
@@ -414,36 +415,59 @@ fn put_col_block(out: &mut Vec<u8>, c: &ColChunk, slot: u32) -> u32 {
             ColKind::Int => {
                 put_u8(out, COL_INT);
                 let xs = seg.int_slice(ci).expect("int column");
-                c.sel.iter().for_each(|row| put_i64(out, xs[row]));
+                put_selected(out, &c.sel, rows, xs, i64::to_le_bytes);
             }
             ColKind::Float => {
                 put_u8(out, COL_FLOAT);
                 let xs = seg.float_slice(ci).expect("float column");
-                c.sel.iter().for_each(|row| put_f64(out, xs[row]));
+                put_selected(out, &c.sel, rows, xs, |x| x.to_bits().to_le_bytes());
             }
             ColKind::Dict => {
                 let (codes, pool) = seg.dict_parts(ci).expect("dictionary column");
                 renumber.clear();
                 renumber.resize(pool.len(), u32::MAX);
                 used.clear();
-                for row in c.sel.iter() {
-                    let code = codes[row] as usize;
-                    if renumber[code] == u32::MAX {
-                        renumber[code] = used.len() as u32;
-                        used.push(code);
+                for run in c.sel.runs() {
+                    for &code in &codes[run] {
+                        let code = code as usize;
+                        if renumber[code] == u32::MAX {
+                            renumber[code] = used.len() as u32;
+                            used.push(code);
+                        }
                     }
                 }
                 put_u8(out, COL_DICT);
                 put_u32(out, used.len() as u32);
                 used.iter()
                     .for_each(|&code| codec::put_value(out, &pool[code]));
-                c.sel
-                    .iter()
-                    .for_each(|row| put_u32(out, renumber[codes[row] as usize]));
+                put_selected(out, &c.sel, rows, codes, |code| {
+                    renumber[code as usize].to_le_bytes()
+                });
             }
         }
     }
     blocks
+}
+
+/// Appends the `rows` values of `xs` that `sel` selects, as `W` bytes each:
+/// the space is grown once, then filled one selection run at a time.
+fn put_selected<T: Copy, const W: usize>(
+    out: &mut Vec<u8>,
+    sel: &SelVec,
+    rows: u32,
+    xs: &[T],
+    bytes: impl Fn(T) -> [u8; W],
+) {
+    let at = out.len();
+    out.resize(at + rows as usize * W, 0);
+    let mut dst = out[at..].chunks_exact_mut(W);
+    for run in sel.runs() {
+        // The run first: `zip` stops when its first iterator ends, so a
+        // slot is taken only for a value that fills it.
+        for (&x, slot) in xs[run].iter().zip(dst.by_ref()) {
+            slot.copy_from_slice(&bytes(x));
+        }
+    }
 }
 
 /// Writes a row list as one block per run of [`shape_runs`] and returns

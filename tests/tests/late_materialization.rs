@@ -23,10 +23,10 @@ use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::prelude::*;
 use flexrel_query::{
-    aggregate_selected, run_statement_chunks, ExecStats, GroupedAggs, StatementOutcome,
+    aggregate_selected, run_statement_chunks, Chunk, ExecStats, GroupedAggs, StatementOutcome,
 };
 use flexrel_server::{decode_response, encode_response, put_rows_from_chunks, seed_wide, Response};
-use flexrel_storage::codec::{get_attrs, get_value, Cursor};
+use flexrel_storage::codec::{crc32, get_attrs, get_value, Cursor};
 use flexrel_storage::heap::SEGMENT_SIZE;
 use flexrel_storage::{ColumnHeap, Database, RelationDef, SelVec};
 use flexrel_tests::{assert_inhabits_props, partial_key_db, reference_eval};
@@ -611,6 +611,79 @@ fn the_wire_scan_path_materializes_nothing() {
     assert_eq!(block_layout(&got).0 as u64, stats.chunks());
     assert_eq!(block_layout(&tuple_encoded).0, 1);
     assert_eq!(decode_response(&got).unwrap(), Response::Rows(rows));
+}
+
+/// The chunk encoder's bytes are pinned: payload length and CRC-32 of the
+/// reply to each statement, recorded from the encoder that wrote every
+/// selected value one slot at a time.  The selections cover whole segments
+/// (`k0`), runs of one row and runs across 64-bit selection words
+/// (`v3 > 500`), a projection, a `FLOAT` column beside dictionary columns
+/// whose segment pools hold values no selected row uses, and an empty
+/// result.  A run-wise copy that drops or shifts a slot changes the bytes
+/// here even where the values it copies are plausible.
+#[test]
+fn the_chunk_encoder_writes_the_golden_bytes() {
+    let wide = Database::new();
+    seed_wide(&wide, 20_000, 8, 0.5).unwrap();
+    let employee = employee_db(600, 11);
+    let golden: [(&Database, &str, usize, u32); 5] = [
+        (
+            &wide,
+            "SELECT * FROM wide WHERE kind = 'k0'",
+            91_647,
+            0x933a_6a6a,
+        ),
+        (
+            &wide,
+            "SELECT * FROM wide WHERE v3 > 500",
+            23_043,
+            0xafc7_b05c,
+        ),
+        (
+            &wide,
+            "SELECT id, v1 FROM wide WHERE v1 < 10",
+            533,
+            0x6077_4524,
+        ),
+        (
+            &employee,
+            "SELECT * FROM employee WHERE salary > 9000",
+            3_829,
+            0x416e_d39d,
+        ),
+        (&wide, "SELECT * FROM wide WHERE v3 > 5000", 13, 0xcf42_d6de),
+    ];
+    let (mut singles, mut straddles) = (0, 0);
+    for (db, frql, len, crc) in golden {
+        let StatementOutcome::Rows((mut chunks, stats)) =
+            run_statement_chunks(db, frql, &ExecOptions::serial()).unwrap()
+        else {
+            panic!("a query answered with a plan");
+        };
+        // Partitions are visited in shape-id order, which is first-come
+        // across the tests of this process; put the columnar chunks in
+        // attribute-name order so the bytes do not depend on it.
+        chunks.sort_by_key(|chunk| match chunk {
+            Chunk::Cols(c) => Some((c.part.shape().clone(), c.seg)),
+            Chunk::Rows(_) => None,
+        });
+        for chunk in &chunks {
+            if let Chunk::Cols(c) = chunk {
+                for run in c.sel.runs() {
+                    singles += (run.len() == 1) as usize;
+                    straddles += (run.start / 64 != (run.end - 1) / 64) as usize;
+                }
+            }
+        }
+        let mut payload = Vec::new();
+        put_rows_from_chunks(&mut payload, &chunks, &stats).unwrap();
+        assert_eq!(
+            (payload.len(), crc32(&payload)),
+            (len, crc),
+            "reply bytes of {frql}"
+        );
+    }
+    assert!(singles > 0 && straddles > 0, "{singles} {straddles}");
 }
 
 /// A deadline that has passed by the time the reply is encoded ends the
