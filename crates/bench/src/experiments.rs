@@ -26,6 +26,8 @@ use flexrel_decompose::{
 use flexrel_embed::{
     artificial_ead_for_group, introduce_artificial_determinant, pascal_record, rust_types,
 };
+use flexrel_query::choose_access_paths;
+use flexrel_query::optimizer::Notes;
 use flexrel_query::prelude::*;
 use flexrel_storage::{CountingFault, Database, DurabilityOptions, RelationDef};
 use flexrel_workload::{
@@ -54,6 +56,16 @@ fn best_of<R>(reps: u32, mut f: impl FnMut() -> R) -> (R, f64) {
         best = best.min(micros(start));
     }
     (out.expect("reps >= 1"), best)
+}
+
+/// Executes a plan as it stands and returns its rows.
+fn run_plan(plan: &LogicalPlan, db: &Database) -> Vec<Tuple> {
+    execute_collect(plan, db, &ExecOptions::serial()).unwrap().0
+}
+
+/// The plan with its access paths and join methods chosen against `db`.
+fn with_access_paths(plan: LogicalPlan, db: &Database) -> LogicalPlan {
+    choose_access_paths(plan, db, &mut Notes::rules_only())
 }
 
 /// E1 — DNF unfolding of flexible schemes (Example 1 and scheme compactness).
@@ -266,7 +278,7 @@ pub fn e4_guard_elimination(n: usize) -> Table {
 
     for (label, plan) in [("naive", &naive), ("optimized", &optimized)] {
         let start = Instant::now();
-        let rows = execute(plan, &db).unwrap();
+        let rows = run_plan(plan, &db);
         t.row([
             n.to_string(),
             label.to_string(),
@@ -818,15 +830,14 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
                 .count();
 
             // Differential check before timing: identical result tuples.
-            let mut full_rows = execute(&naive, &db).unwrap();
-            let mut pruned_rows = execute(&optimized, &db).unwrap();
+            let mut full_rows = run_plan(&naive, &db);
+            let mut pruned_rows = run_plan(&optimized, &db);
             full_rows.sort();
             pruned_rows.sort();
             assert_eq!(full_rows, pruned_rows, "pruning must not change results");
 
-            let (rows_full, full_us) = best_of(REPS, || execute(&naive, &db).unwrap().len());
-            let (rows_pruned, pruned_us) =
-                best_of(REPS, || execute(&optimized, &db).unwrap().len());
+            let (rows_full, full_us) = best_of(REPS, || run_plan(&naive, &db).len());
+            let (rows_pruned, pruned_us) = best_of(REPS, || run_plan(&optimized, &db).len());
 
             assert_eq!(rows_full, rows_pruned, "pruning must not change results");
             t.row([
@@ -890,7 +901,7 @@ pub fn e12_partition_pruning(scale: usize) -> Table {
         // Differential check first: the bitmap count, the oracle count and
         // the full vectorized executor must all agree.
         let plan = LogicalPlan::scan("wide").filter(pred.clone());
-        let executed = execute(&plan, &db).unwrap().len();
+        let executed = run_plan(&plan, &db).len();
         assert_eq!(columnar_count(), executed, "bitmap count vs executor");
         assert_eq!(oracle_count(), executed, "row oracle vs executor");
 
@@ -975,7 +986,7 @@ pub fn e13_index_lookup(scale: usize) -> Table {
     const REPS: u32 = 5;
     const VARIANTS: usize = 8;
     let time = |plan: &LogicalPlan, db: &Database| -> (usize, f64) {
-        best_of(REPS, || execute(plan, db).unwrap().len())
+        best_of(REPS, || run_plan(plan, db).len())
     };
     for skew in [0.0f64, 1.0] {
         let probe_keys = 16usize.min(scale);
@@ -987,8 +998,8 @@ pub fn e13_index_lookup(scale: usize) -> Table {
         let plan = plan_query(&parsed, &db.catalog()).unwrap();
         let (pruned, _) = optimize(plan.clone(), &db.catalog());
         let (indexed, _) = optimize_with_db(plan, &db);
-        let scan_rows = execute(&pruned, &db).unwrap();
-        let index_rows = execute(&indexed, &db).unwrap();
+        let scan_rows = run_plan(&pruned, &db);
+        let index_rows = run_plan(&indexed, &db);
         assert_eq!(
             scan_rows.iter().collect::<std::collections::BTreeSet<_>>(),
             index_rows.iter().collect::<std::collections::BTreeSet<_>>(),
@@ -1046,17 +1057,20 @@ pub fn e13_index_lookup(scale: usize) -> Table {
             format!("{:.2}x", scan_us / index_us),
         ]);
 
-        // Join: ids ⋈ wide on the indexed key. The database-aware executor
-        // picks index-nested-loop (gated by the index statistics); the
-        // index-free shadow relation provides the hash-join baseline over
-        // the same tuples.
-        let ids = LogicalPlan::scan("ids");
-        let wide = LogicalPlan::scan("wide");
-        let strategy = join_strategy(&ids, &wide, &db);
-        let inl_plan = ids.clone().join(wide);
+        // Join: ids ⋈ wide on the indexed key.  The access-path pass picks
+        // index-nested-loop (gated by the index statistics) and records it
+        // on the join the executor runs; the index-free shadow relation
+        // provides the hash-join baseline over the same tuples.
+        let inl_plan = with_access_paths(
+            LogicalPlan::scan("ids").join(LogicalPlan::scan("wide")),
+            &db,
+        );
+        let LogicalPlan::Join { strategy, .. } = &inl_plan else {
+            panic!("a join plan: {inl_plan}");
+        };
         let hash_plan = LogicalPlan::scan("ids").join(LogicalPlan::scan("wide_nx"));
-        let inl_rows = execute(&inl_plan, &db).unwrap();
-        let hash_rows = execute(&hash_plan, &db).unwrap();
+        let inl_rows = run_plan(&inl_plan, &db);
+        let hash_rows = run_plan(&hash_plan, &db);
         assert_eq!(
             inl_rows.iter().collect::<std::collections::BTreeSet<_>>(),
             hash_rows.iter().collect::<std::collections::BTreeSet<_>>(),
@@ -1491,11 +1505,17 @@ pub fn e16_late_materialization(scale: usize) -> Table {
         ),
         (
             format!("wide JOIN pick (indexed, {} keys)", keys),
-            LogicalPlan::scan("wide").join(LogicalPlan::scan("pick")),
+            with_access_paths(
+                LogicalPlan::scan("wide").join(LogicalPlan::scan("pick")),
+                &db,
+            ),
         ),
         (
             format!("wide_nx JOIN pick (hash, {} keys)", keys),
-            LogicalPlan::scan("wide_nx").join(LogicalPlan::scan("pick")),
+            with_access_paths(
+                LogicalPlan::scan("wide_nx").join(LogicalPlan::scan("pick")),
+                &db,
+            ),
         ),
         (
             "SELECT COUNT(*), SUM(id) FROM wide".into(),
@@ -1519,7 +1539,7 @@ pub fn e16_late_materialization(scale: usize) -> Table {
                 "aggregate materialized input tuples"
             );
         }
-        let (n, late_us) = best_of(REPS, || execute_with(&plan, &db, &opts).unwrap().len());
+        let (n, late_us) = best_of(REPS, || execute_collect(&plan, &db, &opts).unwrap().0.len());
         assert_eq!(n, rows.len(), "row counts diverged on {label}");
         t.row([
             scale.to_string(),
@@ -1593,13 +1613,13 @@ pub fn e17_cost_optimizer(scale: usize) -> Table {
                           db: &Database,
                           naive: &LogicalPlan,
                           optimized: &LogicalPlan| {
-        let mut expect = execute(naive, db).unwrap();
-        let mut got = execute(optimized, db).unwrap();
+        let mut expect = run_plan(naive, db);
+        let mut got = run_plan(optimized, db);
         expect.sort();
         got.sort();
         assert_eq!(expect, got, "{} must not change results", phase);
-        let (_, naive_us) = best_of(REPS, || execute(naive, db).unwrap());
-        let (_, opt_us) = best_of(OPT_REPS, || execute(optimized, db).unwrap());
+        let (_, naive_us) = best_of(REPS, || run_plan(naive, db));
+        let (_, opt_us) = best_of(OPT_REPS, || run_plan(optimized, db));
         t.row([
             n.to_string(),
             phase.to_string(),
@@ -1715,7 +1735,7 @@ fn plan_shape_admits(
         | P::Guard { input, .. }
         | P::Extend { input, .. }
         | P::Aggregate { input, .. } => plan_shape_admits(input, shape),
-        P::Join { left, right } => {
+        P::Join { left, right, .. } => {
             plan_shape_admits(left, shape) || plan_shape_admits(right, shape)
         }
         P::UnionAll { inputs } => inputs.iter().any(|p| plan_shape_admits(p, shape)),

@@ -44,9 +44,8 @@ use flexrel_storage::{Partition, Rid, SelVec};
 
 use crate::agg::GroupedAggs;
 use crate::colscan;
-use crate::exec::{snap_plan_attrs, ExecContext, RelSnap, TupleStream};
-use crate::logical::{AggExpr, LogicalPlan, ShapePredicate};
-use crate::optimizer::cost::{inl_inner_side, join_strategy_for, InnerSide, JoinStrategy};
+use crate::exec::{snap_plan_attrs, ExecContext, RelSnap};
+use crate::logical::{AggExpr, JoinStrategy, LogicalPlan, ShapePredicate};
 
 /// Counters the pipeline maintains while executing; cheaply cloneable
 /// (shared atomics), readable after the result stream is drained.
@@ -226,21 +225,6 @@ impl Chunk {
 
 /// A stream of chunks between operators.
 pub type ChunkStream<'a> = Box<dyn Iterator<Item = Chunk> + 'a>;
-
-/// The result boundary: drains a chunk stream into a tuple stream,
-/// materializing columnar chunks (the only materialization a plan without
-/// tuple-forcing operators ever performs).
-pub(crate) fn chunks_to_tuples<'a>(chunks: ChunkStream<'a>, stats: ExecStats) -> TupleStream<'a> {
-    // The boundary doubles as a deadline gate for chunk producers that are
-    // not segment scans (row re-chunking, join outputs): one check per
-    // chunk, never per tuple.
-    let gate = stats.clone();
-    Box::new(
-        chunks
-            .take_while(move |_| !gate.deadline_expired())
-            .flat_map(move |c| c.into_tuples(&stats)),
-    )
-}
 
 /// A chunk scan over snapshotted partitions: the predicate
 /// conjunction compiles once per partition, each segment yields one
@@ -646,6 +630,44 @@ fn index_lookup_chunks(
     Box::new(std::iter::once(Chunk::Rows(rows)))
 }
 
+/// A side an index-nested-loop join can probe: a base scan, possibly under
+/// residual filters.  The scan's qualification and any filter predicates are
+/// folded into one per-tuple qualification that the probe re-applies; the
+/// shape predicate is re-applied per rid.
+pub(crate) struct InnerSide<'a> {
+    pub(crate) relation: &'a str,
+    pub(crate) qualification: Option<Predicate>,
+    pub(crate) shapes: &'a Option<ShapePredicate>,
+}
+
+/// The side an index-nested-loop join probes, when `plan` has the
+/// structure of one; `None` for any other plan.
+pub(crate) fn inl_inner_side(plan: &LogicalPlan) -> Option<InnerSide<'_>> {
+    match plan {
+        LogicalPlan::Scan {
+            relation,
+            qualification,
+            shape,
+        } => Some(InnerSide {
+            relation,
+            qualification: qualification.clone(),
+            shapes: shape,
+        }),
+        LogicalPlan::Filter { input, predicate } => {
+            let side = inl_inner_side(input)?;
+            let qualification = Some(match side.qualification {
+                Some(q) => q.and(predicate.clone()),
+                None => predicate.clone(),
+            });
+            Some(InnerSide {
+                qualification,
+                ..side
+            })
+        }
+        _ => None,
+    }
+}
+
 /// Index-nested-loop join: streams the probe side and, per probe tuple,
 /// looks the matching inner tuples up through the inner relation's index
 /// snapshot on `common` — the inner side is never materialized as a whole.
@@ -706,10 +728,10 @@ fn index_nested_loop_chunks<'a>(
                 continue;
             }
             // Rare paths: the probe tuple lacks part of the key (the index
-            // cannot answer), or no index exists on `common` (unreachable
-            // when the strategy gate chose this operator); pair against the
-            // (pruned, qualified) inner side, materialized once across all
-            // such probes.
+            // cannot answer), or no index on `common` was captured (it was
+            // dropped, or a new shape widened `common`, after the plan was
+            // priced); pair against the (pruned, qualified) inner side,
+            // materialized once across all such probes.
             let rows = fallback.get_or_insert_with(|| {
                 inner
                     .parts
@@ -810,28 +832,31 @@ pub(crate) fn exec_chunks<'a>(
             key_value,
             shapes,
         } => index_lookup_chunks(ctx.snap(relation), key, key_value, shapes, stats),
-        LogicalPlan::Join { left, right } => {
+        LogicalPlan::Join {
+            left,
+            right,
+            strategy,
+        } => {
             let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
-            match join_strategy_for(left, right, &common, ctx) {
-                // Index-nested-loop: `outer` streams, `inner` is the
-                // (possibly filtered) base scan whose index is probed.
-                strategy @ (JoinStrategy::IndexNestedLoopRight
-                | JoinStrategy::IndexNestedLoopLeft) => {
-                    let (outer, inner) = if strategy == JoinStrategy::IndexNestedLoopRight {
-                        (left, right)
-                    } else {
-                        (right, left)
-                    };
-                    let side = inl_inner_side(inner).expect("the strategy implies a base scan");
-                    index_nested_loop_chunks(
-                        exec_chunks(outer, ctx, stats)?,
-                        ctx.snap(side.relation).clone(),
-                        side,
-                        common,
-                        stats.clone(),
-                    )
-                }
-                JoinStrategy::Hash => {
+            // Index-nested-loop: `outer` streams, `inner` is the (possibly
+            // filtered) base scan whose index is probed.  A hand-built
+            // plan that names the method over any other inner side
+            // hash-joins.
+            let inl = match strategy {
+                JoinStrategy::Hash => None,
+                JoinStrategy::IndexNestedLoopRight => Some((left, right)),
+                JoinStrategy::IndexNestedLoopLeft => Some((right, left)),
+            }
+            .and_then(|(outer, inner)| Some((outer, inl_inner_side(inner)?)));
+            match inl {
+                Some((outer, side)) => index_nested_loop_chunks(
+                    exec_chunks(outer, ctx, stats)?,
+                    ctx.snap(side.relation).clone(),
+                    side,
+                    common,
+                    stats.clone(),
+                ),
+                None => {
                     let probe = exec_chunks(left, ctx, stats)?;
                     let build = exec_chunks(right, ctx, stats)?;
                     hash_join_chunks(probe, build, common, stats.clone())

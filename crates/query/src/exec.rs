@@ -1,25 +1,37 @@
 //! The executor's front door: execution options, the per-query snapshot
-//! context, the attribute bounds derived from it, and the entry points that
-//! run a logical plan against a [`flexrel_storage::Database`] through the
-//! chunk pipeline in [`crate::batch`].
+//! context, the attribute bounds derived from it, and the result boundary
+//! that runs a logical plan against a [`flexrel_storage::Database`] through
+//! the chunk pipeline in [`crate::batch`].
 //!
-//! Scans are partition-aware — a [`ShapePredicate`](crate::logical::ShapePredicate)
-//! pushed down by the optimizer is evaluated once per partition, so pruned
-//! partitions are never touched.  The only blocking points are the ones
-//! inherent to the operators: the build side of a hash join, aggregation,
-//! and the duplicate-elimination state of projections and unions.
+//! The executor runs the plan it is given and decides nothing physical:
+//! partition pruning ([`ShapePredicate`](crate::logical::ShapePredicate)s
+//! on scans, evaluated once per partition so pruned partitions are never
+//! touched), index probes ([`LogicalPlan::IndexLookup`]) and the join
+//! method ([`JoinStrategy`] on each
+//! [`LogicalPlan::Join`]) are all chosen by the optimizer and recorded in
+//! the plan.  A plan that did not pass through
+//! [`choose_access_paths`](crate::optimizer::choose_access_paths) — a raw
+//! planner plan, or one optimized against the catalog alone — therefore
+//! hash-joins, just as its `Filter ∘ Scan` never becomes an index probe.
+//! The executor reads no table statistics.  The only blocking points are
+//! the ones inherent to the operators: the build side of a hash join,
+//! aggregation, and the duplicate-elimination state of projections and
+//! unions.
 //!
 //! # Snapshot discipline
 //!
-//! Before any tuple flows, the executor captures **one**
-//! [`relation_snapshot`](Database::relation_snapshot) per scanned relation:
-//! partition catalog and index set, taken atomically.  Every read of the
+//! Before any tuple flows, the executor captures **one** snapshot per
+//! scanned relation: its partition catalog and — when the plan probes an
+//! index — its index set, taken atomically
+//! ([`relation_snapshot`](Database::relation_snapshot)).  Every read of the
 //! query — the partitions a pruned scan visits, the attribute bounds that
 //! size joins ([`plan_attrs`] at execution time), index probes and the
 //! index-nested-loop inner side — goes through that capture.  Concurrent
-//! writers can therefore neither tear a stream mid-scan nor race a
+//! writers can therefore neither tear a result mid-scan nor race a
 //! shape-creating insert between the plan's pruning decision and the scan
 //! it prunes; a query observes each relation at a single point in time.
+//! An index the plan names but the capture lacks (dropped after planning)
+//! makes its operator fall back to a scan of the captured partitions.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -27,23 +39,20 @@ use std::sync::Arc;
 use flexrel_core::attr::AttrSet;
 use flexrel_core::error::{CoreError, Result};
 use flexrel_core::tuple::Tuple;
-use flexrel_storage::{Catalog, Database, HashIndex, PartitionSnapshot, TableStats};
+use flexrel_storage::{Database, HashIndex, PartitionSnapshot};
 
 use crate::batch::{self, Chunk};
-use crate::logical::LogicalPlan;
-
-/// A stream of result tuples.
-pub type TupleStream<'a> = Box<dyn Iterator<Item = Tuple> + 'a>;
+use crate::logical::{JoinStrategy, LogicalPlan};
 
 /// Execution options: the statement deadline.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Optional execution deadline.  The pipeline checks it at every chunk
-    /// source (scans and the result boundary), so a statement is cancelled
-    /// within one 1024-slot segment of work.  When it trips, the chunk
-    /// stream ends early and [`execute_chunks`] — and every entry point
-    /// built on it — returns [`CoreError::Timeout`] instead of the
-    /// truncated result.  `None` (the default) never cancels.
+    /// source (scans) and between result chunks, so a statement is
+    /// cancelled within one 1024-slot segment of work.  When it trips,
+    /// [`execute_chunks`] — and every entry point built on it — returns
+    /// [`CoreError::Timeout`] instead of the truncated result.  `None` (the
+    /// default) never cancels.
     pub deadline: Option<std::time::Instant>,
 }
 
@@ -75,16 +84,13 @@ impl RelSnap {
     }
 }
 
-/// What executing and estimating a plan reads, folded over its nodes: the
-/// relations; whether an index can be touched (an `IndexLookup` probes one,
-/// a join may pick index-nested-loop or estimate through index statistics);
-/// whether estimates consult table statistics (join cardinalities and
-/// grouped-aggregate bounds do, a scan-only query never pays for them).
+/// What executing a plan reads, folded over its nodes: the relations, and
+/// whether the plan probes an index (an `IndexLookup`, or a join the
+/// optimizer set to index-nested-loop).
 #[derive(Default)]
 struct Reads {
     relations: BTreeSet<String>,
-    indexes: bool,
-    stats: bool,
+    probes: bool,
 }
 
 impl Reads {
@@ -95,63 +101,55 @@ impl Reads {
             }
             LogicalPlan::IndexLookup { relation, .. } => {
                 self.relations.insert(relation.clone());
-                self.indexes = true;
+                self.probes = true;
             }
-            LogicalPlan::Join { .. } => (self.indexes, self.stats) = (true, true),
-            LogicalPlan::Aggregate { .. } => self.stats = true,
+            LogicalPlan::Join { strategy, .. } => {
+                self.probes |= *strategy != JoinStrategy::Hash;
+            }
             _ => {}
         }
         plan.children().into_iter().fold(self, Reads::of)
     }
 }
 
-/// The per-query execution context: one snapshot per scanned relation and
-/// the catalog they were planned against.  Built
-/// once before any tuple flows; the chunk operators in [`crate::batch`]
-/// read every relation through it.
+/// The per-query execution context: one snapshot per scanned relation.
+/// Built once before any tuple flows; the chunk operators in
+/// [`crate::batch`] read every relation through it.
 pub(crate) struct ExecContext {
     snaps: HashMap<String, RelSnap>,
     /// Returned for relations outside the captured set (unreachable after
     /// a successful `build`, which snapshots every relation the plan
     /// mentions); avoids cloning in the hot `snap` accessor.
     empty: RelSnap,
-    /// Per-relation table statistics (histograms, distinct counts), fetched
-    /// only for plans whose estimates can use them (joins, aggregates).
-    /// Advisory: they steer cost decisions, never correctness.
-    stats: HashMap<String, TableStats>,
-    catalog: Arc<Catalog>,
 }
 
 impl ExecContext {
+    /// The context an execution of `plan` reads through.
     pub(crate) fn build(plan: &LogicalPlan, db: &Database) -> Result<ExecContext> {
         ExecContext::capture(Reads::default().of(plan), db)
     }
 
-    /// The context for pricing `left ⋈ right` outside an execution.
-    pub(crate) fn for_join(
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        db: &Database,
-    ) -> Result<ExecContext> {
-        let reads = Reads {
-            indexes: true,
-            stats: true,
-            ..Reads::default().of(left).of(right)
-        };
-        ExecContext::capture(reads, db)
+    /// The partitions of the relations `plans` scan, without index
+    /// snapshots: what metadata derivations and cost estimates read.
+    pub(crate) fn partitions(plans: &[&LogicalPlan], db: &Database) -> Result<ExecContext> {
+        let reads = plans.iter().fold(Reads::default(), |r, p| r.of(p));
+        ExecContext::capture(
+            Reads {
+                probes: false,
+                ..reads
+            },
+            db,
+        )
     }
 
     /// Captures the relations.  Index snapshots are only taken when the
-    /// plan can probe them: a scan-only query then holds no
-    /// `Arc<HashIndex>`, so concurrent index maintenance stays copy-free
-    /// (see the index-granularity note on [`Database::relation_snapshot`]).
-    /// Table statistics are likewise only materialized when the plan's
-    /// estimates consult them.
+    /// plan probes them: any other query then holds no `Arc<HashIndex>`,
+    /// so concurrent index maintenance stays copy-free (see the
+    /// index-granularity note on [`Database::relation_snapshot`]).
     fn capture(reads: Reads, db: &Database) -> Result<ExecContext> {
         let mut snaps = HashMap::new();
-        let mut stats = HashMap::new();
         for rel in reads.relations {
-            let snap = if reads.indexes {
+            let snap = if reads.probes {
                 let (parts, indexes) = db.relation_snapshot(&rel)?;
                 RelSnap { parts, indexes }
             } else {
@@ -160,12 +158,7 @@ impl ExecContext {
                     indexes: Vec::new(),
                 }
             };
-            snaps.insert(rel.clone(), snap);
-            if reads.stats {
-                if let Ok(ts) = db.table_stats(&rel) {
-                    stats.insert(rel, ts);
-                }
-            }
+            snaps.insert(rel, snap);
         }
         Ok(ExecContext {
             snaps,
@@ -173,19 +166,7 @@ impl ExecContext {
                 parts: PartitionSnapshot::default(),
                 indexes: Vec::new(),
             },
-            stats,
-            catalog: db.catalog(),
         })
-    }
-
-    /// The captured statistics of a relation, when the context loaded them.
-    pub(crate) fn stats(&self, relation: &str) -> Option<&TableStats> {
-        self.stats.get(relation)
-    }
-
-    /// The catalog the plan's properties are derived against.
-    pub(crate) fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     /// Borrows the relation's captured snapshot; the metadata derivations
@@ -211,7 +192,7 @@ impl ExecContext {
 /// captured snapshots instead, so the bound always matches the partitions
 /// the scan actually visits.
 pub fn plan_attrs(plan: &LogicalPlan, db: &Database) -> AttrSet {
-    match ExecContext::build(plan, db) {
+    match ExecContext::partitions(&[plan], db) {
         Ok(ctx) => snap_plan_attrs(plan, &ctx),
         Err(_) => AttrSet::empty(),
     }
@@ -251,7 +232,7 @@ pub(crate) fn snap_plan_attrs(plan: &LogicalPlan, ctx: &ExecContext) -> AttrSet 
             out.insert(attr.as_str());
             out
         }
-        LogicalPlan::Join { left, right } => {
+        LogicalPlan::Join { left, right, .. } => {
             snap_plan_attrs(left, ctx).union(&snap_plan_attrs(right, ctx))
         }
         LogicalPlan::UnionAll { inputs } => inputs.iter().fold(AttrSet::empty(), |acc, p| {
@@ -270,32 +251,15 @@ pub(crate) fn snap_plan_attrs(plan: &LogicalPlan, ctx: &ExecContext) -> AttrSet 
     }
 }
 
-/// Builds the lazy result stream for a plan under explicit execution
-/// options.  Catalog errors (unknown relations) surface here, before any
-/// tuple flows; so does the per-relation snapshot capture.  Tuples are
-/// built one chunk at a time as the stream is pulled.
-///
-/// A lazily drained stream has no way to report an expired
-/// [`ExecOptions::deadline`]: it just ends early.  Callers that set a
-/// deadline use [`execute_chunks`] or the entry points built on it, which
-/// turn expiry into [`CoreError::Timeout`].
-pub fn execute_stream_with<'a>(
-    plan: &'a LogicalPlan,
-    db: &'a Database,
-    opts: &ExecOptions,
-) -> Result<TupleStream<'a>> {
-    let ctx = ExecContext::build(plan, db)?;
-    let stats = batch::ExecStats::with_deadline(opts.deadline);
-    let chunks = batch::exec_chunks(plan, &ctx, &stats)?;
-    Ok(batch::chunks_to_tuples(chunks, stats))
-}
-
-/// Runs a plan to its result chunks: the chunk pipeline's one result
-/// boundary.  Columnar chunks are still selections over shared column
-/// segments — nothing is materialized here — and the returned
-/// [`batch::ExecStats`] keep counting for whichever consumer reads them:
-/// [`Chunk::collect_tuples`] (the embedded API) or the network server's
-/// reply encoder, which reads the columns in place.
+/// Runs a plan to its result chunks: the executor's one result boundary.
+/// Catalog errors (unknown relations) surface here, before any tuple
+/// flows; so does the per-relation snapshot capture.  Columnar chunks are
+/// still selections over shared column segments — nothing is materialized
+/// here — and the returned [`batch::ExecStats`] keep counting for whichever
+/// consumer reads them: [`Chunk::collect_tuples`] (the embedded API) or the
+/// network server's reply encoder, which reads the columns in place.  The
+/// chunks own what they read, so they stay a consistent snapshot however
+/// long the caller holds them.
 ///
 /// This is the one place an expired deadline becomes
 /// [`CoreError::Timeout`]: the chunk list would be truncated, so it is
@@ -338,29 +302,12 @@ pub fn execute_collect(
     Ok((Chunk::collect_tuples(chunks, &stats), stats))
 }
 
-/// Builds the result stream for a plan without a deadline.
-pub fn execute_stream<'a>(plan: &'a LogicalPlan, db: &'a Database) -> Result<TupleStream<'a>> {
-    execute_stream_with(plan, db, &ExecOptions::serial())
-}
-
-/// Executes a logical plan under explicit options, materializing the result
-/// tuples.
-pub fn execute_with(plan: &LogicalPlan, db: &Database, opts: &ExecOptions) -> Result<Vec<Tuple>> {
-    Ok(execute_collect(plan, db, opts)?.0)
-}
-
-/// Executes a logical plan without a deadline, materializing the result
-/// tuples.
-pub fn execute(plan: &LogicalPlan, db: &Database) -> Result<Vec<Tuple>> {
-    execute_with(plan, db, &ExecOptions::serial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::logical::ShapePredicate;
-    use crate::optimizer::cost::{estimate_rows, join_strategy, JoinStrategy};
-    use crate::optimizer::optimize;
+    use crate::optimizer::cost::{estimate_rows, join_strategy};
+    use crate::optimizer::{choose_access_paths, optimize, Notes};
     use crate::parser::parse;
     use crate::planner::plan_query;
     use flexrel_algebra::predicate::Predicate;
@@ -382,7 +329,16 @@ mod tests {
     fn run(db: &Database, frql: &str) -> Vec<Tuple> {
         let q = parse(frql).unwrap();
         let plan = plan_query(&q, &db.catalog()).unwrap();
-        execute(&plan, db).unwrap()
+        rows(&plan, db)
+    }
+
+    fn rows(plan: &LogicalPlan, db: &Database) -> Vec<Tuple> {
+        execute_collect(plan, db, &ExecOptions::serial()).unwrap().0
+    }
+
+    /// The plan with its access paths and join methods chosen.
+    fn costed(plan: LogicalPlan, db: &Database) -> LogicalPlan {
+        choose_access_paths(plan, db, &mut Notes::rules_only())
     }
 
     #[test]
@@ -423,11 +379,10 @@ mod tests {
         for q in queries {
             let parsed = parse(q).unwrap();
             let plan = plan_query(&parsed, &db.catalog()).unwrap();
-            let naive: std::collections::BTreeSet<Tuple> =
-                execute(&plan, &db).unwrap().into_iter().collect();
+            let naive: std::collections::BTreeSet<Tuple> = rows(&plan, &db).into_iter().collect();
             let (optimized, _) = optimize(plan, &db.catalog());
             let fast: std::collections::BTreeSet<Tuple> =
-                execute(&optimized, &db).unwrap().into_iter().collect();
+                rows(&optimized, &db).into_iter().collect();
             assert_eq!(
                 naive, fast,
                 "optimization must not change results for {}",
@@ -445,28 +400,13 @@ mod tests {
         let (optimized, notes) = optimize(plan.clone(), &db.catalog());
         assert_eq!(optimized.pruned_scan_count(), 1, "{}", optimized);
         assert!(notes.iter().any(|n| n.rule == "partition-pruning"));
-        let naive: std::collections::BTreeSet<Tuple> =
-            execute(&plan, &db).unwrap().into_iter().collect();
-        let pruned: std::collections::BTreeSet<Tuple> =
-            execute(&optimized, &db).unwrap().into_iter().collect();
+        let naive: std::collections::BTreeSet<Tuple> = rows(&plan, &db).into_iter().collect();
+        let pruned: std::collections::BTreeSet<Tuple> = rows(&optimized, &db).into_iter().collect();
         assert_eq!(naive, pruned);
         // The pruned scan bound covers only the secretary partition.
         let bound = plan_attrs(&optimized, &db);
         assert!(bound.is_superset(&attrs!["typing-speed", "foreign-languages"]));
         assert!(!bound.contains_name("sales-commission"));
-    }
-
-    #[test]
-    fn execute_stream_is_lazy_per_tuple() {
-        let db = db(100);
-        let plan = LogicalPlan::scan("employee");
-        let mut stream = execute_stream(&plan, &db).unwrap();
-        // Pulling a single tuple must not require draining the pipeline.
-        assert!(stream.next().is_some());
-        drop(stream);
-        // take() composes with the stream without materializing the rest.
-        let five: Vec<Tuple> = execute_stream(&plan, &db).unwrap().take(5).collect();
-        assert_eq!(five.len(), 5);
     }
 
     #[test]
@@ -476,7 +416,7 @@ mod tests {
         // the original relation (key join).
         let left = LogicalPlan::scan("employee").project(attrs!["empno", "salary"]);
         let right = LogicalPlan::scan("employee").project(attrs!["empno", "jobtype"]);
-        let joined = execute(&left.join(right), &db).unwrap();
+        let joined = rows(&left.join(right), &db);
         assert_eq!(joined.len(), 50);
         assert!(joined
             .iter()
@@ -492,13 +432,13 @@ mod tests {
                     .filter(Predicate::eq("jobtype", Value::tag("salesman"))),
             ],
         };
-        let rows = execute(&union, &db).unwrap();
+        let union_rows = rows(&union, &db);
         let by_scan = run(
             &db,
             "SELECT * FROM employee WHERE jobtype = 'secretary' OR jobtype = 'salesman'",
         );
         assert_eq!(
-            rows.len(),
+            union_rows.len(),
             by_scan.len(),
             "duplicates across branches are removed"
         );
@@ -527,8 +467,7 @@ mod tests {
             attr: "source".into(),
             value: Value::tag("hr"),
         };
-        let rows = execute(&plan, &db).unwrap();
-        assert!(rows
+        assert!(rows(&plan, &db)
             .iter()
             .all(|t| t.get_name("source") == Some(&Value::tag("hr"))));
         assert!(plan_attrs(&plan, &db).contains_name("source"));
@@ -541,8 +480,7 @@ mod tests {
             "employee",
             Predicate::eq("jobtype", Value::tag("salesman")),
         );
-        let rows = execute(&plan, &db).unwrap();
-        assert!(rows
+        assert!(rows(&plan, &db)
             .iter()
             .all(|t| t.get_name("jobtype") == Some(&Value::tag("salesman"))));
     }
@@ -550,7 +488,7 @@ mod tests {
     #[test]
     fn hand_built_shape_predicate_restricts_the_scan() {
         let db = db(80);
-        let full = execute(&LogicalPlan::scan("employee"), &db).unwrap().len();
+        let full = rows(&LogicalPlan::scan("employee"), &db).len();
         let plan = LogicalPlan::Scan {
             relation: "employee".into(),
             qualification: None,
@@ -559,16 +497,16 @@ mod tests {
                 regions: Vec::new(),
             }),
         };
-        let rows = execute(&plan, &db).unwrap();
-        assert!(!rows.is_empty());
-        assert!(rows.len() < full);
-        assert!(rows.iter().all(|t| t.has_name("typing-speed")));
+        let pruned = rows(&plan, &db);
+        assert!(!pruned.is_empty());
+        assert!(pruned.len() < full);
+        assert!(pruned.iter().all(|t| t.has_name("typing-speed")));
     }
 
     #[test]
     fn empty_plan_returns_nothing() {
         let db = db(5);
-        assert!(execute(&LogicalPlan::Empty, &db).unwrap().is_empty());
+        assert!(rows(&LogicalPlan::Empty, &db).is_empty());
     }
 
     #[test]
@@ -588,8 +526,7 @@ mod tests {
         ] {
             let parsed = parse(frql).unwrap();
             let plan = plan_query(&parsed, &db.catalog()).unwrap();
-            let naive: std::collections::BTreeSet<Tuple> =
-                execute(&plan, &db).unwrap().into_iter().collect();
+            let naive: std::collections::BTreeSet<Tuple> = rows(&plan, &db).into_iter().collect();
             let (indexed, _) = optimize_with_db(plan, &db);
             assert_eq!(
                 indexed.index_lookup_count(),
@@ -598,8 +535,7 @@ mod tests {
                 frql,
                 indexed
             );
-            let fast: std::collections::BTreeSet<Tuple> =
-                execute(&indexed, &db).unwrap().into_iter().collect();
+            let fast: std::collections::BTreeSet<Tuple> = rows(&indexed, &db).into_iter().collect();
             assert_eq!(
                 naive, fast,
                 "index access must not change results: {}",
@@ -624,7 +560,7 @@ mod tests {
                 regions: Vec::new(),
             }),
         };
-        assert!(execute(&plan, &db).unwrap().is_empty());
+        assert!(rows(&plan, &db).is_empty());
         // Without the shape restriction the probe returns the salesmen.
         let plan = LogicalPlan::IndexLookup {
             relation: "employee".into(),
@@ -632,9 +568,9 @@ mod tests {
             key_value: Tuple::new().with("jobtype", Value::tag("salesman")),
             shapes: None,
         };
-        let rows = execute(&plan, &db).unwrap();
-        assert!(!rows.is_empty());
-        assert!(rows
+        let salesmen = rows(&plan, &db);
+        assert!(!salesmen.is_empty());
+        assert!(salesmen
             .iter()
             .all(|t| t.get_name("jobtype") == Some(&Value::tag("salesman"))));
     }
@@ -664,14 +600,15 @@ mod tests {
         assert!(rows.is_empty());
         assert_eq!((stats.materialized(), stats.chunks()), (0, 0));
         // Index-nested-loop: three outer tuples plus one inner fetch each.
-        let join = LogicalPlan::scan("wanted").join(LogicalPlan::scan("employee"));
-        assert_eq!(
-            join_strategy(
-                &LogicalPlan::scan("wanted"),
-                &LogicalPlan::scan("employee"),
-                &db
-            ),
-            JoinStrategy::IndexNestedLoopRight
+        let join = costed(
+            LogicalPlan::scan("wanted").join(LogicalPlan::scan("employee")),
+            &db,
+        );
+        assert!(
+            matches!(join, LogicalPlan::Join { strategy, .. }
+                if strategy == JoinStrategy::IndexNestedLoopRight),
+            "{}",
+            join
         );
         let (rows, stats) = execute_collect(&join, &db, &ExecOptions::serial()).unwrap();
         assert_eq!(rows.len(), 3);
@@ -734,13 +671,12 @@ mod tests {
 
         // All INL shapes agree with the hash join over the index-free
         // shadow copy of the same instance.
-        let inl: std::collections::BTreeSet<Tuple> = execute(&wanted.clone().join(employee), &db)
-            .unwrap()
-            .into_iter()
-            .collect();
+        let inl: std::collections::BTreeSet<Tuple> =
+            rows(&costed(wanted.clone().join(employee), &db), &db)
+                .into_iter()
+                .collect();
         let inl_filtered: std::collections::BTreeSet<Tuple> =
-            execute(&wanted.clone().join(filtered), &db)
-                .unwrap()
+            rows(&costed(wanted.clone().join(filtered), &db), &db)
                 .into_iter()
                 .collect();
         let shadow = LogicalPlan::scan("employee_nx");
@@ -749,8 +685,7 @@ mod tests {
             JoinStrategy::Hash,
             "no index exists on the shadow relation"
         );
-        let hash: std::collections::BTreeSet<Tuple> = execute(&wanted.join(shadow), &db)
-            .unwrap()
+        let hash: std::collections::BTreeSet<Tuple> = rows(&costed(wanted.join(shadow), &db), &db)
             .into_iter()
             .collect();
         assert_eq!(inl, hash);
@@ -836,7 +771,7 @@ mod tests {
         let plan = LogicalPlan::scan("employee");
         let opts = ExecOptions::serial().with_deadline(std::time::Instant::now());
         assert!(matches!(
-            execute_with(&plan, &db, &opts),
+            execute_chunks(&plan, &db, &opts),
             Err(CoreError::Timeout(_))
         ));
         assert!(matches!(
@@ -846,16 +781,22 @@ mod tests {
         assert_eq!(ExecOptions::default(), ExecOptions::serial());
         let later = std::time::Instant::now() + std::time::Duration::from_secs(3600);
         let opts = ExecOptions::serial().with_deadline(later);
-        assert_eq!(execute_with(&plan, &db, &opts).unwrap().len(), 300);
+        assert_eq!(execute_collect(&plan, &db, &opts).unwrap().0.len(), 300);
     }
 
     #[test]
     fn executor_snapshots_shield_a_query_from_concurrent_writes() {
         let db = db(120);
         let plan = LogicalPlan::scan("employee").filter(Predicate::gt("salary", 0));
-        // Build the stream (captures the snapshot), then mutate the
-        // relation heavily before draining it.
-        let stream = execute_stream(&plan, &db).unwrap();
+        // Build the pipeline (captures the snapshot), pull one chunk, then
+        // delete every row before pulling the rest: the remaining chunks
+        // still come from the capture.
+        let ctx = ExecContext::build(&plan, &db).unwrap();
+        let stats = batch::ExecStats::default();
+        let mut pipeline = batch::exec_chunks(&plan, &ctx, &stats).unwrap();
+        drop(ctx);
+        let first = pipeline.next().expect("a first chunk");
+        assert!(first.len() < 120, "the scan spans several chunks");
         let rids: Vec<flexrel_storage::Rid> = db
             .scan("employee")
             .unwrap()
@@ -866,8 +807,9 @@ mod tests {
             db.delete("employee", rid).unwrap();
         }
         assert_eq!(db.count("employee").unwrap(), 0);
-        assert_eq!(stream.count(), 120, "the stream sees its snapshot");
-        // A fresh stream sees the new state.
-        assert_eq!(execute(&plan, &db).unwrap().len(), 0);
+        let seen = first.len() + pipeline.map(|c| c.len()).sum::<usize>();
+        assert_eq!(seen, 120, "the pipeline sees its snapshot");
+        // A fresh execution sees the new state.
+        assert_eq!(rows(&plan, &db).len(), 0);
     }
 }

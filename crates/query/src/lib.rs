@@ -3,7 +3,7 @@
 //! Query processing over flexible relations: a small query language (FRQL),
 //! logical plans, a rule-based optimizer whose rewrites are justified by
 //! attribute dependencies (§3.1.2 and Example 4 of Kalus & Dadam, ICDE
-//! 1995), and a streaming, partition-aware executor running against
+//! 1995), and a partition-aware chunk executor running against
 //! [`flexrel_storage::Database`].
 //!
 //! ## The optimizer's AD-driven rewrites
@@ -43,7 +43,15 @@
 //!   filter when the probe is priced below the shape-pruned scan, and joins
 //!   on an indexed key stream one side against the index
 //!   ([`join_strategy`], gated by the index statistics) instead of
-//!   building a hash table.
+//!   building a hash table.  The chosen method is recorded on the plan's
+//!   [`Join`](LogicalPlan::Join) node; the executor follows it.
+//!
+//! ## The executor
+//!
+//! [`execute_chunks`] runs a plan to its result chunks — the one result
+//! boundary — and [`execute_collect`] materializes them as tuples;
+//! [`run_statement`] and [`run_statement_chunks`] take an FRQL string
+//! through parse → plan → [`optimize_with_db`] → execute.
 //!
 //! ```
 //! use flexrel_query::prelude::*;
@@ -64,7 +72,7 @@
 //! let plan = plan_query(&query, &db.catalog()).unwrap();
 //! let (optimized, notes) = optimize(plan, &db.catalog());
 //! assert!(notes.iter().any(|n| n.rule == "guard-elimination"));
-//! let rows = execute(&optimized, &db).unwrap();
+//! let (rows, _stats) = execute_collect(&optimized, &db, &ExecOptions::serial()).unwrap();
 //! assert!(rows.iter().all(|t| t.has_name("typing-speed")));
 //! ```
 
@@ -83,12 +91,9 @@ pub mod statement;
 pub use agg::{Acc, GroupedAggs};
 pub use batch::{Chunk, ColChunk, ExecStats};
 pub use colscan::{aggregate_selected, compile as compile_predicates, Compiled};
-pub use exec::{
-    execute, execute_chunks, execute_collect, execute_stream, execute_stream_with, execute_with,
-    plan_attrs, ExecOptions, TupleStream,
-};
-pub use logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
-pub use optimizer::cost::{estimate_rows, join_strategy, JoinStrategy};
+pub use exec::{execute_chunks, execute_collect, plan_attrs, ExecOptions};
+pub use logical::{AggExpr, AggFunc, JoinStrategy, LogicalPlan, ShapePredicate};
+pub use optimizer::cost::{estimate_rows, join_strategy};
 pub use optimizer::{
     choose_access_paths, explain_query, optimize, optimize_with_db, plan_props, PlanExplain,
     PlanProps, RewriteNote,
@@ -99,12 +104,8 @@ pub use statement::{run_statement, run_statement_chunks, StatementOutcome};
 
 /// The most commonly used items.
 pub mod prelude {
-    pub use crate::exec::{
-        execute, execute_chunks, execute_collect, execute_stream, execute_stream_with,
-        execute_with, ExecOptions,
-    };
-    pub use crate::logical::{AggExpr, AggFunc, LogicalPlan, ShapePredicate};
-    pub use crate::optimizer::cost::{join_strategy, JoinStrategy};
+    pub use crate::exec::{execute_chunks, execute_collect, ExecOptions};
+    pub use crate::logical::{AggExpr, AggFunc, JoinStrategy, LogicalPlan, ShapePredicate};
     pub use crate::optimizer::{
         explain_query, optimize, optimize_with_db, PlanExplain, RewriteNote,
     };

@@ -33,6 +33,30 @@ impl AggFunc {
     }
 }
 
+/// The physical method of a [`LogicalPlan::Join`], chosen at plan time and
+/// followed by the executor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JoinStrategy {
+    /// Materialize and hash the right input, stream the left input.
+    Hash,
+    /// Stream the left input, probe the right relation's stored index on
+    /// the equi-join attributes per tuple.
+    IndexNestedLoopRight,
+    /// Stream the right input, probe the left relation's stored index on
+    /// the equi-join attributes per tuple.
+    IndexNestedLoopLeft,
+}
+
+impl fmt::Display for JoinStrategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            JoinStrategy::Hash => "hash",
+            JoinStrategy::IndexNestedLoopRight => "index-nested-loop into right",
+            JoinStrategy::IndexNestedLoopLeft => "index-nested-loop into left",
+        })
+    }
+}
+
 /// One aggregate expression of an [`LogicalPlan::Aggregate`] node.
 ///
 /// Flexible-relation semantics: an aggregate over attribute `a` folds only
@@ -197,6 +221,11 @@ pub enum LogicalPlan {
         left: Box<LogicalPlan>,
         /// The right input.
         right: Box<LogicalPlan>,
+        /// How the executor joins them.  Every join starts as
+        /// [`JoinStrategy::Hash`]; only the access-path pass
+        /// ([`choose_access_paths`](crate::optimizer::choose_access_paths))
+        /// prices and records another method.
+        strategy: JoinStrategy,
     },
     /// Outer union of several inputs (heterogeneous shapes allowed).
     UnionAll {
@@ -259,7 +288,7 @@ impl LogicalPlan {
             | LogicalPlan::Guard { input, .. }
             | LogicalPlan::Extend { input, .. }
             | LogicalPlan::Aggregate { input, .. } => input.pruned_scan_count(),
-            LogicalPlan::Join { left, right } => {
+            LogicalPlan::Join { left, right, .. } => {
                 left.pruned_scan_count() + right.pruned_scan_count()
             }
             LogicalPlan::UnionAll { inputs } => inputs.iter().map(|p| p.pruned_scan_count()).sum(),
@@ -290,11 +319,12 @@ impl LogicalPlan {
         }
     }
 
-    /// Joins the plan with another plan.
+    /// Joins the plan with another plan by hash join.
     pub fn join(self, right: LogicalPlan) -> Self {
         LogicalPlan::Join {
             left: Box::new(self),
             right: Box::new(right),
+            strategy: JoinStrategy::Hash,
         }
     }
 
@@ -339,9 +369,14 @@ impl LogicalPlan {
                 group_by,
                 aggs,
             },
-            LogicalPlan::Join { left, right } => LogicalPlan::Join {
+            LogicalPlan::Join {
+                left,
+                right,
+                strategy,
+            } => LogicalPlan::Join {
                 left: boxed(left),
                 right: boxed(right),
+                strategy,
             },
             LogicalPlan::UnionAll { inputs } => LogicalPlan::UnionAll {
                 inputs: inputs.into_iter().map(f).collect(),
@@ -360,7 +395,7 @@ impl LogicalPlan {
             | LogicalPlan::Guard { input, .. }
             | LogicalPlan::Extend { input, .. }
             | LogicalPlan::Aggregate { input, .. } => vec![input],
-            LogicalPlan::Join { left, right } => vec![left, right],
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
             LogicalPlan::UnionAll { inputs } => inputs.iter().collect(),
             LogicalPlan::Scan { .. } | LogicalPlan::IndexLookup { .. } | LogicalPlan::Empty => {
                 Vec::new()
@@ -379,7 +414,7 @@ impl LogicalPlan {
             | LogicalPlan::Guard { input, .. }
             | LogicalPlan::Extend { input, .. }
             | LogicalPlan::Aggregate { input, .. } => input.index_lookup_count(),
-            LogicalPlan::Join { left, right } => {
+            LogicalPlan::Join { left, right, .. } => {
                 left.index_lookup_count() + right.index_lookup_count()
             }
             LogicalPlan::UnionAll { inputs } => inputs.iter().map(|p| p.index_lookup_count()).sum(),
@@ -395,7 +430,7 @@ impl LogicalPlan {
             | LogicalPlan::Guard { input, .. }
             | LogicalPlan::Extend { input, .. }
             | LogicalPlan::Aggregate { input, .. } => 1 + input.node_count(),
-            LogicalPlan::Join { left, right } => 1 + left.node_count() + right.node_count(),
+            LogicalPlan::Join { left, right, .. } => 1 + left.node_count() + right.node_count(),
             LogicalPlan::UnionAll { inputs } => {
                 1 + inputs.iter().map(|p| p.node_count()).sum::<usize>()
             }
@@ -412,7 +447,7 @@ impl LogicalPlan {
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Extend { input, .. }
             | LogicalPlan::Aggregate { input, .. } => input.guard_count(),
-            LogicalPlan::Join { left, right } => left.guard_count() + right.guard_count(),
+            LogicalPlan::Join { left, right, .. } => left.guard_count() + right.guard_count(),
             LogicalPlan::UnionAll { inputs } => inputs.iter().map(|p| p.guard_count()).sum(),
         }
     }
@@ -421,7 +456,7 @@ impl LogicalPlan {
     pub fn join_count(&self) -> usize {
         match self {
             LogicalPlan::Empty | LogicalPlan::Scan { .. } | LogicalPlan::IndexLookup { .. } => 0,
-            LogicalPlan::Join { left, right } => 1 + left.join_count() + right.join_count(),
+            LogicalPlan::Join { left, right, .. } => 1 + left.join_count() + right.join_count(),
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Guard { input, .. }
@@ -479,8 +514,15 @@ impl LogicalPlan {
                 writeln!(f, "{}Guard {}", pad, attrs)?;
                 input.fmt_indent(f, indent + 1)
             }
-            LogicalPlan::Join { left, right } => {
-                writeln!(f, "{}Join", pad)?;
+            LogicalPlan::Join {
+                left,
+                right,
+                strategy,
+            } => {
+                match strategy {
+                    JoinStrategy::Hash => writeln!(f, "{}Join", pad)?,
+                    _ => writeln!(f, "{}Join [{}]", pad, strategy)?,
+                }
                 left.fmt_indent(f, indent + 1)?;
                 right.fmt_indent(f, indent + 1)
             }

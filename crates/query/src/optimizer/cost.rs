@@ -32,8 +32,10 @@
 //! [`join_strategy`]: index-nested-loop when one side is a (possibly
 //! filtered) base scan with a stored index on exactly the equi-join
 //! attributes and probing it is estimated cheaper than building a hash
-//! table over it; otherwise hash join.  The executor asks the same function
-//! against its snapshots.
+//! table over it; otherwise hash join.  The access-path pass
+//! ([`choose_access_paths`](super::choose_access_paths)) asks it once per
+//! join and records the answer on the [`LogicalPlan::Join`] node; the
+//! executor follows that record and prices nothing.
 //!
 //! # Index probe versus pruned scan
 //!
@@ -48,13 +50,16 @@
 //! rows of the one partition its EAD region already prunes the scan to, and
 //! the column kernels win by two orders of magnitude.
 
+use std::sync::Arc;
+
 use flexrel_algebra::predicate::{CmpOp, Predicate};
 use flexrel_core::attr::AttrSet;
 use flexrel_core::value::Value;
-use flexrel_storage::{Catalog, Database, HashIndex, IndexInfo, TableStats};
+use flexrel_storage::{Catalog, Database, IndexInfo, TableStats};
 
+use crate::batch::inl_inner_side;
 use crate::exec::{plan_attrs, snap_plan_attrs, ExecContext};
-use crate::logical::{LogicalPlan, ShapePredicate};
+use crate::logical::{JoinStrategy, LogicalPlan};
 
 use super::{plan_props, Notes};
 
@@ -98,9 +103,9 @@ pub(super) fn index_beats_scan(index: &IndexInfo, partitions: usize, rows: usize
 /// coincides with the existing one.
 pub(super) fn order_joins(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
     match plan {
-        LogicalPlan::Join { left, right } => {
+        join @ LogicalPlan::Join { .. } => {
             let mut leaves = Vec::new();
-            collect_join_leaves(LogicalPlan::Join { left, right }, &mut leaves);
+            collect_join_leaves(join, &mut leaves);
             // Order the children's own sub-joins first (a leaf here is any
             // non-Join node; its subtree may still contain joins below a
             // projection or aggregate).
@@ -141,7 +146,7 @@ pub(super) fn order_joins(plan: LogicalPlan, db: &Database, notes: &mut Notes) -
 /// Flattens a join tree into its non-join leaves, in left-to-right order.
 fn collect_join_leaves(plan: LogicalPlan, out: &mut Vec<LogicalPlan>) {
     match plan {
-        LogicalPlan::Join { left, right } => {
+        LogicalPlan::Join { left, right, .. } => {
             collect_join_leaves(*left, out);
             collect_join_leaves(*right, out);
         }
@@ -229,35 +234,49 @@ fn greedy_order(leaves: &[LogicalPlan], ests: &[Option<usize>], db: &Database) -
     order
 }
 
-/// The average probe chain length of an index snapshot (mirrors
-/// [`flexrel_storage::IndexInfo::avg_matches`]).
-fn idx_avg_matches(idx: &HashIndex) -> usize {
-    let reachable = idx.len() - idx.partial_tuples().len();
-    reachable
-        .checked_div(idx.distinct_keys())
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// A cardinality *estimate* for a plan, derived from partition metadata,
-/// index statistics and — for joins, filters under them and grouped
-/// aggregates — the stored per-partition table statistics (equi-depth
-/// histograms and distinct counts, [`flexrel_storage::TableStats`]).
+/// index statistics and — for filters, joins and grouped aggregates, read
+/// when the estimate reaches one — the stored per-partition table
+/// statistics (equi-depth histograms and distinct counts,
+/// [`flexrel_storage::TableStats`]).
 /// `None` when nothing can be derived (a join over relations with no
 /// statistics).  For scans this is an exact live count; everything stacked
 /// on one scales it by estimated selectivity — under skew an actual run
 /// can return more.  The join-strategy gate and the cost-based join
 /// ordering use it; do not rely on it as a hard bound.
 pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> Option<usize> {
-    let ctx = ExecContext::build(plan, db).ok()?;
-    snap_estimate_rows(plan, &ctx)
+    Estimator::new(&[plan], db).ok()?.rows(plan)
 }
 
-/// The statistics of the stored relation `plan`'s rows come from, when the
-/// context loaded them.
-fn source_stats<'c>(plan: &LogicalPlan, ctx: &'c ExecContext) -> Option<&'c TableStats> {
-    let source = plan_props(plan, ctx.catalog())?.source?;
-    ctx.stats(source.relation)
+/// What an estimate reads: the partitions of the relations the priced
+/// plans scan, captured once, and — only when an estimate asks — a
+/// relation's table statistics and index metadata, fetched from the
+/// database.  It holds no index snapshot.
+struct Estimator<'a> {
+    db: &'a Database,
+    catalog: Arc<Catalog>,
+    parts: ExecContext,
+}
+
+impl<'a> Estimator<'a> {
+    fn new(plans: &[&LogicalPlan], db: &'a Database) -> flexrel_core::error::Result<Self> {
+        Ok(Estimator {
+            db,
+            catalog: db.catalog(),
+            parts: ExecContext::partitions(plans, db)?,
+        })
+    }
+
+    /// The statistics of the stored relation `plan`'s rows come from.
+    fn source_stats(&self, plan: &LogicalPlan) -> Option<TableStats> {
+        let source = plan_props(plan, &self.catalog)?.source?;
+        self.db.table_stats(source.relation).ok()
+    }
+
+    /// The metadata of `relation`'s index on exactly `key`.
+    fn index(&self, relation: &str, key: &AttrSet) -> Option<IndexInfo> {
+        self.db.index_info(relation, key).ok().flatten()
+    }
 }
 
 /// The estimated fraction of rows satisfying a predicate, from the
@@ -298,212 +317,144 @@ fn predicate_selectivity(p: &Predicate, stats: Option<&TableStats>) -> f64 {
     sel.clamp(0.0, 1.0)
 }
 
-fn snap_estimate_rows(plan: &LogicalPlan, ctx: &ExecContext) -> Option<usize> {
-    match plan {
-        LogicalPlan::Empty => Some(0),
-        LogicalPlan::Scan {
-            relation, shape, ..
-        } => Some(
-            ctx.snap(relation)
-                .parts
-                .partitions()
-                .filter(|(_, p)| shape.as_ref().map(|s| s.admits(p.shape())).unwrap_or(true))
-                .map(|(_, p)| p.len())
-                .sum(),
-        ),
-        LogicalPlan::IndexLookup { relation, key, .. } => {
-            let snap = ctx.snap(relation);
-            match snap.index_on(key) {
-                // One probe returns one hash chain: the average chain length
-                // is the expected match count.
-                Some(idx) => Some(idx_avg_matches(idx)),
-                None => Some(snap.parts.len()),
+impl Estimator<'_> {
+    fn rows(&self, plan: &LogicalPlan) -> Option<usize> {
+        match plan {
+            LogicalPlan::Empty => Some(0),
+            LogicalPlan::Scan {
+                relation, shape, ..
+            } => Some(
+                self.parts
+                    .snap(relation)
+                    .parts
+                    .partitions()
+                    .filter(|(_, p)| shape.as_ref().map(|s| s.admits(p.shape())).unwrap_or(true))
+                    .map(|(_, p)| p.len())
+                    .sum(),
+            ),
+            LogicalPlan::IndexLookup { relation, key, .. } => match self.index(relation, key) {
+                // One probe returns one hash chain: the average chain length is
+                // the expected match count.
+                Some(info) => Some(info.avg_matches()),
+                None => Some(self.parts.snap(relation).parts.len()),
+            },
+            LogicalPlan::Filter { input, predicate } => {
+                let base = self.rows(input)?;
+                let stats = self.source_stats(input);
+                let sel = predicate_selectivity(predicate, stats.as_ref());
+                Some(((base as f64 * sel).ceil() as usize).min(base))
             }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let base = snap_estimate_rows(input, ctx)?;
-            let stats = source_stats(input, ctx);
-            let sel = predicate_selectivity(predicate, stats);
-            Some(((base as f64 * sel).ceil() as usize).min(base))
-        }
-        LogicalPlan::Guard { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Extend { input, .. } => snap_estimate_rows(input, ctx),
-        LogicalPlan::UnionAll { inputs } => inputs
-            .iter()
-            .map(|p| snap_estimate_rows(p, ctx))
-            .sum::<Option<usize>>(),
-        LogicalPlan::Join { left, right } => {
-            let l = snap_estimate_rows(left, ctx)?;
-            let r = snap_estimate_rows(right, ctx)?;
-            let common = snap_plan_attrs(left, ctx).intersection(&snap_plan_attrs(right, ctx));
-            if common.is_empty() {
-                // A compatibility merge over disjoint attribute sets is a
-                // cross product.
-                return Some(l.saturating_mul(r));
-            }
-            // The equi-join estimate |L|·|R| / max(distinct(a)): for each
-            // shared attribute take the larger side's distinct count
-            // (containment assumption), then divide by the most selective
-            // one.  Without statistics the cardinality is not derivable.
-            let mut denom: u64 = 0;
-            for a in common.iter() {
-                for side in [left.as_ref(), right.as_ref()] {
-                    let d = source_stats(side, ctx).and_then(|s| s.distinct(a.name()));
-                    if let Some(d) = d {
-                        denom = denom.max(d);
+            LogicalPlan::Guard { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Extend { input, .. } => self.rows(input),
+            LogicalPlan::UnionAll { inputs } => inputs.iter().map(|p| self.rows(p)).sum(),
+            LogicalPlan::Join { left, right, .. } => {
+                let l = self.rows(left)?;
+                let r = self.rows(right)?;
+                let common = snap_plan_attrs(left, &self.parts)
+                    .intersection(&snap_plan_attrs(right, &self.parts));
+                if common.is_empty() {
+                    // A compatibility merge over disjoint attribute sets is a
+                    // cross product.
+                    return Some(l.saturating_mul(r));
+                }
+                // The equi-join estimate |L|·|R| / max(distinct(a)): for each
+                // shared attribute take the larger side's distinct count
+                // (containment assumption), then divide by the most selective
+                // one.  Without statistics the cardinality is not derivable.
+                let sides = [self.source_stats(left), self.source_stats(right)];
+                let mut denom: u64 = 0;
+                for a in common.iter() {
+                    for stats in sides.iter().flatten() {
+                        if let Some(d) = stats.distinct(a.name()) {
+                            denom = denom.max(d);
+                        }
                     }
                 }
+                if denom == 0 {
+                    return None;
+                }
+                let est = (l as u128).saturating_mul(r as u128) / denom as u128;
+                let est = est.min(usize::MAX as u128) as usize;
+                Some(if l == 0 || r == 0 { 0 } else { est.max(1) })
             }
-            if denom == 0 {
-                return None;
-            }
-            let est = (l as u128).saturating_mul(r as u128) / denom as u128;
-            let est = est.min(usize::MAX as u128) as usize;
-            Some(if l == 0 || r == 0 { 0 } else { est.max(1) })
-        }
-        LogicalPlan::Aggregate {
-            input, group_by, ..
-        } => {
-            let base = snap_estimate_rows(input, ctx)?;
-            if group_by.is_empty() {
-                // A global aggregate emits exactly one row.
-                return Some(1);
-            }
-            // Group count is bounded by the input rows and by the product
-            // of the grouping attributes' distinct counts when statistics
-            // carry them.
-            let stats = source_stats(input, ctx);
-            let mut bound: u128 = 1;
-            let mut any = false;
-            for g in group_by.iter() {
-                if let Some(d) = stats.and_then(|s| s.distinct(g.name())) {
-                    any = true;
-                    bound = bound.saturating_mul(d as u128);
+            LogicalPlan::Aggregate {
+                input, group_by, ..
+            } => {
+                let base = self.rows(input)?;
+                if group_by.is_empty() {
+                    // A global aggregate emits exactly one row.
+                    return Some(1);
+                }
+                // Group count is bounded by the input rows and by the product
+                // of the grouping attributes' distinct counts when statistics
+                // carry them.
+                let stats = self.source_stats(input);
+                let mut bound: u128 = 1;
+                let mut any = false;
+                for g in group_by.iter() {
+                    if let Some(d) = stats.as_ref().and_then(|s| s.distinct(g.name())) {
+                        any = true;
+                        bound = bound.saturating_mul(d as u128);
+                    }
+                }
+                if any {
+                    Some(bound.min(base as u128) as usize)
+                } else {
+                    Some(base)
                 }
             }
-            if any {
-                Some(bound.min(base as u128) as usize)
-            } else {
-                Some(base)
-            }
         }
+    }
+
+    /// Whether probing the inner side's index on `common` beats building
+    /// a hash table over it, as a cost comparison: the index-nested-loop
+    /// side pays ~`outer_est` probes of ~`1 + avg_matches` work each (the
+    /// probe plus its expected chain), the hash join pays for materializing
+    /// the inner *plan*'s rows (its shape-pruned/filtered estimate, not the
+    /// whole relation) **and** streaming the outer side through the table.
+    /// The factor 2 keeps the switch conservative around the break-even
+    /// point.  Returns `false` when no index on exactly `common` exists.
+    fn inl_gate(
+        &self,
+        outer: &LogicalPlan,
+        inner: &LogicalPlan,
+        inner_relation: &str,
+        common: &AttrSet,
+    ) -> bool {
+        let Some(info) = self.index(inner_relation, common) else {
+            return false;
+        };
+        let Some(outer_est) = self.rows(outer) else {
+            return false;
+        };
+        let inner_est = self.rows(inner).unwrap_or(info.len);
+        let inl_cost = outer_est
+            .saturating_mul(1 + info.avg_matches())
+            .saturating_mul(2);
+        let hash_cost = inner_est.saturating_add(outer_est);
+        inl_cost <= hash_cost
     }
 }
 
-/// The physical strategy the executor picks for a [`LogicalPlan::Join`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Materialize and hash the right input, stream the left input.
-    Hash,
-    /// Stream the left input, probe the right relation's stored index on
-    /// the equi-join attributes per tuple.
-    IndexNestedLoopRight,
-    /// Stream the right input, probe the left relation's stored index on
-    /// the equi-join attributes per tuple.
-    IndexNestedLoopLeft,
-}
-
-/// A side an index-nested-loop join can probe: a base scan, possibly under
-/// residual filters.  The scan's qualification and any filter predicates are
-/// folded into one per-tuple qualification that the probe re-applies; the
-/// shape predicate is re-applied per rid.
-pub(crate) struct InnerSide<'a> {
-    pub(crate) relation: &'a str,
-    pub(crate) qualification: Option<Predicate>,
-    pub(crate) shapes: &'a Option<ShapePredicate>,
-}
-
-pub(crate) fn inl_inner_side(plan: &LogicalPlan) -> Option<InnerSide<'_>> {
-    match plan {
-        LogicalPlan::Scan {
-            relation,
-            qualification,
-            shape,
-        } => Some(InnerSide {
-            relation,
-            qualification: qualification.clone(),
-            shapes: shape,
-        }),
-        LogicalPlan::Filter { input, predicate } => {
-            let side = inl_inner_side(input)?;
-            let qualification = Some(match side.qualification {
-                Some(q) => q.and(predicate.clone()),
-                None => predicate.clone(),
-            });
-            Some(InnerSide {
-                qualification,
-                ..side
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Whether probing the inner side's index on `common` beats building a
-/// hash table over it, as a cost comparison: the index-nested-loop side
-/// pays ~`outer_est` probes of ~`1 + avg_matches` work each (the probe
-/// plus its expected chain), the hash join pays for materializing the
-/// inner *plan*'s rows (its shape-pruned/filtered estimate, not the whole
-/// relation) **and** streaming the outer side through the table.  The
-/// factor 2 keeps the switch conservative around the break-even point.
-/// Returns `false` when no index on exactly `common` exists.
-fn inl_gate(
-    outer: &LogicalPlan,
-    inner: &LogicalPlan,
-    inner_relation: &str,
-    common: &AttrSet,
-    ctx: &ExecContext,
-) -> bool {
-    let snap = ctx.snap(inner_relation);
-    let Some(idx) = snap.index_on(common) else {
-        return false;
-    };
-    let Some(outer_est) = snap_estimate_rows(outer, ctx) else {
-        return false;
-    };
-    let inner_est = snap_estimate_rows(inner, ctx).unwrap_or(idx.len());
-    let inl_cost = outer_est
-        .saturating_mul(1 + idx_avg_matches(idx))
-        .saturating_mul(2);
-    let hash_cost = inner_est.saturating_add(outer_est);
-    inl_cost <= hash_cost
-}
-
-/// The join strategy the executor will pick for `left ⋈ right`:
-/// index-nested-loop when one side is a (possibly filtered) base scan with
-/// a stored index on exactly the equi-join attributes and the statistics
-/// gate passes, otherwise hash join.  Exposed so tests and the experiment
-/// harness can show which access path a join takes.
+/// The join method for `left ⋈ right`: index-nested-loop when one side is
+/// a (possibly filtered) base scan with a stored index on exactly the
+/// equi-join attributes and the statistics gate passes, otherwise hash
+/// join.  The access-path pass records its answer on the join node.
 pub fn join_strategy(left: &LogicalPlan, right: &LogicalPlan, db: &Database) -> JoinStrategy {
-    let Ok(ctx) = ExecContext::for_join(left, right, db) else {
+    let Ok(est) = Estimator::new(&[left, right], db) else {
         return JoinStrategy::Hash;
     };
-    let common = snap_plan_attrs(left, &ctx).intersection(&snap_plan_attrs(right, &ctx));
-    join_strategy_for(left, right, &common, &ctx)
-}
-
-/// [`join_strategy`] with the equi-join attribute set already computed —
-/// the executor derives `common` once per join and shares it between the
-/// strategy choice and the chosen stream.
-pub(crate) fn join_strategy_for(
-    left: &LogicalPlan,
-    right: &LogicalPlan,
-    common: &AttrSet,
-    ctx: &ExecContext,
-) -> JoinStrategy {
+    let common =
+        snap_plan_attrs(left, &est.parts).intersection(&snap_plan_attrs(right, &est.parts));
     if common.is_empty() {
         return JoinStrategy::Hash;
     }
-    if let Some(side) = inl_inner_side(right) {
-        if inl_gate(left, right, side.relation, common, ctx) {
-            return JoinStrategy::IndexNestedLoopRight;
-        }
+    if inl_inner_side(right).is_some_and(|side| est.inl_gate(left, right, side.relation, &common)) {
+        return JoinStrategy::IndexNestedLoopRight;
     }
-    if let Some(side) = inl_inner_side(left) {
-        if inl_gate(right, left, side.relation, common, ctx) {
-            return JoinStrategy::IndexNestedLoopLeft;
-        }
+    if inl_inner_side(left).is_some_and(|side| est.inl_gate(right, left, side.relation, &common)) {
+        return JoinStrategy::IndexNestedLoopLeft;
     }
     JoinStrategy::Hash
 }

@@ -7,7 +7,7 @@ use std::fmt;
 use flexrel_core::error::Result;
 use flexrel_storage::Database;
 
-use crate::logical::LogicalPlan;
+use crate::logical::{JoinStrategy, LogicalPlan};
 use crate::parser::parse;
 use crate::planner::plan_query;
 
@@ -24,7 +24,7 @@ pub struct PlanExplain {
 
 impl PlanExplain {
     /// Renders a plan.  With a database, each node is annotated with the
-    /// executor's row estimate (which consults the stored statistics);
+    /// cost model's row estimate (which consults the stored statistics);
     /// without one the tree and notes alone are shown.
     pub fn new(plan: &LogicalPlan, notes: &[RewriteNote], db: Option<&Database>) -> Self {
         let mut out = String::new();
@@ -93,7 +93,10 @@ fn node_label(plan: &LogicalPlan) -> String {
         LogicalPlan::Project { attrs, .. } => format!("Project {}", attrs),
         LogicalPlan::Guard { attrs, .. } => format!("Guard {}", attrs),
         LogicalPlan::Extend { attr, value, .. } => format!("Extend {} := {}", attr, value),
-        LogicalPlan::Join { .. } => "Join".to_string(),
+        LogicalPlan::Join { strategy, .. } => match strategy {
+            JoinStrategy::Hash => "Join".to_string(),
+            _ => format!("Join [{}]", strategy),
+        },
         LogicalPlan::UnionAll { .. } => "UnionAll".to_string(),
         LogicalPlan::Aggregate { group_by, aggs, .. } => {
             let outputs: Vec<&str> = aggs.iter().map(|a| a.output.name()).collect();

@@ -168,7 +168,7 @@ pub fn plan_props<'a>(node: &LogicalPlan, catalog: &'a Catalog) -> Option<PlanPr
             p.pinned.insert(a, value.clone());
             p
         }
-        LogicalPlan::Join { left, right } => {
+        LogicalPlan::Join { left, right, .. } => {
             let (l, r) = (plan_props(left, catalog)?, plan_props(right, catalog)?);
             PlanProps {
                 source: None,

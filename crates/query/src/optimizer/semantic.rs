@@ -192,7 +192,7 @@ fn simplify_filter(
             notes.push("constant-folding", || "predicate is constant true".into());
             input
         }
-        (predicate, LogicalPlan::Join { left, right }) => {
+        (predicate, LogicalPlan::Join { left, right, .. }) => {
             split_over_join(predicate, *left, *right, catalog, notes)
         }
         (predicate, input) => input.filter(predicate),
@@ -296,7 +296,7 @@ fn already_selects(plan: &LogicalPlan, atom: &Predicate) -> bool {
         LogicalPlan::Guard { input, .. } | LogicalPlan::Project { input, .. } => {
             already_selects(input, atom)
         }
-        LogicalPlan::Join { left, right } => {
+        LogicalPlan::Join { left, right, .. } => {
             already_selects(left, atom) || already_selects(right, atom)
         }
         LogicalPlan::Scan { qualification, .. } => qualification
@@ -421,7 +421,12 @@ fn as_bare_projection(plan: &LogicalPlan) -> Option<(&str, &AttrSet)> {
 /// input rows are whole stored tuples, which carry `A` with the
 /// FD-consistent values).
 fn eliminate_join(plan: LogicalPlan, catalog: &Catalog, notes: &mut Notes) -> LogicalPlan {
-    let LogicalPlan::Join { left, right } = plan else {
+    let LogicalPlan::Join {
+        left,
+        right,
+        strategy,
+    } = plan
+    else {
         return plan;
     };
     for (fetch, probe) in [(&left, &right), (&right, &left)] {
@@ -465,7 +470,11 @@ fn eliminate_join(plan: LogicalPlan, catalog: &Catalog, notes: &mut Notes) -> Lo
             }
         }
     }
-    LogicalPlan::Join { left, right }
+    LogicalPlan::Join {
+        left,
+        right,
+        strategy,
+    }
 }
 
 /// **groupby-elimination.**  `GROUP BY G` over the duplicate-free
@@ -541,7 +550,7 @@ fn collapse_empty(plan: LogicalPlan, notes: &mut Notes) -> LogicalPlan {
         LogicalPlan::Aggregate {
             input, group_by, ..
         } if empty(&input) && !group_by.is_empty() => LogicalPlan::Empty,
-        LogicalPlan::Join { left, right } if empty(&left) || empty(&right) => {
+        LogicalPlan::Join { left, right, .. } if empty(&left) || empty(&right) => {
             notes.push("empty-propagation", || {
                 "join with an empty input removed".into()
             });
@@ -658,10 +667,23 @@ pub(super) fn prune_scans(
 /// pruning instead of losing it.  When several indexes cover the pinned
 /// attributes the one with the most distinct keys (the most selective
 /// probe) is the candidate.
+///
+/// The pass also prices every join, bottom-up so each join sees the access
+/// paths its inputs will run with, and records the method
+/// ([`cost::join_strategy`]) on the [`LogicalPlan::Join`] node: the
+/// executor follows it and decides nothing itself.
 pub fn choose_access_paths(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
     let plan = plan.map_children(|p| choose_access_paths(p, db, notes));
-    let LogicalPlan::Filter { input, predicate } = plan else {
-        return plan;
+    let (input, predicate) = match plan {
+        LogicalPlan::Join { left, right, .. } => {
+            return LogicalPlan::Join {
+                strategy: cost::join_strategy(&left, &right, db),
+                left,
+                right,
+            };
+        }
+        LogicalPlan::Filter { input, predicate } => (input, predicate),
+        other => return other,
     };
     let LogicalPlan::Scan {
         relation,

@@ -10,8 +10,8 @@
 //! # Concurrency
 //!
 //! A [`Database`] is a cheap, cloneable **handle** to shared state
-//! (`Clone` produces another handle onto the *same* database — use
-//! [`Database::fork`] for an independent copy).  It is `Send + Sync`; any
+//! (`Clone` produces another handle onto the *same* database).  It is
+//! `Send + Sync`; any
 //! number of sessions may read and write concurrently.  The locking is
 //! sharded per relation: the **partition catalog**
 //! (`RwLock<PartitionedHeap>`) and the **index set** (`RwLock<Vec<_>>`)
@@ -71,9 +71,7 @@ use crate::checkpoint::{write_checkpoint, CheckpointSource};
 use crate::errors::StorageError;
 use crate::fault::{IoFault, NoFault};
 use crate::index::HashIndex;
-use crate::partition::{
-    DepGuard, Partition, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo, SnapshotScan,
-};
+use crate::partition::{DepGuard, Partition, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo};
 use crate::wal::{WalOp, WalWriter};
 
 // Lock acquisition helpers.  Poisoning is deliberately not propagated
@@ -130,8 +128,8 @@ pub(crate) struct RelStore {
 }
 
 impl RelStore {
-    /// Builds a store around existing state (a new relation, recovered
-    /// state, or a fork's copy-on-write clone).
+    /// Builds a store around existing state (a new relation or recovered
+    /// state).
     pub(crate) fn new(parts: PartitionedHeap, indexes: IndexSet) -> Self {
         RelStore {
             parts: RwLock::new(parts),
@@ -143,8 +141,8 @@ impl RelStore {
 /// Per-index catalog metadata: the key, cardinality statistics and whether
 /// the index was auto-created for a dependency determinant.  Returned by
 /// [`Database::indexes`] / [`Database::index_info`]; the optimizer's
-/// access-path pass and the executor's join-strategy gate read these
-/// statistics instead of touching the index itself.
+/// cost model (index probe versus scan, the join-method gate, row
+/// estimates) reads these statistics instead of touching the index itself.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IndexInfo {
     /// The indexed attribute set.
@@ -304,8 +302,7 @@ fn background_checkpoint_loop(weak: Weak<DbInner>, dur: Arc<Durability>) {
 /// An in-memory flexible-relation database, shareable across threads.
 ///
 /// `Clone` is a cheap handle clone: all handles address the same shared
-/// state.  See the [module docs](self) for the concurrency model and
-/// [`Database::fork`] for an independent copy.
+/// state.  See the [module docs](self) for the concurrency model.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     /// Declared first so it drops first: the checkpointer is joined before
@@ -753,8 +750,8 @@ impl DbInner {
     /// whole transaction, so a concurrent multi-relation transaction is
     /// captured fully or not at all, and no relation can hold a tuple its
     /// indexes disagree with; the catalog guard keeps relations from being
-    /// created or dropped meanwhile.  [`Database::fork`] and
-    /// [`Database::checkpoint_now`] both take this cut.
+    /// created or dropped meanwhile.  [`Database::checkpoint_now`] takes
+    /// this cut.
     fn with_cut<R>(
         &self,
         f: impl FnOnce(&Arc<Catalog>, Vec<(&str, &PartitionedHeap, &IndexSet)>) -> R,
@@ -874,32 +871,6 @@ impl Database {
     /// or dropped concurrently).
     pub fn catalog(&self) -> Arc<Catalog> {
         Arc::clone(&read(&self.inner.catalog))
-    }
-
-    /// An independent deep copy of the database: the new handle shares no
-    /// mutable state with `self`.  Cheap — partitions, segments and indexes
-    /// are copy-on-write, so the fork costs refcount bumps until either
-    /// side writes.  The fork is a consistent cut of the *whole* database
-    /// (see `with_cut`).
-    pub fn fork(&self) -> Database {
-        self.inner.with_cut(|catalog, rels| {
-            let storage = rels.into_iter().map(|(name, parts, indexes)| {
-                let store = RelStore::new(parts.clone(), indexes.clone());
-                (name.to_string(), Arc::new(store))
-            });
-            Database {
-                _checkpointer: Default::default(),
-                inner: Arc::new(DbInner {
-                    catalog: RwLock::new(Arc::clone(catalog)),
-                    storage: RwLock::new(storage.collect()),
-                    // A fork is an independent in-memory copy; it does not
-                    // share (or inherit) the parent's WAL and checkpoints —
-                    // nor the parent's statistics cache (rebuilt lazily).
-                    dur: None,
-                    stats: Default::default(),
-                }),
-            }
-        })
     }
 
     fn store(&self, relation: &str) -> Result<Arc<RelStore>> {
@@ -1034,10 +1005,12 @@ impl Database {
 
     /// Metadata of the index on exactly `key`, if one exists.
     pub fn index_info(&self, relation: &str, key: &AttrSet) -> Result<Option<IndexInfo>> {
-        Ok(self
-            .indexes(relation)?
-            .into_iter()
-            .find(|info| info.key == *key))
+        let store = self.store(relation)?;
+        let indexes = read(&store.indexes);
+        Ok(indexes
+            .iter()
+            .find(|si| si.idx.key() == key)
+            .map(StoredIndex::info))
     }
 
     /// Number of live tuples in a relation.
@@ -1104,22 +1077,6 @@ impl Database {
         Ok(self.partition_snapshot(relation)?.scan().collect())
     }
 
-    /// Streams the tuples of the partitions admitted by the shape predicate
-    /// — a shape-pruned scan for embedded callers (the query executor
-    /// prunes its own [`PartitionSnapshot`] instead).  `admits` is given
-    /// each live partition's shape once, not once per tuple.  The returned
-    /// iterator owns a [`PartitionSnapshot`]: it holds no lock and is
-    /// unaffected by concurrent writes.
-    pub fn scan_where<F>(&self, relation: &str, admits: F) -> Result<SnapshotScan>
-    where
-        F: FnMut(&AttrSet) -> bool,
-    {
-        Ok(self
-            .partition_snapshot(relation)?
-            .retain_shapes(admits)
-            .scan())
-    }
-
     /// A point-in-time snapshot of the relation's partition catalog — the
     /// single source scans, metadata reads and pruning decisions of one
     /// query should share (see [`PartitionSnapshot`]).
@@ -1147,14 +1104,6 @@ impl Database {
         Ok(self.inner.stats.table_stats(relation, &snap))
     }
 
-    /// The union of the live tuple shapes of a relation — the exact
-    /// `⋃ attr(t)` over the instance, from partition metadata.
-    pub fn relation_attrs(&self, relation: &str) -> Result<AttrSet> {
-        let store = self.store(relation)?;
-        let parts = read(&store.parts);
-        Ok(parts.attrs_union())
-    }
-
     /// Equality lookup on an attribute set: uses the matching index (auto or
     /// secondary) when one exists, otherwise falls back to a shape-pruned
     /// scan.  `key_value` must be a tuple over exactly the attributes of
@@ -1170,26 +1119,6 @@ impl Database {
         let parts = read(&store.parts);
         let indexes = read(&store.indexes);
         Ok(lookup_eq_in(&parts, &indexes, key, key_value))
-    }
-
-    /// The tuples of a relation *not* defined on all of `key` — exactly the
-    /// tuples an equality lookup on `key` can never return.  Served from the
-    /// index's partial-tuple bookkeeping when an index exists, otherwise by
-    /// a scan.  (The index-nested-loop join reads the same partial list from
-    /// its snapshot index, [`HashIndex::partial_tuples`].)
-    pub fn lookup_partial(&self, relation: &str, key: &AttrSet) -> Result<Vec<(Rid, Tuple)>> {
-        let store = self.store(relation)?;
-        let parts = read(&store.parts);
-        let indexes = read(&store.indexes);
-        if let Some(idx) = index_on(&indexes, key) {
-            Ok(idx
-                .partial_tuples()
-                .iter()
-                .filter_map(|rid| parts.get(*rid).map(|t| (*rid, t)))
-                .collect())
-        } else {
-            Ok(parts.scan_where(|shape| !key.is_subset(shape)).collect())
-        }
     }
 
     /// A snapshot of the stored hash index on exactly `key`, if one exists
@@ -1498,7 +1427,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<Database>();
         assert_send_sync::<PartitionSnapshot>();
-        assert_send_sync::<SnapshotScan>();
+        assert_send_sync::<crate::partition::SnapshotScan>();
         assert_send_sync::<Tuple>();
     }
 
@@ -1532,7 +1461,9 @@ mod tests {
             assert_eq!(p.shape_id.attrs(), p.shape);
         }
         // The live attribute union comes from partition metadata.
-        let union = db.relation_attrs("employee").unwrap();
+        let union = parts
+            .iter()
+            .fold(AttrSet::empty(), |acc, p| acc.union(&p.shape));
         assert!(union.is_superset(&attrs!["typing-speed", "sales-commission"]));
     }
 
@@ -1541,8 +1472,10 @@ mod tests {
         let db = db_with_employees(90);
         let need = attrs!["typing-speed"];
         let secretaries: Vec<_> = db
-            .scan_where("employee", |s| need.is_subset(s))
+            .partition_snapshot("employee")
             .unwrap()
+            .retain_shapes(|s| need.is_subset(s))
+            .scan()
             .map(|(_, t)| t)
             .collect();
         assert!(!secretaries.is_empty());
@@ -1920,17 +1853,21 @@ mod tests {
             .unwrap();
         assert_eq!(info.len, 90);
         assert!(info.partial_tuples > 0);
-        let partial = db
-            .lookup_partial("employee", &attrs!["typing-speed"])
-            .unwrap();
+        let (parts, indexes) = db.relation_snapshot("employee").unwrap();
+        let key = attrs!["typing-speed"];
+        let index = indexes.iter().find(|idx| idx.key() == &key).unwrap();
+        let partial: Vec<Tuple> = index
+            .partial_tuples()
+            .iter()
+            .filter_map(|rid| parts.get(*rid))
+            .collect();
         assert_eq!(partial.len(), info.partial_tuples);
-        assert!(partial.iter().all(|(_, t)| !t.has_name("typing-speed")));
-        // The scan fallback (no index on this wider key) computes the same
-        // set: name and salary are universal, so only typing-speed decides.
-        let by_scan = db
-            .lookup_partial("employee", &attrs!["name", "salary", "typing-speed"])
-            .unwrap();
-        assert_eq!(by_scan.len(), info.partial_tuples);
+        assert!(partial.iter().all(|t| !t.has_name("typing-speed")));
+        // A scan finds the same set on a wider key: name and salary are
+        // universal, so only typing-speed decides.
+        let wider = attrs!["name", "salary", "typing-speed"];
+        let by_scan = parts.scan().filter(|(_, t)| !t.defined_on(&wider)).count();
+        assert_eq!(by_scan, info.partial_tuples);
     }
 
     #[test]
@@ -2090,27 +2027,23 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_a_shared_handle_and_fork_is_independent() {
+    fn clone_is_a_shared_handle() {
         let db = db_with_employees(5);
         let handle = db.clone();
-        let fork = db.fork();
         let mut extra = generate_employees(&EmployeeConfig::clean(1)).pop().unwrap();
         extra.insert("empno", 999);
         db.insert("employee", extra).unwrap();
         assert_eq!(handle.count("employee").unwrap(), 6, "handles share state");
-        assert_eq!(fork.count("employee").unwrap(), 5, "forks do not");
-        // And the fork is writable on its own.
-        let (rid, _) = fork.scan("employee").unwrap()[0].clone();
-        fork.delete("employee", rid).unwrap();
-        assert_eq!(fork.count("employee").unwrap(), 4);
-        assert_eq!(db.count("employee").unwrap(), 6);
+        let (rid, _) = handle.scan("employee").unwrap()[0].clone();
+        handle.delete("employee", rid).unwrap();
+        assert_eq!(db.count("employee").unwrap(), 5);
     }
 
     #[test]
     fn snapshot_scans_are_isolated_from_concurrent_writes() {
         let db = db_with_employees(20);
         // Take the snapshot-backed iterator, then mutate heavily.
-        let mut stream = db.scan_where("employee", |_| true).unwrap();
+        let mut stream = db.partition_snapshot("employee").unwrap().scan();
         let first = stream.next().expect("non-empty");
         let rids: Vec<Rid> = db
             .scan("employee")

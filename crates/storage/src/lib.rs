@@ -22,7 +22,8 @@
 //! physical: each partition is a homogeneous fragment satisfying exactly one
 //! disjunct, insert-time type checks are memoized per shape
 //! ([`partition::ShapeMemo`]), and scans can skip partitions whose shape
-//! cannot satisfy a query ([`Database::scan_where`]).
+//! cannot satisfy a query
+//! ([`PartitionSnapshot::retain_shapes`](partition::PartitionSnapshot::retain_shapes)).
 //!
 //! The query engine (`flexrel-query`) plans and executes against this crate;
 //! the algebra (`flexrel-algebra`) operates on materialized

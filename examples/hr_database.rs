@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let q = parse(frql)?;
         let plan = plan_query(&q, &db.catalog())?;
         let (optimized, notes) = optimize(plan, &db.catalog());
-        let rows = execute(&optimized, &db)?;
+        let rows = execute_collect(&optimized, &db, &ExecOptions::serial())?.0;
         println!("\n{}\n  -> {} rows, {} optimizer rewrites", frql, rows.len(), notes.len());
         for n in &notes {
             println!("     [{}]", n.rule);

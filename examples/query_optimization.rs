@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for n in &notes {
         println!("rewrite [{}]:\n{}\n", n.rule, n.detail);
     }
-    let a = execute(&naive, &db)?;
-    let b = execute(&optimized, &db)?;
+    let a = execute_collect(&naive, &db, &ExecOptions::serial())?.0;
+    let b = execute_collect(&optimized, &db, &ExecOptions::serial())?.0;
     println!(
         "both plans return {} rows (identical: {})",
         a.len(),

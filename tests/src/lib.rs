@@ -119,7 +119,7 @@ pub fn reference_eval(plan: &LogicalPlan, db: &Database) -> Vec<Tuple> {
                 t
             })
             .collect(),
-        LogicalPlan::Join { left, right } => {
+        LogicalPlan::Join { left, right, .. } => {
             let right = reference_eval(right, db);
             let mut out = Vec::new();
             for l in reference_eval(left, db) {

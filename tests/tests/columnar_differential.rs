@@ -114,9 +114,17 @@ fn oracle(db: &Database, rel: &str, pred: &Predicate) -> BTreeSet<Tuple> {
 /// Runs the plan through the (vectorized) executor, naive and optimized.
 fn both_plans(db: &Database, rel: &str, pred: &Predicate) -> (BTreeSet<Tuple>, BTreeSet<Tuple>) {
     let plan = LogicalPlan::scan(rel).filter(pred.clone());
-    let naive: BTreeSet<Tuple> = execute(&plan, db).unwrap().into_iter().collect();
+    let naive: BTreeSet<Tuple> = execute_collect(&plan, db, &ExecOptions::serial())
+        .unwrap()
+        .0
+        .into_iter()
+        .collect();
     let (optimized, _) = optimize(plan, &db.catalog());
-    let fast: BTreeSet<Tuple> = execute(&optimized, db).unwrap().into_iter().collect();
+    let fast: BTreeSet<Tuple> = execute_collect(&optimized, db, &ExecOptions::serial())
+        .unwrap()
+        .0
+        .into_iter()
+        .collect();
     (naive, fast)
 }
 

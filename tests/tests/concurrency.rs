@@ -63,13 +63,14 @@ fn fingerprint(db: &Database, relation: &str) -> Fingerprint {
     (tuples, db.partitions(relation).unwrap(), indexes)
 }
 
-/// A scan stream captured before a burst of concurrent writes keeps
-/// yielding its snapshot; a stream captured after sees the new state.
+/// Result chunks held across a burst of concurrent writes — the server's
+/// window between execute and encode — keep their snapshot; an execution
+/// after the writes sees the new state.
 #[test]
 fn streaming_queries_never_observe_a_torn_catalog() {
     let db = wide_db(2_000);
     let plan = LogicalPlan::scan("wide").filter(flexrel_algebra::predicate::Predicate::ge("id", 0));
-    let stream = execute_stream(&plan, &db).unwrap();
+    let (chunks, stats) = execute_chunks(&plan, &db, &ExecOptions::serial()).unwrap();
     // Concurrent shape-churning writes: delete a whole partition (shape
     // drops out of the catalog) and insert a brand-new shape.
     let k0: Vec<_> = db
@@ -87,10 +88,16 @@ fn streaming_queries_never_observe_a_torn_catalog() {
         VARIANTS - 1,
         "the k0 partition dropped out of the live catalog"
     );
-    let rows: Vec<_> = stream.collect();
-    assert_eq!(rows.len(), 2_000, "the open stream kept its snapshot");
+    let rows = flexrel_query::Chunk::collect_tuples(chunks, &stats);
+    assert_eq!(rows.len(), 2_000, "the held chunks kept their snapshot");
     // A fresh execution sees the mutated catalog.
-    assert_eq!(execute(&plan, &db).unwrap().len(), 2_000 - k0.len());
+    assert_eq!(
+        execute_collect(&plan, &db, &ExecOptions::serial())
+            .unwrap()
+            .0
+            .len(),
+        2_000 - k0.len()
+    );
 }
 
 proptest! {

@@ -16,6 +16,8 @@ use flexrel_core::attrs;
 use flexrel_core::error::CoreError;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
+use flexrel_query::choose_access_paths;
+use flexrel_query::optimizer::Notes;
 use flexrel_query::prelude::*;
 use flexrel_server::seed_wide;
 use flexrel_storage::{Database, RelationDef};
@@ -37,6 +39,11 @@ fn employee_db(n: usize, seed: u64) -> Database {
         db.insert("employee", t).unwrap();
     }
     db
+}
+
+/// The plan with its access paths and join methods chosen against `db`.
+fn costed(plan: LogicalPlan, db: &Database) -> LogicalPlan {
+    choose_access_paths(plan, db, &mut Notes::rules_only())
 }
 
 /// The scan-fallback semantics of an equality lookup, computed by hand.
@@ -92,10 +99,14 @@ proptest! {
             prop_assert_eq!(via_index, lookup_by_scan(&db, "employee", &key, &key_value));
         }
         // The partial list is exactly the complement of key coverage.
-        let partial = db.lookup_partial("employee", &key).unwrap();
+        let (parts, indexes) = db.relation_snapshot("employee").unwrap();
+        let index = indexes.iter().find(|idx| idx.key() == &key).unwrap();
+        let partial: Vec<Tuple> = index.partial_tuples().iter()
+            .filter_map(|rid| parts.get(*rid)).collect();
         let not_defined = db.scan("employee").unwrap().into_iter()
             .filter(|(_, t)| !t.defined_on(&key)).count();
         prop_assert_eq!(partial.len(), not_defined);
+        prop_assert!(partial.iter().all(|t| !t.defined_on(&key)));
 
         // Unindexed key: both sides take the scan path and still agree.
         let key = attrs!["name"];
@@ -122,12 +133,12 @@ proptest! {
         for frql in queries {
             let q = parse(&frql).unwrap();
             let plan = plan_query(&q, &db.catalog()).unwrap();
-            let naive_rows = execute(&plan, &db).unwrap();
+            let naive_rows = execute_collect(&plan, &db, &ExecOptions::serial()).unwrap().0;
             assert_inhabits_props(&plan, &db, &naive_rows);
             let naive: BTreeSet<Tuple> = naive_rows.into_iter().collect();
             let (indexed, _) = optimize_with_db(plan, &db);
             prop_assert!(indexed.index_lookup_count() <= 1);
-            let fast_rows = execute(&indexed, &db).unwrap();
+            let fast_rows = execute_collect(&indexed, &db, &ExecOptions::serial()).unwrap().0;
             assert_inhabits_props(&indexed, &db, &fast_rows);
             let fast: BTreeSet<Tuple> = fast_rows.into_iter().collect();
             prop_assert_eq!(&naive, &fast, "results diverged for {}", &frql);
@@ -141,18 +152,18 @@ proptest! {
         // The shared fixture: `wide` (indexed), its dependency-free shadow
         // `wide_nx` (no indexes — always the hash path) and 8 probe keys.
         let db = wide_access_path_db(n, variants, skew as f64, 8);
-        let inl_plan = LogicalPlan::scan("ids").join(LogicalPlan::scan("wide"));
-        prop_assert_eq!(
-            join_strategy(&LogicalPlan::scan("ids"), &LogicalPlan::scan("wide"), &db),
-            JoinStrategy::IndexNestedLoopRight
+        let inl_plan = costed(LogicalPlan::scan("ids").join(LogicalPlan::scan("wide")), &db);
+        prop_assert!(
+            matches!(inl_plan, LogicalPlan::Join { strategy: JoinStrategy::IndexNestedLoopRight, .. }),
+            "{}", inl_plan
         );
-        let hash_plan = LogicalPlan::scan("ids").join(LogicalPlan::scan("wide_nx"));
-        prop_assert_eq!(
-            join_strategy(&LogicalPlan::scan("ids"), &LogicalPlan::scan("wide_nx"), &db),
-            JoinStrategy::Hash
+        let hash_plan = costed(LogicalPlan::scan("ids").join(LogicalPlan::scan("wide_nx")), &db);
+        prop_assert!(
+            matches!(hash_plan, LogicalPlan::Join { strategy: JoinStrategy::Hash, .. }),
+            "{}", hash_plan
         );
-        let inl: BTreeSet<Tuple> = execute(&inl_plan, &db).unwrap().into_iter().collect();
-        let hash: BTreeSet<Tuple> = execute(&hash_plan, &db).unwrap().into_iter().collect();
+        let inl: BTreeSet<Tuple> = execute_collect(&inl_plan, &db, &ExecOptions::serial()).unwrap().0.into_iter().collect();
+        let hash: BTreeSet<Tuple> = execute_collect(&hash_plan, &db, &ExecOptions::serial()).unwrap().0.into_iter().collect();
         prop_assert_eq!(inl, hash);
     }
 
@@ -243,9 +254,15 @@ fn wide_point_lookup_takes_the_index_and_keeps_shape_pruning() {
         "shape predicate survives on the lookup: {}",
         sp
     );
-    let fast_rows = execute(&indexed, &db).unwrap();
+    let fast_rows = execute_collect(&indexed, &db, &ExecOptions::serial())
+        .unwrap()
+        .0;
     assert_inhabits_props(&indexed, &db, &fast_rows);
-    let naive: BTreeSet<Tuple> = execute(&plan, &db).unwrap().into_iter().collect();
+    let naive: BTreeSet<Tuple> = execute_collect(&plan, &db, &ExecOptions::serial())
+        .unwrap()
+        .0
+        .into_iter()
+        .collect();
     let fast: BTreeSet<Tuple> = fast_rows.into_iter().collect();
     assert_eq!(naive, fast);
     assert_eq!(fast.len(), 1, "id 403 is of kind k3");
@@ -264,7 +281,13 @@ fn the_e2e_statement_kinds_take_their_costed_access_paths() {
         let (plan, _) = optimize_with_db(naive.clone(), &db);
         let (rows, stats) = execute_collect(&plan, &db, &ExecOptions::serial()).unwrap();
         assert_inhabits_props(&plan, &db, &rows);
-        assert_inhabits_props(&naive, &db, &execute(&naive, &db).unwrap());
+        assert_inhabits_props(
+            &naive,
+            &db,
+            &execute_collect(&naive, &db, &ExecOptions::serial())
+                .unwrap()
+                .0,
+        );
         let rows: BTreeSet<Tuple> = rows.into_iter().collect();
         let expect: BTreeSet<Tuple> = reference_eval(&naive, &db).into_iter().collect();
         assert_eq!(rows, expect, "{}", frql);
@@ -310,7 +333,12 @@ fn the_e2e_statement_kinds_take_their_costed_access_paths() {
     let LogicalPlan::Project { input, .. } = &plan else {
         panic!("{}", plan);
     };
-    let LogicalPlan::Join { left, right } = &**input else {
+    let LogicalPlan::Join {
+        left,
+        right,
+        strategy: JoinStrategy::IndexNestedLoopRight,
+    } = &**input
+    else {
         panic!("{}", plan);
     };
     assert!(
@@ -324,8 +352,13 @@ fn the_e2e_statement_kinds_take_their_costed_access_paths() {
         "{}",
         plan
     );
-    assert_eq!(rows, 1);
-    assert!(stats.materialized() <= 2, "{}", stats.materialized());
+    assert_eq!((rows, stats.materialized()), (1, 2));
+    let explain =
+        explain_query("SELECT kind, label FROM wide JOIN kinds WHERE id = 77", &db).unwrap();
+    assert!(
+        explain.contains("Join [index-nested-loop into right]"),
+        "EXPLAIN names the method the executor runs: {explain}"
+    );
 
     // scan: the same predicate as agg, the same pruned scan; only the
     // result rows are materialized.
@@ -334,4 +367,76 @@ fn the_e2e_statement_kinds_take_their_costed_access_paths() {
     assert_eq!(plan.pruned_scan_count(), 1, "{}", plan);
     assert!(matches!(plan, LogicalPlan::Filter { .. }), "{}", plan);
     assert_eq!(stats.materialized(), rows as u64);
+}
+
+/// The access paths are chosen at plan time, so an index can be dropped
+/// between optimizing a statement and executing it.  The plan below names
+/// an index-nested-loop join over one secondary index and an index lookup
+/// over another; with both dropped, the executor's capture holds neither,
+/// each operator falls back to a scan of its snapshot, and the rows are
+/// still the reference's.
+#[test]
+fn plans_outlive_the_indexes_they_chose() {
+    use flexrel_algebra::predicate::Predicate;
+    use flexrel_core::scheme::FlexScheme;
+
+    let db = Database::new();
+    db.create_relation(RelationDef::new(
+        "items",
+        FlexScheme::relational(attrs!["id", "code", "tag"]),
+    ))
+    .unwrap();
+    db.create_relation(RelationDef::new(
+        "wanted",
+        FlexScheme::relational(attrs!["code"]),
+    ))
+    .unwrap();
+    for id in 0..200i64 {
+        let t = Tuple::new()
+            .with("id", id)
+            .with("code", 1_000 + id)
+            .with("tag", id % 100);
+        db.insert("items", t).unwrap();
+    }
+    for code in [1_003i64, 1_050, 1_199] {
+        db.insert("wanted", Tuple::new().with("code", code))
+            .unwrap();
+    }
+    let (code, tag) = (attrs!["code"], attrs!["tag"]);
+    db.create_index("items", code.clone()).unwrap();
+    db.create_index("items", tag.clone()).unwrap();
+
+    let join = LogicalPlan::scan("wanted").join(LogicalPlan::scan("items"));
+    let (join_plan, _) = optimize_with_db(join.clone(), &db);
+    assert!(
+        matches!(
+            join_plan,
+            LogicalPlan::Join {
+                strategy: JoinStrategy::IndexNestedLoopRight,
+                ..
+            }
+        ),
+        "{}",
+        join_plan
+    );
+    let lookup = LogicalPlan::scan("items").filter(Predicate::eq("tag", 7i64));
+    let (lookup_plan, _) = optimize_with_db(lookup.clone(), &db);
+    assert!(
+        matches!(&lookup_plan, LogicalPlan::IndexLookup { key, .. } if key == &tag),
+        "{}",
+        lookup_plan
+    );
+
+    db.drop_index("items", &code).unwrap();
+    db.drop_index("items", &tag).unwrap();
+    for (plan, naive) in [(&join_plan, &join), (&lookup_plan, &lookup)] {
+        let rows: BTreeSet<Tuple> = execute_collect(plan, &db, &ExecOptions::serial())
+            .unwrap()
+            .0
+            .into_iter()
+            .collect();
+        let expect: BTreeSet<Tuple> = reference_eval(naive, &db).into_iter().collect();
+        assert!(!expect.is_empty());
+        assert_eq!(rows, expect, "{}", plan);
+    }
 }

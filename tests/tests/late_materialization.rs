@@ -21,9 +21,11 @@ use flexrel_core::error::CoreError;
 use flexrel_core::scheme::FlexScheme;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
+use flexrel_query::optimizer::Notes;
 use flexrel_query::prelude::*;
 use flexrel_query::{
-    aggregate_selected, run_statement_chunks, Chunk, ExecStats, GroupedAggs, StatementOutcome,
+    aggregate_selected, choose_access_paths, run_statement_chunks, Chunk, ExecStats, GroupedAggs,
+    StatementOutcome,
 };
 use flexrel_server::{decode_response, encode_response, put_rows_from_chunks, seed_wide, Response};
 use flexrel_storage::codec::{crc32, get_attrs, get_value, Cursor};
@@ -58,10 +60,23 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 /// the rows inhabit the properties the optimizer derives for the plan.
 fn assert_matches_reference(db: &Database, plan: &LogicalPlan, label: &str) -> Vec<Tuple> {
     let expect = sorted(reference_eval(plan, db));
-    let got = sorted(execute(plan, db).unwrap());
+    let got = sorted(execute_collect(plan, db, &ExecOptions::serial()).unwrap().0);
     assert_eq!(got, expect, "pipeline vs reference on {label}");
     assert_inhabits_props(plan, db, &got);
     expect
+}
+
+/// The plan with its access paths and join methods chosen against `db`.
+fn costed(plan: LogicalPlan, db: &Database) -> LogicalPlan {
+    choose_access_paths(plan, db, &mut Notes::rules_only())
+}
+
+/// The method recorded on a join plan's root.
+fn join_method(plan: &LogicalPlan) -> JoinStrategy {
+    match plan {
+        LogicalPlan::Join { strategy, .. } => *strategy,
+        other => panic!("not a join: {other}"),
+    }
 }
 
 /// [`assert_matches_reference`] on the plan as given and on its
@@ -189,7 +204,9 @@ fn index_lookups_match_the_reference_with_and_without_a_stored_index() {
         key_value: ab(1, 1),
         shapes: requires(attrs!["v"]),
     };
-    let rows = execute(&hit, &db).unwrap();
+    let rows = execute_collect(&hit, &db, &ExecOptions::serial())
+        .unwrap()
+        .0;
     assert!(!rows.is_empty() && rows.iter().all(|t| t.has_name("v")));
 }
 
@@ -211,20 +228,16 @@ fn index_nested_loop_joins_match_the_reference_on_partial_keys() {
         },
     ];
     for inner in inners {
+        let probe_right = costed(outer.clone().join(inner.clone()), &db);
+        let probe_left = costed(inner.clone().join(outer.clone()), &db);
         assert_eq!(
-            join_strategy(&outer, &inner, &db),
+            join_method(&probe_right),
             JoinStrategy::IndexNestedLoopRight
         );
-        assert_eq!(
-            join_strategy(&inner, &outer, &db),
-            JoinStrategy::IndexNestedLoopLeft
-        );
+        assert_eq!(join_method(&probe_left), JoinStrategy::IndexNestedLoopLeft);
         let label = inner.to_string();
-        let rows = assert_matches_reference(&db, &outer.clone().join(inner.clone()), &label);
-        assert_eq!(
-            rows,
-            assert_matches_reference(&db, &inner.join(outer.clone()), &label)
-        );
+        let rows = assert_matches_reference(&db, &probe_right, &label);
+        assert_eq!(rows, assert_matches_reference(&db, &probe_left, &label));
         // The probe without `b` pairs with inner tuples by `a` alone, and
         // the partial list contributes tuples that have no `b` themselves.
         assert!(rows.iter().any(|t| t.has_name("w") && !t.has_name("b")));
@@ -242,7 +255,10 @@ fn hash_joins_match_the_reference_when_tuples_lack_common_attributes() {
     let db = partial_key_db();
     let nx = LogicalPlan::scan("inner_nx");
     let outer = LogicalPlan::scan("outer");
-    assert_eq!(join_strategy(&nx, &outer, &db), JoinStrategy::Hash);
+    assert_eq!(
+        join_method(&costed(nx.clone().join(outer.clone()), &db)),
+        JoinStrategy::Hash
+    );
     let plans = [
         nx.clone().join(outer.clone()),
         outer.clone().join(nx.clone()),
@@ -302,14 +318,18 @@ fn dedup_extend_and_degenerate_aggregates_match_the_reference() {
         assert_naive_and_optimized_match(&db, plan.clone(), &plan.to_string());
     }
     // The global aggregate over nothing still emits its one row.
-    let rows = execute(&nothing.aggregate(AttrSet::empty(), aggs()), &db).unwrap();
+    let plan = nothing.aggregate(AttrSet::empty(), aggs());
+    let rows = execute_collect(&plan, &db, &ExecOptions::serial())
+        .unwrap()
+        .0;
     assert_eq!(rows, vec![Tuple::new().with("count", 0).with("count-v", 0)]);
 }
 
-/// Snapshot semantics under mid-query writers: a stream opened before a
-/// burst of concurrent inserts/deletes keeps yielding the pre-write
-/// multiset the reference computed; fresh executions then agree with the
-/// reference on the post-write state.
+/// Snapshot semantics under mid-query writers: result chunks held across a
+/// burst of concurrent inserts/deletes — the server's window between
+/// execute and encode — still yield the pre-write multiset the reference
+/// computed; fresh executions then agree with the reference on the
+/// post-write state.
 #[test]
 fn mid_query_writers_leave_an_open_stream_on_its_snapshot() {
     const VARIANTS: usize = 4;
@@ -323,10 +343,9 @@ fn mid_query_writers_leave_an_open_stream_on_its_snapshot() {
     let snapshot = sorted(reference_eval(&plan, &db));
     assert_eq!(snapshot.len(), 1_000);
 
-    // The stream captures its snapshot now; pull a prefix so the writes
-    // land genuinely mid-query.
-    let mut stream = execute_stream_with(&plan, &db, &ExecOptions::serial()).unwrap();
-    let mut rows: Vec<Tuple> = (&mut stream).take(37).collect();
+    // The chunks are selections over the captured column segments; they
+    // are materialized only after the writes.
+    let (chunks, stats) = execute_chunks(&plan, &db, &ExecOptions::serial()).unwrap();
 
     // The concurrent writer: new tuples and a deletion burst.
     for t in generate_wide(&WideConfig::new(200, VARIANTS)) {
@@ -348,8 +367,12 @@ fn mid_query_writers_leave_an_open_stream_on_its_snapshot() {
         db.delete("wide", *rid).unwrap();
     }
 
-    rows.extend(stream);
-    assert_eq!(sorted(rows), snapshot, "the stream kept its snapshot");
+    let rows = Chunk::collect_tuples(chunks, &stats);
+    assert_eq!(
+        sorted(rows),
+        snapshot,
+        "the held chunks kept their snapshot"
+    );
 
     // Fresh executions agree on the mutated state too, for scans and for
     // a grouped aggregate over the churned dictionary column.

@@ -105,8 +105,12 @@ fn example4_guard_elimination_end_to_end() {
     assert_eq!(optimized.guard_count(), 0);
     assert!(notes.iter().any(|n| n.rule == "guard-elimination"));
 
-    let mut a = execute(&naive, &db).unwrap();
-    let mut b = execute(&optimized, &db).unwrap();
+    let mut a = execute_collect(&naive, &db, &ExecOptions::serial())
+        .unwrap()
+        .0;
+    let mut b = execute_collect(&optimized, &db, &ExecOptions::serial())
+        .unwrap()
+        .0;
     a.sort();
     b.sort();
     assert_eq!(a, b);

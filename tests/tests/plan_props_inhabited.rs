@@ -134,7 +134,7 @@ fn plan_is_inhabited(db: &Database, plan: &LogicalPlan) {
     let expect = sorted(reference_eval(plan, db));
     let (optimized, _) = optimize_with_db(plan.clone(), db);
     for p in [plan, &optimized] {
-        let rows = sorted(execute(p, db).unwrap());
+        let rows = sorted(execute_collect(p, db, &ExecOptions::serial()).unwrap().0);
         assert_eq!(rows, expect, "naive:\n{plan}optimized:\n{optimized}");
         assert_inhabits_props(p, db, &rows);
     }
@@ -185,7 +185,7 @@ fn inhabited<'a>(
     catalog: &'a flexrel_storage::Catalog,
 ) -> (PlanProps<'a>, Vec<Tuple>) {
     let props = plan_props(plan, catalog).unwrap();
-    let rows = execute(plan, db).unwrap();
+    let rows = execute_collect(plan, db, &ExecOptions::serial()).unwrap().0;
     assert!(!rows.is_empty(), "a control needs rows:\n{plan}");
     assert_eq!(check_inhabits(&props, &rows, db), Ok(()), "{plan}");
     (props, rows)

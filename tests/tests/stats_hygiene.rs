@@ -162,8 +162,16 @@ fn stale_stats_never_change_results() {
         db.delete("employee", rid).unwrap();
     }
 
-    let expect: BTreeSet<Tuple> = execute(&naive, &db).unwrap().into_iter().collect();
-    let got: BTreeSet<Tuple> = execute(&optimized, &db).unwrap().into_iter().collect();
+    let expect: BTreeSet<Tuple> = execute_collect(&naive, &db, &ExecOptions::serial())
+        .unwrap()
+        .0
+        .into_iter()
+        .collect();
+    let got: BTreeSet<Tuple> = execute_collect(&optimized, &db, &ExecOptions::serial())
+        .unwrap()
+        .0
+        .into_iter()
+        .collect();
     assert_eq!(
         expect, got,
         "a stale-cost plan diverged from the naive plan"
@@ -176,7 +184,11 @@ fn stale_stats_never_change_results() {
         3 * N - victims_count(N)
     );
     let (fresh, _) = optimize_with_db(naive.clone(), &db);
-    let again: BTreeSet<Tuple> = execute(&fresh, &db).unwrap().into_iter().collect();
+    let again: BTreeSet<Tuple> = execute_collect(&fresh, &db, &ExecOptions::serial())
+        .unwrap()
+        .0
+        .into_iter()
+        .collect();
     assert_eq!(expect, again);
 }
 

@@ -67,9 +67,9 @@ proptest! {
         );
         let q = parse(&frql).unwrap();
         let plan = plan_query(&q, &db.catalog()).unwrap();
-        let naive: BTreeSet<Tuple> = execute(&plan, &db).unwrap().into_iter().collect();
+        let naive: BTreeSet<Tuple> = execute_collect(&plan, &db, &ExecOptions::serial()).unwrap().0.into_iter().collect();
         let (optimized, _) = optimize(plan, &db.catalog());
-        let fast: BTreeSet<Tuple> = execute(&optimized, &db).unwrap().into_iter().collect();
+        let fast: BTreeSet<Tuple> = execute_collect(&optimized, &db, &ExecOptions::serial()).unwrap().0.into_iter().collect();
         let reference = reference_filter(&db, Some(job.tag()), Some(min_salary as f64));
         prop_assert_eq!(&naive, &reference);
         prop_assert_eq!(&fast, &reference);
@@ -101,7 +101,7 @@ proptest! {
             let q = parse(frql).unwrap();
             let plan = plan_query(&q, &db.catalog()).unwrap();
             let (optimized, _) = optimize(plan, &db.catalog());
-            execute(&optimized, &db).unwrap().into_iter().collect()
+            execute_collect(&optimized, &db, &ExecOptions::serial()).unwrap().0.into_iter().collect()
         };
         prop_assert_eq!(run(&base), run(&with_own_guard));
         prop_assert!(run(&with_foreign_guard).is_empty());

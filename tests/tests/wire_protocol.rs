@@ -31,7 +31,7 @@ use flexrel_core::attr::AttrSet;
 use flexrel_core::attrs;
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
-use flexrel_query::{execute_stream, run_statement, ExecOptions, LogicalPlan, StatementOutcome};
+use flexrel_query::{run_statement, ExecOptions, StatementOutcome};
 use flexrel_server::proto::{
     decode_request, decode_response, encode_request, encode_response, write_frame, ErrorCode,
     FrameReader, FrameWriter, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
@@ -1181,34 +1181,45 @@ fn delete_eq_sees_its_batch_and_rolls_back_with_it() {
     assert_eq!((stats.statements_ok, stats.statements_err), (1, 1));
 }
 
-/// A reader that holds a half-drained result — and through it a snapshot of
-/// the index the delete must update — changes nothing about the delete, and
-/// the delete changes nothing about what the reader goes on to see.
+/// A reader that holds a relation snapshot — the partitions and the index
+/// the delete must update, which an index-nested-loop join owns for as
+/// long as it runs — changes nothing about the delete, and the delete
+/// changes nothing about what the reader goes on to see.
 #[test]
 fn delete_eq_beside_a_reader_holding_a_result() {
     let (server, db) = boot_partial_key();
     let mut conn = Connection::connect(server.local_addr()).unwrap();
-    // `outer ⋈ inner` probes inner's {a, b} index per outer tuple, so the
-    // open stream owns index and partition snapshots of `inner`.
-    let plan = LogicalPlan::scan("outer").join(LogicalPlan::scan("inner"));
-    let expected_rows = flexrel_tests::reference_eval(&plan, &db).len();
-    let mut stream = execute_stream(&plan, &db).unwrap();
-    assert!(stream.next().is_some());
+    let key = attrs!["a", "b"];
+    let (parts, indexes) = db.relation_snapshot("inner").unwrap();
+    let index = indexes
+        .iter()
+        .find(|idx| idx.key() == &key)
+        .expect("inner carries an index on {a, b}");
+    let held_rows = parts.len();
 
     let ab = Tuple::new().with("a", 1).with("b", 1);
-    let expected = victims(&db, "inner", &attrs!["a", "b"], &ab);
+    let expected = victims(&db, "inner", &key, &ab);
+    assert!(expected > 0);
     let acked = conn.transact("inner", vec![delete_eq(ab.clone())]).unwrap();
     assert_eq!(acked, (0, expected));
-    assert_eq!(victims(&db, "inner", &attrs!["a", "b"], &ab), 0);
+    assert_eq!(victims(&db, "inner", &key, &ab), 0);
     db.verify_invariants().unwrap();
 
+    // The held index still resolves every victim in the held partitions.
+    assert_eq!(parts.len(), held_rows, "the reader kept its snapshot");
+    let found = index
+        .lookup(&ab)
+        .iter()
+        .filter_map(|rid| parts.get(*rid))
+        .filter(|t| t.project(&key) == ab)
+        .count() as u64;
+    assert_eq!(found, expected, "the held index kept its entries");
+    let now = db.partition_snapshot("inner").unwrap().len();
     assert_eq!(
-        1 + stream.count(),
-        expected_rows,
-        "the reader kept its snapshot"
+        now as u64,
+        held_rows as u64 - expected,
+        "a new reader sees the delete"
     );
-    let now = flexrel_tests::reference_eval(&plan, &db).len();
-    assert!(now < expected_rows, "a new reader sees the delete");
 
     conn.close().unwrap();
     server.shutdown();
