@@ -149,10 +149,8 @@ impl AttrUniverse {
 ///
 /// The single pointer is a layout decision: a tuple stores `(Attr, Value)`
 /// pairs, which are 32 bytes with a one-word `Attr` against 48 bytes with an
-/// inline id and name.  An arity-3 row is then a 96-byte allocation rather
-/// than a 144-byte one, which keeps it under glibc's 120-byte fast-bin
-/// limit: building and freeing 4 575 such rows took ≈ 134 µs instead of
-/// ≈ 332 µs at 144 bytes.
+/// inline id and name.  The three pairs a tuple keeps in place are then 96
+/// bytes, and the whole tuple, shape bitset included, stays within 128.
 #[derive(Clone)]
 pub struct Attr {
     entry: &'static AttrEntry,
@@ -909,16 +907,18 @@ mod tests {
         assert_eq!(sorted, vec![a, m, z]);
     }
 
-    /// The layout the module docs promise: one pointer per attribute, so a
-    /// tuple's `(Attr, Value)` pair is 32 bytes and an arity-3 row fits
-    /// under glibc's 120-byte fast-bin limit.
+    /// The layout the type docs promise: one pointer per attribute, a
+    /// 24-byte value whatever string it holds, and a tuple that holds its
+    /// first three pairs in place within two cache lines.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn attr_is_one_pointer() {
+        use crate::tuple::Tuple;
         use crate::value::Value;
         assert_eq!(std::mem::size_of::<Attr>(), 8);
-        assert_eq!(std::mem::size_of::<(Attr, Value)>(), 32);
-        assert_eq!(std::mem::size_of::<[(Attr, Value); 3]>(), 96);
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        let tuple = std::mem::size_of::<Tuple>();
+        assert!(tuple <= 128, "a tuple is {tuple} bytes");
     }
 
     /// `Hash` follows the name, so the `Borrow<str>` contract holds and a

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::sync::{OnceLock, RwLock};
 
 use crate::attr::{Attr, AttrSet};
@@ -76,15 +77,184 @@ fn shape_universe() -> &'static RwLock<ShapeUniverseInner> {
     SHAPES.get_or_init(|| RwLock::new(ShapeUniverseInner::default()))
 }
 
+/// One attribute/value pair of a [`Tuple`].
+type Pair = (Attr, Value);
+
+/// The most pairs a tuple stores without a heap allocation: a record of
+/// the benchmark relation (`id`, `kind` and the kind's one variant
+/// attribute), a materialized lookup row and an `{id}` index key all fit.
+const INLINE_PAIRS: usize = 3;
+
+/// A tuple's pairs: up to [`INLINE_PAIRS`] stored in place, more on the
+/// heap.  Once spilled the pairs stay on the heap until the tuple is
+/// dropped or cloned (a clone of few pairs is built in place again).
+///
+/// This is the one type that handles uninitialized memory.  The invariant
+/// every method keeps: in `Inline`, exactly the first `len` slots of `buf`
+/// are initialized, and `len <= INLINE_PAIRS`.
+enum Pairs {
+    Inline {
+        len: u8,
+        buf: [MaybeUninit<Pair>; INLINE_PAIRS],
+    },
+    Spilled(Vec<Pair>),
+}
+
+impl Pairs {
+    #[inline]
+    fn new() -> Self {
+        Pairs::Inline {
+            len: 0,
+            buf: [const { MaybeUninit::uninit() }; INLINE_PAIRS],
+        }
+    }
+
+    /// Empty pairs with room for `n` without a further allocation.
+    #[inline]
+    fn with_capacity(n: usize) -> Self {
+        if n <= INLINE_PAIRS {
+            Pairs::new()
+        } else {
+            Pairs::Spilled(Vec::with_capacity(n))
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, pair: Pair) {
+        match self {
+            Pairs::Inline { len, buf } if usize::from(*len) < INLINE_PAIRS => {
+                buf[usize::from(*len)].write(pair);
+                *len += 1;
+            }
+            Pairs::Inline { .. } => self.spill_and_push(pair),
+            Pairs::Spilled(v) => v.push(pair),
+        }
+    }
+
+    /// Moves full inline pairs to the heap, then pushes `pair`.
+    #[cold]
+    #[inline(never)]
+    fn spill_and_push(&mut self, pair: Pair) {
+        let mut spilled = Vec::with_capacity(2 * INLINE_PAIRS);
+        spilled.extend(std::iter::from_fn(|| self.pop()));
+        spilled.reverse();
+        spilled.push(pair);
+        *self = Pairs::Spilled(spilled);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Pair> {
+        match self {
+            Pairs::Inline { len, buf } => {
+                *len = len.checked_sub(1)?;
+                // SAFETY: slot `len` was the last initialized one; with
+                // `len` lowered it counts as uninitialized, so it is read
+                // out exactly once and never dropped in place.
+                Some(unsafe { buf[usize::from(*len)].assume_init_read() })
+            }
+            Pairs::Spilled(v) => v.pop(),
+        }
+    }
+
+    /// Inserts `pair` at index `i`, shifting the pairs after it.
+    fn insert(&mut self, i: usize, pair: Pair) {
+        self.push(pair);
+        self[i..].rotate_right(1);
+    }
+
+    /// Removes and returns the pair at index `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    fn remove(&mut self, i: usize) -> Pair {
+        self[i..].rotate_left(1);
+        self.pop().expect("the rotation checked that a pair exists")
+    }
+}
+
+impl std::ops::Deref for Pairs {
+    type Target = [Pair];
+
+    #[inline]
+    fn deref(&self) -> &[Pair] {
+        match self {
+            // SAFETY: the first `len` slots are initialized, and
+            // `MaybeUninit<Pair>` has the layout of `Pair`.
+            Pairs::Inline { len, buf } => unsafe {
+                std::slice::from_raw_parts(buf.as_ptr().cast::<Pair>(), usize::from(*len))
+            },
+            Pairs::Spilled(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Pairs {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [Pair] {
+        match self {
+            // SAFETY: as in `deref`; the borrow of `buf` is unique.
+            Pairs::Inline { len, buf } => unsafe {
+                std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<Pair>(), usize::from(*len))
+            },
+            Pairs::Spilled(v) => v,
+        }
+    }
+}
+
+impl Drop for Pairs {
+    #[inline]
+    fn drop(&mut self) {
+        if let Pairs::Inline { .. } = self {
+            // SAFETY: the slice covers exactly the initialized slots, and
+            // nothing reads them after the drop.
+            unsafe { std::ptr::drop_in_place::<[Pair]>(&mut **self) }
+        }
+    }
+}
+
+impl Clone for Pairs {
+    fn clone(&self) -> Self {
+        self.iter().cloned().collect()
+    }
+}
+
+impl FromIterator<Pair> for Pairs {
+    fn from_iter<I: IntoIterator<Item = Pair>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut pairs = Pairs::with_capacity(iter.size_hint().0);
+        pairs.extend(iter);
+        pairs
+    }
+}
+
+impl Extend<Pair> for Pairs {
+    fn extend<I: IntoIterator<Item = Pair>>(&mut self, iter: I) {
+        let mut iter = iter.into_iter();
+        // Fill the free inline slots without re-checking the variant.
+        if let Pairs::Inline { len, buf } = self {
+            while usize::from(*len) < INLINE_PAIRS {
+                let Some(pair) = iter.next() else { return };
+                buf[usize::from(*len)].write(pair);
+                *len += 1;
+            }
+        }
+        for pair in iter {
+            self.push(pair);
+        }
+    }
+}
+
 /// A tuple: a finite mapping from attributes to values.
 ///
-/// The mapping is one vector of `(attribute, value)` pairs sorted by
+/// The mapping is one sequence of `(attribute, value)` pairs sorted by
 /// attribute name — the labelled tuple as a partial function from labels to
-/// values, with nothing attached — so tuples have a canonical rendering and
-/// a tuple over `n` attributes is one allocation.  The tuple additionally
-/// caches its shape `attr(t)` as a bitset so that the ubiquitous type guard
-/// `X ⊆ attr(t)` (Def. 4.1/4.2) is a word-level subset test instead of
-/// per-attribute lookups.
+/// values, with nothing attached — so tuples have a canonical rendering.
+/// Up to three pairs are stored in the tuple itself, so a record of small
+/// arity is built, cloned and dropped without touching the allocator; a
+/// wider tuple keeps its pairs in one heap allocation.  The tuple
+/// additionally caches its shape `attr(t)` as a bitset so that the
+/// ubiquitous type guard `X ⊆ attr(t)` (Def. 4.1/4.2) is a word-level
+/// subset test instead of per-attribute lookups.
 ///
 /// A pair is found by a front-to-back scan: [`Tuple::get`] and
 /// [`Tuple::remove`] compare attributes by identity (one pointer compare per
@@ -93,20 +263,29 @@ fn shape_universe() -> &'static RwLock<ShapeUniverseInner> {
 /// beats a binary search, every step of which compares names byte by byte.
 /// The name order is kept for rendering, `Ord` and `Hash`; only
 /// [`Tuple::insert`] searches it, for where a new pair goes.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Tuple {
     /// Sorted by attribute name, one pair per attribute.
-    pairs: Vec<(Attr, Value)>,
+    pairs: Pairs,
     shape: AttrSet,
+}
+
+impl Default for Tuple {
+    fn default() -> Self {
+        Tuple {
+            pairs: Pairs::new(),
+            shape: AttrSet::empty(),
+        }
+    }
 }
 
 // Equality, ordering and hashing are over the pairs alone: the shape is
 // derived state (it is exactly the attribute set of `pairs`).  Comparing
-// the name-sorted pair vectors lexicographically is the order a map keyed
+// the name-sorted pair sequences lexicographically is the order a map keyed
 // by attribute name would give.
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
-        self.pairs == other.pairs
+        self.pairs[..] == other.pairs[..]
     }
 }
 
@@ -120,7 +299,7 @@ impl PartialOrd for Tuple {
 
 impl Ord for Tuple {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.pairs.cmp(&other.pairs)
+        self.pairs[..].cmp(&other.pairs[..])
     }
 }
 
@@ -133,7 +312,7 @@ impl Ord for Tuple {
 impl std::hash::Hash for Tuple {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.shape.hash(state);
-        for (_, v) in &self.pairs {
+        for (_, v) in self.pairs.iter() {
             v.hash(state);
         }
     }
@@ -147,17 +326,18 @@ impl Tuple {
 
     /// Builds a tuple from pairs in any order; on a repeated attribute the
     /// later pair wins.
-    fn from_unsorted(mut pairs: Vec<(Attr, Value)>) -> Self {
+    fn from_unsorted(mut pairs: Pairs) -> Self {
+        // Stable, so the pairs of a repeated attribute stay in input order
+        // and the last of them is the one kept.
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        // `dedup_by` hands over (later, earlier): keep the later value in
-        // the earlier slot, drop the later one.
-        pairs.dedup_by(|later, earlier| {
-            let same = later.0 == earlier.0;
-            if same {
-                std::mem::swap(&mut later.1, &mut earlier.1);
+        let mut i = 1;
+        while i < pairs.len() {
+            if pairs[i].0 == pairs[i - 1].0 {
+                pairs[i - 1].1 = pairs.remove(i).1;
+            } else {
+                i += 1;
             }
-            same
-        });
+        }
         let shape = pairs.iter().map(|(a, _)| a).collect();
         Tuple { pairs, shape }
     }
@@ -177,7 +357,7 @@ impl Tuple {
     /// canonical (attribute-name) order — the fast materialization path for
     /// columnar partition storage, where every stored row shares the
     /// partition's shape and the column order *is* the canonical order.
-    /// One allocation, no sort.
+    /// No sort, and no allocation up to three attributes (one beyond).
     ///
     /// `attrs` must be exactly the members of `shape` in canonical order
     /// (as produced by [`AttrSet::to_vec`]), and `values` must yield one
@@ -186,7 +366,7 @@ impl Tuple {
     where
         I: IntoIterator<Item = Value>,
     {
-        let mut pairs = Vec::with_capacity(attrs.len());
+        let mut pairs = Pairs::with_capacity(attrs.len());
         pairs.extend(attrs.iter().cloned().zip(values));
         debug_assert_eq!(pairs.len(), attrs.len(), "one value per attribute");
         Tuple::from_canonical(shape, pairs)
@@ -194,21 +374,21 @@ impl Tuple {
 
     /// [`Tuple::from_shape_values`] with a fallible value source: `value`
     /// is called once per attribute of `attrs`, in order, and the first
-    /// error is returned.  The decoders use it to rebuild a tuple in one
-    /// allocation straight from a byte cursor.
+    /// error is returned.  The decoders use it to rebuild a tuple straight
+    /// from a byte cursor.
     pub fn try_from_shape_values<E>(
         shape: AttrSet,
         attrs: &[Attr],
         mut value: impl FnMut() -> Result<Value, E>,
     ) -> Result<Self, E> {
-        let mut pairs = Vec::with_capacity(attrs.len());
+        let mut pairs = Pairs::with_capacity(attrs.len());
         for a in attrs {
             pairs.push((a.clone(), value()?));
         }
         Ok(Tuple::from_canonical(shape, pairs))
     }
 
-    fn from_canonical(shape: AttrSet, pairs: Vec<(Attr, Value)>) -> Self {
+    fn from_canonical(shape: AttrSet, pairs: Pairs) -> Self {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "attrs must be in canonical order"
@@ -358,7 +538,8 @@ impl Tuple {
     /// cartesian product, the extension operator `ε` and joins.
     pub fn merged_with(&self, other: &Tuple) -> Tuple {
         let (left, right) = (&self.pairs, &other.pairs);
-        let mut pairs = Vec::with_capacity(left.len() + right.len());
+        let shape = self.shape.union(&other.shape);
+        let mut pairs = Pairs::with_capacity(shape.len());
         let (mut i, mut j) = (0, 0);
         while i < left.len() && j < right.len() {
             match left[i].0.cmp(&right[j].0) {
@@ -377,12 +558,9 @@ impl Tuple {
                 }
             }
         }
-        pairs.extend_from_slice(&left[i..]);
-        pairs.extend_from_slice(&right[j..]);
-        Tuple {
-            pairs,
-            shape: self.shape.union(&other.shape),
-        }
+        pairs.extend(left[i..].iter().cloned());
+        pairs.extend(right[j..].iter().cloned());
+        Tuple { pairs, shape }
     }
 
     /// Whether the tuples are *join-compatible*: they agree on every attribute
@@ -410,7 +588,7 @@ impl Tuple {
     /// converting from the null-padded baseline representation back into a
     /// flexible tuple.
     pub fn without_nulls(&self) -> Tuple {
-        let pairs: Vec<(Attr, Value)> = self
+        let pairs: Pairs = self
             .pairs
             .iter()
             .filter(|(_, v)| !v.is_null())

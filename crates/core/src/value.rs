@@ -13,6 +13,8 @@
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -25,15 +27,16 @@ pub enum Value {
     /// 64-bit float.  Ordered via total ordering (NaN sorts last) so values
     /// can live in ordered sets.
     Float(f64),
-    /// UTF-8 string.  Stored behind a shared pointer so that cloning a
-    /// tuple (the bread and butter of selections, joins and peer checks)
-    /// bumps a refcount instead of copying the bytes.
-    Str(Arc<str>),
+    /// UTF-8 string.  A short one is stored in the value itself and a long
+    /// one behind a shared pointer (see [`Text`]), so cloning a tuple — the
+    /// bread and butter of selections, joins and peer checks — neither
+    /// allocates nor copies a long string's bytes.
+    Str(Text),
     /// Boolean.
     Bool(bool),
     /// A tag from an enumerated domain (e.g. `jobtype : 'secretary'`).
     /// Distinguished from `Str` so that enumeration domains can be closed.
-    Tag(Arc<str>),
+    Tag(Text),
     /// SQL-style null.  Only used by the null-padded baseline representation;
     /// never legal inside a flexible relation.
     Null,
@@ -177,12 +180,154 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(Arc::from(v))
+        Value::Str(Text::from(v))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
         Value::Str(v.into())
+    }
+}
+
+/// The longest string, in UTF-8 bytes, a [`Text`] stores inline.
+const INLINE_TEXT: usize = 7;
+
+/// The string payload of [`Value::Str`] and [`Value::Tag`].
+///
+/// A string of at most seven UTF-8 bytes — such as the `kind` tag of
+/// every record of the benchmark's `wide` relation — is stored in the
+/// `Text` itself, so building,
+/// cloning and dropping it touches no allocator and no reference count.
+/// A longer string is shared behind an `Arc<str>`, and cloning it bumps
+/// the count.  Which of the two a string gets depends on its length alone,
+/// so the representation is canonical.  A `Text` is 16 bytes and keeps
+/// [`Value`] at 24.
+///
+/// `Text` dereferences to `str`, and it compares and orders by content,
+/// exactly like the `str` it holds; equal texts hash alike.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` bytes of `bytes` are the string, which is valid
+    /// UTF-8; the rest are zero.
+    Inline { len: u8, bytes: [u8; INLINE_TEXT] },
+    /// A string longer than [`INLINE_TEXT`] bytes.
+    Shared(Arc<str>),
+}
+
+impl Text {
+    /// The string.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("inline bytes are copied from a str")
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// The string's UTF-8 bytes, which order and hash a `Text` without
+    /// checking them.
+    #[inline]
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// `s` stored inline, if it fits.
+    #[inline]
+    fn inline(s: &str) -> Option<Text> {
+        let len = s.len();
+        (len <= INLINE_TEXT).then(|| {
+            let mut bytes = [0; INLINE_TEXT];
+            bytes[..len].copy_from_slice(s.as_bytes());
+            Text(Repr::Inline {
+                len: len as u8,
+                bytes,
+            })
+        })
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Text {
+    #[inline]
+    fn from(s: &str) -> Self {
+        Text::inline(s).unwrap_or_else(|| Text(Repr::Shared(Arc::from(s))))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text::inline(&s).unwrap_or_else(|| Text(Repr::Shared(Arc::from(s))))
+    }
+}
+
+/// Shares `s` when it is too long to store inline.
+impl From<Arc<str>> for Text {
+    fn from(s: Arc<str>) -> Self {
+        Text::inline(&s).unwrap_or(Text(Repr::Shared(s)))
+    }
+}
+
+impl PartialEq for Text {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            // Zero-filled past `len`, so the fixed-size compare is exact.
+            (Repr::Inline { len: a, bytes: x }, Repr::Inline { len: b, bytes: y }) => {
+                a == b && x == y
+            }
+            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b) || a == b,
+            // The length alone picks the representation.
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+// Byte order is `str` order.
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 

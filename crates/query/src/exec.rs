@@ -21,8 +21,8 @@
 //! # Snapshot discipline
 //!
 //! Before any tuple flows, the executor captures **one** snapshot per
-//! scanned relation: its partition catalog and — when the plan probes an
-//! index — its index set, taken atomically
+//! scanned relation: its partition catalog and — when the plan probes
+//! that relation's index — its index set, taken atomically
 //! ([`relation_snapshot`](Database::relation_snapshot)).  Every read of the
 //! query — the partitions a pruned scan visits, the attribute bounds that
 //! size joins ([`plan_attrs`] at execution time), index probes and the
@@ -33,7 +33,7 @@
 //! An index the plan names but the capture lacks (dropped after planning)
 //! makes its operator fall back to a scan of the captured partitions.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use flexrel_core::attr::AttrSet;
@@ -85,26 +85,43 @@ impl RelSnap {
 }
 
 /// What executing a plan reads, folded over its nodes: the relations, and
-/// whether the plan probes an index (an `IndexLookup`, or a join the
-/// optimizer set to index-nested-loop).
+/// which of them it probes through an index (an `IndexLookup`'s relation,
+/// or the inner side of a join the optimizer set to index-nested-loop).
+/// Each name is listed once, borrowed from the plan.
 #[derive(Default)]
-struct Reads {
-    relations: BTreeSet<String>,
-    probes: bool,
+struct Reads<'p> {
+    relations: Vec<&'p str>,
+    probed: Vec<&'p str>,
 }
 
-impl Reads {
-    fn of(mut self, plan: &LogicalPlan) -> Reads {
+impl<'p> Reads<'p> {
+    fn of(mut self, plan: &'p LogicalPlan) -> Self {
+        fn add<'p>(names: &mut Vec<&'p str>, name: &'p str) {
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
         match plan {
-            LogicalPlan::Scan { relation, .. } => {
-                self.relations.insert(relation.clone());
-            }
+            LogicalPlan::Scan { relation, .. } => add(&mut self.relations, relation),
             LogicalPlan::IndexLookup { relation, .. } => {
-                self.relations.insert(relation.clone());
-                self.probes = true;
+                add(&mut self.relations, relation);
+                add(&mut self.probed, relation);
             }
-            LogicalPlan::Join { strategy, .. } => {
-                self.probes |= *strategy != JoinStrategy::Hash;
+            LogicalPlan::Join {
+                left,
+                right,
+                strategy,
+            } => {
+                // The side `batch::exec_chunks` probes; without one it
+                // hash-joins and probes nothing.
+                let inner = match strategy {
+                    JoinStrategy::Hash => None,
+                    JoinStrategy::IndexNestedLoopRight => Some(right),
+                    JoinStrategy::IndexNestedLoopLeft => Some(left),
+                };
+                if let Some(side) = inner.and_then(|p| batch::inl_inner_side(p)) {
+                    add(&mut self.probed, side.relation);
+                }
             }
             _ => {}
         }
@@ -116,56 +133,69 @@ impl Reads {
 /// Built once before any tuple flows; the chunk operators in
 /// [`crate::batch`] read every relation through it.
 pub(crate) struct ExecContext {
-    snaps: HashMap<String, RelSnap>,
+    /// One entry per relation: a plan reads a handful, so finding one by
+    /// comparing names beats hashing them.
+    snaps: Vec<(String, RelSnap)>,
     /// Returned for relations outside the captured set (unreachable after
     /// a successful `build`, which snapshots every relation the plan
     /// mentions); avoids cloning in the hot `snap` accessor.
     empty: RelSnap,
 }
 
+/// A context that captured nothing: every relation reads as empty.
+impl Default for ExecContext {
+    fn default() -> Self {
+        ExecContext {
+            snaps: Vec::new(),
+            empty: RelSnap {
+                parts: PartitionSnapshot::default(),
+                indexes: Vec::new(),
+            },
+        }
+    }
+}
+
 impl ExecContext {
     /// The context an execution of `plan` reads through.
     pub(crate) fn build(plan: &LogicalPlan, db: &Database) -> Result<ExecContext> {
-        ExecContext::capture(Reads::default().of(plan), db)
+        let reads = Reads::default().of(plan);
+        ExecContext::capture(&reads.relations, &reads.probed, db)
     }
 
     /// The partitions of the relations `plans` scan, without index
     /// snapshots: what metadata derivations and cost estimates read.
     pub(crate) fn partitions(plans: &[&LogicalPlan], db: &Database) -> Result<ExecContext> {
         let reads = plans.iter().fold(Reads::default(), |r, p| r.of(p));
-        ExecContext::capture(
-            Reads {
-                probes: false,
-                ..reads
-            },
-            db,
-        )
+        ExecContext::capture(&reads.relations, &[], db)
     }
 
-    /// Captures the relations.  Index snapshots are only taken when the
-    /// plan probes them: any other query then holds no `Arc<HashIndex>`,
-    /// so concurrent index maintenance stays copy-free (see the
-    /// index-granularity note on [`Database::relation_snapshot`]).
-    fn capture(reads: Reads, db: &Database) -> Result<ExecContext> {
-        let mut snaps = HashMap::new();
-        for rel in reads.relations {
-            let snap = if reads.probes {
-                let (parts, indexes) = db.relation_snapshot(&rel)?;
+    /// Captures the relations.  Index snapshots are only taken of the
+    /// `probed` ones: every other relation — and any query that probes
+    /// none — then holds no `Arc<HashIndex>`, so concurrent index
+    /// maintenance there stays copy-free (see the index-granularity note
+    /// on [`Database::relation_snapshot`]).
+    fn capture(
+        relations: &[impl AsRef<str>],
+        probed: &[&str],
+        db: &Database,
+    ) -> Result<ExecContext> {
+        let mut snaps = Vec::with_capacity(relations.len());
+        for rel in relations {
+            let rel = rel.as_ref();
+            let snap = if probed.contains(&rel) {
+                let (parts, indexes) = db.relation_snapshot(rel)?;
                 RelSnap { parts, indexes }
             } else {
                 RelSnap {
-                    parts: db.partition_snapshot(&rel)?,
+                    parts: db.partition_snapshot(rel)?,
                     indexes: Vec::new(),
                 }
             };
-            snaps.insert(rel, snap);
+            snaps.push((rel.to_owned(), snap));
         }
         Ok(ExecContext {
             snaps,
-            empty: RelSnap {
-                parts: PartitionSnapshot::default(),
-                indexes: Vec::new(),
-            },
+            ..ExecContext::default()
         })
     }
 
@@ -174,7 +204,38 @@ impl ExecContext {
     /// clone happens here — only the few ownership sites (scan and
     /// index-nested-loop streams) clone.
     pub(crate) fn snap(&self, relation: &str) -> &RelSnap {
-        self.snaps.get(relation).unwrap_or(&self.empty)
+        self.snaps
+            .iter()
+            .find(|(r, _)| r == relation)
+            .map_or(&self.empty, |(_, snap)| snap)
+    }
+}
+
+/// [`ExecContext::partitions`] of one plan, taken when first read: the
+/// access-path pass prices every join and filtered scan of a plan against
+/// one capture, and a plan with neither takes none.
+pub(crate) struct LazyPartitions<'a> {
+    relations: Vec<String>,
+    db: &'a Database,
+    ctx: OnceCell<ExecContext>,
+}
+
+impl<'a> LazyPartitions<'a> {
+    pub(crate) fn of(plan: &LogicalPlan, db: &'a Database) -> Self {
+        let reads = Reads::default().of(plan);
+        LazyPartitions {
+            relations: reads.relations.into_iter().map(str::to_owned).collect(),
+            db,
+            ctx: OnceCell::new(),
+        }
+    }
+
+    /// The capture, taken on the first call.  A relation it cannot find
+    /// fails the statement when it runs; until then every relation reads
+    /// as empty, which prices the scan and the hash join.
+    pub(crate) fn get(&self) -> &ExecContext {
+        self.ctx
+            .get_or_init(|| ExecContext::capture(&self.relations, &[], self.db).unwrap_or_default())
     }
 }
 
@@ -811,5 +872,42 @@ mod tests {
         assert_eq!(seen, 120, "the pipeline sees its snapshot");
         // A fresh execution sees the new state.
         assert_eq!(rows(&plan, &db).len(), 0);
+    }
+
+    /// An index-nested-loop join captures the indexes of the relation it
+    /// probes and of no other: the outer side's scan holds partitions
+    /// only, so a writer to the outer relation keeps updating its indexes
+    /// in place while the join runs.
+    #[test]
+    fn a_join_captures_only_the_probed_relations_indexes() {
+        let db = with_wanted(db(300), &[3, 7, 11]);
+        db.create_index("wanted", attrs!["empno"]).unwrap();
+        let plan = LogicalPlan::Join {
+            left: Box::new(LogicalPlan::scan("employee")),
+            right: Box::new(LogicalPlan::scan("wanted")),
+            strategy: JoinStrategy::IndexNestedLoopRight,
+        };
+        let counts = |relation: &str| -> Vec<usize> {
+            let (_, indexes) = db.relation_snapshot(relation).unwrap();
+            // Less the handle this snapshot itself holds.
+            indexes.iter().map(|i| Arc::strong_count(i) - 1).collect()
+        };
+        let (outer, inner) = (counts("employee"), counts("wanted"));
+        assert!(!outer.is_empty(), "the outer relation is indexed");
+
+        let ctx = ExecContext::build(&plan, &db).unwrap();
+        let stats = batch::ExecStats::default();
+        let mut pipeline = batch::exec_chunks(&plan, &ctx, &stats).unwrap();
+        assert!(pipeline.next().is_some(), "a first chunk");
+        assert_eq!(counts("employee"), outer, "the outer scan holds no index");
+        assert!(
+            counts("wanted")
+                .iter()
+                .zip(&inner)
+                .all(|(now, before)| now > before),
+            "the probed relation's indexes are captured"
+        );
+        drop((pipeline, ctx));
+        assert_eq!(counts("wanted"), inner);
     }
 }

@@ -245,26 +245,27 @@ fn greedy_order(leaves: &[LogicalPlan], ests: &[Option<usize>], db: &Database) -
 /// can return more.  The join-strategy gate and the cost-based join
 /// ordering use it; do not rely on it as a hard bound.
 pub fn estimate_rows(plan: &LogicalPlan, db: &Database) -> Option<usize> {
-    Estimator::new(&[plan], db).ok()?.rows(plan)
+    let parts = ExecContext::partitions(&[plan], db).ok()?;
+    Estimator::new(db, &parts).rows(plan)
 }
 
 /// What an estimate reads: the partitions of the relations the priced
-/// plans scan, captured once, and — only when an estimate asks — a
-/// relation's table statistics and index metadata, fetched from the
-/// database.  It holds no index snapshot.
+/// plans scan, captured once by the caller, and — only when an estimate
+/// asks — a relation's table statistics and index metadata, fetched from
+/// the database.  It holds no index snapshot.
 struct Estimator<'a> {
     db: &'a Database,
     catalog: Arc<Catalog>,
-    parts: ExecContext,
+    parts: &'a ExecContext,
 }
 
 impl<'a> Estimator<'a> {
-    fn new(plans: &[&LogicalPlan], db: &'a Database) -> flexrel_core::error::Result<Self> {
-        Ok(Estimator {
+    fn new(db: &'a Database, parts: &'a ExecContext) -> Self {
+        Estimator {
             db,
             catalog: db.catalog(),
-            parts: ExecContext::partitions(plans, db)?,
-        })
+            parts,
+        }
     }
 
     /// The statistics of the stored relation `plan`'s rows come from.
@@ -351,8 +352,8 @@ impl Estimator<'_> {
             LogicalPlan::Join { left, right, .. } => {
                 let l = self.rows(left)?;
                 let r = self.rows(right)?;
-                let common = snap_plan_attrs(left, &self.parts)
-                    .intersection(&snap_plan_attrs(right, &self.parts));
+                let common = snap_plan_attrs(left, self.parts)
+                    .intersection(&snap_plan_attrs(right, self.parts));
                 if common.is_empty() {
                     // A compatibility merge over disjoint attribute sets is a
                     // cross product.
@@ -442,11 +443,22 @@ impl Estimator<'_> {
 /// equi-join attributes and the statistics gate passes, otherwise hash
 /// join.  The access-path pass records its answer on the join node.
 pub fn join_strategy(left: &LogicalPlan, right: &LogicalPlan, db: &Database) -> JoinStrategy {
-    let Ok(est) = Estimator::new(&[left, right], db) else {
-        return JoinStrategy::Hash;
-    };
-    let common =
-        snap_plan_attrs(left, &est.parts).intersection(&snap_plan_attrs(right, &est.parts));
+    match ExecContext::partitions(&[left, right], db) {
+        Ok(parts) => join_strategy_in(left, right, db, &parts),
+        Err(_) => JoinStrategy::Hash,
+    }
+}
+
+/// [`join_strategy`] over partitions the caller captured, which must
+/// cover the relations `left` and `right` scan.
+pub(crate) fn join_strategy_in(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    db: &Database,
+    parts: &ExecContext,
+) -> JoinStrategy {
+    let est = Estimator::new(db, parts);
+    let common = snap_plan_attrs(left, parts).intersection(&snap_plan_attrs(right, parts));
     if common.is_empty() {
         return JoinStrategy::Hash;
     }

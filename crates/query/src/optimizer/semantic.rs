@@ -34,6 +34,7 @@ use flexrel_core::typecheck::{analyse_guard, GuardAnalysis, SelectionContext, Ty
 use flexrel_core::value::Value;
 use flexrel_storage::{Catalog, Database, IndexInfo};
 
+use crate::exec::LazyPartitions;
 use crate::logical::{AggFunc, LogicalPlan, ShapePredicate};
 
 use super::props::{plan_props, Inherited, PlanProps};
@@ -672,12 +673,26 @@ pub(super) fn prune_scans(
 /// paths its inputs will run with, and records the method
 /// ([`cost::join_strategy`]) on the [`LogicalPlan::Join`] node: the
 /// executor follows it and decides nothing itself.
+///
+/// Both prices read one capture of the partitions of the relations the
+/// plan scans, taken at the first price.
 pub fn choose_access_paths(plan: LogicalPlan, db: &Database, notes: &mut Notes) -> LogicalPlan {
-    let plan = plan.map_children(|p| choose_access_paths(p, db, notes));
+    let parts = LazyPartitions::of(&plan, db);
+    access_paths(plan, db, &parts, notes)
+}
+
+/// [`choose_access_paths`] over the pass's partition capture.
+fn access_paths(
+    plan: LogicalPlan,
+    db: &Database,
+    parts: &LazyPartitions<'_>,
+    notes: &mut Notes,
+) -> LogicalPlan {
+    let plan = plan.map_children(|p| access_paths(p, db, parts, notes));
     let (input, predicate) = match plan {
         LogicalPlan::Join { left, right, .. } => {
             return LogicalPlan::Join {
-                strategy: cost::join_strategy(&left, &right, db),
+                strategy: cost::join_strategy_in(&left, &right, db, parts.get()),
                 left,
                 right,
             };
@@ -694,7 +709,7 @@ pub fn choose_access_paths(plan: LogicalPlan, db: &Database, notes: &mut Notes) 
         return input.filter(predicate);
     };
     let pinned = predicate.implied_equalities();
-    let Some(info) = cheaper_index(db, &relation, &pinned, shape.as_ref()) else {
+    let Some(info) = cheaper_index(db, parts, &relation, &pinned, shape.as_ref()) else {
         let scan = LogicalPlan::Scan {
             relation,
             qualification,
@@ -740,6 +755,7 @@ pub fn choose_access_paths(plan: LogicalPlan, db: &Database, notes: &mut Notes) 
 /// shapes — so planning costs the same whatever the relation holds.
 fn cheaper_index(
     db: &Database,
+    parts: &LazyPartitions<'_>,
     relation: &str,
     pinned: &Tuple,
     shape: Option<&ShapePredicate>,
@@ -749,7 +765,7 @@ fn cheaper_index(
     }
     let info = db.covering_index(relation, &pinned.attrs()).ok()??;
     let (mut partitions, mut rows) = (0, 0);
-    for (_, part) in db.partition_snapshot(relation).ok()?.partitions() {
+    for (_, part) in parts.get().snap(relation).parts.partitions() {
         if shape.is_none_or(|s| s.admits(part.shape())) {
             partitions += 1;
             rows += part.len();

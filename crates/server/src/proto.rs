@@ -16,11 +16,11 @@
 //! ([`put_rows_from_chunks`]); tuples are written one block per same-shape
 //! run ([`put_rows`]).  Block boundaries therefore depend on the input, and
 //! the two writers agree on the decoded rows, not on the bytes.  The
-//! client reads a column with one bounds check and builds each row in one
-//! allocation ([`get_rows`]).  Floats round-trip bit-exactly (NaN and
-//! `-0.0` included), and any truncated, forged or bit-flipped input
-//! surfaces as a typed [`WireError`] — never a panic, and never an
-//! allocation the payload's size does not justify.
+//! client reads a column with one bounds check and builds each row
+//! straight from the columns ([`get_rows`]).  Floats round-trip
+//! bit-exactly (NaN and `-0.0` included), and any truncated, forged or
+//! bit-flipped input surfaces as a typed [`WireError`] — never a panic,
+//! and never an allocation the payload's size does not justify.
 //!
 //! A message is copied once on each side: the sender encodes into a reused
 //! [`FrameWriter`] behind a reserved header that is patched in place, and
@@ -586,8 +586,10 @@ impl<'a> Column<'a> {
 }
 
 /// Decodes a result set written by [`put_rows`] or
-/// [`put_rows_from_chunks`], a column at a time: each row is then built in
-/// one allocation, its strings shared with the block's pool.
+/// [`put_rows_from_chunks`], a column at a time: each row is then built
+/// without a heap allocation up to three attributes (one beyond), its
+/// short strings copied from the block's pool and its long ones shared
+/// with it.
 pub fn get_rows(cur: &mut Cursor<'_>) -> Result<Vec<Tuple>, WireError> {
     let n_shapes = cur.u32()? as usize;
     let mut shapes: Vec<(AttrSet, Arc<[Attr]>)> = Vec::with_capacity(n_shapes.min(1024));
@@ -1056,5 +1058,36 @@ mod tests {
             reader.buf.capacity()
         );
         assert!(matches!(reader.recv(&mut bytes).unwrap(), Recv::Closed));
+    }
+
+    /// Strings of every byte length around the inline limit, multi-byte
+    /// characters straddling it included, decode to the rows encoded.
+    #[test]
+    fn rows_round_trip_strings_across_the_inline_limit() {
+        let mut rows = Vec::new();
+        for n in 0..=16 {
+            for c in ['a', 'é', '€', '😀'] {
+                for p in (0..=n).filter(|p| p + c.len_utf8() <= n) {
+                    let s = format!("{}{}{}", "x".repeat(p), c, "y".repeat(n - p - c.len_utf8()));
+                    assert_eq!(s.len(), n);
+                    rows.push(
+                        Tuple::new()
+                            .with("t", Value::str(&s))
+                            .with("g", Value::tag(&s)),
+                    );
+                }
+            }
+        }
+        rows.push(Tuple::new().with("t", Value::str("")));
+        let mut out = Vec::new();
+        put_rows(&mut out, &rows);
+        let back = get_rows(&mut Cursor::new(&out)).unwrap();
+        assert_eq!(back, rows);
+        for (b, r) in back.iter().zip(&rows) {
+            assert_eq!(
+                b.get_name("t").unwrap().as_str(),
+                r.get_name("t").unwrap().as_str()
+            );
+        }
     }
 }

@@ -429,13 +429,13 @@ pub fn get_value(cur: &mut Cursor<'_>) -> Result<Value, StorageError> {
     match cur.u8()? {
         VAL_INT => Ok(Value::Int(cur.i64()?)),
         VAL_FLOAT => Ok(Value::Float(cur.f64()?)),
-        VAL_STR => Ok(Value::Str(Arc::from(cur.str()?))),
+        VAL_STR => Ok(Value::Str(cur.str()?.into())),
         VAL_BOOL => Ok(Value::Bool(match cur.u8()? {
             0 => false,
             1 => true,
             _ => return Err(corrupt("bool out of range")),
         })),
-        VAL_TAG => Ok(Value::Tag(Arc::from(cur.str()?))),
+        VAL_TAG => Ok(Value::Tag(cur.str()?.into())),
         VAL_NULL => Ok(Value::Null),
         t => Err(corrupt(&format!("unknown value tag {}", t))),
     }
@@ -852,8 +852,13 @@ mod tests {
             tuple: t,
         };
         let mut out = Vec::new();
-        crate::wal::RecordEncoder::new()
-            .encode(&crate::wal::WalRecord::Op { txn: 0, op }, &mut out);
+        crate::wal::RecordEncoder::new().encode(
+            &crate::wal::WalRecord::Op {
+                txn: 0,
+                op: Box::new(op),
+            },
+            &mut out,
+        );
         assert_eq!(out, wal);
 
         let rows = unhex(&[
@@ -904,6 +909,41 @@ mod tests {
                 (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
                 _ => assert_eq!(*v, back),
             }
+        }
+        assert!(cur.is_empty());
+    }
+
+    /// A string of every byte length from 0 to 16 — stored inline up to
+    /// seven bytes, shared beyond — comes back with the same bytes, as a
+    /// string and as a tag; the multi-byte characters straddle the limit.
+    #[test]
+    fn texts_round_trip_across_the_inline_limit() {
+        let mut strings = Vec::new();
+        for n in 0..=16 {
+            for c in ['a', 'é', '€', '😀'] {
+                for p in (0..=n).filter(|p| p + c.len_utf8() <= n) {
+                    strings.push(format!(
+                        "{}{}{}",
+                        "x".repeat(p),
+                        c,
+                        "y".repeat(n - p - c.len_utf8())
+                    ));
+                }
+            }
+        }
+        strings.push(String::new());
+        let mut buf = Vec::new();
+        for s in &strings {
+            put_value(&mut buf, &Value::str(s));
+            put_value(&mut buf, &Value::tag(s));
+        }
+        let mut cur = Cursor::new(&buf);
+        for s in &strings {
+            let (text, tag) = (get_value(&mut cur).unwrap(), get_value(&mut cur).unwrap());
+            assert_eq!(text, Value::str(s));
+            assert_eq!(tag, Value::tag(s));
+            assert_eq!(text.as_str(), Some(s.as_str()));
+            assert_eq!(tag.as_str(), Some(s.as_str()));
         }
         assert!(cur.is_empty());
     }

@@ -23,9 +23,10 @@
 //! Columns are typed per segment: integers and floats are plain vectors;
 //! everything else (strings, tags, booleans, nulls — and any column that
 //! turns out to mix kinds) is dictionary-encoded, storing one `u32` code per
-//! row against a per-segment pool of distinct [`Value`]s.  String pools
-//! share their `Arc<str>` payloads with the values handed out, so
-//! dictionary encoding is also the string-interning layer.
+//! row against a per-segment pool of distinct [`Value`]s.  A long string
+//! of a pool is shared (its `Arc<str>`) with the values handed out, so
+//! dictionary encoding is also the string-interning layer; a short one is
+//! stored inline in each value and copied.
 //!
 //! # Vectorized selection
 //!

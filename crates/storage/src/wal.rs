@@ -157,8 +157,10 @@ pub enum WalRecord {
     Op {
         /// The owning transaction (0 = auto-commit).
         txn: u64,
-        /// The logged operation.
-        op: WalOp,
+        /// The logged operation.  Boxed, since it holds up to two tuples
+        /// (each keeps its first pairs in place) and every other record is
+        /// one word.
+        op: Box<WalOp>,
     },
     /// A rotation marker: the segment starting here begins at `lsn`.
     Checkpoint(u64),
@@ -302,7 +304,7 @@ impl RecordDecoder {
                 let tuple = self.get_tuple(&mut cur)?;
                 Some(WalRecord::Op {
                     txn,
-                    op: WalOp::Insert { relation, tuple },
+                    op: Box::new(WalOp::Insert { relation, tuple }),
                 })
             }
             REC_DELETE => {
@@ -311,7 +313,7 @@ impl RecordDecoder {
                 let tuple = self.get_tuple(&mut cur)?;
                 Some(WalRecord::Op {
                     txn,
-                    op: WalOp::Delete { relation, tuple },
+                    op: Box::new(WalOp::Delete { relation, tuple }),
                 })
             }
             REC_UPDATE => {
@@ -321,7 +323,7 @@ impl RecordDecoder {
                 let new = self.get_tuple(&mut cur)?;
                 Some(WalRecord::Op {
                     txn,
-                    op: WalOp::Update { relation, old, new },
+                    op: Box::new(WalOp::Update { relation, old, new }),
                 })
             }
             t => {
@@ -918,7 +920,7 @@ pub fn replay_dir(dir: &Path, from_lsn: u64) -> Result<WalReplayOutcome, Storage
                         Some(WalRecord::Abort(txn)) => {
                             pending.remove(&txn);
                         }
-                        Some(WalRecord::Op { txn: 0, op }) => commits.push(vec![op]),
+                        Some(WalRecord::Op { txn: 0, op }) => commits.push(vec![*op]),
                         Some(WalRecord::Op { txn, op }) => {
                             pending
                                 .get_mut(&txn)
@@ -928,7 +930,7 @@ pub fn replay_dir(dir: &Path, from_lsn: u64) -> Result<WalReplayOutcome, Storage
                                         txn
                                     ))
                                 })?
-                                .push(op);
+                                .push(*op);
                         }
                     }
                 }
@@ -975,26 +977,26 @@ mod tests {
             WalRecord::Begin(7),
             WalRecord::Op {
                 txn: 7,
-                op: WalOp::Insert {
+                op: Box::new(WalOp::Insert {
                     relation: "emp".into(),
                     tuple: tuple! {"a" => 1, "b" => 2.5},
-                },
+                }),
             },
             WalRecord::Op {
                 txn: 7,
-                op: WalOp::Update {
+                op: Box::new(WalOp::Update {
                     relation: "emp".into(),
                     old: tuple! {"a" => 1, "b" => 2.5},
                     new: tuple! {"a" => 1, "c" => flexrel_core::value::Value::str("s")},
-                },
+                }),
             },
             WalRecord::Commit(7),
             WalRecord::Op {
                 txn: 0,
-                op: WalOp::Delete {
+                op: Box::new(WalOp::Delete {
                     relation: "emp".into(),
                     tuple: tuple! {"a" => 1, "c" => flexrel_core::value::Value::str("s")},
-                },
+                }),
             },
             WalRecord::Abort(9),
             WalRecord::Checkpoint(1234),
@@ -1213,9 +1215,15 @@ mod tests {
         let mut first = Vec::new();
         let mut enc = RecordEncoder::new();
         for rec in [
-            WalRecord::Op { txn: 0, op: op(1) },
+            WalRecord::Op {
+                txn: 0,
+                op: Box::new(op(1)),
+            },
             WalRecord::Begin(1),
-            WalRecord::Op { txn: 1, op: op(2) },
+            WalRecord::Op {
+                txn: 1,
+                op: Box::new(op(2)),
+            },
             WalRecord::Commit(1),
         ] {
             enc.encode(&rec, &mut first);
@@ -1224,7 +1232,13 @@ mod tests {
         let mut second = Vec::new();
         let mut enc = RecordEncoder::new();
         enc.encode(&WalRecord::Checkpoint(cut), &mut second);
-        enc.encode(&WalRecord::Op { txn: 0, op: op(3) }, &mut second);
+        enc.encode(
+            &WalRecord::Op {
+                txn: 0,
+                op: Box::new(op(3)),
+            },
+            &mut second,
+        );
         let end = cut + second.len() as u64;
         std::fs::write(dir.join(segment_file_name(0)), &first).unwrap();
         std::fs::write(dir.join(segment_file_name(cut)), &second).unwrap();

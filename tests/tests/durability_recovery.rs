@@ -605,25 +605,25 @@ fn arb_record(rng: &mut TestRng) -> WalRecord {
         2 => WalRecord::Abort(1 + rng.next_u64() % 100),
         3 => WalRecord::Op {
             txn: rng.next_u64() % 4,
-            op: WalOp::Insert {
+            op: Box::new(WalOp::Insert {
                 relation: rel,
                 tuple: arb_tuple(rng, 80),
-            },
+            }),
         },
         4 => WalRecord::Op {
             txn: rng.next_u64() % 4,
-            op: WalOp::Delete {
+            op: Box::new(WalOp::Delete {
                 relation: rel,
                 tuple: arb_tuple(rng, 80),
-            },
+            }),
         },
         _ => WalRecord::Op {
             txn: rng.next_u64() % 4,
-            op: WalOp::Update {
+            op: Box::new(WalOp::Update {
                 relation: rel,
                 old: arb_tuple(rng, 80),
                 new: arb_tuple(rng, 80),
-            },
+            }),
         },
     }
 }
@@ -671,7 +671,7 @@ proptest! {
         let mut records = records;
         records.push(WalRecord::Op {
             txn: 0,
-            op: WalOp::Insert { relation: "wide".into(), tuple: big },
+            op: Box::new(WalOp::Insert { relation: "wide".into(), tuple: big }),
         });
 
         let mut enc = RecordEncoder::new();

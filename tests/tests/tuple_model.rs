@@ -9,16 +9,22 @@
 //! equality, ordering and hashing must agree with the model's across pairs
 //! of tuples.  The name pool is wide enough that shapes spill the
 //! attribute bitset past one 64-bit word.
+//!
+//! A second program runs at arities 0–6, across the three pairs a tuple
+//! stores in place, in both directions: a tuple grown past them and shrunk
+//! back must equal, order and hash like one built in place, and a long
+//! (shared) string value must be neither leaked nor dropped twice.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::tuple::Tuple;
-use flexrel_core::value::Value;
+use flexrel_core::value::{Text, Value};
 
 type Model = BTreeMap<String, Value>;
 
@@ -210,6 +216,163 @@ proptest! {
             check_pair(&t, &m, &u, &n)?;
             check_pair(&t, &m, &t.clone(), &m)?;
         }
+    }
+}
+
+/// Six names, so a tuple's arity ranges over 0–6.
+fn small_pool() -> Vec<String> {
+    (0..6).map(|i| format!("s{}", i)).collect()
+}
+
+/// A string too long to store inline: its values share one `Arc`.
+const LONG: &str = "a string too long to store inline";
+
+/// Like [`arb_value`], with short inline strings and the long shared one.
+fn arb_small_value(s: &mut u64, long: &Value) -> Value {
+    match split_mix(s) % 5 {
+        0 => Value::Int((split_mix(s) % 3) as i64),
+        1 => Value::str(format!("s{}", split_mix(s) % 2)),
+        2 => Value::tag("t"),
+        3 => long.clone(),
+        _ => Value::Null,
+    }
+}
+
+/// The same mapping as `t`, built by growing past the inline capacity
+/// (four filler attributes outside the pool) and removing the fillers.
+fn grown_and_shrunk(t: &Tuple) -> Tuple {
+    let fillers: Vec<Attr> = (0..4).map(|i| Attr::new(format!("filler-{}", i))).collect();
+    let mut spilled = Tuple::new();
+    for a in &fillers {
+        spilled.insert(a.clone(), 0);
+    }
+    for (a, v) in t.iter() {
+        spilled.insert(a.clone(), v.clone());
+    }
+    for a in &fillers {
+        spilled.remove(a);
+    }
+    spilled
+}
+
+/// How many of the tuples' and models' values are the long string.
+fn long_values<'a>(tuples: &[&Tuple], models: impl IntoIterator<Item = &'a Model>) -> usize {
+    let is_long = |v: &Value| v.as_str() == Some(LONG);
+    let in_tuples: usize = tuples
+        .iter()
+        .map(|t| t.iter().filter(|(_, v)| is_long(v)).count())
+        .sum();
+    let in_models: usize = models
+        .into_iter()
+        .map(|m| m.values().filter(|v| is_long(v)).count())
+        .sum();
+    in_tuples + in_models
+}
+
+/// One random step at small arity; `u`/`n` is the operand of
+/// `merged_with`.
+fn small_step(
+    s: &mut u64,
+    pool: &[String],
+    long: &Value,
+    t: &mut Tuple,
+    m: &mut Model,
+    u: &Tuple,
+    n: &Model,
+) -> Result<(), TestCaseError> {
+    match split_mix(s) % 9 {
+        0 => {
+            let (a, v) = (pick(s, pool), arb_small_value(s, long));
+            t.insert(a, v.clone());
+            m.insert(a.to_string(), v);
+        }
+        1 => {
+            let (a, v) = (pick(s, pool), arb_small_value(s, long));
+            *t = std::mem::take(t).with(a, v.clone());
+            m.insert(a.to_string(), v);
+        }
+        2 => {
+            let a = pick(s, pool);
+            prop_assert_eq!(t.remove(&Attr::new(a)), m.remove(a), "remove({})", a);
+        }
+        3 => {
+            *t = t.merged_with(u);
+            m.extend(n.iter().map(|(a, v)| (a.clone(), v.clone())));
+        }
+        4 => {
+            let (x, names) = arb_subset(s, pool);
+            *t = t.project(&x);
+            m.retain(|a, _| names.contains(a));
+        }
+        5 => {
+            let (from, to) = (pick(s, pool), pick(s, pool));
+            *t = t.rename(&Attr::new(from), &Attr::new(to));
+            if let Some(v) = m.remove(from) {
+                m.insert(to.to_string(), v);
+            }
+        }
+        6 => {
+            *t = t.without_nulls();
+            m.retain(|_, v| !v.is_null());
+        }
+        7 => {
+            let (universe, names) = arb_subset(s, pool);
+            *t = t.null_padded(&universe);
+            for a in names {
+                m.entry(a).or_insert(Value::Null);
+            }
+        }
+        _ => {
+            let copy = t.clone();
+            *t = copy;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random programs at arities 0–6 keep the tuple and its model in
+    /// step; a tuple grown past the inline capacity and shrunk back
+    /// equals, orders and hashes like the one built in place; and the
+    /// long string's reference count always equals its live copies, so
+    /// no step leaks or double-drops a value.
+    #[test]
+    fn small_tuples_cross_the_inline_capacity_both_ways(seed in 0u64..1_000_000) {
+        let pool = small_pool();
+        let shared: Arc<str> = Arc::from(LONG);
+        let long = Value::Str(Text::from(shared.clone()));
+        // `shared` and `long` hold the two references outside any tuple.
+        prop_assert_eq!(Arc::strong_count(&shared), 2);
+        let mut s = seed;
+        let (mut t, mut m) = (Tuple::new(), Model::new());
+        let (mut u, mut n) = (Tuple::new(), Model::new());
+        for _ in 0..64 {
+            if split_mix(&mut s).is_multiple_of(4) {
+                let (u0, n0) = (t.clone(), m.clone());
+                small_step(&mut s, &pool, &long, &mut u, &mut n, &u0, &n0)?;
+            } else {
+                small_step(&mut s, &pool, &long, &mut t, &mut m, &u, &n)?;
+            }
+            prop_assert!(t.arity() <= 6 && u.arity() <= 6);
+            check(&t, &m, &pool)?;
+            check(&u, &n, &pool)?;
+            check_pair(&t, &m, &u, &n)?;
+            let spilled = grown_and_shrunk(&t);
+            check(&spilled, &m, &pool)?;
+            check_pair(&spilled, &m, &t, &m)?;
+            check_pair(&spilled, &m, &u, &n)?;
+            prop_assert_eq!(hash_of(&spilled), hash_of(&t));
+            drop(spilled);
+            prop_assert_eq!(
+                Arc::strong_count(&shared),
+                2 + long_values(&[&t, &u], [&m, &n]),
+                "references to the long string"
+            );
+        }
+        drop((t, m, u, n));
+        prop_assert_eq!(Arc::strong_count(&shared), 2);
     }
 }
 
