@@ -328,4 +328,20 @@ mod tests {
         assert!(txt.contains("--attr-->"));
         assert!(txt.contains("--func-->"));
     }
+
+    /// Pinning an EAD's determinant fixes the exact overlap with `Y`
+    /// (Def. 2.1): the other variants' attributes are absent, and an
+    /// unpinned determinant fixes nothing.
+    #[test]
+    fn pinned_ead_determinant_excludes_the_other_variants() {
+        let mut deps = DependencySet::new();
+        deps.add(crate::dep::example2_jobtype_ead());
+        let pinned = Tuple::new().with("jobtype", Value::tag("secretary"));
+        let regions: Vec<_> = deps.pinned_regions(&pinned).collect();
+        assert_eq!(regions.len(), 1);
+        let absent = regions[0].0.difference(&regions[0].1);
+        assert!(absent.contains_name("products"), "{absent}");
+        assert!(!absent.contains_name("typing-speed"), "{absent}");
+        assert_eq!(deps.pinned_regions(&Tuple::new()).count(), 0);
+    }
 }

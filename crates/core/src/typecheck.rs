@@ -17,9 +17,6 @@ use std::fmt;
 use crate::attr::AttrSet;
 use crate::axioms::{derive, AxiomSystem, Derivation};
 use crate::dep::{Ad, Dependency, DependencySet, Ead};
-use crate::error::{CoreError, Result};
-use crate::relation::FlexRelation;
-use crate::scheme::FlexScheme;
 use crate::tuple::Tuple;
 
 /// A type guard: the check that all attributes of `required` are present in
@@ -223,120 +220,15 @@ fn variant_outcome(ead: &Ead, ctx: &SelectionContext, guard: &AttrSet) -> Varian
     }
 }
 
-/// A bundled type checker for a flexible relation: scheme, domains and
-/// dependencies.  It offers the insert-time checks of
-/// [`FlexRelation`] on loose tuples, which is
-/// what the storage and query layers need when tuples flow through operators
-/// rather than living in a base relation.
-#[derive(Clone, Debug)]
-pub struct TypeChecker {
-    scheme: FlexScheme,
-    deps: DependencySet,
-}
-
-impl TypeChecker {
-    /// Creates a checker from a scheme and dependencies.
-    pub fn new(scheme: FlexScheme, deps: DependencySet) -> Self {
-        TypeChecker { scheme, deps }
-    }
-
-    /// Creates a checker from an existing relation definition.
-    pub fn for_relation(rel: &FlexRelation) -> Self {
-        TypeChecker {
-            scheme: rel.scheme().clone(),
-            deps: rel.deps().clone(),
-        }
-    }
-
-    /// The scheme being checked against.
-    pub fn scheme(&self) -> &FlexScheme {
-        &self.scheme
-    }
-
-    /// The dependencies being checked against.
-    pub fn deps(&self) -> &DependencySet {
-        &self.deps
-    }
-
-    /// Checks a single tuple against the scheme (existence-based constraint)
-    /// only.
-    pub fn check_shape(&self, t: &Tuple) -> Result<()> {
-        if self.scheme.admits(&t.attrs()) {
-            Ok(())
-        } else {
-            Err(CoreError::SchemeViolation {
-                tuple_attrs: t.attrs().to_string(),
-                scheme: self.scheme.to_string(),
-            })
-        }
-    }
-
-    /// Checks a single tuple against the scheme and every *per-tuple*
-    /// dependency (explicit ADs); abbreviated ADs and FDs are inherently
-    /// pairwise and are checked by [`TypeChecker::check_instance`].
-    pub fn check_tuple(&self, t: &Tuple) -> Result<()> {
-        self.check_shape(t)?;
-        for ead in self.deps.eads() {
-            ead.check_tuple(t)?;
-        }
-        Ok(())
-    }
-
-    /// Checks a whole instance against scheme and all dependencies.
-    pub fn check_instance(&self, tuples: &[Tuple]) -> Result<()> {
-        for t in tuples {
-            self.check_shape(t)?;
-        }
-        if let Some(v) = self.deps.first_violation(tuples) {
-            return Err(CoreError::Invalid(format!(
-                "instance violates dependency {}",
-                v
-            )));
-        }
-        Ok(())
-    }
-
-    /// Analyses a type guard under a selection context (see
-    /// [`analyse_guard`]).
-    pub fn analyse_guard(
-        &self,
-        ctx: &SelectionContext,
-        guard: &TypeGuard,
-        system: AxiomSystem,
-    ) -> GuardAnalysis {
-        analyse_guard(&self.deps, ctx, guard, system)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dep::example2_jobtype_ead;
-    use crate::scheme::{Component, SchemeBuilder};
     use crate::value::Value;
     use crate::{attrs, tuple};
 
     fn employee_deps() -> DependencySet {
         DependencySet::from_deps(vec![Dependency::Ead(example2_jobtype_ead())])
-    }
-
-    fn employee_scheme() -> FlexScheme {
-        let variants = FlexScheme::new(
-            0,
-            5,
-            vec![
-                Component::from("typing-speed"),
-                Component::from("foreign-languages"),
-                Component::from("products"),
-                Component::from("programming-languages"),
-                Component::from("sales-commission"),
-            ],
-        )
-        .unwrap();
-        SchemeBuilder::all_of(["empno", "name", "salary", "jobtype"])
-            .nested(variants)
-            .build()
-            .unwrap()
     }
 
     #[test]
@@ -439,38 +331,6 @@ mod tests {
         assert!(guard.check(&tuple! {"typing-speed" => 300}));
         assert!(!guard.check(&tuple! {"salary" => 300}));
         assert!(guard.to_string().contains("typing-speed"));
-    }
-
-    #[test]
-    fn type_checker_shape_and_tuple_checks() {
-        let checker = TypeChecker::new(employee_scheme(), employee_deps());
-        let good = tuple! {
-            "empno" => 1, "name" => "a", "salary" => 4000,
-            "jobtype" => Value::tag("secretary"),
-            "typing-speed" => 300, "foreign-languages" => "fr"
-        };
-        assert!(checker.check_tuple(&good).is_ok());
-
-        let bad_shape = tuple! {"empno" => 1};
-        assert!(checker.check_shape(&bad_shape).is_err());
-
-        let bad_variant = tuple! {
-            "empno" => 1, "name" => "a", "salary" => 4000,
-            "jobtype" => Value::tag("salesman"),
-            "typing-speed" => 300
-        };
-        assert!(checker.check_shape(&bad_variant).is_ok());
-        assert!(checker.check_tuple(&bad_variant).is_err());
-
-        assert!(checker.check_instance(&[good]).is_ok());
-    }
-
-    #[test]
-    fn type_checker_from_relation() {
-        let rel = FlexRelation::new("employee", employee_scheme()).with_dep(example2_jobtype_ead());
-        let checker = TypeChecker::for_relation(&rel);
-        assert_eq!(checker.scheme(), rel.scheme());
-        assert_eq!(checker.deps().len(), 1);
     }
 
     #[test]

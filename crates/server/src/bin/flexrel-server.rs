@@ -44,6 +44,10 @@ mod sig {
     }
 
     pub fn install() {
+        // SAFETY: the declaration matches `signal(2)` (`sighandler_t` is a
+        // pointer-sized function pointer), and `on_signal` is an
+        // `extern "C" fn(i32)` that only stores to an atomic, which is
+        // async-signal-safe.  The previous handlers it returns are ignored.
         unsafe {
             signal(SIGTERM, on_signal);
             signal(SIGINT, on_signal);

@@ -38,7 +38,7 @@ use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::{Chunk, ColChunk, ExecStats};
 use flexrel_storage::codec::{
-    self, crc32, put_f64, put_i64, put_str, put_u32, put_u64, put_u8, Cursor, MAX_FRAME_LEN,
+    self, crc32, put_f64, put_i64, put_str, put_u32, put_u64, put_u8, Cursor,
 };
 use flexrel_storage::{ColKind, SelVec, StorageError};
 
@@ -857,16 +857,15 @@ impl FrameWriter {
     /// buffer to append its payload to.
     pub fn begin(&mut self) -> &mut Vec<u8> {
         self.buf.clear();
-        self.buf.extend_from_slice(&[0; 8]);
+        codec::begin_frame(&mut self.buf);
         &mut self.buf
     }
 
     /// Seals the message begun last — length and CRC of everything after
-    /// the header — and writes it.
+    /// the header — and writes it.  A payload too long for the length
+    /// prefix is not sent.
     pub fn send<W: Write>(&mut self, w: &mut W) -> Result<(), WireError> {
-        let (head, payload) = self.buf.split_at_mut(8);
-        head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        codec::seal_frame(&mut self.buf, 0).map_err(|e| WireError::Io(std::io::Error::other(e)))?;
         let sent = w.write_all(&self.buf);
         if self.buf.capacity() > LARGE_MESSAGE && self.buf.len() <= READ_CHUNK {
             self.buf.clear();
@@ -897,6 +896,13 @@ const READ_CHUNK: usize = 16 * 1024;
 /// message after it, so one large reply does not pin its size for the rest
 /// of a session, and a series of large ones does not regrow it each time.
 const LARGE_MESSAGE: usize = 1 << 20;
+
+/// Upper bound on a message's payload.  The [`FrameReader`] allocates by a
+/// frame's length prefix before its CRC can be checked, so a larger prefix
+/// is refused as corrupt: a flipped bit in it must not allocate gigabytes.
+/// (Storage frames need no such bound: a WAL segment or checkpoint image is
+/// read whole before its frames are parsed.)
+pub const MAX_FRAME_LEN: u32 = 1 << 28;
 
 /// Incremental frame reader over a byte stream.
 ///

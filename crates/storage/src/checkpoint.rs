@@ -30,8 +30,8 @@ use flexrel_core::attr::AttrSet;
 
 use crate::catalog::RelationDef;
 use crate::codec::{
-    get_attrs, get_relation_def, put_attrs, put_frame, put_relation_def, put_u32, put_u64, put_u8,
-    read_frame, Cursor, FrameRead,
+    begin_frame, get_attrs, get_relation_def, put_attrs, put_relation_def, put_u32, put_u64,
+    put_u8, read_frame, seal_frame, Cursor, FrameRead,
 };
 use crate::column::{ColumnHeap, ColumnSegment};
 use crate::errors::StorageError;
@@ -75,28 +75,27 @@ pub(crate) struct CheckpointSource {
     pub snapshot: PartitionSnapshot,
 }
 
-fn encode_body(wal_lsn: u64, rels: &[CheckpointSource]) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u64(&mut body, wal_lsn);
-    put_u32(&mut body, rels.len() as u32);
+/// Appends the image body — the WAL cut, then every relation — to `body`.
+fn put_body(body: &mut Vec<u8>, wal_lsn: u64, rels: &[CheckpointSource]) {
+    put_u64(body, wal_lsn);
+    put_u32(body, rels.len() as u32);
     for rel in rels {
-        put_relation_def(&mut body, &rel.def);
-        put_u32(&mut body, rel.indexes.len() as u32);
+        put_relation_def(body, &rel.def);
+        put_u32(body, rel.indexes.len() as u32);
         for (key, auto) in &rel.indexes {
-            put_attrs(&mut body, key);
-            put_u8(&mut body, *auto as u8);
+            put_attrs(body, key);
+            put_u8(body, *auto as u8);
         }
-        put_u32(&mut body, rel.snapshot.partition_count() as u32);
+        put_u32(body, rel.snapshot.partition_count() as u32);
         for (_, part) in rel.snapshot.partitions() {
             let heap = part.columns();
-            put_attrs(&mut body, heap.shape());
-            put_u32(&mut body, heap.segment_count() as u32);
+            put_attrs(body, heap.shape());
+            put_u32(body, heap.segment_count() as u32);
             for seg in heap.segments() {
-                seg.encode_into(&mut body);
+                seg.encode_into(body);
             }
         }
     }
-    body
 }
 
 fn decode_body(payload: &[u8]) -> Result<CheckpointImage, StorageError> {
@@ -152,8 +151,11 @@ pub(crate) fn write_checkpoint(
     let mut bytes = Vec::with_capacity(64);
     bytes.extend_from_slice(MAGIC);
     put_u32(&mut bytes, VERSION);
-    let body = encode_body(wal_lsn, rels);
-    put_frame(&mut bytes, &body);
+    // The body is encoded in place behind its frame header; an image too
+    // large for the header fails here, before any I/O.
+    let frame = begin_frame(&mut bytes);
+    put_body(&mut bytes, wal_lsn, rels);
+    seal_frame(&mut bytes, frame)?;
 
     let tmp: PathBuf = dir.join(CHECKPOINT_TMP);
     let mut file = std::fs::File::create(&tmp)

@@ -16,6 +16,13 @@
 //!   same order [`ColumnHeap`](crate::column::ColumnHeap) stores columns in
 //!   and [`Tuple::iter`] yields, so encode and decode are zip loops.
 //!
+//! Every WAL commit and every checkpoint image is one **frame**,
+//! `[len: u32][crc32: u32][payload]`.  The writer refuses a payload longer
+//! than the `u32` prefix can say ([`StorageError::FrameTooLarge`]) rather
+//! than truncate its length; the reader ([`read_frame`]) runs over a whole
+//! segment or image already in memory, so a frame is bounded by the bytes
+//! after its header and by its CRC, never by a size limit.
+//!
 //! Decoding is total: every reader returns
 //! [`StorageError::Corruption`] instead of panicking on truncated or
 //! malformed input, which is what lets recovery treat a torn WAL tail as
@@ -331,15 +338,41 @@ impl<'a> Cursor<'a> {
 // Frames: [len: u32][crc: u32][payload; len bytes], crc over the payload.
 // ---------------------------------------------------------------------------
 
-/// Upper bound on a single frame's payload — anything larger is treated as
-/// corruption (a flipped bit in the length prefix must not allocate gigabytes).
-pub const MAX_FRAME_LEN: u32 = 1 << 28;
+/// Bytes of a frame header: the payload length and its CRC.
+pub const FRAME_HEADER: usize = 8;
 
-/// Appends one `[len][crc][payload]` frame.
-pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+/// The length prefix for a payload of `n` bytes.  A payload the `u32`
+/// prefix cannot describe is refused: writing its length truncated would
+/// leave a frame no reader can find the end of.
+pub fn frame_len(n: usize) -> Result<u32, StorageError> {
+    u32::try_from(n).map_err(|_| StorageError::FrameTooLarge(n))
+}
+
+/// Starts a `[len][crc][payload]` frame, encoded in place: reserves its
+/// header in `out` and returns the header's offset, which [`seal_frame`]
+/// takes once the payload has been appended after it.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    start
+}
+
+/// Finishes the frame [`begin_frame`] started at `start`: the payload is
+/// every byte after its header, and the header gets the payload's length
+/// and CRC.  A payload too long for the length prefix is refused and cut
+/// off, header included, so `out` ends where it did before the frame.
+pub fn seal_frame(out: &mut Vec<u8>, start: usize) -> Result<(), StorageError> {
+    let len = match frame_len(out.len() - start - FRAME_HEADER) {
+        Ok(len) => len,
+        Err(e) => {
+            out.truncate(start);
+            return Err(e);
+        }
+    };
+    let (head, payload) = out[start..].split_at_mut(FRAME_HEADER);
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
 }
 
 /// The outcome of reading one frame at a byte offset.
@@ -354,27 +387,30 @@ pub enum FrameRead<'a> {
     },
     /// A clean end of input: `offset` points exactly at the end.
     Eof,
-    /// A torn or corrupted frame (truncated header/payload, impossible
-    /// length, or CRC mismatch).  Everything from `offset` on is garbage;
-    /// recovery truncates here.
+    /// A torn or corrupted frame (truncated header or payload, or CRC
+    /// mismatch).  Everything from `offset` on is garbage; recovery
+    /// truncates here.
     Corrupt,
 }
 
 /// Reads the frame starting at `offset`, distinguishing clean EOF from a
 /// torn or corrupted tail.
+///
+/// `buf` is a whole WAL segment or checkpoint image, already in memory, so
+/// a frame is bounded by the bytes that follow its header and by its CRC —
+/// a length prefix that points past the end of `buf` is a torn frame, and
+/// no length allocates anything.  (A reader that allocates by the prefix,
+/// like the wire protocol's, needs a bound of its own.)
 pub fn read_frame(buf: &[u8], offset: usize) -> FrameRead<'_> {
     if offset == buf.len() {
         return FrameRead::Eof;
     }
-    if buf.len() - offset < 8 {
+    if buf.len() - offset < FRAME_HEADER {
         return FrameRead::Corrupt;
     }
     let len = u32::from_le_bytes(buf[offset..offset + 4].try_into().unwrap());
     let crc = u32::from_le_bytes(buf[offset + 4..offset + 8].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return FrameRead::Corrupt;
-    }
-    let start = offset + 8;
+    let start = offset + FRAME_HEADER;
     let end = match start.checked_add(len as usize) {
         Some(e) if e <= buf.len() => e,
         _ => return FrameRead::Corrupt,
@@ -777,6 +813,15 @@ mod tests {
             .collect()
     }
 
+    /// `payload` sealed as one frame.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let at = begin_frame(&mut out);
+        out.extend_from_slice(payload);
+        seal_frame(&mut out, at).unwrap();
+        out
+    }
+
     fn unhex(parts: &[&str]) -> Vec<u8> {
         let hex: String = parts.concat();
         (0..hex.len())
@@ -832,19 +877,19 @@ mod tests {
         }
     }
 
-    /// Frames whose bytes were recorded from the slice-by-8 implementation:
+    /// Frames whose bytes were recorded from a CRC-32 outside this crate:
     /// a round trip cannot catch a kernel that is wrong the same way on
-    /// both ends, a pinned checksum can.  The WAL frames (a shape definition
-    /// and an autocommit insert) are short and take the slice-by-8 path; the
-    /// 304-byte `Rows` reply payload (two shape blocks, of six rows and two)
-    /// takes the carry-less multiply path where the CPU has one.
+    /// both ends, a pinned checksum can.  The WAL frame (a commit holding a
+    /// shape definition and an insert) is short and takes the slice-by-8
+    /// path; the 304-byte `Rows` reply payload (two shape blocks, of six
+    /// rows and two) takes the carry-less multiply path where the CPU has
+    /// one.
     #[test]
     fn crc32_golden_frames_are_unchanged() {
         let wal = unhex(&[
-            "26000000da905445010000000003000000070000006a6f627479706504000000",
-            "6e616d650600000073616c61727933000000ceb8cb5e05000000000000000003",
-            "000000656d700000000004090000007365637265746172790203000000416e6e",
-            "006810000000000000",
+            "52000000a2df612909010000000003000000070000006a6f6274797065040000",
+            "006e616d650600000073616c6172790203000000656d70000000000409000000",
+            "7365637265746172790203000000416e6e006810000000000000",
         ]);
         let t = tuple! {"name" => "Ann", "salary" => 4200, "jobtype" => Value::tag("secretary")};
         let op = crate::wal::WalOp::Insert {
@@ -852,14 +897,11 @@ mod tests {
             tuple: t,
         };
         let mut out = Vec::new();
-        crate::wal::RecordEncoder::new().encode(
-            &crate::wal::WalRecord::Op {
-                txn: 0,
-                op: Box::new(op),
-            },
-            &mut out,
-        );
+        crate::wal::RecordEncoder::new()
+            .encode(&crate::wal::WalRecord::Commit(vec![op]), &mut out)
+            .unwrap();
         assert_eq!(out, wal);
+        assert_eq!(crc32(&wal[8..]), crc32_bytewise(&wal[8..]));
 
         let rows = unhex(&[
             "30010000c0afcdbe820200000003000000010000006b040000006e616d650600",
@@ -874,9 +916,7 @@ mod tests {
             "00000202000000426f020200000043790000000001000000",
         ]);
         assert_eq!(rows.len(), 312);
-        let mut out = Vec::new();
-        put_frame(&mut out, &rows[8..]);
-        assert_eq!(out, rows);
+        assert_eq!(frame(&rows[8..]), rows);
         assert_eq!(crc32(&rows[8..]), 0xbecd_afc0);
         assert!(matches!(
             read_frame(&rows, 0),
@@ -970,8 +1010,8 @@ mod tests {
     #[test]
     fn frames_detect_corruption_and_clean_eof() {
         let mut buf = Vec::new();
-        put_frame(&mut buf, b"hello");
-        put_frame(&mut buf, b"");
+        buf.extend(frame(b"hello"));
+        buf.extend(frame(b""));
         let FrameRead::Frame { payload, next } = read_frame(&buf, 0) else {
             panic!("first frame should parse");
         };
@@ -998,6 +1038,36 @@ mod tests {
         }
         // Truncation mid-frame is corrupt, not EOF.
         assert_eq!(read_frame(&buf[..buf.len() - 1], 8 + 5), FrameRead::Corrupt);
+    }
+
+    /// The length prefix is a `u32`: a longer payload is refused with a
+    /// typed error instead of having its length truncated.
+    #[test]
+    fn a_payload_past_the_length_prefix_is_refused() {
+        assert_eq!(frame_len(0), Ok(0));
+        assert_eq!(frame_len(u32::MAX as usize), Ok(u32::MAX));
+        let n = u32::MAX as usize + 1;
+        assert_eq!(frame_len(n), Err(StorageError::FrameTooLarge(n)));
+    }
+
+    /// A storage frame is bounded by the buffer it is read from and by its
+    /// CRC, not by a size limit: a payload one byte past the wire reader's
+    /// 256 MiB bound reads back whole.
+    #[test]
+    fn read_frame_accepts_a_payload_past_the_wire_bound() {
+        let n = (1 << 28) + 1;
+        // A zeroed `vec!` is mapped lazily: only the header is written.
+        let mut buf = vec![0u8; FRAME_HEADER + n];
+        let crc = crc32(&buf[FRAME_HEADER..]);
+        buf[..4].copy_from_slice(&(n as u32).to_le_bytes());
+        buf[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        match read_frame(&buf, 0) {
+            FrameRead::Frame { payload, next } => {
+                assert_eq!(payload.len(), n);
+                assert_eq!(next, buf.len());
+            }
+            other => panic!("a CRC-valid frame read as {:?}", other),
+        }
     }
 
     #[test]

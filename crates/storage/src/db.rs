@@ -1230,9 +1230,9 @@ impl Database {
             Ok(Ok(v)) => {
                 // Log the whole transaction as one atomic WAL unit while
                 // the write locks are still held (log order = apply order).
-                // An append failure means the WAL was already poisoned:
-                // nothing was logged, so rolling back in memory keeps log
-                // and heap agreeing.
+                // An append fails when the WAL was already poisoned or the
+                // commit does not fit in one frame: nothing was logged, so
+                // rolling back in memory keeps log and heap agreeing.
                 let lsn = match self.wal_append(&scope.log) {
                     Ok(lsn) => lsn,
                     Err(e) => {
@@ -2234,9 +2234,9 @@ mod tests {
         }
     }
 
-    /// An auto-committed insert writes the one `txn 0` record it always
-    /// wrote, and a one-op `transact` writes the very same bytes — both
-    /// checked against frames assembled here by hand.
+    /// An auto-committed insert writes one commit frame, and a one-op
+    /// `transact` writes the very same bytes — both checked against frames
+    /// assembled here by hand.
     #[test]
     fn autocommit_and_one_op_transact_write_identical_wal_frames() {
         use flexrel_core::scheme::FlexScheme;
@@ -2278,18 +2278,17 @@ mod tests {
             let expected = [
                 // Checkpoint { lsn: cut } — the rotation marker.
                 frame(&[&[8], &cut.to_le_bytes()]),
-                // DefineShape { local: 0, attrs: [k, v] }.
+                // Commit, whose entries are
                 frame(&[
+                    &[9],
+                    // DefineShape { local: 0, attrs: [k, v] } and
                     &[1],
                     &0u32.to_le_bytes(),
                     &2u32.to_le_bytes(),
                     &text("k"),
                     &text("v"),
-                ]),
-                // Insert { txn: 0, relation: r, shape 0, Int 1, Int 2 }.
-                frame(&[
-                    &[5],
-                    &0u64.to_le_bytes(),
+                    // Insert { relation: r, shape 0, Int 1, Int 2 }.
+                    &[2],
                     &text("r"),
                     &0u32.to_le_bytes(),
                     &[0],

@@ -1,7 +1,7 @@
 //! Typed storage-layer errors.
 //!
-//! The durability subsystem must distinguish three failure classes that a
-//! plain panic (or a stringly `CoreError`) conflates:
+//! The durability subsystem must distinguish failure classes that a plain
+//! panic (or a stringly `CoreError`) conflates:
 //!
 //! * [`StorageError::Io`] — the operating system refused or lost a write.
 //!   Retryable in principle; after a *simulated* crash (fault injection)
@@ -15,6 +15,9 @@
 //!   [`ShapeMemo`](crate::partition::ShapeMemo)).  These used to be
 //!   `expect` calls on the write path; recovery code must be able to tell
 //!   them from a torn log, so they are errors now.
+//! * [`StorageError::FrameTooLarge`] — a commit or checkpoint image longer
+//!   than a frame's `u32` length prefix can describe.  Nothing was written:
+//!   the commit rolls back, the checkpoint fails like any other.
 //!
 //! Constraint violations keep their precise [`CoreError`] payload under
 //! [`StorageError::Constraint`] so durable and in-memory code paths report
@@ -37,6 +40,9 @@ pub enum StorageError {
     /// An internal invariant was violated — a logic error in this crate,
     /// never a disk problem.
     Bug(String),
+    /// A frame payload of this many bytes does not fit the `u32` length
+    /// prefix; it was not written.
+    FrameTooLarge(usize),
     /// A scheme/domain/dependency violation, unchanged from the in-memory
     /// paths.
     Constraint(CoreError),
@@ -53,6 +59,7 @@ impl StorageError {
             StorageError::Io(m) => CoreError::Invalid(format!("durability i/o failure: {}", m)),
             StorageError::Corruption(m) => CoreError::Invalid(format!("storage corruption: {}", m)),
             StorageError::Bug(m) => CoreError::Invalid(format!("storage bug: {}", m)),
+            e @ StorageError::FrameTooLarge(_) => CoreError::Invalid(e.to_string()),
         }
     }
 
@@ -73,6 +80,11 @@ impl fmt::Display for StorageError {
             StorageError::Io(m) => write!(f, "i/o failure: {}", m),
             StorageError::Corruption(m) => write!(f, "corruption: {}", m),
             StorageError::Bug(m) => write!(f, "internal storage bug: {}", m),
+            StorageError::FrameTooLarge(n) => write!(
+                f,
+                "a frame of {} bytes does not fit its 32-bit length prefix",
+                n
+            ),
             StorageError::Constraint(e) => write!(f, "{}", e),
         }
     }

@@ -4,9 +4,10 @@
 //! durable: the latest checkpoint image is decoded into partitioned heaps
 //! (secondary indexes are rebuilt by backfill — index *contents* are never
 //! persisted), then the WAL segments at or past the checkpoint's cut LSN
-//! are replayed in commit order.  A torn final record is handled inside
-//! [`crate::wal::replay_dir`] by truncating at the corruption point; the
-//! replay here only ever sees complete, committed transactions.
+//! are replayed in commit order.  A commit is one WAL frame, so a torn or
+//! damaged final commit is dropped whole inside
+//! [`crate::wal::replay_dir`], which truncates the log there; the replay
+//! here only ever sees complete commits.
 //!
 //! Each op is re-applied by `db::replay`, the routine transaction rollback
 //! runs too.  Without a rid hint it identifies delete and update targets

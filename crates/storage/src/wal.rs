@@ -5,16 +5,23 @@
 //! The log is a sequence of segment files `wal-<base>.log`, where `<base>`
 //! is the global byte offset (**LSN**) of the segment's first byte.  Each
 //! segment is a sequence of frames `[len: u32][crc32: u32][payload]` (see
-//! [`crate::codec`]); each payload is one record:
+//! [`crate::codec`]).  A frame is one committed transaction or a rotation
+//! marker:
 //!
 //! ```text
-//! DefineShape { local: u32, attrs: [name] }   -- segment-local shape table
-//! Begin       { txn }                          Commit { txn }   Abort { txn }
-//! Insert      { txn, relation, shape: u32, values (canonical order) }
-//! Delete      { txn, relation, shape: u32, values }
-//! Update      { txn, relation, old shape+values, new shape+values }
-//! Checkpoint  { lsn }                          -- rotation marker
+//! Commit      { entry* }      -- entries run to the end of the payload
+//! Checkpoint  { lsn }         -- rotation marker
+//!
+//! entry:
+//!   DefineShape { local: u32, attrs: [name] }   -- segment-local shape table
+//!   Insert      { relation, shape: u32, values (canonical order) }
+//!   Delete      { relation, shape: u32, values }
+//!   Update      { relation, old shape+values, new shape+values }
 //! ```
+//!
+//! The frame's CRC covers the whole commit, so a commit is atomic on disk:
+//! a torn or damaged commit frame is dropped whole, and there is no
+//! transaction bracket to match up.
 //!
 //! Tuples are encoded as a segment-local shape id plus their values in the
 //! canonical attribute-name order — the same order the column heaps store.
@@ -31,15 +38,14 @@
 //! # Group commit
 //!
 //! Every write is a transaction (an auto-committed statement is a
-//! one-statement transaction).  On commit it appends its operation log —
-//! one `txn 0` record for a single op, a `Begin … Commit` bracket for
-//! several — to an in-memory tail buffer under the writer's lock (while
-//! still holding its relation write locks, so WAL order equals apply
-//! order per relation), then waits for its LSN to become durable.  A
-//! waiter whose bytes no round has taken yet becomes a **leader**: under
-//! the `io` lock it takes the whole buffer and writes it at the segment's
-//! write offset, then — outside that lock — runs **one** `fdatasync`
-//! and wakes every commit the sync covered.  Up to two rounds are in
+//! one-statement transaction).  On commit it encodes its operation log as
+//! one commit frame straight into an in-memory tail buffer under the
+//! writer's lock (while still holding its relation write locks, so WAL
+//! order equals apply order per relation), then waits for its LSN to
+//! become durable.  A waiter whose bytes no round has taken yet becomes a
+//! **leader**: under the `io` lock it takes the whole buffer and writes it
+//! at the segment's write offset, then — outside that lock — runs **one**
+//! `fdatasync` and wakes every commit the sync covered.  Up to two rounds are in
 //! flight at once: while one leader's `fdatasync` runs, the next can
 //! already take and write the commits that arrived meanwhile, so a
 //! committer waits for about one sync, not for the tail of the previous
@@ -77,8 +83,8 @@ use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::tuple::{ShapeId, Tuple};
 
 use crate::codec::{
-    get_attrs, get_shaped_values, put_attrs, put_frame, put_shaped_values, put_str, put_u32,
-    put_u64, put_u8, read_frame, Cursor, FrameRead,
+    begin_frame, get_attrs, get_shaped_values, put_attrs, put_shaped_values, put_str, put_u32,
+    put_u64, put_u8, read_frame, seal_frame, Cursor, FrameRead, FRAME_HEADER,
 };
 use crate::errors::StorageError;
 use crate::fault::{FaultAction, IoEvent, IoFault};
@@ -143,41 +149,31 @@ impl WalOp {
     }
 }
 
-/// One decoded WAL record.  `txn = 0` marks an auto-committed single
-/// statement; any other id groups records between its `Begin` and `Commit`.
+/// One decoded WAL frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
-    /// Opens transaction `txn`.
-    Begin(u64),
-    /// Commits transaction `txn` — the redo ops logged under it apply.
-    Commit(u64),
-    /// Abandons transaction `txn` — its ops are discarded on replay.
-    Abort(u64),
-    /// A redo operation belonging to `txn` (0 = auto-commit).
-    Op {
-        /// The owning transaction (0 = auto-commit).
-        txn: u64,
-        /// The logged operation.  Boxed, since it holds up to two tuples
-        /// (each keeps its first pairs in place) and every other record is
-        /// one word.
-        op: Box<WalOp>,
-    },
+    /// One committed transaction: its ops, in apply order.  The frame's CRC
+    /// covers them all, so they replay together or not at all.
+    Commit(Vec<WalOp>),
     /// A rotation marker: the segment starting here begins at `lsn`.
     Checkpoint(u64),
 }
 
-const REC_DEFINE_SHAPE: u8 = 1;
-const REC_BEGIN: u8 = 2;
-const REC_COMMIT: u8 = 3;
-const REC_ABORT: u8 = 4;
-const REC_INSERT: u8 = 5;
-const REC_DELETE: u8 = 6;
-const REC_UPDATE: u8 = 7;
-const REC_CHECKPOINT: u8 = 8;
+/// Frame tags.  `FRAME_COMMIT` is a value no record of the earlier
+/// one-record-per-frame format used, so a segment in that format fails
+/// replay with the tag named.
+const FRAME_CHECKPOINT: u8 = 8;
+const FRAME_COMMIT: u8 = 9;
 
-/// Encodes [`WalRecord`]s into framed bytes, maintaining the segment-local
-/// shape table (a `DefineShape` frame is emitted the first time a shape
-/// appears after a reset).
+/// Entry tags inside a commit frame.
+const ENTRY_DEFINE_SHAPE: u8 = 1;
+const ENTRY_INSERT: u8 = 2;
+const ENTRY_DELETE: u8 = 3;
+const ENTRY_UPDATE: u8 = 4;
+
+/// Encodes [`WalRecord`]s into frames, maintaining the segment-local shape
+/// table (a commit defines each shape it is the first to use since the
+/// last reset, ahead of the entry that needs it).
 #[derive(Debug, Default)]
 pub struct RecordEncoder {
     shapes: HashMap<ShapeId, u32>,
@@ -195,6 +191,8 @@ impl RecordEncoder {
         self.shapes.clear();
     }
 
+    /// The local id of `t`'s shape, defining it in `out` first if the
+    /// table does not know it yet.
     fn shape_local(&mut self, t: &Tuple, out: &mut Vec<u8>) -> u32 {
         let sid = t.shape_id();
         if let Some(local) = self.shapes.get(&sid) {
@@ -202,60 +200,62 @@ impl RecordEncoder {
         }
         let local = self.shapes.len() as u32;
         self.shapes.insert(sid, local);
-        let mut payload = Vec::new();
-        put_u8(&mut payload, REC_DEFINE_SHAPE);
-        put_u32(&mut payload, local);
-        put_attrs(&mut payload, t.shape());
-        put_frame(out, &payload);
+        put_u8(out, ENTRY_DEFINE_SHAPE);
+        put_u32(out, local);
+        put_attrs(out, t.shape());
         local
     }
 
-    fn put_tuple(&mut self, t: &Tuple, out: &mut Vec<u8>, payload: &mut Vec<u8>) {
-        let local = self.shape_local(t, out);
-        put_u32(payload, local);
-        put_shaped_values(payload, t);
-    }
-
-    /// Appends `rec` to `out` as one or more frames (shape definitions
-    /// precede the record that needs them).
-    pub fn encode(&mut self, rec: &WalRecord, out: &mut Vec<u8>) {
-        let (tag, n) = match rec {
-            WalRecord::Begin(txn) => (REC_BEGIN, *txn),
-            WalRecord::Commit(txn) => (REC_COMMIT, *txn),
-            WalRecord::Abort(txn) => (REC_ABORT, *txn),
-            WalRecord::Checkpoint(lsn) => (REC_CHECKPOINT, *lsn),
-            WalRecord::Op { txn, op } => return self.encode_op(*txn, op, out),
-        };
-        let mut payload = Vec::new();
-        put_u8(&mut payload, tag);
-        put_u64(&mut payload, n);
-        put_frame(out, &payload);
-    }
-
-    /// Appends the record of `op` under transaction `txn` (0 = auto-commit)
-    /// — [`RecordEncoder::encode`] of a [`WalRecord::Op`] without building
-    /// one, so a commit encodes its log in place.
-    fn encode_op(&mut self, txn: u64, op: &WalOp, out: &mut Vec<u8>) {
-        let (tag, first, second) = match op {
-            WalOp::Insert { tuple, .. } => (REC_INSERT, tuple, None),
-            WalOp::Delete { tuple, .. } => (REC_DELETE, tuple, None),
-            WalOp::Update { old, new, .. } => (REC_UPDATE, old, Some(new)),
-        };
-        let mut payload = Vec::new();
-        put_u8(&mut payload, tag);
-        put_u64(&mut payload, txn);
-        put_str(&mut payload, op.relation());
-        self.put_tuple(first, out, &mut payload);
-        if let Some(new) = second {
-            self.put_tuple(new, out, &mut payload);
+    /// Appends `rec` to `out` as one frame.  A frame too long for its
+    /// length prefix is refused, and `out` and the shape table are left as
+    /// they were.
+    pub fn encode(&mut self, rec: &WalRecord, out: &mut Vec<u8>) -> Result<(), StorageError> {
+        match rec {
+            WalRecord::Commit(ops) => self.encode_commit(ops, out),
+            WalRecord::Checkpoint(lsn) => {
+                let frame = begin_frame(out);
+                put_u8(out, FRAME_CHECKPOINT);
+                put_u64(out, *lsn);
+                seal_frame(out, frame)
+            }
         }
-        put_frame(out, &payload);
+    }
+
+    /// Appends the commit frame of `ops`, encoded in place behind its
+    /// header — [`RecordEncoder::encode`] of a [`WalRecord::Commit`]
+    /// without building one.
+    fn encode_commit<'o>(
+        &mut self,
+        ops: impl IntoIterator<Item = &'o WalOp>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StorageError> {
+        let known = self.shapes.len() as u32;
+        let frame = begin_frame(out);
+        put_u8(out, FRAME_COMMIT);
+        for op in ops {
+            let (tag, first, second) = match op {
+                WalOp::Insert { tuple, .. } => (ENTRY_INSERT, tuple, None),
+                WalOp::Delete { tuple, .. } => (ENTRY_DELETE, tuple, None),
+                WalOp::Update { old, new, .. } => (ENTRY_UPDATE, old, Some(new)),
+            };
+            // Shapes are defined ahead of the entry that names them.
+            let first = (self.shape_local(first, out), first);
+            let second = second.map(|t| (self.shape_local(t, out), t));
+            put_u8(out, tag);
+            put_str(out, op.relation());
+            for (local, t) in std::iter::once(first).chain(second) {
+                put_u32(out, local);
+                put_shaped_values(out, t);
+            }
+        }
+        seal_frame(out, frame).inspect_err(|_| {
+            // The frame was cut off: so were the shapes it defined.
+            self.shapes.retain(|_, local| *local < known);
+        })
     }
 }
 
-/// Decodes framed record payloads, maintaining the segment-local shape
-/// table.  `DefineShape` frames are absorbed into the table and yield
-/// `None`.
+/// Decodes frame payloads, maintaining the segment-local shape table.
 #[derive(Debug, Default)]
 pub struct RecordDecoder {
     shapes: Vec<(AttrSet, Arc<[Attr]>)>,
@@ -276,11 +276,40 @@ impl RecordDecoder {
         get_shaped_values(cur, shape, attrs)
     }
 
-    /// Decodes one frame payload.  Returns `None` for shape-table frames.
-    pub fn decode(&mut self, payload: &[u8]) -> Result<Option<WalRecord>, StorageError> {
+    /// Decodes one frame payload.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<WalRecord, StorageError> {
         let mut cur = Cursor::new(payload);
-        let rec = match cur.u8()? {
-            REC_DEFINE_SHAPE => {
+        match cur.u8()? {
+            FRAME_CHECKPOINT => {
+                let lsn = cur.u64()?;
+                if !cur.is_empty() {
+                    return Err(StorageError::Corruption(
+                        "trailing bytes after wal checkpoint marker".into(),
+                    ));
+                }
+                Ok(WalRecord::Checkpoint(lsn))
+            }
+            FRAME_COMMIT => {
+                let mut ops = Vec::new();
+                while !cur.is_empty() {
+                    if let Some(op) = self.decode_entry(&mut cur)? {
+                        ops.push(op);
+                    }
+                }
+                Ok(WalRecord::Commit(ops))
+            }
+            t => Err(StorageError::Corruption(format!(
+                "unknown wal frame tag {}",
+                t
+            ))),
+        }
+    }
+
+    /// Decodes one entry of a commit frame: an op, or a shape definition
+    /// (absorbed into the table, `None`).
+    fn decode_entry(&mut self, cur: &mut Cursor<'_>) -> Result<Option<WalOp>, StorageError> {
+        match cur.u8()? {
+            ENTRY_DEFINE_SHAPE => {
                 let local = cur.u32()? as usize;
                 if local != self.shapes.len() {
                     return Err(StorageError::Corruption(format!(
@@ -289,56 +318,32 @@ impl RecordDecoder {
                         self.shapes.len()
                     )));
                 }
-                let shape = get_attrs(&mut cur)?;
+                let shape = get_attrs(cur)?;
                 let attrs: Arc<[Attr]> = shape.to_vec().into();
                 self.shapes.push((shape, attrs));
-                None
+                Ok(None)
             }
-            REC_BEGIN => Some(WalRecord::Begin(cur.u64()?)),
-            REC_COMMIT => Some(WalRecord::Commit(cur.u64()?)),
-            REC_ABORT => Some(WalRecord::Abort(cur.u64()?)),
-            REC_CHECKPOINT => Some(WalRecord::Checkpoint(cur.u64()?)),
-            REC_INSERT => {
-                let txn = cur.u64()?;
+            ENTRY_INSERT => {
                 let relation = cur.str()?.to_string();
-                let tuple = self.get_tuple(&mut cur)?;
-                Some(WalRecord::Op {
-                    txn,
-                    op: Box::new(WalOp::Insert { relation, tuple }),
-                })
+                let tuple = self.get_tuple(cur)?;
+                Ok(Some(WalOp::Insert { relation, tuple }))
             }
-            REC_DELETE => {
-                let txn = cur.u64()?;
+            ENTRY_DELETE => {
                 let relation = cur.str()?.to_string();
-                let tuple = self.get_tuple(&mut cur)?;
-                Some(WalRecord::Op {
-                    txn,
-                    op: Box::new(WalOp::Delete { relation, tuple }),
-                })
+                let tuple = self.get_tuple(cur)?;
+                Ok(Some(WalOp::Delete { relation, tuple }))
             }
-            REC_UPDATE => {
-                let txn = cur.u64()?;
+            ENTRY_UPDATE => {
                 let relation = cur.str()?.to_string();
-                let old = self.get_tuple(&mut cur)?;
-                let new = self.get_tuple(&mut cur)?;
-                Some(WalRecord::Op {
-                    txn,
-                    op: Box::new(WalOp::Update { relation, old, new }),
-                })
+                let old = self.get_tuple(cur)?;
+                let new = self.get_tuple(cur)?;
+                Ok(Some(WalOp::Update { relation, old, new }))
             }
-            t => {
-                return Err(StorageError::Corruption(format!(
-                    "unknown wal record tag {}",
-                    t
-                )))
-            }
-        };
-        if rec.is_some() && !cur.is_empty() {
-            return Err(StorageError::Corruption(
-                "trailing bytes after wal record".into(),
-            ));
+            t => Err(StorageError::Corruption(format!(
+                "unknown wal entry tag {}",
+                t
+            ))),
         }
-        Ok(rec)
     }
 }
 
@@ -366,11 +371,6 @@ pub const PREALLOC_STEP: u64 = 1 << 20;
 /// behind it.
 const MAX_ROUNDS: usize = 2;
 
-/// Bytes of a frame header (`len` and `crc32`).  The writer keeps at least
-/// this many preallocated zeros past its last write, so a zero tail always
-/// starts with a whole zero-length header.
-const FRAME_HEADER: u64 = 8;
-
 struct WalState {
     /// Bytes appended but not yet handed to a leader.
     buf: Vec<u8>,
@@ -390,7 +390,6 @@ struct WalState {
     /// fails with [`StorageError::Io`].
     poisoned: bool,
     enc: RecordEncoder,
-    next_txn: u64,
     since_checkpoint: u64,
 }
 
@@ -430,7 +429,10 @@ impl WalIo {
     /// [`PREALLOC_STEP`] past `end` when it does not.
     fn reserve(&mut self, end: u64) {
         if let Some(allocated) = self.allocated {
-            if end + FRAME_HEADER > allocated {
+            // At least a frame header's worth of preallocated zeros stays
+            // past the last write, so a zero tail always starts with a
+            // whole zero-length header.
+            if end + FRAME_HEADER as u64 > allocated {
                 let target = end + PREALLOC_STEP;
                 self.allocated =
                     preallocate(&self.file, allocated, target - allocated).then_some(target);
@@ -527,7 +529,6 @@ impl WalWriter {
                 rounds: 0,
                 poisoned: false,
                 enc: RecordEncoder::new(),
-                next_txn: 0,
                 since_checkpoint: 0,
             }),
             cond: Condvar::new(),
@@ -555,40 +556,27 @@ impl WalWriter {
         self.cond.notify_all();
     }
 
-    /// Appends one committed transaction's ops to the log tail — one
-    /// auto-commit record (`txn` 0) for a single op, a `Begin … Commit`
-    /// bracket for several — and returns the LSN the caller must
+    /// Appends one committed transaction's ops to the log tail as one
+    /// commit frame and returns the LSN the caller must
     /// [`WalWriter::sync_to`] before acknowledging.  The ops are encoded
-    /// in place, never cloned.  Must be called while the write locks of
-    /// every touched relation are held, so log order equals apply order.
-    pub fn append_commit<'o, I>(&self, ops: I) -> Result<u64, StorageError>
-    where
-        I: IntoIterator<Item = &'o WalOp>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let ops = ops.into_iter();
+    /// straight into the tail, never cloned.  A commit too large for one
+    /// frame is refused with nothing appended (the caller rolls it back).
+    /// Must be called while the write locks of every touched relation are
+    /// held, so log order equals apply order.
+    pub fn append_commit<'o>(
+        &self,
+        ops: impl IntoIterator<Item = &'o WalOp>,
+    ) -> Result<u64, StorageError> {
         let mut guard = lock(&self.state);
         let st = &mut *guard;
         if st.poisoned {
             return Err(poisoned_error());
         }
-        let mut bytes = Vec::new();
-        let txn = if ops.len() == 1 {
-            0
-        } else {
-            st.next_txn += 1;
-            st.enc.encode(&WalRecord::Begin(st.next_txn), &mut bytes);
-            st.next_txn
-        };
-        for op in ops {
-            st.enc.encode_op(txn, op, &mut bytes);
-        }
-        if txn != 0 {
-            st.enc.encode(&WalRecord::Commit(txn), &mut bytes);
-        }
-        st.appended += bytes.len() as u64;
-        st.since_checkpoint += bytes.len() as u64;
-        st.buf.extend_from_slice(&bytes);
+        let before = st.buf.len();
+        st.enc.encode_commit(ops, &mut st.buf)?;
+        let len = (st.buf.len() - before) as u64;
+        st.appended += len;
+        st.since_checkpoint += len;
         Ok(st.appended)
     }
 
@@ -764,7 +752,8 @@ impl WalWriter {
             self.leader_round().1?;
         }
         let mut io = lock(&self.io);
-        let mut st = lock(&self.state);
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
         let cut = st.appended;
         let next = WalIo::create(&self.dir, cut)?;
         std::mem::replace(&mut *io, next).trim();
@@ -773,10 +762,9 @@ impl WalWriter {
         st.since_checkpoint = 0;
         // A rotation marker: replay ignores it, humans (and tests) can see
         // where the cut happened.
-        let mut bytes = Vec::new();
-        st.enc.encode(&WalRecord::Checkpoint(cut), &mut bytes);
-        st.appended += bytes.len() as u64;
-        st.buf.extend_from_slice(&bytes);
+        let before = st.buf.len();
+        st.enc.encode(&WalRecord::Checkpoint(cut), &mut st.buf)?;
+        st.appended += (st.buf.len() - before) as u64;
         Ok(cut)
     }
 
@@ -839,9 +827,11 @@ pub struct WalReplayOutcome {
 /// order.  A torn or CRC-invalid frame truncates the log there — the file
 /// is cut back to the last valid frame and any later segment is deleted —
 /// and replay stops: this is the expected shape of a crash, not an error.
-/// Transactions without a `Commit` are discarded.
+/// A commit is one frame, so a torn commit is dropped whole.  A CRC-valid
+/// frame that does not decode (an unknown tag, say) is
+/// [`StorageError::Corruption`], and nothing is repaired.
 ///
-/// A zero-length frame header (eight zero bytes — no record encodes to an
+/// A zero-length frame header (eight zero bytes — no frame encodes to an
 /// empty payload) is the preallocated tail of a segment.  It ends the
 /// segment only when no later segment exists or the next one starts at
 /// exactly the LSN reached; anywhere else it is handled as corruption,
@@ -863,7 +853,6 @@ pub fn replay_dir(dir: &Path, from_lsn: u64) -> Result<WalReplayOutcome, Storage
     segments.sort();
 
     let mut commits: Vec<Vec<WalOp>> = Vec::new();
-    let mut pending: HashMap<u64, Vec<WalOp>> = HashMap::new();
     let mut resume_base = from_lsn;
     let mut resume_end = from_lsn;
     let mut truncated = false;
@@ -903,35 +892,8 @@ pub fn replay_dir(dir: &Path, from_lsn: u64) -> Result<WalReplayOutcome, Storage
                 }
                 FrameRead::Frame { payload, next } => {
                     offset = next;
-                    match dec.decode(payload)? {
-                        None | Some(WalRecord::Checkpoint(_)) => {}
-                        Some(WalRecord::Begin(txn)) => {
-                            pending.insert(txn, Vec::new());
-                        }
-                        Some(WalRecord::Commit(txn)) => {
-                            let ops = pending.remove(&txn).ok_or_else(|| {
-                                StorageError::Corruption(format!(
-                                    "commit of unknown transaction {}",
-                                    txn
-                                ))
-                            })?;
-                            commits.push(ops);
-                        }
-                        Some(WalRecord::Abort(txn)) => {
-                            pending.remove(&txn);
-                        }
-                        Some(WalRecord::Op { txn: 0, op }) => commits.push(vec![*op]),
-                        Some(WalRecord::Op { txn, op }) => {
-                            pending
-                                .get_mut(&txn)
-                                .ok_or_else(|| {
-                                    StorageError::Corruption(format!(
-                                        "op for unknown transaction {}",
-                                        txn
-                                    ))
-                                })?
-                                .push(*op);
-                        }
+                    if let WalRecord::Commit(ops) = dec.decode(payload)? {
+                        commits.push(ops);
                     }
                 }
             }
@@ -974,37 +936,28 @@ mod tests {
     #[test]
     fn records_round_trip_through_the_stream_codec() {
         let recs = vec![
-            WalRecord::Begin(7),
-            WalRecord::Op {
-                txn: 7,
-                op: Box::new(WalOp::Insert {
+            WalRecord::Commit(vec![
+                WalOp::Insert {
                     relation: "emp".into(),
                     tuple: tuple! {"a" => 1, "b" => 2.5},
-                }),
-            },
-            WalRecord::Op {
-                txn: 7,
-                op: Box::new(WalOp::Update {
+                },
+                WalOp::Update {
                     relation: "emp".into(),
                     old: tuple! {"a" => 1, "b" => 2.5},
                     new: tuple! {"a" => 1, "c" => flexrel_core::value::Value::str("s")},
-                }),
-            },
-            WalRecord::Commit(7),
-            WalRecord::Op {
-                txn: 0,
-                op: Box::new(WalOp::Delete {
-                    relation: "emp".into(),
-                    tuple: tuple! {"a" => 1, "c" => flexrel_core::value::Value::str("s")},
-                }),
-            },
-            WalRecord::Abort(9),
+                },
+            ]),
+            WalRecord::Commit(vec![WalOp::Delete {
+                relation: "emp".into(),
+                tuple: tuple! {"a" => 1, "c" => flexrel_core::value::Value::str("s")},
+            }]),
+            WalRecord::Commit(Vec::new()),
             WalRecord::Checkpoint(1234),
         ];
         let mut enc = RecordEncoder::new();
         let mut bytes = Vec::new();
         for r in &recs {
-            enc.encode(r, &mut bytes);
+            enc.encode(r, &mut bytes).unwrap();
         }
         let mut dec = RecordDecoder::new();
         let mut offset = 0;
@@ -1015,9 +968,7 @@ mod tests {
                 FrameRead::Corrupt => panic!("clean stream must not read corrupt"),
                 FrameRead::Frame { payload, next } => {
                     offset = next;
-                    if let Some(r) = dec.decode(payload).unwrap() {
-                        back.push(r);
-                    }
+                    back.push(dec.decode(payload).unwrap());
                 }
             }
         }
@@ -1215,37 +1166,27 @@ mod tests {
         let mut first = Vec::new();
         let mut enc = RecordEncoder::new();
         for rec in [
-            WalRecord::Op {
-                txn: 0,
-                op: Box::new(op(1)),
-            },
-            WalRecord::Begin(1),
-            WalRecord::Op {
-                txn: 1,
-                op: Box::new(op(2)),
-            },
-            WalRecord::Commit(1),
+            WalRecord::Commit(vec![op(1)]),
+            WalRecord::Commit(vec![op(2), op(4)]),
         ] {
-            enc.encode(&rec, &mut first);
+            enc.encode(&rec, &mut first).unwrap();
         }
         let cut = first.len() as u64;
         let mut second = Vec::new();
         let mut enc = RecordEncoder::new();
-        enc.encode(&WalRecord::Checkpoint(cut), &mut second);
-        enc.encode(
-            &WalRecord::Op {
-                txn: 0,
-                op: Box::new(op(3)),
-            },
-            &mut second,
-        );
+        for rec in [WalRecord::Checkpoint(cut), WalRecord::Commit(vec![op(3)])] {
+            enc.encode(&rec, &mut second).unwrap();
+        }
         let end = cut + second.len() as u64;
         std::fs::write(dir.join(segment_file_name(0)), &first).unwrap();
         std::fs::write(dir.join(segment_file_name(cut)), &second).unwrap();
 
         let out = replay_dir(&dir, 0).unwrap();
         assert!(!out.truncated);
-        assert_eq!(out.commits, vec![vec![op(1)], vec![op(2)], vec![op(3)]]);
+        assert_eq!(
+            out.commits,
+            vec![vec![op(1)], vec![op(2), op(4)], vec![op(3)]]
+        );
         assert_eq!((out.resume_base, out.resume_end), (cut, end));
         // Resuming and closing cleanly leaves the old files byte-identical.
         let wal = WalWriter::resume(&dir, end, true, Arc::new(NoFault)).unwrap();

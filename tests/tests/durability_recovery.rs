@@ -27,7 +27,7 @@ use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 use flexrel_query::{run_statement, ExecOptions, StatementOutcome};
 use flexrel_storage::codec::{read_frame, FrameRead};
-use flexrel_storage::wal::parse_segment_name;
+use flexrel_storage::wal::{parse_segment_name, segment_file_name};
 use flexrel_storage::{
     CountingFault, Database, DurabilityOptions, FaultAction, IoEvent, IoFault, NoFault,
     NthEventFault, PartitionInfo, RecordDecoder, RecordEncoder, RelationDef, Rid, TxnScope, WalOp,
@@ -280,6 +280,152 @@ fn flipped_bit_in_the_wal_is_detected_and_truncated() {
         assert!(*c >= 0, "recovered a tuple the oracle never acked: {}", t);
     }
     db.verify_invariants().unwrap();
+}
+
+/// The three tuples of the multi-op commit the byte-level sweeps damage.
+fn three_insert_batch() -> Vec<Tuple> {
+    generate_employees(&EmployeeConfig::clean(3))
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut t)| {
+            t.insert("empno", 70_000 + i as i64);
+            t
+        })
+        .collect()
+}
+
+/// Creates the employee relation and commits [`three_insert_batch`] in one
+/// `transact` under `fault`.  The relation's checkpoint crosses boundaries
+/// 0-2, so the commit's WAL write is boundary 3.  Returns whether the
+/// commit was acknowledged.
+fn run_three_insert_commit(dir: &Path, fault: Arc<dyn IoFault>) -> bool {
+    let db = Database::open_with(dir, options_with(fault)).unwrap();
+    db.create_relation(RelationDef::from_relation(&employee_relation()))
+        .unwrap();
+    db.transact(&["employee"], |tx| {
+        for t in three_insert_batch() {
+            tx.insert("employee", t)?;
+        }
+        Ok(())
+    })
+    .is_ok()
+}
+
+/// The bytes of the newest WAL segment in `dir`.
+fn last_segment(dir: &Path) -> Vec<u8> {
+    let (_, path) = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let path = e.unwrap().path();
+            let base = parse_segment_name(path.file_name()?.to_str()?)?;
+            Some((base, path))
+        })
+        .max()
+        .unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// Reopens `dir` fault-free and checks that the commit came back whole
+/// (`all`) or not at all, with every invariant intact.
+fn assert_all_or_none(dir: &Path, all: bool, ctx: &str) -> Database {
+    let db = Database::open_with(dir, options_with(Arc::new(NoFault)))
+        .unwrap_or_else(|e| panic!("{}: recovery must not fail: {}", ctx, e));
+    let recovered = tuple_multiset(db.scan("employee").unwrap().into_iter().map(|(_, t)| t));
+    let expected = if all {
+        tuple_multiset(three_insert_batch())
+    } else {
+        Vec::new()
+    };
+    assert_eq!(recovered, expected, "{}: all or none", ctx);
+    db.verify_invariants()
+        .unwrap_or_else(|e| panic!("{}: recovered invariants violated: {}", ctx, e));
+    db
+}
+
+/// Tears the WAL write of a three-insert commit at every byte offset.  The
+/// commit is one frame, so its tuples come back only when the whole frame
+/// reached the file, and otherwise none does.
+#[test]
+fn a_commit_torn_at_any_byte_recovers_all_or_nothing() {
+    // What the commit's WAL write carries — the DDL checkpoint's rotation
+    // marker, then the commit frame — is the segment a fault-free run
+    // leaves behind.
+    let batch = {
+        let tmp = TempDir::new("torn-sweep-clean");
+        assert!(run_three_insert_commit(&tmp.0, Arc::new(NoFault)));
+        last_segment(&tmp.0)
+    };
+    for keep in 0..=batch.len() {
+        let tmp = TempDir::new(&format!("torn-sweep-{}", keep));
+        let fault = Arc::new(NthEventFault::new(3, FaultAction::Torn { keep }));
+        let acked = run_three_insert_commit(&tmp.0, Arc::clone(&fault) as Arc<dyn IoFault>);
+        assert!(
+            fault.fired() && !acked,
+            "keep={}: the write must tear",
+            keep
+        );
+        // The segment is preallocated, so past the bytes written it reads
+        // as zeros: a tear that drops only zero bytes still leaves the
+        // whole frame in the file.
+        let whole = last_segment(&tmp.0).starts_with(&batch);
+        assert!(whole || keep < batch.len());
+        assert_all_or_none(&tmp.0, whole, &format!("torn write keep={}", keep));
+    }
+}
+
+/// Flips one bit in each byte of a three-insert commit's WAL write.  The
+/// flip is silent, so the commit is acknowledged; recovery finds the CRC
+/// mismatch, truncates, and brings back none of its tuples.
+#[test]
+fn a_bit_flipped_in_any_byte_of_a_commit_drops_it_whole() {
+    let len = {
+        let tmp = TempDir::new("flip-sweep-clean");
+        assert!(run_three_insert_commit(&tmp.0, Arc::new(NoFault)));
+        last_segment(&tmp.0).len()
+    };
+    for byte in 0..len {
+        let tmp = TempDir::new(&format!("flip-sweep-{}", byte));
+        let offset = byte * 8 + byte % 8;
+        let fault = Arc::new(NthEventFault::new(3, FaultAction::FlipBit { offset }));
+        let acked = run_three_insert_commit(&tmp.0, Arc::clone(&fault) as Arc<dyn IoFault>);
+        assert!(fault.fired() && acked, "byte {}: a flip is silent", byte);
+        let ctx = format!("bit {} of byte {} flipped", byte % 8, byte);
+        let db = assert_all_or_none(&tmp.0, false, &ctx);
+        assert!(db.recovery_info().unwrap().truncated, "{}", ctx);
+    }
+}
+
+/// A segment in the earlier one-record-per-frame format — one auto-commit
+/// insert frame, CRC-valid, record tag 5 — fails the open with the tag
+/// named, and its bytes stay as they were: that format has no reader.
+#[test]
+fn a_segment_in_the_old_record_format_is_refused_untouched() {
+    let tmp = TempDir::new("old-format");
+    #[rustfmt::skip]
+    let frame: &[u8] = &[
+        0x33, 0, 0, 0, 0xce, 0xb8, 0xcb, 0x5e, // len 51, crc
+        5, 0, 0, 0, 0, 0, 0, 0, 0,              // Insert, txn 0
+        3, 0, 0, 0, b'e', b'm', b'p',           // relation "emp"
+        0, 0, 0, 0,                             // shape 0
+        4, 9, 0, 0, 0, b's', b'e', b'c', b'r', b'e', b't', b'a', b'r', b'y',
+        2, 3, 0, 0, 0, b'A', b'n', b'n',
+        0, 0x68, 0x10, 0, 0, 0, 0, 0, 0,        // Int 4200
+    ];
+    assert_eq!(
+        read_frame(frame, 0),
+        FrameRead::Frame {
+            payload: &frame[8..],
+            next: frame.len()
+        },
+        "the frame itself is intact"
+    );
+    let path = tmp.0.join(segment_file_name(0));
+    std::fs::write(&path, frame).unwrap();
+    let err = Database::open_with(&tmp.0, options_with(Arc::new(NoFault)))
+        .expect_err("an old-format segment must be refused");
+    assert!(err.is_corruption(), "unexpected error class: {}", err);
+    assert!(err.to_string().contains("tag 5"), "{}", err);
+    assert_eq!(std::fs::read(&path).unwrap(), frame);
 }
 
 #[test]
@@ -597,35 +743,32 @@ fn arb_tuple(rng: &mut TestRng, max_attrs: usize) -> Tuple {
     t
 }
 
-fn arb_record(rng: &mut TestRng) -> WalRecord {
-    let rel = format!("r{}", rng.next_u64() % 3);
-    match rng.next_u64() % 6 {
-        0 => WalRecord::Begin(1 + rng.next_u64() % 100),
-        1 => WalRecord::Commit(1 + rng.next_u64() % 100),
-        2 => WalRecord::Abort(1 + rng.next_u64() % 100),
-        3 => WalRecord::Op {
-            txn: rng.next_u64() % 4,
-            op: Box::new(WalOp::Insert {
-                relation: rel,
-                tuple: arb_tuple(rng, 80),
-            }),
+fn arb_op(rng: &mut TestRng) -> WalOp {
+    let relation = format!("r{}", rng.next_u64() % 3);
+    match rng.next_u64() % 3 {
+        0 => WalOp::Insert {
+            relation,
+            tuple: arb_tuple(rng, 80),
         },
-        4 => WalRecord::Op {
-            txn: rng.next_u64() % 4,
-            op: Box::new(WalOp::Delete {
-                relation: rel,
-                tuple: arb_tuple(rng, 80),
-            }),
+        1 => WalOp::Delete {
+            relation,
+            tuple: arb_tuple(rng, 80),
         },
-        _ => WalRecord::Op {
-            txn: rng.next_u64() % 4,
-            op: Box::new(WalOp::Update {
-                relation: rel,
-                old: arb_tuple(rng, 80),
-                new: arb_tuple(rng, 80),
-            }),
+        _ => WalOp::Update {
+            relation,
+            old: arb_tuple(rng, 80),
+            new: arb_tuple(rng, 80),
         },
     }
+}
+
+/// A commit of zero to four ops, or (one time in six) a rotation marker.
+fn arb_record(rng: &mut TestRng) -> WalRecord {
+    if rng.next_u64().is_multiple_of(6) {
+        return WalRecord::Checkpoint(rng.next_u64() % 100_000);
+    }
+    let n = rng.next_u64() % 5;
+    WalRecord::Commit((0..n).map(|_| arb_op(rng)).collect())
 }
 
 /// Decodes a framed stream back into records.  Returns the records up to
@@ -637,11 +780,10 @@ fn decode_stream(bytes: &[u8]) -> Result<(Vec<WalRecord>, bool), String> {
     loop {
         match read_frame(bytes, off) {
             FrameRead::Frame { payload, next } => {
-                match dec.decode(payload) {
-                    Ok(Some(rec)) => records.push(rec),
-                    Ok(None) => {} // shape-table frame
-                    Err(e) => return Err(format!("decoder error: {}", e)),
-                }
+                let rec = dec
+                    .decode(payload)
+                    .map_err(|e| format!("decoder error: {}", e))?;
+                records.push(rec);
                 off = next;
             }
             FrameRead::Eof => return Ok((records, false)),
@@ -669,15 +811,15 @@ proptest! {
         }
         prop_assert!(big.attrs().len() > 64);
         let mut records = records;
-        records.push(WalRecord::Op {
-            txn: 0,
-            op: Box::new(WalOp::Insert { relation: "wide".into(), tuple: big }),
-        });
+        records.push(WalRecord::Commit(vec![WalOp::Insert {
+            relation: "wide".into(),
+            tuple: big,
+        }]));
 
         let mut enc = RecordEncoder::new();
         let mut bytes = Vec::new();
         for rec in &records {
-            enc.encode(rec, &mut bytes);
+            enc.encode(rec, &mut bytes).unwrap();
         }
         let (decoded, corrupt) = decode_stream(&bytes).map_err(TestCaseError::fail)?;
         prop_assert!(!corrupt, "clean stream decoded as corrupt");
@@ -695,7 +837,7 @@ proptest! {
         let mut enc = RecordEncoder::new();
         let mut bytes = Vec::new();
         for rec in &records {
-            enc.encode(rec, &mut bytes);
+            enc.encode(rec, &mut bytes).unwrap();
         }
         prop_assert!(!bytes.is_empty());
         let victim = (rng.next_u64() as usize) % bytes.len();

@@ -37,7 +37,7 @@ use flexrel_server::proto::{
     FrameReader, FrameWriter, Recv, Request, Response, WireError, WriteOp, PROTOCOL_VERSION,
 };
 use flexrel_server::{seed_wide, Server, ServerConfig};
-use flexrel_storage::codec::{put_attrs, put_frame, put_u32, put_value};
+use flexrel_storage::codec::{crc32, put_attrs, put_u32, put_value};
 use flexrel_storage::Database;
 use flexrel_tests::partial_key_db;
 
@@ -438,7 +438,9 @@ proptest! {
         let mut frame = FrameWriter::new();
         for p in &payloads {
             let mut one = Vec::new();
-            put_frame(&mut one, p);
+            put_u32(&mut one, p.len() as u32);
+            put_u32(&mut one, crc32(p));
+            one.extend_from_slice(p);
             frame.begin().extend_from_slice(p);
             frame.send(&mut bytes).unwrap();
             prop_assert_eq!(&bytes[*boundaries.last().unwrap()..], &one[..]);
@@ -637,6 +639,10 @@ fn count(bytes: usize) {
     let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes));
 }
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees hold; `count` only bumps a
+// thread-local counter (`try_with` never panics, and a `Cell<usize>` needs
+// no allocation), so the allocator is never re-entered.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
