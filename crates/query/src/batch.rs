@@ -631,12 +631,12 @@ fn index_lookup_chunks(
 }
 
 /// A side an index-nested-loop join can probe: a base scan, possibly under
-/// residual filters.  The scan's qualification and any filter predicates are
-/// folded into one per-tuple qualification that the probe re-applies; the
-/// shape predicate is re-applied per rid.
+/// residual filters.  The scan's qualification and every filter predicate
+/// are borrowed from the plan as conjuncts that the probe re-applies per
+/// tuple; the shape predicate is re-applied per rid.
 pub(crate) struct InnerSide<'a> {
     pub(crate) relation: &'a str,
-    pub(crate) qualification: Option<Predicate>,
+    pub(crate) conjuncts: Vec<&'a Predicate>,
     pub(crate) shapes: &'a Option<ShapePredicate>,
 }
 
@@ -650,19 +650,13 @@ pub(crate) fn inl_inner_side(plan: &LogicalPlan) -> Option<InnerSide<'_>> {
             shape,
         } => Some(InnerSide {
             relation,
-            qualification: qualification.clone(),
+            conjuncts: qualification.iter().collect(),
             shapes: shape,
         }),
         LogicalPlan::Filter { input, predicate } => {
-            let side = inl_inner_side(input)?;
-            let qualification = Some(match side.qualification {
-                Some(q) => q.and(predicate.clone()),
-                None => predicate.clone(),
-            });
-            Some(InnerSide {
-                qualification,
-                ..side
-            })
+            let mut side = inl_inner_side(input)?;
+            side.conjuncts.push(predicate);
+            Some(side)
         }
         _ => None,
     }
@@ -681,14 +675,14 @@ pub(crate) fn inl_inner_side(plan: &LogicalPlan) -> Option<InnerSide<'_>> {
 fn index_nested_loop_chunks<'a>(
     probe: ChunkStream<'a>,
     inner: RelSnap,
-    side: InnerSide<'_>,
+    side: InnerSide<'a>,
     common: AttrSet,
     stats: ExecStats,
 ) -> ChunkStream<'a> {
-    let qualification = side.qualification;
+    let conjuncts = side.conjuncts;
     let inner_shapes = side.shapes.clone();
     let mut shape_memo = ShapeAdmitMemo::new(inner_shapes.clone());
-    let qualifies = move |t: &Tuple| qualification.as_ref().map(|q| q.eval(t)).unwrap_or(true);
+    let qualifies = move |t: &Tuple| conjuncts.iter().all(|p| p.eval(t));
     // The index snapshot is resolved once for the whole stream; each probe
     // is then one projection and one hash lookup yielding a borrowed rid
     // slice — no per-probe catalog walk or locking.

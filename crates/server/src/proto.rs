@@ -10,17 +10,18 @@
 //! paper's terms one subtype, an ordinary relation over a fixed attribute
 //! set — so it needs no null bitmap and no per-value type tag: it is
 //! `[slot][len]` followed by one column per attribute, in canonical order,
+//! in the block format checkpoints use too ([`flexrel_storage::column`]):
 //! each `INT` (`len` × i64), `FLOAT` (`len` × f64 bit patterns) or `DICT`
 //! (a value pool, then `len` × u32 codes).  The server writes a columnar
 //! result chunk as one block straight from its segment
 //! ([`put_rows_from_chunks`]); tuples are written one block per same-shape
 //! run ([`put_rows`]).  Block boundaries therefore depend on the input, and
 //! the two writers agree on the decoded rows, not on the bytes.  The
-//! client reads a column with one bounds check and builds each row
-//! straight from the columns ([`get_rows`]).  Floats round-trip
-//! bit-exactly (NaN and `-0.0` included), and any truncated, forged or
-//! bit-flipped input surfaces as a typed [`WireError`] — never a panic,
-//! and never an allocation the payload's size does not justify.
+//! client reads each column with [`BlockColumn::get`] (one bounds check)
+//! and builds each row straight from the columns ([`get_rows`]).  Floats
+//! round-trip bit-exactly (NaN and `-0.0` included), and any truncated,
+//! forged or bit-flipped input surfaces as a typed [`WireError`] — never a
+//! panic, and never an allocation the payload's size does not justify.
 //!
 //! A message is copied once on each side: the sender encodes into a reused
 //! [`FrameWriter`] behind a reserved header that is patched in place, and
@@ -40,7 +41,8 @@ use flexrel_query::{Chunk, ColChunk, ExecStats};
 use flexrel_storage::codec::{
     self, crc32, put_f64, put_i64, put_str, put_u32, put_u64, put_u8, Cursor,
 };
-use flexrel_storage::{ColKind, SelVec, StorageError};
+use flexrel_storage::column::{BlockColumn, COL_DICT, COL_FLOAT, COL_INT};
+use flexrel_storage::StorageError;
 
 /// The protocol version spoken by this build.  A [`Request::Hello`] carrying
 /// a different version is rejected with [`ErrorCode::Protocol`].
@@ -385,17 +387,10 @@ pub fn put_rows_from_chunks(
     Ok(())
 }
 
-// Column kinds inside a block.
-const COL_INT: u8 = 0;
-const COL_FLOAT: u8 = 1;
-const COL_DICT: u8 = 2;
-
 /// Writes the selected rows of a columnar chunk straight from its segment
+/// ([`ColumnSegment::put_block`](flexrel_storage::ColumnSegment::put_block))
 /// and returns the number of blocks written: one, or one per row at arity
-/// zero.  Integer and float columns are copied run by run of the
-/// selection; dictionary codes are renumbered in order of first use, so the
-/// pool holds only the values a selected row uses, and then copied the
-/// same way.
+/// zero.
 fn put_col_block(out: &mut Vec<u8>, c: &ColChunk, slot: u32) -> u32 {
     let heap = c.part.columns();
     let seg = heap.segment(c.seg).expect("segment index in range");
@@ -409,65 +404,8 @@ fn put_col_block(out: &mut Vec<u8>, c: &ColChunk, slot: u32) -> u32 {
         put_u32(out, slot);
         put_u32(out, rows);
     }
-    let (mut renumber, mut used) = (Vec::new(), Vec::new());
-    for ci in 0..heap.attrs().len() {
-        match seg.col_kind(ci) {
-            ColKind::Int => {
-                put_u8(out, COL_INT);
-                let xs = seg.int_slice(ci).expect("int column");
-                put_selected(out, &c.sel, rows, xs, i64::to_le_bytes);
-            }
-            ColKind::Float => {
-                put_u8(out, COL_FLOAT);
-                let xs = seg.float_slice(ci).expect("float column");
-                put_selected(out, &c.sel, rows, xs, |x| x.to_bits().to_le_bytes());
-            }
-            ColKind::Dict => {
-                let (codes, pool) = seg.dict_parts(ci).expect("dictionary column");
-                renumber.clear();
-                renumber.resize(pool.len(), u32::MAX);
-                used.clear();
-                for run in c.sel.runs() {
-                    for &code in &codes[run] {
-                        let code = code as usize;
-                        if renumber[code] == u32::MAX {
-                            renumber[code] = used.len() as u32;
-                            used.push(code);
-                        }
-                    }
-                }
-                put_u8(out, COL_DICT);
-                put_u32(out, used.len() as u32);
-                used.iter()
-                    .for_each(|&code| codec::put_value(out, &pool[code]));
-                put_selected(out, &c.sel, rows, codes, |code| {
-                    renumber[code as usize].to_le_bytes()
-                });
-            }
-        }
-    }
+    seg.put_block(&c.sel, out);
     blocks
-}
-
-/// Appends the `rows` values of `xs` that `sel` selects, as `W` bytes each:
-/// the space is grown once, then filled one selection run at a time.
-fn put_selected<T: Copy, const W: usize>(
-    out: &mut Vec<u8>,
-    sel: &SelVec,
-    rows: u32,
-    xs: &[T],
-    bytes: impl Fn(T) -> [u8; W],
-) {
-    let at = out.len();
-    out.resize(at + rows as usize * W, 0);
-    let mut dst = out[at..].chunks_exact_mut(W);
-    for run in sel.runs() {
-        // The run first: `zip` stops when its first iterator ends, so a
-        // slot is taken only for a value that fills it.
-        for (&x, slot) in xs[run].iter().zip(dst.by_ref()) {
-            slot.copy_from_slice(&bytes(x));
-        }
-    }
 }
 
 /// Writes a row list as one block per run of [`shape_runs`] and returns
@@ -534,57 +472,6 @@ fn same_bits(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// One column of a block as it lies in the payload: fixed-width values
-/// read in place, or a decoded pool with its codes (all checked in range).
-enum Column<'a> {
-    Int(&'a [u8]),
-    Float(&'a [u8]),
-    Dict(Vec<Value>, &'a [u8]),
-}
-
-/// The `i`-th `N`-byte word of a column.
-fn word<const N: usize>(bytes: &[u8], i: usize) -> [u8; N] {
-    bytes[i * N..(i + 1) * N]
-        .try_into()
-        .expect("a range of N bytes")
-}
-
-impl<'a> Column<'a> {
-    /// Reads a column of `len` rows with one bounds check, decoding each
-    /// pool value once and checking every code against the pool once.
-    fn get(cur: &mut Cursor<'a>, len: usize) -> Result<Column<'a>, WireError> {
-        Ok(match cur.u8()? {
-            COL_INT => Column::Int(cur.bytes(8 * len)?),
-            COL_FLOAT => Column::Float(cur.bytes(8 * len)?),
-            COL_DICT => {
-                let pool_len = cur.u32()? as usize;
-                if pool_len > len {
-                    return corrupt(format!("a pool of {pool_len} values for {len} rows"));
-                }
-                let pool = (0..pool_len)
-                    .map(|_| codec::get_value(cur))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let codes = cur.bytes(4 * len)?;
-                if (0..len).any(|i| u32::from_le_bytes(word(codes, i)) as usize >= pool_len) {
-                    return corrupt(format!("a code past its pool of {pool_len}"));
-                }
-                Column::Dict(pool, codes)
-            }
-            kind => return corrupt(format!("unknown column kind {kind}")),
-        })
-    }
-
-    fn value(&self, row: usize) -> Value {
-        match self {
-            Column::Int(bytes) => Value::Int(i64::from_le_bytes(word(bytes, row))),
-            Column::Float(bytes) => Value::Float(f64::from_le_bytes(word(bytes, row))),
-            Column::Dict(pool, codes) => {
-                pool[u32::from_le_bytes(word(codes, row)) as usize].clone()
-            }
-        }
-    }
-}
-
 /// Decodes a result set written by [`put_rows`] or
 /// [`put_rows_from_chunks`], a column at a time: each row is then built
 /// without a heap allocation up to three attributes (one beyond), its
@@ -619,7 +506,7 @@ pub fn get_rows(cur: &mut Cursor<'_>) -> Result<Vec<Tuple>, WireError> {
         }
         cols.clear();
         for _ in 0..attrs.len() {
-            cols.push(Column::get(cur, len)?);
+            cols.push(BlockColumn::get(cur, len)?);
         }
         rows.extend((0..len).map(|i| {
             Tuple::from_shape_values(shape.clone(), attrs, cols.iter().map(|c| c.value(i)))

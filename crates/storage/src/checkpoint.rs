@@ -1,13 +1,16 @@
-//! Checkpoint images: the on-disk mirror of the in-memory partition state.
+//! Checkpoint images: the live partition state at a consistent cut.
 //!
 //! A checkpoint is one file, `checkpoint.ckpt`, holding a consistent cut of
 //! the whole database: for every relation its [`RelationDef`], its index
 //! definitions (key + auto flag; index *contents* are rebuilt by backfill on
-//! recovery), and every partition as its shape plus the raw
-//! [`ColumnSegment`]s — the same 1024-slot
-//! typed-column layout the heap uses in memory, so a checkpoint is written
-//! straight out of [`PartitionSnapshot`]s without materializing a single
-//! tuple.
+//! recovery), and every partition as its shape plus its live rows as
+//! blocks — one per segment with a live row, in the column format a `Rows`
+//! reply uses ([`ColumnHeap::write_blocks`]; see *Blocks* in
+//! [`crate::column`]).  A checkpoint is written straight out of
+//! [`PartitionSnapshot`]s without materializing a single tuple, and stores
+//! no tombstone: recovery reads each block into a dense segment
+//! ([`ColumnHeap::read_blocks`]), so tuple identifiers are not stable
+//! across a reopen (the WAL names its delete targets by value).
 //!
 //! The file layout is `magic ‖ version ‖ frame`, where the frame is the
 //! standard `[len][crc32][payload]` envelope of [`crate::codec`] over the
@@ -33,13 +36,13 @@ use crate::codec::{
     begin_frame, get_attrs, get_relation_def, put_attrs, put_relation_def, put_u32, put_u64,
     put_u8, read_frame, seal_frame, Cursor, FrameRead,
 };
-use crate::column::{ColumnHeap, ColumnSegment};
+use crate::column::ColumnHeap;
 use crate::errors::StorageError;
 use crate::fault::{FaultAction, IoEvent, IoFault};
 use crate::partition::PartitionSnapshot;
 
 const MAGIC: &[u8; 8] = b"FLEXCKPT";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// File name of the live checkpoint image.
 pub const CHECKPOINT_FILE: &str = "checkpoint.ckpt";
@@ -88,12 +91,8 @@ fn put_body(body: &mut Vec<u8>, wal_lsn: u64, rels: &[CheckpointSource]) {
         }
         put_u32(body, rel.snapshot.partition_count() as u32);
         for (_, part) in rel.snapshot.partitions() {
-            let heap = part.columns();
-            put_attrs(body, heap.shape());
-            put_u32(body, heap.segment_count() as u32);
-            for seg in heap.segments() {
-                seg.encode_into(body);
-            }
+            put_attrs(body, part.shape());
+            part.columns().write_blocks(body);
         }
     }
 }
@@ -116,13 +115,7 @@ fn decode_body(payload: &[u8]) -> Result<CheckpointImage, StorageError> {
         let mut partitions = Vec::new();
         for _ in 0..n_parts {
             let shape = get_attrs(&mut cur)?;
-            let n_segs = cur.u32()?;
-            let width = shape.len();
-            let mut segments = Vec::new();
-            for _ in 0..n_segs {
-                segments.push(ColumnSegment::decode(&mut cur, width)?);
-            }
-            partitions.push(ColumnHeap::from_segments(shape, segments)?);
+            partitions.push(ColumnHeap::read_blocks(shape, &mut cur)?);
         }
         relations.push(RelationImage {
             def,

@@ -14,11 +14,10 @@
 //!
 //! Rows live in fixed-size [`SEGMENT_SIZE`]-slot chunks ([`ColumnSegment`]),
 //! each an arena of one `Vec` per attribute plus a live-slot bitmap.  A
-//! [`TupleId`] still names `(segment, slot)`, tombstoned slots are reused
-//! from a free list, and segments sit behind [`Arc`]s with the same
-//! copy-on-write discipline as the row heap — so
-//! [`PartitionSnapshot`](crate::partition::PartitionSnapshot), transaction
-//! rollback and the parallel executor work unchanged on top.
+//! [`TupleId`] names `(segment, slot)`, tombstoned slots are reused from a
+//! free list, and segments sit behind [`Arc`]s and are copied on write, so
+//! a [`PartitionSnapshot`](crate::partition::PartitionSnapshot) shares
+//! every segment a writer has not touched since it was taken.
 //!
 //! Columns are typed per segment: integers and floats are plain vectors;
 //! everything else (strings, tags, booleans, nulls — and any column that
@@ -43,6 +42,16 @@
 //! (via the canonical-order fast path
 //! [`Tuple::from_shape_values`]); a [`TupleRef`] offers a zero-copy view
 //! for row-at-a-time fallbacks.
+//!
+//! # Blocks
+//!
+//! The selected rows of one segment travel as a **block**, the one column
+//! format flexrel writes to disk and to the wire: one column per attribute,
+//! in canonical order, each [`COL_INT`], [`COL_FLOAT`] or [`COL_DICT`]
+//! ([`ColumnSegment::put_block`]; read back with [`BlockColumn::get`]).  A
+//! checkpoint stores each partition as one block per segment with a live
+//! row ([`ColumnHeap::write_blocks`], [`ColumnHeap::read_blocks`]); a
+//! `Rows` reply writes each columnar result chunk as one block.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,7 +60,7 @@ use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::tuple::Tuple;
 use flexrel_core::value::Value;
 
-use crate::codec::{get_value, put_f64, put_i64, put_u32, put_u64, put_u8, put_value, Cursor};
+use crate::codec::{get_value, put_u32, put_u8, put_value, Cursor};
 use crate::errors::StorageError;
 use crate::heap::{TupleId, SEGMENT_SIZE};
 
@@ -542,143 +551,158 @@ pub enum ColKind {
     Dict,
 }
 
-// Checkpoint persistence: the on-disk segment format mirrors the in-memory
-// layout exactly — row count, live bitmap, then each typed column.
-const COL_INT: u8 = 0;
-const COL_FLOAT: u8 = 1;
-const COL_DICT: u8 = 2;
+/// Block column kind: `len` × i64, little-endian.
+pub const COL_INT: u8 = 0;
+/// Block column kind: `len` × f64 bit patterns, little-endian (NaN and
+/// `-0.0` survive).
+pub const COL_FLOAT: u8 = 1;
+/// Block column kind: `[pool_len u32]`, the pool's values in the
+/// type-tagged value codec, then `len` × u32 codes into the pool.
+pub const COL_DICT: u8 = 2;
 
 impl ColumnSegment {
-    /// Serializes the segment into `out` (checkpoint image body).  The
-    /// encoding mirrors the in-memory layout: row count, live bitmap words,
-    /// then each column as a type tag plus its typed vector (dictionary
-    /// columns store the pool followed by one code per row).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.rows as u32);
-        for w in &self.live {
-            put_u64(out, *w);
-        }
+    /// Appends the rows `sel` selects as a block's columns, one per
+    /// attribute in canonical order (the caller writes the row count).
+    /// `sel` must already be masked with the segment's live bitmap.  Integer
+    /// and float columns are copied run by run of the selection; dictionary
+    /// codes are renumbered in order of first use, so the pool holds only
+    /// the values a selected row uses, and then copied the same way.
+    pub fn put_block(&self, sel: &SelVec, out: &mut Vec<u8>) {
+        let rows = sel.count();
+        let (mut renumber, mut used) = (Vec::new(), Vec::new());
         for col in &self.cols {
             match col {
                 Column::Int(xs) => {
                     put_u8(out, COL_INT);
-                    for x in xs {
-                        put_i64(out, *x);
-                    }
+                    put_selected(out, sel, rows, xs, i64::to_le_bytes);
                 }
                 Column::Float(xs) => {
                     put_u8(out, COL_FLOAT);
-                    for x in xs {
-                        put_f64(out, *x);
-                    }
+                    put_selected(out, sel, rows, xs, |x| x.to_bits().to_le_bytes());
                 }
                 Column::Dict(d) => {
+                    renumber.clear();
+                    renumber.resize(d.pool.len(), u32::MAX);
+                    used.clear();
+                    for run in sel.runs() {
+                        for &code in &d.codes[run] {
+                            let code = code as usize;
+                            if renumber[code] == u32::MAX {
+                                renumber[code] = used.len() as u32;
+                                used.push(code);
+                            }
+                        }
+                    }
                     put_u8(out, COL_DICT);
-                    put_u32(out, d.pool.len() as u32);
-                    for v in &d.pool {
-                        put_value(out, v);
-                    }
-                    for c in &d.codes {
-                        put_u32(out, *c);
-                    }
+                    put_u32(out, used.len() as u32);
+                    used.iter().for_each(|&code| put_value(out, &d.pool[code]));
+                    put_selected(out, sel, rows, &d.codes, |code| {
+                        renumber[code as usize].to_le_bytes()
+                    });
                 }
             }
         }
     }
+}
 
-    /// Decodes a segment of `width` columns written by
-    /// [`ColumnSegment::encode_into`], revalidating every structural
-    /// invariant (row bound, live bits within rows, dictionary codes within
-    /// the pool) so corrupted checkpoints surface as
-    /// [`StorageError::Corruption`], never as a later panic.
-    pub fn decode(cur: &mut Cursor<'_>, width: usize) -> Result<ColumnSegment, StorageError> {
-        let rows = cur.u32()? as usize;
-        if rows > SEGMENT_SIZE {
-            return Err(StorageError::Corruption(format!(
-                "segment claims {} rows (max {})",
-                rows, SEGMENT_SIZE
-            )));
+/// Appends the `rows` values of `xs` that `sel` selects, as `W` bytes each:
+/// the space is grown once, then filled one selection run at a time.
+fn put_selected<T: Copy, const W: usize>(
+    out: &mut Vec<u8>,
+    sel: &SelVec,
+    rows: usize,
+    xs: &[T],
+    bytes: impl Fn(T) -> [u8; W],
+) {
+    let at = out.len();
+    out.resize(at + rows * W, 0);
+    let mut dst = out[at..].chunks_exact_mut(W);
+    for run in sel.runs() {
+        // The run first: `zip` stops when its first iterator ends, so a
+        // slot is taken only for a value that fills it.
+        for (&x, slot) in xs[run].iter().zip(dst.by_ref()) {
+            slot.copy_from_slice(&bytes(x));
         }
-        let mut live = [0u64; SEGMENT_WORDS];
-        for w in live.iter_mut() {
-            *w = cur.u64()?;
-        }
-        let live_count = live.iter().map(|w| w.count_ones() as usize).sum();
-        for (i, w) in live.iter().enumerate() {
-            let valid = rows.saturating_sub(i * 64).min(64);
-            let allowed = if valid == 64 {
-                !0u64
-            } else {
-                (1u64 << valid) - 1
-            };
-            if *w & !allowed != 0 {
-                return Err(StorageError::Corruption(
-                    "live bitmap marks a slot beyond the row count".into(),
-                ));
+    }
+}
+
+/// One column of a block as it lies in its buffer, read by
+/// [`BlockColumn::get`]: fixed-width values in place, or a decoded pool
+/// with codes that are all checked against it.
+pub struct BlockColumn<'a>(Block<'a>);
+
+enum Block<'a> {
+    Int(&'a [u8]),
+    Float(&'a [u8]),
+    Dict(Vec<Value>, &'a [u8]),
+}
+
+/// The `i`-th `N`-byte word of `bytes`.
+fn word<const N: usize>(bytes: &[u8], i: usize) -> [u8; N] {
+    bytes[i * N..(i + 1) * N]
+        .try_into()
+        .expect("a range of N bytes")
+}
+
+impl<'a> BlockColumn<'a> {
+    /// Reads a column of `len` rows with one bounds check, decoding each
+    /// pool value once and checking every code against the pool once.  A
+    /// pool longer than the block, a code past its pool, an unknown kind or
+    /// a column cut short is [`StorageError::Corruption`].
+    pub fn get(cur: &mut Cursor<'a>, len: usize) -> Result<Self, StorageError> {
+        let corrupt = |msg: String| Err(StorageError::Corruption(msg));
+        Ok(BlockColumn(match cur.u8()? {
+            COL_INT => Block::Int(cur.bytes(8 * len)?),
+            COL_FLOAT => Block::Float(cur.bytes(8 * len)?),
+            COL_DICT => {
+                let pool_len = cur.u32()? as usize;
+                if pool_len > len {
+                    return corrupt(format!("a pool of {pool_len} values for {len} rows"));
+                }
+                let pool = (0..pool_len)
+                    .map(|_| get_value(cur))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let codes = cur.bytes(4 * len)?;
+                if (0..len).any(|i| u32::from_le_bytes(word(codes, i)) as usize >= pool_len) {
+                    return corrupt(format!("a code past its pool of {pool_len}"));
+                }
+                Block::Dict(pool, codes)
             }
+            kind => return corrupt(format!("unknown column kind {kind}")),
+        }))
+    }
+
+    /// The value in row `row` of the column.
+    pub fn value(&self, row: usize) -> Value {
+        match &self.0 {
+            Block::Int(bytes) => Value::Int(i64::from_le_bytes(word(bytes, row))),
+            Block::Float(bytes) => Value::Float(f64::from_le_bytes(word(bytes, row))),
+            Block::Dict(pool, codes) => pool[u32::from_le_bytes(word(codes, row)) as usize].clone(),
         }
-        let mut cols = Vec::with_capacity(width);
-        for _ in 0..width {
-            let col = match cur.u8()? {
-                COL_INT => {
-                    let mut xs = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        xs.push(cur.i64()?);
-                    }
-                    Column::Int(xs)
-                }
-                COL_FLOAT => {
-                    let mut xs = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        xs.push(cur.f64()?);
-                    }
-                    Column::Float(xs)
-                }
-                COL_DICT => {
-                    let pool_len = cur.u32()? as usize;
-                    // A pool entry exists only because some slot (live or
-                    // tombstoned) stored it, so the pool can never exceed
-                    // the slot count.
-                    if pool_len > SEGMENT_SIZE {
-                        return Err(StorageError::Corruption(format!(
-                            "dictionary pool claims {} entries (max {})",
-                            pool_len, SEGMENT_SIZE
-                        )));
-                    }
-                    let mut d = DictColumn::default();
-                    for _ in 0..pool_len {
-                        let v = get_value(cur)?;
-                        let c = d.pool.len() as u32;
-                        d.index.insert(v.clone(), c);
-                        d.pool.push(v);
-                    }
-                    for _ in 0..rows {
-                        let c = cur.u32()?;
-                        if c as usize >= pool_len {
-                            return Err(StorageError::Corruption(format!(
-                                "dictionary code {} out of pool of {}",
-                                c, pool_len
-                            )));
-                        }
-                        d.codes.push(c);
-                    }
-                    Column::Dict(d)
-                }
-                t => {
-                    return Err(StorageError::Corruption(format!(
-                        "unknown column type tag {}",
-                        t
-                    )))
-                }
-            };
-            cols.push(col);
+    }
+}
+
+impl From<BlockColumn<'_>> for Column {
+    fn from(b: BlockColumn<'_>) -> Column {
+        match b.0 {
+            Block::Int(bytes) => Column::Int(
+                (0..bytes.len() / 8)
+                    .map(|i| i64::from_le_bytes(word(bytes, i)))
+                    .collect(),
+            ),
+            Block::Float(bytes) => Column::Float(
+                (0..bytes.len() / 8)
+                    .map(|i| f64::from_le_bytes(word(bytes, i)))
+                    .collect(),
+            ),
+            Block::Dict(pool, codes) => Column::Dict(DictColumn {
+                codes: (0..codes.len() / 4)
+                    .map(|i| u32::from_le_bytes(word(codes, i)))
+                    .collect(),
+                index: pool.iter().cloned().zip(0..).collect(),
+                pool,
+            }),
         }
-        Ok(ColumnSegment {
-            cols,
-            rows,
-            live,
-            live_count,
-        })
     }
 }
 
@@ -707,47 +731,46 @@ impl ColumnHeap {
         }
     }
 
-    /// Rebuilds a heap from decoded checkpoint segments: recomputes the
-    /// live total and the free list (tombstoned slots below each segment's
-    /// high-water mark, in slot order) that the image does not store.
-    pub fn from_segments(
-        shape: AttrSet,
-        segments: Vec<ColumnSegment>,
-    ) -> Result<Self, StorageError> {
-        let attrs: Arc<[Attr]> = shape.to_vec().into();
-        let mut live = 0;
-        let mut free = Vec::new();
-        for (si, seg) in segments.iter().enumerate() {
-            if seg.cols.len() != attrs.len() {
+    /// Writes the heap's live rows as blocks (checkpoint image body):
+    /// `[n_blocks]`, then for each segment with a live row `[len]` and
+    /// [`ColumnSegment::put_block`] over its live slots.  Tombstones are not
+    /// written.
+    pub fn write_blocks(&self, out: &mut Vec<u8>) {
+        let live = || self.segments.iter().filter(|s| s.live_count > 0);
+        put_u32(out, live().count() as u32);
+        for seg in live() {
+            put_u32(out, seg.live_count as u32);
+            seg.put_block(&seg.live_sel(), out);
+        }
+    }
+
+    /// Reads a heap of `shape` written by [`ColumnHeap::write_blocks`]: one
+    /// dense, all-live segment per block, with no free list.  A block of 0
+    /// or more than [`SEGMENT_SIZE`] rows, or a column
+    /// [`BlockColumn::get`] refuses, is [`StorageError::Corruption`].
+    pub fn read_blocks(shape: AttrSet, cur: &mut Cursor<'_>) -> Result<Self, StorageError> {
+        let mut heap = ColumnHeap::new(shape);
+        for _ in 0..cur.u32()? {
+            let len = cur.u32()? as usize;
+            if !(1..=SEGMENT_SIZE).contains(&len) {
                 return Err(StorageError::Corruption(format!(
-                    "segment has {} columns for a {}-attribute shape",
-                    seg.cols.len(),
-                    attrs.len()
+                    "a block of {len} rows (1 to {SEGMENT_SIZE})"
                 )));
             }
-            for col in &seg.cols {
-                if col.len() != seg.rows {
-                    return Err(StorageError::Corruption(format!(
-                        "column holds {} rows, segment claims {}",
-                        col.len(),
-                        seg.rows
-                    )));
-                }
-            }
-            live += seg.live_count;
-            for row in 0..seg.rows {
-                if !seg.is_live(row) {
-                    free.push(TupleId::new(si as u32, row as u32));
-                }
-            }
+            let cols = (0..heap.attrs.len())
+                .map(|_| BlockColumn::get(cur, len).map(Column::from))
+                .collect::<Result<_, _>>()?;
+            let mut seg = ColumnSegment {
+                cols,
+                rows: len,
+                live: [0; SEGMENT_WORDS],
+                live_count: len,
+            };
+            (0..len).for_each(|row| seg.set_live(row, true));
+            heap.segments.push(Arc::new(seg));
+            heap.live += len;
         }
-        Ok(ColumnHeap {
-            shape,
-            attrs,
-            segments: segments.into_iter().map(Arc::new).collect(),
-            free,
-            live,
-        })
+        Ok(heap)
     }
 
     /// The shape every stored tuple is defined on.
@@ -1227,66 +1250,94 @@ mod tests {
     fn segments_round_trip_through_the_checkpoint_codec() {
         let proto = tuple! {"n" => 0, "f" => 0.0, "s" => Value::str("")};
         let mut h = heap_of(&proto);
-        let ids: Vec<TupleId> = (0..1500i64)
+        let ids: Vec<TupleId> = (0..2100i64)
             .map(|i| {
-                h.insert(&tuple! {
-                    "n" => i,
-                    "f" => i as f64 / 3.0,
-                    "s" => Value::str(format!("s{}", i % 11))
-                })
+                // Row 5 promotes segment 0's `n` to a dictionary.
+                let n = if i == 5 {
+                    Value::str("five")
+                } else {
+                    Value::Int(i)
+                };
+                let f = [-0.0, f64::NAN, i as f64 / 3.0][i as usize % 3];
+                h.insert(&tuple! {"n" => n, "f" => f, "s" => Value::str(format!("s{}", i % 11))})
             })
             .collect();
-        // Punch holes so the free list and live bitmap carry information.
-        for tid in ids.iter().step_by(7) {
+        // Punch holes, and empty the middle segment entirely.
+        for tid in ids
+            .iter()
+            .step_by(7)
+            .chain(&ids[SEGMENT_SIZE..2 * SEGMENT_SIZE])
+        {
             h.delete(*tid);
         }
-        let mut bytes = Vec::new();
-        for seg in h.segments() {
-            seg.encode_into(&mut bytes);
-        }
-        let mut cur = Cursor::new(&bytes);
-        let mut segs = Vec::new();
-        for _ in 0..h.segment_count() {
-            segs.push(ColumnSegment::decode(&mut cur, h.attrs().len()).unwrap());
-        }
-        assert!(cur.is_empty());
-        let back = ColumnHeap::from_segments(h.shape().clone(), segs).unwrap();
-        assert_eq!(back.len(), h.len());
-        assert_eq!(back.all_tuples(), h.all_tuples(), "bit-identical contents");
-        // The rebuilt free list reuses tombstoned slots, like the original.
-        let mut back = back;
-        let id = back.insert(&tuple! {"n" => -1, "f" => -1.0, "s" => Value::str("new")});
-        assert!(
-            (id.slot() as usize) < SEGMENT_SIZE && back.get(id).is_some(),
-            "free slot reused after rebuild"
+        assert_eq!(
+            h.segment(0).unwrap().col_kind(h.col_index("n").unwrap()),
+            ColKind::Dict
         );
+        let mut bytes = Vec::new();
+        h.write_blocks(&mut bytes);
+        let mut cur = Cursor::new(&bytes);
+        let mut back = ColumnHeap::read_blocks(h.shape().clone(), &mut cur).unwrap();
+        assert!(cur.is_empty());
+        assert_eq!(back.len(), h.len());
+        // Bit-identical contents (`-0.0` and NaN included), in scan order.
+        assert_eq!(
+            format!("{:?}", back.all_tuples()),
+            format!("{:?}", h.all_tuples())
+        );
+        // Only live rows are stored: the empty segment is gone and every
+        // read segment is dense, so the reread heap writes the same bytes.
+        assert_eq!(back.segment_count(), 2);
+        assert!(back.segments().all(|s| s.rows() == s.live_count()));
+        let mut again = Vec::new();
+        back.write_blocks(&mut again);
+        assert_eq!(again, bytes);
+        // With no free list, the next insert appends.
+        let id = back.insert(&tuple! {"n" => -1, "f" => -1.0, "s" => Value::str("new")});
+        assert_eq!(id.segment(), 1);
+        assert_eq!(id.slot() as usize, back.segment_len(1) - 1);
+        assert_eq!(back.len(), h.len() + 1);
     }
 
     #[test]
-    fn segment_decode_rejects_structural_corruption() {
+    fn checkpoint_blocks_reject_structural_corruption() {
         let proto = tuple! {"n" => 0, "s" => Value::str("")};
         let mut h = heap_of(&proto);
         for i in 0..10i64 {
             h.insert(&tuple! {"n" => i, "s" => Value::str("x")});
         }
         let mut bytes = Vec::new();
-        h.segment(0).unwrap().encode_into(&mut bytes);
-        // Clean decode works.
-        assert!(ColumnSegment::decode(&mut Cursor::new(&bytes), 2).is_ok());
-        // Impossible row count.
-        let mut bad = bytes.clone();
-        bad[0..4].copy_from_slice(&(SEGMENT_SIZE as u32 + 1).to_le_bytes());
-        let err = ColumnSegment::decode(&mut Cursor::new(&bad), 2).unwrap_err();
-        assert!(err.is_corruption());
-        // Live bit beyond the row count.
-        let mut bad = bytes.clone();
-        bad[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = ColumnSegment::decode(&mut Cursor::new(&bad), 2).unwrap_err();
-        assert!(err.is_corruption());
-        // Truncated input.
-        let err =
-            ColumnSegment::decode(&mut Cursor::new(&bytes[..bytes.len() - 1]), 2).unwrap_err();
-        assert!(err.is_corruption());
+        h.write_blocks(&mut bytes);
+        let read = |b: &[u8]| ColumnHeap::read_blocks(h.shape().clone(), &mut Cursor::new(b));
+        assert_eq!(read(&bytes).unwrap().all_tuples(), h.all_tuples());
+        // `[n_blocks][len]`, then `n` (kind + 10 × i64), then `s` (kind,
+        // pool of one, 10 codes).
+        let dict = 8 + 1 + 8 * 10;
+        let forged = |at: usize, word: &[u8]| {
+            let mut bad = bytes.clone();
+            bad[at..at + word.len()].copy_from_slice(word);
+            bad
+        };
+        for (label, bad) in [
+            ("an empty block", forged(4, &0u32.to_le_bytes())),
+            (
+                "a block past a segment",
+                forged(4, &(SEGMENT_SIZE as u32 + 1).to_le_bytes()),
+            ),
+            ("an unknown column kind", forged(8, &[9])),
+            (
+                "a pool longer than its block",
+                forged(dict + 1, &11u32.to_le_bytes()),
+            ),
+            (
+                "a code past its pool",
+                forged(bytes.len() - 4, &1u32.to_le_bytes()),
+            ),
+            ("a truncated block", bytes[..bytes.len() - 1].to_vec()),
+        ] {
+            let err = read(&bad).map(|_| ()).unwrap_err();
+            assert!(err.is_corruption(), "{label}: {err}");
+        }
     }
 
     #[test]

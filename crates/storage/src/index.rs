@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use flexrel_core::attr::AttrSet;
 use flexrel_core::tuple::Tuple;
 
-use crate::partition::Rid;
+use crate::partition::{PartitionedHeap, Rid};
 
 /// A hash index over a fixed attribute-set key.
 #[derive(Clone, Debug)]
@@ -38,6 +38,16 @@ impl HashIndex {
             partial: Vec::new(),
             len: 0,
         }
+    }
+
+    /// Builds the index over `key` of every tuple in `parts` (the backfill
+    /// of a new or recovered index).
+    pub fn build(key: AttrSet, parts: &PartitionedHeap) -> Self {
+        let mut idx = HashIndex::new(key);
+        for (rid, t) in parts.scan() {
+            idx.insert(rid, &t);
+        }
+        idx
     }
 
     /// The indexed attribute set.

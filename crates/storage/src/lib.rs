@@ -41,9 +41,9 @@
 //! the lock hierarchy.
 //!
 //! The storage is optionally **durable**: [`Database::open`] attaches a
-//! write-ahead log with group commit ([`mod@wal`]), periodic segment
-//! checkpoints mirroring the in-memory columnar layout ([`mod@checkpoint`])
-//! and crash recovery ([`mod@recovery`]) that loads the latest checkpoint
+//! write-ahead log with group commit ([`mod@wal`]), periodic checkpoints
+//! that store each partition's live rows as column blocks
+//! ([`mod@checkpoint`]) and crash recovery ([`mod@recovery`]) that loads the latest checkpoint
 //! and replays the WAL tail, tolerating a torn final record.  Every I/O
 //! boundary routes through the [`fault::IoFault`] hook, so the test suite
 //! can run a deterministic crash-point sweep over the whole write path.

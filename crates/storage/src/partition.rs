@@ -284,14 +284,6 @@ impl PartitionedHeap {
         }
     }
 
-    /// The union of all live shapes — the exact `⋃ attr(t)` over the stored
-    /// instance, maintained from partition metadata instead of tuples.
-    pub fn attrs_union(&self) -> AttrSet {
-        self.parts
-            .values()
-            .fold(AttrSet::empty(), |acc, p| acc.union(&p.shape))
-    }
-
     /// Rebuilds a partitioned heap from recovered partitions (checkpoint
     /// load).  The live total is recomputed; empty partitions are dropped,
     /// preserving the live-shapes-only invariant.
@@ -402,8 +394,9 @@ impl PartitionedHeap {
 /// taken under the partition-catalog lock.
 ///
 /// Everything a query derives about a relation — the partitions a pruned
-/// scan visits, the attribute bounds ([`PartitionSnapshot::attrs_union`])
-/// that size joins, the [`PartitionInfo`] metadata behind cost decisions —
+/// scan visits, the attribute bounds that size joins (the union of the
+/// shapes a scan visits, `flexrel_query::exec::snap_plan_attrs`), the
+/// [`PartitionInfo`] metadata behind cost decisions —
 /// comes from **one** snapshot, so a concurrent shape-creating insert can
 /// neither tear a streaming scan nor desynchronize the optimizer's pruning
 /// decisions from the tuples actually read.
@@ -444,14 +437,6 @@ impl PartitionSnapshot {
                 tuples: p.len(),
             })
             .collect()
-    }
-
-    /// The union of the snapshotted shapes — the exact `⋃ attr(t)` as of
-    /// the snapshot.
-    pub fn attrs_union(&self) -> AttrSet {
-        self.parts
-            .iter()
-            .fold(AttrSet::empty(), |acc, (_, p)| acc.union(p.shape()))
     }
 
     /// The tuple stored under `rid` in the snapshot, materialized, if it
@@ -579,7 +564,6 @@ mod tests {
         assert_ne!(a.shape(), c.shape());
         assert_eq!(h.get(a), Some(tuple! {"x" => 1}));
         assert_eq!(h.get(c), Some(tuple! {"x" => 3, "y" => 4}));
-        assert_eq!(h.attrs_union(), attrs!["x", "y"]);
     }
 
     #[test]
@@ -590,7 +574,8 @@ mod tests {
         assert_eq!(h.partition_count(), 2);
         assert_eq!(h.delete(a), Some(tuple! {"x" => 1}));
         assert_eq!(h.partition_count(), 1, "emptied partition is dropped");
-        assert_eq!(h.attrs_union(), attrs!["x", "y"]);
+        let shapes: Vec<_> = h.partitions().map(|(_, p)| p.shape().clone()).collect();
+        assert_eq!(shapes, vec![attrs!["x", "y"]]);
         assert_eq!(h.delete(a), None, "double delete is a no-op");
         assert_eq!(h.len(), 1);
     }

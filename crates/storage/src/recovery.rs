@@ -64,15 +64,9 @@ pub(crate) fn recover(dir: &Path) -> Result<RecoveredState, StorageError> {
                 let indexes: IndexSet = rel
                     .indexes
                     .into_iter()
-                    .map(|(key, auto)| {
-                        let mut idx = HashIndex::new(key);
-                        for (rid, t) in parts.scan() {
-                            idx.insert(rid, &t);
-                        }
-                        StoredIndex {
-                            idx: Arc::new(idx),
-                            auto,
-                        }
+                    .map(|(key, auto)| StoredIndex {
+                        idx: Arc::new(HashIndex::build(key, &parts)),
+                        auto,
                     })
                     .collect();
                 catalog.register(rel.def).map_err(|e| {
