@@ -27,6 +27,25 @@ pub enum CheckLevel {
     Full,
 }
 
+/// Checks every value of `t` against its attribute's declared domain and
+/// the no-nulls rule — the value-level half of the existential constraint,
+/// which the storage layer's insert check shares.
+pub fn check_domains(domains: &BTreeMap<Attr, Domain>, t: &Tuple) -> Result<()> {
+    for (a, v) in t.iter() {
+        if let Some(d) = domains.get(a) {
+            d.check(a.name(), v)?;
+        }
+        if v.is_null() {
+            return Err(CoreError::DomainViolation {
+                attr: a.name().to_string(),
+                value: "NULL".into(),
+                domain: "flexible relations model absence structurally, not with nulls".into(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A flexible relation.
 #[derive(Clone, Debug)]
 pub struct FlexRelation {
@@ -125,19 +144,7 @@ impl FlexRelation {
                 scheme: self.scheme.to_string(),
             });
         }
-        for (a, v) in t.iter() {
-            if let Some(d) = self.domains.get(a) {
-                d.check(a.name(), v)?;
-            }
-            if v.is_null() {
-                return Err(CoreError::DomainViolation {
-                    attr: a.name().to_string(),
-                    value: "NULL".into(),
-                    domain: "flexible relations model absence structurally, not with nulls".into(),
-                });
-            }
-        }
-        Ok(())
+        check_domains(&self.domains, t)
     }
 
     /// Validates a tuple against the declared dependencies relative to the

@@ -460,8 +460,8 @@ impl Tuple {
     /// The interned [`ShapeId`] of `attr(t)`.
     ///
     /// Tuples of the same shape share the id; the storage layer uses it to
-    /// route a tuple to its heap partition and to memoize shape-level type
-    /// checks (`X ⊆ attr(t)` guards and scheme membership) across inserts.
+    /// route a tuple to its heap partition, whose presence spares an insert
+    /// the scheme-membership test.
     pub fn shape_id(&self) -> ShapeId {
         ShapeId::intern(&self.shape)
     }

@@ -133,6 +133,17 @@ impl std::hash::Hash for Value {
 }
 
 impl Value {
+    /// Equality bit for bit: like `==`, except that a float equals exactly
+    /// the floats with its bit pattern, so `0.0` is not `-0.0` and a NaN
+    /// equals itself.  This is the equality [`Value`]'s `Hash` agrees
+    /// with; see [`BitExact`].
+    pub fn same_bits(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => self == other,
+        }
+    }
+
     fn kind_rank(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -142,6 +153,26 @@ impl Value {
             Value::Str(_) => 3,
             Value::Tag(_) => 4,
         }
+    }
+}
+
+/// A value compared bit for bit ([`Value::same_bits`]): a hash key that
+/// keeps every stored value, where `Value`'s own `==` would merge `0.0`
+/// with `-0.0` and split a NaN from itself.
+#[derive(Clone, Debug)]
+pub struct BitExact(pub Value);
+
+impl PartialEq for BitExact {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.same_bits(&other.0)
+    }
+}
+
+impl Eq for BitExact {}
+
+impl Hash for BitExact {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state)
     }
 }
 

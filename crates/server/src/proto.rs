@@ -431,8 +431,8 @@ fn put_tuple_blocks<'a>(out: &mut Vec<u8>, table: &mut ShapeTable<'a>, rows: &'a
 /// (`len` × f64 bit patterns) when every value has that kind; otherwise
 /// `DICT`: `[pool_len][pool values]` then `len` × u32 codes.  The pool gets
 /// a new entry wherever a value differs from the one in the row above —
-/// bit for bit, so `-0.0` is not `0.0`, and without hashing — so it may
-/// hold a value twice.
+/// bit for bit ([`Value::same_bits`]), so `-0.0` is not `0.0`, and without
+/// hashing — so it may hold a value twice.
 fn put_value_column(out: &mut Vec<u8>, col: &[&Value]) {
     let ints = col.iter().all(|v| matches!(v, Value::Int(_)));
     if ints || col.iter().all(|v| matches!(v, Value::Float(_))) {
@@ -446,7 +446,7 @@ fn put_value_column(out: &mut Vec<u8>, col: &[&Value]) {
         }
         return;
     }
-    let changes = || col.windows(2).map(|w| !same_bits(w[0], w[1]));
+    let changes = || col.windows(2).map(|w| !w[0].same_bits(w[1]));
     put_u8(out, COL_DICT);
     put_u32(out, 1 + changes().filter(|&c| c).count() as u32);
     codec::put_value(out, col[0]);
@@ -460,15 +460,6 @@ fn put_value_column(out: &mut Vec<u8>, col: &[&Value]) {
     for changed in changes() {
         code += changed as u32;
         put_u32(out, code);
-    }
-}
-
-/// Value equality bit for bit: IEEE `==` would merge `0.0` with `-0.0`
-/// and split a NaN from itself.
-fn same_bits(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
     }
 }
 

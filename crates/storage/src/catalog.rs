@@ -47,17 +47,6 @@ impl RelationDef {
         self
     }
 
-    /// Builds an empty [`FlexRelation`] from this definition.
-    pub fn empty_relation(&self) -> FlexRelation {
-        FlexRelation::from_parts(
-            self.name.clone(),
-            self.scheme.clone(),
-            self.domains.clone(),
-            self.deps.clone(),
-            Vec::new(),
-        )
-    }
-
     /// Extracts a definition from an existing relation.
     pub fn from_relation(rel: &FlexRelation) -> Self {
         RelationDef {
@@ -184,9 +173,9 @@ mod tests {
     #[test]
     fn definition_round_trips_through_relation() {
         let d = def();
-        let rel = d.empty_relation();
-        assert_eq!(rel.name(), "emp");
-        assert!(rel.is_empty());
+        let rel = FlexRelation::new("emp", d.scheme.clone())
+            .with_dep(Fd::new(attrs!["empno"], attrs!["name"]))
+            .with_domain("empno", Domain::Int);
         let d2 = RelationDef::from_relation(&rel);
         assert_eq!(d2.name, d.name);
         assert_eq!(d2.scheme, d.scheme);

@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 use flexrel_core::attr::{Attr, AttrSet};
 use flexrel_core::tuple::Tuple;
-use flexrel_core::value::Value;
+use flexrel_core::value::{BitExact, Value};
 
 use crate::codec::{get_value, put_u32, put_u8, put_value, Cursor};
 use crate::errors::StorageError;
@@ -265,17 +265,21 @@ impl SelVec {
 struct DictColumn {
     codes: Vec<u32>,
     pool: Vec<Value>,
-    index: HashMap<Value, u32>,
+    index: HashMap<BitExact, u32>,
 }
 
 impl DictColumn {
+    /// The code of `v`, appending it to the pool if it is new.  Keyed bit
+    /// for bit, so each NaN pattern is one entry and `-0.0` is kept apart
+    /// from `0.0`.
     fn intern(&mut self, v: Value) -> u32 {
-        if let Some(c) = self.index.get(&v) {
+        let key = BitExact(v);
+        if let Some(c) = self.index.get(&key) {
             return *c;
         }
         let c = u32::try_from(self.pool.len()).expect("dictionary pool exhausted u32 codes");
-        self.pool.push(v.clone());
-        self.index.insert(v, c);
+        self.pool.push(key.0.clone());
+        self.index.insert(key, c);
         c
     }
 
@@ -699,7 +703,7 @@ impl From<BlockColumn<'_>> for Column {
                 codes: (0..codes.len() / 4)
                     .map(|i| u32::from_le_bytes(word(codes, i)))
                     .collect(),
-                index: pool.iter().cloned().zip(0..).collect(),
+                index: pool.iter().cloned().map(BitExact).zip(0..).collect(),
                 pool,
             }),
         }
@@ -1297,6 +1301,58 @@ mod tests {
         assert_eq!(id.segment(), 1);
         assert_eq!(id.slot() as usize, back.segment_len(1) - 1);
         assert_eq!(back.len(), h.len() + 1);
+    }
+
+    #[test]
+    fn dictionary_pools_are_bit_exact_through_replies_and_checkpoints() {
+        let mut h = heap_of(&tuple! {"v" => Value::str("")});
+        h.insert(&tuple! {"v" => Value::str("one")});
+        // 1 000 NaN and 1 000 × 1.5 churn through two slots of one segment.
+        for i in 0..1000 {
+            let nan = h.insert(&tuple! {"v" => f64::NAN});
+            let x = h.insert(&tuple! {"v" => 1.5});
+            if i < 999 {
+                h.delete(nan);
+                h.delete(x);
+            }
+        }
+        assert_eq!(h.segment_count(), 1);
+        let pool_len = |h: &ColumnHeap| h.segment(0).unwrap().dict_parts(0).unwrap().1.len();
+        assert_eq!(pool_len(&h), 3, "one string, one NaN, one 1.5");
+        h.insert(&tuple! {"v" => 0.0});
+        h.insert(&tuple! {"v" => -0.0});
+        assert_eq!(pool_len(&h), 5, "0.0 and -0.0 are two entries");
+        let bits = |v: Value| match v {
+            Value::Float(f) => Some(f.to_bits()),
+            _ => None,
+        };
+        let held: Vec<_> = h
+            .all_tuples()
+            .iter()
+            .map(|t| bits(t.get_name("v").unwrap().clone()))
+            .collect();
+        for zero in [0.0f64, -0.0] {
+            assert!(held.contains(&Some(zero.to_bits())));
+        }
+        // A reply block carries the live rows in slot order.
+        let seg = h.segment(0).unwrap();
+        let mut block = Vec::new();
+        seg.put_block(&seg.live_sel(), &mut block);
+        let mut cur = Cursor::new(&block);
+        let col = BlockColumn::get(&mut cur, seg.live_count()).unwrap();
+        let replied: Vec<_> = (0..seg.live_count()).map(|r| bits(col.value(r))).collect();
+        assert_eq!(replied, held);
+        // So does a checkpoint image.
+        let mut image = Vec::new();
+        h.write_blocks(&mut image);
+        let back = ColumnHeap::read_blocks(h.shape().clone(), &mut Cursor::new(&image)).unwrap();
+        let reread: Vec<_> = back
+            .all_tuples()
+            .iter()
+            .map(|t| bits(t.get_name("v").unwrap().clone()))
+            .collect();
+        assert_eq!(reread, held);
+        assert_eq!(pool_len(&back), 5);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! enforcement, shared across threads.
 //!
 //! Every relation's instance is stored shape-partitioned (see
-//! [`crate::partition`]): one segment heap per distinct `attr(t)`.  Insert
-//! checking is split into a *shape-level* half that is memoized per
-//! partition ([`ShapeMemo`]) and a *value-level* half (domains, `t[X]`
-//! variant lookups, FD agreement against index peers) that runs per tuple.
+//! [`crate::partition`]): one segment heap per distinct `attr(t)`.  Every
+//! write checks its tuple one way: the scheme test `attr(t) ∈ dnf(FS)` only
+//! when the tuple's shape has no live partition (a live partition stands
+//! for its shape's admission), then domains and every declared dependency
+//! (each EAD on the tuple alone, each AD/FD against its index peers).
 //!
 //! # Concurrency
 //!
@@ -63,7 +64,7 @@ use std::time::Duration;
 use flexrel_core::attr::AttrSet;
 use flexrel_core::dep::Dependency;
 use flexrel_core::error::{CoreError, Result};
-use flexrel_core::relation::FlexRelation;
+use flexrel_core::relation::{check_domains, FlexRelation};
 use flexrel_core::tuple::Tuple;
 
 use crate::catalog::{Catalog, RelationDef};
@@ -71,7 +72,7 @@ use crate::checkpoint::{write_checkpoint, CheckpointSource};
 use crate::errors::StorageError;
 use crate::fault::{IoFault, NoFault};
 use crate::index::HashIndex;
-use crate::partition::{DepGuard, Partition, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo};
+use crate::partition::{PartitionSnapshot, PartitionedHeap, Rid};
 use crate::wal::{WalOp, WalWriter};
 
 // Lock acquisition helpers.  Poisoning is deliberately not propagated
@@ -311,59 +312,6 @@ pub struct Database {
     inner: Arc<DbInner>,
 }
 
-/// Builds the memoized shape-level type-check facts for a shape that has
-/// just been admitted (see [`ShapeMemo`]).
-pub(crate) fn shape_memo(def: &RelationDef, shape: &AttrSet) -> ShapeMemo {
-    let dep_guards = def
-        .deps
-        .iter()
-        .map(|dep| match dep {
-            Dependency::Ead(ead) => {
-                let y_overlap = shape.intersection(ead.rhs());
-                DepGuard::Ead {
-                    lhs_defined: ead.lhs().is_subset(shape),
-                    y_overlap_empty: y_overlap.is_empty(),
-                    admissible: ead
-                        .variants()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| v.attrs == y_overlap)
-                        .map(|(i, _)| i)
-                        .collect(),
-                }
-            }
-            Dependency::Ad(ad) => DepGuard::Pairwise {
-                lhs_defined: ad.lhs().is_subset(shape),
-            },
-            Dependency::Fd(fd) => DepGuard::Pairwise {
-                lhs_defined: fd.lhs().is_subset(shape),
-            },
-        })
-        .collect();
-    ShapeMemo {
-        disjunct: shape.clone(),
-        dep_guards,
-    }
-}
-
-/// The value-level half of scheme checking: attribute domains and the
-/// no-nulls rule.  (Shape membership in `dnf(FS)` is the memoized half.)
-fn check_domains(def: &RelationDef, t: &Tuple) -> Result<()> {
-    for (a, v) in t.iter() {
-        if let Some(d) = def.domains.get(a) {
-            d.check(a.name(), v)?;
-        }
-        if v.is_null() {
-            return Err(CoreError::DomainViolation {
-                attr: a.name().to_string(),
-                value: "NULL".into(),
-                domain: "flexible relations model absence structurally, not with nulls".into(),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// The stored index on exactly `key`, if any.
 fn index_on<'a>(indexes: &'a IndexSet, key: &AttrSet) -> Option<&'a Arc<HashIndex>> {
     indexes
@@ -396,98 +344,59 @@ fn lookup_eq_in(
     }
 }
 
-/// Runs every check an insert of `t` must pass, mutating nothing: scheme
-/// membership, domains, dependencies.  Given the [`ShapeMemo`] of `t`'s
-/// partition, the shape-level half is replayed from it; without one (a new
-/// shape, or [`Database::check_insert`]'s reference path) everything runs.
-/// The pairwise AD/FD checks compare `t` with the stored tuples that agree
-/// with it on the determinant — the pairwise premise of Defs. 4.1/4.2
-/// requires `X ⊆ attr(u)` on both sides — except `skip`, the tuple an
-/// update replaces.
+/// Runs every check an insert of `t` must pass, mutating nothing — the
+/// one check behind insert, update and [`Database::check_insert`].  Scheme
+/// membership `attr(t) ∈ dnf(FS)` runs only when `t`'s shape has no live
+/// partition: a partition opens only for an admitted shape and is dropped
+/// with its last tuple.  Then come the domains and each dependency's own
+/// check: an EAD on `t` alone, an AD or FD against the stored tuples that
+/// agree with `t` on its determinant, except `skip`, the tuple an update
+/// replaces.  A `t` not defined on the determinant has no such peers: the
+/// pairwise premise of Defs. 4.1/4.2 requires `X ⊆ attr(u)` on both sides.
 fn check_tuple(
     def: &RelationDef,
     parts: &PartitionedHeap,
     indexes: &IndexSet,
-    memo: Option<&ShapeMemo>,
     t: &Tuple,
     skip: Option<Rid>,
 ) -> Result<()> {
-    if memo.is_none() && !def.scheme.admits(&t.attrs()) {
+    if parts.partition(t.shape_id()).is_none() && !def.scheme.admits(t.shape()) {
         return Err(CoreError::SchemeViolation {
             tuple_attrs: t.attrs().to_string(),
             scheme: def.scheme.to_string(),
         });
     }
-    check_domains(def, t)?;
+    check_domains(&def.domains, t)?;
     let peers = |lhs: &AttrSet| -> Vec<Tuple> {
+        if !t.defined_on(lhs) {
+            return Vec::new();
+        }
         lookup_eq_in(parts, indexes, lhs, &t.project(lhs))
             .into_iter()
             .filter(|(rid, _)| Some(*rid) != skip)
             .map(|(_, u)| u)
             .collect()
     };
-    for (i, dep) in def.deps.iter().enumerate() {
-        // The memo holds one guard per dependency, in order; a dependency
-        // without its guard is checked in full.
-        let guard = memo.and_then(|m| m.dep_guards.get(i));
-        let pairwise = |lhs: &AttrSet| match guard {
-            Some(DepGuard::Pairwise { lhs_defined }) => *lhs_defined,
-            _ => t.defined_on(lhs),
-        };
-        match (dep, guard) {
-            (
-                Dependency::Ead(ead),
-                Some(DepGuard::Ead {
-                    lhs_defined,
-                    y_overlap_empty,
-                    admissible,
-                }),
-            ) => {
-                // A shape not defined on X was admitted with an empty
-                // Y-overlap; nothing value-level remains to check.
-                let admitted = !*lhs_defined
-                    || match ead.variant_for_restriction(t) {
-                        Some((i, _)) => admissible.contains(&i),
-                        None => *y_overlap_empty,
-                    };
-                if !admitted {
-                    // The ground-truth check yields the canonical error.
-                    ead.check_tuple(t)?
-                }
-            }
-            (Dependency::Ead(ead), _) => ead.check_tuple(t)?,
-            (Dependency::Ad(ad), _) if pairwise(ad.lhs()) => {
-                ad.check_insert_among(&peers(ad.lhs()), t)?
-            }
-            (Dependency::Fd(fd), _) if pairwise(fd.lhs()) => {
-                fd.check_insert_among(&peers(fd.lhs()), t)?
-            }
-            _ => {}
+    for dep in def.deps.iter() {
+        match dep {
+            Dependency::Ead(ead) => ead.check_tuple(t)?,
+            Dependency::Ad(ad) => ad.check_insert_among(&peers(ad.lhs()), t)?,
+            Dependency::Fd(fd) => fd.check_insert_among(&peers(fd.lhs()), t)?,
         }
     }
     Ok(())
 }
 
 /// Publishes a checked (or already committed) tuple: heap insert plus every
-/// maintained index, opening the shape's partition with a fresh
-/// [`ShapeMemo`] when it has none.  Must run with the partition and index
-/// write locks held together so readers never observe the two out of sync.
-fn apply_insert(
-    def: &RelationDef,
-    parts: &mut PartitionedHeap,
-    indexes: &mut IndexSet,
-    t: &Tuple,
-) -> std::result::Result<Rid, StorageError> {
-    let sid = t.shape_id();
-    let memo = parts
-        .partition(sid)
-        .is_none()
-        .then(|| shape_memo(def, t.shape()));
-    let rid = parts.insert(sid, t, memo)?;
+/// maintained index, opening the shape's partition when it has none.  Must
+/// run with the partition and index write locks held together so readers
+/// never observe the two out of sync.
+fn apply_insert(parts: &mut PartitionedHeap, indexes: &mut IndexSet, t: &Tuple) -> Rid {
+    let rid = parts.insert(t.shape_id(), t);
     for si in indexes.iter_mut() {
         Arc::make_mut(&mut si.idx).insert(rid, t);
     }
-    Ok(rid)
+    rid
 }
 
 /// Removes a tuple from the heap and every maintained index.
@@ -510,9 +419,8 @@ fn checked_insert_in(
     indexes: &mut IndexSet,
     t: &Tuple,
 ) -> Result<Rid> {
-    let memo = parts.partition(t.shape_id()).map(Partition::memo);
-    check_tuple(def, parts, indexes, memo, t, None)?;
-    apply_insert(def, parts, indexes, t).map_err(StorageError::into_core)
+    check_tuple(def, parts, indexes, t, None)?;
+    Ok(apply_insert(parts, indexes, t))
 }
 
 /// Replaces the tuple under `rid` under already-held write locks.  The
@@ -530,13 +438,11 @@ fn update_in(
     if parts.get_ref(rid).is_none() {
         return Err(not_found(rid, relation));
     }
-    let memo = parts.partition(new.shape_id()).map(Partition::memo);
-    check_tuple(def, parts, indexes, memo, new, Some(rid))?;
+    check_tuple(def, parts, indexes, new, Some(rid))?;
     let old = apply_delete(parts, indexes, rid).ok_or_else(|| not_found(rid, relation))?;
-    // Deleting `old` may have dropped the partition `memo` came from;
-    // `apply_insert` then reopens it.
-    let new_rid = apply_insert(def, parts, indexes, new).map_err(StorageError::into_core)?;
-    Ok((new_rid, old))
+    // Deleting `old` may drop the partition `new` is checked against; that
+    // shape was admitted all the same, and `apply_insert` reopens it.
+    Ok((apply_insert(parts, indexes, new), old))
 }
 
 /// Re-applies one logged operation under already-held write locks — the
@@ -552,7 +458,6 @@ fn update_in(
 /// ([`StorageError::Corruption`] in recovery, [`StorageError::Bug`] in
 /// rollback).
 pub(crate) fn replay(
-    def: &RelationDef,
     parts: &mut PartitionedHeap,
     indexes: &mut IndexSet,
     op: &WalOp,
@@ -560,7 +465,10 @@ pub(crate) fn replay(
     missing: fn(String) -> StorageError,
 ) -> std::result::Result<(), StorageError> {
     let (target, new) = match op {
-        WalOp::Insert { tuple, .. } => return apply_insert(def, parts, indexes, tuple).map(drop),
+        WalOp::Insert { tuple, .. } => {
+            apply_insert(parts, indexes, tuple);
+            return Ok(());
+        }
         WalOp::Delete { tuple, .. } => (tuple, None),
         WalOp::Update { old, new, .. } => (old, Some(new)),
     };
@@ -580,10 +488,10 @@ pub(crate) fn replay(
             ))
         })?;
     apply_delete(parts, indexes, rid);
-    match new {
-        Some(new) => apply_insert(def, parts, indexes, new).map(drop),
-        None => Ok(()),
+    if let Some(new) = new {
+        apply_insert(parts, indexes, new);
     }
+    Ok(())
 }
 
 impl Database {
@@ -835,7 +743,7 @@ impl Database {
             }
             let tuples = parts.all_tuples();
             for t in &tuples {
-                check_domains(def, t).map_err(StorageError::Constraint)?;
+                check_domains(&def.domains, t).map_err(StorageError::Constraint)?;
             }
             if let Some(dep) = def.deps.first_violation(&tuples) {
                 return Err(bug(format!("dependency {:?} violated", dep)));
@@ -1018,8 +926,8 @@ impl Database {
 
     /// Validates a tuple against the relation's scheme, domains and
     /// dependencies (using the determinant indexes for the pairwise checks)
-    /// without inserting it.  This is the unmemoized path; [`Database::insert`]
-    /// reuses the shape memo of the target partition when one exists.
+    /// without inserting it — the very check [`Database::insert`] runs, so
+    /// the scheme test is skipped for a shape with a live partition.
     /// Purely advisory under concurrency: the verdict reflects the state at
     /// the moment of the check.
     pub fn check_insert(&self, relation: &str, t: &Tuple) -> Result<()> {
@@ -1028,10 +936,11 @@ impl Database {
         let store = self.store(relation)?;
         let parts = read(&store.parts);
         let indexes = read(&store.indexes);
-        check_tuple(def, &parts, &indexes, None, t, None)
+        check_tuple(def, &parts, &indexes, t, None)
     }
 
-    /// Inserts a tuple with full type checking, memoized per shape: a
+    /// Inserts a tuple with full type checking (the scheme test runs for a
+    /// shape without a live partition; see [`Database::check_insert`]): a
     /// one-statement [`Database::transact`].
     pub fn insert(&self, relation: &str, t: Tuple) -> Result<Rid> {
         self.transact(&[relation], |tx| tx.insert(relation, t))
@@ -1039,7 +948,7 @@ impl Database {
 
     /// Deletes a tuple by identifier, returning it: a one-statement
     /// [`Database::transact`].  Deleting the last tuple of a partition
-    /// drops the partition (and its shape memo).
+    /// drops the partition.
     pub fn delete(&self, relation: &str, rid: Rid) -> Result<Tuple> {
         self.transact(&[relation], |tx| tx.delete(relation, rid))
     }
@@ -1372,7 +1281,6 @@ impl TxnScope<'_> {
             let op = op.inverse();
             let res = match self.rels.iter_mut().find(|r| r.def.name == op.relation()) {
                 Some(r) => replay(
-                    r.def,
                     &mut r.parts,
                     &mut r.indexes,
                     &op,
@@ -1452,7 +1360,6 @@ mod tests {
             "partitions cover the instance"
         );
         for p in &parts {
-            assert_eq!(p.disjunct, p.shape, "an admitted shape is its own disjunct");
             assert!(p.shape.is_superset(&attrs!["empno", "jobtype"]));
             assert_eq!(p.shape_id.attrs(), p.shape);
         }
@@ -1542,25 +1449,116 @@ mod tests {
         ));
     }
 
+    /// Offers `t` to the database — [`Database::check_insert`], then
+    /// [`Database::insert`] — and to the paper-level reference
+    /// [`FlexRelation::insert`] (`CheckLevel::Full`, a plain tuple list
+    /// checked in full).  All three must give the same verdict and the same
+    /// [`CoreError`] variant.  Returns whether `t` was accepted.
+    fn insert_like_reference(db: &Database, reference: &mut FlexRelation, t: Tuple) -> bool {
+        let name = reference.name().to_string();
+        let variant = |e: CoreError| std::mem::discriminant(&e);
+        let want = reference.insert(t.clone()).map_err(variant);
+        let checked = db.check_insert(&name, &t).map_err(variant);
+        assert_eq!(checked, want, "check_insert disagrees on {}", t);
+        let got = db.insert(&name, t.clone()).map(drop).map_err(variant);
+        assert_eq!(got, want, "insert disagrees on {}", t);
+        want.is_ok()
+    }
+
+    /// The database holds exactly the reference's tuples, one partition per
+    /// distinct shape.
+    fn assert_holds_the_reference(db: &Database, reference: &FlexRelation) {
+        use std::collections::BTreeSet;
+        let scan = db.scan(reference.name()).unwrap();
+        let mut held: Vec<Tuple> = scan.into_iter().map(|(_, t)| t).collect();
+        let mut want = reference.tuples().to_vec();
+        held.sort();
+        want.sort();
+        assert_eq!(held, want);
+        let shapes: BTreeSet<AttrSet> = want.iter().map(Tuple::attrs).collect();
+        let parts = db.partitions(reference.name()).unwrap();
+        let live: BTreeSet<AttrSet> = parts.into_iter().map(|p| p.shape).collect();
+        assert_eq!(live, shapes);
+        db.verify_invariants().unwrap();
+    }
+
     #[test]
-    fn memoized_fast_path_rejects_like_the_full_path() {
-        // Every tuple is checked twice: via check_insert (always the full,
-        // unmemoized path) and via insert (memoized after the first tuple of
-        // each shape).  The verdicts must agree tuple for tuple.
+    fn employee_inserts_are_checked_like_the_paper_reference() {
         let db = Database::new();
-        db.create_relation(employee_def()).unwrap();
+        let def = employee_def();
+        db.create_relation(def.clone()).unwrap();
+        let mut reference =
+            FlexRelation::from_parts("employee", def.scheme, def.domains, def.deps, Vec::new());
         let tuples = generate_employees(&EmployeeConfig::with_violations(400, 0.2));
-        let mut rejects_full = 0usize;
-        let mut rejects_fast = 0usize;
-        for t in tuples {
-            let full = db.check_insert("employee", &t);
-            let fast = db.insert("employee", t);
-            assert_eq!(full.is_ok(), fast.is_ok(), "memo and full path disagree");
-            rejects_full += full.is_err() as usize;
-            rejects_fast += fast.is_err() as usize;
+        let accepted = tuples
+            .into_iter()
+            .filter(|t| insert_like_reference(&db, &mut reference, t.clone()))
+            .count();
+        assert!(accepted < 400, "the workload injected violations");
+        assert_eq!(db.count("employee").unwrap(), accepted);
+        assert_holds_the_reference(&db, &reference);
+    }
+
+    #[test]
+    fn wide_inserts_are_checked_like_the_paper_reference() {
+        use flexrel_workload::{generate_wide, wide_relation, WideConfig};
+        // The relation has nine variants; the generated stream uses eight,
+        // so shape {id, kind, v8} first appears inside a transaction that
+        // rolls back.
+        let mut reference = wide_relation(9);
+        let db = Database::new();
+        db.create_relation(RelationDef::from_relation(&reference))
+            .unwrap();
+        let wide = |id: i64, kind: &str, attrs: &[&str]| {
+            attrs.iter().fold(
+                Tuple::new().with("id", id).with("kind", Value::tag(kind)),
+                |t, a| t.with(*a, id),
+            )
+        };
+        let res = db.transact(&["wide"], |tx| {
+            let mut inner = reference.clone();
+            for t in [
+                wide(9_000, "k8", &["v8"]),
+                wide(9_001, "k0", &["v8"]),
+                wide(9_002, "k8", &["v8", "v7"]),
+                wide(9_000, "k7", &["v7"]),
+            ] {
+                let want = inner
+                    .insert(t.clone())
+                    .map_err(|e| std::mem::discriminant(&e));
+                let got = tx.insert("wide", t.clone());
+                assert_eq!(got.map(drop).map_err(|e| std::mem::discriminant(&e)), want);
+            }
+            assert_eq!(tx.count("wide")?, 1, "only the first tuple was admitted");
+            Err::<(), _>(CoreError::Invalid("abort".into()))
+        });
+        assert!(res.is_err());
+        assert_holds_the_reference(&db, &reference);
+        let mut rejected = 0;
+        for (i, t) in generate_wide(&WideConfig::new(600, 8))
+            .into_iter()
+            .enumerate()
+        {
+            let id = i as i64;
+            let mixed_in = match i % 10 {
+                // Scheme: two variant attributes, none, no kind.
+                1 => Some(wide(id + 10_000, "k1", &["v1", "v2"])),
+                3 => Some(wide(id + 10_000, "k3", &[])),
+                5 => Some(Tuple::new().with("id", id + 10_000).with("v5", 5)),
+                // EAD: a live shape carrying another kind's attribute.
+                7 => Some(wide(id + 10_000, "k7", &["v0"])),
+                // FD id → kind: a stored id under another kind.
+                9 if i > 10 => Some(wide(id - 10, "k8", &["v8"])),
+                // Domain: a kind outside the enumeration.
+                4 => Some(wide(id + 10_000, "k99", &["v4"])),
+                _ => None,
+            };
+            for t in std::iter::once(t).chain(mixed_in) {
+                rejected += !insert_like_reference(&db, &mut reference, t) as usize;
+            }
         }
-        assert!(rejects_fast > 0, "the workload injected violations");
-        assert_eq!(rejects_full, rejects_fast);
+        assert_eq!(rejected, 60 * 6 - 1, "every mixed-in tuple is rejected");
+        assert_holds_the_reference(&db, &reference);
     }
 
     #[test]
@@ -1675,7 +1673,7 @@ mod tests {
     }
 
     #[test]
-    fn transact_rollback_across_partitions_restores_heaps_and_memo_state() {
+    fn transact_rollback_across_partitions_restores_heaps_and_shapes() {
         use std::collections::BTreeSet;
         // Start from a single-shape instance: two secretaries.
         let db = Database::new();
@@ -1702,8 +1700,8 @@ mod tests {
 
         // An aborted multi-tuple load spanning two *new* shapes (salesman
         // and software engineer) plus one more tuple of the existing shape.
-        // Abort: both new partition heaps and their shape memos must vanish,
-        // and the surviving partition must be byte-for-byte as before.
+        // Abort: both new partitions must vanish, and the surviving
+        // partition must be byte-for-byte as before.
         let res = db.transact(&["employee"], |tx| {
             tx.insert(
                 "employee",
@@ -1738,7 +1736,7 @@ mod tests {
         let parts_after = db.partitions("employee").unwrap();
         assert_eq!(
             parts_after, parts_before,
-            "partition catalog (shapes, disjuncts, memo presence, counts) restored exactly"
+            "partition catalog (shapes, counts) restored exactly"
         );
         let tuples_after: BTreeSet<Tuple> = db
             .scan("employee")
@@ -1748,8 +1746,7 @@ mod tests {
             .collect();
         assert_eq!(tuples_after, tuples_before);
 
-        // The memo state is rebuilt correctly on the next insert of a
-        // previously rolled-back shape.
+        // The next insert of a rolled-back shape reopens its partition.
         db.insert(
             "employee",
             Tuple::new()
@@ -2489,6 +2486,42 @@ mod tests {
         let db = Database::open_with(&tmp.0, quiet_options()).unwrap();
         assert_eq!(db.recovery_info().unwrap().replayed_commits, 0);
         assert_eq!(bag(&db), before);
+        db.verify_invariants().unwrap();
+    }
+
+    /// A checkpoint partition whose shape the relation's scheme does not
+    /// admit — a forged image, re-sealed under a valid CRC — is refused as
+    /// `Corruption`: an insert into a live partition skips the scheme
+    /// test, so a shape from disk is checked when it is loaded.
+    #[test]
+    fn a_checkpoint_partition_of_an_unadmitted_shape_is_corruption() {
+        use flexrel_core::scheme::FlexScheme;
+        use flexrel_core::tuple;
+        let tmp = TempDir::new("ckpt-shape");
+        {
+            let db = Database::open_with(&tmp.0, quiet_options()).unwrap();
+            // Exactly one of the two attributes.
+            let scheme = FlexScheme::new(1, 1, ["pmember", "qmember"]).unwrap();
+            db.create_relation(RelationDef::new("r", scheme)).unwrap();
+            db.insert("r", tuple! {"pmember" => 1}).unwrap();
+            db.checkpoint_now().unwrap();
+        }
+        let path = tmp.0.join(crate::checkpoint::CHECKPOINT_FILE);
+        let image = std::fs::read(&path).unwrap();
+        // The scheme names `pmember` first; its last mention is the shape.
+        let at = image.windows(7).rposition(|w| w == b"pmember").unwrap();
+        let mut forged = image.clone();
+        forged[at..at + 7].copy_from_slice(b"zmember");
+        let crc = crate::codec::crc32(&forged[20..]);
+        forged[16..20].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &forged).unwrap();
+        let err = Database::open_with(&tmp.0, quiet_options()).expect_err("shape {zmember}");
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("{zmember}"), "{err}");
+        // The image as written still opens.
+        std::fs::write(&path, &image).unwrap();
+        let db = Database::open_with(&tmp.0, quiet_options()).unwrap();
+        assert_eq!(db.count("r").unwrap(), 1);
         db.verify_invariants().unwrap();
     }
 

@@ -11,10 +11,10 @@
 //!   Recovery handles the *expected* corruption shapes (a torn final WAL
 //!   record) by truncation; anything else is surfaced, never panicked on.
 //! * [`StorageError::Bug`] — an internal invariant was violated (e.g. a
-//!   partition insert without the required
-//!   [`ShapeMemo`](crate::partition::ShapeMemo)).  These used to be
-//!   `expect` calls on the write path; recovery code must be able to tell
-//!   them from a torn log, so they are errors now.
+//!   rollback whose logged target tuple is gone, or a failed
+//!   [`Database::verify_invariants`](crate::db::Database::verify_invariants)
+//!   check).  Recovery code must be able to tell these from a torn log, so
+//!   they are errors, not `expect` calls.
 //! * [`StorageError::FrameTooLarge`] — a commit or checkpoint image longer
 //!   than a frame's `u32` length prefix can describe.  Nothing was written:
 //!   the commit rolls back, the checkpoint fails like any other.
@@ -119,7 +119,7 @@ mod tests {
             CoreError::Invalid(m) if m.contains("corruption")
         ));
         assert!(matches!(
-            StorageError::Bug("memo".into()).into_core(),
+            StorageError::Bug("rollback".into()).into_core(),
             CoreError::Invalid(m) if m.contains("bug")
         ));
         let e = CoreError::NotFound("r".into());

@@ -20,9 +20,9 @@
 //! Partitioning by shape makes the DNF structure of the scheme
 //! (`dnf(FS)`, [`FlexScheme::dnf`](flexrel_core::scheme::FlexScheme::dnf))
 //! physical: each partition is a homogeneous fragment satisfying exactly one
-//! disjunct, insert-time type checks are memoized per shape
-//! ([`partition::ShapeMemo`]), and scans can skip partitions whose shape
-//! cannot satisfy a query
+//! disjunct, a live partition stands for its shape's admission (an insert
+//! into it skips the scheme test; its dependency checks still run), and
+//! scans can skip partitions whose shape cannot satisfy a query
 //! ([`PartitionSnapshot::retain_shapes`](partition::PartitionSnapshot::retain_shapes)).
 //!
 //! The query engine (`flexrel-query`) plans and executes against this crate;
@@ -72,8 +72,7 @@ pub use fault::{CountingFault, FaultAction, IoEvent, IoFault, NoFault, NthEventF
 pub use heap::TupleId;
 pub use index::HashIndex;
 pub use partition::{
-    DepGuard, Partition, PartitionInfo, PartitionSnapshot, PartitionedHeap, Rid, ShapeMemo,
-    SnapshotScan,
+    Partition, PartitionInfo, PartitionSnapshot, PartitionedHeap, Rid, SnapshotScan,
 };
 pub use stats::{ColumnStats, Histogram, PartitionStats, TableStats, STATS_DRIFT};
 pub use wal::{RecordDecoder, RecordEncoder, WalOp, WalRecord, WalWriter};

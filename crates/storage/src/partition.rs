@@ -9,16 +9,17 @@
 //! [`ShapeId`] that
 //! [`Tuple::shape_id`](flexrel_core::tuple::Tuple::shape_id) yields.
 //!
-//! Partitioning buys three things:
+//! Partitioning buys four things:
 //!
 //! * **Partition pruning** — a scan that needs attributes `X` present (a
 //!   type guard, or a selection whose predicate requires them) visits only
 //!   the partitions whose shape contains `X`; the query optimizer pushes
 //!   such shape predicates into `Scan` nodes (`flexrel-query`).
-//! * **Memoized insert checking** — a shape that has been admitted once has
-//!   already passed the scheme-membership test `attr(t) ∈ dnf(FS)` and all
-//!   `X ⊆ attr(t)` guards of the declared dependencies; later inserts of
-//!   the same shape skip straight to value-level checks (see [`ShapeMemo`]).
+//! * **Admission by partition** — a partition opens only for a tuple whose
+//!   shape passed the scheme-membership test `attr(t) ∈ dnf(FS)`, and it is
+//!   dropped with its last tuple, so a live partition proves its shape was
+//!   admitted: an insert into it skips that test.  The dependency checks
+//!   run for every tuple (see [`crate::db`]).
 //! * **Cheap shape metadata** — the set of live shapes (and their union) is
 //!   maintained incrementally, so the executor can derive join/projection
 //!   attribute sets from partition metadata instead of folding over tuples.
@@ -35,7 +36,6 @@ use flexrel_core::attr::AttrSet;
 use flexrel_core::tuple::{ShapeId, Tuple};
 
 use crate::column::{ColumnHeap, TupleRef};
-use crate::errors::StorageError;
 use crate::heap::TupleId;
 
 /// A stable identifier of a tuple stored in a shape-partitioned relation:
@@ -70,83 +70,18 @@ impl fmt::Display for Rid {
     }
 }
 
-/// The memoized outcome of the shape-level half of insert-time type
-/// checking, computed once when a partition is created.
-///
-/// Full type checking of a tuple `t` splits into *shape-level* facts that
-/// depend only on `attr(t)` — scheme membership `attr(t) ∈ dnf(FS)` and the
-/// `X ⊆ attr(t)` guards of every declared dependency — and *value-level*
-/// facts that depend on the stored values (domains, the actual `t[X]`, FD
-/// agreement with peers).  Because all tuples of a partition share their
-/// shape, the shape-level half is computed once and replayed from this memo
-/// for every later insert into the partition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShapeMemo {
-    /// The DNF disjunct of the scheme this shape satisfies.  For an admitted
-    /// shape this is the shape itself (the DNF members *are* the admissible
-    /// attribute combinations); recording it memoizes the recursive
-    /// `FlexScheme::admits` test.
-    pub disjunct: AttrSet,
-    /// One guard per declared dependency, in declaration order.
-    pub dep_guards: Vec<DepGuard>,
-}
-
-/// The shape-level residue of one dependency check (see [`ShapeMemo`]).
-#[derive(Clone, Debug, PartialEq)]
-pub enum DepGuard {
-    /// An EAD `<X --exp.attr--> Y, {Vi --exp.attr--> Yi}>` reduced to this
-    /// shape: which variants are *admissible* (those whose `Yi` equals the
-    /// shape's `Y`-overlap), so the value-level check is a variant lookup
-    /// plus an index test.
-    Ead {
-        /// Whether the shape contains all of `X` (tuples of this shape can
-        /// match a variant at all).  When `false`, the shape's `Y`-overlap
-        /// was verified empty at admission time and the whole check is
-        /// skipped.
-        lhs_defined: bool,
-        /// Whether `shape ∩ Y = ∅`.
-        y_overlap_empty: bool,
-        /// Indices of the variants whose `Yi` equals `shape ∩ Y`.
-        admissible: Vec<usize>,
-    },
-    /// An AD or FD, whose per-pair premise requires `X ⊆ attr(t)`: when
-    /// `lhs_defined` is `false` the check is vacuous for every tuple of the
-    /// shape and is skipped entirely.
-    Pairwise {
-        /// Whether the shape contains the dependency's determinant `X`.
-        lhs_defined: bool,
-    },
-}
-
 /// One heap partition: all live tuples of a single shape.
 #[derive(Clone, Debug)]
 pub struct Partition {
-    shape: AttrSet,
     heap: ColumnHeap,
-    memo: ShapeMemo,
     mutations: u64,
 }
 
 impl Partition {
-    fn new(shape: AttrSet, memo: ShapeMemo) -> Self {
-        Partition {
-            heap: ColumnHeap::new(shape.clone()),
-            shape,
-            memo,
-            mutations: 0,
-        }
-    }
-
-    /// Rebuilds a partition around a heap decoded from a checkpoint image,
-    /// with the shape-level memo recomputed from the (recovered) relation
-    /// definition.
-    pub(crate) fn from_heap(heap: ColumnHeap, memo: ShapeMemo) -> Self {
-        Partition {
-            shape: heap.shape().clone(),
-            heap,
-            memo,
-            mutations: 0,
-        }
+    /// Wraps a heap — a fresh one, or one decoded from a checkpoint image —
+    /// as a partition of the heap's shape.
+    pub(crate) fn from_heap(heap: ColumnHeap) -> Self {
+        Partition { heap, mutations: 0 }
     }
 
     /// Records one insert or delete.
@@ -156,12 +91,7 @@ impl Partition {
 
     /// The shape (`attr(t)`) shared by every tuple of the partition.
     pub fn shape(&self) -> &AttrSet {
-        &self.shape
-    }
-
-    /// The memoized shape-level type-check facts.
-    pub fn memo(&self) -> &ShapeMemo {
-        &self.memo
+        self.heap.shape()
     }
 
     /// How many inserts and deletes the partition has absorbed since it was
@@ -202,9 +132,8 @@ impl Partition {
     }
 }
 
-/// Per-partition catalog metadata: the shape, the DNF disjunct it satisfies
-/// and its live tuple count.  Returned by
-/// [`Database::partitions`](crate::db::Database::partitions) and
+/// Per-partition catalog metadata: the shape and its live tuple count.
+/// Returned by [`Database::partitions`](crate::db::Database::partitions) and
 /// [`PartitionSnapshot::infos`]; the optimizer's pruning pass and the
 /// executor's cost gates consume these instead of touching tuples.
 #[derive(Clone, Debug, PartialEq)]
@@ -213,9 +142,6 @@ pub struct PartitionInfo {
     pub shape_id: ShapeId,
     /// The shape `attr(t)` shared by every tuple of the partition.
     pub shape: AttrSet,
-    /// The DNF disjunct of the relation's scheme the shape satisfies (for
-    /// an admitted shape this is the shape itself).
-    pub disjunct: AttrSet,
     /// Number of live tuples in the partition.
     pub tuples: usize,
 }
@@ -223,12 +149,12 @@ pub struct PartitionInfo {
 /// A shape-partitioned heap: one segment [`ColumnHeap`] per distinct live tuple
 /// shape, keyed by [`ShapeId`].
 ///
-/// Partitions are created lazily on the first insert of a shape (the caller
-/// supplies the [`ShapeMemo`] computed during that insert's full type check)
-/// and dropped as soon as their last tuple is deleted — so the partition
-/// set, including the memo state, always reflects exactly the live shapes.
-/// Rolling back a transaction therefore restores not only the tuples but
-/// the partition and memo structure as well.
+/// Partitions are created lazily on the first insert of a shape and dropped
+/// as soon as their last tuple is deleted — so the partition set always
+/// reflects exactly the live shapes, and a live partition proves that its
+/// shape passed the scheme check when the partition opened.  Rolling back a
+/// transaction therefore restores not only the tuples but the partition
+/// structure as well.
 ///
 /// Each partition sits behind an [`Arc`]: taking a [`PartitionSnapshot`] is
 /// a handful of refcount bumps, and a write that lands while a snapshot is
@@ -293,43 +219,29 @@ impl PartitionedHeap {
             if p.is_empty() {
                 continue;
             }
-            let sid = ShapeId::intern(&p.shape);
+            let sid = ShapeId::intern(p.shape());
             h.live += p.len();
             h.parts.insert(sid, Arc::new(p));
         }
         h
     }
 
-    /// Inserts a tuple into its shape's partition.  `memo` must be provided
-    /// (and is consumed) exactly when the shape has no live partition yet —
-    /// i.e. when the caller just ran the full shape-level checks.  A missing
-    /// memo for a new shape is a logic error in the caller, reported as
-    /// [`StorageError::Bug`] (recovery code must be able to tell it apart
-    /// from disk corruption — this used to be an `expect`).  The tuple is
-    /// borrowed: the column heap copies its values out.
-    pub fn insert(
-        &mut self,
-        shape: ShapeId,
-        t: &Tuple,
-        memo: Option<ShapeMemo>,
-    ) -> Result<Rid, StorageError> {
-        let part = match self.parts.entry(shape) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                let Some(memo) = memo else {
-                    return Err(StorageError::Bug(
-                        "a ShapeMemo is required to open a new partition".into(),
-                    ));
-                };
-                e.insert(Arc::new(Partition::new(t.attrs(), memo)))
-            }
-        };
+    /// Inserts a tuple into its shape's partition, opening the partition
+    /// when the shape has none.  Nothing is checked here: the caller has
+    /// admitted the tuple (see [`PartitionedHeap`] for why a live partition
+    /// stands for its shape's admission).  The tuple is borrowed: the
+    /// column heap copies its values out.
+    pub fn insert(&mut self, shape: ShapeId, t: &Tuple) -> Rid {
+        let part = self
+            .parts
+            .entry(shape)
+            .or_insert_with(|| Arc::new(Partition::from_heap(ColumnHeap::new(t.attrs()))));
         let part = Arc::make_mut(part);
-        debug_assert_eq!(part.shape, *t.shape(), "tuple routed to wrong partition");
+        debug_assert_eq!(part.shape(), t.shape(), "tuple routed to wrong partition");
         let loc = part.heap.insert(t);
         part.touch();
         self.live += 1;
-        Ok(Rid { shape, loc })
+        Rid { shape, loc }
     }
 
     /// Materializes the tuple stored under `rid`, if it is live.
@@ -343,7 +255,7 @@ impl PartitionedHeap {
     }
 
     /// Deletes the tuple under `rid`, returning it if it was live.  Dropping
-    /// the last tuple of a partition drops the partition (and its memo).
+    /// the last tuple of a partition drops the partition.
     pub fn delete(&mut self, rid: Rid) -> Option<Tuple> {
         let part = self.parts.get_mut(&rid.shape)?;
         // Probe before copy-on-write: deleting a dead rid must not clone.
@@ -375,7 +287,7 @@ impl PartitionedHeap {
     {
         self.parts
             .iter()
-            .filter(move |(_, p)| admits(&p.shape))
+            .filter(move |(_, p)| admits(p.shape()))
             .flat_map(|(sid, p)| {
                 p.heap
                     .scan()
@@ -433,7 +345,6 @@ impl PartitionSnapshot {
             .map(|(sid, p)| PartitionInfo {
                 shape_id: *sid,
                 shape: p.shape().clone(),
-                disjunct: p.memo().disjunct.clone(),
                 tuples: p.len(),
             })
             .collect()
@@ -523,33 +434,8 @@ mod tests {
     use super::*;
     use flexrel_core::{attrs, tuple};
 
-    fn memo_for(shape: &AttrSet) -> ShapeMemo {
-        ShapeMemo {
-            disjunct: shape.clone(),
-            dep_guards: Vec::new(),
-        }
-    }
-
     fn insert(h: &mut PartitionedHeap, t: Tuple) -> Rid {
-        let sid = t.shape_id();
-        let memo = if h.partition(sid).is_none() {
-            Some(memo_for(t.shape()))
-        } else {
-            None
-        };
-        h.insert(sid, &t, memo).unwrap()
-    }
-
-    #[test]
-    fn missing_memo_for_a_new_shape_is_a_bug_not_a_panic() {
-        let mut h = PartitionedHeap::new();
-        let t = tuple! {"x" => 1};
-        let sid = t.shape_id();
-        let err = h.insert(sid, &t, None).unwrap_err();
-        assert!(matches!(err, StorageError::Bug(_)));
-        assert!(h.is_empty(), "failed insert leaves the heap untouched");
-        h.insert(sid, &t, Some(memo_for(&attrs!["x"]))).unwrap();
-        assert_eq!(h.len(), 1);
+        h.insert(t.shape_id(), &t)
     }
 
     #[test]
@@ -596,19 +482,24 @@ mod tests {
     }
 
     #[test]
-    fn memo_travels_with_the_partition() {
+    fn a_partition_lives_exactly_as_long_as_its_tuples() {
         let mut h = PartitionedHeap::new();
         let a = insert(&mut h, tuple! {"x" => 1});
         let sid = a.shape();
-        assert_eq!(
-            h.partition(sid).unwrap().memo().disjunct,
-            attrs!["x"],
-            "memo records the admitted disjunct"
-        );
-        assert!(h.partition(sid).unwrap().tuples().count() == 1);
-        assert!(!h.partition(sid).unwrap().is_empty());
+        let b = insert(&mut h, tuple! {"x" => 2});
+        let p = h
+            .partition(sid)
+            .expect("the first insert opened the partition");
+        assert_eq!(p.shape(), &attrs!["x"]);
+        assert_eq!((p.len(), p.tuples().count(), p.mutations()), (2, 2, 2));
         h.delete(a);
-        assert!(h.partition(sid).is_none(), "memo dropped with partition");
+        assert_eq!(h.partition(sid).map(Partition::len), Some(1));
+        h.delete(b);
+        assert!(h.partition(sid).is_none(), "the last delete drops it");
+        assert_eq!((h.len(), h.partition_count()), (0, 0));
+        let c = insert(&mut h, tuple! {"x" => 3});
+        let p = h.partition(c.shape()).expect("a later insert reopens it");
+        assert_eq!((p.len(), p.mutations()), (1, 1), "reopened fresh");
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //! reuse, so they are not stable across a rebuild — but equal tuples are
 //! interchangeable in a multiset, so deleting *any* equal tuple reproduces
 //! the committed state; a target that is not there is
-//! [`StorageError::Corruption`].  Operations on relations the checkpoint
-//! does not know are skipped: DDL is not WAL-logged, and the window between
-//! an in-memory DDL statement and its synchronous checkpoint is the
-//! documented DDL durability window.
+//! [`StorageError::Corruption`].  So is a checkpoint partition whose shape
+//! the relation's scheme does not admit: an insert into a live partition
+//! skips the scheme test, so only admitted shapes may be loaded.
+//! Operations on relations the checkpoint does not know are skipped: DDL
+//! is not WAL-logged, and the window between an in-memory DDL statement
+//! and its synchronous checkpoint is the documented DDL durability window.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -26,7 +28,7 @@ use std::sync::Arc;
 
 use crate::catalog::Catalog;
 use crate::checkpoint::read_checkpoint;
-use crate::db::{replay, shape_memo, IndexSet, RelStore, StoredIndex};
+use crate::db::{replay, IndexSet, RelStore, StoredIndex};
 use crate::errors::StorageError;
 use crate::index::HashIndex;
 use crate::partition::{Partition, PartitionedHeap};
@@ -57,10 +59,23 @@ pub(crate) fn recover(dir: &Path) -> Result<RecoveredState, StorageError> {
         Some(image) => {
             for rel in image.relations {
                 let name = rel.def.name.clone();
-                let parts = PartitionedHeap::from_parts(rel.partitions.into_iter().map(|heap| {
-                    let memo = shape_memo(&rel.def, heap.shape());
-                    Partition::from_heap(heap, memo)
-                }));
+                // Inserts skip the scheme test for a shape with a live
+                // partition, so an image must not bring in one the scheme
+                // does not admit.
+                if let Some(heap) = rel
+                    .partitions
+                    .iter()
+                    .find(|heap| !rel.def.scheme.admits(heap.shape()))
+                {
+                    return Err(StorageError::Corruption(format!(
+                        "checkpoint holds a partition of {} whose shape {} its scheme does not admit",
+                        name,
+                        heap.shape()
+                    )));
+                }
+                let parts = PartitionedHeap::from_parts(
+                    rel.partitions.into_iter().map(Partition::from_heap),
+                );
                 let indexes: IndexSet = rel
                     .indexes
                     .into_iter()
@@ -84,12 +99,10 @@ pub(crate) fn recover(dir: &Path) -> Result<RecoveredState, StorageError> {
 
     let outcome = replay_dir(dir, ckpt_lsn)?;
     for op in outcome.commits.iter().flatten() {
-        let (Some((parts, indexes)), Ok(def)) =
-            (rels.get_mut(op.relation()), catalog.get(op.relation()))
-        else {
+        let Some((parts, indexes)) = rels.get_mut(op.relation()) else {
             continue;
         };
-        replay(def, parts, indexes, op, None, StorageError::Corruption)?;
+        replay(parts, indexes, op, None, StorageError::Corruption)?;
     }
 
     let storage = rels
